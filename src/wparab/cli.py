@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
-from .errors import ScenarioError, WparabError
+from .errors import ScenarioError
 from .radial import AsymptoticHint, NO_HINT
 
 REPORT_VERSION = "1"
@@ -270,7 +270,7 @@ def run_scenario(scenario, outdir):
         result = _RUNNERS[scenario["task"]](scenario, outdir)
         return {"id": scenario["id"], "task": scenario["task"],
                 "status": "ok", "inputs": scenario, **result}
-    except (WparabError, ValueError, KeyError) as err:
+    except Exception as err:  # any failure stays inside its own report entry
         return {"id": scenario["id"], "task": scenario["task"],
                 "status": "error", "inputs": scenario,
                 "error": f"{type(err).__name__}: {err}"}

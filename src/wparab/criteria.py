@@ -29,50 +29,54 @@ _LADDER_NODES = 512
 class CumulativeProfile(RadialProfile):
     """f(t) = integral of alpha from t0 to t, cached on a geometric ladder.
 
-    Node positions are fixed up front (t0 * 2^(j * 40/511)), so values are
-    independent of the query order and runs are reproducible.
+    Rung positions are fixed up front (t0 * 2^(j * 40/511)), so values are
+    independent of the query order and runs are reproducible.  Numpy-safe
+    whenever alpha is: an array of radii costs one batch of panels.
     """
 
     def __init__(self, alpha: RadialProfile, t0: float):
+        step = _LADDER_SPAN / (_LADDER_NODES - 1)
         object.__setattr__(self, "alpha", alpha)
         object.__setattr__(self, "t0", float(t0))
-        object.__setattr__(self, "_cache", {0: 0.0})
-        object.__setattr__(self, "_step", _LADDER_SPAN / (_LADDER_NODES - 1))
+        object.__setattr__(self, "_step", step)
+        object.__setattr__(self, "_rungs",
+                           float(t0) * 2.0 ** (np.arange(_LADDER_NODES) * step))
+        object.__setattr__(self, "_rung_values", [0.0])
         # anchored away from the pole: comparison weights need no pole
         # regularity, and the primitive extends naturally below t0
         super().__init__(fn=self._value, d1=alpha.value, d2=alpha.deriv,
                          t_min=max(alpha.t_min, 1e-12),
-                         name=f"cumulative({alpha.name})")
+                         name=f"cumulative({alpha.name})",
+                         numpy_safe=alpha.numpy_safe)
 
-    def _node(self, j):
-        return self.t0 * 2.0 ** (j * self._step)
+    def _integral(self, a, b):
+        return integrate(self.alpha.value, a, b, abs_tol=1e-12, rel_tol=1e-10,
+                         vectorized=self.alpha.numpy_safe).value
 
-    def _node_value(self, j):
-        cache = self._cache
-        if j in cache:
-            return cache[j]
-        j_known = max(k for k in cache if k <= j)
-        acc = cache[j_known]
-        for i in range(j_known, j):
-            acc += integrate(self.alpha.value, self._node(i), self._node(i + 1),
-                             abs_tol=1e-12, rel_tol=1e-10).value
-            cache[i + 1] = acc
-        return acc
+    def _ladder(self, j):
+        """Values at rungs 0..j (at least), extending the ladder in one batch."""
+        known = self._rung_values
+        if j >= len(known):
+            ts = self._rungs[len(known) - 1:j + 1]
+            # one panel per rung, summed in ladder order
+            acc = np.cumsum([known[-1], *self._integral(ts[:-1], ts[1:])])
+            known.extend(acc[1:].tolist())
+        return np.asarray(known)
 
     def _value(self, t):
-        t = float(t)
-        if t == self.t0:
-            return 0.0
-        if t < self.t0:
-            return -integrate(self.alpha.value, t, self.t0,
-                              abs_tol=1e-12, rel_tol=1e-10).value
-        j = min(int(math.log2(t / self.t0) / self._step), _LADDER_NODES - 1)
-        base_t = self._node(j)
-        base_v = self._node_value(j)
-        if t == base_t:
-            return base_v
-        return base_v + integrate(self.alpha.value, base_t, t,
-                                  abs_tol=1e-12, rel_tol=1e-10).value
+        flat = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
+        above = flat > self.t0
+        j = np.zeros(flat.shape, dtype=int)
+        j[above] = np.minimum(np.log2(flat[above] / self.t0) / self._step,
+                              _LADDER_NODES - 1)
+        base_t = np.where(above, self._rungs[j], self.t0)
+        out = self._ladder(j.max())[j]
+        lo, hi = np.minimum(base_t, flat), np.maximum(base_t, flat)
+        tail = lo < hi
+        if tail.any():
+            part = self._integral(lo[tail], hi[tail])
+            out[tail] += np.where(flat[tail] > base_t[tail], part, -part)
+        return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])
 
 
 @dataclass
@@ -168,7 +172,8 @@ def classify_parabolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = N
         _drift_check(setup, P, window, "upper", assume_drift_bound),
         _balance_check(setup, sign=-1),
     ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
+    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint,
+                                 vectorized=setup.model.numpy_safe)
     return one_sided(Outcome.PARABOLIC, needs_divergent=True, checks=checks,
                      integral=integral, criterion="parabolic_comparison",
                      capacity_bound=setup.capacity_bound,
@@ -182,7 +187,8 @@ def classify_hyperbolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = 
         _drift_check(setup, P, window, "lower", assume_drift_bound),
         _balance_check(setup, sign=+1),
     ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
+    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint,
+                                 vectorized=setup.model.numpy_safe)
     return one_sided(Outcome.HYPERBOLIC, needs_divergent=False, checks=checks,
                      integral=integral, criterion="hyperbolic_comparison",
                      capacity_bound=setup.capacity_bound,
@@ -194,7 +200,7 @@ def classify_hyperbolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = 
 
 
 def warping_integrability_check(w: WarpingFunction, want_infinite):
-    verdict = classify_improper(w.value, 1.0)
+    verdict = classify_improper(w.value, 1.0, vectorized=w.numpy_safe)
     if want_infinite:
         ok = verdict.is_divergent
         name = "warping_not_integrable"
@@ -259,7 +265,8 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
     """
     if direction == "parabolic":
         alpha = RadialProfile(lambda t: beta.value(t) + c,
-                              beta.d1, beta.d2, name=f"{beta.name}+{c}")
+                              beta.d1, beta.d2, name=f"{beta.name}+{c}",
+                              numpy_safe=beta.numpy_safe)
         side, verdict = warping_integrability_check(warping, want_infinite=True)
         curv = curvature_bounded_check(warping)
         t0 = _first_balance_radius(warping, n, alpha)
@@ -268,7 +275,8 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
         out = classify_parabolic(setup, P, window, assume_drift_bound)
     elif direction == "hyperbolic":
         alpha = RadialProfile(lambda t: beta.value(t) - c,
-                              beta.d1, beta.d2, name=f"{beta.name}-{c}")
+                              beta.d1, beta.d2, name=f"{beta.name}-{c}",
+                              numpy_safe=beta.numpy_safe)
         side, verdict = warping_integrability_check(warping, want_infinite=False)
         curv = curvature_bounded_check(warping)
 
@@ -307,7 +315,7 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
         out.checks.append(slope_limit_check(f, -1))
     elif direction == "hyperbolic" and use_exp_integral:
         alpha = RadialProfile(lambda t: f.deriv(t) - c, f.second,
-                              name=f"{f.name}'-{c}")
+                              name=f"{f.name}'-{c}", numpy_safe=f.numpy_safe)
 
         def expint(t):
             return math.exp(c * t - f.value(t))
@@ -349,7 +357,7 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
 def f_as_beta(f: RadialProfile):
     """The radial drift bound of a radial weight is its slope f'."""
     return RadialProfile(f.d1, f.second, None, t_min=f.t_min,
-                         name=f"{f.name}'")
+                         name=f"{f.name}'", numpy_safe=f.numpy_safe)
 
 
 def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
@@ -371,7 +379,7 @@ def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
         lambda t: k * warping.deriv(t) / warping.value(t),
         lambda t: k * (warping.second(t) * warping.value(t)
                        - warping.deriv(t) ** 2) / warping.value(t) ** 2,
-        name=f"{k}*H")
+        name=f"{k}*H", numpy_safe=warping.numpy_safe)
     setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="warping_power")
     if k <= -n:
         out = classify_parabolic(setup)
@@ -411,16 +419,6 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
 def _euclidean_warping():
     from .radial import warping_euclidean
     return warping_euclidean()
-
-
-CRITERIA = {
-    "parabolic_comparison": classify_parabolic,
-    "hyperbolic_comparison": classify_hyperbolic,
-    "bounded_drift": classify_bounded_drift,
-    "radial_weight": classify_radial_weight,
-    "warping_power": classify_warping_power,
-    "translator_halfspace": classify_translator_halfspace,
-}
 
 
 # ---------------------------------------------------------------------------

@@ -189,8 +189,7 @@ class Dual:
         return Dual(s, self.deriv / (2.0 * s))
 
     def abs(self):
-        sign = 1.0 if _deep(self.value) > 0 else (-1.0 if _deep(self.value) < 0 else 0.0)
-        return Dual(fabs_(self.value), sign * self.deriv)
+        return Dual(fabs_(self.value), self.deriv * np.sign(_deep(self.value)))
 
 
 def fsin(x):
@@ -449,16 +448,22 @@ def eval_dual(node, point, direction):
 
 
 def derivatives_1d(node, var, t):
-    """(value, first, second) with respect to a single variable via nested duals."""
-    env = {var: Dual(Dual(float(t), 1.0), Dual(1.0, 0.0))}
+    """(value, first, second) with respect to a single variable via nested duals.
+
+    Elementwise on an array ``t``, returning arrays of its shape.
+    """
+    array = isinstance(t, np.ndarray)
+    env = {var: Dual(Dual(t if array else float(t), 1.0), Dual(1.0, 0.0))}
     out = evaluate(node, env)
     if not isinstance(out, Dual):
-        return float(out), 0.0, 0.0
+        out = Dual(out, 0.0)
     inner = out.value
     douter = out.deriv
     v = inner.value if isinstance(inner, Dual) else inner
     d1 = inner.deriv if isinstance(inner, Dual) else 0.0
     d2 = douter.deriv if isinstance(douter, Dual) else 0.0
+    if array:
+        return tuple(np.broadcast_to(x, t.shape).astype(float) for x in (v, d1, d2))
     return float(v), float(d1), float(d2)
 
 

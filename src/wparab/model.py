@@ -22,6 +22,10 @@ from .radial import (RadialProfile, WarpingFunction, classify_improper,
 from .verdicts import Outcome, Verdict
 
 
+def _exp(x):
+    return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
+
+
 def sphere_area_constant(m):
     """Euclidean area of the unit (m-1)-sphere."""
     return 2.0 * math.pi ** (m / 2.0) / math.gamma(m / 2.0)
@@ -49,6 +53,11 @@ class WeightedModel:
     def c_m(self):
         return sphere_area_constant(self.m)
 
+    @property
+    def numpy_safe(self):
+        """Whether the radial functions below accept arrays of radii."""
+        return self.w.numpy_safe and self.f.numpy_safe
+
     # -- basic geometry ------------------------------------------------
 
     def sphere_area(self, t):
@@ -56,8 +65,9 @@ class WeightedModel:
         return self.c_m * self.w.value(t) ** (self.m - 1) * math.exp(self.f.value(t))
 
     def inv_sphere_area(self, t):
+        """1/A(S_t); elementwise on an array of radii when the model is numpy-safe."""
         self.f.check_domain(t)
-        return math.exp(-self.f.value(t)) / (self.c_m * self.w.value(t) ** (self.m - 1))
+        return _exp(-self.f.value(t)) / (self.c_m * self.w.value(t) ** (self.m - 1))
 
     def ball_volume(self, t):
         if t <= 0:
@@ -69,9 +79,9 @@ class WeightedModel:
         m = self.m
 
         def integrand(s):
-            return self.w.value(s) ** (m - 1) * math.exp(self.f.value(s))
+            return self.w.value(s) ** (m - 1) * _exp(self.f.value(s))
 
-        res = integrate(integrand, 0.0, t)
+        res = integrate(integrand, 0.0, t, vectorized=self.numpy_safe)
         return self.c_m * res.value
 
     def mean_curvature(self, t):
@@ -105,13 +115,10 @@ class WeightedModel:
         if not self.f.t_min < rho < R < math.inf:
             raise DomainError(f"need t_min < rho < R < inf, got ({rho}, {R})")
         nodes = np.linspace(rho, R, grid_nodes)
-        cumulative = np.zeros(grid_nodes)
-        quad_err = 0.0
-        for i in range(grid_nodes - 1):
-            res = integrate(self.inv_sphere_area, nodes[i], nodes[i + 1],
-                            abs_tol=1e-14, rel_tol=1e-12)
-            cumulative[i + 1] = cumulative[i] + res.value
-            quad_err += res.error
+        res = integrate(self.inv_sphere_area, nodes[:-1], nodes[1:],
+                        abs_tol=1e-14, rel_tol=1e-12, vectorized=self.numpy_safe)
+        cumulative = np.concatenate(([0.0], np.cumsum(res.value)))
+        quad_err = float(res.error.sum())
         total = cumulative[-1]
         interp = PchipInterpolator(nodes, cumulative)
 
@@ -128,14 +135,20 @@ class WeightedModel:
 
         # residual of phi'' + ((m-1)H + f') phi' on an interior grid;
         # phi' is the exact derivative of the cumulative integral, phi''
-        # comes from central differences of phi'
+        # comes from the five-point stencil of phi' with step h
         h = 1e-5 * (R - rho)
         grid = np.linspace(rho + 2 * h, R - 2 * h, residual_grid)
-        residual = 0.0
-        for s in grid:
-            second = (phi_prime(s + h) - phi_prime(s - h)) / (2.0 * h)
-            residual = max(residual,
-                           abs(second + self.drift_coefficient(s) * phi_prime(s)))
+        stencil = grid[:, None] + h * np.arange(-2.0, 3.0)
+        if self.numpy_safe:
+            dphi = phi_prime(stencil)
+            drift = ((self.m - 1) * (self.w.deriv(grid) / self.w.value(grid))
+                     + self.f.deriv(grid))
+        else:
+            dphi = np.vectorize(phi_prime, otypes=[float])(stencil)
+            drift = np.vectorize(self.drift_coefficient, otypes=[float])(grid)
+        second = (dphi[:, 0] - 8.0 * dphi[:, 1] + 8.0 * dphi[:, 3]
+                  - dphi[:, 4]) / (12.0 * h)
+        residual = float(np.max(np.abs(second + drift * dphi[:, 2])))
         return CapacityReport(rho=rho, R=R, capacity=capacity,
                               potential=potential, ode_residual=residual,
                               quadrature_error=quad_err / total * capacity,
@@ -145,7 +158,8 @@ class WeightedModel:
         """(capacity, evidence): zero when the area integral diverges."""
         if rho <= self.f.t_min:
             raise DomainError(f"need rho > t_min = {self.f.t_min}")
-        verdict = classify_improper(self.inv_sphere_area, rho, hint)
+        verdict = classify_improper(self.inv_sphere_area, rho, hint,
+                                    vectorized=self.numpy_safe)
         if verdict.is_divergent:
             return 0.0, verdict
         if verdict.is_convergent:
@@ -156,7 +170,8 @@ class WeightedModel:
         """Recurrence/transience of the weighted model from the area integral."""
         if t0 <= self.f.t_min:
             raise DomainError(f"need t0 > t_min = {self.f.t_min}")
-        evidence = classify_improper(self.inv_sphere_area, t0, hint)
+        evidence = classify_improper(self.inv_sphere_area, t0, hint,
+                                     vectorized=self.numpy_safe)
         if evidence.is_divergent:
             outcome = Outcome.PARABOLIC
         elif evidence.is_convergent:

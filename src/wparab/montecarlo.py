@@ -163,6 +163,8 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     start = np.asarray(start, dtype=float)
     if not rho < R:
         raise DomainError("need rho < R")
+    if N < 1:
+        raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start[None, :])[0])
     if r0 <= rho:
         return HitEstimate(1.0, N, N, 0, 0, 1.0, 1.0, 0.0, 0.0,

@@ -76,9 +76,10 @@ class RadialProfile:
         return (self.d1(t + h) - self.d1(t - h)) / (2.0 * h)
 
     def check_domain(self, t):
-        if t <= self.t_min:
+        lowest = t.min() if isinstance(t, np.ndarray) else t
+        if lowest <= self.t_min:
             raise DomainError(
-                f"profile {self.name or '<anonymous>'} undefined at t={t} "
+                f"profile {self.name or '<anonymous>'} undefined at t={lowest} "
                 f"(domain is t > {self.t_min})")
 
     @classmethod
@@ -86,10 +87,11 @@ class RadialProfile:
         ast = ex.parse(source, ["t"])
 
         def fn(t):
-            return ex.evaluate(ast, {"t": t})
+            return ex.evaluate(ast, {"t": t}) + 0.0 * t
 
         def d1(t):
-            return ex.eval_dual(ast, {"t": t}, {"t": 1.0}).deriv
+            out = ex.evaluate(ast, {"t": ex.Dual(t, 1.0)})
+            return (out.deriv if isinstance(out, ex.Dual) else 0.0) + 0.0 * t
 
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]
@@ -138,35 +140,46 @@ def warping_hyperbolic(kappa=-1.0):
         name=f"hyperbolic(kappa={kappa})", numpy_safe=True)
 
 
-def _paraboloid_arc(rho):
+def _paraboloid_arc(rho, sqrt=np.sqrt, asinh=np.arcsinh):
     # arclength from the apex of the profile curve z = rho^2/2
-    return 0.5 * (rho * math.sqrt(1.0 + rho * rho) + math.asinh(rho))
+    return 0.5 * (rho * sqrt(1.0 + rho * rho) + asinh(rho))
 
 
 def _paraboloid_radius(t):
-    if t <= 0:
-        return 0.0
-    hi = max(1.0, math.sqrt(2.0 * t) + 1.0)
-    while _paraboloid_arc(hi) < t:
-        hi *= 2.0
-    return find_root(lambda r: _paraboloid_arc(r) - t, 0.0, hi, tol=1e-14)
+    """Profile radius at arclength t, elementwise on arrays: arc(r) = t by Newton.
+
+    The start r0 = min(t, sqrt(2t)) lies right of the root because
+    arc(r) >= max(r, r^2/2).  arc is convex and increasing, so the iterates
+    fall monotonically; they stop once none falls any more, a few ulp from
+    the root.
+    """
+    if isinstance(t, np.ndarray):
+        t, sqrt, asinh, lower = np.maximum(t, 0.0), np.sqrt, np.arcsinh, np.minimum
+    else:
+        t, sqrt, asinh, lower = max(float(t), 0.0), math.sqrt, math.asinh, min
+    r = lower(t, sqrt(2.0 * t))
+    for _ in range(64):
+        step = (_paraboloid_arc(r, sqrt, asinh) - t) / sqrt(1.0 + r * r)
+        r_next = lower(r, r - step)
+        if np.all(r_next == r):
+            return r
+        r = r_next
+    raise DomainError("paraboloid radius: Newton iteration did not settle")
 
 
 def warping_paraboloid():
     """Rotation surface z = |x|^2/2: warping is the profile radius at arclength t."""
 
-    def fn(t):
-        return _paraboloid_radius(t)
-
     def d1(t):
         rho = _paraboloid_radius(t)
-        return 1.0 / math.sqrt(1.0 + rho * rho)
+        return 1.0 / np.sqrt(1.0 + rho * rho)
 
     def d2(t):
         rho = _paraboloid_radius(t)
         return -rho / (1.0 + rho * rho) ** 2
 
-    return WarpingFunction(fn, d1, d2, name="paraboloid")
+    return WarpingFunction(_paraboloid_radius, d1, d2, name="paraboloid",
+                           numpy_safe=True)
 
 
 def weight_zero():
@@ -195,17 +208,10 @@ def weight_power(a, k):
 def weight_logpow(k, w: WarpingFunction):
     """log-weight k*log(w(t)); singular at the pole, anchored away from it."""
     return RadialProfile(
-        lambda t: k * math.log(w.value(t)),
+        lambda t: k * np.log(w.value(t)),
         lambda t: k * w.deriv(t) / w.value(t),
         lambda t: k * (w.second(t) * w.value(t) - w.deriv(t) ** 2) / w.value(t) ** 2,
-        name=f"logpow(k={k}, w={w.name})", t_min=1e-8)
-
-
-WARPING_CATALOG = {
-    "euclidean": lambda **kw: warping_euclidean(),
-    "hyperbolic": lambda **kw: warping_hyperbolic(kw.get("kappa", -1.0)),
-    "paraboloid": lambda **kw: warping_paraboloid(),
-}
+        name=f"logpow(k={k}, w={w.name})", t_min=1e-8, numpy_safe=w.numpy_safe)
 
 
 def weight_catalog_entry(name, w=None, **params):
@@ -266,35 +272,37 @@ class QuadResult:
         yield self.error
 
 
-def _gk15(f, a, b):
-    half = 0.5 * (b - a)
-    mid = 0.5 * (a + b)
-    total_k = 0.0
-    total_g = 0.0
-    fvals = np.empty(15)
-    for i in range(15):
-        x = mid + half * _K15_NODES[i]
-        fx = f(x)
-        if not math.isfinite(fx):
-            raise QuadratureError(f"non-finite integrand value at t={x}")
-        fvals[i] = fx
-    total_k = half * float(np.dot(_K15_WEIGHTS, fvals))
-    total_g = half * float(np.dot(_G7_WEIGHTS, fvals[_G7_IDX]))
-    return total_k, abs(total_k - total_g)
+def _gk15(f, a, b, vectorized):
+    """Kronrod value and |Kronrod - Gauss| on every panel [a[i], b[i]].
 
-
-def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
-    """Adaptive nested quadrature of ``f`` over [a, b].
-
-    Returns a :class:`QuadResult`; iterating it yields (value, error).
-    Endpoints are never evaluated, so integrable endpoint singularities
-    are tolerated when the caller knows they exist.
+    A vectorized integrand gets all nodes in one call, as an array of shape
+    (panels, 15); any other is called node by node in ascending order.
     """
-    if not a < b:
-        if a == b:
-            return QuadResult(0.0, 0.0, True, 0)
-        raise DomainError(f"integrate needs a < b, got ({a}, {b})")
-    val, err = _gk15(f, a, b)
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * _K15_NODES
+    if vectorized:
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            fx = np.asarray(f(x), dtype=float)
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            raise QuadratureError(
+                f"non-finite integrand value at t={float(x[bad].min())}")
+    else:
+        fx = np.empty(x.size)
+        for i, xi in enumerate(x.ravel()):
+            fx[i] = f(xi)
+            if not math.isfinite(fx[i]):
+                raise QuadratureError(f"non-finite integrand value at t={float(xi)}")
+        fx = fx.reshape(x.shape)
+    # row sums rather than a matrix product: BLAS may sum a row in an order
+    # that depends on the panel count, and a panel's value must not
+    k = half * (fx * _K15_WEIGHTS).sum(axis=1)
+    g = half * (fx[:, _G7_IDX] * _G7_WEIGHTS).sum(axis=1)
+    return k, np.abs(k - g)
+
+
+def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions, vectorized):
+    """Adaptive bisection of [a, b] from its GK15 (val, err), worst panel first."""
     # heap of (-error, tiebreak, a, b, value, error)
     counter = 0
     heap = [(-err, counter, a, b, val, err)]
@@ -309,8 +317,8 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
             counter += 1
             n_sub += 1
             continue
-        lv, le = _gk15(f, ia, im)
-        rv, re = _gk15(f, im, ib)
+        (lv, rv), (le, re) = (v.tolist() for v in _gk15(
+            f, np.array([ia, im]), np.array([im, ib]), vectorized))
         total_val += lv + rv - ival
         total_err += le + re - ierr
         counter += 1
@@ -319,11 +327,51 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
         heapq.heappush(heap, (-re, counter, im, ib, rv, re))
         n_sub += 1
     converged = total_err <= max(abs_tol, rel_tol * abs(total_val))
-    if not converged:
-        warnings.warn(
-            f"quadrature tolerance not reached on [{a}, {b}]: "
-            f"estimated error {total_err:.3e}", AccuracyWarning, stacklevel=2)
     return QuadResult(total_val, total_err, converged, n_sub)
+
+
+def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000,
+              *, vectorized=False):
+    """Adaptive nested quadrature of ``f`` over [a, b].
+
+    Returns a :class:`QuadResult`; iterating it yields (value, error).
+    Endpoints are never evaluated, so integrable endpoint singularities
+    are tolerated when the caller knows they exist.
+
+    With arrays ``a`` and ``b``, each panel [a[i], b[i]] is integrated on
+    its own: one GK15 sweep covers every panel, and only the panels whose
+    Kronrod--Gauss error fails the tolerance test are bisected further.
+    ``value`` and ``error`` are then per-panel arrays, ``converged`` holds
+    for all panels and ``subdivisions`` is their total.
+
+    ``vectorized`` declares ``f`` numpy-safe: elementwise on an ndarray of
+    any shape, returning the same shape.  Non-finite values raise
+    :class:`QuadratureError` naming the lowest offending node.
+    """
+    panels = np.ndim(a) > 0 or np.ndim(b) > 0
+    lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
+    if not panels and lo[0] == hi[0]:
+        return QuadResult(0.0, 0.0, True, 0)
+    if not np.all(lo < hi):
+        raise DomainError(f"integrate needs a < b, got ({a}, {b})")
+    vals, errs = _gk15(f, lo, hi, vectorized)
+    failing = np.flatnonzero(errs > np.maximum(abs_tol, rel_tol * np.abs(vals)))
+    results = [_bisect(f, float(lo[i]), float(hi[i]), float(vals[i]),
+                       float(errs[i]), abs_tol, rel_tol, max_subdivisions,
+                       vectorized) for i in failing]
+    for i, res in zip(failing, results):
+        vals[i], errs[i] = res.value, res.error
+    unresolved = sum(not res.converged for res in results)
+    converged = unresolved == 0
+    if not converged:
+        where = f"{unresolved} of {len(lo)} panels" if panels else f"[{a}, {b}]"
+        warnings.warn(
+            f"quadrature tolerance not reached on {where}: "
+            f"estimated error {float(errs.sum()):.3e}", AccuracyWarning, stacklevel=2)
+    n_sub = sum(res.subdivisions for res in results)
+    if not panels:
+        return QuadResult(float(vals[0]), float(errs[0]), converged, n_sub)
+    return QuadResult(vals, errs, converged, n_sub)
 
 
 # ---------------------------------------------------------------------------
@@ -373,14 +421,15 @@ class IntegralVerdict:
 
 def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
                       divergence_threshold=1e12, max_doublings=40,
-                      ratio_cap=0.8):
+                      ratio_cap=0.8, vectorized=False):
     """Classify the convergence of the integral of a positive ``f`` over [a, inf).
 
     Cutoffs double: T_j = a * 2^j.  Convergent when the tail increments
     decay geometrically and the extrapolated remainder drops below
     ``tail_tol``; divergent when partial sums exceed the threshold, the
     increments stop decaying over six consecutive doublings, or the
-    integrand blows up pointwise across the last cutoffs.
+    integrand blows up pointwise across the last cutoffs.  ``vectorized``
+    is passed on to :func:`integrate` for the segments.
     """
     if a <= 0:
         raise DomainError("classify_improper needs a > 0")
@@ -415,7 +464,8 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
         with warnings.catch_warnings():
             # segment accuracy is folded into the verdict's own evidence
             warnings.simplefilter("ignore", AccuracyWarning)
-            seg = integrate(f, t_prev, t_cur, abs_tol=tail_tol * 1e-3, rel_tol=1e-8)
+            seg = integrate(f, t_prev, t_cur, abs_tol=tail_tol * 1e-3, rel_tol=1e-8,
+                            vectorized=vectorized)
         partial += seg.value
         quad_err += seg.error
         cutoffs.append(t_cur)

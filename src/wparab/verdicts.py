@@ -104,11 +104,3 @@ def one_sided(target, needs_divergent, checks, integral, criterion,
     outcome = target if fires else Outcome.INCONCLUSIVE
     return Verdict(outcome, criterion, checks, integral, capacity_bound, notes)
 
-
-def two_sided(checks, integral, criterion, capacity_bound=None, notes=""):
-    """Divergent integral means parabolic, convergent means hyperbolic."""
-    if all(c.holds for c in checks) and integral.is_decisive:
-        outcome = Outcome.PARABOLIC if integral.is_divergent else Outcome.HYPERBOLIC
-    else:
-        outcome = Outcome.INCONCLUSIVE
-    return Verdict(outcome, criterion, checks, integral, capacity_bound, notes)

@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -211,3 +212,42 @@ def test_seed_override_flag(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "o1" / "report.json").read_text())
     assert report["scenarios"][0]["hit_estimate"]["seed"] == 99
+
+
+def _strict_report(outdir):
+    def reject(token):
+        raise ValueError(f"non-finite token {token} in report.json")
+    return json.loads((outdir / "report.json").read_text(), parse_constant=reject)
+
+
+def test_non_object_params_become_a_scenario_error(tmp_path):
+    config = {"scenarios": [
+        {"id": "bad", "task": "capacity", "model": small_model(), "params": []},
+        {"id": "good", "task": "capacity", "model": small_model(),
+         "params": {"rho": 1.0, "R": 2.0}}]}
+    cli.run_config(config, tmp_path)
+    bad, good = _strict_report(tmp_path)["scenarios"]
+    assert bad["status"] == "error" and good["status"] == "ok"
+
+
+def test_area_overflow_becomes_a_scenario_error(tmp_path):
+    config = {"scenarios": [
+        {"id": "cap", "task": "capacity", "model": small_model("gaussian", 3),
+         "params": {"rho": 1.0, "R": 45.0}},
+        {"id": "curves", "task": "curves", "model": small_model("antigaussian", 3),
+         "params": {"range": [1.0, 60.0], "samples": 30}}]}
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        cli.run_config(config, tmp_path)
+    cap, curves = _strict_report(tmp_path)["scenarios"]
+    assert cap["status"] == "error" and cap["error"].startswith("QuadratureError")
+    assert curves["status"] == "error"
+
+
+def test_zero_paths_become_a_scenario_error(tmp_path):
+    config = {"scenarios": [
+        {"id": "mc", "task": "mc-verify", "model": small_model(),
+         "params": {"rho": 0.5, "R": 2.0, "start": [1.0, 0.0], "paths": 0}}]}
+    cli.run_config(config, tmp_path)
+    (mc,) = _strict_report(tmp_path)["scenarios"]
+    assert mc["status"] == "error" and "DomainError" in mc["error"]

@@ -39,6 +39,18 @@ def test_cumulative_weight_is_query_order_independent():
     assert va == vb
 
 
+def test_cumulative_weight_evaluates_arrays_like_scalars():
+    setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.5, alpha_expr("-t+1/(1+t^2)"))
+    assert setup.f.numpy_safe and setup.model.numpy_safe
+    ts = np.array([[0.8, 1.5, 2.0], [7.0, 40.0, 1.5 * 2.0 ** 39]])
+    batch = setup.f.value(ts)
+    assert batch.shape == ts.shape
+    assert batch.ravel().tolist() == [setup.f.value(float(t)) for t in ts.ravel()]
+    # f(t) = (t0^2 - t^2)/2 + atan(t) - atan(t0)
+    exact = (1.5 ** 2 - ts[0] ** 2) / 2 + np.arctan(ts[0]) - math.atan(1.5)
+    assert np.allclose(batch[0], exact, rtol=1e-9, atol=1e-12)
+
+
 def test_setup_rejects_small_dimension():
     with pytest.raises(DomainError):
         cr.ComparisonSetup(rd.warping_euclidean(), 1, 1.0, NEG_T)

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -190,3 +191,50 @@ def test_capacity_to_infinity_propagates_inconclusive():
     assert cap is None
     assert verdict.status == "inconclusive"
     assert model.ahlfors_classify(1.0).outcome is Outcome.INCONCLUSIVE
+
+
+# --- ODE residual and the batched potential ---------------------------------
+
+
+def test_ode_residual_of_accurate_potentials_is_below_bound():
+    rep = euclid(3, rd.weight_power(-0.5, 3)).capacity_potential(1.2, 3.8)
+    assert rep.ode_residual <= 1e-6
+    rep = euclid(3, rd.weight_antigaussian()).capacity_potential(1.0, 45.0)
+    assert rep.ode_residual <= 1e-6
+
+
+def test_ode_residual_catches_a_wrong_derivative():
+    # d1 is not the derivative of fn: the potential no longer solves the ODE
+    wrong = rd.RadialProfile(lambda t: -0.5 * t * t, lambda t: -1.01 * t,
+                             name="wrong-slope", numpy_safe=True)
+    rep = euclid(3, wrong).capacity_potential(0.5, 4.0)
+    assert rep.ode_residual > 0.1
+
+
+def _catalog_models():
+    warpings = [rd.warping_euclidean(), rd.warping_hyperbolic(-1.0),
+                rd.warping_paraboloid()]
+    for w in warpings:
+        for f in (rd.weight_zero(), rd.weight_gaussian(), rd.weight_antigaussian(),
+                  rd.weight_power(-0.5, 3.0), rd.weight_logpow(-2.0, w)):
+            yield pytest.param(w, f, id=f"{w.name}-{f.name}")
+    yield pytest.param(rd.warping_euclidean(),
+                       rd.RadialProfile.from_expression("-0.3*t^2+0.5*log(1+t^2)"),
+                       id="expression")
+
+
+@pytest.mark.parametrize("w, f", _catalog_models())
+def test_batched_potential_matches_node_by_node_evaluation(w, f):
+    batched = WeightedModel(3, w, f)
+    scalar = WeightedModel(3, dataclasses.replace(w, numpy_safe=False),
+                           dataclasses.replace(f, numpy_safe=False))
+    assert batched.numpy_safe and not scalar.numpy_safe
+    a = batched.capacity_potential(1.2, 3.8)
+    b = scalar.capacity_potential(1.2, 3.8)
+    assert a.capacity == pytest.approx(b.capacity, rel=1e-12)
+    for s in np.linspace(1.2, 3.8, 11):
+        assert a.potential(s) == pytest.approx(b.potential(s), rel=1e-12, abs=1e-15)
+    # |Kronrod - Gauss| of well-resolved panels is rounding noise, so the
+    # two error estimates agree only in size
+    assert a.quadrature_error <= 1e-12 and b.quadrature_error <= 1e-12
+    assert a.ode_residual <= 1e-6 and b.ode_residual <= 1e-6

@@ -61,6 +61,11 @@ def test_integrate_warns_when_tolerance_unreachable():
                            abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=8)
     assert not res.converged
     assert any(issubclass(w.category, rd.AccuracyWarning) for w in caught)
+    with pytest.warns(rd.AccuracyWarning, match="1 of 2 panels"):
+        res = rd.integrate(lambda t: np.abs(t - 0.3) ** -0.5, np.array([0.0, 0.5]),
+                           np.array([0.5, 1.0]), abs_tol=1e-14, rel_tol=1e-14,
+                           max_subdivisions=8, vectorized=True)
+    assert not res.converged
 
 
 # --- improper integrals -------------------------------------------------
@@ -178,3 +183,94 @@ def test_expression_profile_second_derivative():
     assert p.value(1.0) == pytest.approx(g, rel=1e-14)
     assert p.deriv(1.0) == pytest.approx(-g, rel=1e-12)
     assert p.second(1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+# --- panel mode of the quadrature kernel ----------------------------------
+
+
+def _peak(t):
+    # narrow bump at 0.3 over a smooth background
+    return 1.0 + np.exp(-((t - 0.3) / 1e-3) ** 2) + 0.0 * t
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_panel_mode_matches_per_panel_integrate(vectorized):
+    edges = np.linspace(0.5, 3.0, 41)
+    f = lambda t: np.exp(-t) * np.sin(3.0 * t) + 1.0 / t  # noqa: E731
+    res = rd.integrate(f, edges[:-1], edges[1:], abs_tol=1e-14, rel_tol=1e-12,
+                       vectorized=vectorized)
+    for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
+        one = rd.integrate(f, lo, hi, abs_tol=1e-14, rel_tol=1e-12)
+        assert res.value[i] == one.value and res.error[i] == one.error
+    assert res.converged and res.subdivisions == 0
+    exact = (math.log(3.0 / 0.5)
+             + (np.exp(-0.5) * (np.sin(1.5) + 3 * np.cos(1.5))
+                - np.exp(-3.0) * (np.sin(9.0) + 3 * np.cos(9.0))) / 10.0)
+    assert res.value.sum() == pytest.approx(exact, rel=1e-13)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_panel_mode_falls_back_to_bisection_on_failing_panels(vectorized):
+    edges = np.array([0.0, 0.25, 0.5, 1.0])
+    res = rd.integrate(_peak, edges[:-1], edges[1:], abs_tol=1e-12, rel_tol=1e-12,
+                       vectorized=vectorized)
+    assert res.converged and res.subdivisions > 0
+    for i in range(3):
+        one = rd.integrate(_peak, edges[i], edges[i + 1], abs_tol=1e-12,
+                           rel_tol=1e-12)
+        assert res.value[i] == one.value and res.error[i] == one.error
+    # oracle: 1 + sqrt(pi) * 1e-3 (the bump lies well inside [0, 1])
+    assert res.value.sum() == pytest.approx(1.0 + math.sqrt(math.pi) * 1e-3,
+                                            rel=1e-12)
+
+
+@pytest.mark.parametrize("vectorized", [True, False])
+def test_nonfinite_values_name_the_lowest_bad_node(vectorized):
+    def f(t):
+        return np.where(t > 0.5, np.inf, 1.0) if vectorized else (
+            math.inf if t > 0.5 else 1.0)
+
+    first_bad = 0.5 + 0.5 * 0.207784955007898    # first GK15 node above 0.5
+    with pytest.raises(QuadratureError) as err:
+        rd.integrate(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
+                     vectorized=vectorized)
+    assert f"t={first_bad}" in str(err.value)
+
+
+def test_vectorized_overflow_is_a_quadrature_error_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError, match="non-finite integrand value"):
+            rd.integrate(lambda t: np.exp(t * t), 1.0, 45.0, vectorized=True)
+
+
+# --- numpy-safe catalog profiles -----------------------------------------
+
+
+def test_paraboloid_radius_has_arclength_residual_within_four_ulp():
+    ts = np.geomspace(1e-9, 1e6, 4001)
+    radii = rd._paraboloid_radius(ts)
+    ulps = np.abs(rd._paraboloid_arc(radii) - ts) / np.spacing(ts)
+    assert ulps.max() <= 4.0
+    for t in ts[::40]:
+        r = rd._paraboloid_radius(float(t))
+        assert isinstance(r, float)
+        arc = rd._paraboloid_arc(r, math.sqrt, math.asinh)
+        assert abs(arc - t) <= 4.0 * np.spacing(t)
+
+
+def test_numpy_safe_profiles_evaluate_arrays_elementwise():
+    w_par = rd.warping_paraboloid()
+    profiles = [w_par, rd.weight_logpow(-2.0, w_par),
+                rd.weight_logpow(1.5, rd.warping_hyperbolic(-1.0)),
+                rd.RadialProfile.from_expression("t^3 - log(1 + t^2)"),
+                rd.RadialProfile.from_expression("2"),
+                rd.RadialProfile.from_expression("abs(t - 1)")]
+    ts = np.linspace(0.3, 6.0, 12).reshape(3, 4)
+    for p in profiles:
+        assert p.numpy_safe, p.name
+        for fn in (p.value, p.deriv, p.second):
+            out = fn(ts)
+            assert out.shape == ts.shape, p.name
+            scalar = [fn(float(t)) for t in ts.ravel()]
+            assert np.allclose(out.ravel(), scalar, rtol=1e-14, atol=1e-15), p.name
