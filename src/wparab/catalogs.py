@@ -34,12 +34,22 @@ def resolve_warping(spec):
 
 def resolve_weight_profile(spec, warping=None):
     name = spec.get("name", "zero")
-    try:
-        return rd.weight_catalog_entry(name, w=warping,
-                                       **{k: v for k, v in spec.items()
-                                          if k != "name"})
-    except KeyError as err:
-        raise CatalogError(str(err)) from err
+    if name == "zero":
+        return rd.weight_zero()
+    if name == "gaussian":
+        return rd.weight_gaussian()
+    if name == "antigaussian":
+        return rd.weight_antigaussian()
+    if name == "power":
+        return rd.weight_power(spec["a"], spec["k"])
+    if name == "logpow":
+        if warping is None:
+            raise ValueError("logpow weight needs the warping function")
+        return rd.weight_logpow(spec["k"], warping)
+    if name == "custom":
+        return rd.RadialProfile.from_expression(spec["expr"],
+                                                t_min=spec.get("t_min", 0.0))
+    raise CatalogError(f"unknown weight {name!r}")
 
 
 def resolve_model(spec):

@@ -15,10 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError
-from .geometry import ImmersedSubmanifold, radial_hypothesis_profile
+from .geometry import (ImmersedSubmanifold, _complement_basis,
+                       radial_hypothesis_profile)
 from .model import WeightedModel
 from .radial import (AsymptoticHint, NO_HINT, RadialProfile, WarpingFunction,
-                     classify_improper, expand_bracket, find_root, integrate)
+                     classify_improper, expand_bracket, find_root, integrate,
+                     warping_euclidean)
 from .verdicts import (FAILS, HOLDS, WINDOW_ONLY, HypothesisCheck, Outcome,
                        one_sided)
 
@@ -406,7 +408,7 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
         margin=worst, window=(float(t0), float(32.0 * t0)), samples=256,
         witness=None if worst >= -1e-12 else {"t": float(ts[int(margins.argmin())])},
         note="alpha(t) >= -n/t")
-    setup = ComparisonSetup(warping=_euclidean_warping(), n=n, t0=t0,
+    setup = ComparisonSetup(warping=warping_euclidean(), n=n, t0=t0,
                             alpha=alpha, hint=hint, name="translator_halfspace")
     out = classify_hyperbolic(setup)
     out.checks.append(floor)
@@ -414,11 +416,6 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
     if not all(ch.holds for ch in out.checks):
         out.outcome = Outcome.INCONCLUSIVE
     return out
-
-
-def _euclidean_warping():
-    from .radial import warping_euclidean
-    return warping_euclidean()
 
 
 # ---------------------------------------------------------------------------
@@ -436,29 +433,17 @@ def cylinder_weighted_mc(k, xi: RadialProfile | None, t):
     return base + (xi.deriv(t) if xi is not None else 0.0)
 
 
-def cylinder_weighted_mc_n(n, xi: RadialProfile | None, t):
-    """Same with k-1 replaced by the submanifold dimension n."""
-    if t <= 0:
-        raise DomainError("cylinder radius must be positive")
-    return n / t - t + (xi.deriv(t) if xi is not None else 0.0)
-
-
 def critical_cylinder_radius(k, xi=None, lambda0=0.0, mode="last_above",
                              use_dimension=None):
     """Radius where the cylinder curvature crosses the level set by ``mode``."""
     if lambda0 < 0:
         raise DomainError("lambda0 must be >= 0")
     target = -lambda0 if mode == "first_below" else lambda0
-
     if use_dimension is not None:
-        def curv(t):
-            return cylinder_weighted_mc_n(use_dimension, xi, t)
-    else:
-        def curv(t):
-            return cylinder_weighted_mc(k, xi, t)
+        k = use_dimension + 1    # curvature term n/t with n the dimension
 
     def g(t):
-        return curv(t) - target
+        return cylinder_weighted_mc(k, xi, t) - target
 
     lo = 1e-4
     while g(lo) <= 0.0 and lo > 1e-12:
@@ -484,7 +469,6 @@ def hyperplane_weighted_mc(weight, a, t, p=None, probe_samples=64, probe_scale=2
             raise DomainError("point p does not lie on the hyperplane")
     value = -float(weight.grad(p) @ a)
 
-    from .geometry import _complement_basis
     B = _complement_basis(a)
     rng = np.random.Generator(np.random.Philox(20240601))
     coeffs = rng.standard_normal((probe_samples, m - 1)) * probe_scale

@@ -334,16 +334,14 @@ class ModelChartAmbient:
 # Charts and jets
 
 
-def _extract_jet2(res):
-    """(value, d_outer, d_inner, d_mixed) from a possibly nested dual."""
+def _jet2_derivs(res):
+    """(d_inner, d_mixed) from a possibly nested dual."""
     if not isinstance(res, Dual):
-        return float(res), 0.0, 0.0, 0.0
+        return 0.0, 0.0
     inner, douter = res.value, res.deriv
-    v = inner.value if isinstance(inner, Dual) else inner
     dj = inner.deriv if isinstance(inner, Dual) else 0.0
-    di = douter.value if isinstance(douter, Dual) else douter
     dij = douter.deriv if isinstance(douter, Dual) else 0.0
-    return float(v), float(dj), float(di), float(dij)
+    return float(dj), float(dij)
 
 
 def chart_point(P, u):
@@ -351,30 +349,17 @@ def chart_point(P, u):
     return np.array([float(v) for v in vals])
 
 
-def chart_jacobian(P, u):
-    if P.fd_chart:
-        return _fd_jacobian(P, u)
-    n = len(u)
+def chart_jet(P, u):
+    """Point, Jacobian (m,n) and second derivatives (m,n,n) of the chart.
+
+    The nested dual seeded with e_j inside and e_i outside carries d_j X in
+    its value part and d_i d_j X in its mixed part, so the diagonal
+    evaluations (i = j) supply the Jacobian.
+    """
     x0 = chart_point(P, u)
+    n = len(u)
     m = len(x0)
     J = np.empty((m, n))
-    for j in range(n):
-        args = [Dual(float(u[k]), 1.0 if k == j else 0.0) for k in range(n)]
-        vals = P.chart(args)
-        for k in range(m):
-            v = vals[k]
-            J[k, j] = v.deriv if isinstance(v, Dual) else 0.0
-    return x0, J
-
-
-def chart_jet(P, u):
-    """Point, Jacobian (m,n) and second derivatives (m,n,n) of the chart."""
-    if P.fd_chart:
-        x0, J = _fd_jacobian(P, u)
-        return x0, J, _fd_chart_hessian(P, u)
-    x0, J = chart_jacobian(P, u)
-    n = len(u)
-    m = len(x0)
     H = np.empty((m, n, n))
     for i in range(n):
         for j in range(i + 1):
@@ -385,51 +370,17 @@ def chart_jet(P, u):
                 args.append(Dual(Dual(float(u[k]), dj), Dual(di, 0.0)))
             vals = P.chart(args)
             for comp in range(m):
-                _, _, _, dij = _extract_jet2(vals[comp])
+                d_j, dij = _jet2_derivs(vals[comp])
                 H[comp, i, j] = H[comp, j, i] = dij
+                if i == j:
+                    J[comp, j] = d_j
     return x0, J, H
 
 
-def _fd_jacobian(P, u):
-    u = np.asarray(u, dtype=float)
-    x0 = chart_point(P, u)
-    n, m = len(u), len(x0)
-    J = np.empty((m, n))
-    for j in range(n):
-        h = _STEP_GRAD * (1.0 + abs(u[j]))
-        up, um = u.copy(), u.copy()
-        up[j] += h
-        um[j] -= h
-        J[:, j] = (chart_point(P, up) - chart_point(P, um)) / (2.0 * h)
-    return x0, J
-
-
-def _fd_chart_hessian(P, u):
-    u = np.asarray(u, dtype=float)
-    x0 = chart_point(P, u)
-    n, m = len(u), len(x0)
-    H = np.empty((m, n, n))
-    for i in range(n):
-        hi = _STEP_HESS * (1.0 + abs(u[i]))
-        for j in range(i + 1):
-            if i == j:
-                up, um = u.copy(), u.copy()
-                up[i] += hi
-                um[i] -= hi
-                H[:, i, i] = (chart_point(P, up) - 2.0 * x0 + chart_point(P, um)) / hi ** 2
-            else:
-                hj = _STEP_HESS * (1.0 + abs(u[j]))
-                upp, upm, ump, umm = u.copy(), u.copy(), u.copy(), u.copy()
-                upp[[i, j]] += [hi, hj]
-                upm[i] += hi
-                upm[j] -= hj
-                ump[i] -= hi
-                ump[j] += hj
-                umm[[i, j]] -= [hi, hj]
-                val = (chart_point(P, upp) - chart_point(P, upm)
-                       - chart_point(P, ump) + chart_point(P, umm)) / (4.0 * hi * hj)
-                H[:, i, j] = H[:, j, i] = val
-    return H
+def _covariant_second(P, x, J, Hx):
+    """Ambient-covariant second derivatives D_i d_j X, shape (n, n, m)."""
+    Gam = P.ambient.christoffels(x)
+    return np.transpose(Hx, (1, 2, 0)) + np.einsum("kab,ai,bj->ijk", Gam, J, J)
 
 
 @dataclass
@@ -444,7 +395,6 @@ class ImmersedSubmanifold:
     closed: bool = False                # chart covers a closed manifold
     linear: tuple | None = None         # (base_point, basis) for affine charts
     splitting: int | None = None        # horizontal factor size for cylinder ops
-    fd_chart: bool = False
     name: str = ""
 
     @property
@@ -532,15 +482,13 @@ def geometry_at(P: ImmersedSubmanifold, u, cond_limit=1e12):
     u = np.asarray(u, dtype=float)
     x, J, Hx = chart_jet(P, u)
     G = P.ambient.metric(x)
-    Gam = P.ambient.christoffels(x)
     g = J.T @ G @ J
     cond = float(np.linalg.cond(g))
     if not cond < cond_limit:
         raise DegenerateMetricError(f"induced metric degenerate at u={u} (cond={cond:.2e})")
     g_inv = np.linalg.inv(g)
 
-    # ambient-covariant second derivatives D_i d_j X
-    second = np.transpose(Hx, (1, 2, 0)) + np.einsum("kab,ai,bj->ijk", Gam, J, J)
+    second = _covariant_second(P, x, J, Hx)
 
     tangent = _gram_schmidt([J[:, i] for i in range(P.n)], G)
     declared = np.asarray(P.normal(u), dtype=float) if P.normal is not None else None
@@ -620,36 +568,17 @@ def _fd_hessian(f, u, rel=_STEP_HESS):
     return out
 
 
-def induced_metric_at(P, u):
-    x, J = chart_jacobian(P, u)
-    return J.T @ P.ambient.metric(x) @ J
-
-
 def intrinsic_data(P, u):
-    """Induced metric, its inverse, intrinsic Christoffels, pulled-back
-    weight gradient.  Christoffels come from central differences of the
-    induced metric."""
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    g = induced_metric_at(P, u)
+    """Induced metric, its inverse, intrinsic Christoffels and pulled-back
+    weight gradient, all from the chart jet: Gamma^k_ij =
+    g^{kl} <d_l X, D_i d_j X> and d_i (h o X) = <d_i X, dh>."""
+    x, J, Hx = chart_jet(P, np.asarray(u, dtype=float))
+    G = P.ambient.metric(x)
+    g = J.T @ G @ J
     g_inv = np.linalg.inv(g)
-
-    dg = np.empty((n, n, n))  # dg[k, i, j] = d_k g_ij
-    for k in range(n):
-        h = _STEP_GRAD * (1.0 + abs(u[k]))
-        up, um = u.copy(), u.copy()
-        up[k] += h
-        um[k] -= h
-        dg[k] = (induced_metric_at(P, up) - induced_metric_at(P, um)) / (2.0 * h)
-
-    # gamma[k,i,j] = 1/2 g^{kl} (d_i g_lj + d_j g_il - d_l g_ij)
-    bracket = dg + dg.transpose(1, 2, 0) - dg.transpose(1, 0, 2)
-    gamma = 0.5 * np.einsum("kl,ilj->kij", g_inv, bracket)
-
-    def h_pull(v):
-        return P.ambient.weight_value(chart_point(P, v))
-
-    grad_h = _fd_gradient(h_pull, u)
+    second = _covariant_second(P, x, J, Hx)
+    gamma = np.einsum("kl,lb,ijb->kij", g_inv, J.T @ G, second)
+    grad_h = J.T @ P.ambient.weight_grad(x)
     return g, g_inv, gamma, grad_h
 
 

@@ -16,8 +16,8 @@ import numpy as np
 
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
 from .errors import ComparisonRefusal, DomainError
-from .geometry import (ImmersedSubmanifold, ZeroWeight, chart_point,
-                       intrinsic_data, intrinsic_drift, weighted_laplacian)
+from .geometry import (ImmersedSubmanifold, ZeroWeight, intrinsic_drift,
+                       weighted_laplacian)
 from .verdicts import Outcome
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -44,9 +44,10 @@ def _sym_sqrt(mat):
 
 @dataclass
 class DiffusionSpec:
-    """Immutable description of the chart diffusion generated by the
-    weighted Laplacian: drift b = -g^{ij}Gamma^k_ij + g^{kj}d_j(h o X),
-    diffusion factor the symmetric square root of 2 g^{-1}."""
+    """Immutable description of the diffusion generated by the weighted
+    Laplacian on an affine chart X(u) = base + basis u: drift
+    g^{-1} basis^T grad h, diffusion factor the symmetric square root of
+    2 g^{-1}, with the constant metric g = basis^T basis."""
 
     P: ImmersedSubmanifold
     dtau: float
@@ -55,58 +56,30 @@ class DiffusionSpec:
     max_steps: int = 400_000
 
     def __post_init__(self):
-        if self.P.linear is not None:
-            base, B = self.P.linear
-            base = np.asarray(base, dtype=float)
-            B = np.asarray(B, dtype=float)
-            metric = B.T @ B
-            metric_inv = np.linalg.inv(metric)
-            sigma = _sym_sqrt(2.0 * metric_inv)
-            weight = self.P.ambient.weight
-            pull = B @ metric_inv
+        if self.P.linear is None:
+            raise DomainError(
+                "path simulation requires an affine chart (use the generic "
+                "generator check for curved charts)")
+        base, basis = self.P.linear
+        self.base = np.asarray(base, dtype=float)
+        self.basis = np.asarray(basis, dtype=float)
+        metric_inv = np.linalg.inv(self.basis.T @ self.basis)
+        self.sigma = _sym_sqrt(2.0 * metric_inv)
+        self.pull = self.basis @ metric_inv
 
-            def drift(U):
-                pts = base[None, :] + U @ B.T
-                grads = weight.grad_batch(pts)
-                if grads is None:
-                    grads = np.array([weight.grad(p) for p in pts])
-                return grads @ pull
-
-            def radius(U):
-                pts = base[None, :] + U @ B.T
-                return np.linalg.norm(pts, axis=1)
-
-            object.__setattr__(self, "_drift", drift)
-            object.__setattr__(self, "_radius", radius)
-            object.__setattr__(self, "_sigma", sigma)
-        else:
-            amb = self.P.ambient
-
-            def drift(U):
-                return np.array([intrinsic_drift(self.P, u)[0] for u in U])
-
-            def radius(U):
-                return np.array([amb.r(chart_point(self.P, u)) for u in U])
-
-            object.__setattr__(self, "_drift", drift)
-            object.__setattr__(self, "_radius", radius)
-            object.__setattr__(self, "_sigma", None)
+    def _points(self, U):
+        return self.base[None, :] + U @ self.basis.T
 
     def drift(self, U):
-        return self._drift(U)
+        weight = self.P.ambient.weight
+        pts = self._points(U)
+        grads = weight.grad_batch(pts)
+        if grads is None:
+            grads = np.array([weight.grad(p) for p in pts])
+        return grads @ self.pull
 
     def radius(self, U):
-        return self._radius(U)
-
-    def sigma_at(self, u):
-        if self._sigma is not None:
-            return self._sigma
-        _, g_inv, _, _ = intrinsic_data(self.P, u)
-        return _sym_sqrt(2.0 * g_inv)
-
-    @property
-    def constant_sigma(self):
-        return self._sigma
+        return np.linalg.norm(self._points(U), axis=1)
 
 
 @dataclass
@@ -172,21 +145,16 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     if r0 >= R:
         return HitEstimate(0.0, N, 0, N, 0, 0.0, 0.0, 0.0, 0.0,
                            rho, R, spec.dtau, spec.seed)
-    if spec.constant_sigma is None:
-        raise DomainError(
-            "path simulation requires an affine chart (use the generic "
-            "generator check for curved charts)")
 
     dtau = spec.dtau
     sqrt2dt = math.sqrt(2.0 * dtau)
-    sigma = spec.constant_sigma
+    sigma = spec.sigma
     sigma_T = None if np.allclose(sigma, math.sqrt(2.0) * np.eye(len(sigma)),
                                   atol=1e-14) else (sigma / math.sqrt(2.0)).T
     drift_is_zero = isinstance(getattr(spec.P.ambient, "weight", None), ZeroWeight)
-    base, basis = spec.P.linear
-    radius_is_param_norm = (not np.any(np.asarray(base))
-                            and np.allclose(np.asarray(basis).T @ np.asarray(basis),
-                                            np.eye(np.asarray(basis).shape[1]),
+    radius_is_param_norm = (not np.any(spec.base)
+                            and np.allclose(spec.basis.T @ spec.basis,
+                                            np.eye(spec.basis.shape[1]),
                                             atol=1e-13))
     coarse_limit = (R - rho) / 10.0
 

@@ -13,6 +13,7 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.optimize import brentq
 
 from . import expr as ex
 from .errors import BracketError, DomainError, IntegrandSignError, QuadratureError
@@ -212,25 +213,6 @@ def weight_logpow(k, w: WarpingFunction):
         lambda t: k * w.deriv(t) / w.value(t),
         lambda t: k * (w.second(t) * w.value(t) - w.deriv(t) ** 2) / w.value(t) ** 2,
         name=f"logpow(k={k}, w={w.name})", t_min=1e-8, numpy_safe=w.numpy_safe)
-
-
-def weight_catalog_entry(name, w=None, **params):
-    if name == "zero":
-        return weight_zero()
-    if name == "gaussian":
-        return weight_gaussian()
-    if name == "antigaussian":
-        return weight_antigaussian()
-    if name == "power":
-        return weight_power(params["a"], params["k"])
-    if name == "logpow":
-        if w is None:
-            raise ValueError("logpow weight needs the warping function")
-        return weight_logpow(params["k"], w)
-    if name == "custom":
-        return RadialProfile.from_expression(params["expr"],
-                                             t_min=params.get("t_min", 0.0))
-    raise KeyError(f"unknown weight {name!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -518,61 +500,16 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
 
 
 def find_root(f, lo, hi, tol=1e-12, max_iter=200):
-    """Brent's method: bisection combined with inverse interpolation.
+    """Brent's method (``scipy.optimize.brentq``) on a sign-changing bracket.
 
-    Requires a sign change on [lo, hi]; returns t* with |f(t*)| <= tol or
-    bracket width <= tol (plus machine slack).  Deterministic.
+    Returns t* within an absolute tolerance tol (plus machine slack) of a
+    root of f in [lo, hi].  Deterministic.
     """
     a, b = float(lo), float(hi)
     fa, fb = f(a), f(b)
-    if fa == 0.0:
-        return a
-    if fb == 0.0:
-        return b
     if fa * fb > 0.0:
         raise BracketError(f"no sign change on [{lo}, {hi}]: f={fa:.3e}, {fb:.3e}")
-    c, fc = a, fa
-    d = e = b - a
-    for _ in range(max_iter):
-        if fb * fc > 0.0:
-            c, fc = a, fa
-            d = e = b - a
-        if abs(fc) < abs(fb):
-            a, b, c = b, c, b
-            fa, fb, fc = fb, fc, fb
-        tol1 = 2.0 * math.ulp(abs(b)) + 0.5 * tol
-        xm = 0.5 * (c - b)
-        if abs(xm) <= tol1 or fb == 0.0 or abs(fb) <= tol:
-            return b
-        if abs(e) >= tol1 and abs(fa) > abs(fb):
-            s = fb / fa
-            if a == c:
-                p = 2.0 * xm * s
-                q = 1.0 - s
-            else:
-                q = fa / fc
-                r = fb / fc
-                p = s * (2.0 * xm * q * (q - r) - (b - a) * (r - 1.0))
-                q = (q - 1.0) * (r - 1.0) * (s - 1.0)
-            if p > 0.0:
-                q = -q
-            p = abs(p)
-            if 2.0 * p < min(3.0 * xm * q - abs(tol1 * q), abs(e * q)):
-                e = d
-                d = p / q
-            else:
-                d = xm
-                e = d
-        else:
-            d = xm
-            e = d
-        a, fa = b, fb
-        if abs(d) > tol1:
-            b += d
-        else:
-            b += tol1 if xm > 0 else -tol1
-        fb = f(b)
-    return b
+    return brentq(f, a, b, xtol=tol, maxiter=max_iter)
 
 
 def expand_bracket(f, lo, hi, *, factor=2.0, cap=1e6):

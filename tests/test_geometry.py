@@ -183,6 +183,57 @@ def test_laplacian_on_gaussian_plane_flat_chart_oracle():
     assert ge.weighted_laplacian(P, u, fld) == pytest.approx(1.0, abs=1e-8)
 
 
+def _metric_difference_oracle(P, u):
+    """Christoffels and grad(h o X) by central differences of the induced
+    metric and of h o X, with steps eps^(1/3) (1 + |u_k|)."""
+    n = len(u)
+
+    def metric(v):
+        x, J, _ = ge.chart_jet(P, v)
+        return J.T @ P.ambient.metric(x) @ J
+
+    def h_pull(v):
+        return P.ambient.weight_value(ge.chart_point(P, v))
+
+    dg = np.empty((n, n, n))  # dg[k, i, j] = d_k g_ij
+    grad_h = np.empty(n)
+    for k in range(n):
+        step = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + abs(u[k]))
+        up, um = u.copy(), u.copy()
+        up[k] += step
+        um[k] -= step
+        dg[k] = (metric(up) - metric(um)) / (2.0 * step)
+        grad_h[k] = (h_pull(up) - h_pull(um)) / (2.0 * step)
+    bracket = dg + dg.transpose(1, 2, 0) - dg.transpose(1, 0, 2)
+    gamma = 0.5 * np.einsum("kl,ilj->kij", np.linalg.inv(metric(u)), bracket)
+    return gamma, grad_h
+
+
+def test_intrinsic_data_matches_metric_differences():
+    charts = [
+        ge.euclidean_sphere(2.0, 3, translator_weight(3)),
+        ge.helicoid(0.7, ge.ExprWeight("-0.5*x1^2 + 0.3*x2*x3 + sin(x3)", 3)),
+        ge.paraboloid_graph(3, gaussian_weight()),
+        ge.cylinder_hypersurface(1.0, 2, 3, gaussian_weight()),
+        ge.grim_curve(),
+        ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0),
+                                      rd.weight_gaussian()), 1.2, 0.2),
+        ge.radial_graph(WeightedModel(3, rd.warping_paraboloid(),
+                                      rd.weight_antigaussian()), 1.5, 0.3),
+    ]
+    rng = np.random.default_rng(17)
+    for P in charts:
+        for _ in range(4):
+            u = np.array([rng.uniform(lo, hi) for lo, hi in P.window])
+            g, _, gamma, grad_h = ge.intrinsic_data(P, u)
+            fd_gamma, fd_grad_h = _metric_difference_oracle(P, u)
+            assert np.array_equal(g, ge.geometry_at(P, u).metric), P.name
+            for jet, fd in ((gamma, fd_gamma), (grad_h, fd_grad_h)):
+                # relative to the data's scale, floored at 1 where it vanishes
+                scale = max(np.abs(fd).max(), 1.0)
+                assert np.abs(jet - fd).max() <= 1e-7 * scale, (P.name, u)
+
+
 # --- radial identity ---------------------------------------------------------
 
 
@@ -197,13 +248,11 @@ def test_radial_identity_gaussian_plane():
     assert ge.radial_identity_residual(P, u, PSI_SQ) <= 1e-6
 
 
-def test_radial_identity_cylinder_fd_chart():
-    base = ge.cylinder_hypersurface(1.0, 2, 3)
-    fd = ge.ImmersedSubmanifold(base.ambient, base.n, base.chart, base.window,
-                                normal=base.normal, splitting=2, fd_chart=True)
+def test_radial_identity_cylinder():
+    P = ge.cylinder_hypersurface(1.0, 2, 3)
     psi = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
                            lambda t: 0.0 * t, name="t", numpy_safe=True)
-    assert ge.radial_identity_residual(fd, [0.8, 0.5], psi) <= 1e-5
+    assert ge.radial_identity_residual(P, [0.8, 0.5], psi) <= 1e-5
 
 
 # --- hypothesis profiling -----------------------------------------------------

@@ -143,6 +143,5 @@ def test_recurrence_probe_hyperbolic_plateau():
 
 def test_curved_charts_refuse_path_simulation():
     sphere = ge.euclidean_sphere(2.0, 3)
-    spec = mc.DiffusionSpec(sphere, 1e-3, seed=0)
     with pytest.raises(DomainError, match="affine chart"):
-        mc.hit_probability(spec, [0.9, 1.3], 1.0, 3.0, 10)
+        mc.DiffusionSpec(sphere, 1e-3, seed=0)
