@@ -17,6 +17,14 @@ from .errors import CatalogError
 from .model import WeightedModel
 
 
+def _param(spec, key, part):
+    """spec[key], or a CatalogError naming the part and its missing field."""
+    try:
+        return spec[key]
+    except KeyError:
+        raise CatalogError(f"{part} is missing parameter {key!r}") from None
+
+
 def resolve_warping(spec):
     name = spec.get("name", "euclidean")
     if name == "euclidean":
@@ -26,14 +34,16 @@ def resolve_warping(spec):
     if name == "paraboloid":
         return rd.warping_paraboloid()
     if name == "custom":
-        profile = rd.RadialProfile.from_expression(spec["expr"])
+        source = _param(spec, "expr", "warping 'custom'")
+        profile = rd.RadialProfile.from_expression(source)
         return rd.WarpingFunction(profile.fn, profile.d1, profile.d2,
-                                  name=spec["expr"], numpy_safe=True)
+                                  name=source, numpy_safe=True)
     raise CatalogError(f"unknown warping {name!r}")
 
 
 def resolve_weight_profile(spec, warping=None):
     name = spec.get("name", "zero")
+    part = f"weight {name!r}"
     if name == "zero":
         return rd.weight_zero()
     if name == "gaussian":
@@ -41,13 +51,13 @@ def resolve_weight_profile(spec, warping=None):
     if name == "antigaussian":
         return rd.weight_antigaussian()
     if name == "power":
-        return rd.weight_power(spec["a"], spec["k"])
+        return rd.weight_power(_param(spec, "a", part), _param(spec, "k", part))
     if name == "logpow":
         if warping is None:
             raise ValueError("logpow weight needs the warping function")
-        return rd.weight_logpow(spec["k"], warping)
+        return rd.weight_logpow(_param(spec, "k", part), warping)
     if name == "custom":
-        return rd.RadialProfile.from_expression(spec["expr"],
+        return rd.RadialProfile.from_expression(_param(spec, "expr", part),
                                                 t_min=spec.get("t_min", 0.0))
     raise CatalogError(f"unknown weight {name!r}")
 
@@ -56,7 +66,7 @@ def resolve_model(spec):
     warping = resolve_warping(spec.get("warping", spec.get("w", {})))
     weight = resolve_weight_profile(spec.get("weight", spec.get("f", {})),
                                     warping=warping)
-    return WeightedModel(int(spec["m"]), warping, weight)
+    return WeightedModel(int(_param(spec, "m", "model")), warping, weight)
 
 
 def ambient_weight_from_profile(profile):
@@ -68,6 +78,7 @@ def ambient_weight_from_profile(profile):
 def resolve_ambient_weight(spec, m, warping=None):
     """Euclidean ambient weight: radial catalog entries, height, or custom."""
     name = spec.get("name", "zero")
+    part = f"weight {name!r}"
     if name == "zero":
         return ge.ZeroWeight()
     if name == "height":
@@ -79,35 +90,37 @@ def resolve_ambient_weight(spec, m, warping=None):
                               lambda t: 0.0 * t, name="height", numpy_safe=True)
         return ge.HeightWeight(mu, m)
     if name == "split":
-        eta = resolve_ambient_weight(spec["eta"], m - 1, warping)
-        mu = resolve_weight_profile(spec["mu"])
+        eta = resolve_ambient_weight(_param(spec, "eta", part), m - 1, warping)
+        mu = resolve_weight_profile(_param(spec, "mu", part))
         return ge.SplitWeight(eta, mu, m)
     if name == "custom_coords":
-        return ge.ExprWeight(spec["expr"], m)
+        return ge.ExprWeight(_param(spec, "expr", part), m)
     return ge.RadialWeight(resolve_weight_profile(spec, warping=warping))
 
 
 def resolve_submanifold(spec, m, weight):
-    name = spec["name"]
+    name = _param(spec, "name", "submanifold")
+    part = f"submanifold {name!r}"
     if name == "sphere":
-        return ge.euclidean_sphere(float(spec["a"]), m, weight)
+        return ge.euclidean_sphere(float(_param(spec, "a", part)), m, weight)
     if name == "plane":
         if "axes" in spec:
             return ge.coordinate_plane(m, tuple(spec["axes"]), weight)
-        return ge.hyperplane(m, np.asarray(spec["normal"], dtype=float),
+        return ge.hyperplane(m, np.asarray(_param(spec, "normal", part), dtype=float),
                              float(spec.get("offset", 0.0)), weight)
     if name == "cylinder":
-        return ge.cylinder_hypersurface(float(spec["a"]), int(spec["k"]), m,
-                                        weight)
+        return ge.cylinder_hypersurface(float(_param(spec, "a", part)),
+                                        int(_param(spec, "k", part)), m, weight)
     if name == "graph":
-        ast = ex.parse(spec["expr"], [f"x{i + 1}" for i in range(m - 1)])
+        source = _param(spec, "expr", part)
+        ast = ex.parse(source, [f"x{i + 1}" for i in range(m - 1)])
 
         def phi(u):
             return ex.evaluate(ast, {f"x{i + 1}": u[i] for i in range(m - 1)})
 
         window = tuple(tuple(w) for w in spec["window"]) if "window" in spec else None
         return ge.graph_hypersurface(phi, m, weight, window=window,
-                                     name=f"graph({spec['expr']})")
+                                     name=f"graph({source})")
     if name == "paraboloid_graph":
         return ge.paraboloid_graph(m, weight)
     if name == "helicoid":

@@ -212,8 +212,8 @@ def _run_check_identities(scenario, outdir):
     wmc_norms = []
     for _ in range(count):
         u = np.array([lo + (hi - lo) * rng.random() for lo, hi in P.window])
-        residuals.append(ge.radial_identity_residual(P, u, psi))
         s = ge.geometry_at(P, u)
+        residuals.append(ge.radial_identity_residual(P, u, psi, sample=s))
         wmc_norms.append(float(np.linalg.norm(s.wmc_vec)))
     return {
         "radial_identity_max_residual": max(residuals),
@@ -258,6 +258,13 @@ def load_config(path):
         if sc["id"] in seen:
             raise ScenarioError(f"duplicate scenario id {sc['id']!r}")
         seen.add(sc["id"])
+        model = sc.get("model")
+        m = model.get("m") if isinstance(model, dict) else None
+        if m is not None and not (
+                (isinstance(m, int) and not isinstance(m, bool))
+                or (isinstance(m, float) and m.is_integer())):
+            raise ScenarioError(
+                f"scenarios[{i}].model.m must be an integer, got {m!r}")
         if sc.get("task") not in _TASKS:
             raise ScenarioError(
                 f"scenario {sc['id']!r}: unknown task {sc.get('task')!r} "

@@ -46,7 +46,11 @@ class ComparisonRefusal(WparabError):
 
 
 class CatalogError(WparabError, KeyError):
-    """Unknown catalog name."""
+    """Unknown catalog name, or a catalog entry missing a parameter."""
+
+    def __str__(self):
+        # KeyError would quote the message
+        return str(self.args[0]) if self.args else ""
 
 
 class ScenarioError(WparabError):

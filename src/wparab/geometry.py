@@ -15,12 +15,12 @@ of the second fundamental form and does not depend on the normal frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, SupportError
-from .expr import Dual, fcos, flog, fsin
+from .expr import Dual, fcos, flog, fsin, fsqrt
 from .model import WeightedModel
 from .radial import RadialProfile, _K15_NODES, _K15_WEIGHTS
 from .verdicts import FAILS, HOLDS, HypothesisCheck
@@ -31,42 +31,101 @@ _STEP_HESS = _EPS ** 0.25              # central second differences
 
 
 # ---------------------------------------------------------------------------
+# Stacks of points
+
+
+def _columns(U):
+    """Per-coordinate arguments for a stack of points U of shape (N, k):
+    Python floats for a single point, whose scalar arithmetic is cheapest,
+    and array columns otherwise, so that one call evaluates every point."""
+    if len(U) == 1:
+        return [float(v) for v in U[0]]
+    return [U[:, k] for k in range(U.shape[1])]
+
+
+def _stack(components, N):
+    """(N, m) array from m components, each a scalar or an (N,) array."""
+    if N == 1:
+        return np.array([components], dtype=float)
+    out = np.empty((N, len(components)))
+    for k, c in enumerate(components):
+        out[:, k] = c
+    return out
+
+
+def _rows(batch_fn, x):
+    """Apply a function of stacked points (N, m) to one point or a stack."""
+    x = np.asarray(x, dtype=float)
+    return batch_fn(x) if x.ndim == 2 else batch_fn(x[None])[0]
+
+
+def _elementwise(fn, numpy_safe, t):
+    """A radial function on an array of radii, one radius at a time unless
+    the function is numpy-safe."""
+    if numpy_safe:
+        v = fn(t)
+        return v if np.shape(v) == np.shape(t) else np.full(np.shape(t), v)
+    flat = [fn(float(v)) for v in np.ravel(t)]
+    return np.array(flat, dtype=float).reshape(np.shape(t))
+
+
+def _norm(x):
+    """Euclidean norm over the last axis, as a dot product like
+    np.linalg.norm of a single vector, so one point and the same row of a
+    stack agree to the last bit."""
+    return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
+
+
+def _inner(G, a, b):
+    """<a, b>_G, row by row over any leading axes."""
+    return np.einsum("...i,...ij,...j->...", a, G, b)
+
+
+# ---------------------------------------------------------------------------
 # Ambient weights (Euclidean)
 
 
 class AmbientWeight:
-    """Weight exp(h) on Euclidean coordinates: value, gradient, Hessian."""
+    """Weight exp(h) on Euclidean coordinates: value, gradient, Hessian.
+
+    Subclasses evaluate stacks of points of shape (N, m); ``value``,
+    ``grad`` and ``hess`` take one point (m,) or a stack, a single point
+    being the one-row case.
+    """
 
     name = "weight"
 
-    def value(self, p):
-        raise NotImplementedError
-
-    def grad(self, p):
-        raise NotImplementedError
-
-    def hess(self, p):
+    def value_batch(self, pts):
         raise NotImplementedError
 
     def grad_batch(self, pts):
-        """Vectorized gradient over an (N, m) array, or None if unavailable."""
-        return None
+        raise NotImplementedError
+
+    def hess_batch(self, pts):
+        raise NotImplementedError
+
+    def value(self, p):
+        return _rows(self.value_batch, p)
+
+    def grad(self, p):
+        return _rows(self.grad_batch, p)
+
+    def hess(self, p):
+        return _rows(self.hess_batch, p)
 
 
 class ZeroWeight(AmbientWeight):
     name = "zero"
 
-    def value(self, p):
-        return 0.0
-
-    def grad(self, p):
-        return np.zeros(len(p))
-
-    def hess(self, p):
-        return np.zeros((len(p), len(p)))
+    def value_batch(self, pts):
+        return np.zeros(len(pts))
 
     def grad_batch(self, pts):
         return np.zeros_like(pts)
+
+    def hess_batch(self, pts):
+        N, m = pts.shape
+        return np.zeros((N, m, m))
 
 
 class RadialWeight(AmbientWeight):
@@ -76,37 +135,33 @@ class RadialWeight(AmbientWeight):
         self.profile = profile
         self.name = f"radial({profile.name})"
 
+    def _at(self, fn, t):
+        return _elementwise(fn, self.profile.numpy_safe, t)
+
     def _slope_over_r(self, r):
         # f'(r)/r, with the limit f''(0) at the pole
-        if r < 1e-9:
-            return self.profile.second(max(r, 1e-9))
-        return self.profile.deriv(r) / r
+        pole = r < 1e-9
+        if not pole.any():
+            return self._at(self.profile.deriv, r) / r
+        r = np.maximum(r, 1e-9)
+        return np.where(pole, self._at(self.profile.second, r),
+                        self._at(self.profile.deriv, r) / r)
 
-    def value(self, p):
-        return self.profile.value(float(np.linalg.norm(p)))
-
-    def grad(self, p):
-        p = np.asarray(p, dtype=float)
-        r = float(np.linalg.norm(p))
-        return self._slope_over_r(r) * p
-
-    def hess(self, p):
-        p = np.asarray(p, dtype=float)
-        m = len(p)
-        r = float(np.linalg.norm(p))
-        s = self._slope_over_r(r)
-        if r < 1e-9:
-            return s * np.eye(m)
-        u = p / r
-        return (self.profile.second(r) - s) * np.outer(u, u) + s * np.eye(m)
+    def value_batch(self, pts):
+        return self._at(self.profile.value, _norm(pts))
 
     def grad_batch(self, pts):
-        if not self.profile.numpy_safe:
-            return None
-        r = np.linalg.norm(pts, axis=1)
-        r = np.maximum(r, 1e-300)
-        fac = self.profile.deriv(r) / r
-        return pts * fac[:, None]
+        return self._slope_over_r(_norm(pts))[:, None] * pts
+
+    def hess_batch(self, pts):
+        N, m = pts.shape
+        r = _norm(pts)
+        s = self._slope_over_r(r)
+        pole = r < 1e-9
+        u = np.where(pole[:, None], 0.0, pts / np.where(pole, 1.0, r)[:, None])
+        second = self._at(self.profile.second, np.maximum(r, 1e-9))
+        return ((second - s)[:, None, None] * u[:, :, None] * u[:, None, :]
+                + s[:, None, None] * np.eye(m))
 
 
 class HeightWeight(AmbientWeight):
@@ -121,20 +176,18 @@ class HeightWeight(AmbientWeight):
         self.axis = np.asarray(axis, dtype=float)
         self.name = f"height({mu.name})"
 
-    def value(self, p):
-        return self.mu.value(float(np.dot(p, self.axis)))
+    def _at(self, fn, pts):
+        return _elementwise(fn, self.mu.numpy_safe, pts @ self.axis)
 
-    def grad(self, p):
-        return self.mu.deriv(float(np.dot(p, self.axis))) * self.axis
-
-    def hess(self, p):
-        return self.mu.second(float(np.dot(p, self.axis))) * np.outer(self.axis, self.axis)
+    def value_batch(self, pts):
+        return self._at(self.mu.value, pts)
 
     def grad_batch(self, pts):
-        if not self.mu.numpy_safe:
-            return None
-        t = pts @ self.axis
-        return np.asarray(self.mu.deriv(t))[:, None] * self.axis[None, :]
+        return self._at(self.mu.deriv, pts)[:, None] * self.axis
+
+    def hess_batch(self, pts):
+        return (self._at(self.mu.second, pts)[:, None, None]
+                * np.outer(self.axis, self.axis))
 
 
 class SplitWeight(AmbientWeight):
@@ -146,33 +199,33 @@ class SplitWeight(AmbientWeight):
         self.m = m
         self.name = f"split({eta.name}+{mu.name})"
 
-    def value(self, p):
-        return self.eta.value(p[:-1]) + self.mu.value(float(p[-1]))
+    def _at(self, fn, pts):
+        return _elementwise(fn, self.mu.numpy_safe, pts[:, -1])
 
-    def grad(self, p):
-        g = np.empty(self.m)
-        g[:-1] = self.eta.grad(p[:-1])
-        g[-1] = self.mu.deriv(float(p[-1]))
-        return g
-
-    def hess(self, p):
-        h = np.zeros((self.m, self.m))
-        h[:-1, :-1] = self.eta.hess(p[:-1])
-        h[-1, -1] = self.mu.second(float(p[-1]))
-        return h
+    def value_batch(self, pts):
+        return self.eta.value_batch(pts[:, :-1]) + self._at(self.mu.value, pts)
 
     def grad_batch(self, pts):
-        inner = self.eta.grad_batch(pts[:, :-1])
-        if inner is None or not self.mu.numpy_safe:
-            return None
         out = np.empty_like(pts)
-        out[:, :-1] = inner
-        out[:, -1] = self.mu.deriv(pts[:, -1])
+        out[:, :-1] = self.eta.grad_batch(pts[:, :-1])
+        out[:, -1] = self._at(self.mu.deriv, pts)
+        return out
+
+    def hess_batch(self, pts):
+        N, m = pts.shape
+        out = np.zeros((N, m, m))
+        out[:, :-1, :-1] = self.eta.hess_batch(pts[:, :-1])
+        out[:, -1, -1] = self._at(self.mu.second, pts)
         return out
 
 
 class ExprWeight(AmbientWeight):
-    """Weight given by an expression in the coordinates x1..xm."""
+    """Weight given by an expression in the coordinates x1..xm.
+
+    Derivatives come from dual numbers seeded with whole coordinate
+    columns, so a stack of points costs one expression evaluation per
+    derivative direction.
+    """
 
     def __init__(self, source, m):
         from . import expr as ex
@@ -182,37 +235,36 @@ class ExprWeight(AmbientWeight):
         self._ex = ex
         self.name = f"expr({source})"
 
-    def _env(self, p):
-        return {name: float(v) for name, v in zip(self.vars, p)}
+    def _evaluate(self, pts, seed=lambda k, c: c):
+        """The expression with coordinate k set to seed(k, column k)."""
+        env = {name: seed(k, c)
+               for k, (name, c) in enumerate(zip(self.vars, _columns(pts)))}
+        return self._ex.evaluate(self.ast, env)
 
-    def value(self, p):
-        return float(self._ex.evaluate(self.ast, self._env(p)))
+    def value_batch(self, pts):
+        return _stack([self._evaluate(pts)], len(pts))[:, 0]
 
-    def grad(self, p):
-        env = self._env(p)
-        out = np.empty(self.m)
-        for i, name in enumerate(self.vars):
-            out[i] = self._ex.eval_dual(self.ast, env, {name: 1.0}).deriv
-        return out
+    def grad_batch(self, pts):
+        def along(i):
+            res = self._evaluate(pts, lambda k, c: Dual(c, float(k == i)))
+            return res.deriv if isinstance(res, Dual) else 0.0
 
-    def hess(self, p):
-        ex = self._ex
-        out = np.empty((self.m, self.m))
+        return _stack([along(i) for i in range(self.m)], len(pts))
+
+    def hess_batch(self, pts):
+        out = np.empty((len(pts), self.m, self.m))
         for i in range(self.m):
             for j in range(i + 1):
-                env = {}
-                for k, name in enumerate(self.vars):
-                    dj = 1.0 if k == j else 0.0
-                    di = 1.0 if k == i else 0.0
-                    env[name] = Dual(Dual(float(p[k]), dj), Dual(di, 0.0))
-                res = ex.evaluate(self.ast, env)
-                val = res.deriv.deriv if isinstance(res, Dual) and isinstance(res.deriv, Dual) else 0.0
-                out[i, j] = out[j, i] = float(val)
+                res = self._evaluate(pts, lambda k, c: Dual(
+                    Dual(c, float(k == j)), Dual(float(k == i), 0.0)))
+                out[:, i, j] = out[:, j, i] = _jet2_derivs(res)[1]
         return out
 
 
 # ---------------------------------------------------------------------------
 # Ambient spaces
+#
+# Methods of a point take one point of shape (m,) or a stack of shape (N, m).
 
 
 class EuclideanAmbient:
@@ -222,36 +274,31 @@ class EuclideanAmbient:
         self.m = m
         self.weight = weight or ZeroWeight()
         self._eye = np.eye(m)
-        self._zero_gamma = np.zeros((m, m, m))
 
-    flat = True
+    flat = True       # no Christoffel symbols
 
-    def metric(self, p):
-        return self._eye
+    def metric(self, x):
+        return np.broadcast_to(self._eye, np.shape(x)[:-1] + self._eye.shape)
 
-    def christoffels(self, p):
-        return self._zero_gamma
+    def r(self, x):
+        return _norm(np.asarray(x, dtype=float))
 
-    def r(self, p):
-        return float(np.linalg.norm(p))
-
-    def grad_r(self, p):
-        r = self.r(p)
-        if r < 1e-300:
-            raise DomainError("radial direction undefined at the pole")
-        return np.asarray(p, dtype=float) / r
+    def grad_r(self, x):
+        """Unit radial direction, NaN at the pole where it is undefined."""
+        r = self.r(x)
+        return np.asarray(x, dtype=float) / np.where(r < 1e-300, np.nan, r)[..., None]
 
     def sphere_curvature(self, r):
         return 1.0 / r
 
-    def weight_value(self, p):
-        return self.weight.value(p)
+    def weight_value(self, x):
+        return self.weight.value(x)
 
-    def weight_grad(self, p):
-        return self.weight.grad(p)
+    def weight_grad(self, x):
+        return self.weight.grad(x)
 
-    def weight_hess(self, p):
-        return self.weight.hess(p)
+    def weight_hess(self, x):
+        return self.weight.hess(x)
 
 
 class ModelChartAmbient:
@@ -268,65 +315,64 @@ class ModelChartAmbient:
         self.model = model
         self.m = model.m
 
-    def _sphere_factors(self, ang):
-        # s[a] = prod_{j<a} sin^2(theta_j), for the a-th angular coordinate
-        q = len(ang)
-        s = np.empty(q)
-        acc = 1.0
-        for a in range(q):
-            s[a] = acc
-            acc *= math.sin(ang[a]) ** 2
-        return s
+    def _radial(self, profile, fn, x):
+        return _elementwise(fn, profile.numpy_safe, np.asarray(x, dtype=float)[..., 0])
 
-    def metric(self, p):
-        t, ang = float(p[0]), np.asarray(p[1:], dtype=float)
-        w2 = self.model.w.value(t) ** 2
-        g = np.zeros((self.m, self.m))
-        g[0, 0] = 1.0
-        s = self._sphere_factors(ang)
-        for a in range(len(ang)):
-            g[a + 1, a + 1] = w2 * s[a]
+    def _sphere_factors(self, ang):
+        # s[..., a] = prod_{j<a} sin^2(theta_j), for the a-th angular coordinate
+        sin2 = np.sin(ang) ** 2
+        return np.concatenate([np.ones(ang.shape[:-1] + (1,)),
+                               np.cumprod(sin2[..., :-1], axis=-1)], axis=-1)
+
+    def metric(self, x):
+        x = np.asarray(x, dtype=float)
+        w = self.model.w
+        w2 = self._radial(w, w.value, x) ** 2
+        g = np.zeros(x.shape[:-1] + (self.m, self.m))
+        g[..., 0, 0] = 1.0
+        a = np.arange(1, self.m)
+        g[..., a, a] = w2[..., None] * self._sphere_factors(x[..., 1:])
         return g
 
-    def christoffels(self, p):
-        t, ang = float(p[0]), np.asarray(p[1:], dtype=float)
+    def christoffels(self, x):
+        x = np.asarray(x, dtype=float)
         m = self.m
-        q = len(ang)
-        w = self.model.w.value(t)
-        wp = self.model.w.deriv(t)
+        q = m - 1
+        w = self._radial(self.model.w, self.model.w.value, x)
+        wp = self._radial(self.model.w, self.model.w.deriv, x)
         ratio = wp / w
-        s = self._sphere_factors(ang)
-        gam = np.zeros((m, m, m))
-        for a in range(1, m):
-            gam[0, a, a] = -w * wp * s[a - 1]
-            gam[a, 0, a] = gam[a, a, 0] = ratio
+        s = self._sphere_factors(x[..., 1:])
+        gam = np.zeros(x.shape[:-1] + (m, m, m))
+        a = np.arange(1, m)
+        gam[..., 0, a, a] = (-w * wp)[..., None] * s
+        gam[..., a, 0, a] = gam[..., a, a, 0] = ratio[..., None]
         for b in range(1, q + 1):        # coordinate theta_b
-            cot = 1.0 / math.tan(ang[b - 1])
+            cot = 1.0 / np.tan(x[..., b])
             for a in range(b + 1, q + 1):  # theta_a with a > b
-                gam[a, b, a] = gam[a, a, b] = cot
-                gam[b, a, a] = -(s[a - 1] / s[b - 1]) * cot
+                gam[..., a, b, a] = gam[..., a, a, b] = cot
+                gam[..., b, a, a] = -(s[..., a - 1] / s[..., b - 1]) * cot
         return gam
 
-    def r(self, p):
-        return float(p[0])
+    def r(self, x):
+        return np.asarray(x, dtype=float)[..., 0]
 
-    def grad_r(self, p):
-        e = np.zeros(self.m)
-        e[0] = 1.0
+    def grad_r(self, x):
+        e = np.zeros(np.shape(x))
+        e[..., 0] = 1.0
         return e
 
     def sphere_curvature(self, r):
         return self.model.mean_curvature(r)
 
-    def weight_value(self, p):
-        return self.model.f.value(float(p[0]))
+    def weight_value(self, x):
+        return self._radial(self.model.f, self.model.f.value, x)
 
-    def weight_grad(self, p):
-        g = np.zeros(self.m)
-        g[0] = self.model.f.deriv(float(p[0]))
+    def weight_grad(self, x):
+        g = np.zeros(np.shape(x))
+        g[..., 0] = self._radial(self.model.f, self.model.f.deriv, x)
         return g
 
-    def weight_hess(self, p):
+    def weight_hess(self, x):
         raise DomainError("weight Hessian only available in Euclidean ambients")
 
 
@@ -341,57 +387,76 @@ def _jet2_derivs(res):
     inner, douter = res.value, res.deriv
     dj = inner.deriv if isinstance(inner, Dual) else 0.0
     dij = douter.deriv if isinstance(douter, Dual) else 0.0
-    return float(dj), float(dij)
+    return dj, dij
 
 
 def chart_point(P, u):
-    vals = P.chart([float(x) for x in u])
-    return np.array([float(v) for v in vals])
+    return _stack(P.chart([float(x) for x in u]), 1)[0]
 
 
-def chart_jet(P, u):
-    """Point, Jacobian (m,n) and second derivatives (m,n,n) of the chart.
+def chart_jet(P, U):
+    """Point, Jacobian (m, n) and second derivatives (m, n, n) of the chart.
 
-    The nested dual seeded with e_j inside and e_i outside carries d_j X in
-    its value part and d_i d_j X in its mixed part, so the diagonal
-    evaluations (i = j) supply the Jacobian.
+    A stack U of shape (N, n) gives the same arrays with a leading axis of
+    N points, all from one chart call per derivative pair.  The nested dual
+    seeded with e_j inside and e_i outside carries d_j X in its value part
+    and d_i d_j X in its mixed part, so the diagonal evaluations (i = j)
+    supply the Jacobian.
     """
-    x0 = chart_point(P, u)
-    n = len(u)
-    m = len(x0)
-    J = np.empty((m, n))
-    H = np.empty((m, n, n))
+    U = np.asarray(U, dtype=float)
+    if U.ndim == 1:
+        return tuple(a[0] for a in chart_jet(P, U[None]))
+    N, n = U.shape
+    cols = _columns(U)
+    x0 = _stack(P.chart(cols), N)
+    m = x0.shape[1]
+    J = np.empty((N, m, n))
+    H = np.empty((N, m, n, n))
     for i in range(n):
         for j in range(i + 1):
             args = []
             for k in range(n):
                 dj = 1.0 if k == j else 0.0
                 di = 1.0 if k == i else 0.0
-                args.append(Dual(Dual(float(u[k]), dj), Dual(di, 0.0)))
-            vals = P.chart(args)
-            for comp in range(m):
-                d_j, dij = _jet2_derivs(vals[comp])
-                H[comp, i, j] = H[comp, j, i] = dij
-                if i == j:
-                    J[comp, j] = d_j
+                args.append(Dual(Dual(cols[k], dj), Dual(di, 0.0)))
+            first, mixed = zip(*(_jet2_derivs(v) for v in P.chart(args)))
+            H[:, :, i, j] = H[:, :, j, i] = _stack(mixed, N)
+            if i == j:
+                J[:, :, j] = _stack(first, N)
     return x0, J, H
 
 
+def _first_order(P, U):
+    """Chart jet, ambient metric G and induced metric g = J^T G J of a stack."""
+    x, J, Hx = chart_jet(P, U)
+    G = P.ambient.metric(x)
+    g = np.swapaxes(J, -1, -2) @ G @ J
+    return x, J, Hx, G, g
+
+
 def _covariant_second(P, x, J, Hx):
-    """Ambient-covariant second derivatives D_i d_j X, shape (n, n, m)."""
-    Gam = P.ambient.christoffels(x)
-    return np.transpose(Hx, (1, 2, 0)) + np.einsum("kab,ai,bj->ijk", Gam, J, J)
+    """Ambient-covariant second derivatives D_i d_j X, shape (N, n, n, m)."""
+    second = np.transpose(Hx, (0, 2, 3, 1))
+    if P.ambient.flat:      # no Christoffel term
+        return second
+    return second + np.einsum("Nkab,Nai,Nbj->Nijk", P.ambient.christoffels(x), J, J)
 
 
 @dataclass
 class ImmersedSubmanifold:
-    """Parametric immersion of an n-manifold into a weighted ambient."""
+    """Parametric immersion of an n-manifold into a weighted ambient.
+
+    ``chart`` and the optional ``normal`` take a list of n parameter
+    values and return m components using elementwise arithmetic only, so
+    the same call evaluates a float point, dual numbers or whole columns
+    of parameter points.
+    """
 
     ambient: object
     n: int
     chart: object                       # callable u -> m components (dual-friendly)
     window: tuple                       # default parameter box, ((lo, hi), ...)
-    normal: object = None               # optional declared unit normal, u -> vector
+    normal: object = None               # optional declared unit normal, u -> m components
     closed: bool = False                # chart covers a closed manifold
     linear: tuple | None = None         # (base_point, basis) for affine charts
     splitting: int | None = None        # horizontal factor size for cylinder ops
@@ -407,7 +472,12 @@ class ImmersedSubmanifold:
 
 @dataclass
 class GeometrySample:
-    """All first- and second-order geometric data at one parameter point."""
+    """All first- and second-order geometric data at one parameter point.
+
+    ``geometry_at_batch`` returns the same fields stacked along a leading
+    axis of points, with NaN radial data where ``grad_r`` is undefined;
+    ``row`` extracts one point.
+    """
 
     u: np.ndarray
     point: np.ndarray
@@ -428,104 +498,141 @@ class GeometrySample:
     def inner(self, a, b):
         return float(a @ self.ambient_metric @ b)
 
-
-def _inner(G, a, b):
-    return float(a @ G @ b)
-
-
-def _gram_schmidt(vectors, G, tol=1e-13):
-    basis = []
-    for v in vectors:
-        v = np.array(v, dtype=float)
-        for e in basis:
-            v -= _inner(G, v, e) * e
-        norm = math.sqrt(max(_inner(G, v, v), 0.0))
-        if norm <= tol:
-            raise DegenerateMetricError("tangent frame numerically degenerate")
-        basis.append(v / norm)
-    return basis
+    def row(self, i):
+        """The sample of the i-th point of a stacked sample."""
+        values = {name: getattr(self, name)[i] for name in _SAMPLE_FIELDS}
+        values["cond"] = float(values["cond"])
+        if np.isnan(values["grad_r"]).all():
+            values["grad_r"] = values["radial_tangent_norm"] = None
+        else:
+            values["radial_tangent_norm"] = float(values["radial_tangent_norm"])
+        return GeometrySample(**values)
 
 
-def _normal_frame(G, tangent, declared, m, skip_tol=1e-8):
-    if declared is not None:
-        N = np.asarray(declared, dtype=float)
-        if abs(_inner(G, N, N) - 1.0) > 1e-10:
-            raise ValueError("declared normal is not unit length")
-        for e in tangent:
-            if abs(_inner(G, N, e)) > 1e-10:
-                raise ValueError("declared normal is not orthogonal to the tangent space")
-        return [N]
-    frame = list(tangent)
-    normals = []
-    needed = m - len(tangent)
-    # deterministic completion: seed with ambient coordinate axes in index order
+_SAMPLE_FIELDS = [f.name for f in fields(GeometrySample)]
+
+
+def _project_out(v, G, frame):
+    """Modified Gram-Schmidt step: remove from v (N, m) its G-components
+    along the orthonormal rows frame[:, a] in order."""
+    for a in range(frame.shape[1]):
+        e = frame[:, a]
+        v = v - _inner(G, v, e)[:, None] * e
+    return v
+
+
+def _gram_schmidt(J, G, tol=1e-13):
+    """Orthonormal tangent frames (N, n, m) from the columns of J, and the
+    rows where a column is numerically dependent on the previous ones."""
+    N, m, n = J.shape
+    frame = np.zeros((N, n, m))
+    bad = np.zeros(N, dtype=bool)
+    for i in range(n):
+        v = _project_out(J[:, :, i], G, frame[:, :i])
+        norm = np.sqrt(np.maximum(_inner(G, v, v), 0.0))
+        small = norm <= tol
+        bad |= small
+        frame[:, i] = v / np.where(small, 1.0, norm)[:, None]
+    return frame, bad
+
+
+def _complete_normals(G, tangent, m, skip_tol=1e-8):
+    """Normal frames (N, m-n, m) seeded with the ambient coordinate axes in
+    index order, skipping per row the axes that lie (numerically) in the
+    span so far; also the rows left incomplete."""
+    N, n, _ = tangent.shape
+    needed = m - n
+    normals = np.zeros((N, needed, m))
+    found = np.zeros(N, dtype=int)
+    rows = np.arange(N)
     for axis in range(m):
-        if len(normals) == needed:
-            break
-        v = np.zeros(m)
-        v[axis] = 1.0
-        for e in frame:
-            v -= _inner(G, v, e) * e
-        norm = math.sqrt(max(_inner(G, v, v), 0.0))
-        if norm <= skip_tol:
-            continue
-        v /= norm
-        frame.append(v)
-        normals.append(v)
-    if len(normals) != needed:
-        raise DegenerateMetricError("could not complete the normal frame")
-    return normals
+        v = np.zeros((N, m))
+        v[:, axis] = 1.0
+        # slots not yet filled are zero rows, which the projection leaves alone
+        v = _project_out(_project_out(v, G, tangent), G, normals)
+        norm = np.sqrt(np.maximum(_inner(G, v, v), 0.0))
+        take = (found < needed) & ~(norm <= skip_tol)
+        normals[rows[take], found[take]] = v[take] / norm[take, None]
+        found += take
+    return normals, found < needed
+
+
+def _raise_first(U, checks):
+    """Raise the error of the first flagged row, as a loop over the rows
+    would: the earliest check that flags that row wins."""
+    if not any(mask.any() for mask, _ in checks):
+        return
+    i = min(np.flatnonzero(mask)[0] for mask, _ in checks if mask.any())
+    for mask, error in checks:
+        if mask[i]:
+            raise error(i)
+
+
+def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
+    """Metric, frames, curvature vectors and radial data at a stack U of
+    parameter points (N, n), as a GeometrySample with stacked fields.
+
+    The first row that is degenerate (or whose declared normal is invalid)
+    raises, naming its parameter point.
+    """
+    U = np.asarray(U, dtype=float)
+    N = len(U)
+    x, J, Hx, G, g = _first_order(P, U)
+    sv = np.linalg.svd(g, compute_uv=False)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        cond = sv[:, 0] / sv[:, -1]
+    bad_cond = ~(cond < cond_limit)
+    g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
+    second = _covariant_second(P, x, J, Hx)
+
+    tangent, bad_frame = _gram_schmidt(J, G)
+    checks = [
+        (bad_cond, lambda i: DegenerateMetricError(
+            f"induced metric degenerate at u={U[i]} (cond={cond[i]:.2e})")),
+        (bad_frame, lambda i: DegenerateMetricError(
+            f"tangent frame numerically degenerate at u={U[i]}")),
+    ]
+    if P.normal is not None:
+        declared = _stack(P.normal(_columns(U)), N)
+        normals = declared[:, None, :]
+        checks += [
+            (np.abs(_inner(G, declared, declared) - 1.0) > 1e-10,
+             lambda i: ValueError(f"declared normal is not unit length at u={U[i]}")),
+            ((np.abs(_inner(G[:, None], declared[:, None], tangent)) > 1e-10).any(axis=1),
+             lambda i: ValueError("declared normal is not orthogonal to the "
+                                  f"tangent space at u={U[i]}")),
+        ]
+    else:
+        normals, incomplete = _complete_normals(G, tangent, P.m)
+        checks.append((incomplete, lambda i: DegenerateMetricError(
+            f"could not complete the normal frame at u={U[i]}")))
+    _raise_first(U, checks)
+
+    trace = np.einsum("Nij,Nijk->Nk", g_inv, second)
+    sff = np.einsum("Nijk,Nkl,Nal->Naij", second, G, normals)
+
+    def normal_part(v):
+        return np.einsum("Na,Nak->Nk", _inner(G[:, None], v[:, None], normals), normals)
+
+    grad_h = P.ambient.weight_grad(x)
+    mc = normal_part(trace)
+    wmc = mc - normal_part(grad_h)
+
+    grad_r = P.ambient.grad_r(x)
+    tangential = (_inner(G[:, None], grad_r[:, None], tangent) ** 2).sum(axis=1)
+    radial_norm = np.sqrt(np.minimum(np.maximum(tangential, 0.0), 1.0 + 1e-12))
+
+    return GeometrySample(
+        u=U, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
+        ambient_metric=G, tangent_frame=tangent, normals=normals,
+        second_fundamental=sff, mc_vec=mc, wmc_vec=wmc, grad_h=grad_h,
+        grad_r=grad_r, radial_tangent_norm=radial_norm)
 
 
 def geometry_at(P: ImmersedSubmanifold, u, cond_limit=1e12):
     """Metric, frames, curvature vectors and radial data at a parameter point."""
-    u = np.asarray(u, dtype=float)
-    x, J, Hx = chart_jet(P, u)
-    G = P.ambient.metric(x)
-    g = J.T @ G @ J
-    cond = float(np.linalg.cond(g))
-    if not cond < cond_limit:
-        raise DegenerateMetricError(f"induced metric degenerate at u={u} (cond={cond:.2e})")
-    g_inv = np.linalg.inv(g)
-
-    second = _covariant_second(P, x, J, Hx)
-
-    tangent = _gram_schmidt([J[:, i] for i in range(P.n)], G)
-    declared = np.asarray(P.normal(u), dtype=float) if P.normal is not None else None
-    normals = _normal_frame(G, tangent, declared, P.m)
-
-    trace = np.einsum("ij,ijk->k", g_inv, second)
-    mc = np.zeros(P.m)
-    sff = np.empty((len(normals), P.n, P.n))
-    for a, N in enumerate(normals):
-        for i in range(P.n):
-            for j in range(P.n):
-                sff[a, i, j] = _inner(G, second[i, j], N)
-        mc += _inner(G, trace, N) * N
-
-    grad_h = P.ambient.weight_grad(x)
-    wmc = mc.copy()
-    for N in normals:
-        wmc -= _inner(G, grad_h, N) * N
-
-    grad_r = None
-    radial_norm = None
-    try:
-        grad_r = P.ambient.grad_r(x)
-    except DomainError:
-        pass
-    if grad_r is not None:
-        tangential = sum(_inner(G, grad_r, e) ** 2 for e in tangent)
-        radial_norm = math.sqrt(min(max(tangential, 0.0), 1.0 + 1e-12))
-
-    return GeometrySample(
-        u=u, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
-        ambient_metric=G,
-        tangent_frame=np.array(tangent),
-        normals=np.array(normals) if normals else np.zeros((0, P.m)),
-        second_fundamental=sff, mc_vec=mc, wmc_vec=wmc,
-        grad_h=np.asarray(grad_h, dtype=float), grad_r=grad_r,
-        radial_tangent_norm=radial_norm)
+    U = np.asarray(u, dtype=float)[None]
+    return geometry_at_batch(P, U, cond_limit).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -572,14 +679,13 @@ def intrinsic_data(P, u):
     """Induced metric, its inverse, intrinsic Christoffels and pulled-back
     weight gradient, all from the chart jet: Gamma^k_ij =
     g^{kl} <d_l X, D_i d_j X> and d_i (h o X) = <d_i X, dh>."""
-    x, J, Hx = chart_jet(P, np.asarray(u, dtype=float))
-    G = P.ambient.metric(x)
-    g = J.T @ G @ J
+    x, J, Hx, G, g = _first_order(P, np.asarray(u, dtype=float)[None])
     g_inv = np.linalg.inv(g)
     second = _covariant_second(P, x, J, Hx)
-    gamma = np.einsum("kl,lb,ijb->kij", g_inv, J.T @ G, second)
-    grad_h = J.T @ P.ambient.weight_grad(x)
-    return g, g_inv, gamma, grad_h
+    Jt = np.swapaxes(J, -1, -2)
+    gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", g_inv, Jt @ G, second)
+    grad_h = np.einsum("Nia,Na->Ni", Jt, P.ambient.weight_grad(x))
+    return g[0], g_inv[0], gamma[0], grad_h[0]
 
 
 def intrinsic_drift(P, u):
@@ -609,14 +715,15 @@ def weighted_laplacian(P: ImmersedSubmanifold, u, fld):
 # Identity cross-checks
 
 
-def radial_identity_residual(P, u, psi: RadialProfile):
+def radial_identity_residual(P, u, psi: RadialProfile, sample=None):
     """|direct drift Laplacian of psi(r) minus its radial closed form|.
 
     The closed form is (psi'' - H psi') |grad_P r|^2
     + (n H + <grad h, grad r> + <wmc, grad r>) psi', the module's central
     self-consistency check for radial functions on submanifolds.
+    ``sample`` is ``geometry_at(P, u)`` when the caller already has it.
     """
-    s = geometry_at(P, u)
+    s = sample if sample is not None else geometry_at(P, u)
     amb = P.ambient
     r = amb.r(s.point)
     if s.grad_r is None or s.radial_tangent_norm is None:
@@ -634,10 +741,14 @@ def radial_identity_residual(P, u, psi: RadialProfile):
     return abs(lhs - rhs)
 
 
-def _grid_points(window, per_dim):
-    axes = [np.linspace(lo, hi, per_dim) for lo, hi in window]
+def _grid(*axes):
+    """All combinations of the axis values, (N, len(axes)), last axis fastest."""
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def _grid_points(window, per_dim):
+    return _grid(*(np.linspace(lo, hi, per_dim) for lo, hi in window))
 
 
 def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
@@ -655,23 +766,23 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
         per_dim = max(2, int(round(max_points ** (1.0 / n))))
     pts = _grid_points(window, per_dim)
     floor = min_radius if min_radius is not None else 1e-9
-    worst = math.inf
+    s = geometry_at_batch(P, pts)
+    r = P.ambient.r(s.point)
+    # NaN-free grad_r rows with a radius above the floor, in grid order
+    keep = np.flatnonzero(~(r < floor) & ~np.isnan(s.grad_r).all(axis=1))
+    used = len(keep)
+    G, grad_r = s.ambient_metric[keep], s.grad_r[keep]
+    lhs = _inner(G, s.grad_h[keep], grad_r) + _inner(G, s.wmc_vec[keep], grad_r)
+    bound = _elementwise(alpha.value, alpha.numpy_safe, r[keep])
+    margins = (bound - lhs) if sense == "upper" else (lhs - bound)
+    # NaN margins never become the minimum; the first minimum is the witness
+    margins = np.where(np.isnan(margins), math.inf, margins)
+    worst = float(margins.min()) if used else math.inf
     witness = None
-    used = 0
-    for u in pts:
-        s = geometry_at(P, u)
-        r = P.ambient.r(s.point)
-        if r < floor or s.grad_r is None:
-            continue
-        used += 1
-        lhs = s.inner(s.grad_h, s.grad_r) + s.inner(s.wmc_vec, s.grad_r)
-        bound = alpha.value(r)
-        margin = (bound - lhs) if sense == "upper" else (lhs - bound)
-        if margin < worst:
-            worst = margin
-            if margin < -tol:
-                witness = {"u": [float(x) for x in u], "r": r, "lhs": lhs,
-                           "bound": bound}
+    if worst < -tol:
+        k = int(np.argmin(margins))
+        witness = {"u": [float(x) for x in pts[keep[k]]], "r": float(r[keep[k]]),
+                   "lhs": float(lhs[k]), "bound": float(bound[k])}
     if used == 0:
         return HypothesisCheck(name="radial_drift_bound", status=FAILS,
                                witness={"reason": "no sample radius above floor"},
@@ -848,35 +959,30 @@ def index_form(P, test, box=None, panels=8):
                     raise SupportError(
                         f"test function does not vanish on the box boundary "
                         f"(axis {axis}, value {test(np.asarray(probe)):.2e})")
+    if len(box) > 2:
+        raise DomainError("index form quadrature supports parameter dimension <= 2")
     axes = [_panel_nodes(lo, hi, panels) for lo, hi in box]
+    U = _grid(*(xs for xs, _ in axes))
+    s = geometry_at_batch(P, U)
+    tv = np.array([float(test(u)) for u in U])
+    grad_t = np.array([_fd_gradient(test, u) for u in U])
+    grad_sq = _inner(s.metric_inv, grad_t, grad_t)
+    N = s.normals[:, 0]
+    ric_h = -_inner(P.ambient.weight_hess(s.point), N, N)
+    sigma = s.second_fundamental[:, 0]
+    sigma_sq = np.einsum("Nik,Njl,Nij,Nkl->N", s.metric_inv, s.metric_inv,
+                         sigma, sigma)
+    dens = np.exp(P.ambient.weight_value(s.point)) * np.sqrt(
+        np.maximum(np.linalg.det(s.metric), 0.0))
+    values = (grad_sq - (ric_h + sigma_sq) * tv * tv) * dens
 
-    def integrand(u):
-        s = geometry_at(P, u)
-        tv = float(test(u))
-        grad_t = _fd_gradient(test, u)
-        grad_sq = float(grad_t @ s.metric_inv @ grad_t)
-        N = s.normals[0]
-        ric_h = -float(N @ P.ambient.weight_hess(s.point) @ N)
-        sigma = s.second_fundamental[0]
-        sigma_sq = float(np.einsum("ik,jl,ij,kl->", s.metric_inv, s.metric_inv,
-                                   sigma, sigma))
-        dens = math.exp(P.ambient.weight_value(s.point)) * math.sqrt(
-            max(np.linalg.det(s.metric), 0.0))
-        return (grad_sq - (ric_h + sigma_sq) * tv * tv) * dens
-
-    if len(box) == 1:
-        xs, ws = axes[0]
-        return float(sum(w * integrand(np.array([x])) for x, w in zip(xs, ws)))
-    if len(box) == 2:
-        (xs1, ws1), (xs2, ws2) = axes
-        total = 0.0
-        for x1, w1 in zip(xs1, ws1):
-            row = 0.0
-            for x2, w2 in zip(xs2, ws2):
-                row += w2 * integrand(np.array([x1, x2]))
-            total += w1 * row
-        return float(total)
-    raise DomainError("index form quadrature supports parameter dimension <= 2")
+    # running sums keep the loop order: each row over the last axis, then
+    # the rows in turn
+    weights = [ws for _, ws in axes]
+    values = values.reshape([len(ws) for ws in weights])
+    for ws in reversed(weights):
+        values = np.cumsum(ws * values, axis=-1)[..., -1]
+    return float(values)
 
 
 # ---------------------------------------------------------------------------
@@ -908,16 +1014,11 @@ def euclidean_sphere(radius, m, weight=None):
         return [radius * c for c in _hyperspherical(u)]
 
     def normal(u):
-        p = chart_point_raw(chart, u)
-        return -p / radius
+        return [-c for c in _hyperspherical(u)]
 
     return ImmersedSubmanifold(amb, m - 1, chart, _default_sphere_window(m - 1),
                                normal=normal, closed=True,
                                name=f"sphere(a={radius}, m={m})")
-
-
-def chart_point_raw(chart, u):
-    return np.array([float(v) for v in chart([float(x) for x in u])])
 
 
 def model_sphere(model, radius):
@@ -1021,10 +1122,7 @@ def cylinder_hypersurface(radius, k, m, weight=None):
         return sphere_part + list(u[q:])
 
     def normal(u):
-        p = chart_point_raw(chart, u)
-        out = np.zeros(m)
-        out[:k] = -p[:k] / radius
-        return out
+        return [-c for c in _hyperspherical(u[:q])] + [0.0] * (m - k)
 
     window = _default_sphere_window(q) + tuple((-3.0, 3.0) for _ in range(m - k))
     return ImmersedSubmanifold(amb, m - 1, chart, window, normal=normal,
@@ -1041,13 +1139,12 @@ def graph_hypersurface(phi, m, weight=None, window=None, name="graph"):
         return list(u) + [phi(u)]
 
     def normal(u):
-        grad = np.empty(n)
+        grad = []
         for j in range(n):
-            args = [Dual(float(u[k]), 1.0 if k == j else 0.0) for k in range(n)]
-            res = phi(args)
-            grad[j] = res.deriv if isinstance(res, Dual) else 0.0
-        W = math.sqrt(1.0 + float(np.dot(grad, grad)))
-        return np.append(grad, -1.0) / W
+            res = phi([Dual(u[k], 1.0 if k == j else 0.0) for k in range(n)])
+            grad.append(res.deriv if isinstance(res, Dual) else 0.0)
+        W = fsqrt(1.0 + sum(d * d for d in grad))
+        return [d / W for d in grad] + [-1.0 / W]
 
     window = window or tuple((-1.5, 1.5) for _ in range(n))
     return ImmersedSubmanifold(amb, n, chart, window, normal=normal, name=name)
@@ -1085,9 +1182,9 @@ def helicoid(pitch=1.0, weight=None):
         return [u[1] * fcos(u[0]), u[1] * fsin(u[0]), pitch * u[0]]
 
     def normal(u):
-        s, c = math.sin(u[0]), math.cos(u[0])
-        v = np.array([-pitch * s, pitch * c, -u[1]])
-        return v / np.linalg.norm(v)
+        v = [-pitch * fsin(u[0]), pitch * fcos(u[0]), -u[1]]
+        W = fsqrt(sum(c * c for c in v))
+        return [c / W for c in v]
 
     return ImmersedSubmanifold(amb, 2, chart, ((0.2, 2.8), (0.5, 2.5)),
                                normal=normal, name=f"helicoid(pitch={pitch})")

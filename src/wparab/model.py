@@ -62,7 +62,13 @@ class WeightedModel:
 
     def sphere_area(self, t):
         self.f.check_domain(t)
-        return self.c_m * self.w.value(t) ** (self.m - 1) * math.exp(self.f.value(t))
+        f = self.f.value(t)
+        try:
+            weight = math.exp(f)
+        except OverflowError:
+            raise DomainError(f"sphere area overflows at t={t} "
+                              f"(weight exponent f(t) = {f:.6g})") from None
+        return self.c_m * self.w.value(t) ** (self.m - 1) * weight
 
     def inv_sphere_area(self, t):
         """1/A(S_t); elementwise on an array of radii when the model is numpy-safe."""

@@ -71,12 +71,7 @@ class DiffusionSpec:
         return self.base[None, :] + U @ self.basis.T
 
     def drift(self, U):
-        weight = self.P.ambient.weight
-        pts = self._points(U)
-        grads = weight.grad_batch(pts)
-        if grads is None:
-            grads = np.array([weight.grad(p) for p in pts])
-        return grads @ self.pull
+        return self.P.ambient.weight.grad_batch(self._points(U)) @ self.pull
 
     def radius(self, U):
         return np.linalg.norm(self._points(U), axis=1)

@@ -163,6 +163,8 @@ def test_malformed_json_exit_code(tmp_path):
     ({"scenarios": [{"id": "x", "task": "classify"},
                     {"id": "x", "task": "classify"}]}, "duplicate"),
     ({"other": []}, "scenarios"),
+    ({"scenarios": [{"id": "x", "task": "curves", "model": {"m": 2.5}}]},
+     r"scenarios\[0\]\.model\.m must be an integer, got 2\.5"),
 ])
 def test_config_validation(tmp_path, payload, message):
     path = write_config(tmp_path, payload)
@@ -235,13 +237,21 @@ def test_area_overflow_becomes_a_scenario_error(tmp_path):
         {"id": "cap", "task": "capacity", "model": small_model("gaussian", 3),
          "params": {"rho": 1.0, "R": 45.0}},
         {"id": "curves", "task": "curves", "model": small_model("antigaussian", 3),
+         "params": {"range": [1.0, 60.0], "samples": 30}},
+        # t_min > 0 drops the volume column, so the area itself overflows
+        {"id": "area", "task": "curves",
+         "model": {"m": 3, "warping": {"name": "euclidean"},
+                   "weight": {"name": "custom", "expr": "t^2/2", "t_min": 0.5}},
          "params": {"range": [1.0, 60.0], "samples": 30}}]}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         cli.run_config(config, tmp_path)
-    cap, curves = _strict_report(tmp_path)["scenarios"]
+    cap, curves, area = _strict_report(tmp_path)["scenarios"]
     assert cap["status"] == "error" and cap["error"].startswith("QuadratureError")
     assert curves["status"] == "error"
+    assert curves["error"].startswith("QuadratureError: non-finite integrand")
+    assert area["status"] == "error"
+    assert area["error"].startswith("DomainError: sphere area overflows at t=39.6")
 
 
 def test_zero_paths_become_a_scenario_error(tmp_path):
@@ -251,3 +261,34 @@ def test_zero_paths_become_a_scenario_error(tmp_path):
     cli.run_config(config, tmp_path)
     (mc,) = _strict_report(tmp_path)["scenarios"]
     assert mc["status"] == "error" and "DomainError" in mc["error"]
+
+
+def test_non_integer_dimension_exits_2(tmp_path, capsys):
+    path = write_config(tmp_path, {"scenarios": [
+        {"id": "ok", "task": "curves", "model": small_model(m=3),
+         "params": {"range": [0.5, 1.0], "samples": 2}},
+        {"id": "bad", "task": "curves", "model": small_model(m="3"),
+         "params": {"range": [0.5, 1.0], "samples": 2}}]})
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "scenarios[1].model.m" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_missing_catalog_parameter_names_the_field(tmp_path):
+    power = {"m": 3, "warping": {"name": "euclidean"},
+             "weight": {"name": "power", "k": 3.0}}
+    config = {"scenarios": [
+        {"id": "curves", "task": "curves", "model": power,
+         "params": {"range": [0.5, 1.0], "samples": 2}},
+        {"id": "split", "task": "check-identities",
+         "model": {"m": 3, "weight": {"name": "split", "eta": {"name": "gaussian"}}},
+         "submanifold": {"name": "sphere", "a": 1.0}},
+        {"id": "cylinder", "task": "check-identities", "model": small_model(m=3),
+         "submanifold": {"name": "cylinder", "a": 1.0}}]}
+    cli.run_config(config, tmp_path)
+    errors = [sc["error"] for sc in _strict_report(tmp_path)["scenarios"]]
+    assert errors == [
+        "CatalogError: weight 'power' is missing parameter 'a'",
+        "CatalogError: weight 'split' is missing parameter 'mu'",
+        "CatalogError: submanifold 'cylinder' is missing parameter 'k'",
+    ]

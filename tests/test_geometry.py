@@ -1,8 +1,10 @@
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
+from wparab import catalogs
 from wparab import geometry as ge
 from wparab import radial as rd
 from wparab.errors import DegenerateMetricError, DomainError, SupportError
@@ -159,6 +161,166 @@ def test_declared_normal_is_validated():
                                  closed=True)
     with pytest.raises(ValueError, match="orthogonal"):
         ge.geometry_at(bad, [0.9, 1.3])
+
+
+# --- batched evaluation ------------------------------------------------------
+
+
+def expr_weight():
+    return ge.ExprWeight("-0.5*x1^2 + 0.3*x2*x3 + sin(x3)", 3)
+
+
+def catalog_charts():
+    hyperbolic = WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian())
+    paraboloid = WeightedModel(3, rd.warping_paraboloid(), rd.weight_antigaussian())
+    return [
+        ge.euclidean_sphere(1.7, 3, expr_weight()),
+        ge.hyperplane(3, [0.3, -0.5, 0.8], 0.4, gaussian_weight()),
+        ge.coordinate_plane(3, (0, 2), translator_weight(3)),
+        ge.cylinder_hypersurface(1.2, 2, 3, gaussian_split(3)),
+        ge.paraboloid_graph(3, gaussian_weight()),
+        ge.grim_curve(),
+        ge.helicoid(0.8, expr_weight()),
+        catalogs.resolve_submanifold(
+            {"name": "graph", "expr": "0.3*x1^2-0.2*x1*x2+sin(x2)"}, 3,
+            ge.RadialWeight(rd.weight_power(-0.3, 3.0))),
+        ge.model_sphere(hyperbolic, 1.3),
+        ge.radial_graph(paraboloid, 1.5, 0.3),
+        ge.identity_chart(2, gaussian_weight()),   # the grid meets the pole
+    ]
+
+
+@pytest.mark.parametrize("P", catalog_charts(), ids=lambda P: P.name)
+def test_batched_rows_match_single_points(P):
+    U = ge._grid_points(P.window, 5)
+    x, J, H = ge.chart_jet(P, U)
+    batch = ge.geometry_at_batch(P, U)
+    for i, u in enumerate(U):
+        for stacked, single in zip((x, J, H), ge.chart_jet(P, u)):
+            assert np.array_equal(stacked[i], single), (P.name, u)
+        row, s = batch.row(i), ge.geometry_at(P, u)
+        for field in dataclasses.fields(s):
+            a, b = getattr(row, field.name), getattr(s, field.name)
+            if b is None:
+                assert a is None, (P.name, field.name, u)
+                continue
+            scale = max(np.abs(b).max(initial=0.0), 1.0)
+            assert np.abs(np.asarray(a) - b).max(initial=0.0) <= 1e-13 * scale, (
+                P.name, field.name, u)
+
+
+def _reference_profile(P, window, alpha, sense, min_radius, per_dim=32, tol=1e-8):
+    # the point-by-point loop the batched profile replaces
+    floor = min_radius if min_radius is not None else 1e-9
+    worst, witness, used = math.inf, None, 0
+    for u in ge._grid_points(window, per_dim):
+        s = ge.geometry_at(P, u)
+        r = P.ambient.r(s.point)
+        if r < floor or s.grad_r is None:
+            continue
+        used += 1
+        lhs = s.inner(s.grad_h, s.grad_r) + s.inner(s.wmc_vec, s.grad_r)
+        bound = alpha.value(r)
+        margin = (bound - lhs) if sense == "upper" else (lhs - bound)
+        if margin < worst:
+            worst = margin
+            if margin < -tol:
+                witness = {"u": [float(v) for v in u], "r": r, "lhs": lhs,
+                           "bound": bound}
+    status = FAILS if worst < -tol else HOLDS
+    return status, worst, witness, used
+
+
+@pytest.mark.parametrize("case", [
+    # margin -r/2, least at the far corner: a unique witness
+    ("plane", "-1.5*t", "upper", None),
+    ("plane", "-1.5*t", "upper", 2.0),          # skips the points inside r = 2
+    ("plane", "-t", "lower", 2.5),
+    ("sphere", "t - 3", "lower", None),
+    ("radial_graph", "2*t", "upper", 1.45),
+    ("plane-scalar-alpha", "-1.5*t", "upper", 1.0),
+    # unweighted plane: every margin is exactly -1, the first point is the witness
+    ("flat-plane", "-1", "upper", 1.0),
+], ids=lambda c: f"{c[0]}-{c[2]}-floor{c[3]}")
+def test_hypothesis_profile_matches_point_by_point_loop(case):
+    name, alpha_src, sense, min_radius = case
+    window = ((0.5, 3.0), (-1.0, 3.0))
+    if name.startswith("plane"):
+        P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
+    elif name == "flat-plane":
+        P = ge.coordinate_plane(3, (0, 1))
+    elif name == "sphere":
+        P = ge.euclidean_sphere(1.6, 3, expr_weight())
+        window = P.window
+    else:
+        P = ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0),
+                                          rd.weight_gaussian()), 1.5, 0.2)
+        window = P.window
+    alpha = rd.RadialProfile.from_expression(alpha_src)
+    if name == "plane-scalar-alpha":
+        alpha = dataclasses.replace(alpha, numpy_safe=False)
+    status, margin, witness, used = _reference_profile(P, window, alpha, sense,
+                                                       min_radius)
+    check = ge.radial_hypothesis_profile(P, window, alpha, sense=sense,
+                                         min_radius=min_radius)
+    assert check.status == status and check.samples == used
+    assert check.margin == pytest.approx(margin, rel=1e-12, abs=1e-14)
+    if witness is None:
+        assert check.witness is None
+    else:
+        assert check.witness["u"] == witness["u"]
+        for key in ("r", "lhs", "bound"):
+            assert check.witness[key] == pytest.approx(witness[key], rel=1e-12)
+
+
+def test_hypothesis_profile_names_the_first_degenerate_point():
+    # the chart folds along u1 = 1: the metric degenerates on that grid row
+    P = ge.ImmersedSubmanifold(
+        ge.EuclideanAmbient(3), 2,
+        lambda u: [(u[0] - 1.0) * (u[0] - 1.0), u[1], 0.0 * u[0]],
+        window=((0.0, 2.0), (0.0, 1.0)))
+    alpha = rd.RadialProfile.constant(1.0)
+    with pytest.raises(DegenerateMetricError, match=r"u=\[1\. +0\.\]"):
+        ge.radial_hypothesis_profile(P, P.window, alpha, max_points=9)
+
+
+def _counting_chart(P):
+    calls = []
+
+    def chart(u):
+        calls.append(1)
+        return P.chart(u)
+
+    return dataclasses.replace(P, chart=chart), calls
+
+
+def test_grids_call_the_chart_once_per_derivative_pair():
+    # n(n+1)/2 nested-dual jets plus the point itself, whatever the grid size
+    plane, calls = _counting_chart(ge.coordinate_plane(3, (0, 1), gaussian_weight()))
+    alpha = rd.RadialProfile.from_expression("-t")
+    check = ge.radial_hypothesis_profile(plane, ((0.5, 3.0), (0.5, 3.0)), alpha)
+    n = 2
+    assert check.samples == 32 * 32 and len(calls) <= n * (n + 1) // 2 + 1
+    sphere, calls = _counting_chart(
+        ge.euclidean_sphere(math.sqrt(2.0), 3, gaussian_weight()))
+    ge.index_form(sphere, lambda u: 1.0, panels=2)   # 30 x 30 nodes
+    assert len(calls) <= n * (n + 1) // 2 + 1
+
+
+@pytest.mark.parametrize("weight", [
+    expr_weight(),
+    gaussian_split(3),
+    ge.HeightWeight(rd.RadialProfile.from_expression("0.5*t^2 + sin(t)"), 3,
+                    axis=[0.6, 0.0, 0.8]),
+], ids=lambda w: w.name)
+def test_weight_batches_match_single_points(weight):
+    pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5, 3))
+    for batch, single in ((weight.value_batch, weight.value),
+                          (weight.grad_batch, weight.grad),
+                          (weight.hess_batch, weight.hess)):
+        stacked = batch(pts)
+        for i, p in enumerate(pts):
+            assert np.array_equal(stacked[i], single(p)), (weight.name, p)
 
 
 # --- weighted Laplacian -----------------------------------------------------
@@ -399,6 +561,33 @@ def test_index_form_plane_bump_sign():
     coarse = ge.index_form(P, bump, box=box, panels=6)
     fine = ge.index_form(P, bump, box=box, panels=12)
     assert coarse == pytest.approx(fine, rel=2e-3, abs=1e-8)
+
+
+def test_index_form_matches_point_by_point_quadrature():
+    # the node-by-node loop the batched index form replaces, same sum order
+    P = ge.paraboloid_graph(3, gaussian_weight())
+
+    def test(u):
+        return math.sin(math.pi * (u[0] - 0.3) / 1.1) * math.sin(
+            math.pi * (u[1] - 0.3) / 1.1)
+
+    (xs1, ws1), (xs2, ws2) = (ge._panel_nodes(lo, hi, 1) for lo, hi in P.window)
+    total = 0.0
+    for x1, w1 in zip(xs1, ws1):
+        row = 0.0
+        for x2, w2 in zip(xs2, ws2):
+            u = np.array([x1, x2])
+            s = ge.geometry_at(P, u)
+            grad_t = ge._fd_gradient(test, u)
+            N, sigma, g_inv = s.normals[0], s.second_fundamental[0], s.metric_inv
+            ric_h = -N @ P.ambient.weight_hess(s.point) @ N
+            sigma_sq = np.einsum("ik,jl,ij,kl->", g_inv, g_inv, sigma, sigma)
+            dens = math.exp(P.ambient.weight_value(s.point)) * math.sqrt(
+                np.linalg.det(s.metric))
+            row += w2 * (grad_t @ g_inv @ grad_t
+                         - (ric_h + sigma_sq) * test(u) ** 2) * dens
+        total += w1 * row
+    assert ge.index_form(P, test, panels=1) == pytest.approx(total, rel=1e-12)
 
 
 def test_index_form_gaussian_sphere_value():
