@@ -24,7 +24,7 @@ from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
 from .errors import ScenarioError
 from .radial import AsymptoticHint, NO_HINT
 
-REPORT_VERSION = "1"
+REPORT_VERSION = "2"
 
 _TASKS = ("classify", "capacity", "curves", "mc-verify", "check-identities")
 

@@ -1,9 +1,10 @@
 """Monte Carlo verification via the drift diffusion of the weighted Laplacian.
 
-Euler--Maruyama paths on the parameter domain of an immersion, with
-counter-based per-batch random streams (Philox) so that serial and parallel
-executions agree bit-for-bit.  Hitting probabilities of extrinsic annulus
-boundaries estimate the capacity potential; they are compared against the
+Paths on the parameter domain of an affine immersion: walk-on-spheres when
+the ambient weight is zero, Euler--Maruyama otherwise, with counter-based
+per-batch random streams (Philox) so that serial and parallel executions
+agree bit-for-bit.  Hitting probabilities of extrinsic annulus boundaries
+estimate the capacity potential; they are compared against the
 transplanted radial potential of the comparison model.
 """
 
@@ -47,7 +48,8 @@ class DiffusionSpec:
     """Immutable description of the diffusion generated by the weighted
     Laplacian on an affine chart X(u) = base + basis u: drift
     g^{-1} basis^T grad h, diffusion factor the symmetric square root of
-    2 g^{-1}, with the constant metric g = basis^T basis."""
+    2 g^{-1}, with the constant metric g = basis^T basis.  ``driftless``
+    holds when the ambient weight is ``ZeroWeight``."""
 
     P: ImmersedSubmanifold
     dtau: float
@@ -66,6 +68,19 @@ class DiffusionSpec:
         metric_inv = np.linalg.inv(self.basis.T @ self.basis)
         self.sigma = _sym_sqrt(2.0 * metric_inv)
         self.pull = self.basis @ metric_inv
+        self.driftless = isinstance(self.P.ambient.weight, ZeroWeight)
+
+    def parameter_point(self, start):
+        """``start`` as a float vector, checked against the chart."""
+        start = np.asarray(start, dtype=float)
+        dim = self.basis.shape[1]
+        if start.shape != (dim,):
+            raise DomainError(
+                f"start has {start.size} coordinates but the chart has "
+                f"dimension {dim}")
+        if not np.all(np.isfinite(start)):
+            raise DomainError(f"start must be finite, got {start.tolist()}")
+        return start
 
     def _points(self, U):
         return self.base[None, :] + U @ self.basis.T
@@ -76,10 +91,27 @@ class DiffusionSpec:
     def radius(self, U):
         return np.linalg.norm(self._points(U), axis=1)
 
+    def batches(self, N):
+        """Sizes and random streams of the path batches; each stream is
+        keyed by (seed, batch index), so estimates are bitwise
+        reproducible."""
+        for b in range((N + self.batch_size - 1) // self.batch_size):
+            rng = np.random.Generator(np.random.Philox(
+                np.random.SeedSequence(entropy=(int(self.seed), b))))
+            yield min(self.batch_size, N - b * self.batch_size), rng
+
+
+WALK_ON_SPHERES = "walk-on-spheres"
+EULER_MARUYAMA = "euler-maruyama"
+
 
 @dataclass
 class HitEstimate:
-    """Estimated probability of reaching the inner boundary first."""
+    """Estimated probability of reaching the inner boundary first.
+
+    ``shell`` is the stopping distance of walk-on-spheres (None for
+    Euler--Maruyama); ``path_steps`` counts jumps or time steps over all
+    paths."""
 
     p_hat: float
     n_paths: int
@@ -94,6 +126,9 @@ class HitEstimate:
     R: float
     dtau: float
     seed: int
+    estimator: str
+    shell: float | None
+    path_steps: int
     warnings: list = field(default_factory=list)
 
     @property
@@ -112,6 +147,8 @@ class HitEstimate:
             "mean_exit_time": self.mean_exit_time,
             "coarse_step_fraction": self.coarse_step_fraction,
             "rho": self.rho, "R": self.R, "dtau": self.dtau, "seed": self.seed,
+            "estimator": self.estimator, "shell": self.shell,
+            "path_steps": self.path_steps,
             "warnings": list(self.warnings),
         }
 
@@ -120,49 +157,122 @@ def default_step(rho, R):
     return 1e-4 * (R - rho) ** 2
 
 
+def _shell(rho, R):
+    return 1e-4 * (R - rho)
+
+
+def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
+              estimator, shell=None, coarse_frac=0.0, warns=()):
+    resolved = n_inner + n_outer
+    n_unresolved = N - resolved
+    p_hat = n_inner / resolved if resolved else float("nan")
+    lo, hi = wilson_interval(n_inner, resolved)
+    mean_exit = exit_time_sum / resolved if resolved else float("nan")
+    warns = list(warns)
+    if n_unresolved:
+        unit = "jumps" if estimator == WALK_ON_SPHERES else "steps"
+        warns.append(f"{n_unresolved} paths did not exit within "
+                     f"{spec.max_steps} {unit} (excluded from the estimate)")
+    return HitEstimate(p_hat, N, n_inner, n_outer, n_unresolved, lo, hi,
+                       mean_exit, coarse_frac, rho, R, spec.dtau, spec.seed,
+                       estimator, shell, path_steps, warns)
+
+
 def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     """Fraction of paths reaching {r <= rho} before {r >= R}.
 
-    Paths advance by Euler--Maruyama; boundary crossings are located by
-    linear interpolation of the radius between consecutive steps.
-    Deterministic for a given (spec, seed): path batches draw from
-    independent counter-based streams keyed by (seed, batch index).
+    Driftless specs walk on spheres (``_walk_on_spheres``); drifted ones
+    step by Euler--Maruyama (``_euler_maruyama``).  Deterministic for a
+    given (spec, seed): path batches draw from independent counter-based
+    streams keyed by (seed, batch index).
     """
-    start = np.asarray(start, dtype=float)
+    start = spec.parameter_point(start)
     if not rho < R:
         raise DomainError("need rho < R")
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start[None, :])[0])
-    if r0 <= rho:
-        return HitEstimate(1.0, N, N, 0, 0, 1.0, 1.0, 0.0, 0.0,
-                           rho, R, spec.dtau, spec.seed)
-    if r0 >= R:
-        return HitEstimate(0.0, N, 0, N, 0, 0.0, 0.0, 0.0, 0.0,
-                           rho, R, spec.dtau, spec.seed)
+    if rho < r0 < R:
+        estimator = _walk_on_spheres if spec.driftless else _euler_maruyama
+        return estimator(spec, start, rho, R, N)
+    inside = N if r0 <= rho else 0
+    p = inside / N
+    name, shell = ((WALK_ON_SPHERES, _shell(rho, R)) if spec.driftless
+                   else (EULER_MARUYAMA, None))
+    return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, 0.0, rho, R,
+                       spec.dtau, spec.seed, name, shell, 0)
 
+
+def _walk_on_spheres(spec: DiffusionSpec, start, rho, R, N):
+    """Walk-on-spheres (Muller 1956) for a driftless affine chart.
+
+    Each jump goes to a uniform point of the largest in-plane sphere that
+    d = min(r - rho, R - r) guarantees inside the annulus (exact for planes
+    through the origin, conservative for offset planes); in parameter
+    coordinates the step is d theta g^{-1/2}.  A path stops inside the
+    shell of width 1e-4 (R - rho) and counts for the nearer boundary.  Its
+    exit time is the sum of d^2 / (2n), the mean exit time of the ball for
+    the generator Delta_g.  ``max_steps`` caps the jumps.
+    """
+    shell = _shell(rho, R)
+    dim = len(start)
+    jump_T = (spec.sigma / math.sqrt(2.0)).T
+    n_inner = n_outer = path_steps = 0
+    exit_time_sums = []
+    for nb, rng in spec.batches(N):
+        U = np.tile(start, (nb, 1))
+        T = np.zeros(nb)
+        exits = 0.0
+        for jump in range(spec.max_steps + 1):
+            r = spec.radius(U)
+            to_inner = r - rho
+            to_outer = R - r
+            d = np.minimum(to_inner, to_outer)
+            done = d < shell
+            n_done = int(np.count_nonzero(done))
+            if n_done:
+                n_in = int(np.count_nonzero(done & (to_inner <= to_outer)))
+                n_inner += n_in
+                n_outer += n_done - n_in
+                exits += float(np.sum(T[done]))
+                keep = ~done
+                U, T, d = U[keep], T[keep], d[keep]
+            if len(U) == 0 or jump == spec.max_steps:
+                break
+            theta = rng.standard_normal(U.shape)
+            theta *= (d / np.sqrt(np.einsum("ij,ij->i", theta, theta)))[:, None]
+            U += theta @ jump_T
+            T += d * d / (2.0 * dim)
+            path_steps += len(U)
+        exit_time_sums.append(exits)
+    return _estimate(spec, rho, R, N, n_inner, n_outer,
+                     math.fsum(exit_time_sums), path_steps, WALK_ON_SPHERES,
+                     shell)
+
+
+def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
+    """Euler--Maruyama paths of the drift diffusion, the reference
+    estimator; boundary crossings are located by linear interpolation of
+    the radius between consecutive steps.  ``start`` must lie strictly
+    inside the annulus."""
+    r0 = float(spec.radius(start[None, :])[0])
     dtau = spec.dtau
     sqrt2dt = math.sqrt(2.0 * dtau)
     sigma = spec.sigma
     sigma_T = None if np.allclose(sigma, math.sqrt(2.0) * np.eye(len(sigma)),
                                   atol=1e-14) else (sigma / math.sqrt(2.0)).T
-    drift_is_zero = isinstance(getattr(spec.P.ambient, "weight", None), ZeroWeight)
     radius_is_param_norm = (not np.any(spec.base)
                             and np.allclose(spec.basis.T @ spec.basis,
                                             np.eye(spec.basis.shape[1]),
                                             atol=1e-13))
     coarse_limit = (R - rho) / 10.0
 
-    n_inner = n_outer = n_unresolved = 0
+    n_inner = n_outer = 0
     exit_time_sums = []
     n_steps_total = 0
     n_coarse = 0
 
-    n_batches = (N + spec.batch_size - 1) // spec.batch_size
-    for b in range(n_batches):
-        nb = min(spec.batch_size, N - b * spec.batch_size)
-        rng = np.random.Generator(np.random.Philox(
-            np.random.SeedSequence(entropy=(int(spec.seed), b))))
+    for nb, rng in spec.batches(N):
         dim = len(start)
         U = np.tile(start, (nb, 1))
         r_old = np.full(nb, r0)
@@ -178,7 +288,7 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
             rng.standard_normal(out=noise)
             if sigma_T is not None:
                 noise = noise @ sigma_T
-            if drift_is_zero:
+            if spec.driftless:
                 U += sqrt2dt * noise
             else:
                 U += spec.drift(U) * dtau + sqrt2dt * noise
@@ -211,25 +321,17 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
                 U = np.ascontiguousarray(U[alive])
                 r_old = np.ascontiguousarray(r_old[alive])
                 alive = np.ones(n_alive, dtype=bool)
-        n_unresolved += n_alive
         exit_time_sums.append(exits)
 
-    resolved = n_inner + n_outer
-    p_hat = n_inner / resolved if resolved else float("nan")
-    lo, hi = wilson_interval(n_inner, resolved)
-    mean_exit = math.fsum(exit_time_sums) / resolved if resolved else float("nan")
     coarse_frac = n_coarse / n_steps_total if n_steps_total else 0.0
     warns = []
     if coarse_frac > 0.01:
         warns.append(
             f"step size too coarse: radial increment exceeded (R-rho)/10 on "
             f"{100 * coarse_frac:.2f}% of steps")
-    if n_unresolved:
-        warns.append(f"{n_unresolved} paths did not exit within "
-                     f"{spec.max_steps} steps (excluded from the estimate)")
-    return HitEstimate(p_hat, N, n_inner, n_outer, n_unresolved, lo, hi,
-                       mean_exit, coarse_frac, rho, R, spec.dtau, spec.seed,
-                       warns)
+    return _estimate(spec, rho, R, N, n_inner, n_outer,
+                     math.fsum(exit_time_sums), n_steps_total, EULER_MARUYAMA,
+                     coarse_frac=coarse_frac, warns=warns)
 
 
 @dataclass
@@ -262,6 +364,7 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
     p_hat >= phi - 3 SE.  If the corresponding classification does not fire
     for this setup, the check refuses: the inequality is not predicted.
     """
+    start = spec.parameter_point(start)
     if direction == "parabolic":
         verdict = classify_parabolic(setup, spec.P, window, assume_drift_bound)
         wanted = Outcome.PARABOLIC
@@ -277,7 +380,6 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
             f"{verdict.outcome.value} (failing checks: {failing}; "
             f"integral: {verdict.integral_evidence.status})")
 
-    start = np.asarray(start, dtype=float)
     r_start = float(spec.radius(start[None, :])[0])
     phi = setup.model.capacity_potential(rho, R).potential(r_start)
     est = hit_probability(spec, start, rho, R, N)

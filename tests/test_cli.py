@@ -263,6 +263,16 @@ def test_zero_paths_become_a_scenario_error(tmp_path):
     assert mc["status"] == "error" and "DomainError" in mc["error"]
 
 
+def test_start_of_the_wrong_length_becomes_a_scenario_error(tmp_path):
+    scenario = {"id": "mc", "task": "mc-verify", "model": small_model(),
+                "params": {"rho": 0.5, "R": 2.0, "start": [1.0, 0.0, 0.0],
+                           "paths": 10}}
+    entry = cli.run_scenario(scenario, tmp_path)
+    assert entry["status"] == "error"
+    assert entry["error"] == ("DomainError: start has 3 coordinates but the "
+                              "chart has dimension 2")
+
+
 def test_non_integer_dimension_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"scenarios": [
         {"id": "ok", "task": "curves", "model": small_model(m=3),

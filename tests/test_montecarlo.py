@@ -30,6 +30,122 @@ def test_seed_determinism_is_bitwise():
     assert c.p_hat != a.p_hat
 
 
+def test_euler_maruyama_seed_determinism_is_bitwise():
+    args = (np.array([1.6, 0.4]), 1.0, math.e, 3000)
+    a = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
+    b = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
+    assert a.to_dict() == b.to_dict()
+    assert a.estimator == "euler-maruyama" and a.shell is None
+    c = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=4), *args)
+    assert c.p_hat != a.p_hat
+
+
+def test_walk_on_spheres_determinism_is_bitwise():
+    # several batches, each drawing from its own (seed, batch) stream
+    def run(seed):
+        spec = mc.DiffusionSpec(radial_plane(3), 1e-3, seed=seed, batch_size=700)
+        return mc.hit_probability(spec, [1.2, 0.9, -0.3], 1.0, 4.0, 2000)
+    a, b = run(3), run(3)
+    assert a.estimator == "walk-on-spheres"
+    assert a.to_dict() == b.to_dict()
+    c = run(4)
+    assert (c.p_hat, c.mean_exit_time) != (a.p_hat, a.mean_exit_time)
+
+
+def _annulus_potential(d, s, rho, R):
+    if d == 2:
+        return math.log(R / s) / math.log(R / rho)
+    e = 2 - d
+    return (s ** e - R ** e) / (rho ** e - R ** e)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_walk_on_spheres_matches_closed_form(d):
+    spec = mc.DiffusionSpec(radial_plane(d), 1e-3, seed=20 + d)
+    start = [1.2, 1.6] + [0.0] * (d - 2)
+    est = mc.hit_probability(spec, start, 1.0, 4.0, 20_000)
+    assert est.n_unresolved == 0
+    assert abs(est.p_hat - _annulus_potential(d, 2.0, 1.0, 4.0)) \
+        <= 4.0 * est.standard_error
+
+
+def test_walk_on_spheres_on_offset_hyperplane():
+    # the plane x3 = c meets the annulus 1 < r < 3 in the planar annulus
+    # sqrt(1 - c^2) < s < sqrt(9 - c^2); the jump radius min(r - rho, R - r)
+    # is only a lower bound on the in-plane distance to its boundary
+    c = 0.6
+    plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=c)
+    spec = mc.DiffusionSpec(plane, 1e-3, seed=31)
+    est = mc.hit_probability(spec, [1.6, 0.0], 1.0, 3.0, 20_000)
+    exact = _annulus_potential(2, 1.6, math.sqrt(1.0 - c * c),
+                               math.sqrt(9.0 - c * c))
+    assert est.estimator == "walk-on-spheres"
+    assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
+
+
+def test_walk_on_spheres_agrees_with_euler_maruyama():
+    # EM overshoots the boundaries by about 0.5826 sqrt(2 dtau) per exit
+    # (Broadie-Glasserman-Kou); walk-on-spheres carries no such bias
+    dtau, rho, R = 1e-3, 1.0, math.e
+    start = np.array([math.sqrt(math.e), 0.0])
+    wos = mc.hit_probability(mc.DiffusionSpec(radial_plane(), dtau, seed=41),
+                             start, rho, R, 20_000)
+    em = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), dtau, seed=42),
+                            start, rho, R, 4000)
+    shift = 0.5826 * math.sqrt(2.0 * dtau)
+    s0 = math.sqrt(math.e)
+    bias = abs(_annulus_potential(2, s0, rho - shift, R + shift)
+               - _annulus_potential(2, s0, rho, R))
+    se = math.hypot(wos.standard_error, em.standard_error)
+    assert (wos.estimator, em.estimator) == ("walk-on-spheres", "euler-maruyama")
+    assert abs(wos.p_hat - em.p_hat) <= 3.0 * se + bias
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_walk_on_spheres_mean_exit_time(d):
+    # oracle: u'' + (d-1)/r u' = -1, u(1) = u(4) = 0 gives u(2) = 9/8 for
+    # d = 2 and d = 4; the per-path sum of d^2/(2n) has a measured standard
+    # deviation below 1.2 (1.09 for d = 2, 0.77 for d = 4)
+    N = 20_000
+    spec = mc.DiffusionSpec(radial_plane(d), 1e-3, seed=50 + d)
+    est = mc.hit_probability(spec, [2.0] + [0.0] * (d - 1), 1.0, 4.0, N)
+    assert abs(est.mean_exit_time - 1.125) <= 4.0 * 1.2 / math.sqrt(N)
+
+
+def test_walk_on_spheres_needs_few_jumps():
+    # the setup of acceptance 09; Euler-Maruyama takes ~3,700 steps a path
+    spec = mc.DiffusionSpec(radial_plane(), dtau=1e-4, seed=4)
+    est = mc.hit_probability(spec, [math.sqrt(math.e), 0.0], 1.0, math.e,
+                             20_000)
+    assert est.estimator == "walk-on-spheres"
+    assert est.shell == pytest.approx(1e-4 * (math.e - 1.0), rel=1e-15)
+    assert est.coarse_step_fraction == 0.0
+    assert 0 < est.path_steps < 100 * est.n_paths
+
+
+def test_max_steps_caps_jumps():
+    spec = mc.DiffusionSpec(radial_plane(), 1e-3, seed=2, max_steps=3)
+    est = mc.hit_probability(spec, [1.6, 0.0], 1.0, math.e, 500)
+    assert est.n_unresolved > 0
+    assert est.n_inner + est.n_outer + est.n_unresolved == 500
+    assert est.path_steps <= 3 * 500
+    assert any("within 3 jumps" in w for w in est.warnings)
+
+
+def test_start_of_the_wrong_length_is_a_domain_error():
+    spec = mc.DiffusionSpec(ge.coordinate_plane(3, (0, 1), None), 1e-3, seed=0)
+    message = "start has 3 coordinates but the chart has dimension 2"
+    with pytest.raises(DomainError, match=message):
+        mc.hit_probability(spec, [2.0, 0.0, 0.0], 1.0, 4.0, 10)
+    setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.0,
+                               rd.RadialProfile.constant(0.0))
+    with pytest.raises(DomainError, match=message):
+        mc.comparison_check(spec, setup, [2.0, 0.0, 0.0], 1.0, 4.0, 10)
+    # a NaN radius is never inside the shell: the walk would run max_steps
+    with pytest.raises(DomainError, match="start must be finite"):
+        mc.hit_probability(spec, [math.nan, 0.0], 1.0, 4.0, 10)
+
+
 def test_wilson_interval_width_scales_with_paths():
     start = [math.sqrt(math.e), 0.0]
     widths = []
@@ -50,7 +166,7 @@ def test_wilson_interval_near_endpoints():
 
 def test_step_size_warning_on_coarse_steps():
     spec = mc.DiffusionSpec(radial_plane(), dtau=0.05, seed=1)
-    est = mc.hit_probability(spec, [1.6, 0.0], 1.0, math.e, 500)
+    est = mc._euler_maruyama(spec, np.array([1.6, 0.0]), 1.0, math.e, 500)
     assert est.coarse_step_fraction > 0.01
     assert any("coarse" in w for w in est.warnings)
 
@@ -105,6 +221,7 @@ def test_comparison_check_gaussian_plane_small():
                               direction="parabolic")
     assert rep.direction == "parabolic"
     assert rep.passed
+    assert rep.estimate.estimator == "euler-maruyama"
 
 
 def test_comparison_check_refuses_unpredicted_inequality():
