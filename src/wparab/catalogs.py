@@ -69,12 +69,6 @@ def resolve_model(spec):
     return WeightedModel(int(_param(spec, "m", "model")), warping, weight)
 
 
-def ambient_weight_from_profile(profile):
-    if profile.name == "zero":
-        return ge.ZeroWeight()
-    return ge.RadialWeight(profile)
-
-
 def resolve_ambient_weight(spec, m, warping=None):
     """Euclidean ambient weight: radial catalog entries, height, or custom."""
     name = spec.get("name", "zero")

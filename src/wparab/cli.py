@@ -175,9 +175,9 @@ def _run_mc_verify(scenario, outdir):
     N = int(params.get("paths", 10_000))
     seed = int(params.get("seed", 0))
     dtau = float(params.get("dtau", mc.default_step(rho, R)))
-    start = np.asarray(params["start"], dtype=float)
+    start = params["start"]
     spec = mc.DiffusionSpec(P, dtau, seed,
-                            batch_size=int(params.get("batch_size", 20_000)))
+                            batch_size=params.get("batch_size", 20_000))
 
     if "R_schedule" in params:
         probe = mc.recurrence_probe(spec, start, rho,

@@ -18,13 +18,16 @@ multiplication.
 
 Evaluation accepts plain floats, numpy arrays, or :class:`Dual` numbers.
 Duals propagate one directional derivative exactly; nesting duals yields
-second derivatives.
+second derivatives.  Each elementary function is one entry of
+``ELEMENTARY`` (numpy function, derivative rule, domain check), applied
+to all three kinds of argument by :func:`apply`.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -75,9 +78,6 @@ class BinOp:
 class Call:
     fn: str
     arg: object
-
-
-FUNCTIONS = ("sin", "cos", "sinh", "cosh", "tanh", "exp", "log", "sqrt", "abs")
 
 
 def variables_of(node):
@@ -161,72 +161,6 @@ class Dual:
         v = fpow(self.value, c - 1.0)
         return Dual(fpow(self.value, c), c * v * self.deriv)
 
-    def sin(self):
-        return Dual(fsin(self.value), fcos(self.value) * self.deriv)
-
-    def cos(self):
-        return Dual(fcos(self.value), -fsin(self.value) * self.deriv)
-
-    def sinh(self):
-        return Dual(fsinh(self.value), fcosh(self.value) * self.deriv)
-
-    def cosh(self):
-        return Dual(fcosh(self.value), fsinh(self.value) * self.deriv)
-
-    def tanh(self):
-        t = ftanh(self.value)
-        return Dual(t, (1.0 - t * t) * self.deriv)
-
-    def exp(self):
-        e = fexp(self.value)
-        return Dual(e, e * self.deriv)
-
-    def log(self):
-        return Dual(flog(self.value), self.deriv / self.value)
-
-    def sqrt(self):
-        s = fsqrt(self.value)
-        return Dual(s, self.deriv / (2.0 * s))
-
-    def abs(self):
-        return Dual(fabs_(self.value), self.deriv * np.sign(_deep(self.value)))
-
-
-def fsin(x):
-    return x.sin() if isinstance(x, Dual) else np.sin(x)
-
-
-def fcos(x):
-    return x.cos() if isinstance(x, Dual) else np.cos(x)
-
-
-def fsinh(x):
-    return x.sinh() if isinstance(x, Dual) else np.sinh(x)
-
-
-def fcosh(x):
-    return x.cosh() if isinstance(x, Dual) else np.cosh(x)
-
-
-def ftanh(x):
-    return x.tanh() if isinstance(x, Dual) else np.tanh(x)
-
-
-def fexp(x):
-    return x.exp() if isinstance(x, Dual) else np.exp(x)
-
-
-def flog(x):
-    return x.log() if isinstance(x, Dual) else np.log(x)
-
-
-def fsqrt(x):
-    return x.sqrt() if isinstance(x, Dual) else np.sqrt(x)
-
-
-def fabs_(x):
-    return x.abs() if isinstance(x, Dual) else np.abs(x)
-
 
 def fpow(x, c):
     if isinstance(x, Dual):
@@ -234,10 +168,52 @@ def fpow(x, c):
     return np.power(x, c)
 
 
-_FUNC_IMPL = {
-    "sin": fsin, "cos": fcos, "sinh": fsinh, "cosh": fcosh, "tanh": ftanh,
-    "exp": fexp, "log": flog, "sqrt": fsqrt, "abs": fabs_,
+# ---------------------------------------------------------------------------
+# Elementary functions
+
+
+@dataclass(frozen=True)
+class Elementary:
+    """One elementary function: its numpy implementation, its derivative
+    rule (x, f(x), dx) -> d f(x), and for partial functions the predicate
+    marking arguments outside the domain with the error it raises."""
+
+    fn: object
+    rule: object
+    outside: object = None
+    message: str = ""
+
+
+ELEMENTARY = {
+    "sin": Elementary(np.sin, lambda x, f, dx: apply("cos", x) * dx),
+    "cos": Elementary(np.cos, lambda x, f, dx: -apply("sin", x) * dx),
+    "sinh": Elementary(np.sinh, lambda x, f, dx: apply("cosh", x) * dx),
+    "cosh": Elementary(np.cosh, lambda x, f, dx: apply("sinh", x) * dx),
+    "tanh": Elementary(np.tanh, lambda x, f, dx: (1.0 - f * f) * dx),
+    "exp": Elementary(np.exp, lambda x, f, dx: f * dx),
+    "log": Elementary(np.log, lambda x, f, dx: dx / x,
+                      lambda v: v <= 0, "log of non-positive value"),
+    "sqrt": Elementary(np.sqrt, lambda x, f, dx: dx / (2.0 * f),
+                       lambda v: v < 0, "sqrt of negative value"),
+    "abs": Elementary(np.abs, lambda x, f, dx: dx * np.sign(_deep(x))),
 }
+
+FUNCTIONS = tuple(ELEMENTARY)
+
+
+def apply(name, x):
+    """The elementary function ``name`` of a float, an array or a (nested)
+    dual; domains are checked by ``evaluate``, not here."""
+    entry = ELEMENTARY[name]
+    if isinstance(x, Dual):
+        f = apply(name, x.value)
+        return Dual(f, entry.rule(x.value, f, x.deriv))
+    return entry.fn(x)
+
+
+# Chart authors write components with these (see docs/scenario-format.md).
+fsin, fcos, fsinh, fcosh, ftanh, fexp, flog, fsqrt, fabs_ = (
+    partial(apply, name) for name in FUNCTIONS)
 
 
 # ---------------------------------------------------------------------------
@@ -410,11 +386,10 @@ def evaluate(node, env):
         return -evaluate(node.arg, env)
     if isinstance(node, Call):
         arg = evaluate(node.arg, env)
-        if node.fn == "log" and _is_bad(arg, lambda v: v <= 0):
-            raise ExprDomainError("log of non-positive value", node)
-        if node.fn == "sqrt" and _is_bad(arg, lambda v: v < 0):
-            raise ExprDomainError("sqrt of negative value", node)
-        return _FUNC_IMPL[node.fn](arg)
+        entry = ELEMENTARY[node.fn]
+        if entry.outside is not None and _is_bad(arg, entry.outside):
+            raise ExprDomainError(entry.message, node)
+        return apply(node.fn, arg)
     lhs = evaluate(node.lhs, env)
     if node.op == "^":
         c = evaluate(node.rhs, {})
@@ -437,14 +412,26 @@ def evaluate(node, env):
     raise AssertionError(node.op)
 
 
+def dual_parts(x):
+    """(value, derivative) of a result; a result that is not a dual is a
+    constant."""
+    if isinstance(x, Dual):
+        return x.value, x.deriv
+    return x, 0.0
+
+
+def jet_parts(res):
+    """(value, d_j, d_i d_j) of a result seeded as Dual(Dual(x, e_j), Dual(e_i, 0))."""
+    inner, outer = dual_parts(res)
+    value, first = dual_parts(inner)
+    return value, first, dual_parts(outer)[1]
+
+
 def eval_dual(node, point, direction):
     """Value and directional derivative at ``point`` along ``direction``."""
     env = {name: Dual(float(v), float(direction.get(name, 0.0)))
            for name, v in point.items()}
-    out = evaluate(node, env)
-    if isinstance(out, Dual):
-        return out
-    return Dual(out, 0.0)
+    return Dual(*dual_parts(evaluate(node, env)))
 
 
 def derivatives_1d(node, var, t):
@@ -454,17 +441,10 @@ def derivatives_1d(node, var, t):
     """
     array = isinstance(t, np.ndarray)
     env = {var: Dual(Dual(t if array else float(t), 1.0), Dual(1.0, 0.0))}
-    out = evaluate(node, env)
-    if not isinstance(out, Dual):
-        out = Dual(out, 0.0)
-    inner = out.value
-    douter = out.deriv
-    v = inner.value if isinstance(inner, Dual) else inner
-    d1 = inner.deriv if isinstance(inner, Dual) else 0.0
-    d2 = douter.deriv if isinstance(douter, Dual) else 0.0
+    parts = jet_parts(evaluate(node, env))
     if array:
-        return tuple(np.broadcast_to(x, t.shape).astype(float) for x in (v, d1, d2))
-    return float(v), float(d1), float(d2)
+        return tuple(np.broadcast_to(x, t.shape).astype(float) for x in parts)
+    return tuple(float(x) for x in parts)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, SupportError
-from .expr import Dual, fcos, flog, fsin, fsqrt
+from .expr import Dual, dual_parts, fcos, flog, fsin, fsqrt, jet_parts
 from .model import WeightedModel
 from .radial import RadialProfile, _K15_NODES, _K15_WEIGHTS
 from .verdicts import FAILS, HOLDS, HypothesisCheck
@@ -246,8 +246,8 @@ class ExprWeight(AmbientWeight):
 
     def grad_batch(self, pts):
         def along(i):
-            res = self._evaluate(pts, lambda k, c: Dual(c, float(k == i)))
-            return res.deriv if isinstance(res, Dual) else 0.0
+            return dual_parts(self._evaluate(
+                pts, lambda k, c: Dual(c, float(k == i))))[1]
 
         return _stack([along(i) for i in range(self.m)], len(pts))
 
@@ -257,7 +257,7 @@ class ExprWeight(AmbientWeight):
             for j in range(i + 1):
                 res = self._evaluate(pts, lambda k, c: Dual(
                     Dual(c, float(k == j)), Dual(float(k == i), 0.0)))
-                out[:, i, j] = out[:, j, i] = _jet2_derivs(res)[1]
+                out[:, i, j] = out[:, j, i] = jet_parts(res)[2]
         return out
 
 
@@ -380,16 +380,6 @@ class ModelChartAmbient:
 # Charts and jets
 
 
-def _jet2_derivs(res):
-    """(d_inner, d_mixed) from a possibly nested dual."""
-    if not isinstance(res, Dual):
-        return 0.0, 0.0
-    inner, douter = res.value, res.deriv
-    dj = inner.deriv if isinstance(inner, Dual) else 0.0
-    dij = douter.deriv if isinstance(douter, Dual) else 0.0
-    return dj, dij
-
-
 def chart_point(P, u):
     return _stack(P.chart([float(x) for x in u]), 1)[0]
 
@@ -419,7 +409,7 @@ def chart_jet(P, U):
                 dj = 1.0 if k == j else 0.0
                 di = 1.0 if k == i else 0.0
                 args.append(Dual(Dual(cols[k], dj), Dual(di, 0.0)))
-            first, mixed = zip(*(_jet2_derivs(v) for v in P.chart(args)))
+            _, first, mixed = zip(*(jet_parts(v) for v in P.chart(args)))
             H[:, :, i, j] = H[:, :, j, i] = _stack(mixed, N)
             if i == j:
                 J[:, :, j] = _stack(first, N)
@@ -1142,7 +1132,7 @@ def graph_hypersurface(phi, m, weight=None, window=None, name="graph"):
         grad = []
         for j in range(n):
             res = phi([Dual(u[k], 1.0 if k == j else 0.0) for k in range(n)])
-            grad.append(res.deriv if isinstance(res, Dual) else 0.0)
+            grad.append(dual_parts(res)[1])
         W = fsqrt(1.0 + sum(d * d for d in grad))
         return [d / W for d in grad] + [-1.0 / W]
 

@@ -98,12 +98,6 @@ class WeightedModel:
             raise DomainError(f"warping function vanishes at t={t}")
         return self.w.deriv(t) / wt
 
-    def curvature_bound_probe(self, T, samples=64):
-        """sup |H| on [T, 2T]; window evidence for 'H bounded at infinity'."""
-        ts = np.linspace(T, 2.0 * T, samples)
-        sup = max(abs(self.mean_curvature(t)) for t in ts)
-        return sup, (float(T), float(2.0 * T))
-
     def weighted_mean_curvature(self, n, t):
         """n * H(t) + f'(t); weighted curvature of spheres in the n+1 model."""
         if not 1 <= n <= self.m - 1:

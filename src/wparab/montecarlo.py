@@ -37,6 +37,12 @@ def wilson_interval(successes, trials):
     return center - half, center + half
 
 
+def _is_number(x):
+    """A real number; bools, strings and containers are not."""
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
+
+
 def _sym_sqrt(mat):
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
@@ -58,6 +64,11 @@ class DiffusionSpec:
     max_steps: int = 400_000
 
     def __post_init__(self):
+        for name in ("batch_size", "max_steps"):
+            value = getattr(self, name)
+            if not (_is_number(value) and float(value).is_integer() and value >= 1):
+                raise DomainError(f"{name} must be a positive integer, got {value!r}")
+            setattr(self, name, int(value))
         if self.P.linear is None:
             raise DomainError(
                 "path simulation requires an affine chart (use the generic "
@@ -72,7 +83,10 @@ class DiffusionSpec:
 
     def parameter_point(self, start):
         """``start`` as a float vector, checked against the chart."""
-        start = np.asarray(start, dtype=float)
+        entries = list(start) if np.iterable(start) else [start]
+        if not all(_is_number(x) for x in entries):
+            raise DomainError(f"start must be a list of numbers, got {start!r}")
+        start = np.array(entries, dtype=float)
         dim = self.basis.shape[1]
         if start.shape != (dim,):
             raise DomainError(

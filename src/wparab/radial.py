@@ -49,7 +49,8 @@ NO_HINT = AsymptoticHint("none")
 
 @dataclass(frozen=True)
 class RadialProfile:
-    """Scalar function of t > t_min with first (and optional second) derivative."""
+    """Scalar function of t > t_min with its first and, when ``d2`` is given,
+    second derivative."""
 
     fn: object
     d1: object
@@ -71,10 +72,11 @@ class RadialProfile:
         return self.d1(t)
 
     def second(self, t):
-        if self.d2 is not None:
-            return self.d2(t)
-        h = 1e-5 * (1.0 + abs(t))
-        return (self.d1(t + h) - self.d1(t - h)) / (2.0 * h)
+        if self.d2 is None:
+            raise DomainError(
+                f"profile {self.name or '<anonymous>'} has no second "
+                f"derivative (built without d2)")
+        return self.d2(t)
 
     def check_domain(self, t):
         lowest = t.min() if isinstance(t, np.ndarray) else t
@@ -92,7 +94,7 @@ class RadialProfile:
 
         def d1(t):
             out = ex.evaluate(ast, {"t": ex.Dual(t, 1.0)})
-            return (out.deriv if isinstance(out, ex.Dual) else 0.0) + 0.0 * t
+            return ex.dual_parts(out)[1] + 0.0 * t
 
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]

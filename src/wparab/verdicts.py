@@ -64,14 +64,6 @@ class Verdict:
     capacity_bound: object = None   # optional callable rho -> bound
     notes: str = ""
 
-    @property
-    def is_parabolic(self):
-        return self.outcome is Outcome.PARABOLIC
-
-    @property
-    def is_hyperbolic(self):
-        return self.outcome is Outcome.HYPERBOLIC
-
     def assert_sound(self):
         if self.outcome is not Outcome.INCONCLUSIVE:
             assert all(c.holds for c in self.checks), \

@@ -302,3 +302,32 @@ def test_missing_catalog_parameter_names_the_field(tmp_path):
         "CatalogError: weight 'split' is missing parameter 'mu'",
         "CatalogError: submanifold 'cylinder' is missing parameter 'k'",
     ]
+
+
+def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
+    cases = [
+        ({"start": [True, 0.5]},
+         "DomainError: start must be a list of numbers, got [True, 0.5]"),
+        ({"start": ["2", 0.5]},
+         "DomainError: start must be a list of numbers, got ['2', 0.5]"),
+        ({"start": [[1.0], [2.0, 3.0]]},
+         "DomainError: start must be a list of numbers, got [[1.0], [2.0, 3.0]]"),
+        ({"batch_size": 0},
+         "DomainError: batch_size must be a positive integer, got 0"),
+        ({"batch_size": -5},
+         "DomainError: batch_size must be a positive integer, got -5"),
+        ({"batch_size": 2.5},
+         "DomainError: batch_size must be a positive integer, got 2.5"),
+        ({"batch_size": True},
+         "DomainError: batch_size must be a positive integer, got True"),
+    ]
+    base = {"rho": 0.5, "R": 2.0, "start": [1.0, 0.0], "paths": 10}
+    config = {"scenarios": [
+        {"id": f"mc{i}", "task": "mc-verify", "model": small_model(),
+         "params": {**base, **patch}} for i, (patch, _) in enumerate(cases)]
+        + [{"id": "ok", "task": "mc-verify", "model": small_model(),
+            "params": {**base, "batch_size": 4.0}}]}
+    cli.run_config(config, tmp_path)
+    *bad, ok = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert ok["status"] == "ok" and ok["hit_estimate"]["n_paths"] == 10

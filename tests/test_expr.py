@@ -1,7 +1,12 @@
 import math
 import random
+import re
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from wparab import expr as ex
 
@@ -85,15 +90,129 @@ def test_second_derivatives_by_nesting():
     assert d2 == pytest.approx((0.49 - 1.0) * g, rel=1e-13)
 
 
-@pytest.mark.parametrize("source,env,message", [
+DOMAIN_ERRORS = [
     ("log(t)", {"t": -1.0}, "log of non-positive"),
     ("1/t", {"t": 0.0}, "division by zero"),
     ("sqrt(t)", {"t": -4.0}, "sqrt of negative"),
     ("t^0.5", {"t": -1.0}, "non-integer exponent"),
-])
+    ("t^-1", {"t": 0.0}, "zero base with negative exponent"),
+]
+
+
+@pytest.mark.parametrize("source,env,message", DOMAIN_ERRORS)
 def test_domain_errors_carry_subexpression(source, env, message):
     with pytest.raises(ex.ExprDomainError, match=message):
         ex.evaluate(ex.parse(source, ["t"]), env)
+
+
+# --- one property test per elementary function --------------------------------
+
+def _reals(lo=-5.0, hi=5.0):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+# name: (points inside the domain, closed-form f', closed-form f'',
+#        points outside the domain or None)
+ENTRIES = {
+    "sin": (_reals(), math.cos, lambda x: -math.sin(x), None),
+    "cos": (_reals(), lambda x: -math.sin(x), lambda x: -math.cos(x), None),
+    "sinh": (_reals(), math.cosh, math.sinh, None),
+    "cosh": (_reals(), math.sinh, math.cosh, None),
+    "tanh": (_reals(), lambda x: 1.0 / math.cosh(x) ** 2,
+             lambda x: -2.0 * math.tanh(x) / math.cosh(x) ** 2, None),
+    "exp": (_reals(), math.exp, math.exp, None),
+    "log": (_reals(1e-2, 50.0), lambda x: 1.0 / x, lambda x: -1.0 / x ** 2,
+            _reals(-50.0, 0.0)),
+    "sqrt": (_reals(1e-2, 50.0), lambda x: 0.5 / math.sqrt(x),
+             lambda x: -0.25 / x ** 1.5, _reals(-50.0, -1e-300)),
+    "abs": (_reals().filter(lambda x: abs(x) >= 1e-3),
+            lambda x: math.copysign(1.0, x), lambda x: 0.0, None),
+}
+ALIASES = {"sin": "fsin", "cos": "fcos", "sinh": "fsinh", "cosh": "fcosh",
+           "tanh": "ftanh", "exp": "fexp", "log": "flog", "sqrt": "fsqrt",
+           "abs": "fabs_"}
+_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True,
+                     database=None)
+
+
+def test_every_function_has_one_entry_and_property_cases():
+    assert ex.FUNCTIONS == tuple(ex.ELEMENTARY)
+    assert sorted(ENTRIES) == sorted(ex.FUNCTIONS) == sorted(ALIASES)
+    for name in ex.FUNCTIONS:
+        assert getattr(ex, ALIASES[name]).args == (name,)
+
+
+def _bits(x):
+    return np.float64(x).tobytes()
+
+
+@pytest.mark.parametrize("name", ex.FUNCTIONS)
+def test_function_agrees_on_floats_arrays_and_duals(name):
+    ast = ex.Call(name, ex.Var("t"))
+
+    @_SETTINGS
+    @given(st.lists(ENTRIES[name][0], min_size=1, max_size=19))
+    def check(xs):
+        arr = np.array(xs)
+        values = ex.evaluate(ast, {"t": arr})
+        duals = ex.evaluate(ast, {"t": ex.Dual(arr, 1.0)})
+        for i, x in enumerate(xs):
+            scalar = ex.evaluate(ast, {"t": x})
+            single = ex.evaluate(ast, {"t": ex.Dual(x, 1.0)})
+            assert _bits(scalar) == _bits(values[i]) == _bits(single.value)
+            assert _bits(single.deriv) == _bits(duals.deriv[i])
+            assert _bits(getattr(ex, ALIASES[name])(x)) == _bits(scalar)
+
+    check()
+
+
+@pytest.mark.parametrize("name", ex.FUNCTIONS)
+def test_function_derivatives_match_closed_forms(name):
+    points, first, second, _ = ENTRIES[name]
+    ast = ex.Call(name, ex.Var("t"))
+
+    @_SETTINGS
+    @given(points)
+    def check(x):
+        value, d1, d2 = ex.derivatives_1d(ast, "t", x)
+        assert _bits(value) == _bits(ex.evaluate(ast, {"t": x}))
+        assert math.isclose(d1, first(x), rel_tol=1e-12, abs_tol=1e-12)
+        assert math.isclose(d2, second(x), rel_tol=1e-12, abs_tol=1e-12)
+
+    check()
+
+
+@pytest.mark.parametrize("name", [n for n in ex.FUNCTIONS if ENTRIES[n][3] is not None])
+def test_function_domain_errors(name):
+    ast = ex.Call(name, ex.Var("t"))
+
+    @_SETTINGS
+    @given(ENTRIES[name][3], ENTRIES[name][0])
+    def check(bad, good):
+        for env in ({"t": bad}, {"t": ex.Dual(ex.Dual(bad, 1.0), 1.0)},
+                    {"t": np.array([good, bad, good])}):
+            with pytest.raises(ex.ExprDomainError, match=f"in `{name}\\(t\\)`"):
+                ex.evaluate(ast, env)
+
+    check()
+
+
+def _documented_section(title):
+    text = (Path(__file__).parent.parent / "docs" / "scenario-format.md").read_text()
+    return text.split(f"## {title}\n", 1)[1].split("\n## ", 1)[0]
+
+
+def test_documented_functions_and_domain_errors_match_the_engine():
+    section = _documented_section("Expression language")
+    documented = re.findall(r"^\| `(\w+)` \|", section, flags=re.M)
+    assert tuple(documented) == ex.FUNCTIONS
+    documented = re.findall(r"^- `([^`]+)`$", section, flags=re.M)
+    raised = []
+    for source, env, _ in DOMAIN_ERRORS:
+        with pytest.raises(ex.ExprDomainError) as err:
+            ex.evaluate(ex.parse(source, ["t"]), env)
+        raised.append(str(err.value).split(" in `")[0])
+    assert sorted(documented) == sorted(raised)
 
 
 # --- randomized properties --------------------------------------------------

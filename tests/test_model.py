@@ -50,8 +50,6 @@ def test_mean_curvature():
     assert euclid(3).mean_curvature(4.0) == pytest.approx(0.25, rel=1e-14)
     hyp = WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_zero())
     assert hyp.mean_curvature(2.0) == pytest.approx(math.cosh(2) / math.sinh(2), rel=1e-12)
-    sup, window = euclid(3).curvature_bound_probe(100.0)
-    assert sup <= 0.01 and window == (100.0, 200.0)
 
 
 def test_weighted_mean_curvature_examples(gauss3):

@@ -146,6 +146,17 @@ def test_start_of_the_wrong_length_is_a_domain_error():
         mc.hit_probability(spec, [math.nan, 0.0], 1.0, 4.0, 10)
 
 
+def test_spec_fields_must_be_positive_integers():
+    P = radial_plane()
+    for field in ("batch_size", "max_steps"):
+        for bad in (0, -5, 2.5, True, "10", math.inf):
+            with pytest.raises(DomainError, match=f"{field} must be a positive integer"):
+                mc.DiffusionSpec(P, 1e-3, seed=0, **{field: bad})
+    spec = mc.DiffusionSpec(P, 1e-3, seed=0, batch_size=np.int64(8), max_steps=50.0)
+    assert (spec.batch_size, spec.max_steps) == (8, 50)
+    assert type(spec.batch_size) is int and type(spec.max_steps) is int
+
+
 def test_wilson_interval_width_scales_with_paths():
     start = [math.sqrt(math.e), 0.0]
     widths = []

@@ -5,8 +5,10 @@ import warnings
 import numpy as np
 import pytest
 
+from wparab import criteria as cr
 from wparab import radial as rd
-from wparab.errors import BracketError, IntegrandSignError, QuadratureError
+from wparab.errors import (BracketError, DomainError, IntegrandSignError,
+                           QuadratureError)
 
 
 # --- quadrature ---------------------------------------------------------
@@ -183,6 +185,17 @@ def test_expression_profile_second_derivative():
     assert p.value(1.0) == pytest.approx(g, rel=1e-14)
     assert p.deriv(1.0) == pytest.approx(-g, rel=1e-12)
     assert p.second(1.0) == pytest.approx(0.0, abs=1e-12)
+
+
+def test_profile_without_d2_has_no_second_derivative():
+    p = rd.RadialProfile(lambda t: t ** 3, lambda t: 3 * t ** 2, name="cube")
+    with pytest.raises(DomainError, match="profile cube has no second derivative"):
+        p.second(1.0)
+    # the drift bound of a radial weight differentiates the weight's d2
+    slope = cr.f_as_beta(rd.RadialProfile.from_expression("-t^2/2"))
+    assert slope.deriv(2.0) == -1.0
+    with pytest.raises(DomainError, match="has no second derivative"):
+        slope.second(2.0)
 
 
 # --- panel mode of the quadrature kernel ----------------------------------
