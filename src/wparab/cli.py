@@ -24,7 +24,7 @@ from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
 from .errors import ScenarioError
 from .radial import AsymptoticHint, NO_HINT
 
-REPORT_VERSION = "2"
+REPORT_VERSION = "3"
 
 _TASKS = ("classify", "capacity", "curves", "mc-verify", "check-identities")
 
@@ -172,11 +172,10 @@ def _run_mc_verify(scenario, outdir):
 
     rho = float(params["rho"])
     R = float(params["R"])
-    N = int(params.get("paths", 10_000))
-    seed = int(params.get("seed", 0))
-    dtau = float(params.get("dtau", mc.default_step(rho, R)))
+    N = mc.whole_number("paths", params.get("paths", 10_000))
     start = params["start"]
-    spec = mc.DiffusionSpec(P, dtau, seed,
+    spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)),
+                            params.get("seed", 0),
                             batch_size=params.get("batch_size", 20_000))
 
     if "R_schedule" in params:

@@ -1,11 +1,12 @@
 """Monte Carlo verification via the drift diffusion of the weighted Laplacian.
 
 Paths on the parameter domain of an affine immersion: walk-on-spheres when
-the ambient weight is zero, Euler--Maruyama otherwise, with counter-based
-per-batch random streams (Philox) so that serial and parallel executions
-agree bit-for-bit.  Hitting probabilities of extrinsic annulus boundaries
-estimate the capacity potential; they are compared against the
-transplanted radial potential of the comparison model.
+the ambient weight is zero, Heun steps that shrink near the boundary
+otherwise, with counter-based per-batch random streams (Philox) so that
+serial and parallel executions agree bit-for-bit.  Hitting probabilities of
+extrinsic annulus boundaries estimate the capacity potential; they are
+compared against the transplanted radial potential of the comparison model.
+Fixed-step Euler--Maruyama remains as a reference estimator.
 """
 
 from __future__ import annotations
@@ -43,6 +44,16 @@ def _is_number(x):
             and not isinstance(x, bool))
 
 
+def whole_number(name, value, positive=True):
+    """``value`` as an int; a DomainError naming ``name`` unless it is an
+    integer-valued real number, positive or else non-negative."""
+    if not (_is_number(value) and float(value).is_integer()
+            and value >= (1 if positive else 0)):
+        kind = "positive" if positive else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
 def _sym_sqrt(mat):
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
@@ -55,7 +66,9 @@ class DiffusionSpec:
     Laplacian on an affine chart X(u) = base + basis u: drift
     g^{-1} basis^T grad h, diffusion factor the symmetric square root of
     2 g^{-1}, with the constant metric g = basis^T basis.  ``driftless``
-    holds when the ambient weight is ``ZeroWeight``."""
+    holds when the ambient weight is ``ZeroWeight``.  ``dtau`` caps the
+    time step of drifted paths (see ``default_step``); walk-on-spheres does
+    not use it."""
 
     P: ImmersedSubmanifold
     dtau: float
@@ -64,11 +77,13 @@ class DiffusionSpec:
     max_steps: int = 400_000
 
     def __post_init__(self):
-        for name in ("batch_size", "max_steps"):
-            value = getattr(self, name)
-            if not (_is_number(value) and float(value).is_integer() and value >= 1):
-                raise DomainError(f"{name} must be a positive integer, got {value!r}")
-            setattr(self, name, int(value))
+        self.batch_size = whole_number("batch_size", self.batch_size)
+        self.max_steps = whole_number("max_steps", self.max_steps)
+        self.seed = whole_number("seed", self.seed, positive=False)
+        if not (_is_number(self.dtau) and 0.0 < self.dtau < math.inf):
+            raise DomainError(
+                f"dtau must be a positive finite number, got {self.dtau!r}")
+        self.dtau = float(self.dtau)
         if self.P.linear is None:
             raise DomainError(
                 "path simulation requires an affine chart (use the generic "
@@ -99,11 +114,21 @@ class DiffusionSpec:
     def _points(self, U):
         return self.base[None, :] + U @ self.basis.T
 
+    def _drift_at(self, X):
+        return self.P.ambient.weight.grad_batch(X) @ self.pull
+
     def drift(self, U):
-        return self.P.ambient.weight.grad_batch(self._points(U)) @ self.pull
+        return self._drift_at(self._points(U))
 
     def radius(self, U):
         return np.linalg.norm(self._points(U), axis=1)
+
+    def radius_and_drift(self, U):
+        """Ambient radii and drifts (None when driftless) at the parameter
+        points U, both from one evaluation of the ambient points."""
+        X = self._points(U)
+        b = None if self.driftless else self._drift_at(X)
+        return np.linalg.norm(X, axis=1), b
 
     def batches(self, N):
         """Sizes and random streams of the path batches; each stream is
@@ -116,16 +141,19 @@ class DiffusionSpec:
 
 
 WALK_ON_SPHERES = "walk-on-spheres"
+SHRINKING_HEUN = "shrinking-heun"
 EULER_MARUYAMA = "euler-maruyama"
+
+KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
 
 
 @dataclass
 class HitEstimate:
     """Estimated probability of reaching the inner boundary first.
 
-    ``shell`` is the stopping distance of walk-on-spheres (None for
-    Euler--Maruyama); ``path_steps`` counts jumps or time steps over all
-    paths."""
+    ``shell`` is the stopping distance of walk-on-spheres and of the
+    shrinking Heun stepper (None for the Euler--Maruyama reference);
+    ``path_steps`` counts jumps or time steps over all paths."""
 
     p_hat: float
     n_paths: int
@@ -168,7 +196,8 @@ class HitEstimate:
 
 
 def default_step(rho, R):
-    return 1e-4 * (R - rho) ** 2
+    """Default ``dtau``: the bulk step cap of drifted paths."""
+    return 1e-3 * (R - rho) ** 2
 
 
 def _shell(rho, R):
@@ -177,26 +206,28 @@ def _shell(rho, R):
 
 def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
               estimator, shell=None, coarse_frac=0.0, warns=()):
+    unit = "jumps" if estimator == WALK_ON_SPHERES else "steps"
     resolved = n_inner + n_outer
+    if not resolved:
+        raise DomainError(f"no path exited within max_steps = {spec.max_steps} "
+                          f"{unit}, so there is no estimate")
     n_unresolved = N - resolved
-    p_hat = n_inner / resolved if resolved else float("nan")
     lo, hi = wilson_interval(n_inner, resolved)
-    mean_exit = exit_time_sum / resolved if resolved else float("nan")
     warns = list(warns)
     if n_unresolved:
-        unit = "jumps" if estimator == WALK_ON_SPHERES else "steps"
         warns.append(f"{n_unresolved} paths did not exit within "
                      f"{spec.max_steps} {unit} (excluded from the estimate)")
-    return HitEstimate(p_hat, N, n_inner, n_outer, n_unresolved, lo, hi,
-                       mean_exit, coarse_frac, rho, R, spec.dtau, spec.seed,
-                       estimator, shell, path_steps, warns)
+    return HitEstimate(n_inner / resolved, N, n_inner, n_outer, n_unresolved,
+                       lo, hi, exit_time_sum / resolved, coarse_frac, rho, R,
+                       spec.dtau, spec.seed, estimator, shell, path_steps,
+                       warns)
 
 
 def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     """Fraction of paths reaching {r <= rho} before {r >= R}.
 
-    Driftless specs walk on spheres (``_walk_on_spheres``); drifted ones
-    step by Euler--Maruyama (``_euler_maruyama``).  Deterministic for a
+    Driftless specs walk on spheres (``_sphere_jump``); drifted ones take
+    shrinking Heun steps (``_heun_step``).  Deterministic for a
     given (spec, seed): path batches draw from independent counter-based
     streams keyed by (seed, batch index).
     """
@@ -206,39 +237,35 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start[None, :])[0])
+    name = WALK_ON_SPHERES if spec.driftless else SHRINKING_HEUN
     if rho < r0 < R:
-        estimator = _walk_on_spheres if spec.driftless else _euler_maruyama
-        return estimator(spec, start, rho, R, N)
+        move = _sphere_jump(spec) if spec.driftless else _heun_step(spec)
+        return _shell_walk(spec, start, rho, R, N, name, move)
     inside = N if r0 <= rho else 0
     p = inside / N
-    name, shell = ((WALK_ON_SPHERES, _shell(rho, R)) if spec.driftless
-                   else (EULER_MARUYAMA, None))
     return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, 0.0, rho, R,
-                       spec.dtau, spec.seed, name, shell, 0)
+                       spec.dtau, spec.seed, name, _shell(rho, R), 0)
 
 
-def _walk_on_spheres(spec: DiffusionSpec, start, rho, R, N):
-    """Walk-on-spheres (Muller 1956) for a driftless affine chart.
+def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
+    """The path loop of walk-on-spheres and of the shrinking Heun stepper.
 
-    Each jump goes to a uniform point of the largest in-plane sphere that
-    d = min(r - rho, R - r) guarantees inside the annulus (exact for planes
-    through the origin, conservative for offset planes); in parameter
-    coordinates the step is d theta g^{-1/2}.  A path stops inside the
-    shell of width 1e-4 (R - rho) and counts for the nearer boundary.  Its
-    exit time is the sum of d^2 / (2n), the mean exit time of the ball for
-    the generator Delta_g.  ``max_steps`` caps the jumps.
+    With d = min(r - rho, R - r), a path stops once d < 1e-4 (R - rho), the
+    shell, and counts for the nearer boundary; a path that moved beyond a
+    boundary has d < 0 and counts for the boundary it crossed.  Every other
+    path moves by ``move(rng, U, b, d)``, which returns the new points with
+    their radii, drifts and the time each path spent.  ``max_steps`` caps
+    the moves of a path.
     """
     shell = _shell(rho, R)
-    dim = len(start)
-    jump_T = (spec.sigma / math.sqrt(2.0)).T
     n_inner = n_outer = path_steps = 0
     exit_time_sums = []
     for nb, rng in spec.batches(N):
         U = np.tile(start, (nb, 1))
+        r, b = spec.radius_and_drift(U)
         T = np.zeros(nb)
         exits = 0.0
-        for jump in range(spec.max_steps + 1):
-            r = spec.radius(U)
+        for step in range(spec.max_steps + 1):
             to_inner = r - rho
             to_outer = R - r
             d = np.minimum(to_inner, to_outer)
@@ -251,34 +278,80 @@ def _walk_on_spheres(spec: DiffusionSpec, start, rho, R, N):
                 exits += float(np.sum(T[done]))
                 keep = ~done
                 U, T, d = U[keep], T[keep], d[keep]
-            if len(U) == 0 or jump == spec.max_steps:
+                if b is not None:
+                    b = b[keep]
+            if len(U) == 0 or step == spec.max_steps:
                 break
-            theta = rng.standard_normal(U.shape)
-            theta *= (d / np.sqrt(np.einsum("ij,ij->i", theta, theta)))[:, None]
-            U += theta @ jump_T
-            T += d * d / (2.0 * dim)
+            U, r, b, dt = move(rng, U, b, d)
+            T += dt
             path_steps += len(U)
         exit_time_sums.append(exits)
     return _estimate(spec, rho, R, N, n_inner, n_outer,
-                     math.fsum(exit_time_sums), path_steps, WALK_ON_SPHERES,
-                     shell)
+                     math.fsum(exit_time_sums), path_steps, estimator, shell)
+
+
+def _sphere_jump(spec: DiffusionSpec):
+    """The move of walk-on-spheres (Muller 1956) on a driftless affine chart.
+
+    Each jump goes to a uniform point of the largest in-plane sphere that
+    d = min(r - rho, R - r) guarantees inside the annulus (exact for planes
+    through the origin, conservative for offset planes); in parameter
+    coordinates the step is d theta g^{-1/2}.  Its time is d^2 / (2n), the
+    mean exit time of the ball for the generator Delta_g.
+    """
+    dim = spec.basis.shape[1]
+    jump_T = (spec.sigma / math.sqrt(2.0)).T
+
+    def move(rng, U, b, d):
+        theta = rng.standard_normal(U.shape)
+        theta *= (d / np.sqrt(np.einsum("ij,ij->i", theta, theta)))[:, None]
+        U += theta @ jump_T
+        r, _ = spec.radius_and_drift(U)
+        return U, r, None, d * d / (2.0 * dim)
+
+    return move
+
+
+def _heun_step(spec: DiffusionSpec):
+    """The move of the drift diffusion by Heun predictor--corrector steps
+    that shrink near the boundary (Milstein & Tretyakov, Stochastic
+    Numerics for Mathematical Physics, 2004).
+
+    A step takes dt = min(KAPPA d^2, dtau, d / (2 |b|_g)) and one Gaussian
+    draw xi, U* = U + b(U) dt + sqrt(2 dt) xi g^{-1/2}, then
+    U' = U + (b(U) + b(U*)) dt / 2 + the same noise.  The corrector removes
+    the O(dt) inflation of the bulk variance that a plain Euler drift
+    brings in; b(U') is the next step's b(U), so a step costs two drift
+    evaluations.  The last cap lets the drift carry a path at most half its
+    distance to the boundary, which keeps a stiff drift (h = -200 r^2, say)
+    from throwing paths across the annulus.
+    """
+    noise_T = spec.sigma.T
+    metric = spec.basis.T @ spec.basis
+    dtau = spec.dtau
+
+    def move(rng, U, b, d):
+        speed = np.sqrt(np.einsum("ij,ij->i", b @ metric, b))
+        dt = np.minimum(np.minimum(KAPPA * d * d, dtau),
+                        0.5 * d / np.maximum(speed, 1e-300))[:, None]
+        noise = (rng.standard_normal(U.shape) @ noise_T) * np.sqrt(dt)
+        predictor = U + b * dt + noise
+        U = U + 0.5 * (b + spec.drift(predictor)) * dt + noise
+        r, b = spec.radius_and_drift(U)
+        return U, r, b, dt[:, 0]
+
+    return move
 
 
 def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
-    """Euler--Maruyama paths of the drift diffusion, the reference
-    estimator; boundary crossings are located by linear interpolation of
-    the radius between consecutive steps.  ``start`` must lie strictly
-    inside the annulus."""
+    """Fixed-step Euler--Maruyama paths of the drift diffusion, the
+    reference estimator; boundary crossings are located by linear
+    interpolation of the radius between consecutive steps.  ``start`` must
+    lie strictly inside the annulus."""
     r0 = float(spec.radius(start[None, :])[0])
     dtau = spec.dtau
     sqrt2dt = math.sqrt(2.0 * dtau)
-    sigma = spec.sigma
-    sigma_T = None if np.allclose(sigma, math.sqrt(2.0) * np.eye(len(sigma)),
-                                  atol=1e-14) else (sigma / math.sqrt(2.0)).T
-    radius_is_param_norm = (not np.any(spec.base)
-                            and np.allclose(spec.basis.T @ spec.basis,
-                                            np.eye(spec.basis.shape[1]),
-                                            atol=1e-13))
+    sigma_T = (spec.sigma / math.sqrt(2.0)).T
     coarse_limit = (R - rho) / 10.0
 
     n_inner = n_outer = 0
@@ -287,27 +360,18 @@ def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
     n_coarse = 0
 
     for nb, rng in spec.batches(N):
-        dim = len(start)
         U = np.tile(start, (nb, 1))
         r_old = np.full(nb, r0)
         alive = np.ones(nb, dtype=bool)
         n_alive = nb
-        buf = np.empty((nb, dim))
         exits = 0.0
         for step in range(spec.max_steps):
             if n_alive == 0:
                 break
             cur = len(U)
-            noise = buf[:cur]
-            rng.standard_normal(out=noise)
-            if sigma_T is not None:
-                noise = noise @ sigma_T
-            if spec.driftless:
-                U += sqrt2dt * noise
-            else:
-                U += spec.drift(U) * dtau + sqrt2dt * noise
-            r_new = (np.sqrt(np.einsum("ij,ij->i", U, U))
-                     if radius_is_param_norm else spec.radius(U))
+            noise = rng.standard_normal(U.shape) @ sigma_T
+            U += spec.drift(U) * dtau + sqrt2dt * noise
+            r_new = spec.radius(U)
             n_steps_total += n_alive
             n_coarse += int(np.count_nonzero(
                 (np.abs(r_new - r_old) > coarse_limit) & alive))

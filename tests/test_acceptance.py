@@ -240,7 +240,8 @@ def test_acceptance_10_comparison_inequalities():
     setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, math.sqrt(2.0), NEG_T)
     drift = cr._drift_check(setup, plane, ((0.5, 4.0), (0.5, 4.0)), "upper",
                             assume_bound=True)
-    spec = mc.DiffusionSpec(plane, dtau=1e-4, seed=8, batch_size=100_000)
+    spec = mc.DiffusionSpec(plane, dtau=mc.default_step(1.0, 4.0), seed=8,
+                            batch_size=100_000)
     rep_a = mc.comparison_check(spec, setup, [2.0, 0.0], 1.0, 4.0, 100_000,
                                 direction="parabolic", assume_drift_bound=True,
                                 window=((0.5, 4.0), (0.5, 4.0)))

@@ -1,4 +1,5 @@
 import csv
+import functools
 import json
 import math
 import subprocess
@@ -331,3 +332,51 @@ def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
     *bad, ok = _strict_report(tmp_path)["scenarios"]
     assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
     assert ok["status"] == "ok" and ok["hit_estimate"]["n_paths"] == 10
+
+
+def gaussian_plane_scenario(**params):
+    return {"id": "mc", "task": "mc-verify", "model": small_model("gaussian", 3),
+            "submanifold": {"name": "plane", "axes": [0, 1]},
+            "params": {"rho": 1.0, "R": 4.0, "start": [2.0, 0.0], "paths": 10,
+                       **params}}
+
+
+def test_mc_verify_checks_dtau_paths_and_seed(tmp_path):
+    cases = [
+        ({"dtau": 0}, "dtau must be a positive finite number, got 0"),
+        ({"dtau": math.inf}, "dtau must be a positive finite number, got inf"),
+        ({"dtau": -1e-3}, "dtau must be a positive finite number, got -0.001"),
+        ({"dtau": "0.01"}, "dtau must be a positive finite number, got '0.01'"),
+        ({"dtau": True}, "dtau must be a positive finite number, got True"),
+        ({"paths": 12.9}, "paths must be a positive integer, got 12.9"),
+        ({"paths": "10"}, "paths must be a positive integer, got '10'"),
+        ({"seed": -1}, "seed must be a non-negative integer, got -1"),
+        ({"seed": 2.5}, "seed must be a non-negative integer, got 2.5"),
+        ({"seed": True}, "seed must be a non-negative integer, got True"),
+    ]
+    for patch, message in cases:
+        entry = cli.run_scenario(gaussian_plane_scenario(**patch), tmp_path)
+        assert (entry["status"], entry["error"]) == ("error",
+                                                     "DomainError: " + message)
+    entry = cli.run_scenario(gaussian_plane_scenario(paths=12.0, seed=3.0),
+                             tmp_path)
+    estimate = entry["hit_estimate"]
+    assert (estimate["n_paths"], estimate["seed"]) == (12, 3)
+    assert estimate["dtau"] == pytest.approx(9e-3, rel=1e-15)
+    assert estimate["estimator"] == "shrinking-heun"
+
+
+def test_estimate_without_an_exited_path_is_a_scenario_error(tmp_path,
+                                                             monkeypatch):
+    # two steps cannot carry a path from r = 2 to either boundary; the
+    # entry names max_steps instead of reporting p_hat = NaN
+    monkeypatch.setattr(cli.mc, "DiffusionSpec",
+                        functools.partial(cli.mc.DiffusionSpec, max_steps=2))
+    config = {"scenarios": [
+        gaussian_plane_scenario(),
+        {**gaussian_plane_scenario(start=[1.0, 0.0]), "id": "boundary"}]}
+    cli.run_config(config, tmp_path)
+    stuck, boundary = _strict_report(tmp_path)["scenarios"]
+    assert stuck["status"] == "error" and "max_steps = 2" in stuck["error"]
+    assert boundary["status"] == "ok"
+    assert boundary["hit_estimate"]["p_hat"] == 1.0

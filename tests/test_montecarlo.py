@@ -5,6 +5,7 @@ import pytest
 
 from wparab import criteria as cr
 from wparab import geometry as ge
+from wparab import model as md
 from wparab import montecarlo as mc
 from wparab import radial as rd
 from wparab.errors import ComparisonRefusal, DomainError
@@ -12,6 +13,18 @@ from wparab.errors import ComparisonRefusal, DomainError
 
 def radial_plane(m=2):
     return ge.identity_chart(m, None)
+
+
+def weighted_plane(profile=rd.weight_gaussian):
+    """The (x1, x2)-plane of R^3 with the radial ambient weight ``profile``."""
+    return ge.coordinate_plane(3, (0, 1), ge.RadialWeight(profile()))
+
+
+def model_potential(profile, rho, R, s):
+    """Exact hitting probability on a plane through the origin: the
+    potential of the 2-dimensional model with the same radial weight."""
+    model = md.WeightedModel(2, rd.warping_euclidean(), profile())
+    return model.capacity_potential(rho, R).potential(s)
 
 
 def test_boundary_starts_are_immediate():
@@ -132,6 +145,101 @@ def test_max_steps_caps_jumps():
     assert any("within 3 jumps" in w for w in est.warnings)
 
 
+def test_shrinking_heun_determinism_is_bitwise():
+    # several batches, each drawing from its own (seed, batch) stream
+    def run(seed):
+        spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
+                                seed=seed, batch_size=700)
+        return mc.hit_probability(spec, [1.4, 0.9], 1.0, 4.0, 2000)
+    a, b = run(3), run(3)
+    assert a.estimator == "shrinking-heun"
+    assert a.to_dict() == b.to_dict()
+    c = run(4)
+    assert (c.p_hat, c.mean_exit_time) != (a.p_hat, a.mean_exit_time)
+
+
+def test_shrinking_heun_matches_the_antigaussian_model():
+    rho, R, s = 1.0, 3.0, 1.5
+    spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian),
+                            mc.default_step(rho, R), seed=61)
+    est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
+    exact = model_potential(rd.weight_antigaussian, rho, R, s)
+    assert est.n_unresolved == 0
+    assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
+
+
+def test_shrinking_heun_on_the_gaussian_plane():
+    # the setup of acceptance 10; fixed-step Euler-Maruyama at dtau = 1e-4
+    # takes ~6,900 steps a path there
+    N = 100_000
+    spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
+                            seed=12, batch_size=N)
+    est = mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, N)
+    exact = model_potential(rd.weight_gaussian, 1.0, 4.0, 2.0)
+    assert est.shell == pytest.approx(3e-4, rel=1e-12)
+    assert est.coarse_step_fraction == 0.0 and est.n_unresolved == 0
+    assert abs(est.p_hat - exact) <= 3.0 * est.standard_error
+    assert est.path_steps < 250 * N
+
+
+def test_heun_step_is_the_predictor_corrector():
+    # on the Gaussian plane b(U) = -U, so one step with noise n is
+    # U (1 - dt + dt^2 / 2) + n (1 - dt / 2); a plain Euler drift would
+    # give U (1 - dt) + n
+    spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
+    U = np.array([[2.0, 0.0], [0.3, -1.5]])
+    d = np.array([1.0, 0.3])
+    _, b = spec.radius_and_drift(U)
+    U1, r1, b1, dt = mc._heun_step(spec)(np.random.default_rng(7), U, b, d)
+    want_dt = np.array([1e-2, 0.05 * 0.3 ** 2])
+    noise = np.random.default_rng(7).standard_normal(U.shape) \
+        * np.sqrt(2.0 * want_dt)[:, None]
+    h = want_dt[:, None]
+    np.testing.assert_allclose(dt, want_dt, rtol=1e-15)
+    np.testing.assert_allclose(U1, U * (1 - h + h * h / 2) + noise * (1 - h / 2),
+                               rtol=0, atol=1e-14)
+    np.testing.assert_allclose(b1, -U1, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(r1, np.hypot(U1[:, 0], U1[:, 1]), rtol=1e-15)
+
+
+def test_overshooting_paths_count_for_the_boundary_they_crossed():
+    # a move that lands alternate paths inside rho and beyond R
+    def move(rng, U, b, d):
+        U = U * np.where(np.arange(len(U)) % 2, 3.0, 0.25)[:, None]
+        return U, np.linalg.norm(U, axis=1), None, np.ones(len(U))
+    spec = mc.DiffusionSpec(radial_plane(), 1e-3, seed=1, max_steps=3)
+    est = mc._shell_walk(spec, np.array([2.0, 0.0]), 1.0, 4.0, 300, "test",
+                         move)
+    assert (est.n_inner, est.n_outer, est.path_steps) == (150, 150, 300)
+
+
+def test_stiff_drift_does_not_throw_paths_across_the_annulus():
+    # h = -200 r^2 pulls every path from r = 2 to rho = 1 (the outer exit
+    # has probability about e^-2400); a step of dtau = 9e-3 alone would
+    # carry the predictor past the origin and the corrector past R
+    stiff = weighted_plane(lambda: rd.weight_power(-200.0, 2.0))
+    spec = mc.DiffusionSpec(stiff, mc.default_step(1.0, 4.0), seed=1)
+    est = mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, 300)
+    assert (est.n_inner, est.n_outer) == (300, 0)
+
+
+def test_max_steps_caps_heun_steps():
+    spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
+                            seed=2, max_steps=5)
+    est = mc.hit_probability(spec, [1.002, 0.0], 1.0, 4.0, 500)
+    assert 0 < est.n_unresolved < 500
+    assert est.n_inner + est.n_outer + est.n_unresolved == 500
+    assert est.path_steps <= 5 * 500
+    assert any("did not exit within 5 steps" in w for w in est.warnings)
+
+
+def test_no_resolved_path_is_an_error_naming_max_steps():
+    spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
+                            seed=2, max_steps=2)
+    with pytest.raises(DomainError, match="max_steps = 2 steps"):
+        mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, 50)
+
+
 def test_start_of_the_wrong_length_is_a_domain_error():
     spec = mc.DiffusionSpec(ge.coordinate_plane(3, (0, 1), None), 1e-3, seed=0)
     message = "start has 3 coordinates but the chart has dimension 2"
@@ -155,6 +263,19 @@ def test_spec_fields_must_be_positive_integers():
     spec = mc.DiffusionSpec(P, 1e-3, seed=0, batch_size=np.int64(8), max_steps=50.0)
     assert (spec.batch_size, spec.max_steps) == (8, 50)
     assert type(spec.batch_size) is int and type(spec.max_steps) is int
+
+
+def test_spec_dtau_and_seed_are_checked():
+    P = radial_plane()
+    for bad in (0, 0.0, -1e-3, math.inf, math.nan, True, "0.01", None):
+        with pytest.raises(DomainError, match="dtau must be a positive finite number"):
+            mc.DiffusionSpec(P, bad, seed=0)
+    for bad in (-1, 2.5, True, "3", math.inf):
+        with pytest.raises(DomainError, match="seed must be a non-negative integer"):
+            mc.DiffusionSpec(P, 1e-3, seed=bad)
+    spec = mc.DiffusionSpec(P, np.float32(0.5), seed=np.int64(3))
+    assert (spec.dtau, spec.seed) == (0.5, 3)
+    assert type(spec.dtau) is float and type(spec.seed) is int
 
 
 def test_wilson_interval_width_scales_with_paths():
@@ -232,7 +353,7 @@ def test_comparison_check_gaussian_plane_small():
                               direction="parabolic")
     assert rep.direction == "parabolic"
     assert rep.passed
-    assert rep.estimate.estimator == "euler-maruyama"
+    assert rep.estimate.estimator == "shrinking-heun"
 
 
 def test_comparison_check_refuses_unpredicted_inequality():
