@@ -92,6 +92,20 @@ def resolve_ambient_weight(spec, m, warping=None):
     return ge.RadialWeight(resolve_weight_profile(spec, warping=warping))
 
 
+def resolve_immersion(scenario, default_submanifold=None):
+    """Warping and immersion (model dimension, ambient weight and
+    submanifold) of an ``mc-verify`` or ``check-identities`` scenario."""
+    model = _param(scenario, "model", "scenario")
+    m = int(_param(model, "m", "model"))
+    warping = resolve_warping(model.get("warping", {}))
+    weight = resolve_ambient_weight(model.get("weight", {"name": "zero"}), m,
+                                    warping)
+    if default_submanifold is not None:
+        scenario = {"submanifold": default_submanifold, **scenario}
+    sub = _param(scenario, "submanifold", "scenario")
+    return warping, resolve_submanifold(sub, m, weight)
+
+
 def resolve_submanifold(spec, m, weight):
     name = _param(spec, "name", "submanifold")
     part = f"submanifold {name!r}"

@@ -93,13 +93,13 @@ def _run_classify(scenario, outdir):
 def _run_capacity(scenario, outdir):
     params = scenario.get("params", {})
     model = catalogs.resolve_model(scenario["model"])
-    rho = float(params["rho"])
+    rho = mc.finite_number("rho", params["rho"])
     R = params.get("R", "inf")
     if R in ("inf", None):
         cap, evidence = model.capacity_to_infinity(rho, _hint_from(params))
         return {"capacity": cap, "rho": rho, "R": None,
                 "integral_evidence": evidence.to_dict()}
-    report = model.capacity_potential(rho, float(R))
+    report = model.capacity_potential(rho, mc.finite_number("R", R))
     out = report.to_dict()
     if "eval_at" in params:
         out["potential_values"] = {
@@ -115,7 +115,7 @@ def _run_curves(scenario, outdir):
         raise ScenarioError(
             f"curve range starts at {lo} but the weight is defined only for "
             f"t > {model.f.t_min}")
-    samples = int(params.get("samples", 100))
+    samples = mc.whole_number("samples", params.get("samples", 100))
     n = params.get("n")
     rho, R = params.get("rho"), params.get("R")
     ts = np.linspace(lo, hi, samples)
@@ -123,7 +123,8 @@ def _run_curves(scenario, outdir):
     include_volume = model.f.t_min == 0.0
     potential = None
     if rho is not None and R is not None:
-        potential = model.capacity_potential(float(rho), float(R)).potential
+        rho, R = mc.finite_number("rho", rho), mc.finite_number("R", R)
+        potential = model.capacity_potential(rho, R).potential
 
     header = ["t", "area"]
     if include_volume:
@@ -144,7 +145,7 @@ def _run_curves(scenario, outdir):
         if n is not None:
             row.append(repr(float(model.weighted_mean_curvature(int(n), t))))
         if potential is not None:
-            s = min(max(t, float(rho)), float(R))
+            s = min(max(t, rho), R)
             row.append(repr(float(potential(s))))
         rows.append(row)
 
@@ -158,20 +159,14 @@ def _run_curves(scenario, outdir):
 
 def _run_mc_verify(scenario, outdir):
     params = scenario.get("params", {})
-    model_spec = scenario["model"]
-    m = int(model_spec["m"])
-    warping = catalogs.resolve_warping(model_spec.get("warping", {}))
-    weight_spec = model_spec.get("weight", {"name": "zero"})
-    ambient_weight = catalogs.resolve_ambient_weight(weight_spec, m, warping)
-
-    sub_spec = scenario.get("submanifold", {"name": "radial_scenario"})
-    P = catalogs.resolve_submanifold(sub_spec, m, ambient_weight)
+    warping, P = catalogs.resolve_immersion(scenario,
+                                            {"name": "radial_scenario"})
     if P.linear is None:
         raise ScenarioError("mc-verify needs an affine chart (plane or "
                             "radial_scenario)")
 
-    rho = float(params["rho"])
-    R = float(params["R"])
+    rho = mc.finite_number("rho", params["rho"])
+    R = mc.finite_number("R", params["R"])
     N = mc.whole_number("paths", params.get("paths", 10_000))
     start = params["start"]
     spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)),
@@ -196,27 +191,19 @@ def _run_mc_verify(scenario, outdir):
 
 def _run_check_identities(scenario, outdir):
     params = scenario.get("params", {})
-    model_spec = scenario["model"]
-    m = int(model_spec["m"])
-    warping = catalogs.resolve_warping(model_spec.get("warping", {}))
-    ambient_weight = catalogs.resolve_ambient_weight(
-        model_spec.get("weight", {"name": "zero"}), m, warping)
-    P = catalogs.resolve_submanifold(scenario["submanifold"], m, ambient_weight)
-
+    _, P = catalogs.resolve_immersion(scenario)
     psi = rd.RadialProfile.from_expression(params.get("psi", "t^2/2"))
-    count = int(params.get("points", 5))
+    count = mc.whole_number("points", params.get("points", 5))
+    seed = mc.whole_number("seed", params.get("seed", 0), positive=False)
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=(int(params.get("seed", 0)), 0x1D))))
-    residuals = []
-    wmc_norms = []
-    for _ in range(count):
-        u = np.array([lo + (hi - lo) * rng.random() for lo, hi in P.window])
-        s = ge.geometry_at(P, u)
-        residuals.append(ge.radial_identity_residual(P, u, psi, sample=s))
-        wmc_norms.append(float(np.linalg.norm(s.wmc_vec)))
+        np.random.SeedSequence(entropy=(seed, 0x1D))))
+    U = np.array([[lo + (hi - lo) * rng.random() for lo, hi in P.window]
+                  for _ in range(count)])
+    s = ge.geometry_at_batch(P, U)
+    residuals = ge.radial_identity_residual(P, U, psi, sample=s)
     return {
-        "radial_identity_max_residual": max(residuals),
-        "weighted_mc_norm_max": max(wmc_norms),
+        "radial_identity_max_residual": float(residuals.max()),
+        "weighted_mc_norm_max": float(ge._norm(s.wmc_vec).max()),
         "points": count,
         "psi": params.get("psi", "t^2/2"),
     }

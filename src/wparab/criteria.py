@@ -235,12 +235,22 @@ def slope_limit_check(f: RadialProfile, direction, samples=20):
                            note=f"direction={'+inf' if direction > 0 else '-inf'}")
 
 
+def _balance(warping, n, alpha):
+    """g(t) = n H(t) + alpha(t), the sphere curvature against alpha."""
+    return lambda t: n * warping.deriv(t) / warping.value(t) + alpha.value(t)
+
+
+def _outward_balance_radius(warping, n, alpha, t0=1.0):
+    """First t0 * 2^j (stopping past 1e6) with n H(t) + alpha(t) >= 0."""
+    g = _balance(warping, n, alpha)
+    while g(t0) < 0.0 and t0 < 1e6:
+        t0 *= 2.0
+    return t0
+
+
 def _first_balance_radius(warping, n, alpha, lo=1e-3, cap=1e6):
     """Smallest radius beyond which n H(t) + alpha(t) stays nonpositive."""
-
-    def g(t):
-        return n * warping.deriv(t) / warping.value(t) + alpha.value(t)
-
+    g = _balance(warping, n, alpha)
     t = lo
     while g(t) <= 0.0 and t > 1e-12:
         t /= 4.0
@@ -252,8 +262,32 @@ def _first_balance_radius(warping, n, alpha, lo=1e-3, cap=1e6):
     return root
 
 
+def _alpha_floor(t0, margin, note):
+    """``margin(t) >= 0`` on 256 samples of [t0, 32 t0], with the least
+    sample as witness when it fails."""
+    ts = np.linspace(t0, 32.0 * t0, 256)
+    margins = np.array([margin(t) for t in ts])
+    worst = float(margins.min())
+    holds = worst >= -1e-12
+    return HypothesisCheck(
+        name="alpha_floor", status=HOLDS if holds else FAILS,
+        margin=worst, window=(float(t0), float(32.0 * t0)), samples=256,
+        witness=None if holds else {"t": float(ts[int(margins.argmin())])},
+        note=note)
+
+
 # ---------------------------------------------------------------------------
 # Shortcut criteria
+
+
+def _renamed(out, criterion, checks):
+    """A comparison verdict reported under a shortcut criterion: its side
+    checks appended, inconclusive unless every check holds."""
+    out.checks.extend(checks)
+    out.criterion = criterion
+    if not all(ch.holds for ch in out.checks):
+        out.outcome = Outcome.INCONCLUSIVE
+    return out
 
 
 def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
@@ -265,39 +299,23 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
     bounded at infinity; hyperbolic case mirrored with beta -> +inf and an
     integrable warping.
     """
-    if direction == "parabolic":
-        alpha = RadialProfile(lambda t: beta.value(t) + c,
-                              beta.d1, beta.d2, name=f"{beta.name}+{c}",
-                              numpy_safe=beta.numpy_safe)
-        side, verdict = warping_integrability_check(warping, want_infinite=True)
-        curv = curvature_bounded_check(warping)
-        t0 = _first_balance_radius(warping, n, alpha)
-        setup = ComparisonSetup(warping, n, t0 * (1.0 + 1e-9), alpha, hint=hint,
-                                name="bounded_drift")
-        out = classify_parabolic(setup, P, window, assume_drift_bound)
-    elif direction == "hyperbolic":
-        alpha = RadialProfile(lambda t: beta.value(t) - c,
-                              beta.d1, beta.d2, name=f"{beta.name}-{c}",
-                              numpy_safe=beta.numpy_safe)
-        side, verdict = warping_integrability_check(warping, want_infinite=False)
-        curv = curvature_bounded_check(warping)
-
-        def g(t):
-            return n * warping.deriv(t) / warping.value(t) + alpha.value(t)
-
-        t0 = 1.0
-        while g(t0) < 0.0 and t0 < 1e6:
-            t0 *= 2.0
-        setup = ComparisonSetup(warping, n, t0, alpha, hint=hint,
-                                name="bounded_drift")
-        out = classify_hyperbolic(setup, P, window, assume_drift_bound)
-    else:
+    parabolic = direction == "parabolic"
+    if not parabolic and direction != "hyperbolic":
         raise DomainError(f"unknown direction {direction!r}")
-    out.checks.extend([side, curv])
-    out.criterion = "bounded_drift"
-    if not all(ch.holds for ch in out.checks):
-        out.outcome = Outcome.INCONCLUSIVE
-    return out
+    shift = c if parabolic else -c
+    alpha = RadialProfile(lambda t: beta.value(t) + shift, beta.d1, beta.d2,
+                          name=f"{beta.name}{'+' if parabolic else '-'}{c}",
+                          numpy_safe=beta.numpy_safe)
+    side, _ = warping_integrability_check(warping, want_infinite=parabolic)
+    curv = curvature_bounded_check(warping)
+    if parabolic:
+        t0 = _first_balance_radius(warping, n, alpha) * (1.0 + 1e-9)
+    else:
+        t0 = _outward_balance_radius(warping, n, alpha)
+    setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="bounded_drift")
+    classify = classify_parabolic if parabolic else classify_hyperbolic
+    out = classify(setup, P, window, assume_drift_bound)
+    return _renamed(out, "bounded_drift", [side, curv])
 
 
 def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
@@ -311,11 +329,7 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
     with a positive limit plus a convergent integral of e^(c t - f(t)).
     """
     fprime = f_as_beta(f)
-    if direction == "parabolic":
-        out = classify_bounded_drift(warping, n, fprime, c, "parabolic", hint,
-                                     P, window, assume_drift_bound)
-        out.checks.append(slope_limit_check(f, -1))
-    elif direction == "hyperbolic" and use_exp_integral:
+    if direction == "hyperbolic" and use_exp_integral:
         alpha = RadialProfile(lambda t: f.deriv(t) - c, f.second,
                               name=f"{f.name}'-{c}", numpy_safe=f.numpy_safe)
 
@@ -333,27 +347,17 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
         limit_check = HypothesisCheck(
             name="warping_not_integrable", status=HOLDS if wlim > 1e-6 else FAILS,
             note=f"w(64) = {wlim:.3g} (positive limit expected)")
-
-        def g(t):
-            return n * warping.deriv(t) / warping.value(t) + alpha.value(t)
-
-        t0 = max(f.t_min * 1.001 + 1e-12, 1.0)
-        while g(t0) < 0.0 and t0 < 1e6:
-            t0 *= 2.0
+        t0 = _outward_balance_radius(warping, n, alpha,
+                                     max(f.t_min * 1.001 + 1e-12, 1.0))
         setup = ComparisonSetup(warping, n, t0, alpha, hint=hint,
                                 name="radial_weight(exp_integral)")
         out = classify_hyperbolic(setup, P, window, assume_drift_bound)
-        out.checks.extend([exp_check, limit_check, curvature_bounded_check(warping)])
-    elif direction == "hyperbolic":
-        out = classify_bounded_drift(warping, n, fprime, c, "hyperbolic", hint,
+        extra = [exp_check, limit_check, curvature_bounded_check(warping)]
+    else:   # classify_bounded_drift rejects an unknown direction
+        out = classify_bounded_drift(warping, n, fprime, c, direction, hint,
                                      P, window, assume_drift_bound)
-        out.checks.append(slope_limit_check(f, +1))
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
-    out.criterion = "radial_weight"
-    if not all(ch.holds for ch in out.checks):
-        out.outcome = Outcome.INCONCLUSIVE
-    return out
+        extra = [slope_limit_check(f, -1 if direction == "parabolic" else +1)]
+    return _renamed(out, "radial_weight", extra)
 
 
 def f_as_beta(f: RadialProfile):
@@ -369,14 +373,8 @@ def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
     k <= -n gives parabolicity, k > -n with an integrable comparison area
     gives hyperbolicity.
     """
-    ts = np.linspace(t0, 32.0 * t0, 256)
-    hs = np.array([warping.deriv(t) / warping.value(t) for t in ts])
-    worst = float(hs.min())
-    floor = HypothesisCheck(
-        name="alpha_floor", status=HOLDS if worst >= -1e-12 else FAILS,
-        margin=worst, window=(float(t0), float(32.0 * t0)), samples=256,
-        witness=None if worst >= -1e-12 else {"t": float(ts[int(hs.argmin())])},
-        note="sphere curvature H(t) >= 0 (convexity at infinity)")
+    floor = _alpha_floor(t0, lambda t: warping.deriv(t) / warping.value(t),
+                         "sphere curvature H(t) >= 0 (convexity at infinity)")
     alpha = RadialProfile(
         lambda t: k * warping.deriv(t) / warping.value(t),
         lambda t: k * (warping.second(t) * warping.value(t)
@@ -387,11 +385,7 @@ def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
         out = classify_parabolic(setup)
     else:
         out = classify_hyperbolic(setup)
-    out.checks.append(floor)
-    out.criterion = "warping_power"
-    if not all(ch.holds for ch in out.checks):
-        out.outcome = Outcome.INCONCLUSIVE
-    return out
+    return _renamed(out, "warping_power", [floor])
 
 
 def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
@@ -400,22 +394,10 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
     Conditions: alpha(t) >= -n/t beyond t0 and a convergent comparison
     integral of t^(1-n) e^(-int alpha).
     """
-    ts = np.linspace(t0, 32.0 * t0, 256)
-    margins = np.array([alpha.value(t) + n / t for t in ts])
-    worst = float(margins.min())
-    floor = HypothesisCheck(
-        name="alpha_floor", status=HOLDS if worst >= -1e-12 else FAILS,
-        margin=worst, window=(float(t0), float(32.0 * t0)), samples=256,
-        witness=None if worst >= -1e-12 else {"t": float(ts[int(margins.argmin())])},
-        note="alpha(t) >= -n/t")
+    floor = _alpha_floor(t0, lambda t: alpha.value(t) + n / t, "alpha(t) >= -n/t")
     setup = ComparisonSetup(warping=warping_euclidean(), n=n, t0=t0,
                             alpha=alpha, hint=hint, name="translator_halfspace")
-    out = classify_hyperbolic(setup)
-    out.checks.append(floor)
-    out.criterion = "translator_halfspace"
-    if not all(ch.holds for ch in out.checks):
-        out.outcome = Outcome.INCONCLUSIVE
-    return out
+    return _renamed(classify_hyperbolic(setup), "translator_halfspace", [floor])
 
 
 # ---------------------------------------------------------------------------

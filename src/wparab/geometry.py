@@ -362,7 +362,7 @@ class ModelChartAmbient:
         return e
 
     def sphere_curvature(self, r):
-        return self.model.mean_curvature(r)
+        return _elementwise(self.model.mean_curvature, False, r)
 
     def weight_value(self, x):
         return self._radial(self.model.f, self.model.f.value, x)
@@ -380,8 +380,15 @@ class ModelChartAmbient:
 # Charts and jets
 
 
-def chart_point(P, u):
-    return _stack(P.chart([float(x) for x in u]), 1)[0]
+def chart_points(P, V):
+    """Ambient points (K, m) of a stack V of parameter points (K, n)."""
+    return _stack(P.chart(_columns(V)), len(V))
+
+
+def field_values(fld, V):
+    """K values of a scalar field at a stack V (K, n) of parameter points;
+    a scalar return value stands for a constant field."""
+    return np.broadcast_to(np.asarray(fld(V), dtype=float), (len(V),))
 
 
 def chart_jet(P, U):
@@ -457,7 +464,7 @@ class ImmersedSubmanifold:
         return self.ambient.m
 
     def point(self, u):
-        return chart_point(self, u)
+        return _rows(lambda V: chart_points(self, V), u)
 
 
 @dataclass
@@ -484,9 +491,6 @@ class GeometrySample:
     grad_h: np.ndarray
     grad_r: np.ndarray | None
     radial_tangent_norm: float | None   # |grad_P r|
-
-    def inner(self, a, b):
-        return float(a @ self.ambient_metric @ b)
 
     def row(self, i):
         """The sample of the i-th point of a stacked sample."""
@@ -629,53 +633,55 @@ def geometry_at(P: ImmersedSubmanifold, u, cond_limit=1e12):
 # Intrinsic weighted Laplacian
 
 
-def _fd_gradient(f, u, rel=_STEP_GRAD):
-    u = np.asarray(u, dtype=float)
-    out = np.empty(len(u))
-    for i in range(len(u)):
-        h = rel * (1.0 + abs(u[i]))
-        up, um = u.copy(), u.copy()
-        up[i] += h
-        um[i] -= h
-        out[i] = (f(up) - f(um)) / (2.0 * h)
-    return out
+def _stencil_values(f, U, rel, offsets):
+    """Values (S, N) of f, from one call, at u + sum_i s_i h_i e_i for each
+    point u of U (N, n) and offset s of ``offsets`` (S, n), entries -1, 0
+    and 1; also the steps h_i = rel (1 + |u_i|), (N, n)."""
+    h = rel * (1.0 + np.abs(U))
+    rows = (U[None] + offsets[:, None, :] * h[None]).reshape(-1, U.shape[1])
+    return field_values(f, rows).reshape(len(offsets), len(U)), h
 
 
-def _fd_hessian(f, u, rel=_STEP_HESS):
-    u = np.asarray(u, dtype=float)
-    n = len(u)
-    out = np.empty((n, n))
-    f0 = f(u)
+def _fd_gradient(f, U, rel=_STEP_GRAD):
+    """Central first differences (N, n) of f at a stack U (N, n)."""
+    n = U.shape[1]
+    vals, h = _stencil_values(f, U, rel, np.concatenate([np.eye(n), -np.eye(n)]))
+    return (vals[:n] - vals[n:]).T / (2.0 * h)
+
+
+def _fd_hessian(f, U, rel=_STEP_HESS):
+    """Central second differences (N, n, n) of f at a stack U (N, n)."""
+    N, n = U.shape
+    eye = np.eye(n)
+    pairs = [(i, j) for i in range(n) for j in range(i)]
+    corners = [si * eye[i] + sj * eye[j] for i, j in pairs
+               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
+    vals, h = _stencil_values(f, U, rel, np.array([np.zeros(n), *eye, *-eye, *corners]))
+    out = np.empty((N, n, n))
     for i in range(n):
-        hi = rel * (1.0 + abs(u[i]))
-        up, um = u.copy(), u.copy()
-        up[i] += hi
-        um[i] -= hi
-        out[i, i] = (f(up) - 2.0 * f0 + f(um)) / hi ** 2
-        for j in range(i):
-            hj = rel * (1.0 + abs(u[j]))
-            upp, upm, ump, umm = u.copy(), u.copy(), u.copy(), u.copy()
-            upp[[i, j]] += [hi, hj]
-            upm[i] += hi
-            upm[j] -= hj
-            ump[i] -= hi
-            ump[j] += hj
-            umm[[i, j]] -= [hi, hj]
-            out[i, j] = out[j, i] = (f(upp) - f(upm) - f(ump) + f(umm)) / (4.0 * hi * hj)
+        out[:, i, i] = (vals[1 + i] - 2.0 * vals[0] + vals[1 + n + i]) / h[:, i] ** 2
+    for (i, j), (pp, pm, mp, mm) in zip(pairs, vals[1 + 2 * n:].reshape(-1, 4, N)):
+        out[:, i, j] = out[:, j, i] = (pp - pm - mp + mm) / (4.0 * h[:, i] * h[:, j])
     return out
 
 
 def intrinsic_data(P, u):
     """Induced metric, its inverse, intrinsic Christoffels and pulled-back
     weight gradient, all from the chart jet: Gamma^k_ij =
-    g^{kl} <d_l X, D_i d_j X> and d_i (h o X) = <d_i X, dh>."""
-    x, J, Hx, G, g = _first_order(P, np.asarray(u, dtype=float)[None])
+    g^{kl} <d_l X, D_i d_j X> and d_i (h o X) = <d_i X, dh>.
+
+    A stack u (N, n) gives the same arrays with a leading axis of N points.
+    """
+    U = np.asarray(u, dtype=float)
+    if U.ndim == 1:
+        return tuple(a[0] for a in intrinsic_data(P, U[None]))
+    x, J, Hx, G, g = _first_order(P, U)
     g_inv = np.linalg.inv(g)
     second = _covariant_second(P, x, J, Hx)
     Jt = np.swapaxes(J, -1, -2)
     gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", g_inv, Jt @ G, second)
     grad_h = np.einsum("Nia,Na->Ni", Jt, P.ambient.weight_grad(x))
-    return g[0], g_inv[0], gamma[0], grad_h[0]
+    return g, g_inv, gamma, grad_h
 
 
 def intrinsic_drift(P, u):
@@ -686,19 +692,21 @@ def intrinsic_drift(P, u):
 
 
 def weighted_laplacian(P: ImmersedSubmanifold, u, fld):
-    """Drift Laplacian of a scalar field on the parameter domain.
+    """Drift Laplacian of a scalar field on the parameter domain, at one
+    point u (n,) or at each point of a stack (N, n).
 
     Coordinate formula g^{ij} (d2_ij f - Gamma^k_ij d_k f) plus the drift
-    g^{ij} d_i (h o X) d_j f.
+    g^{ij} d_i (h o X) d_j f; ``fld`` takes stacks (see ``field_values``).
     """
-    u = np.asarray(u, dtype=float)
-    g, g_inv, gamma, grad_h = intrinsic_data(P, u)
-    grad_f = _fd_gradient(fld, u)
-    hess_f = _fd_hessian(fld, u)
-    lap = float(np.einsum("ij,ij->", g_inv, hess_f)
-                - np.einsum("ij,kij,k->", g_inv, gamma, grad_f))
-    drift = float(grad_h @ g_inv @ grad_f)
-    return lap + drift
+    U = np.asarray(u, dtype=float)
+    if U.ndim == 1:
+        return float(weighted_laplacian(P, U[None], fld)[0])
+    g, g_inv, gamma, grad_h = intrinsic_data(P, U)
+    grad_f = _fd_gradient(fld, U)
+    hess_f = _fd_hessian(fld, U)
+    lap = (np.einsum("Nij,Nij->N", g_inv, hess_f)
+           - np.einsum("Nij,Nkij,Nk->N", g_inv, gamma, grad_f))
+    return lap + _inner(g_inv, grad_h, grad_f)
 
 
 # ---------------------------------------------------------------------------
@@ -706,29 +714,36 @@ def weighted_laplacian(P: ImmersedSubmanifold, u, fld):
 
 
 def radial_identity_residual(P, u, psi: RadialProfile, sample=None):
-    """|direct drift Laplacian of psi(r) minus its radial closed form|.
+    """|direct drift Laplacian of psi(r) minus its radial closed form|, at
+    one point u (n,) or at each point of a stack (N, n).
 
     The closed form is (psi'' - H psi') |grad_P r|^2
     + (n H + <grad h, grad r> + <wmc, grad r>) psi', the module's central
     self-consistency check for radial functions on submanifolds.
-    ``sample`` is ``geometry_at(P, u)`` when the caller already has it.
+    ``sample`` is ``geometry_at_batch`` of the stack (of ``[u]`` for one
+    point) when the caller already has it.
     """
-    s = sample if sample is not None else geometry_at(P, u)
-    amb = P.ambient
-    r = amb.r(s.point)
-    if s.grad_r is None or s.radial_tangent_norm is None:
+    U = np.asarray(u, dtype=float)
+    if U.ndim == 1:
+        return float(radial_identity_residual(P, U[None], psi, sample)[0])
+    s = sample if sample is not None else geometry_at_batch(P, U)
+    if np.isnan(s.grad_r).all(axis=1).any():
         raise DomainError("ambient radial distance unavailable at this point")
+    amb = P.ambient
+
+    def radial(fn, r):
+        return _elementwise(fn, psi.numpy_safe, r)
+
+    r = amb.r(s.point)
     H = amb.sphere_curvature(r)
-    dpsi = psi.deriv(r)
-    rhs = ((psi.second(r) - H * dpsi) * s.radial_tangent_norm ** 2
-           + (P.n * H + s.inner(s.grad_h, s.grad_r)
-              + s.inner(s.wmc_vec, s.grad_r)) * dpsi)
-
-    def fld(v):
-        return psi.value(amb.r(chart_point(P, v)))
-
-    lhs = weighted_laplacian(P, u, fld)
-    return abs(lhs - rhs)
+    dpsi = radial(psi.deriv, r)
+    G = s.ambient_metric
+    rhs = ((radial(psi.second, r) - H * dpsi) * s.radial_tangent_norm ** 2
+           + (P.n * H + _inner(G, s.grad_h, s.grad_r)
+              + _inner(G, s.wmc_vec, s.grad_r)) * dpsi)
+    lhs = weighted_laplacian(
+        P, U, lambda V: radial(psi.value, amb.r(chart_points(P, V))))
+    return np.abs(lhs - rhs)
 
 
 def _grid(*axes):
@@ -808,10 +823,7 @@ def height_laplacian(P, u, a):
     s = geometry_at(P, u)
     formula = float(s.wmc_vec @ a + s.grad_h @ a)
 
-    def fld(v):
-        return float(chart_point(P, v) @ a)
-
-    direct = weighted_laplacian(P, u, fld)
+    direct = weighted_laplacian(P, u, lambda V: chart_points(P, V) @ a)
     return LaplacianComparison(formula, direct)
 
 
@@ -832,11 +844,8 @@ def cylinder_distance_laplacian(P, u, k=None):
     horiz = sum(float(np.dot(e[:k], e[:k])) for e in s.tangent_frame)
     formula = horiz + float(s.grad_h @ Xv) + float(s.wmc_vec @ Xv)
 
-    def fld(v):
-        x = chart_point(P, v)
-        return 0.5 * float(np.dot(x[:k], x[:k]))
-
-    direct = weighted_laplacian(P, u, fld)
+    direct = weighted_laplacian(
+        P, u, lambda V: 0.5 * (chart_points(P, V)[:, :k] ** 2).sum(axis=1))
     return LaplacianComparison(formula, direct)
 
 
@@ -893,19 +902,16 @@ def angle_function_laplacian(P, u):
                                sigma, sigma))
     formula_cmc = (hess_eta_nn + mu_second * (theta ** 2 - 1.0) - sigma_sq) * theta
 
-    def scalar_h_mc(v):
-        sv = geometry_at(P, v)
-        return float(sv.wmc_vec @ sv.normals[0])
+    def scalar_h_mc(V):
+        sv = geometry_at_batch(P, V)
+        return np.einsum("Nk,Nk->N", sv.wmc_vec, sv.normals[:, 0])
 
-    grad_H = _fd_gradient(scalar_h_mc, np.asarray(u, dtype=float))
+    grad_H = _fd_gradient(scalar_h_mc, np.asarray(u, dtype=float)[None])[0]
     # <grad_P H, dt^T> = g^{ij} d_i H <d_j X, dt>
     dt_components = s.jacobian[-1, :]
     advection = float(grad_H @ s.metric_inv @ dt_components)
-
-    def fld(v):
-        return float(np.asarray(P.normal(v), dtype=float)[-1])
-
-    direct = weighted_laplacian(P, u, fld)
+    direct = weighted_laplacian(
+        P, u, lambda V: _stack(P.normal(_columns(V)), len(V))[:, -1])
     return AngleLaplacian(formula_cmc=formula_cmc,
                           formula=formula_cmc - advection,
                           direct=direct, theta=theta, sigma_sq=sigma_sq,
@@ -917,14 +923,10 @@ def angle_function_laplacian(P, u):
 
 
 def _panel_nodes(lo, hi, panels):
-    nodes, weights = [], []
     edges = np.linspace(lo, hi, panels + 1)
-    for i in range(panels):
-        half = 0.5 * (edges[i + 1] - edges[i])
-        mid = 0.5 * (edges[i + 1] + edges[i])
-        nodes.append(mid + half * _K15_NODES)
-        weights.append(half * _K15_WEIGHTS)
-    return np.concatenate(nodes), np.concatenate(weights)
+    half = 0.5 * (edges[1:] - edges[:-1])[:, None]
+    mid = 0.5 * (edges[1:] + edges[:-1])[:, None]
+    return (mid + half * _K15_NODES).ravel(), (half * _K15_WEIGHTS).ravel()
 
 
 def index_form(P, test, box=None, panels=8):
@@ -932,8 +934,9 @@ def index_form(P, test, box=None, panels=8):
 
     Integrates |grad_P u|^2 - (Ric_h(N,N) + |sigma|^2) u^2 against the
     weighted area element over the parameter box, with
-    Ric_h(N,N) = -Hess h(N,N).  For non-closed charts the test function
-    must vanish on the box boundary.
+    Ric_h(N,N) = -Hess h(N,N).  ``test`` takes a stack of parameter
+    points (see ``field_values``); for non-closed charts it must vanish on
+    the box boundary.
     """
     if not P.ambient.flat:
         raise DomainError("index form implemented for Euclidean ambients only")
@@ -941,21 +944,23 @@ def index_form(P, test, box=None, panels=8):
         raise DomainError("index form requires a hypersurface")
     box = box or P.window
     if not P.closed:
-        for axis, (lo, hi) in enumerate(box):
-            for edge in (lo, hi):
-                probe = [0.5 * (a + b) for a, b in box]
-                probe[axis] = edge
-                if abs(test(np.asarray(probe))) > 1e-10:
-                    raise SupportError(
-                        f"test function does not vanish on the box boundary "
-                        f"(axis {axis}, value {test(np.asarray(probe)):.2e})")
+        # the centre of each face: low then high edge, axis by axis
+        mid = [0.5 * (a + b) for a, b in box]
+        values = field_values(test, np.array([
+            mid[:k] + [edge] + mid[k + 1:] for k, edges in enumerate(box)
+            for edge in edges]))
+        bad = np.flatnonzero(np.abs(values) > 1e-10)
+        if bad.size:
+            raise SupportError(
+                f"test function does not vanish on the box boundary "
+                f"(axis {bad[0] // 2}, value {values[bad[0]]:.2e})")
     if len(box) > 2:
         raise DomainError("index form quadrature supports parameter dimension <= 2")
     axes = [_panel_nodes(lo, hi, panels) for lo, hi in box]
     U = _grid(*(xs for xs, _ in axes))
     s = geometry_at_batch(P, U)
-    tv = np.array([float(test(u)) for u in U])
-    grad_t = np.array([_fd_gradient(test, u) for u in U])
+    tv = field_values(test, U)
+    grad_t = _fd_gradient(test, U)
     grad_sq = _inner(s.metric_inv, grad_t, grad_t)
     N = s.normals[:, 0]
     ric_h = -_inner(P.ambient.weight_hess(s.point), N, N)

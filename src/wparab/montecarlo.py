@@ -18,8 +18,8 @@ import numpy as np
 
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
 from .errors import ComparisonRefusal, DomainError
-from .geometry import (ImmersedSubmanifold, ZeroWeight, intrinsic_drift,
-                       weighted_laplacian)
+from .geometry import (ImmersedSubmanifold, ZeroWeight, field_values,
+                       intrinsic_drift, weighted_laplacian)
 from .verdicts import Outcome
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -54,6 +54,16 @@ def whole_number(name, value, positive=True):
     return int(value)
 
 
+def finite_number(name, value, positive=False):
+    """``value`` as a float; a DomainError naming ``name`` unless it is a
+    finite real number, and positive if asked."""
+    if not (_is_number(value) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise DomainError(f"{name} must be a {kind} number, got {value!r}")
+    return float(value)
+
+
 def _sym_sqrt(mat):
     vals, vecs = np.linalg.eigh(mat)
     vals = np.clip(vals, 0.0, None)
@@ -80,10 +90,7 @@ class DiffusionSpec:
         self.batch_size = whole_number("batch_size", self.batch_size)
         self.max_steps = whole_number("max_steps", self.max_steps)
         self.seed = whole_number("seed", self.seed, positive=False)
-        if not (_is_number(self.dtau) and 0.0 < self.dtau < math.inf):
-            raise DomainError(
-                f"dtau must be a positive finite number, got {self.dtau!r}")
-        self.dtau = float(self.dtau)
+        self.dtau = finite_number("dtau", self.dtau, positive=True)
         if self.P.linear is None:
             raise DomainError(
                 "path simulation requires an affine chart (use the generic "
@@ -532,7 +539,8 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
 
     Antithetic increments cancel the first-order martingale term, so the
     statistical error scales with the second-order fluctuation.  The bias
-    is O(dtau).
+    is O(dtau).  ``fld`` takes a stack of parameter points (see
+    ``geometry.field_values``).
     """
     u = np.asarray(u, dtype=float)
     b, g_inv = intrinsic_drift(P, u)
@@ -543,10 +551,8 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
     shift = u + b * dtau
     plus = shift[None, :] + math.sqrt(dtau) * (W @ sigma.T)
     minus = shift[None, :] - math.sqrt(dtau) * (W @ sigma.T)
-    f0 = fld(u)
-    vals = np.empty(n_samples)
-    for i in range(n_samples):
-        vals[i] = 0.5 * (fld(plus[i]) + fld(minus[i])) - f0
+    f = field_values(fld, np.concatenate([u[None], plus, minus]))
+    vals = 0.5 * (f[1:n_samples + 1] + f[n_samples + 1:]) - f[0]
     est = float(np.mean(vals)) / dtau
     se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples) / dtau
     exact = weighted_laplacian(P, u, fld)

@@ -1,4 +1,5 @@
 import csv
+import dataclasses
 import functools
 import json
 import math
@@ -9,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from wparab import cli
+from wparab import catalogs, cli
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -380,3 +381,83 @@ def test_estimate_without_an_exited_path_is_a_scenario_error(tmp_path,
     assert stuck["status"] == "error" and "max_steps = 2" in stuck["error"]
     assert boundary["status"] == "ok"
     assert boundary["hit_estimate"]["p_hat"] == 1.0
+
+
+def identities_scenario(**params):
+    return {"id": "ids", "task": "check-identities",
+            "model": small_model("gaussian", 3),
+            "submanifold": {"name": "sphere", "a": 1.5},
+            "params": {"points": 6, "seed": 2, **params}}
+
+
+def test_identity_check_makes_a_fixed_number_of_chart_calls(tmp_path,
+                                                            monkeypatch):
+    # one jet for the geometry, one for the intrinsic data, and one field
+    # call each for the gradient and Hessian stencils of every point
+    calls = []
+    resolve = catalogs.resolve_immersion
+
+    def counting(scenario, default=None):
+        warping, P = resolve(scenario, default)
+
+        def chart(u):
+            calls.append(1)
+            return P.chart(u)
+
+        return warping, dataclasses.replace(P, chart=chart)
+
+    monkeypatch.setattr(catalogs, "resolve_immersion", counting)
+    for points in (6, 40):
+        calls.clear()
+        entry = cli.run_scenario(identities_scenario(points=points), tmp_path)
+        assert entry["status"] == "ok" and entry["points"] == points
+        assert entry["radial_identity_max_residual"] <= 1e-6
+        assert len(calls) <= 10, (points, len(calls))
+
+
+def test_scenario_counts_and_radii_are_checked(tmp_path):
+    no_submanifold = identities_scenario()
+    del no_submanifold["submanifold"]
+    cases = [
+        (identities_scenario(points=0),
+         "DomainError: points must be a positive integer, got 0"),
+        (identities_scenario(points=2.7),
+         "DomainError: points must be a positive integer, got 2.7"),
+        (identities_scenario(points="many"),
+         "DomainError: points must be a positive integer, got 'many'"),
+        (identities_scenario(seed=True),
+         "DomainError: seed must be a non-negative integer, got True"),
+        (identities_scenario(seed=-3),
+         "DomainError: seed must be a non-negative integer, got -3"),
+        (no_submanifold,
+         "CatalogError: scenario is missing parameter 'submanifold'"),
+        (gaussian_plane_scenario(rho=True),
+         "DomainError: rho must be a finite number, got True"),
+        (gaussian_plane_scenario(R="4"),
+         "DomainError: R must be a finite number, got '4'"),
+        ({"id": "cap", "task": "capacity", "model": small_model(),
+          "params": {"rho": "1", "R": 2.0}},
+         "DomainError: rho must be a finite number, got '1'"),
+        ({"id": "cap", "task": "capacity", "model": small_model(),
+          "params": {"rho": 1.0, "R": True}},
+         "DomainError: R must be a finite number, got True"),
+        ({"id": "curves", "task": "curves", "model": small_model("gaussian", 3),
+          "params": {"range": [0.5, 2.0], "samples": 3, "rho": True, "R": 4.0}},
+         "DomainError: rho must be a finite number, got True"),
+    ]
+    for samples in (0, "many", 2.5):
+        cases.append((
+            {"id": "curves", "task": "curves", "model": small_model("gaussian", 3),
+             "params": {"range": [0.5, 2.0], "samples": samples}},
+            f"DomainError: samples must be a positive integer, got {samples!r}"))
+    scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
+    ok = [{**identities_scenario(points=4.0, seed=0), "id": "ok"}]
+    cli.run_config({"scenarios": scenarios + ok}, tmp_path)
+    *bad, good = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert good["status"] == "ok" and good["points"] == 4
+    # a report cannot echo non-finite inputs as JSON, so these run directly
+    for patch, shown in (({"R": math.inf}, "R must be a finite number, got inf"),
+                         ({"rho": math.nan}, "rho must be a finite number, got nan")):
+        entry = cli.run_scenario(gaussian_plane_scenario(**patch), tmp_path)
+        assert entry["error"] == "DomainError: " + shown

@@ -219,7 +219,8 @@ def _reference_profile(P, window, alpha, sense, min_radius, per_dim=32, tol=1e-8
         if r < floor or s.grad_r is None:
             continue
         used += 1
-        lhs = s.inner(s.grad_h, s.grad_r) + s.inner(s.wmc_vec, s.grad_r)
+        G = s.ambient_metric
+        lhs = float(s.grad_h @ G @ s.grad_r) + float(s.wmc_vec @ G @ s.grad_r)
         bound = alpha.value(r)
         margin = (bound - lhs) if sense == "upper" else (lhs - bound)
         if margin < worst:
@@ -333,7 +334,7 @@ def test_laplacian_of_constant_vanishes():
 
 def test_laplacian_of_radial_function_on_sphere_vanishes():
     P = ge.euclidean_sphere(2.0, 3)
-    fld = lambda v: PSI_SQ.value(np.linalg.norm(P.point(v)))
+    fld = lambda V: PSI_SQ.value(np.linalg.norm(P.point(V), axis=1))
     assert abs(ge.weighted_laplacian(P, [0.9, 1.3], fld)) <= 1e-8
 
 
@@ -341,7 +342,7 @@ def test_laplacian_on_gaussian_plane_flat_chart_oracle():
     # oracle: direct flat computation Delta v + <grad h, grad v> = 2 - r^2
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
     u = np.array([math.cos(0.4), math.sin(0.4)])  # |p| = 1
-    fld = lambda v: 0.5 * float(np.dot(P.point(v), P.point(v)))
+    fld = lambda V: 0.5 * (P.point(V) ** 2).sum(axis=1)
     assert ge.weighted_laplacian(P, u, fld) == pytest.approx(1.0, abs=1e-8)
 
 
@@ -355,7 +356,7 @@ def _metric_difference_oracle(P, u):
         return J.T @ P.ambient.metric(x) @ J
 
     def h_pull(v):
-        return P.ambient.weight_value(ge.chart_point(P, v))
+        return P.ambient.weight_value(P.point(v))
 
     dg = np.empty((n, n, n))  # dg[k, i, j] = d_k g_ij
     grad_h = np.empty(n)
@@ -394,6 +395,110 @@ def test_intrinsic_data_matches_metric_differences():
                 # relative to the data's scale, floored at 1 where it vanishes
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jet - fd).max() <= 1e-7 * scale, (P.name, u)
+
+
+# --- stacked finite differences ---------------------------------------------
+
+
+def _point_gradient(f, u, rel=ge._STEP_GRAD):
+    # the per-point central differences the stacked helpers replace
+    out = np.empty(len(u))
+    for i in range(len(u)):
+        h = rel * (1.0 + abs(u[i]))
+        up, um = u.copy(), u.copy()
+        up[i] += h
+        um[i] -= h
+        out[i] = (f(up) - f(um)) / (2.0 * h)
+    return out
+
+
+def _point_hessian(f, u, rel=ge._STEP_HESS):
+    n = len(u)
+    out = np.empty((n, n))
+    f0 = f(u)
+    for i in range(n):
+        hi = rel * (1.0 + abs(u[i]))
+        up, um = u.copy(), u.copy()
+        up[i] += hi
+        um[i] -= hi
+        out[i, i] = (f(up) - 2.0 * f0 + f(um)) / hi ** 2
+        for j in range(i):
+            hj = rel * (1.0 + abs(u[j]))
+            upp, upm, ump, umm = u.copy(), u.copy(), u.copy(), u.copy()
+            upp[[i, j]] += [hi, hj]
+            upm[i] += hi
+            upm[j] -= hj
+            ump[i] -= hi
+            ump[j] += hj
+            umm[[i, j]] -= [hi, hj]
+            out[i, j] = out[j, i] = (f(upp) - f(upm) - f(ump) + f(umm)) / (4.0 * hi * hj)
+    return out
+
+
+def stencil_charts():
+    hyperbolic = WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian())
+    return [
+        ge.euclidean_sphere(1.7, 3, gaussian_weight()),
+        ge.cylinder_hypersurface(1.2, 2, 3, gaussian_split(3)),
+        catalogs.resolve_submanifold(
+            {"name": "graph", "expr": "0.3*x1^2-0.2*x1*x2+sin(x2)"}, 3,
+            ge.RadialWeight(rd.weight_power(-0.3, 3.0))),
+        ge.paraboloid_graph(3, gaussian_weight()),
+        ge.helicoid(0.8, expr_weight()),
+        ge.hyperplane(3, [0.3, -0.5, 0.8], 0.4, gaussian_weight()),
+        ge.radial_graph(hyperbolic, 1.5, 0.3),
+    ]
+
+
+def _radius_and_weight_field(P):
+    def fld(V):
+        x = P.point(V)
+        return np.exp(-0.5 * P.ambient.r(x) ** 2) + P.ambient.weight_value(x)
+
+    return fld
+
+
+def _window_points(P, count, seed):
+    rng = np.random.default_rng(seed)
+    return np.array([[rng.uniform(lo, hi) for lo, hi in P.window]
+                     for _ in range(count)])
+
+
+@pytest.mark.parametrize("P", stencil_charts(), ids=lambda P: P.name)
+def test_stacked_differences_equal_the_point_loop_bitwise(P):
+    fld = _radius_and_weight_field(P)
+    calls = []
+
+    def counted(V):
+        calls.append(len(V))
+        return fld(V)
+
+    U = _window_points(P, 6, 41)
+    grad, hess = ge._fd_gradient(counted, U), ge._fd_hessian(counted, U)
+    assert calls == [6 * 2 * P.n, 6 * (1 + 2 * P.n + 2 * P.n * (P.n - 1))]
+    at_point = lambda v: fld(v[None])[0]
+    for k, u in enumerate(U):
+        assert np.array_equal(grad[k], _point_gradient(at_point, u)), (P.name, u)
+        assert np.array_equal(hess[k], _point_hessian(at_point, u)), (P.name, u)
+
+
+@pytest.mark.parametrize("P", stencil_charts() + [
+    ge.model_sphere(WeightedModel(3, rd.warping_hyperbolic(-1.0),
+                                  rd.weight_gaussian()), 1.5)],
+    ids=lambda P: P.name)
+def test_stacked_identity_residual_matches_the_point_loop(P):
+    scalar_psi = rd.RadialProfile(lambda t: math.log1p(t), lambda t: 1.0 / (1.0 + t),
+                                  lambda t: -1.0 / (1.0 + t) ** 2, name="log1p")
+    U = _window_points(P, 5, 43)
+    for psi in (PSI_SQ, rd.RadialProfile.from_expression("exp(-t^2/2)"), scalar_psi):
+        stacked = ge.radial_identity_residual(P, U, psi)
+        assert stacked.shape == (5,)
+        for k, u in enumerate(U):
+            lhs = ge.weighted_laplacian(
+                P, u, lambda V: ge._elementwise(psi.value, psi.numpy_safe,
+                                                P.ambient.r(P.point(V))))
+            single = ge.radial_identity_residual(P, u, psi)
+            assert abs(stacked[k] - single) <= 1e-13 * (1.0 + abs(lhs)), (P.name, u)
 
 
 # --- radial identity ---------------------------------------------------------
@@ -551,11 +656,11 @@ def test_index_form_plane_bump_sign():
     # oracle: denser quadrature of the same integrand
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
 
-    def bump(u):
-        x, y = u
-        if abs(x) >= 1.0 or abs(y) >= 1.0:
-            return 0.0
-        return math.exp(-1.0 / (1 - x * x) - 1.0 / (1 - y * y))
+    def bump(V):
+        inside = (np.abs(V) < 1.0).all(axis=1)
+        x, y = np.where(inside[:, None], V, 0.0).T
+        return np.where(inside, np.exp(-1.0 / (1 - x * x) - 1.0 / (1 - y * y)),
+                        0.0)
 
     box = ((-1.0, 1.0), (-1.0, 1.0))
     coarse = ge.index_form(P, bump, box=box, panels=6)
@@ -567,9 +672,9 @@ def test_index_form_matches_point_by_point_quadrature():
     # the node-by-node loop the batched index form replaces, same sum order
     P = ge.paraboloid_graph(3, gaussian_weight())
 
-    def test(u):
-        return math.sin(math.pi * (u[0] - 0.3) / 1.1) * math.sin(
-            math.pi * (u[1] - 0.3) / 1.1)
+    def test(V):
+        return np.sin(math.pi * (V[:, 0] - 0.3) / 1.1) * np.sin(
+            math.pi * (V[:, 1] - 0.3) / 1.1)
 
     (xs1, ws1), (xs2, ws2) = (ge._panel_nodes(lo, hi, 1) for lo, hi in P.window)
     total = 0.0
@@ -578,14 +683,14 @@ def test_index_form_matches_point_by_point_quadrature():
         for x2, w2 in zip(xs2, ws2):
             u = np.array([x1, x2])
             s = ge.geometry_at(P, u)
-            grad_t = ge._fd_gradient(test, u)
+            grad_t = ge._fd_gradient(test, u[None])[0]
             N, sigma, g_inv = s.normals[0], s.second_fundamental[0], s.metric_inv
             ric_h = -N @ P.ambient.weight_hess(s.point) @ N
             sigma_sq = np.einsum("ik,jl,ij,kl->", g_inv, g_inv, sigma, sigma)
             dens = math.exp(P.ambient.weight_value(s.point)) * math.sqrt(
                 np.linalg.det(s.metric))
             row += w2 * (grad_t @ g_inv @ grad_t
-                         - (ric_h + sigma_sq) * test(u) ** 2) * dens
+                         - (ric_h + sigma_sq) * test(u[None])[0] ** 2) * dens
         total += w1 * row
     assert ge.index_form(P, test, panels=1) == pytest.approx(total, rel=1e-12)
 

@@ -335,7 +335,8 @@ def test_generator_consistency(chart, point):
         "sphere": ge.euclidean_sphere(2.0, 3, gauss),
         "helicoid": ge.helicoid(0.7, gauss),
     }[chart]
-    fld = lambda v: math.sin(v[0]) * math.cos(0.7 * v[1]) + 0.1 * v[0] * v[1]
+    fld = lambda V: (np.sin(V[:, 0]) * np.cos(0.7 * V[:, 1])
+                     + 0.1 * V[:, 0] * V[:, 1])
     check = mc.generator_consistency(P, point, fld, n_samples=40000,
                                      dtau=4e-4, seed=5)
     tol = 3.0 * check.standard_error + 0.02 * (1.0 + abs(check.exact))
