@@ -37,7 +37,7 @@ def resolve_warping(spec):
         source = _param(spec, "expr", "warping 'custom'")
         profile = rd.RadialProfile.from_expression(source)
         return rd.WarpingFunction(profile.fn, profile.d1, profile.d2,
-                                  name=source, numpy_safe=True)
+                                  name=source)
     raise CatalogError(f"unknown warping {name!r}")
 
 
@@ -81,7 +81,7 @@ def resolve_ambient_weight(spec, m, warping=None):
         return ge.HeightWeight(mu, m)
     if name == "translator":
         mu = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                              lambda t: 0.0 * t, name="height", numpy_safe=True)
+                              lambda t: 0.0 * t, name="height")
         return ge.HeightWeight(mu, m)
     if name == "split":
         eta = resolve_ambient_weight(_param(spec, "eta", part), m - 1, warping)

@@ -222,10 +222,14 @@ _RUNNERS = {
 # Config handling and report assembly
 
 
+def _non_json_number(token):
+    raise ScenarioError(f"config holds the non-JSON number {token}")
+
+
 def load_config(path):
     text = Path(path).read_text()
     try:
-        config = json.loads(text)
+        config = json.loads(text, parse_constant=_non_json_number)
     except json.JSONDecodeError as err:
         raise ScenarioError(
             f"config parse error at line {err.lineno}, column {err.colno}: "

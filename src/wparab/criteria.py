@@ -9,7 +9,6 @@ live here as well.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,8 +31,8 @@ class CumulativeProfile(RadialProfile):
     """f(t) = integral of alpha from t0 to t, cached on a geometric ladder.
 
     Rung positions are fixed up front (t0 * 2^(j * 40/511)), so values are
-    independent of the query order and runs are reproducible.  Numpy-safe
-    whenever alpha is: an array of radii costs one batch of panels.
+    independent of the query order and runs are reproducible.  An array of
+    radii costs one batch of panels.
     """
 
     def __init__(self, alpha: RadialProfile, t0: float):
@@ -48,12 +47,10 @@ class CumulativeProfile(RadialProfile):
         # regularity, and the primitive extends naturally below t0
         super().__init__(fn=self._value, d1=alpha.value, d2=alpha.deriv,
                          t_min=max(alpha.t_min, 1e-12),
-                         name=f"cumulative({alpha.name})",
-                         numpy_safe=alpha.numpy_safe)
+                         name=f"cumulative({alpha.name})")
 
     def _integral(self, a, b):
-        return integrate(self.alpha.value, a, b, abs_tol=1e-12, rel_tol=1e-10,
-                         vectorized=self.alpha.numpy_safe).value
+        return integrate(self.alpha.value, a, b, abs_tol=1e-12, rel_tol=1e-10).value
 
     def _ladder(self, j):
         """Values at rungs 0..j (at least), extending the ladder in one batch."""
@@ -119,8 +116,7 @@ def _balance_check(setup: ComparisonSetup, sign, samples=512):
     """Sample n H(t) + alpha(t) (<= 0 for sign=-1, >= 0 for sign=+1)."""
     t0 = setup.t0
     ts = np.linspace(t0, 32.0 * t0, samples)
-    vals = np.array([setup.n * setup.model.mean_curvature(t) + setup.alpha.value(t)
-                     for t in ts])
+    vals = setup.n * setup.model.mean_curvature(ts) + setup.alpha.value(ts)
     # sign=-1: need vals <= 0, margin = -vals; sign=+1: need vals >= 0
     margins = -vals if sign < 0 else vals
     worst_idx = int(np.argmin(margins))
@@ -174,8 +170,7 @@ def classify_parabolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = N
         _drift_check(setup, P, window, "upper", assume_drift_bound),
         _balance_check(setup, sign=-1),
     ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint,
-                                 vectorized=setup.model.numpy_safe)
+    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
     return one_sided(Outcome.PARABOLIC, needs_divergent=True, checks=checks,
                      integral=integral, criterion="parabolic_comparison",
                      capacity_bound=setup.capacity_bound,
@@ -189,8 +184,7 @@ def classify_hyperbolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = 
         _drift_check(setup, P, window, "lower", assume_drift_bound),
         _balance_check(setup, sign=+1),
     ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint,
-                                 vectorized=setup.model.numpy_safe)
+    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
     return one_sided(Outcome.HYPERBOLIC, needs_divergent=False, checks=checks,
                      integral=integral, criterion="hyperbolic_comparison",
                      capacity_bound=setup.capacity_bound,
@@ -202,7 +196,7 @@ def classify_hyperbolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = 
 
 
 def warping_integrability_check(w: WarpingFunction, want_infinite):
-    verdict = classify_improper(w.value, 1.0, vectorized=w.numpy_safe)
+    verdict = classify_improper(w.value, 1.0)
     if want_infinite:
         ok = verdict.is_divergent
         name = "warping_not_integrable"
@@ -215,7 +209,7 @@ def warping_integrability_check(w: WarpingFunction, want_infinite):
 
 def curvature_bounded_check(w: WarpingFunction, T=64.0, cap=1e3):
     ts = np.linspace(T, 2.0 * T, 64)
-    sup = max(abs(w.deriv(t) / w.value(t)) for t in ts)
+    sup = float(np.max(np.abs(w.deriv(ts) / w.value(ts))))
     status = HOLDS if sup < cap else FAILS
     return HypothesisCheck(name="sphere_curvature_bounded", status=status,
                            margin=float(cap - sup), window=(T, 2.0 * T),
@@ -224,14 +218,16 @@ def curvature_bounded_check(w: WarpingFunction, T=64.0, cap=1e3):
 
 def slope_limit_check(f: RadialProfile, direction, samples=20):
     """Window evidence for f'(t) -> -inf (direction=-1) or +inf (+1)."""
-    ts = [max(f.t_min * 1.01, 1e-3) * 2.0 ** j for j in range(samples)]
-    vals = [direction * f.deriv(t) for t in ts]
-    increasing = all(vals[i + 1] >= vals[i] - 1e-12 for i in range(len(vals) - 6, len(vals) - 1))
+    ts = max(f.t_min * 1.01, 1e-3) * 2.0 ** np.arange(samples)
+    vals = direction * f.deriv(ts)
+    increasing = bool(np.all(vals[-5:] >= vals[-6:-1] - 1e-12))
+    first, last = float(ts[0]), float(ts[-1])
     status = HOLDS if (increasing and vals[-1] > 1.0) else FAILS
-    witness = None if status == HOLDS else {"t": ts[-1], "fprime": direction * vals[-1]}
+    witness = None if status == HOLDS else {"t": last,
+                                            "fprime": float(direction * vals[-1])}
     return HypothesisCheck(name="log_weight_slope_limit", status=status,
                            margin=float(vals[-1]), witness=witness,
-                           window=(ts[0], ts[-1]), samples=samples,
+                           window=(first, last), samples=samples,
                            note=f"direction={'+inf' if direction > 0 else '-inf'}")
 
 
@@ -266,7 +262,7 @@ def _alpha_floor(t0, margin, note):
     """``margin(t) >= 0`` on 256 samples of [t0, 32 t0], with the least
     sample as witness when it fails."""
     ts = np.linspace(t0, 32.0 * t0, 256)
-    margins = np.array([margin(t) for t in ts])
+    margins = margin(ts)
     worst = float(margins.min())
     holds = worst >= -1e-12
     return HypothesisCheck(
@@ -304,8 +300,7 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
         raise DomainError(f"unknown direction {direction!r}")
     shift = c if parabolic else -c
     alpha = RadialProfile(lambda t: beta.value(t) + shift, beta.d1, beta.d2,
-                          name=f"{beta.name}{'+' if parabolic else '-'}{c}",
-                          numpy_safe=beta.numpy_safe)
+                          name=f"{beta.name}{'+' if parabolic else '-'}{c}")
     side, _ = warping_integrability_check(warping, want_infinite=parabolic)
     curv = curvature_bounded_check(warping)
     if parabolic:
@@ -331,10 +326,10 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
     fprime = f_as_beta(f)
     if direction == "hyperbolic" and use_exp_integral:
         alpha = RadialProfile(lambda t: f.deriv(t) - c, f.second,
-                              name=f"{f.name}'-{c}", numpy_safe=f.numpy_safe)
+                              name=f"{f.name}'-{c}")
 
         def expint(t):
-            return math.exp(c * t - f.value(t))
+            return np.exp(c * t - f.value(t))
 
         head_lo = f.t_min * 1.001 + 1e-12 if f.t_min > 0 else 1e-12
         head = integrate(expint, head_lo, 1.0).value
@@ -363,7 +358,7 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
 def f_as_beta(f: RadialProfile):
     """The radial drift bound of a radial weight is its slope f'."""
     return RadialProfile(f.d1, f.second, None, t_min=f.t_min,
-                         name=f"{f.name}'", numpy_safe=f.numpy_safe)
+                         name=f"{f.name}'")
 
 
 def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
@@ -379,7 +374,7 @@ def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
         lambda t: k * warping.deriv(t) / warping.value(t),
         lambda t: k * (warping.second(t) * warping.value(t)
                        - warping.deriv(t) ** 2) / warping.value(t) ** 2,
-        name=f"{k}*H", numpy_safe=warping.numpy_safe)
+        name=f"{k}*H")
     setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="warping_power")
     if k <= -n:
         out = classify_parabolic(setup)
@@ -454,8 +449,5 @@ def hyperplane_weighted_mc(weight, a, t, p=None, probe_samples=64, probe_scale=2
     B = _complement_basis(a)
     rng = np.random.Generator(np.random.Philox(20240601))
     coeffs = rng.standard_normal((probe_samples, m - 1)) * probe_scale
-    vals = np.empty(probe_samples)
-    for i in range(probe_samples):
-        q = t * a + coeffs[i] @ B
-        vals[i] = -float(weight.grad(q) @ a)
+    vals = -(weight.grad_batch(t * a + coeffs @ B) @ a)
     return value, float(vals.max() - vals.min())

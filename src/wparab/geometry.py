@@ -59,16 +59,6 @@ def _rows(batch_fn, x):
     return batch_fn(x) if x.ndim == 2 else batch_fn(x[None])[0]
 
 
-def _elementwise(fn, numpy_safe, t):
-    """A radial function on an array of radii, one radius at a time unless
-    the function is numpy-safe."""
-    if numpy_safe:
-        v = fn(t)
-        return v if np.shape(v) == np.shape(t) else np.full(np.shape(t), v)
-    flat = [fn(float(v)) for v in np.ravel(t)]
-    return np.array(flat, dtype=float).reshape(np.shape(t))
-
-
 def _norm(x):
     """Euclidean norm over the last axis, as a dot product like
     np.linalg.norm of a single vector, so one point and the same row of a
@@ -135,20 +125,16 @@ class RadialWeight(AmbientWeight):
         self.profile = profile
         self.name = f"radial({profile.name})"
 
-    def _at(self, fn, t):
-        return _elementwise(fn, self.profile.numpy_safe, t)
-
     def _slope_over_r(self, r):
         # f'(r)/r, with the limit f''(0) at the pole
         pole = r < 1e-9
         if not pole.any():
-            return self._at(self.profile.deriv, r) / r
+            return self.profile.deriv(r) / r
         r = np.maximum(r, 1e-9)
-        return np.where(pole, self._at(self.profile.second, r),
-                        self._at(self.profile.deriv, r) / r)
+        return np.where(pole, self.profile.second(r), self.profile.deriv(r) / r)
 
     def value_batch(self, pts):
-        return self._at(self.profile.value, _norm(pts))
+        return self.profile.value(_norm(pts))
 
     def grad_batch(self, pts):
         return self._slope_over_r(_norm(pts))[:, None] * pts
@@ -159,7 +145,7 @@ class RadialWeight(AmbientWeight):
         s = self._slope_over_r(r)
         pole = r < 1e-9
         u = np.where(pole[:, None], 0.0, pts / np.where(pole, 1.0, r)[:, None])
-        second = self._at(self.profile.second, np.maximum(r, 1e-9))
+        second = self.profile.second(np.maximum(r, 1e-9))
         return ((second - s)[:, None, None] * u[:, :, None] * u[:, None, :]
                 + s[:, None, None] * np.eye(m))
 
@@ -176,17 +162,14 @@ class HeightWeight(AmbientWeight):
         self.axis = np.asarray(axis, dtype=float)
         self.name = f"height({mu.name})"
 
-    def _at(self, fn, pts):
-        return _elementwise(fn, self.mu.numpy_safe, pts @ self.axis)
-
     def value_batch(self, pts):
-        return self._at(self.mu.value, pts)
+        return self.mu.value(pts @ self.axis)
 
     def grad_batch(self, pts):
-        return self._at(self.mu.deriv, pts)[:, None] * self.axis
+        return self.mu.deriv(pts @ self.axis)[:, None] * self.axis
 
     def hess_batch(self, pts):
-        return (self._at(self.mu.second, pts)[:, None, None]
+        return (self.mu.second(pts @ self.axis)[:, None, None]
                 * np.outer(self.axis, self.axis))
 
 
@@ -199,23 +182,20 @@ class SplitWeight(AmbientWeight):
         self.m = m
         self.name = f"split({eta.name}+{mu.name})"
 
-    def _at(self, fn, pts):
-        return _elementwise(fn, self.mu.numpy_safe, pts[:, -1])
-
     def value_batch(self, pts):
-        return self.eta.value_batch(pts[:, :-1]) + self._at(self.mu.value, pts)
+        return self.eta.value_batch(pts[:, :-1]) + self.mu.value(pts[:, -1])
 
     def grad_batch(self, pts):
         out = np.empty_like(pts)
         out[:, :-1] = self.eta.grad_batch(pts[:, :-1])
-        out[:, -1] = self._at(self.mu.deriv, pts)
+        out[:, -1] = self.mu.deriv(pts[:, -1])
         return out
 
     def hess_batch(self, pts):
         N, m = pts.shape
         out = np.zeros((N, m, m))
         out[:, :-1, :-1] = self.eta.hess_batch(pts[:, :-1])
-        out[:, -1, -1] = self._at(self.mu.second, pts)
+        out[:, -1, -1] = self.mu.second(pts[:, -1])
         return out
 
 
@@ -315,9 +295,6 @@ class ModelChartAmbient:
         self.model = model
         self.m = model.m
 
-    def _radial(self, profile, fn, x):
-        return _elementwise(fn, profile.numpy_safe, np.asarray(x, dtype=float)[..., 0])
-
     def _sphere_factors(self, ang):
         # s[..., a] = prod_{j<a} sin^2(theta_j), for the a-th angular coordinate
         sin2 = np.sin(ang) ** 2
@@ -326,8 +303,7 @@ class ModelChartAmbient:
 
     def metric(self, x):
         x = np.asarray(x, dtype=float)
-        w = self.model.w
-        w2 = self._radial(w, w.value, x) ** 2
+        w2 = self.model.w.value(x[..., 0]) ** 2
         g = np.zeros(x.shape[:-1] + (self.m, self.m))
         g[..., 0, 0] = 1.0
         a = np.arange(1, self.m)
@@ -338,8 +314,8 @@ class ModelChartAmbient:
         x = np.asarray(x, dtype=float)
         m = self.m
         q = m - 1
-        w = self._radial(self.model.w, self.model.w.value, x)
-        wp = self._radial(self.model.w, self.model.w.deriv, x)
+        w = self.model.w.value(x[..., 0])
+        wp = self.model.w.deriv(x[..., 0])
         ratio = wp / w
         s = self._sphere_factors(x[..., 1:])
         gam = np.zeros(x.shape[:-1] + (m, m, m))
@@ -362,14 +338,14 @@ class ModelChartAmbient:
         return e
 
     def sphere_curvature(self, r):
-        return _elementwise(self.model.mean_curvature, False, r)
+        return self.model.mean_curvature(r)
 
     def weight_value(self, x):
-        return self._radial(self.model.f, self.model.f.value, x)
+        return self.model.f.value(np.asarray(x, dtype=float)[..., 0])
 
     def weight_grad(self, x):
         g = np.zeros(np.shape(x))
-        g[..., 0] = self._radial(self.model.f, self.model.f.deriv, x)
+        g[..., 0] = self.model.f.deriv(np.asarray(x, dtype=float)[..., 0])
         return g
 
     def weight_hess(self, x):
@@ -421,14 +397,6 @@ def chart_jet(P, U):
             if i == j:
                 J[:, :, j] = _stack(first, N)
     return x0, J, H
-
-
-def _first_order(P, U):
-    """Chart jet, ambient metric G and induced metric g = J^T G J of a stack."""
-    x, J, Hx = chart_jet(P, U)
-    G = P.ambient.metric(x)
-    g = np.swapaxes(J, -1, -2) @ G @ J
-    return x, J, Hx, G, g
 
 
 def _covariant_second(P, x, J, Hx):
@@ -486,6 +454,7 @@ class GeometrySample:
     tangent_frame: np.ndarray       # (n, m) orthonormal rows
     normals: np.ndarray             # (m-n, m) orthonormal rows
     second_fundamental: np.ndarray  # (m-n, n, n) scalar components
+    covariant_second: np.ndarray    # (n, n, m) ambient-covariant D_i d_j X
     mc_vec: np.ndarray              # n * Hbar_P (ambient coordinates)
     wmc_vec: np.ndarray             # weighted mean curvature vector
     grad_h: np.ndarray
@@ -571,7 +540,9 @@ def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
     """
     U = np.asarray(U, dtype=float)
     N = len(U)
-    x, J, Hx, G, g = _first_order(P, U)
+    x, J, Hx = chart_jet(P, U)
+    G = P.ambient.metric(x)
+    g = np.swapaxes(J, -1, -2) @ G @ J
     sv = np.linalg.svd(g, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
@@ -619,8 +590,9 @@ def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
     return GeometrySample(
         u=U, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
         ambient_metric=G, tangent_frame=tangent, normals=normals,
-        second_fundamental=sff, mc_vec=mc, wmc_vec=wmc, grad_h=grad_h,
-        grad_r=grad_r, radial_tangent_norm=radial_norm)
+        second_fundamental=sff, covariant_second=second, mc_vec=mc,
+        wmc_vec=wmc, grad_h=grad_h, grad_r=grad_r,
+        radial_tangent_norm=radial_norm)
 
 
 def geometry_at(P: ImmersedSubmanifold, u, cond_limit=1e12):
@@ -665,43 +637,50 @@ def _fd_hessian(f, U, rel=_STEP_HESS):
     return out
 
 
-def intrinsic_data(P, u):
-    """Induced metric, its inverse, intrinsic Christoffels and pulled-back
-    weight gradient, all from the chart jet: Gamma^k_ij =
-    g^{kl} <d_l X, D_i d_j X> and d_i (h o X) = <d_i X, dh>.
+def _intrinsic_terms(s):
+    """Intrinsic Christoffels Gamma^k_ij = g^{kl} <d_l X, D_i d_j X>_G and the
+    pulled-back weight gradient d_i (h o X) = <d_i X, dh> of a stacked
+    sample, both from its chart jet."""
+    Jt = np.swapaxes(s.jacobian, -1, -2)
+    gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", s.metric_inv, Jt @ s.ambient_metric,
+                      s.covariant_second)
+    return gamma, np.einsum("Nia,Na->Ni", Jt, s.grad_h)
 
-    A stack u (N, n) gives the same arrays with a leading axis of N points.
+
+def _point_sample(P, u):
+    """``geometry_at_batch`` of the one-row stack [u], and its row."""
+    batch = geometry_at_batch(P, np.asarray(u, dtype=float)[None])
+    return batch, batch.row(0)
+
+
+def intrinsic_drift(P, u, sample=None):
+    """Drift vector of the weighted Laplacian in chart coordinates at u,
+    b^k = -g^{ij} Gamma^k_ij + g^{kj} d_j (h o X), and g^{-1}.
+
+    ``sample`` is ``geometry_at_batch`` of ``[u]`` when the caller already
+    has it.
     """
-    U = np.asarray(u, dtype=float)
-    if U.ndim == 1:
-        return tuple(a[0] for a in intrinsic_data(P, U[None]))
-    x, J, Hx, G, g = _first_order(P, U)
-    g_inv = np.linalg.inv(g)
-    second = _covariant_second(P, x, J, Hx)
-    Jt = np.swapaxes(J, -1, -2)
-    gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", g_inv, Jt @ G, second)
-    grad_h = np.einsum("Nia,Na->Ni", Jt, P.ambient.weight_grad(x))
-    return g, g_inv, gamma, grad_h
+    s = sample if sample is not None else _point_sample(P, u)[0]
+    gamma, grad_h = _intrinsic_terms(s)
+    g_inv = s.metric_inv[0]
+    return (-np.einsum("ij,kij->k", g_inv, gamma[0]) + g_inv @ grad_h[0]), g_inv
 
 
-def intrinsic_drift(P, u):
-    """Drift vector of the weighted Laplacian in chart coordinates:
-    b^k = -g^{ij} Gamma^k_ij + g^{kj} d_j (h o X)."""
-    g, g_inv, gamma, grad_h = intrinsic_data(P, u)
-    return (-np.einsum("ij,kij->k", g_inv, gamma) + g_inv @ grad_h), g_inv
-
-
-def weighted_laplacian(P: ImmersedSubmanifold, u, fld):
+def weighted_laplacian(P: ImmersedSubmanifold, u, fld, sample=None):
     """Drift Laplacian of a scalar field on the parameter domain, at one
     point u (n,) or at each point of a stack (N, n).
 
     Coordinate formula g^{ij} (d2_ij f - Gamma^k_ij d_k f) plus the drift
     g^{ij} d_i (h o X) d_j f; ``fld`` takes stacks (see ``field_values``).
+    ``sample`` is ``geometry_at_batch`` of the stack (of ``[u]`` for one
+    point) when the caller already has it.
     """
     U = np.asarray(u, dtype=float)
     if U.ndim == 1:
-        return float(weighted_laplacian(P, U[None], fld)[0])
-    g, g_inv, gamma, grad_h = intrinsic_data(P, U)
+        return float(weighted_laplacian(P, U[None], fld, sample)[0])
+    s = sample if sample is not None else geometry_at_batch(P, U)
+    gamma, grad_h = _intrinsic_terms(s)
+    g_inv = s.metric_inv
     grad_f = _fd_gradient(fld, U)
     hess_f = _fd_hessian(fld, U)
     lap = (np.einsum("Nij,Nij->N", g_inv, hess_f)
@@ -730,19 +709,15 @@ def radial_identity_residual(P, u, psi: RadialProfile, sample=None):
     if np.isnan(s.grad_r).all(axis=1).any():
         raise DomainError("ambient radial distance unavailable at this point")
     amb = P.ambient
-
-    def radial(fn, r):
-        return _elementwise(fn, psi.numpy_safe, r)
-
     r = amb.r(s.point)
     H = amb.sphere_curvature(r)
-    dpsi = radial(psi.deriv, r)
+    dpsi = psi.deriv(r)
     G = s.ambient_metric
-    rhs = ((radial(psi.second, r) - H * dpsi) * s.radial_tangent_norm ** 2
+    rhs = ((psi.second(r) - H * dpsi) * s.radial_tangent_norm ** 2
            + (P.n * H + _inner(G, s.grad_h, s.grad_r)
               + _inner(G, s.wmc_vec, s.grad_r)) * dpsi)
     lhs = weighted_laplacian(
-        P, U, lambda V: radial(psi.value, amb.r(chart_points(P, V))))
+        P, U, lambda V: psi.value(amb.r(chart_points(P, V))), s)
     return np.abs(lhs - rhs)
 
 
@@ -778,7 +753,7 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
     used = len(keep)
     G, grad_r = s.ambient_metric[keep], s.grad_r[keep]
     lhs = _inner(G, s.grad_h[keep], grad_r) + _inner(G, s.wmc_vec[keep], grad_r)
-    bound = _elementwise(alpha.value, alpha.numpy_safe, r[keep])
+    bound = alpha.value(r[keep])
     margins = (bound - lhs) if sense == "upper" else (lhs - bound)
     # NaN margins never become the minimum; the first minimum is the witness
     margins = np.where(np.isnan(margins), math.inf, margins)
@@ -820,10 +795,10 @@ def height_laplacian(P, u, a):
     if not P.ambient.flat:
         raise DomainError("height functions require a Euclidean ambient")
     a = np.asarray(a, dtype=float)
-    s = geometry_at(P, u)
+    batch, s = _point_sample(P, u)
     formula = float(s.wmc_vec @ a + s.grad_h @ a)
 
-    direct = weighted_laplacian(P, u, lambda V: chart_points(P, V) @ a)
+    direct = weighted_laplacian(P, u, lambda V: chart_points(P, V) @ a, batch)
     return LaplacianComparison(formula, direct)
 
 
@@ -838,14 +813,15 @@ def cylinder_distance_laplacian(P, u, k=None):
     k = k if k is not None else P.splitting
     if not (k and 1 <= k <= P.m):
         raise DomainError(f"splitting k={k} out of range for m={P.m}")
-    s = geometry_at(P, u)
+    batch, s = _point_sample(P, u)
     Xv = np.zeros(P.m)
     Xv[:k] = s.point[:k]
     horiz = sum(float(np.dot(e[:k], e[:k])) for e in s.tangent_frame)
     formula = horiz + float(s.grad_h @ Xv) + float(s.wmc_vec @ Xv)
 
     direct = weighted_laplacian(
-        P, u, lambda V: 0.5 * (chart_points(P, V)[:, :k] ** 2).sum(axis=1))
+        P, u, lambda V: 0.5 * (chart_points(P, V)[:, :k] ** 2).sum(axis=1),
+        batch)
     return LaplacianComparison(formula, direct)
 
 
@@ -888,7 +864,7 @@ def angle_function_laplacian(P, u):
         raise DomainError("angle formula needs a split weight eta(x) + mu(t)")
     if P.normal is None:
         raise DomainError("angle function requires a declared graph normal")
-    s = geometry_at(P, u)
+    batch, s = _point_sample(P, u)
     N = s.normals[0]
     theta = float(N[-1])
     n_h = N[:-1]
@@ -911,7 +887,7 @@ def angle_function_laplacian(P, u):
     dt_components = s.jacobian[-1, :]
     advection = float(grad_H @ s.metric_inv @ dt_components)
     direct = weighted_laplacian(
-        P, u, lambda V: _stack(P.normal(_columns(V)), len(V))[:, -1])
+        P, u, lambda V: _stack(P.normal(_columns(V)), len(V))[:, -1], batch)
     return AngleLaplacian(formula_cmc=formula_cmc,
                           formula=formula_cmc - advection,
                           direct=direct, theta=theta, sigma_sq=sigma_sq,
@@ -1160,7 +1136,7 @@ def paraboloid_graph(m, weight=None, scale=0.25):
 def grim_curve():
     """Translator curve t = -log cos x in the plane with weight e^t."""
     mu = RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                       lambda t: 0.0 * t, name="height", numpy_safe=True)
+                       lambda t: 0.0 * t, name="height")
     weight = HeightWeight(mu, m=2)
 
     def phi(u):

@@ -53,11 +53,6 @@ class WeightedModel:
     def c_m(self):
         return sphere_area_constant(self.m)
 
-    @property
-    def numpy_safe(self):
-        """Whether the radial functions below accept arrays of radii."""
-        return self.w.numpy_safe and self.f.numpy_safe
-
     # -- basic geometry ------------------------------------------------
 
     def sphere_area(self, t):
@@ -71,7 +66,7 @@ class WeightedModel:
         return self.c_m * self.w.value(t) ** (self.m - 1) * weight
 
     def inv_sphere_area(self, t):
-        """1/A(S_t); elementwise on an array of radii when the model is numpy-safe."""
+        """1/A(S_t); elementwise on an array of radii."""
         self.f.check_domain(t)
         return _exp(-self.f.value(t)) / (self.c_m * self.w.value(t) ** (self.m - 1))
 
@@ -87,15 +82,18 @@ class WeightedModel:
         def integrand(s):
             return self.w.value(s) ** (m - 1) * _exp(self.f.value(s))
 
-        res = integrate(integrand, 0.0, t, vectorized=self.numpy_safe)
+        res = integrate(integrand, 0.0, t)
         return self.c_m * res.value
 
     def mean_curvature(self, t):
-        if t <= 0:
+        """H(t) = w'(t)/w(t); elementwise on an array of radii."""
+        if np.any(np.less_equal(t, 0)):
             raise DomainError("radius must be positive")
         wt = self.w.value(t)
-        if wt == 0.0:
-            raise DomainError(f"warping function vanishes at t={t}")
+        vanishes = np.equal(wt, 0.0)
+        if vanishes.any():
+            where = np.asarray(t)[vanishes][0]
+            raise DomainError(f"warping function vanishes at t={where}")
         return self.w.deriv(t) / wt
 
     def weighted_mean_curvature(self, n, t):
@@ -105,10 +103,6 @@ class WeightedModel:
         self.f.check_domain(t)
         return n * self.mean_curvature(t) + self.f.deriv(t)
 
-    def drift_coefficient(self, t):
-        """(m-1) H(t) + f'(t): the radial drift of the weighted Laplacian."""
-        return self.weighted_mean_curvature(self.m - 1, t)
-
     # -- capacities ----------------------------------------------------
 
     def capacity_potential(self, rho, R, grid_nodes=512, residual_grid=256):
@@ -116,7 +110,7 @@ class WeightedModel:
             raise DomainError(f"need t_min < rho < R < inf, got ({rho}, {R})")
         nodes = np.linspace(rho, R, grid_nodes)
         res = integrate(self.inv_sphere_area, nodes[:-1], nodes[1:],
-                        abs_tol=1e-14, rel_tol=1e-12, vectorized=self.numpy_safe)
+                        abs_tol=1e-14, rel_tol=1e-12)
         cumulative = np.concatenate(([0.0], np.cumsum(res.value)))
         quad_err = float(res.error.sum())
         total = cumulative[-1]
@@ -139,13 +133,8 @@ class WeightedModel:
         h = 1e-5 * (R - rho)
         grid = np.linspace(rho + 2 * h, R - 2 * h, residual_grid)
         stencil = grid[:, None] + h * np.arange(-2.0, 3.0)
-        if self.numpy_safe:
-            dphi = phi_prime(stencil)
-            drift = ((self.m - 1) * (self.w.deriv(grid) / self.w.value(grid))
-                     + self.f.deriv(grid))
-        else:
-            dphi = np.vectorize(phi_prime, otypes=[float])(stencil)
-            drift = np.vectorize(self.drift_coefficient, otypes=[float])(grid)
+        dphi = phi_prime(stencil)
+        drift = self.weighted_mean_curvature(self.m - 1, grid)
         second = (dphi[:, 0] - 8.0 * dphi[:, 1] + 8.0 * dphi[:, 3]
                   - dphi[:, 4]) / (12.0 * h)
         residual = float(np.max(np.abs(second + drift * dphi[:, 2])))
@@ -158,8 +147,7 @@ class WeightedModel:
         """(capacity, evidence): zero when the area integral diverges."""
         if rho <= self.f.t_min:
             raise DomainError(f"need rho > t_min = {self.f.t_min}")
-        verdict = classify_improper(self.inv_sphere_area, rho, hint,
-                                    vectorized=self.numpy_safe)
+        verdict = classify_improper(self.inv_sphere_area, rho, hint)
         if verdict.is_divergent:
             return 0.0, verdict
         if verdict.is_convergent:
@@ -170,8 +158,7 @@ class WeightedModel:
         """Recurrence/transience of the weighted model from the area integral."""
         if t0 <= self.f.t_min:
             raise DomainError(f"need t0 > t_min = {self.f.t_min}")
-        evidence = classify_improper(self.inv_sphere_area, t0, hint,
-                                     vectorized=self.numpy_safe)
+        evidence = classify_improper(self.inv_sphere_area, t0, hint)
         if evidence.is_divergent:
             outcome = Outcome.PARABOLIC
         elif evidence.is_convergent:
@@ -219,19 +206,17 @@ class WeightedModel:
         slack = 1e-9 * (1.0 + abs(target))
         if mode == "first_below":
             scan = np.linspace(root, 32.0 * root, scan_samples)[1:]
-            for t in scan:
-                if self.weighted_mean_curvature(n, t) > target + slack:
-                    raise NonMonotoneTailError(
-                        f"curvature exceeds {target} at t={t} beyond the root",
-                        witness=float(t))
+            bad = self.weighted_mean_curvature(n, scan) > target + slack
+            breach = "exceeds {} at t={} beyond the root"
         else:
             inner = max(root / 32.0, self.f.t_min * 1.001 + 1e-12, 1e-6)
             scan = np.linspace(inner, root, scan_samples)[:-1]
-            for t in scan:
-                if self.weighted_mean_curvature(n, t) < target - slack:
-                    raise NonMonotoneTailError(
-                        f"curvature drops below {target} at t={t} before the root",
-                        witness=float(t))
+            bad = self.weighted_mean_curvature(n, scan) < target - slack
+            breach = "drops below {} at t={} before the root"
+        if bad.any():
+            t = scan[bad.argmax()]
+            raise NonMonotoneTailError("curvature " + breach.format(target, t),
+                                       witness=float(t))
         return root
 
 

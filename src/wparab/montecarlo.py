@@ -19,7 +19,7 @@ import numpy as np
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
 from .errors import ComparisonRefusal, DomainError
 from .geometry import (ImmersedSubmanifold, ZeroWeight, field_values,
-                       intrinsic_drift, weighted_laplacian)
+                       geometry_at_batch, intrinsic_drift, weighted_laplacian)
 from .verdicts import Outcome
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -543,7 +543,8 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
     ``geometry.field_values``).
     """
     u = np.asarray(u, dtype=float)
-    b, g_inv = intrinsic_drift(P, u)
+    sample = geometry_at_batch(P, u[None])
+    b, g_inv = intrinsic_drift(P, u, sample)
     sigma = _sym_sqrt(2.0 * g_inv)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(int(seed), 0xA5))))
@@ -555,5 +556,5 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
     vals = 0.5 * (f[1:n_samples + 1] + f[n_samples + 1:]) - f[0]
     est = float(np.mean(vals)) / dtau
     se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples) / dtau
-    exact = weighted_laplacian(P, u, fld)
+    exact = weighted_laplacian(P, u, fld, sample)
     return GeneratorCheck(est, exact, se, dtau)

@@ -50,7 +50,11 @@ NO_HINT = AsymptoticHint("none")
 @dataclass(frozen=True)
 class RadialProfile:
     """Scalar function of t > t_min with its first and, when ``d2`` is given,
-    second derivative."""
+    second derivative.
+
+    ``fn``, ``d1`` and ``d2`` work element by element on a float and on an
+    ndarray of radii of any shape, and return the argument's shape.
+    """
 
     fn: object
     d1: object
@@ -58,7 +62,6 @@ class RadialProfile:
     t_min: float = 0.0
     hint: AsymptoticHint = NO_HINT
     name: str = ""
-    numpy_safe: bool = False
 
     def __post_init__(self):
         # hook so that subclasses (pole-validated warpings) get called by
@@ -99,12 +102,12 @@ class RadialProfile:
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]
 
-        return cls(fn, d1, d2, t_min=t_min, name=name or source, numpy_safe=True)
+        return cls(fn, d1, d2, t_min=t_min, name=name or source)
 
     @classmethod
     def constant(cls, c, name=""):
         return cls(lambda t: c + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t,
-                   name=name or f"const({c})", numpy_safe=True)
+                   name=name or f"const({c})")
 
 
 class WarpingFunction(RadialProfile):
@@ -129,7 +132,7 @@ class WarpingFunction(RadialProfile):
 
 def warping_euclidean():
     return WarpingFunction(lambda t: t, lambda t: 1.0 + 0.0 * t,
-                           lambda t: 0.0 * t, name="euclidean", numpy_safe=True)
+                           lambda t: 0.0 * t, name="euclidean")
 
 
 def warping_hyperbolic(kappa=-1.0):
@@ -140,7 +143,7 @@ def warping_hyperbolic(kappa=-1.0):
         lambda t: np.sinh(s * t) / s,
         lambda t: np.cosh(s * t),
         lambda t: s * np.sinh(s * t),
-        name=f"hyperbolic(kappa={kappa})", numpy_safe=True)
+        name=f"hyperbolic(kappa={kappa})")
 
 
 def _paraboloid_arc(rho, sqrt=np.sqrt, asinh=np.arcsinh):
@@ -181,8 +184,7 @@ def warping_paraboloid():
         rho = _paraboloid_radius(t)
         return -rho / (1.0 + rho * rho) ** 2
 
-    return WarpingFunction(_paraboloid_radius, d1, d2, name="paraboloid",
-                           numpy_safe=True)
+    return WarpingFunction(_paraboloid_radius, d1, d2, name="paraboloid")
 
 
 def weight_zero():
@@ -191,12 +193,12 @@ def weight_zero():
 
 def weight_gaussian():
     return RadialProfile(lambda t: -0.5 * t * t, lambda t: -t,
-                         lambda t: -1.0 + 0.0 * t, name="gaussian", numpy_safe=True)
+                         lambda t: -1.0 + 0.0 * t, name="gaussian")
 
 
 def weight_antigaussian():
     return RadialProfile(lambda t: 0.5 * t * t, lambda t: t + 0.0 * t,
-                         lambda t: 1.0 + 0.0 * t, name="antigaussian", numpy_safe=True)
+                         lambda t: 1.0 + 0.0 * t, name="antigaussian")
 
 
 def weight_power(a, k):
@@ -204,8 +206,7 @@ def weight_power(a, k):
         lambda t: a * np.power(t, k),
         lambda t: a * k * np.power(t, k - 1),
         lambda t: a * k * (k - 1) * np.power(t, k - 2),
-        name=f"power(a={a}, k={k})", numpy_safe=True,
-        t_min=0.0 if k >= 1 else 1e-8)
+        name=f"power(a={a}, k={k})", t_min=0.0 if k >= 1 else 1e-8)
 
 
 def weight_logpow(k, w: WarpingFunction):
@@ -214,7 +215,7 @@ def weight_logpow(k, w: WarpingFunction):
         lambda t: k * np.log(w.value(t)),
         lambda t: k * w.deriv(t) / w.value(t),
         lambda t: k * (w.second(t) * w.value(t) - w.deriv(t) ** 2) / w.value(t) ** 2,
-        name=f"logpow(k={k}, w={w.name})", t_min=1e-8, numpy_safe=w.numpy_safe)
+        name=f"logpow(k={k}, w={w.name})", t_min=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -256,28 +257,17 @@ class QuadResult:
         yield self.error
 
 
-def _gk15(f, a, b, vectorized):
-    """Kronrod value and |Kronrod - Gauss| on every panel [a[i], b[i]].
-
-    A vectorized integrand gets all nodes in one call, as an array of shape
-    (panels, 15); any other is called node by node in ascending order.
-    """
+def _gk15(f, a, b):
+    """Kronrod value and |Kronrod - Gauss| on every panel [a[i], b[i]], from
+    one call of ``f`` on all nodes, an array of shape (panels, 15)."""
     half = 0.5 * (b - a)
     x = (0.5 * (a + b))[:, None] + half[:, None] * _K15_NODES
-    if vectorized:
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            fx = np.asarray(f(x), dtype=float)
-        bad = ~np.isfinite(fx)
-        if bad.any():
-            raise QuadratureError(
-                f"non-finite integrand value at t={float(x[bad].min())}")
-    else:
-        fx = np.empty(x.size)
-        for i, xi in enumerate(x.ravel()):
-            fx[i] = f(xi)
-            if not math.isfinite(fx[i]):
-                raise QuadratureError(f"non-finite integrand value at t={float(xi)}")
-        fx = fx.reshape(x.shape)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        fx = np.asarray(f(x), dtype=float)
+    bad = ~np.isfinite(fx)
+    if bad.any():
+        raise QuadratureError(
+            f"non-finite integrand value at t={float(x[bad].min())}")
     # row sums rather than a matrix product: BLAS may sum a row in an order
     # that depends on the panel count, and a panel's value must not
     k = half * (fx * _K15_WEIGHTS).sum(axis=1)
@@ -285,7 +275,7 @@ def _gk15(f, a, b, vectorized):
     return k, np.abs(k - g)
 
 
-def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions, vectorized):
+def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions):
     """Adaptive bisection of [a, b] from its GK15 (val, err), worst panel first."""
     # heap of (-error, tiebreak, a, b, value, error)
     counter = 0
@@ -302,7 +292,7 @@ def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions, vectorized):
             n_sub += 1
             continue
         (lv, rv), (le, re) = (v.tolist() for v in _gk15(
-            f, np.array([ia, im]), np.array([im, ib]), vectorized))
+            f, np.array([ia, im]), np.array([im, ib])))
         total_val += lv + rv - ival
         total_err += le + re - ierr
         counter += 1
@@ -314,8 +304,7 @@ def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions, vectorized):
     return QuadResult(total_val, total_err, converged, n_sub)
 
 
-def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000,
-              *, vectorized=False):
+def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
     """Adaptive nested quadrature of ``f`` over [a, b].
 
     Returns a :class:`QuadResult`; iterating it yields (value, error).
@@ -328,9 +317,9 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000,
     ``value`` and ``error`` are then per-panel arrays, ``converged`` holds
     for all panels and ``subdivisions`` is their total.
 
-    ``vectorized`` declares ``f`` numpy-safe: elementwise on an ndarray of
-    any shape, returning the same shape.  Non-finite values raise
-    :class:`QuadratureError` naming the lowest offending node.
+    ``f`` works element by element on an ndarray of any shape and returns
+    the same shape.  Non-finite values raise :class:`QuadratureError`
+    naming the lowest offending node.
     """
     panels = np.ndim(a) > 0 or np.ndim(b) > 0
     lo, hi = np.atleast_1d(np.asarray(a, dtype=float), np.asarray(b, dtype=float))
@@ -338,11 +327,11 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000,
         return QuadResult(0.0, 0.0, True, 0)
     if not np.all(lo < hi):
         raise DomainError(f"integrate needs a < b, got ({a}, {b})")
-    vals, errs = _gk15(f, lo, hi, vectorized)
+    vals, errs = _gk15(f, lo, hi)
     failing = np.flatnonzero(errs > np.maximum(abs_tol, rel_tol * np.abs(vals)))
     results = [_bisect(f, float(lo[i]), float(hi[i]), float(vals[i]),
-                       float(errs[i]), abs_tol, rel_tol, max_subdivisions,
-                       vectorized) for i in failing]
+                       float(errs[i]), abs_tol, rel_tol, max_subdivisions)
+               for i in failing]
     for i, res in zip(failing, results):
         vals[i], errs[i] = res.value, res.error
     unresolved = sum(not res.converged for res in results)
@@ -405,15 +394,15 @@ class IntegralVerdict:
 
 def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
                       divergence_threshold=1e12, max_doublings=40,
-                      ratio_cap=0.8, vectorized=False):
+                      ratio_cap=0.8):
     """Classify the convergence of the integral of a positive ``f`` over [a, inf).
 
     Cutoffs double: T_j = a * 2^j.  Convergent when the tail increments
     decay geometrically and the extrapolated remainder drops below
     ``tail_tol``; divergent when partial sums exceed the threshold, the
     increments stop decaying over six consecutive doublings, or the
-    integrand blows up pointwise across the last cutoffs.  ``vectorized``
-    is passed on to :func:`integrate` for the segments.
+    integrand blows up pointwise across the last cutoffs.  ``f`` takes a
+    float at the cutoffs and an array of nodes in :func:`integrate`.
     """
     if a <= 0:
         raise DomainError("classify_improper needs a > 0")
@@ -448,8 +437,7 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
         with warnings.catch_warnings():
             # segment accuracy is folded into the verdict's own evidence
             warnings.simplefilter("ignore", AccuracyWarning)
-            seg = integrate(f, t_prev, t_cur, abs_tol=tail_tol * 1e-3, rel_tol=1e-8,
-                            vectorized=vectorized)
+            seg = integrate(f, t_prev, t_cur, abs_tol=tail_tol * 1e-3, rel_tol=1e-8)
         partial += seg.value
         quad_err += seg.error
         cutoffs.append(t_cur)

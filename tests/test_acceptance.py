@@ -39,7 +39,7 @@ def gaussian_weight():
 
 
 NEG_T = rd.RadialProfile(lambda t: -t, lambda t: -1.0 + 0 * t,
-                         lambda t: 0.0 * t, name="-t", numpy_safe=True)
+                         lambda t: 0.0 * t, name="-t")
 
 
 def test_acceptance_01_closed_form_capacities():
@@ -155,7 +155,7 @@ def test_acceptance_05_radial_identity_suite():
 
 def test_acceptance_06_soliton_minimality():
     mu_t = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                            lambda t: 0.0 * t, name="height", numpy_safe=True)
+                            lambda t: 0.0 * t, name="height")
     power = ge.RadialWeight(rd.weight_power(-0.5, 3.0))
     entries = [
         ("shrinker sphere m=3", ge.euclidean_sphere(math.sqrt(2.0), 3, gaussian_weight()),

@@ -15,7 +15,7 @@ def alpha_expr(source):
 
 
 NEG_T = rd.RadialProfile(lambda t: -t, lambda t: -1.0 + 0 * t,
-                         lambda t: 0.0 * t, name="-t", numpy_safe=True)
+                         lambda t: 0.0 * t, name="-t")
 
 
 # --- comparison setup ---------------------------------------------------
@@ -41,7 +41,6 @@ def test_cumulative_weight_is_query_order_independent():
 
 def test_cumulative_weight_evaluates_arrays_like_scalars():
     setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.5, alpha_expr("-t+1/(1+t^2)"))
-    assert setup.f.numpy_safe and setup.model.numpy_safe
     ts = np.array([[0.8, 1.5, 2.0], [7.0, 40.0, 1.5 * 2.0 ** 39]])
     batch = setup.f.value(ts)
     assert batch.shape == ts.shape
@@ -122,7 +121,7 @@ def test_capacity_bound_of_parabolic_setup_vanishes():
 
 def test_sinh_ambient_with_fast_decaying_weight_is_parabolic():
     f = rd.RadialProfile(lambda t: -t * t, lambda t: -2.0 * t,
-                         lambda t: -2.0 + 0 * t, name="-t^2", numpy_safe=True)
+                         lambda t: -2.0 + 0 * t, name="-t^2")
     v = cr.classify_radial_weight(rd.warping_hyperbolic(-1.0), 2, f, c=0.0,
                                   direction="parabolic")
     assert v.outcome is Outcome.PARABOLIC
@@ -239,7 +238,7 @@ def test_hyperplane_weighted_curvature_probes():
     value, spread = cr.hyperplane_weighted_mc(power, [0.0, 1.0, 0.0], 0.0)
     assert abs(value) <= 1e-12 and spread <= 1e-10
     mu = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                          lambda t: 0.0 * t, name="height", numpy_safe=True)
+                          lambda t: 0.0 * t, name="height")
     value, spread = cr.hyperplane_weighted_mc(ge.HeightWeight(mu, 3),
                                               [0.0, 0.0, 1.0], 0.4)
     assert value == pytest.approx(-1.0, rel=1e-12) and spread <= 1e-12

@@ -23,12 +23,12 @@ def gaussian_split(m):
 
 def translator_weight(m):
     mu = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                          lambda t: 0.0 * t, name="height", numpy_safe=True)
+                          lambda t: 0.0 * t, name="height")
     return ge.HeightWeight(mu, m)
 
 
 PSI_SQ = rd.RadialProfile(lambda t: 0.5 * t * t, lambda t: t + 0.0 * t,
-                          lambda t: 1.0 + 0.0 * t, name="t^2/2", numpy_safe=True)
+                          lambda t: 1.0 + 0.0 * t, name="t^2/2")
 
 
 # --- ambient spaces --------------------------------------------------------
@@ -239,14 +239,13 @@ def _reference_profile(P, window, alpha, sense, min_radius, per_dim=32, tol=1e-8
     ("plane", "-t", "lower", 2.5),
     ("sphere", "t - 3", "lower", None),
     ("radial_graph", "2*t", "upper", 1.45),
-    ("plane-scalar-alpha", "-1.5*t", "upper", 1.0),
     # unweighted plane: every margin is exactly -1, the first point is the witness
     ("flat-plane", "-1", "upper", 1.0),
 ], ids=lambda c: f"{c[0]}-{c[2]}-floor{c[3]}")
 def test_hypothesis_profile_matches_point_by_point_loop(case):
     name, alpha_src, sense, min_radius = case
     window = ((0.5, 3.0), (-1.0, 3.0))
-    if name.startswith("plane"):
+    if name == "plane":
         P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
     elif name == "flat-plane":
         P = ge.coordinate_plane(3, (0, 1))
@@ -258,8 +257,6 @@ def test_hypothesis_profile_matches_point_by_point_loop(case):
                                           rd.weight_gaussian()), 1.5, 0.2)
         window = P.window
     alpha = rd.RadialProfile.from_expression(alpha_src)
-    if name == "plane-scalar-alpha":
-        alpha = dataclasses.replace(alpha, numpy_safe=False)
     status, margin, witness, used = _reference_profile(P, window, alpha, sense,
                                                        min_radius)
     check = ge.radial_hypothesis_profile(P, window, alpha, sense=sense,
@@ -372,6 +369,19 @@ def _metric_difference_oracle(P, u):
     return gamma, grad_h
 
 
+def _own_jet_reference(P, u):
+    """Christoffels and grad(h o X) from a chart jet of their own, as the
+    direct side computed them before it read the geometry sample."""
+    x, J, Hx = ge.chart_jet(P, u[None])
+    G = P.ambient.metric(x)
+    Jt = np.swapaxes(J, -1, -2)
+    g_inv = np.linalg.inv(Jt @ G @ J)
+    second = ge._covariant_second(P, x, J, Hx)
+    gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", g_inv, Jt @ G, second)
+    grad_h = np.einsum("Nia,Na->Ni", Jt, P.ambient.weight_grad(x))
+    return gamma[0], grad_h[0]
+
+
 def test_intrinsic_data_matches_metric_differences():
     charts = [
         ge.euclidean_sphere(2.0, 3, translator_weight(3)),
@@ -388,13 +398,32 @@ def test_intrinsic_data_matches_metric_differences():
     for P in charts:
         for _ in range(4):
             u = np.array([rng.uniform(lo, hi) for lo, hi in P.window])
-            g, _, gamma, grad_h = ge.intrinsic_data(P, u)
+            gamma, grad_h = (a[0] for a in ge._intrinsic_terms(
+                ge.geometry_at_batch(P, u[None])))
+            own_gamma, own_grad_h = _own_jet_reference(P, u)
+            assert np.array_equal(gamma, own_gamma), (P.name, u)
+            assert np.array_equal(grad_h, own_grad_h), (P.name, u)
             fd_gamma, fd_grad_h = _metric_difference_oracle(P, u)
-            assert np.array_equal(g, ge.geometry_at(P, u).metric), P.name
             for jet, fd in ((gamma, fd_gamma), (grad_h, fd_grad_h)):
                 # relative to the data's scale, floored at 1 where it vanishes
                 scale = max(np.abs(fd).max(), 1.0)
                 assert np.abs(jet - fd).max() <= 1e-7 * scale, (P.name, u)
+
+
+def test_laplacian_reads_the_sample_and_refuses_a_degenerate_metric():
+    P = ge.helicoid(0.7, gaussian_weight())
+    U = _window_points(P, 4, 5)
+    fld = lambda V: np.sin(V[:, 0]) * V[:, 1]  # noqa: E731
+    sample = ge.geometry_at_batch(P, U)
+    assert np.array_equal(ge.weighted_laplacian(P, U, fld, sample),
+                          ge.weighted_laplacian(P, U, fld))
+    # the chart folds along u1 = 1, where the induced metric degenerates
+    fold = ge.ImmersedSubmanifold(
+        ge.EuclideanAmbient(3), 2,
+        lambda u: [(u[0] - 1.0) * (u[0] - 1.0), u[1], 0.0 * u[0]],
+        window=((0.0, 2.0), (0.0, 1.0)))
+    with pytest.raises(DegenerateMetricError, match="induced metric degenerate"):
+        ge.weighted_laplacian(fold, [1.0, 0.5], fld)
 
 
 # --- stacked finite differences ---------------------------------------------
@@ -487,16 +516,13 @@ def test_stacked_differences_equal_the_point_loop_bitwise(P):
                                   rd.weight_gaussian()), 1.5)],
     ids=lambda P: P.name)
 def test_stacked_identity_residual_matches_the_point_loop(P):
-    scalar_psi = rd.RadialProfile(lambda t: math.log1p(t), lambda t: 1.0 / (1.0 + t),
-                                  lambda t: -1.0 / (1.0 + t) ** 2, name="log1p")
     U = _window_points(P, 5, 43)
-    for psi in (PSI_SQ, rd.RadialProfile.from_expression("exp(-t^2/2)"), scalar_psi):
+    for psi in (PSI_SQ, rd.RadialProfile.from_expression("exp(-t^2/2)")):
         stacked = ge.radial_identity_residual(P, U, psi)
         assert stacked.shape == (5,)
         for k, u in enumerate(U):
             lhs = ge.weighted_laplacian(
-                P, u, lambda V: ge._elementwise(psi.value, psi.numpy_safe,
-                                                P.ambient.r(P.point(V))))
+                P, u, lambda V: psi.value(P.ambient.r(P.point(V))))
             single = ge.radial_identity_residual(P, u, psi)
             assert abs(stacked[k] - single) <= 1e-13 * (1.0 + abs(lhs)), (P.name, u)
 
@@ -518,7 +544,7 @@ def test_radial_identity_gaussian_plane():
 def test_radial_identity_cylinder():
     P = ge.cylinder_hypersurface(1.0, 2, 3)
     psi = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                           lambda t: 0.0 * t, name="t", numpy_safe=True)
+                           lambda t: 0.0 * t, name="t")
     assert ge.radial_identity_residual(P, [0.8, 0.5], psi) <= 1e-5
 
 

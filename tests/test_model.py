@@ -50,6 +50,11 @@ def test_mean_curvature():
     assert euclid(3).mean_curvature(4.0) == pytest.approx(0.25, rel=1e-14)
     hyp = WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_zero())
     assert hyp.mean_curvature(2.0) == pytest.approx(math.cosh(2) / math.sinh(2), rel=1e-12)
+    ts = np.array([[0.5, 2.0], [3.0, 7.5]])
+    assert np.array_equal(hyp.mean_curvature(ts),
+                          np.cosh(ts) / np.sinh(ts))
+    with pytest.raises(DomainError, match="radius must be positive"):
+        hyp.mean_curvature(np.array([1.0, 0.0, 2.0]))
 
 
 def test_weighted_mean_curvature_examples(gauss3):
@@ -162,10 +167,9 @@ def test_critical_radius_not_attained_for_unweighted():
 
 
 def test_critical_radius_non_monotone_tail():
-    wiggly = rd.RadialProfile(lambda t: -0.5 * t * t - 12.0 * math.cos(t),
-                              lambda t: -t + 12.0 * math.sin(t),
-                              lambda t: -1.0 + 12.0 * math.cos(t),
-                              name="wiggly", numpy_safe=False)
+    wiggly = rd.RadialProfile(lambda t: -0.5 * t * t - 12.0 * np.cos(t),
+                              lambda t: -t + 12.0 * np.sin(t),
+                              lambda t: -1.0 + 12.0 * np.cos(t), name="wiggly")
     model = WeightedModel(2, rd.warping_euclidean(), wiggly)
     with pytest.raises(NonMonotoneTailError) as err:
         model.critical_sphere_radius(1, 0.0, mode="first_below")
@@ -181,8 +185,8 @@ def test_model_rejects_nonzero_pole_slope():
 def test_capacity_to_infinity_propagates_inconclusive():
     # area integrand ~ 1/(2 pi t (1 + log t)): divergent but too slow for
     # the doubling test, so the capacity must be reported as undecided
-    slow = rd.RadialProfile(lambda t: math.log1p(math.log(t)),
-                            lambda t: 1.0 / ((1.0 + math.log(t)) * t),
+    slow = rd.RadialProfile(lambda t: np.log1p(np.log(t)),
+                            lambda t: 1.0 / ((1.0 + np.log(t)) * t),
                             t_min=0.5, name="slow")
     model = WeightedModel(2, rd.warping_euclidean(), slow)
     cap, verdict = model.capacity_to_infinity(1.0)
@@ -204,7 +208,7 @@ def test_ode_residual_of_accurate_potentials_is_below_bound():
 def test_ode_residual_catches_a_wrong_derivative():
     # d1 is not the derivative of fn: the potential no longer solves the ODE
     wrong = rd.RadialProfile(lambda t: -0.5 * t * t, lambda t: -1.01 * t,
-                             name="wrong-slope", numpy_safe=True)
+                             name="wrong-slope")
     rep = euclid(3, wrong).capacity_potential(0.5, 4.0)
     assert rep.ode_residual > 0.1
 
@@ -221,12 +225,19 @@ def _catalog_models():
                        id="expression")
 
 
+def _node_by_node(profile):
+    """The same profile, evaluated one radius at a time."""
+    def one(fn):
+        return np.vectorize(fn, otypes=[float])
+
+    return dataclasses.replace(profile, fn=one(profile.fn), d1=one(profile.d1),
+                               d2=one(profile.d2))
+
+
 @pytest.mark.parametrize("w, f", _catalog_models())
 def test_batched_potential_matches_node_by_node_evaluation(w, f):
     batched = WeightedModel(3, w, f)
-    scalar = WeightedModel(3, dataclasses.replace(w, numpy_safe=False),
-                           dataclasses.replace(f, numpy_safe=False))
-    assert batched.numpy_safe and not scalar.numpy_safe
+    scalar = WeightedModel(3, _node_by_node(w), _node_by_node(f))
     a = batched.capacity_potential(1.2, 3.8)
     b = scalar.capacity_potential(1.2, 3.8)
     assert a.capacity == pytest.approx(b.capacity, rel=1e-12)

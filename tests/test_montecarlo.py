@@ -346,8 +346,7 @@ def test_generator_consistency(chart, point):
 def test_comparison_check_gaussian_plane_small():
     gauss = ge.RadialWeight(rd.weight_gaussian())
     plane = ge.coordinate_plane(3, (0, 1), gauss)
-    alpha = rd.RadialProfile(lambda t: -t, lambda t: -1.0 + 0 * t, name="-t",
-                             numpy_safe=True)
+    alpha = rd.RadialProfile(lambda t: -t, lambda t: -1.0 + 0 * t, name="-t")
     setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, math.sqrt(2.0), alpha)
     spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 4.0), seed=23)
     rep = mc.comparison_check(spec, setup, [2.0, 0.0], 1.0, 4.0, 4000,

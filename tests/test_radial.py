@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from wparab import catalogs
 from wparab import criteria as cr
 from wparab import radial as rd
 from wparab.errors import (BracketError, DomainError, IntegrandSignError,
@@ -23,7 +24,7 @@ def test_integrate_linear():
 def test_integrate_sine_against_antiderivative():
     # oracle: -cos
     exact = -math.cos(math.pi) + math.cos(0.0)
-    value, _ = rd.integrate(math.sin, 0.0, math.pi)
+    value, _ = rd.integrate(np.sin, 0.0, math.pi)
     assert abs(value - exact) <= 1e-10
 
 
@@ -42,7 +43,7 @@ def test_integrate_is_additive_on_random_smooth_integrands():
         c = rng.uniform(-1, 1)
 
         def f(t, a=a_coef, b=b_coef, c=c):
-            return a * math.sin(b * t) + c * t * t + math.exp(-t * t)
+            return a * np.sin(b * t) + c * t * t + np.exp(-t * t)
 
         a, b, ccut = 0.0, rng.uniform(0.5, 1.5), 3.0
         r1 = rd.integrate(f, a, b)
@@ -53,20 +54,20 @@ def test_integrate_is_additive_on_random_smooth_integrands():
 
 def test_integrate_rejects_nonfinite_values_with_location():
     with pytest.raises(QuadratureError, match="non-finite integrand value at t="):
-        rd.integrate(lambda t: 1.0 / (t - 0.5) if t != 0.5 else math.inf, 0.4999999, 0.5000001)
+        rd.integrate(lambda t: 1.0 / (t - 0.5), 0.4999999, 0.5000001)
 
 
 def test_integrate_warns_when_tolerance_unreachable():
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        res = rd.integrate(lambda t: abs(t - 0.3) ** -0.5, 0.0, 1.0,
+        res = rd.integrate(lambda t: np.abs(t - 0.3) ** -0.5, 0.0, 1.0,
                            abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=8)
     assert not res.converged
     assert any(issubclass(w.category, rd.AccuracyWarning) for w in caught)
     with pytest.warns(rd.AccuracyWarning, match="1 of 2 panels"):
         res = rd.integrate(lambda t: np.abs(t - 0.3) ** -0.5, np.array([0.0, 0.5]),
                            np.array([0.5, 1.0]), abs_tol=1e-14, rel_tol=1e-14,
-                           max_subdivisions=8, vectorized=True)
+                           max_subdivisions=8)
     assert not res.converged
 
 
@@ -86,19 +87,19 @@ def test_classify_harmonic_divergent():
 
 
 def test_classify_gaussian_plane_area_integrand_divergent():
-    v = rd.classify_improper(lambda t: math.exp(t * t / 2) / (2 * math.pi * t), 1.0)
+    v = rd.classify_improper(lambda t: np.exp(t * t / 2) / (2 * np.pi * t), 1.0)
     assert v.status == "divergent"
 
 
 def test_classify_slow_divergence_is_inconclusive():
     # integral of 1/(t (1+log t)) diverges, but increments decay; honesty
     # demands an inconclusive verdict rather than a guess
-    v = rd.classify_improper(lambda t: 1.0 / (t * (1.0 + math.log(t))), 1.0)
+    v = rd.classify_improper(lambda t: 1.0 / (t * (1.0 + np.log(t))), 1.0)
     assert v.status == "inconclusive"
 
 
 def test_classify_is_deterministic():
-    f = lambda t: 1.0 / (t * t * (1 + math.sin(t) ** 2))
+    f = lambda t: 1.0 / (t * t * (1 + np.sin(t) ** 2))  # noqa: E731
     a = rd.classify_improper(f, 1.0)
     b = rd.classify_improper(f, 1.0)
     assert a.status == b.status and a.value == b.value and a.cutoffs == b.cutoffs
@@ -106,7 +107,7 @@ def test_classify_is_deterministic():
 
 def test_classify_rejects_negative_integrands():
     with pytest.raises(IntegrandSignError):
-        rd.classify_improper(lambda t: math.cos(10.0 * t) / t ** 2, 1.0)
+        rd.classify_improper(lambda t: np.cos(10.0 * t) / t ** 2, 1.0)
 
 
 def test_hint_tags_validated():
@@ -199,6 +200,10 @@ def test_profile_without_d2_has_no_second_derivative():
 
 
 # --- panel mode of the quadrature kernel ----------------------------------
+#
+# ``array_integrand=False`` passes a function of one float, made elementwise
+# by np.vectorize: the kernel's one array call then evaluates it node by
+# node, and every number must be the same.
 
 
 def _peak(t):
@@ -206,12 +211,42 @@ def _peak(t):
     return 1.0 + np.exp(-((t - 0.3) / 1e-3) ** 2) + 0.0 * t
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_panel_mode_matches_per_panel_integrate(vectorized):
+def _panel_integrand(t):
+    return np.exp(-t) * np.sin(3.0 * t) + 1.0 / t
+
+
+def _integrand(f, array_integrand):
+    return f if array_integrand else np.vectorize(f, otypes=[float])
+
+
+def _node_by_node_gk15(f, a, b):
+    # the kernel's former per-node sweep: one float per call, nodes in
+    # ascending order, then the same row sums
+    half = 0.5 * (b - a)
+    x = (0.5 * (a + b))[:, None] + half[:, None] * rd._K15_NODES
+    fx = np.array([f(float(xi)) for xi in x.ravel()]).reshape(x.shape)
+    k = half * (fx * rd._K15_WEIGHTS).sum(axis=1)
+    g = half * (fx[:, rd._G7_IDX] * rd._G7_WEIGHTS).sum(axis=1)
+    return k, np.abs(k - g)
+
+
+def test_array_sweep_equals_the_node_by_node_reference():
+    # integrands whose float and array evaluations agree to the last bit,
+    # so that only the sweep differs
     edges = np.linspace(0.5, 3.0, 41)
-    f = lambda t: np.exp(-t) * np.sin(3.0 * t) + 1.0 / t  # noqa: E731
-    res = rd.integrate(f, edges[:-1], edges[1:], abs_tol=1e-14, rel_tol=1e-12,
-                       vectorized=vectorized)
+    for f in (_panel_integrand, _peak, lambda t: (1.0 + t * t) / (t * (2.0 + t))):
+        got = rd._gk15(f, edges[:-1], edges[1:])
+        want = _node_by_node_gk15(f, edges[:-1], edges[1:])
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("array_integrand", [True, False])
+def test_panel_mode_matches_per_panel_integrate(array_integrand):
+    edges = np.linspace(0.5, 3.0, 41)
+    f = _panel_integrand
+    res = rd.integrate(_integrand(f, array_integrand), edges[:-1], edges[1:],
+                       abs_tol=1e-14, rel_tol=1e-12)
     for i, (lo, hi) in enumerate(zip(edges[:-1], edges[1:])):
         one = rd.integrate(f, lo, hi, abs_tol=1e-14, rel_tol=1e-12)
         assert res.value[i] == one.value and res.error[i] == one.error
@@ -222,11 +257,11 @@ def test_panel_mode_matches_per_panel_integrate(vectorized):
     assert res.value.sum() == pytest.approx(exact, rel=1e-13)
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_panel_mode_falls_back_to_bisection_on_failing_panels(vectorized):
+@pytest.mark.parametrize("array_integrand", [True, False])
+def test_panel_mode_falls_back_to_bisection_on_failing_panels(array_integrand):
     edges = np.array([0.0, 0.25, 0.5, 1.0])
-    res = rd.integrate(_peak, edges[:-1], edges[1:], abs_tol=1e-12, rel_tol=1e-12,
-                       vectorized=vectorized)
+    res = rd.integrate(_integrand(_peak, array_integrand), edges[:-1], edges[1:],
+                       abs_tol=1e-12, rel_tol=1e-12)
     assert res.converged and res.subdivisions > 0
     for i in range(3):
         one = rd.integrate(_peak, edges[i], edges[i + 1], abs_tol=1e-12,
@@ -237,16 +272,16 @@ def test_panel_mode_falls_back_to_bisection_on_failing_panels(vectorized):
                                             rel=1e-12)
 
 
-@pytest.mark.parametrize("vectorized", [True, False])
-def test_nonfinite_values_name_the_lowest_bad_node(vectorized):
+@pytest.mark.parametrize("array_integrand", [True, False])
+def test_nonfinite_values_name_the_lowest_bad_node(array_integrand):
     def f(t):
-        return np.where(t > 0.5, np.inf, 1.0) if vectorized else (
+        return np.where(t > 0.5, np.inf, 1.0) if array_integrand else (
             math.inf if t > 0.5 else 1.0)
 
     first_bad = 0.5 + 0.5 * 0.207784955007898    # first GK15 node above 0.5
     with pytest.raises(QuadratureError) as err:
-        rd.integrate(f, np.array([0.0, 1.0]), np.array([1.0, 2.0]),
-                     vectorized=vectorized)
+        rd.integrate(_integrand(f, array_integrand), np.array([0.0, 1.0]),
+                     np.array([1.0, 2.0]))
     assert f"t={first_bad}" in str(err.value)
 
 
@@ -254,10 +289,10 @@ def test_vectorized_overflow_is_a_quadrature_error_without_warnings():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="non-finite integrand value"):
-            rd.integrate(lambda t: np.exp(t * t), 1.0, 45.0, vectorized=True)
+            rd.integrate(lambda t: np.exp(t * t), 1.0, 45.0)
 
 
-# --- numpy-safe catalog profiles -----------------------------------------
+# --- the array contract of profiles ------------------------------------------
 
 
 def test_paraboloid_radius_has_arclength_residual_within_four_ulp():
@@ -272,16 +307,27 @@ def test_paraboloid_radius_has_arclength_residual_within_four_ulp():
         assert abs(arc - t) <= 4.0 * np.spacing(t)
 
 
-def test_numpy_safe_profiles_evaluate_arrays_elementwise():
-    w_par = rd.warping_paraboloid()
-    profiles = [w_par, rd.weight_logpow(-2.0, w_par),
-                rd.weight_logpow(1.5, rd.warping_hyperbolic(-1.0)),
-                rd.RadialProfile.from_expression("t^3 - log(1 + t^2)"),
-                rd.RadialProfile.from_expression("2"),
-                rd.RadialProfile.from_expression("abs(t - 1)")]
+def _contract_profiles():
+    warpings = [catalogs.resolve_warping(spec) for spec in (
+        {"name": "euclidean"}, {"name": "hyperbolic", "kappa": -1.5},
+        {"name": "paraboloid"}, {"name": "custom", "expr": "t+0.1*t^3"})]
+    weights = [catalogs.resolve_weight_profile(spec, warping=w)
+               for w in warpings for spec in (
+                   {"name": "logpow", "k": -2.0}, {"name": "logpow", "k": 1.5})]
+    weights += [catalogs.resolve_weight_profile(spec) for spec in (
+        {"name": "zero"}, {"name": "gaussian"}, {"name": "antigaussian"},
+        {"name": "power", "a": -0.5, "k": 3.0}, {"name": "power", "a": 0.4, "k": 0.5},
+        {"name": "custom", "expr": "-0.3*t^2+0.5*log(1+t^2)"})]
+    return warpings + weights + [
+        rd.RadialProfile.constant(2.5),
+        rd.RadialProfile.from_expression("t^3 - log(1 + t^2)"),
+        rd.RadialProfile.from_expression("2"),
+        rd.RadialProfile.from_expression("abs(t - 1)")]
+
+
+def test_profiles_evaluate_arrays_elementwise():
     ts = np.linspace(0.3, 6.0, 12).reshape(3, 4)
-    for p in profiles:
-        assert p.numpy_safe, p.name
+    for p in _contract_profiles():
         for fn in (p.value, p.deriv, p.second):
             out = fn(ts)
             assert out.shape == ts.shape, p.name
