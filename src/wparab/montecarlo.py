@@ -70,6 +70,20 @@ def _sym_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
+def _right_product(M):
+    """A -> A @ M to the bit, ~4x faster through a C-contiguous copy of M;
+    a single row keeps M, as gemv's bits (unlike gemm's) follow the layout."""
+    M_c = np.ascontiguousarray(M)
+    return lambda A: A @ (M_c if len(A) > 1 else M)
+
+
+def _radii(X):
+    """np.linalg.norm(X, axis=1) to the bit, ~5x faster: below 8 columns
+    numpy adds the squares left to right, as this column sum does."""
+    return (np.sqrt(sum(x * x for x in X.T)) if X.shape[1] < 8
+            else np.linalg.norm(X, axis=1))
+
+
 @dataclass
 class DiffusionSpec:
     """Immutable description of the diffusion generated by the weighted
@@ -98,6 +112,7 @@ class DiffusionSpec:
         base, basis = self.P.linear
         self.base = np.asarray(base, dtype=float)
         self.basis = np.asarray(basis, dtype=float)
+        self._to_ambient = _right_product(self.basis.T)
         metric_inv = np.linalg.inv(self.basis.T @ self.basis)
         self.sigma = _sym_sqrt(2.0 * metric_inv)
         self.pull = self.basis @ metric_inv
@@ -119,7 +134,7 @@ class DiffusionSpec:
         return start
 
     def _points(self, U):
-        return self.base[None, :] + U @ self.basis.T
+        return self._to_ambient(U) + self.base
 
     def _drift_at(self, X):
         return self.P.ambient.weight.grad_batch(X) @ self.pull
@@ -128,14 +143,14 @@ class DiffusionSpec:
         return self._drift_at(self._points(U))
 
     def radius(self, U):
-        return np.linalg.norm(self._points(U), axis=1)
+        return _radii(self._points(U))
 
     def radius_and_drift(self, U):
         """Ambient radii and drifts (None when driftless) at the parameter
         points U, both from one evaluation of the ambient points."""
         X = self._points(U)
         b = None if self.driftless else self._drift_at(X)
-        return np.linalg.norm(X, axis=1), b
+        return _radii(X), b
 
     def batches(self, N):
         """Sizes and random streams of the path batches; each stream is
@@ -283,10 +298,9 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
                 n_inner += n_in
                 n_outer += n_done - n_in
                 exits += float(np.sum(T[done]))
-                keep = ~done
-                U, T, d = U[keep], T[keep], d[keep]
-                if b is not None:
-                    b = b[keep]
+                live = np.flatnonzero(~done)
+                U, T, d = U.take(live, 0), T.take(live), d.take(live)
+                b = None if b is None else b.take(live, 0)
             if len(U) == 0 or step == spec.max_steps:
                 break
             U, r, b, dt = move(rng, U, b, d)
@@ -307,12 +321,12 @@ def _sphere_jump(spec: DiffusionSpec):
     mean exit time of the ball for the generator Delta_g.
     """
     dim = spec.basis.shape[1]
-    jump_T = (spec.sigma / math.sqrt(2.0)).T
+    jump = _right_product((spec.sigma / math.sqrt(2.0)).T)
 
     def move(rng, U, b, d):
         theta = rng.standard_normal(U.shape)
         theta *= (d / np.sqrt(np.einsum("ij,ij->i", theta, theta)))[:, None]
-        U += theta @ jump_T
+        U += jump(theta)
         r, _ = spec.radius_and_drift(U)
         return U, r, None, d * d / (2.0 * dim)
 
@@ -333,19 +347,20 @@ def _heun_step(spec: DiffusionSpec):
     distance to the boundary, which keeps a stiff drift (h = -200 r^2, say)
     from throwing paths across the annulus.
     """
-    noise_T = spec.sigma.T
+    noise_map = _right_product(spec.sigma.T)
     metric = spec.basis.T @ spec.basis
     dtau = spec.dtau
 
     def move(rng, U, b, d):
         speed = np.sqrt(np.einsum("ij,ij->i", b @ metric, b))
         dt = np.minimum(np.minimum(KAPPA * d * d, dtau),
-                        0.5 * d / np.maximum(speed, 1e-300))[:, None]
-        noise = (rng.standard_normal(U.shape) @ noise_T) * np.sqrt(dt)
-        predictor = U + b * dt + noise
-        U = U + 0.5 * (b + spec.drift(predictor)) * dt + noise
+                        0.5 * d / np.maximum(speed, 1e-300))
+        h = np.repeat(dt, U.shape[1]).reshape(U.shape)  # no (n, 1) broadcast
+        noise = noise_map(rng.standard_normal(U.shape)) * np.sqrt(h)
+        predictor = U + b * h + noise
+        U = U + 0.5 * (b + spec.drift(predictor)) * h + noise
         r, b = spec.radius_and_drift(U)
-        return U, r, b, dt[:, 0]
+        return U, r, b, dt
 
     return move
 
@@ -358,7 +373,7 @@ def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
     r0 = float(spec.radius(start[None, :])[0])
     dtau = spec.dtau
     sqrt2dt = math.sqrt(2.0 * dtau)
-    sigma_T = (spec.sigma / math.sqrt(2.0)).T
+    jump = _right_product((spec.sigma / math.sqrt(2.0)).T)
     coarse_limit = (R - rho) / 10.0
 
     n_inner = n_outer = 0
@@ -376,7 +391,7 @@ def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
             if n_alive == 0:
                 break
             cur = len(U)
-            noise = rng.standard_normal(U.shape) @ sigma_T
+            noise = jump(rng.standard_normal(U.shape))
             U += spec.drift(U) * dtau + sqrt2dt * noise
             r_new = spec.radius(U)
             n_steps_total += n_alive
@@ -403,8 +418,8 @@ def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
             # periodic compaction keeps the working set tight without
             # per-step fancy-index copies
             if n_alive < 0.9 * cur and n_alive > 0:
-                U = np.ascontiguousarray(U[alive])
-                r_old = np.ascontiguousarray(r_old[alive])
+                live = np.flatnonzero(alive)
+                U, r_old = U.take(live, 0), r_old.take(live)
                 alive = np.ones(n_alive, dtype=bool)
         exit_time_sums.append(exits)
 

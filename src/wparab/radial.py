@@ -506,14 +506,14 @@ def expand_bracket(f, lo, hi, *, factor=2.0, cap=1e6):
     """Grow ``hi`` geometrically until a sign change appears.
 
     Returns the bracket (lo', hi'); raises :class:`BracketError` once the
-    cap is reached without a sign change.
+    cap is reached without a sign change.  A NaN value is no sign change.
     """
     flo = f(lo)
     if flo == 0.0:
         return lo, lo
     a, b = lo, hi
     fb = f(b)
-    while flo * fb > 0.0:
+    while not flo * fb <= 0.0:
         if b >= cap:
             raise BracketError(
                 f"no sign change found while expanding bracket up to {cap:g}")

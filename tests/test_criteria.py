@@ -6,7 +6,7 @@ import pytest
 from wparab import criteria as cr
 from wparab import geometry as ge
 from wparab import radial as rd
-from wparab.errors import DomainError
+from wparab.errors import BracketError, DomainError
 from wparab.verdicts import HOLDS, Outcome, WINDOW_ONLY
 
 
@@ -174,6 +174,17 @@ def test_bounded_drift_parabolic():
     names = [c.name for c in v.checks]
     assert "warping_not_integrable" in names
     assert "sphere_curvature_bounded" in names
+
+
+@pytest.mark.parametrize("beta", ["t", "2*t-1", "t^2/3"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_nan_balance_ends_in_a_bracket_error(beta, n):
+    # w'/w of the hyperbolic warping is inf/inf = NaN beyond t ~ 710: the
+    # bracket search reads a NaN as no sign change and stops at its cap
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(BracketError, match="no sign change"):
+            cr.classify_bounded_drift(rd.warping_hyperbolic(), n,
+                                      alpha_expr(beta), direction="parabolic")
 
 
 def test_unknown_direction_rejected():

@@ -233,6 +233,74 @@ def test_max_steps_caps_heun_steps():
     assert any("did not exit within 5 steps" in w for w in est.warnings)
 
 
+def test_shrinking_heun_on_an_offset_gaussian_plane():
+    # the plane x3 = c meets the annulus rho < r < R in the planar annulus
+    # sqrt(rho^2 - c^2) < s < sqrt(R^2 - c^2), and the Gaussian weight is
+    # -(s^2 + c^2)/2 there: the drift is that of the Gaussian 2-plane, so the
+    # exact hitting probability is its model potential at in-plane radii
+    c, rho, R, s = 0.6, 1.0, 3.0, 2.5
+    plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=c,
+                          weight=ge.RadialWeight(rd.weight_gaussian()))
+    spec = mc.DiffusionSpec(plane, mc.default_step(rho, R), seed=71)
+    est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
+    exact = model_potential(rd.weight_gaussian, math.sqrt(rho * rho - c * c),
+                            math.sqrt(R * R - c * c), s)
+    assert 0.3 < exact < 0.7
+    assert est.estimator == "shrinking-heun" and est.n_unresolved == 0
+    assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
+
+
+# Counts and values recorded with the path loop as first written (boolean-mask
+# compaction, np.linalg.norm radii, products with strided transposes); the
+# loop must reproduce them: counts exactly, values to rounding.
+RECORDED_ESTIMATES = {
+    "walk-on-spheres R^3": (1086, 914, 0, 56335, 0.543, 0.9089333189161196),
+    "capped heun, Gaussian plane": (481, 337, 182, 195312, 0.5880195599022005,
+                                    0.08929829010961911),
+    "heun, offset Gaussian plane": (1860, 140, 0, 508423, 0.93,
+                                    0.3965507879678696),
+}
+
+
+def _recorded_run(case):
+    gauss = ge.RadialWeight(rd.weight_gaussian())
+    if case == "walk-on-spheres R^3":
+        spec = mc.DiffusionSpec(radial_plane(3), 1e-3, seed=3, batch_size=700)
+        return mc.hit_probability(spec, [1.2, 0.9, -0.3], 1.0, 4.0, 2000)
+    if case == "capped heun, Gaussian plane":
+        spec = mc.DiffusionSpec(ge.coordinate_plane(3, (0, 1), gauss),
+                                mc.default_step(1.0, 2.0), seed=5,
+                                max_steps=300)
+        return mc.hit_probability(spec, [1.5, 0.0], 1.0, 2.0, 1000)
+    plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6, weight=gauss)
+    spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 3.0), seed=7,
+                            batch_size=800)
+    return mc.hit_probability(spec, [1.3, 0.2], 1.0, 3.0, 2000)
+
+
+@pytest.mark.parametrize("case", sorted(RECORDED_ESTIMATES))
+def test_path_loop_reproduces_recorded_estimates(case):
+    est = _recorded_run(case)
+    *counts, p_hat, exit_time = RECORDED_ESTIMATES[case]
+    assert [est.n_inner, est.n_outer, est.n_unresolved,
+            est.path_steps] == counts
+    assert est.p_hat == pytest.approx(p_hat, rel=1e-12)
+    assert est.mean_exit_time == pytest.approx(exit_time, rel=1e-12)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 1000])
+def test_path_loop_kernels_match_numpy_to_the_bit(rows):
+    rng = np.random.default_rng(rows)
+    for m in range(1, 11):
+        X = rng.standard_normal((rows, m)) * rng.uniform(0.1, 10.0, (rows, 1))
+        assert np.array_equal(mc._radii(X), np.linalg.norm(X, axis=1))
+        for k in range(1, m + 1):
+            # the strided transpose of a C-contiguous matrix
+            M = rng.standard_normal((m, k)).T
+            A = rng.standard_normal((rows, k))
+            assert np.array_equal(mc._right_product(M)(A), A @ M)
+
+
 def test_no_resolved_path_is_an_error_naming_max_steps():
     spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
                             seed=2, max_steps=2)
