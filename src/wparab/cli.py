@@ -27,6 +27,7 @@ from .radial import AsymptoticHint, NO_HINT
 REPORT_VERSION = "3"
 
 _TASKS = ("classify", "capacity", "curves", "mc-verify", "check-identities")
+_MODEL_TASKS = ("classify", "capacity", "curves")
 
 
 def _hint_from(params):
@@ -121,10 +122,10 @@ def _run_curves(scenario, outdir):
     ts = np.linspace(lo, hi, samples)
 
     include_volume = model.f.t_min == 0.0
-    potential = None
+    phi = None
     if rho is not None and R is not None:
         rho, R = mc.finite_number("rho", rho), mc.finite_number("R", R)
-        potential = model.capacity_potential(rho, R).potential
+        phi = model.capacity_potential(rho, R).potential(np.clip(ts, rho, R))
 
     header = ["t", "area"]
     if include_volume:
@@ -132,21 +133,19 @@ def _run_curves(scenario, outdir):
     header.append("H")
     if n is not None:
         header.append("Hh_n")
-    if potential is not None:
+    if phi is not None:
         header.append("phi")
 
     rows = []
-    for t in ts:
-        t = float(t)
+    for i, t in enumerate(ts.tolist()):
         row = [repr(t), repr(float(model.sphere_area(t)))]
         if include_volume:
             row.append(repr(float(model.ball_volume(t))))
         row.append(repr(float(model.mean_curvature(t))))
         if n is not None:
             row.append(repr(float(model.weighted_mean_curvature(int(n), t))))
-        if potential is not None:
-            s = min(max(t, rho), R)
-            row.append(repr(float(potential(s))))
+        if phi is not None:
+            row.append(repr(float(phi[i])))
         rows.append(row)
 
     path = Path(outdir) / f"{scenario['id']}.csv"
@@ -259,6 +258,11 @@ def load_config(path):
             raise ScenarioError(
                 f"scenario {sc['id']!r}: unknown task {sc.get('task')!r} "
                 f"(expected one of {_TASKS})")
+    for i, sc in enumerate(scenarios):
+        if sc["task"] in _MODEL_TASKS and not isinstance(sc.get("model"), dict):
+            raise ScenarioError(
+                f"scenarios[{i}].model is missing or not an object "
+                f"(task {sc['task']!r} needs a model)")
     return config
 
 

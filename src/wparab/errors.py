@@ -18,7 +18,8 @@ class IntegrandSignError(WparabError):
 
 
 class BracketError(WparabError):
-    """Root bracketing failed (no sign change)."""
+    """Root bracketing or root finding failed: no sign change, a NaN value
+    or no convergence."""
 
 
 class NotAttainedError(WparabError):

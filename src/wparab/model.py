@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
 
 from .errors import DomainError, NonMonotoneTailError, NotAttainedError
 from .radial import (RadialProfile, WarpingFunction, classify_improper,
@@ -109,18 +108,31 @@ class WeightedModel:
         if not self.f.t_min < rho < R < math.inf:
             raise DomainError(f"need t_min < rho < R < inf, got ({rho}, {R})")
         nodes = np.linspace(rho, R, grid_nodes)
-        res = integrate(self.inv_sphere_area, nodes[:-1], nodes[1:],
-                        abs_tol=1e-14, rel_tol=1e-12)
+        tols = {"abs_tol": 1e-14, "rel_tol": 1e-12}
+        res = integrate(self.inv_sphere_area, nodes[:-1], nodes[1:], **tols)
         cumulative = np.concatenate(([0.0], np.cumsum(res.value)))
         quad_err = float(res.error.sum())
         total = cumulative[-1]
-        interp = PchipInterpolator(nodes, cumulative)
 
         def potential(s):
-            s = float(s)
-            if not rho - 1e-12 <= s <= R + 1e-12:
-                raise DomainError(f"potential evaluated outside [{rho}, {R}]: {s}")
-            return float(1.0 - interp(min(max(s, rho), R)) / total)
+            """phi(s) = 1 - int_rho^s 1/A / int_rho^R 1/A: the cumulative
+            integral to the node t_k at or below s plus the panel [t_k, s].
+            A float gives a float; an array is one integrate call."""
+            s_arr = np.asarray(s, dtype=float)
+            outside = ~((rho - 1e-12 <= s_arr) & (s_arr <= R + 1e-12))
+            if outside.any():
+                raise DomainError(f"potential evaluated outside [{rho}, {R}]: "
+                                  f"{s_arr[outside].flat[0]}")
+            s_arr = np.clip(s_arr, rho, R)
+            k = np.searchsorted(nodes, s_arr, side="right") - 1
+            partial = np.zeros_like(s_arr)
+            inside = s_arr > nodes[k]
+            if inside.any():
+                partial[inside] = integrate(self.inv_sphere_area,
+                                            nodes[k[inside]], s_arr[inside],
+                                            **tols).value
+            phi = 1.0 - (cumulative[k] + partial) / total
+            return float(phi) if phi.ndim == 0 else phi
 
         capacity = 1.0 / total
 

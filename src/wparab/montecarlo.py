@@ -544,10 +544,6 @@ class GeneratorCheck:
     standard_error: float
     dtau: float
 
-    @property
-    def z_score(self):
-        return (self.estimate - self.exact) / self.standard_error
-
 
 def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
     """One-step empirical generator vs the weighted Laplacian at a point.

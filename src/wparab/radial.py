@@ -1,8 +1,8 @@
 """One-dimensional numerical engine.
 
 Radial profiles with derivatives, adaptive Gauss--Kronrod quadrature,
-improper-integral convergence classification with evidence, and a
-Brent-style bracketed root finder.
+improper-integral convergence classification with evidence, and Brent's
+bracketed root finder.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
 
 from . import expr as ex
 from .errors import BracketError, DomainError, IntegrandSignError, QuadratureError
@@ -260,9 +259,9 @@ class QuadResult:
 def _gk15(f, a, b):
     """Kronrod value and |Kronrod - Gauss| on every panel [a[i], b[i]], from
     one call of ``f`` on all nodes, an array of shape (panels, 15)."""
-    half = 0.5 * (b - a)
-    x = (0.5 * (a + b))[:, None] + half[:, None] * _K15_NODES
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        half = 0.5 * (b - a)
+        x = (0.5 * (a + b))[:, None] + half[:, None] * _K15_NODES
         fx = np.asarray(f(x), dtype=float)
     bad = ~np.isfinite(fx)
     if bad.any():
@@ -490,16 +489,62 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
 
 
 def find_root(f, lo, hi, tol=1e-12, max_iter=200):
-    """Brent's method (``scipy.optimize.brentq``) on a sign-changing bracket.
+    """Brent's method on a sign-changing bracket [lo, hi].
 
-    Returns t* within an absolute tolerance tol (plus machine slack) of a
-    root of f in [lo, hi].  Deterministic.
+    Returns t* within tol + 4 eps |t*| (half of it on each side) of a
+    root of f.  The steps are those of ``scipy.optimize.brentq`` with
+    ``xtol=tol`` (Brent 1973, ch. 4): inverse quadratic interpolation or
+    a secant step when it is short enough, bisection otherwise.  A NaN
+    value, no sign change and no convergence in ``max_iter`` steps raise
+    :class:`BracketError`.
     """
-    a, b = float(lo), float(hi)
-    fa, fb = f(a), f(b)
-    if fa * fb > 0.0:
-        raise BracketError(f"no sign change on [{lo}, {hi}]: f={fa:.3e}, {fb:.3e}")
-    return brentq(f, a, b, xtol=tol, maxiter=max_iter)
+    def value(x):
+        fx = float(f(x))
+        if math.isnan(fx):
+            raise BracketError(f"f is NaN at t={x}")
+        return fx
+
+    xpre, xcur = float(lo), float(hi)
+    fpre, fcur = value(xpre), value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if (fpre < 0.0) == (fcur < 0.0):
+        raise BracketError(f"no sign change on [{lo}, {hi}]: f={fpre:.3e}, {fcur:.3e}")
+    rtol = 4.0 * math.ulp(1.0)    # 4 eps, as in brentq
+    xblk = fblk = spre = scur = 0.0
+    for _ in range(max_iter):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (tol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # secant step
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # inverse quadratic interpolation
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = (-fcur * (fblk * dblk - fpre * dpre)
+                        / (dblk * dpre * (fblk - fpre)))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = value(xcur)
+    raise BracketError(f"root not found within {max_iter} steps on [{lo}, {hi}]")
 
 
 def expand_bracket(f, lo, hi, *, factor=2.0, cap=1e6):

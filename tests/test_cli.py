@@ -244,12 +244,17 @@ def test_area_overflow_becomes_a_scenario_error(tmp_path):
         {"id": "area", "task": "curves",
          "model": {"m": 3, "warping": {"name": "euclidean"},
                    "weight": {"name": "custom", "expr": "t^2/2", "t_min": 0.5}},
-         "params": {"range": [1.0, 60.0], "samples": 30}}]}
+         "params": {"range": [1.0, 60.0], "samples": 30}},
+        # the GK15 nodes themselves overflow
+        {"id": "huge", "task": "capacity", "model": small_model(m=3),
+         "params": {"rho": 1.0, "R": 1e308}}]}
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         cli.run_config(config, tmp_path)
-    cap, curves, area = _strict_report(tmp_path)["scenarios"]
+    cap, curves, area, huge = _strict_report(tmp_path)["scenarios"]
     assert cap["status"] == "error" and cap["error"].startswith("QuadratureError")
+    assert huge["status"] == "error"
+    assert huge["error"].startswith("QuadratureError: non-finite integrand")
     assert curves["status"] == "error"
     assert curves["error"].startswith("QuadratureError: non-finite integrand")
     assert area["status"] == "error"
@@ -284,6 +289,31 @@ def test_non_integer_dimension_exits_2(tmp_path, capsys):
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
     assert "scenarios[1].model.m" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
+
+
+@pytest.mark.parametrize("task", ["classify", "capacity", "curves"])
+def test_missing_model_exits_2(tmp_path, capsys, task):
+    path = write_config(tmp_path, {"scenarios": [
+        {"id": "ok", "task": "capacity", "model": small_model(),
+         "params": {"rho": 1.0, "R": 2.0}},
+        {"id": "bad", "task": task, "params": {}}]})
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "scenarios[1].model is missing" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "report.json").exists()
+
+
+def test_the_library_runs_without_scipy(tmp_path):
+    script = (
+        "import sys\n"
+        "import wparab.cli\n"
+        f"config = wparab.cli.load_config({str(CONFIG_DIR / 'demo.json')!r})\n"
+        f"wparab.cli.run_config(config, {str(tmp_path)!r})\n"
+        "assert 'scipy' not in sys.modules, "
+        "sorted(m for m in sys.modules if m.startswith('scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert (tmp_path / "report.json").exists()
 
 
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])

@@ -97,6 +97,27 @@ def test_capacity_space_annulus_closed_form():
     assert rep.potential(1.5) == pytest.approx((1 / 1.5 - 0.5) / 0.5, abs=1e-9)
 
 
+def _closed_form_potential(m, rho, R, s):
+    if m == 2:
+        return 1.0 - np.log(s / rho) / math.log(R / rho)
+    p = 2.0 - m
+    return (s ** p - R ** p) / (rho ** p - R ** p)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4])
+@pytest.mark.parametrize("ratio", [2.0, 40.0, 400.0])
+def test_potential_matches_closed_forms(m, ratio):
+    rho, R = 0.5, 0.5 * ratio
+    rep = euclid(m).capacity_potential(rho, R)
+    # phi is steepest next to rho, so half of the radii crowd there
+    s = np.concatenate([np.linspace(rho, R, 2001),
+                        rho * (1.0 + np.geomspace(1e-9, 1.0, 2000))])
+    phi = rep.potential(s)
+    assert np.max(np.abs(phi - _closed_form_potential(m, rho, R, s))) <= 1e-10
+    assert rep.potential(rho) == 1.0 and rep.potential(R) == 0.0
+    assert [rep.potential(float(x)) for x in s[::37]] == phi[::37].tolist()
+
+
 def test_potential_is_monotone(gauss3):
     rep = gauss3.capacity_potential(0.5, 4.0)
     xs = np.linspace(0.5, 4.0, 200)

@@ -4,12 +4,13 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from wparab import catalogs
 from wparab import criteria as cr
 from wparab import radial as rd
 from wparab.errors import (BracketError, DomainError, IntegrandSignError,
-                           QuadratureError)
+                           QuadratureError, WparabError)
 
 
 # --- quadrature ---------------------------------------------------------
@@ -138,6 +139,46 @@ def test_find_root_critical_radius_golden_ratio():
 def test_find_root_requires_sign_change():
     with pytest.raises(BracketError):
         rd.find_root(lambda t: t * t + 1.0, -1.0, 1.0)
+
+
+def _root_cases(seed):
+    """Seeded (f, lo, hi) brackets of five function families, each with a
+    sign change."""
+    rng = random.Random(seed)
+    families = (
+        lambda c: (lambda t: t * t - c, 0.0, 10.0),
+        lambda c: (lambda t: 2.0 / t - t - c, 0.01, 50.0),
+        lambda c: (lambda t: math.tanh(t - c) + 0.3, -20.0, 20.0),
+        lambda c: (lambda t: math.exp(-t) - c / 10.0, -5.0, 30.0),
+        lambda c: (lambda t: (t - c) ** 3, -10.0, 10.0),
+    )
+    cases = []
+    while len(cases) < 300:
+        f, lo, hi = rng.choice(families)(rng.uniform(0.1, 5.0))
+        width = hi - lo
+        lo, hi = lo + rng.uniform(0, 0.4) * width, hi - rng.uniform(0, 0.4) * width
+        if f(lo) * f(hi) <= 0.0:
+            cases.append((f, lo, hi))
+    return cases
+
+
+@pytest.mark.parametrize("tol", [1e-12, 1e-13, 1e-8])
+def test_find_root_takes_the_steps_of_scipy_brentq(tol):
+    for f, lo, hi in _root_cases(11):
+        want = brentq(f, lo, hi, xtol=tol, maxiter=200)
+        got = rd.find_root(f, lo, hi, tol=tol, max_iter=200)
+        assert type(got) is float and got.hex() == want.hex()
+
+
+def test_find_root_failures_are_wparab_errors():
+    assert issubclass(BracketError, WparabError)
+    assert not issubclass(BracketError, (ValueError, RuntimeError))
+    with pytest.raises(BracketError, match="NaN at t=3.0"):
+        rd.find_root(lambda t: math.nan if t > 2.0 else -1.0, 0.0, 3.0)
+    with pytest.raises(BracketError, match="NaN at t="):
+        rd.find_root(lambda t: math.nan if 1.0 < t < 2.0 else t - 1.5, 0.0, 3.0)
+    with pytest.raises(BracketError, match="not found within 5 steps"):
+        rd.find_root(lambda t: t * t - 2.0, 0.0, 3.0, tol=1e-14, max_iter=5)
 
 
 def test_expand_bracket_growth_and_cap():
