@@ -125,8 +125,9 @@ class RadialWeight(AmbientWeight):
         self.profile = profile
         self.name = f"radial({profile.name})"
 
-    def _slope_over_r(self, r):
-        # f'(r)/r, with the limit f''(0) at the pole
+    def slope_over_r(self, r):
+        """f'(r)/r at radii r, with the limit f''(0) at the pole; the
+        gradient at a point p is slope_over_r(|p|) p."""
         pole = r < 1e-9
         if not pole.any():
             return self.profile.deriv(r) / r
@@ -137,12 +138,12 @@ class RadialWeight(AmbientWeight):
         return self.profile.value(_norm(pts))
 
     def grad_batch(self, pts):
-        return self._slope_over_r(_norm(pts))[:, None] * pts
+        return self.slope_over_r(_norm(pts))[:, None] * pts
 
     def hess_batch(self, pts):
         N, m = pts.shape
         r = _norm(pts)
-        s = self._slope_over_r(r)
+        s = self.slope_over_r(r)
         pole = r < 1e-9
         u = np.where(pole[:, None], 0.0, pts / np.where(pole, 1.0, r)[:, None])
         second = self.profile.second(np.maximum(r, 1e-9))

@@ -6,7 +6,9 @@ otherwise, with counter-based per-batch random streams (Philox) so that
 serial and parallel executions agree bit-for-bit.  Hitting probabilities of
 extrinsic annulus boundaries estimate the capacity potential; they are
 compared against the transplanted radial potential of the comparison model.
-Fixed-step Euler--Maruyama remains as a reference estimator.
+
+A batch of N paths on an n-dimensional chart is stored coordinate-major,
+shape (n, N), so that every operation runs along the long path axis.
 """
 
 from __future__ import annotations
@@ -18,8 +20,9 @@ import numpy as np
 
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
 from .errors import ComparisonRefusal, DomainError
-from .geometry import (ImmersedSubmanifold, ZeroWeight, field_values,
-                       geometry_at_batch, intrinsic_drift, weighted_laplacian)
+from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight,
+                       field_values, geometry_at_batch, intrinsic_drift,
+                       weighted_laplacian)
 from .verdicts import Outcome
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -70,18 +73,16 @@ def _sym_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _right_product(M):
-    """A -> A @ M to the bit, ~4x faster through a C-contiguous copy of M;
-    a single row keeps M, as gemv's bits (unlike gemm's) follow the layout."""
-    M_c = np.ascontiguousarray(M)
-    return lambda A: A @ (M_c if len(A) > 1 else M)
-
-
 def _radii(X):
-    """np.linalg.norm(X, axis=1) to the bit, ~5x faster: below 8 columns
-    numpy adds the squares left to right, as this column sum does."""
-    return (np.sqrt(sum(x * x for x in X.T)) if X.shape[1] < 8
-            else np.linalg.norm(X, axis=1))
+    """Column norms of X (m, N): np.linalg.norm(X, axis=0) to the bit,
+    as numpy adds the rows of a C-contiguous array in order."""
+    return np.sqrt((X * X).sum(axis=0))
+
+
+def _normals(rng, U):
+    """Standard normals shaped like U (n, N), C-contiguous.  They are drawn
+    as N rows of n, so each path gets the same draws whatever the layout."""
+    return rng.standard_normal(U.shape[::-1]).T.copy()
 
 
 @dataclass
@@ -92,7 +93,8 @@ class DiffusionSpec:
     2 g^{-1}, with the constant metric g = basis^T basis.  ``driftless``
     holds when the ambient weight is ``ZeroWeight``.  ``dtau`` caps the
     time step of drifted paths (see ``default_step``); walk-on-spheres does
-    not use it."""
+    not use it.  Parameter points U are stacks of shape (n, N), one column
+    per path, and so are their ambient points (m, N) and drifts (n, N)."""
 
     P: ImmersedSubmanifold
     dtau: float
@@ -112,11 +114,14 @@ class DiffusionSpec:
         base, basis = self.P.linear
         self.base = np.asarray(base, dtype=float)
         self.basis = np.asarray(basis, dtype=float)
-        self._to_ambient = _right_product(self.basis.T)
         metric_inv = np.linalg.inv(self.basis.T @ self.basis)
         self.sigma = _sym_sqrt(2.0 * metric_inv)
-        self.pull = self.basis @ metric_inv
-        self.driftless = isinstance(self.P.ambient.weight, ZeroWeight)
+        self.pull = (self.basis @ metric_inv).T
+        weight = self.P.ambient.weight
+        self.driftless = isinstance(weight, ZeroWeight)
+        # a radial gradient is f'(r)/r X: the loop hands in the radii it has
+        self._slope_over_r = (weight.slope_over_r
+                              if isinstance(weight, RadialWeight) else None)
 
     def parameter_point(self, start):
         """``start`` as a float vector, checked against the chart."""
@@ -134,12 +139,15 @@ class DiffusionSpec:
         return start
 
     def _points(self, U):
-        return self._to_ambient(U) + self.base
+        X = self.basis @ U
+        X += self.base[:, None]  # in place: see _heun_step
+        return X
 
     def _drift_at(self, X):
-        return self.P.ambient.weight.grad_batch(X) @ self.pull
+        return self.pull @ self.P.ambient.weight.grad_batch(X.T).T
 
     def drift(self, U):
+        """Drifts at the parameter points U from the weight's gradient."""
         return self._drift_at(self._points(U))
 
     def radius(self, U):
@@ -147,10 +155,15 @@ class DiffusionSpec:
 
     def radius_and_drift(self, U):
         """Ambient radii and drifts (None when driftless) at the parameter
-        points U, both from one evaluation of the ambient points."""
+        points U; a radial weight's gradient reads the same radii, so each
+        point set's |X| is computed once."""
         X = self._points(U)
-        b = None if self.driftless else self._drift_at(X)
-        return _radii(X), b
+        r = _radii(X)
+        if self.driftless:
+            return r, None
+        if self._slope_over_r is None:
+            return r, self._drift_at(X)
+        return r, self.pull @ (self._slope_over_r(r) * X)
 
     def batches(self, N):
         """Sizes and random streams of the path batches; each stream is
@@ -164,7 +177,6 @@ class DiffusionSpec:
 
 WALK_ON_SPHERES = "walk-on-spheres"
 SHRINKING_HEUN = "shrinking-heun"
-EULER_MARUYAMA = "euler-maruyama"
 
 KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
 
@@ -173,9 +185,10 @@ KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
 class HitEstimate:
     """Estimated probability of reaching the inner boundary first.
 
-    ``shell`` is the stopping distance of walk-on-spheres and of the
-    shrinking Heun stepper (None for the Euler--Maruyama reference);
-    ``path_steps`` counts jumps or time steps over all paths."""
+    ``shell`` is the stopping distance of paths; ``path_steps`` counts
+    jumps or time steps over all paths.  ``coarse_step_fraction`` is 0 for
+    both estimators, which adapt their moves to the distance to the
+    boundary (report schema v3 keeps the field)."""
 
     p_hat: float
     n_paths: int
@@ -191,7 +204,7 @@ class HitEstimate:
     dtau: float
     seed: int
     estimator: str
-    shell: float | None
+    shell: float
     path_steps: int
     warnings: list = field(default_factory=list)
 
@@ -227,7 +240,7 @@ def _shell(rho, R):
 
 
 def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
-              estimator, shell=None, coarse_frac=0.0, warns=()):
+              estimator, shell):
     unit = "jumps" if estimator == WALK_ON_SPHERES else "steps"
     resolved = n_inner + n_outer
     if not resolved:
@@ -235,12 +248,12 @@ def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
                           f"{unit}, so there is no estimate")
     n_unresolved = N - resolved
     lo, hi = wilson_interval(n_inner, resolved)
-    warns = list(warns)
+    warns = []
     if n_unresolved:
         warns.append(f"{n_unresolved} paths did not exit within "
                      f"{spec.max_steps} {unit} (excluded from the estimate)")
     return HitEstimate(n_inner / resolved, N, n_inner, n_outer, n_unresolved,
-                       lo, hi, exit_time_sum / resolved, coarse_frac, rho, R,
+                       lo, hi, exit_time_sum / resolved, 0.0, rho, R,
                        spec.dtau, spec.seed, estimator, shell, path_steps,
                        warns)
 
@@ -258,7 +271,7 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
         raise DomainError("need rho < R")
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
-    r0 = float(spec.radius(start[None, :])[0])
+    r0 = float(spec.radius(start[:, None])[0])
     name = WALK_ON_SPHERES if spec.driftless else SHRINKING_HEUN
     if rho < r0 < R:
         move = _sphere_jump(spec) if spec.driftless else _heun_step(spec)
@@ -275,15 +288,16 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
     With d = min(r - rho, R - r), a path stops once d < 1e-4 (R - rho), the
     shell, and counts for the nearer boundary; a path that moved beyond a
     boundary has d < 0 and counts for the boundary it crossed.  Every other
-    path moves by ``move(rng, U, b, d)``, which returns the new points with
-    their radii, drifts and the time each path spent.  ``max_steps`` caps
-    the moves of a path.
+    path moves by ``move(rng, U, b, d)``, which takes the live paths'
+    points U (n, N), drifts b (n, N) or None and distances d (N,), and
+    returns the new points with their radii, drifts and the time each path
+    spent.  ``max_steps`` caps the moves of a path.
     """
     shell = _shell(rho, R)
     n_inner = n_outer = path_steps = 0
     exit_time_sums = []
     for nb, rng in spec.batches(N):
-        U = np.tile(start, (nb, 1))
+        U = np.repeat(start[:, None], nb, axis=1)
         r, b = spec.radius_and_drift(U)
         T = np.zeros(nb)
         exits = 0.0
@@ -299,13 +313,13 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
                 n_outer += n_done - n_in
                 exits += float(np.sum(T[done]))
                 live = np.flatnonzero(~done)
-                U, T, d = U.take(live, 0), T.take(live), d.take(live)
-                b = None if b is None else b.take(live, 0)
-            if len(U) == 0 or step == spec.max_steps:
+                U, T, d = U.take(live, 1), T.take(live), d.take(live)
+                b = None if b is None else b.take(live, 1)
+            if len(d) == 0 or step == spec.max_steps:
                 break
             U, r, b, dt = move(rng, U, b, d)
             T += dt
-            path_steps += len(U)
+            path_steps += len(d)
         exit_time_sums.append(exits)
     return _estimate(spec, rho, R, N, n_inner, n_outer,
                      math.fsum(exit_time_sums), path_steps, estimator, shell)
@@ -321,14 +335,13 @@ def _sphere_jump(spec: DiffusionSpec):
     mean exit time of the ball for the generator Delta_g.
     """
     dim = spec.basis.shape[1]
-    jump = _right_product((spec.sigma / math.sqrt(2.0)).T)
+    jump = spec.sigma / math.sqrt(2.0)
 
     def move(rng, U, b, d):
-        theta = rng.standard_normal(U.shape)
-        theta *= (d / np.sqrt(np.einsum("ij,ij->i", theta, theta)))[:, None]
-        U += jump(theta)
-        r, _ = spec.radius_and_drift(U)
-        return U, r, None, d * d / (2.0 * dim)
+        theta = _normals(rng, U)
+        theta *= d / np.sqrt((theta * theta).sum(axis=0))
+        U += jump @ theta
+        return U, spec.radius(U), None, d * d / (2.0 * dim)
 
     return move
 
@@ -347,91 +360,30 @@ def _heun_step(spec: DiffusionSpec):
     distance to the boundary, which keeps a stiff drift (h = -200 r^2, say)
     from throwing paths across the annulus.
     """
-    noise_map = _right_product(spec.sigma.T)
     metric = spec.basis.T @ spec.basis
     dtau = spec.dtau
 
     def move(rng, U, b, d):
-        speed = np.sqrt(np.einsum("ij,ij->i", b @ metric, b))
+        speed = np.sqrt(((metric @ b) * b).sum(axis=0))
         dt = np.minimum(np.minimum(KAPPA * d * d, dtau),
                         0.5 * d / np.maximum(speed, 1e-300))
-        h = np.repeat(dt, U.shape[1]).reshape(U.shape)  # no (n, 1) broadcast
-        noise = noise_map(rng.standard_normal(U.shape)) * np.sqrt(h)
-        predictor = U + b * h + noise
-        U = U + 0.5 * (b + spec.drift(predictor)) * h + noise
-        r, b = spec.radius_and_drift(U)
-        return U, r, b, dt
+        # U* = U + b dt + noise and U' = U + (b + b(U*)) dt / 2 + noise,
+        # built in place with the same roundings: from 1e4 paths on, a fresh
+        # (n, N) array costs about as much as the arithmetic that fills it
+        noise = spec.sigma @ _normals(rng, U)
+        noise *= np.sqrt(dt)
+        predictor = b * dt
+        predictor += U
+        predictor += noise
+        _, step = spec.radius_and_drift(predictor)
+        step += b
+        step *= 0.5 * dt
+        step += U
+        step += noise
+        r, b = spec.radius_and_drift(step)
+        return step, r, b, dt
 
     return move
-
-
-def _euler_maruyama(spec: DiffusionSpec, start, rho, R, N):
-    """Fixed-step Euler--Maruyama paths of the drift diffusion, the
-    reference estimator; boundary crossings are located by linear
-    interpolation of the radius between consecutive steps.  ``start`` must
-    lie strictly inside the annulus."""
-    r0 = float(spec.radius(start[None, :])[0])
-    dtau = spec.dtau
-    sqrt2dt = math.sqrt(2.0 * dtau)
-    jump = _right_product((spec.sigma / math.sqrt(2.0)).T)
-    coarse_limit = (R - rho) / 10.0
-
-    n_inner = n_outer = 0
-    exit_time_sums = []
-    n_steps_total = 0
-    n_coarse = 0
-
-    for nb, rng in spec.batches(N):
-        U = np.tile(start, (nb, 1))
-        r_old = np.full(nb, r0)
-        alive = np.ones(nb, dtype=bool)
-        n_alive = nb
-        exits = 0.0
-        for step in range(spec.max_steps):
-            if n_alive == 0:
-                break
-            cur = len(U)
-            noise = jump(rng.standard_normal(U.shape))
-            U += spec.drift(U) * dtau + sqrt2dt * noise
-            r_new = spec.radius(U)
-            n_steps_total += n_alive
-            n_coarse += int(np.count_nonzero(
-                (np.abs(r_new - r_old) > coarse_limit) & alive))
-
-            hit_in = (r_new <= rho) & alive
-            hit_out = (r_new >= R) & alive
-            n_in = int(np.count_nonzero(hit_in))
-            n_out = int(np.count_nonzero(hit_out))
-            if n_in or n_out:
-                exited = hit_in | hit_out
-                denom = r_new[exited] - r_old[exited]
-                target = np.where(hit_in[exited], rho, R)
-                with np.errstate(divide="ignore", invalid="ignore"):
-                    lam = (target - r_old[exited]) / denom
-                lam = np.clip(np.nan_to_num(lam, nan=1.0), 0.0, 1.0)
-                exits += float(np.sum((step + lam) * dtau))
-                n_inner += n_in
-                n_outer += n_out
-                alive &= ~exited
-                n_alive -= n_in + n_out
-            r_old = r_new
-            # periodic compaction keeps the working set tight without
-            # per-step fancy-index copies
-            if n_alive < 0.9 * cur and n_alive > 0:
-                live = np.flatnonzero(alive)
-                U, r_old = U.take(live, 0), r_old.take(live)
-                alive = np.ones(n_alive, dtype=bool)
-        exit_time_sums.append(exits)
-
-    coarse_frac = n_coarse / n_steps_total if n_steps_total else 0.0
-    warns = []
-    if coarse_frac > 0.01:
-        warns.append(
-            f"step size too coarse: radial increment exceeded (R-rho)/10 on "
-            f"{100 * coarse_frac:.2f}% of steps")
-    return _estimate(spec, rho, R, N, n_inner, n_outer,
-                     math.fsum(exit_time_sums), n_steps_total, EULER_MARUYAMA,
-                     coarse_frac=coarse_frac, warns=warns)
 
 
 @dataclass
@@ -480,7 +432,7 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
             f"{verdict.outcome.value} (failing checks: {failing}; "
             f"integral: {verdict.integral_evidence.status})")
 
-    r_start = float(spec.radius(start[None, :])[0])
+    r_start = float(spec.radius(start[:, None])[0])
     phi = setup.model.capacity_potential(rho, R).potential(r_start)
     est = hit_probability(spec, start, rho, R, N)
     se = est.standard_error

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -27,6 +28,79 @@ def model_potential(profile, rho, R, s):
     return model.capacity_potential(rho, R).potential(s)
 
 
+def euler_maruyama(spec, start, rho, R, N):
+    """Fixed-step Euler--Maruyama paths of the drift diffusion, a reference
+    for the library's estimators: boundary crossings are located by linear
+    interpolation of the radius between consecutive steps, and a step whose
+    radial increment exceeds (R - rho)/10 counts as coarse.  ``start`` must
+    lie strictly inside the annulus."""
+    start = np.asarray(start, dtype=float)
+    r0 = float(spec.radius(start[:, None])[0])
+    dtau = spec.dtau
+    sqrt2dt = math.sqrt(2.0 * dtau)
+    jump = spec.sigma / math.sqrt(2.0)
+    coarse_limit = (R - rho) / 10.0
+
+    n_inner = n_outer = 0
+    exit_time_sums = []
+    n_steps_total = 0
+    n_coarse = 0
+
+    for nb, rng in spec.batches(N):
+        U = np.repeat(start[:, None], nb, axis=1)
+        r_old = np.full(nb, r0)
+        alive = np.ones(nb, dtype=bool)
+        n_alive = nb
+        exits = 0.0
+        for step in range(spec.max_steps):
+            if n_alive == 0:
+                break
+            cur = len(r_old)
+            noise = jump @ mc._normals(rng, U)
+            U += spec.drift(U) * dtau + sqrt2dt * noise
+            r_new = spec.radius(U)
+            n_steps_total += n_alive
+            n_coarse += int(np.count_nonzero(
+                (np.abs(r_new - r_old) > coarse_limit) & alive))
+
+            hit_in = (r_new <= rho) & alive
+            hit_out = (r_new >= R) & alive
+            n_in = int(np.count_nonzero(hit_in))
+            n_out = int(np.count_nonzero(hit_out))
+            if n_in or n_out:
+                exited = hit_in | hit_out
+                denom = r_new[exited] - r_old[exited]
+                target = np.where(hit_in[exited], rho, R)
+                with np.errstate(divide="ignore", invalid="ignore"):
+                    lam = (target - r_old[exited]) / denom
+                lam = np.clip(np.nan_to_num(lam, nan=1.0), 0.0, 1.0)
+                exits += float(np.sum((step + lam) * dtau))
+                n_inner += n_in
+                n_outer += n_out
+                alive &= ~exited
+                n_alive -= n_in + n_out
+            r_old = r_new
+            # periodic compaction keeps the working set tight without
+            # per-step fancy-index copies
+            if n_alive < 0.9 * cur and n_alive > 0:
+                live = np.flatnonzero(alive)
+                U, r_old = U.take(live, 1), r_old.take(live)
+                alive = np.ones(n_alive, dtype=bool)
+        exit_time_sums.append(exits)
+
+    coarse_frac = n_coarse / n_steps_total if n_steps_total else 0.0
+    warns = []
+    if coarse_frac > 0.01:
+        warns.append(
+            f"step size too coarse: radial increment exceeded (R-rho)/10 on "
+            f"{100 * coarse_frac:.2f}% of steps")
+    est = mc._estimate(spec, rho, R, N, n_inner, n_outer,
+                       math.fsum(exit_time_sums), n_steps_total,
+                       "euler-maruyama", None)
+    return dataclasses.replace(est, coarse_step_fraction=coarse_frac,
+                               warnings=warns + est.warnings)
+
+
 def test_boundary_starts_are_immediate():
     spec = mc.DiffusionSpec(radial_plane(), dtau=1e-3, seed=0)
     assert mc.hit_probability(spec, [1.0, 0.0], 1.0, math.e, 50).p_hat == 1.0
@@ -45,11 +119,11 @@ def test_seed_determinism_is_bitwise():
 
 def test_euler_maruyama_seed_determinism_is_bitwise():
     args = (np.array([1.6, 0.4]), 1.0, math.e, 3000)
-    a = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
-    b = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
+    a = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
+    b = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
     assert a.to_dict() == b.to_dict()
     assert a.estimator == "euler-maruyama" and a.shell is None
-    c = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=4), *args)
+    c = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=4), *args)
     assert c.p_hat != a.p_hat
 
 
@@ -103,7 +177,7 @@ def test_walk_on_spheres_agrees_with_euler_maruyama():
     start = np.array([math.sqrt(math.e), 0.0])
     wos = mc.hit_probability(mc.DiffusionSpec(radial_plane(), dtau, seed=41),
                              start, rho, R, 20_000)
-    em = mc._euler_maruyama(mc.DiffusionSpec(radial_plane(), dtau, seed=42),
+    em = euler_maruyama(mc.DiffusionSpec(radial_plane(), dtau, seed=42),
                             start, rho, R, 4000)
     shift = 0.5826 * math.sqrt(2.0 * dtau)
     s0 = math.sqrt(math.e)
@@ -187,26 +261,26 @@ def test_heun_step_is_the_predictor_corrector():
     # U (1 - dt + dt^2 / 2) + n (1 - dt / 2); a plain Euler drift would
     # give U (1 - dt) + n
     spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
-    U = np.array([[2.0, 0.0], [0.3, -1.5]])
+    U = np.array([[2.0, 0.0], [0.3, -1.5]]).T
     d = np.array([1.0, 0.3])
     _, b = spec.radius_and_drift(U)
     U1, r1, b1, dt = mc._heun_step(spec)(np.random.default_rng(7), U, b, d)
     want_dt = np.array([1e-2, 0.05 * 0.3 ** 2])
-    noise = np.random.default_rng(7).standard_normal(U.shape) \
-        * np.sqrt(2.0 * want_dt)[:, None]
-    h = want_dt[:, None]
+    noise = np.random.default_rng(7).standard_normal(U.shape[::-1]).T \
+        * np.sqrt(2.0 * want_dt)
+    h = want_dt
     np.testing.assert_allclose(dt, want_dt, rtol=1e-15)
     np.testing.assert_allclose(U1, U * (1 - h + h * h / 2) + noise * (1 - h / 2),
                                rtol=0, atol=1e-14)
     np.testing.assert_allclose(b1, -U1, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(r1, np.hypot(U1[:, 0], U1[:, 1]), rtol=1e-15)
+    np.testing.assert_allclose(r1, np.hypot(U1[0], U1[1]), rtol=1e-15)
 
 
 def test_overshooting_paths_count_for_the_boundary_they_crossed():
     # a move that lands alternate paths inside rho and beyond R
     def move(rng, U, b, d):
-        U = U * np.where(np.arange(len(U)) % 2, 3.0, 0.25)[:, None]
-        return U, np.linalg.norm(U, axis=1), None, np.ones(len(U))
+        U = U * np.where(np.arange(U.shape[1]) % 2, 3.0, 0.25)
+        return U, np.linalg.norm(U, axis=0), None, np.ones(U.shape[1])
     spec = mc.DiffusionSpec(radial_plane(), 1e-3, seed=1, max_steps=3)
     est = mc._shell_walk(spec, np.array([2.0, 0.0]), 1.0, 4.0, 300, "test",
                          move)
@@ -259,6 +333,12 @@ RECORDED_ESTIMATES = {
                                     0.08929829010961911),
     "heun, offset Gaussian plane": (1860, 140, 0, 508423, 0.93,
                                     0.3965507879678696),
+    # recorded with the row-major (N, n) path loop, before the switch to
+    # coordinate-major (n, N) batches
+    "heun, antigaussian plane": (538, 1462, 0, 360489, 0.269,
+                                 0.3594091192467817),
+    "walk-on-spheres, 3-plane in R^4": (986, 1014, 0, 57102, 0.493,
+                                        0.9648288456173865),
 }
 
 
@@ -272,6 +352,17 @@ def _recorded_run(case):
                                 mc.default_step(1.0, 2.0), seed=5,
                                 max_steps=300)
         return mc.hit_probability(spec, [1.5, 0.0], 1.0, 2.0, 1000)
+    if case == "heun, antigaussian plane":
+        anti = ge.RadialWeight(rd.weight_antigaussian())
+        spec = mc.DiffusionSpec(ge.coordinate_plane(3, (0, 1), anti),
+                                mc.default_step(1.0, 3.0), seed=11,
+                                batch_size=700)
+        return mc.hit_probability(spec, [1.5, 0.4], 1.0, 3.0, 2000)
+    if case == "walk-on-spheres, 3-plane in R^4":
+        # a tilted plane: the jump and its |theta| have three columns
+        spec = mc.DiffusionSpec(ge.hyperplane(4, [1.0, 2.0, -1.0, 1.0]), 1e-3,
+                                seed=13, batch_size=700)
+        return mc.hit_probability(spec, [1.1, -0.7, 0.9], 1.0, 4.0, 2000)
     plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6, weight=gauss)
     spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 3.0), seed=7,
                             batch_size=800)
@@ -292,13 +383,67 @@ def test_path_loop_reproduces_recorded_estimates(case):
 def test_path_loop_kernels_match_numpy_to_the_bit(rows):
     rng = np.random.default_rng(rows)
     for m in range(1, 11):
-        X = rng.standard_normal((rows, m)) * rng.uniform(0.1, 10.0, (rows, 1))
-        assert np.array_equal(mc._radii(X), np.linalg.norm(X, axis=1))
+        X = rng.standard_normal((m, rows)) * rng.uniform(0.1, 10.0, rows)
+        assert np.array_equal(mc._radii(X), np.linalg.norm(X, axis=0))
         for k in range(1, m + 1):
-            # the strided transpose of a C-contiguous matrix
+            # the strided transpose of a C-contiguous matrix, multiplied
+            # from the left onto coordinate-major columns: the bits of the
+            # row-major product A @ M
             M = rng.standard_normal((m, k)).T
             A = rng.standard_normal((rows, k))
-            assert np.array_equal(mc._right_product(M)(A), A @ M)
+            assert np.array_equal(M.T @ A.T.copy(), (A @ M).T)
+
+
+@pytest.mark.parametrize("rows", [1, 2, 7, 1000])
+def test_each_path_keeps_its_row_major_draws(rows):
+    for n in range(1, 6):
+        U = np.zeros((n, rows))
+        Z = mc._normals(np.random.default_rng(n), U)
+        assert Z.shape == U.shape and Z.flags.c_contiguous
+        assert np.array_equal(
+            Z, np.random.default_rng(n).standard_normal((rows, n)).T)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5])
+def test_drift_from_handed_in_radii_matches_the_weights_gradient(m):
+    # the path loop reads f'(r)/r at the radii of its exit test;
+    # spec.drift evaluates the weight's own gradient at the same points
+    rng = np.random.default_rng(m)
+    normal = rng.standard_normal(m)
+    for profile in (rd.weight_power(-0.3, 3.0),
+                    rd.weight_logpow(2.0, rd.warping_hyperbolic())):
+        plane = ge.hyperplane(m, normal, offset=0.4,
+                              weight=ge.RadialWeight(profile))
+        spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
+        U = (rng.uniform(0.5, 2.0, (m - 1, 500))
+             * rng.choice([-1.0, 1.0], (m - 1, 500)))
+        r, b = spec.radius_and_drift(U)
+        np.testing.assert_allclose(b, spec.drift(U), rtol=1e-15, atol=0)
+        np.testing.assert_allclose(
+            r, np.linalg.norm(plane.point(U.T), axis=1), rtol=1e-15)
+    # a weight that is not radial is the weight's gradient itself
+    plane = ge.hyperplane(m, normal, offset=0.4,
+                          weight=ge.HeightWeight(rd.weight_gaussian(), m))
+    spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
+    assert np.array_equal(spec.radius_and_drift(U)[1], spec.drift(U))
+
+
+@pytest.mark.parametrize("weight", [None, "gaussian"])
+def test_one_path_batches_are_bitwise_deterministic(weight):
+    # (n, 1) columns are both C- and F-contiguous, and numpy multiplies
+    # them by gemv rather than gemm
+    weight = weight and ge.RadialWeight(rd.weight_gaussian())
+    plane = ge.hyperplane(4, [1.0, 2.0, -1.0, 1.0], weight=weight)
+
+    def run(N):
+        spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 4.0), seed=8,
+                                batch_size=1)
+        return mc.hit_probability(spec, [1.1, -0.7, 0.9], 1.0, 4.0, N)
+
+    for N in (1, 30):
+        a, b = run(N), run(N)
+        assert a.path_steps > 0
+        assert a.to_dict() == b.to_dict()
 
 
 def test_no_resolved_path_is_an_error_naming_max_steps():
@@ -366,7 +511,7 @@ def test_wilson_interval_near_endpoints():
 
 def test_step_size_warning_on_coarse_steps():
     spec = mc.DiffusionSpec(radial_plane(), dtau=0.05, seed=1)
-    est = mc._euler_maruyama(spec, np.array([1.6, 0.0]), 1.0, math.e, 500)
+    est = euler_maruyama(spec, np.array([1.6, 0.0]), 1.0, math.e, 500)
     assert est.coarse_step_fraction > 0.01
     assert any("coarse" in w for w in est.warnings)
 
