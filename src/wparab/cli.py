@@ -103,8 +103,10 @@ def _run_capacity(scenario, outdir):
     report = model.capacity_potential(rho, mc.finite_number("R", R))
     out = report.to_dict()
     if "eval_at" in params:
+        radii = [float(s) for s in params["eval_at"]]
+        values = report.potential(np.array(radii)).tolist()
         out["potential_values"] = {
-            str(s): report.potential(float(s)) for s in params["eval_at"]}
+            str(s): phi for s, phi in zip(params["eval_at"], values)}
     return {"capacity_report": out}
 
 
@@ -136,17 +138,27 @@ def _run_curves(scenario, outdir):
     if phi is not None:
         header.append("phi")
 
-    rows = []
-    for i, t in enumerate(ts.tolist()):
-        row = [repr(t), repr(float(model.sphere_area(t)))]
+    def columns(t):
+        cols = [t, model.sphere_area(t)]
         if include_volume:
-            row.append(repr(float(model.ball_volume(t))))
-        row.append(repr(float(model.mean_curvature(t))))
+            cols.append(model.ball_volume(t))
+        cols.append(model.mean_curvature(t))
         if n is not None:
-            row.append(repr(float(model.weighted_mean_curvature(int(n), t))))
-        if phi is not None:
-            row.append(repr(float(phi[i])))
-        rows.append(row)
+            cols.append(model.weighted_mean_curvature(int(n), t))
+        return cols
+
+    try:
+        cols = columns(ts)
+    except Exception:
+        # the error of a row-by-row table: its first failing row, with the
+        # columns in header order
+        for i in range(len(ts)):
+            columns(ts[i:i + 1])
+        raise
+    if phi is not None:
+        cols.append(phi)
+    rows = [[repr(x) for x in row]
+            for row in zip(*(np.broadcast_to(c, ts.shape).tolist() for c in cols))]
 
     path = Path(outdir) / f"{scenario['id']}.csv"
     with path.open("w", newline="") as fh:

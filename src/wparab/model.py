@@ -55,14 +55,28 @@ class WeightedModel:
     # -- basic geometry ------------------------------------------------
 
     def sphere_area(self, t):
+        """A(S_t) = c_m w(t)^(m-1) e^(f(t)); elementwise on an array of radii.
+
+        A weight e^f that overflows raises, naming the first such radius;
+        an area that overflows only in the product is inf.
+        """
         self.f.check_domain(t)
         f = self.f.value(t)
-        try:
-            weight = math.exp(f)
-        except OverflowError:
-            raise DomainError(f"sphere area overflows at t={t} "
-                              f"(weight exponent f(t) = {f:.6g})") from None
-        return self.c_m * self.w.value(t) ** (self.m - 1) * weight
+        with np.errstate(over="ignore"):
+            if isinstance(f, np.ndarray):
+                weight = np.exp(f)
+            else:
+                try:
+                    weight = math.exp(f)
+                except OverflowError:
+                    weight = math.inf
+            over = np.isinf(weight) & np.isfinite(f)
+            if over.any():
+                i = np.flatnonzero(over)[0]
+                raise DomainError(
+                    f"sphere area overflows at t={float(np.ravel(t)[i])} "
+                    f"(weight exponent f(t) = {float(np.ravel(f)[i]):.6g})")
+            return self.c_m * self.w.value(t) ** (self.m - 1) * weight
 
     def inv_sphere_area(self, t):
         """1/A(S_t); elementwise on an array of radii."""
@@ -70,7 +84,12 @@ class WeightedModel:
         return _exp(-self.f.value(t)) / (self.c_m * self.w.value(t) ** (self.m - 1))
 
     def ball_volume(self, t):
-        if t <= 0:
+        """Weighted volume of B_t; elementwise on an array of radii.
+
+        Each radius is one panel [0, t] of a single integrate call, so a
+        value does not depend on the other radii of the array.
+        """
+        if np.any(np.less_equal(t, 0)):
             raise DomainError("ball radius must be positive")
         if self.f.t_min > 0:
             raise DomainError(
@@ -81,7 +100,7 @@ class WeightedModel:
         def integrand(s):
             return self.w.value(s) ** (m - 1) * _exp(self.f.value(s))
 
-        res = integrate(integrand, 0.0, t)
+        res = integrate(integrand, np.zeros_like(t), t)
         return self.c_m * res.value
 
     def mean_curvature(self, t):

@@ -15,7 +15,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import BracketError, DomainError, IntegrandSignError, QuadratureError
+from .errors import (BracketError, DomainError, IntegrandSignError,
+                     QuadratureError, WparabError)
 
 
 class AccuracyWarning(UserWarning):
@@ -349,6 +350,9 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
 # ---------------------------------------------------------------------------
 # Improper integral classification
 
+# doubling segments swept ahead as the panels of one integrate call
+SEGMENTS_PER_CALL = 4
+
 
 @dataclass
 class IntegralVerdict:
@@ -413,7 +417,20 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
             raise IntegrandSignError(f"integrand negative at t={x}: {v}")
         return v
 
+    seg_tol, seg_rel = tail_tol * 1e-3, 1e-8
+
+    def segments(edges, max_subdivisions=10_000):
+        """(value, error) of each panel between consecutive edges, from one
+        integrate call; ``max_subdivisions=0`` leaves them unrefined."""
+        with warnings.catch_warnings():
+            # segment accuracy is folded into the verdict's own evidence
+            warnings.simplefilter("ignore", AccuracyWarning)
+            seg = integrate(f, edges[:-1], edges[1:], abs_tol=seg_tol,
+                            rel_tol=seg_rel, max_subdivisions=max_subdivisions)
+        return list(zip(seg.value.tolist(), seg.error.tolist()))
+
     cutoffs, partials, increments, samples = [], [], [], [checked(a)]
+    ahead, group_end = [], 0
     partial = 0.0
     quad_err = 0.0
     used_hint = hint.tag
@@ -433,15 +450,29 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
                 increments=list(increments), used_hint=used_hint,
                 reason=f"integrand increases pointwise beyond threshold near t={t_cur}")
 
-        with warnings.catch_warnings():
-            # segment accuracy is folded into the verdict's own evidence
-            warnings.simplefilter("ignore", AccuracyWarning)
-            seg = integrate(f, t_prev, t_cur, abs_tol=tail_tol * 1e-3, rel_tol=1e-8)
-        partial += seg.value
-        quad_err += seg.error
+        if j > group_end:
+            group_end = min(j + SEGMENTS_PER_CALL - 1, max_doublings)
+            try:
+                # only the GK15 sweep of the group: a segment that fails the
+                # tolerance is bisected once the loop reaches it, never
+                # beyond the cutoff where the loop stops
+                ahead = segments(a * 2.0 ** np.arange(j - 1, group_end + 1),
+                                 max_subdivisions=0)
+            except WparabError:
+                # one segment at a time, so that an error surfaces at the
+                # segment the sequential loop would have reached
+                ahead = []
+        swept = ahead.pop(0) if ahead else None
+        if swept is not None and swept[1] <= max(seg_tol, seg_rel * abs(swept[0])):
+            # passes integrate's tolerance test: what a one-segment call returns
+            seg_value, seg_error = swept
+        else:
+            seg_value, seg_error = segments(np.array([t_prev, t_cur]))[0]
+        partial += seg_value
+        quad_err += seg_error
         cutoffs.append(t_cur)
         partials.append(partial)
-        increments.append(seg.value)
+        increments.append(seg_value)
 
         if partial > divergence_threshold:
             return IntegralVerdict(

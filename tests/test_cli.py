@@ -8,6 +8,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from wparab import catalogs, cli
@@ -259,6 +260,89 @@ def test_area_overflow_becomes_a_scenario_error(tmp_path):
     assert curves["error"].startswith("QuadratureError: non-finite integrand")
     assert area["status"] == "error"
     assert area["error"].startswith("DomainError: sphere area overflows at t=39.6")
+
+
+# --- curves tables against a row-by-row reference ---------------------------
+
+CATALOG_WARPINGS = [{"name": "euclidean"}, {"name": "hyperbolic", "kappa": -0.5},
+                    {"name": "paraboloid"}, {"name": "custom", "expr": "t + t^3"}]
+CATALOG_WEIGHTS = [{"name": "zero"}, {"name": "gaussian"}, {"name": "antigaussian"},
+                   {"name": "power", "a": 0.5, "k": 2}, {"name": "logpow", "k": 1.5},
+                   {"name": "custom", "expr": "0.1*t^2 + cos(t)"}]
+
+
+def _row_by_row_table(model_spec, params):
+    """(header, rows) of a curves table built one row at a time from scalar
+    calls, or the error string of its first failing row."""
+    model = catalogs.resolve_model(model_spec)
+    n = params.get("n")
+    header = ["t", "area"] + (["volume"] if model.f.t_min == 0.0 else []) + ["H"]
+    header += ["Hh_n"] if n is not None else []
+    rows = []
+    try:
+        for t in np.linspace(*params["range"], params["samples"]).tolist():
+            row = [t, model.sphere_area(t)]
+            if "volume" in header:
+                row.append(model.ball_volume(t))
+            row.append(model.mean_curvature(t))
+            if n is not None:
+                row.append(model.weighted_mean_curvature(n, t))
+            rows.append([repr(float(x)) for x in row])
+    except Exception as err:
+        return f"{type(err).__name__}: {err}"
+    return header, rows
+
+
+@pytest.mark.parametrize("weight", CATALOG_WEIGHTS, ids=lambda w: w["name"])
+@pytest.mark.parametrize("warping", CATALOG_WARPINGS, ids=lambda w: w["name"])
+def test_curves_columns_match_the_row_by_row_table(warping, weight, tmp_path):
+    model = {"m": 3, "warping": warping, "weight": weight}
+    params = {"range": [0.3, 6.0], "samples": 12, "n": 2}
+    cli.run_config({"scenarios": [{"id": "c", "task": "curves", "model": model,
+                                   "params": params}]}, tmp_path)
+    with (tmp_path / "c.csv").open() as fh:
+        header, *rows = list(csv.reader(fh))
+    want_header, want_rows = _row_by_row_table(model, params)
+    assert header == want_header and len(rows) == len(want_rows)
+    for row, want in zip(rows, want_rows):
+        for name, got, ref in zip(header, row, want):
+            if name in ("t", "volume"):
+                assert got == ref, (name, got, ref)
+            else:
+                assert float(got) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("model, params", [
+    # the area column raises first, at t=39.66; the volume of an earlier
+    # row, at t=37.62, is the first failing row
+    (small_model("antigaussian", 3), {"range": [1.0, 60.0], "samples": 30}),
+    # a warping that decays keeps the volume finite: the area is the first
+    # failure in the column and in the row order, at t=37.7
+    ({"m": 2, "warping": {"name": "custom", "expr": "t*exp(-t)"},
+      "weight": {"name": "custom", "expr": "t^2/2"}},
+     {"range": [37.0, 38.0], "samples": 11, "n": 1}),
+], ids=["an-earlier-volume-row", "area-first"])
+def test_curves_errors_name_the_first_failing_row(model, params, tmp_path):
+    cli.run_config({"scenarios": [{"id": "c", "task": "curves", "model": model,
+                                   "params": params}]}, tmp_path)
+    (entry,) = _strict_report(tmp_path)["scenarios"]
+    want = _row_by_row_table(model, params)
+    assert entry["status"] == "error" and entry["error"] == want
+
+
+def test_potential_values_equal_the_per_radius_potential_to_the_bit(tmp_path):
+    model = {"m": 3, "warping": {"name": "hyperbolic"}, "weight": {"name": "gaussian"}}
+    rho, R = 0.5, 3.0
+    node = np.linspace(rho, R, 512)[100].item()    # a node of the potential grid
+    eval_at = [0.5, 1, 1.2345, node, 2.0 + 1e-13, 2.5, 3.0]
+    cli.run_config({"scenarios": [{"id": "cap", "task": "capacity", "model": model,
+                                   "params": {"rho": rho, "R": R,
+                                              "eval_at": eval_at}}]}, tmp_path)
+    (entry,) = _strict_report(tmp_path)["scenarios"]
+    got = entry["capacity_report"]["potential_values"]
+    report = catalogs.resolve_model(model).capacity_potential(rho, R)
+    want = {str(s): report.potential(float(s)) for s in eval_at}
+    assert {k: v.hex() for k, v in got.items()} == {k: v.hex() for k, v in want.items()}
 
 
 def test_zero_paths_become_a_scenario_error(tmp_path):

@@ -106,6 +106,124 @@ def test_classify_is_deterministic():
     assert a.status == b.status and a.value == b.value and a.cutoffs == b.cutoffs
 
 
+# --- doubling segments integrated ahead in groups -------------------------
+
+GROUP_SIZES = (1, 2, 4, 8)
+
+
+def _power_decay(t):
+    return t ** -2.5
+
+
+# the cutoff at which t^-2.5 from 1 is declared convergent
+_STOP = rd.classify_improper(_power_decay, 1.0).cutoffs[-1]
+
+
+def _beyond_stop_overflows(t):
+    return np.where(t > _STOP, np.inf, _power_decay(t))
+
+
+GROUPED_CASES = {
+    "convergent": (lambda t: 1.0 / (t * t), {}, "convergent"),
+    "inconclusive": (lambda t: 1.0 / (t * (1.0 + np.log(t))), {}, "inconclusive"),
+    "oscillatory": (lambda t: 1.0 / (t * t * (1 + np.sin(t / 50.0) ** 2)), {},
+                    "convergent"),
+    "threshold": (lambda t: 1e11 + 0.0 * t, {}, "divergent"),
+    "non-decreasing": (lambda t: 1.0 / t, {}, "divergent"),
+    # nearly flat and increasing: the sampled values cross the threshold
+    # one doubling before the partial integral does
+    "pointwise": (lambda t: 1.0 + 1e-9 * t, {"divergence_threshold": 7.5},
+                  "divergent"),
+    "overflow beyond the stop": (_beyond_stop_overflows, {}, "convergent"),
+}
+
+
+def _verdict_fields(v):
+    return {**v.to_dict(), "increments": v.increments}
+
+
+@pytest.mark.parametrize("case", GROUPED_CASES)
+def test_verdicts_do_not_depend_on_the_group_size(case, monkeypatch):
+    f, kwargs, status = GROUPED_CASES[case]
+    verdicts = []
+    for size in GROUP_SIZES:
+        monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
+        verdicts.append(_verdict_fields(rd.classify_improper(f, 1.0, **kwargs)))
+    assert verdicts[0]["status"] == status
+    assert all(v == verdicts[0] for v in verdicts[1:])
+    # each increment is what a one-segment integrate call gives, to the bit
+    edges = [1.0] + verdicts[0]["cutoffs"]
+    for lo, hi, inc in zip(edges, edges[1:], verdicts[0]["increments"]):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", rd.AccuracyWarning)
+            assert inc == rd.integrate(f, lo, hi, abs_tol=1e-9, rel_tol=1e-8).value
+    if case == "pointwise":
+        assert "pointwise" in verdicts[0]["reason"]
+    if case == "threshold":
+        assert "exceeded" in verdicts[0]["reason"]
+
+
+def test_the_overflow_case_stops_inside_a_group():
+    # t^-2.5 stops at an odd doubling, so groups of 2, 4 and 8 integrate
+    # past the stop and must fall back to single segments
+    assert math.log2(_STOP) % 2 == 1
+    with pytest.raises(QuadratureError):
+        rd.integrate(_beyond_stop_overflows, _STOP, 2.0 * _STOP)
+
+
+@pytest.mark.parametrize("size", GROUP_SIZES)
+def test_sign_errors_surface_at_the_same_cutoff_for_every_group_size(size, monkeypatch):
+    monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
+
+    def f(t):
+        # negative beyond t = 40; the first cutoff sampled there is 64
+        return 1.0 / (t * t) - np.where(t > 40.0, 1e-3, 0.0)
+
+    with pytest.raises(IntegrandSignError, match=r"at t=64\.0:"):
+        rd.classify_improper(f, 1.0)
+
+
+def _integrate_calls(monkeypatch, f, size):
+    """(panels, max_subdivisions, subdivisions) of each integrate call that
+    classify_improper(f, 1.6) makes with the given group size."""
+    calls = []
+
+    def recording(f, a, b, **kwargs):
+        res = integrate(f, a, b, **kwargs)
+        calls.append((np.size(a), kwargs.get("max_subdivisions"), res.subdivisions))
+        return res
+
+    integrate = rd.integrate
+    monkeypatch.setattr(rd, "integrate", recording)
+    monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
+    verdict = rd.classify_improper(f, 1.6)
+    monkeypatch.setattr(rd, "integrate", integrate)
+    return verdict, calls
+
+
+def test_doubling_segments_share_one_sweep_per_group(monkeypatch):
+    verdict, calls = _integrate_calls(monkeypatch, lambda t: 1.0 / (t * t), 4)
+    doublings = len(verdict.cutoffs)
+    # every segment passes its sweep's tolerance, so no one-segment call
+    assert [c[:2] for c in calls] == [(4, 0)] * -(-doublings // 4)
+
+
+def test_no_segment_beyond_the_stop_is_bisected(monkeypatch):
+    # the comparison integrand of the Gaussian plane: divergent at the third
+    # cutoff, and every segment from the second on needs bisection
+    def f(t):
+        return np.exp(0.5 * (t * t - 1.6 ** 2)) / (2 * np.pi * t)
+
+    seq, seq_calls = _integrate_calls(monkeypatch, f, 1)
+    grouped, calls = _integrate_calls(monkeypatch, f, 4)
+    assert _verdict_fields(grouped) == _verdict_fields(seq)
+    assert len(grouped.cutoffs) == 3
+    bisected = [c for c in calls if c[2] > 0]
+    assert len(bisected) == 2 and all(c[0] == 1 for c in bisected)
+    assert (sum(c[2] for c in calls) == sum(c[2] for c in seq_calls)
+            == sum(c[2] for c in bisected))
+
+
 def test_classify_rejects_negative_integrands():
     with pytest.raises(IntegrandSignError):
         rd.classify_improper(lambda t: np.cos(10.0 * t) / t ** 2, 1.0)
