@@ -63,13 +63,10 @@ class WeightedModel:
         self.f.check_domain(t)
         f = self.f.value(t)
         with np.errstate(over="ignore"):
-            if isinstance(f, np.ndarray):
-                weight = np.exp(f)
-            else:
-                try:
-                    weight = math.exp(f)
-                except OverflowError:
-                    weight = math.inf
+            try:
+                weight = _exp(f)
+            except OverflowError:
+                weight = math.inf
             over = np.isinf(weight) & np.isfinite(f)
             if over.any():
                 i = np.flatnonzero(over)[0]

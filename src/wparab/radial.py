@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import (BracketError, DomainError, IntegrandSignError,
-                     QuadratureError, WparabError)
+from .errors import BracketError, DomainError, IntegrandSignError, QuadratureError
 
 
 class AccuracyWarning(UserWarning):
@@ -275,6 +274,14 @@ def _gk15(f, a, b):
     return k, np.abs(k - g)
 
 
+def _misses_tolerance(value, error, abs_tol, rel_tol):
+    """Whether ``error`` misses the tolerance of :func:`integrate`,
+    max(abs_tol, rel_tol |value|); elementwise on arrays."""
+    if isinstance(value, np.ndarray):
+        return error > np.maximum(abs_tol, rel_tol * np.abs(value))
+    return error > max(abs_tol, rel_tol * abs(value))
+
+
 def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions):
     """Adaptive bisection of [a, b] from its GK15 (val, err), worst panel first."""
     # heap of (-error, tiebreak, a, b, value, error)
@@ -282,7 +289,8 @@ def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions):
     heap = [(-err, counter, a, b, val, err)]
     total_val, total_err = val, err
     n_sub = 0
-    while total_err > max(abs_tol, rel_tol * abs(total_val)) and n_sub < max_subdivisions:
+    while (_misses_tolerance(total_val, total_err, abs_tol, rel_tol)
+           and n_sub < max_subdivisions):
         neg_err, _, ia, ib, ival, ierr = heapq.heappop(heap)
         im = 0.5 * (ia + ib)
         if im == ia or im == ib:
@@ -300,7 +308,7 @@ def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions):
         counter += 1
         heapq.heappush(heap, (-re, counter, im, ib, rv, re))
         n_sub += 1
-    converged = total_err <= max(abs_tol, rel_tol * abs(total_val))
+    converged = not _misses_tolerance(total_val, total_err, abs_tol, rel_tol)
     return QuadResult(total_val, total_err, converged, n_sub)
 
 
@@ -328,7 +336,7 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
     if not np.all(lo < hi):
         raise DomainError(f"integrate needs a < b, got ({a}, {b})")
     vals, errs = _gk15(f, lo, hi)
-    failing = np.flatnonzero(errs > np.maximum(abs_tol, rel_tol * np.abs(vals)))
+    failing = np.flatnonzero(_misses_tolerance(vals, errs, abs_tol, rel_tol))
     results = [_bisect(f, float(lo[i]), float(hi[i]), float(vals[i]),
                        float(errs[i]), abs_tol, rel_tol, max_subdivisions)
                for i in failing]
@@ -421,8 +429,11 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
 
     def segments(edges, max_subdivisions=10_000):
         """(value, error) of each panel between consecutive edges, from one
-        integrate call; ``max_subdivisions=0`` leaves them unrefined."""
+        integrate call; ``max_subdivisions=0`` leaves them unrefined and
+        turns any warning into an error."""
         with warnings.catch_warnings():
+            if not max_subdivisions:
+                warnings.simplefilter("error")
             # segment accuracy is folded into the verdict's own evidence
             warnings.simplefilter("ignore", AccuracyWarning)
             seg = integrate(f, edges[:-1], edges[1:], abs_tol=seg_tol,
@@ -458,12 +469,12 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
                 # beyond the cutoff where the loop stops
                 ahead = segments(a * 2.0 ** np.arange(j - 1, group_end + 1),
                                  max_subdivisions=0)
-            except WparabError:
-                # one segment at a time, so that an error surfaces at the
-                # segment the sequential loop would have reached
+            except Exception:
+                # one segment at a time, so that an error or a warning of f
+                # surfaces at the segment the sequential loop would reach
                 ahead = []
         swept = ahead.pop(0) if ahead else None
-        if swept is not None and swept[1] <= max(seg_tol, seg_rel * abs(swept[0])):
+        if swept is not None and not _misses_tolerance(*swept, seg_tol, seg_rel):
             # passes integrate's tolerance test: what a one-segment call returns
             seg_value, seg_error = swept
         else:

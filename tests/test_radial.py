@@ -8,6 +8,7 @@ from scipy.optimize import brentq
 
 from wparab import catalogs
 from wparab import criteria as cr
+from wparab import expr as ex
 from wparab import radial as rd
 from wparab.errors import (BracketError, DomainError, IntegrandSignError,
                            QuadratureError, WparabError)
@@ -123,6 +124,15 @@ def _beyond_stop_overflows(t):
     return np.where(t > _STOP, np.inf, _power_decay(t))
 
 
+# t^-2.5 as an expression whose domain ends between the stop and the end
+# of the stop's group of 2, 4 or 8 segments
+_DOMAIN_ENDS_BEYOND_STOP = ex.parse(f"t^-2.5 + 0*sqrt({1.2 * _STOP} - t)", ["t"])
+
+
+def _domain_ends_beyond_stop(t):
+    return ex.evaluate(_DOMAIN_ENDS_BEYOND_STOP, {"t": t})
+
+
 GROUPED_CASES = {
     "convergent": (lambda t: 1.0 / (t * t), {}, "convergent"),
     "inconclusive": (lambda t: 1.0 / (t * (1.0 + np.log(t))), {}, "inconclusive"),
@@ -135,6 +145,7 @@ GROUPED_CASES = {
     "pointwise": (lambda t: 1.0 + 1e-9 * t, {"divergence_threshold": 7.5},
                   "divergent"),
     "overflow beyond the stop": (_beyond_stop_overflows, {}, "convergent"),
+    "domain ends beyond the stop": (_domain_ends_beyond_stop, {}, "convergent"),
 }
 
 
@@ -163,12 +174,15 @@ def test_verdicts_do_not_depend_on_the_group_size(case, monkeypatch):
         assert "exceeded" in verdicts[0]["reason"]
 
 
-def test_the_overflow_case_stops_inside_a_group():
+def test_the_beyond_the_stop_cases_stop_inside_a_group():
     # t^-2.5 stops at an odd doubling, so groups of 2, 4 and 8 integrate
     # past the stop and must fall back to single segments
     assert math.log2(_STOP) % 2 == 1
     with pytest.raises(QuadratureError):
         rd.integrate(_beyond_stop_overflows, _STOP, 2.0 * _STOP)
+    with pytest.raises(ex.ExprDomainError, match="sqrt of negative value"):
+        rd.integrate(_domain_ends_beyond_stop, _STOP, 2.0 * _STOP)
+    assert _domain_ends_beyond_stop(_STOP) == _power_decay(_STOP)
 
 
 @pytest.mark.parametrize("size", GROUP_SIZES)
@@ -181,6 +195,37 @@ def test_sign_errors_surface_at_the_same_cutoff_for_every_group_size(size, monke
 
     with pytest.raises(IntegrandSignError, match=r"at t=64\.0:"):
         rd.classify_improper(f, 1.0)
+
+
+# negative beyond t = 40 and undefined beyond t = 100
+_SIGN_THEN_DOMAIN = ex.parse(
+    "t^-2 - 0.0005*(1 + tanh(50*(t - 40))) + 0*sqrt(100 - t)", ["t"])
+
+
+@pytest.mark.parametrize("size", GROUP_SIZES)
+def test_a_domain_error_ahead_does_not_hide_a_sign_error(size, monkeypatch):
+    # the first group of 8 reaches t > 100; the loop stops at the cutoff 64
+    monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
+    with pytest.raises(IntegrandSignError, match=r"at t=64\.0:"):
+        rd.classify_improper(lambda t: ex.evaluate(_SIGN_THEN_DOMAIN, {"t": t}), 1.0)
+
+
+@pytest.mark.parametrize("size", GROUP_SIZES)
+def test_a_warning_ahead_is_not_emitted(size, monkeypatch):
+    # f warns only beyond t = 20, where the loop, stopped at 16 by the
+    # threshold, never evaluates it
+    monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
+
+    def f(t):
+        if np.any(t > 20.0):
+            warnings.warn("beyond 20", RuntimeWarning)
+        return 1e11 + 0.0 * t
+
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        verdict = rd.classify_improper(f, 1.0)
+    assert verdict.status == "divergent" and verdict.cutoffs[-1] == 16.0
+    assert seen == []
 
 
 def _integrate_calls(monkeypatch, f, size):
