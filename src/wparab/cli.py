@@ -43,6 +43,14 @@ def _alpha_from(params):
     return None
 
 
+def _n(params, prefix=""):
+    return mc.whole_number(prefix + "n", params["n"])
+
+
+def _t0(params, prefix=""):
+    return mc.finite_number(prefix + "t0", params.get("t0", 1.0))
+
+
 # ---------------------------------------------------------------------------
 # Task runners
 
@@ -55,37 +63,36 @@ def _run_classify(scenario, outdir):
     model = catalogs.resolve_model(model_spec)
 
     if criterion == "ahlfors_direct":
-        verdict = model.ahlfors_classify(params.get("t0", 1.0), hint)
+        verdict = model.ahlfors_classify(_t0(params), hint)
     elif criterion in ("parabolic_comparison", "hyperbolic_comparison"):
         alpha = _alpha_from(params)
         if alpha is None:
             raise ScenarioError("comparison criteria need an 'alpha' expression")
-        setup = criteria.ComparisonSetup(model.w, int(params["n"]),
-                                         float(params.get("t0", 1.0)), alpha,
-                                         hint=hint)
+        setup = criteria.ComparisonSetup(model.w, _n(params), _t0(params),
+                                         alpha, hint=hint)
         fn = (criteria.classify_parabolic if criterion == "parabolic_comparison"
               else criteria.classify_hyperbolic)
         verdict = fn(setup)
     elif criterion == "bounded_drift":
         beta = rd.RadialProfile.from_expression(params["beta"])
         verdict = criteria.classify_bounded_drift(
-            model.w, int(params["n"]), beta, float(params.get("c", 0.0)),
+            model.w, _n(params), beta, mc.finite_number("c", params.get("c", 0.0)),
             params.get("direction", "parabolic"), hint)
     elif criterion == "radial_weight":
         verdict = criteria.classify_radial_weight(
-            model.w, int(params["n"]), model.f, float(params.get("c", 0.0)),
+            model.w, _n(params), model.f, mc.finite_number("c", params.get("c", 0.0)),
             params.get("direction", "parabolic"), hint,
             use_exp_integral=bool(params.get("use_exp_integral", False)))
     elif criterion == "warping_power":
         verdict = criteria.classify_warping_power(
-            model.w, int(params["n"]), float(params["k"]),
-            float(params.get("t0", 1.0)), hint)
+            model.w, _n(params), mc.finite_number("k", params["k"]),
+            _t0(params), hint)
     elif criterion == "translator_halfspace":
         alpha = _alpha_from(params)
         if alpha is None:
             raise ScenarioError("translator criterion needs an 'alpha' expression")
         verdict = criteria.classify_translator_halfspace(
-            int(params["n"]), alpha, float(params.get("t0", 1.0)), hint)
+            _n(params), alpha, _t0(params), hint)
     else:
         raise ScenarioError(f"unknown criterion {criterion!r}")
     return {"verdict": verdict.to_dict()}
@@ -191,8 +198,8 @@ def _run_mc_verify(scenario, outdir):
     if "comparison" in params:
         comp = params["comparison"]
         alpha = rd.RadialProfile.from_expression(comp["alpha"])
-        setup = criteria.ComparisonSetup(warping, int(comp["n"]),
-                                         float(comp.get("t0", 1.0)), alpha)
+        setup = criteria.ComparisonSetup(warping, _n(comp, "comparison."),
+                                         _t0(comp, "comparison."), alpha)
         rep = mc.comparison_check(spec, setup, start, rho, R, N,
                                   direction=comp.get("direction", "parabolic"))
         return {"comparison": rep.to_dict()}

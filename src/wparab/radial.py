@@ -413,7 +413,8 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
     ``tail_tol``; divergent when partial sums exceed the threshold, the
     increments stop decaying over six consecutive doublings, or the
     integrand blows up pointwise across the last cutoffs.  ``f`` takes a
-    float at the cutoffs and an array of nodes in :func:`integrate`.
+    float at the cutoffs and the (segments, 15) array of GK15 nodes of the
+    segments it integrates.
     """
     if a <= 0:
         raise DomainError("classify_improper needs a > 0")
@@ -427,18 +428,9 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
 
     seg_tol, seg_rel = tail_tol * 1e-3, 1e-8
 
-    def segments(edges, max_subdivisions=10_000):
-        """(value, error) of each panel between consecutive edges, from one
-        integrate call; ``max_subdivisions=0`` leaves them unrefined and
-        turns any warning into an error."""
-        with warnings.catch_warnings():
-            if not max_subdivisions:
-                warnings.simplefilter("error")
-            # segment accuracy is folded into the verdict's own evidence
-            warnings.simplefilter("ignore", AccuracyWarning)
-            seg = integrate(f, edges[:-1], edges[1:], abs_tol=seg_tol,
-                            rel_tol=seg_rel, max_subdivisions=max_subdivisions)
-        return list(zip(seg.value.tolist(), seg.error.tolist()))
+    def sweep(edges):
+        """GK15 (value, error) of each segment between consecutive edges."""
+        return list(zip(*(v.tolist() for v in _gk15(f, edges[:-1], edges[1:]))))
 
     cutoffs, partials, increments, samples = [], [], [], [checked(a)]
     ahead, group_end = [], 0
@@ -467,18 +459,18 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
                 # only the GK15 sweep of the group: a segment that fails the
                 # tolerance is bisected once the loop reaches it, never
                 # beyond the cutoff where the loop stops
-                ahead = segments(a * 2.0 ** np.arange(j - 1, group_end + 1),
-                                 max_subdivisions=0)
+                ahead = sweep(a * 2.0 ** np.arange(j - 1, group_end + 1))
             except Exception:
-                # one segment at a time, so that an error or a warning of f
-                # surfaces at the segment the sequential loop would reach
+                # one segment at a time, so that an error of f surfaces at
+                # the segment the sequential loop would reach
                 ahead = []
-        swept = ahead.pop(0) if ahead else None
-        if swept is not None and not _misses_tolerance(*swept, seg_tol, seg_rel):
-            # passes integrate's tolerance test: what a one-segment call returns
-            seg_value, seg_error = swept
-        else:
-            seg_value, seg_error = segments(np.array([t_prev, t_cur]))[0]
+        # a panel's GK15 row sums do not depend on the panel count, so each
+        # segment gets what a one-segment integrate call returns, to the bit;
+        # its accuracy is folded into the verdict's own evidence
+        seg_value, seg_error = ahead.pop(0) if ahead else sweep(np.array([t_prev, t_cur]))[0]
+        if _misses_tolerance(seg_value, seg_error, seg_tol, seg_rel):
+            seg_value, seg_error = _bisect(f, t_prev, t_cur, seg_value, seg_error,
+                                           seg_tol, seg_rel, 10_000)
         partial += seg_value
         quad_err += seg_error
         cutoffs.append(t_cur)

@@ -1,3 +1,4 @@
+import ast
 import csv
 import dataclasses
 import functools
@@ -400,6 +401,26 @@ def test_the_library_runs_without_scipy(tmp_path):
     assert (tmp_path / "report.json").exists()
 
 
+def test_the_library_leaves_the_warning_filters_alone():
+    """No module under src/wparab calls the warnings filter API.
+
+    The filters are process-global, and ``wparab run --workers`` runs
+    scenarios on threads: a filter set inside one scenario reaches the
+    others and outlives the run.
+    """
+    banned = {"catch_warnings", "simplefilter", "filterwarnings", "resetwarnings"}
+    modules = sorted(Path(cli.__file__).parent.rglob("*.py"))
+    calls = []
+    for path in modules:
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            func = getattr(node, "func", None)
+            name = getattr(func, "attr", getattr(func, "id", None))
+            if isinstance(node, ast.Call) and name in banned:
+                calls.append(f"{path.name}:{node.lineno}: {name}")
+    assert len(modules) >= 10
+    assert calls == []
+
+
 @pytest.mark.parametrize("token", ["Infinity", "-Infinity", "NaN"])
 def test_non_json_numbers_in_a_config_exit_2(tmp_path, capsys, token):
     path = tmp_path / "config.json"
@@ -585,3 +606,40 @@ def test_scenario_counts_and_radii_are_checked(tmp_path):
                          ({"rho": math.nan}, "rho must be a finite number, got nan")):
         entry = cli.run_scenario(gaussian_plane_scenario(**patch), tmp_path)
         assert entry["error"] == "DomainError: " + shown
+
+
+def classify_scenario(criterion="radial_weight", **params):
+    return {"id": "cls", "task": "classify", "model": small_model("gaussian", 3),
+            "params": {"criterion": criterion, "n": 2, **params}}
+
+
+def test_criterion_numbers_are_checked(tmp_path):
+    comparison = {"alpha": "-t", "n": 2, "t0": 1.5}
+    cases = [
+        (classify_scenario(n=2.7),
+         "DomainError: n must be a positive integer, got 2.7"),
+        (classify_scenario("parabolic_comparison", n=0, alpha="-t"),
+         "DomainError: n must be a positive integer, got 0"),
+        (classify_scenario(c=True),
+         "DomainError: c must be a finite number, got True"),
+        (classify_scenario("bounded_drift", beta="0*t", c="0"),
+         "DomainError: c must be a finite number, got '0'"),
+        (classify_scenario("ahlfors_direct", t0="2"),
+         "DomainError: t0 must be a finite number, got '2'"),
+        (classify_scenario("translator_halfspace", alpha="-t", t0=[1.0]),
+         "DomainError: t0 must be a finite number, got [1.0]"),
+        (classify_scenario("warping_power", k=False),
+         "DomainError: k must be a finite number, got False"),
+        (gaussian_plane_scenario(comparison={**comparison, "n": 2.5}),
+         "DomainError: comparison.n must be a positive integer, got 2.5"),
+        (gaussian_plane_scenario(comparison={**comparison, "t0": True}),
+         "DomainError: comparison.t0 must be a finite number, got True"),
+    ]
+    scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
+    ok = [{**classify_scenario(n=n, c=c), "id": f"ok{i}"}
+          for i, (n, c) in enumerate(((2, 0.0), (2.0, 0)))]
+    cli.run_config({"scenarios": scenarios + ok}, tmp_path)
+    *bad, first, second = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert first["status"] == second["status"] == "ok"
+    assert first["verdict"] == second["verdict"]

@@ -213,7 +213,9 @@ def test_a_domain_error_ahead_does_not_hide_a_sign_error(size, monkeypatch):
 @pytest.mark.parametrize("size", GROUP_SIZES)
 def test_a_warning_ahead_is_not_emitted(size, monkeypatch):
     # f warns only beyond t = 20, where the loop, stopped at 16 by the
-    # threshold, never evaluates it
+    # threshold, never evaluates it one segment at a time; under the
+    # caller's error filter the sweep that reaches it raises, and its group
+    # falls back to single segments
     monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
 
     def f(t):
@@ -222,35 +224,67 @@ def test_a_warning_ahead_is_not_emitted(size, monkeypatch):
         return 1e11 + 0.0 * t
 
     with warnings.catch_warnings(record=True) as seen:
-        warnings.simplefilter("always")
+        warnings.simplefilter("error")
         verdict = rd.classify_improper(f, 1.0)
     assert verdict.status == "divergent" and verdict.cutoffs[-1] == 16.0
     assert seen == []
 
 
-def _integrate_calls(monkeypatch, f, size):
-    """(panels, max_subdivisions, subdivisions) of each integrate call that
-    classify_improper(f, 1.6) makes with the given group size."""
-    calls = []
+@pytest.mark.parametrize("size", GROUP_SIZES)
+def test_classify_leaves_the_warning_filters_alone(size, monkeypatch):
+    # the filters are process-global and `wparab run --workers` runs
+    # scenarios on threads, so f must see the caller's filters at every call
+    monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
+    seen = []
 
-    def recording(f, a, b, **kwargs):
-        res = integrate(f, a, b, **kwargs)
-        calls.append((np.size(a), kwargs.get("max_subdivisions"), res.subdivisions))
+    def recording(f):
+        def g(t):
+            seen.append(list(warnings.filters))
+            return f(t)
+        return g
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("always", RuntimeWarning)
+        callers = list(warnings.filters)
+        for f, kwargs, status in GROUPED_CASES.values():
+            assert rd.classify_improper(recording(f), 1.0, **kwargs).status == status
+        assert warnings.filters == callers
+    assert seen and all(filters == callers for filters in seen)
+
+
+def _kernel_calls(monkeypatch, f, size):
+    """classify_improper(f, 1.6) with the given group size, and its kernel
+    calls in order: ("gk15", panels) for each GK15 sweep of the loop itself
+    and ("bisect", a, b, subdivisions) for each bisection."""
+    calls, inside = [], []
+    gk15, bisect = rd._gk15, rd._bisect
+
+    def recording_gk15(f, a, b):
+        if not inside:
+            calls.append(("gk15", len(a)))
+        return gk15(f, a, b)
+
+    def recording_bisect(f, a, b, *args):
+        inside.append(True)
+        res = bisect(f, a, b, *args)
+        inside.pop()
+        calls.append(("bisect", a, b, res.subdivisions))
         return res
 
-    integrate = rd.integrate
-    monkeypatch.setattr(rd, "integrate", recording)
+    monkeypatch.setattr(rd, "_gk15", recording_gk15)
+    monkeypatch.setattr(rd, "_bisect", recording_bisect)
     monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
     verdict = rd.classify_improper(f, 1.6)
-    monkeypatch.setattr(rd, "integrate", integrate)
+    monkeypatch.setattr(rd, "_gk15", gk15)
+    monkeypatch.setattr(rd, "_bisect", bisect)
     return verdict, calls
 
 
 def test_doubling_segments_share_one_sweep_per_group(monkeypatch):
-    verdict, calls = _integrate_calls(monkeypatch, lambda t: 1.0 / (t * t), 4)
+    verdict, calls = _kernel_calls(monkeypatch, lambda t: 1.0 / (t * t), 4)
     doublings = len(verdict.cutoffs)
-    # every segment passes its sweep's tolerance, so no one-segment call
-    assert [c[:2] for c in calls] == [(4, 0)] * -(-doublings // 4)
+    # every segment passes its sweep's tolerance, so nothing is bisected
+    assert calls == [("gk15", 4)] * -(-doublings // 4)
 
 
 def test_no_segment_beyond_the_stop_is_bisected(monkeypatch):
@@ -259,14 +293,14 @@ def test_no_segment_beyond_the_stop_is_bisected(monkeypatch):
     def f(t):
         return np.exp(0.5 * (t * t - 1.6 ** 2)) / (2 * np.pi * t)
 
-    seq, seq_calls = _integrate_calls(monkeypatch, f, 1)
-    grouped, calls = _integrate_calls(monkeypatch, f, 4)
+    seq, seq_calls = _kernel_calls(monkeypatch, f, 1)
+    grouped, calls = _kernel_calls(monkeypatch, f, 4)
     assert _verdict_fields(grouped) == _verdict_fields(seq)
     assert len(grouped.cutoffs) == 3
-    bisected = [c for c in calls if c[2] > 0]
-    assert len(bisected) == 2 and all(c[0] == 1 for c in bisected)
-    assert (sum(c[2] for c in calls) == sum(c[2] for c in seq_calls)
-            == sum(c[2] for c in bisected))
+    bisected = [("bisect", 3.2, 6.4, 2), ("bisect", 6.4, 12.8, 4)]
+    assert [c for c in seq_calls if c[0] == "bisect"] == bisected
+    # one sweep of four segments, then only the two segments up to the stop
+    assert calls == [("gk15", 4)] + bisected
 
 
 def test_classify_rejects_negative_integrands():
