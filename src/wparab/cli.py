@@ -110,23 +110,22 @@ def _run_capacity(scenario, outdir):
     report = model.capacity_potential(rho, mc.finite_number("R", R))
     out = report.to_dict()
     if "eval_at" in params:
-        radii = [float(s) for s in params["eval_at"]]
+        radii = [mc.finite_number("eval_at", s) for s in params["eval_at"]]
         values = report.potential(np.array(radii)).tolist()
-        out["potential_values"] = {
-            str(s): phi for s, phi in zip(params["eval_at"], values)}
+        out["potential_values"] = dict(zip(map(str, params["eval_at"]), values))
     return {"capacity_report": out}
 
 
 def _run_curves(scenario, outdir):
     params = scenario.get("params", {})
     model = catalogs.resolve_model(scenario["model"])
-    lo, hi = (float(x) for x in params["range"])
+    lo, hi = (mc.finite_number("range", x) for x in params["range"])
     if lo <= model.f.t_min:
         raise ScenarioError(
             f"curve range starts at {lo} but the weight is defined only for "
             f"t > {model.f.t_min}")
     samples = mc.whole_number("samples", params.get("samples", 100))
-    n = params.get("n")
+    n = _n(params) if params.get("n") is not None else None
     rho, R = params.get("rho"), params.get("R")
     ts = np.linspace(lo, hi, samples)
 
@@ -151,7 +150,7 @@ def _run_curves(scenario, outdir):
             cols.append(model.ball_volume(t))
         cols.append(model.mean_curvature(t))
         if n is not None:
-            cols.append(model.weighted_mean_curvature(int(n), t))
+            cols.append(model.weighted_mean_curvature(n, t))
         return cols
 
     try:

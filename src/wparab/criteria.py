@@ -25,6 +25,9 @@ from .verdicts import (FAILS, HOLDS, WINDOW_ONLY, HypothesisCheck, Outcome,
 
 _LADDER_SPAN = 40.0      # doublings covered by the cumulative grid
 _LADDER_NODES = 512
+_CURVATURE_T, _CURVATURE_CAP = 64.0, 1e3     # sup |w'/w| < cap on [T, 2T]
+_SLOPE_SAMPLES = 20                          # f' at t_min 2^k, k < samples
+_PROBE_SAMPLES, _PROBE_SCALE = 64, 2.0       # hyperplane constancy probe
 
 
 class CumulativeProfile(RadialProfile):
@@ -207,18 +210,19 @@ def warping_integrability_check(w: WarpingFunction, want_infinite):
                            margin=None, note=verdict.reason), verdict
 
 
-def curvature_bounded_check(w: WarpingFunction, T=64.0, cap=1e3):
+def curvature_bounded_check(w: WarpingFunction):
+    T = _CURVATURE_T
     ts = np.linspace(T, 2.0 * T, 64)
     sup = float(np.max(np.abs(w.deriv(ts) / w.value(ts))))
-    status = HOLDS if sup < cap else FAILS
+    status = HOLDS if sup < _CURVATURE_CAP else FAILS
     return HypothesisCheck(name="sphere_curvature_bounded", status=status,
-                           margin=float(cap - sup), window=(T, 2.0 * T),
+                           margin=float(_CURVATURE_CAP - sup), window=(T, 2.0 * T),
                            samples=64, note=f"sup |H| = {sup:.3g} on window")
 
 
-def slope_limit_check(f: RadialProfile, direction, samples=20):
+def slope_limit_check(f: RadialProfile, direction):
     """Window evidence for f'(t) -> -inf (direction=-1) or +inf (+1)."""
-    ts = max(f.t_min * 1.01, 1e-3) * 2.0 ** np.arange(samples)
+    ts = max(f.t_min * 1.01, 1e-3) * 2.0 ** np.arange(_SLOPE_SAMPLES)
     vals = direction * f.deriv(ts)
     increasing = bool(np.all(vals[-5:] >= vals[-6:-1] - 1e-12))
     first, last = float(ts[0]), float(ts[-1])
@@ -227,7 +231,7 @@ def slope_limit_check(f: RadialProfile, direction, samples=20):
                                             "fprime": float(direction * vals[-1])}
     return HypothesisCheck(name="log_weight_slope_limit", status=status,
                            margin=float(vals[-1]), witness=witness,
-                           window=(first, last), samples=samples,
+                           window=(first, last), samples=_SLOPE_SAMPLES,
                            note=f"direction={'+inf' if direction > 0 else '-inf'}")
 
 
@@ -429,7 +433,7 @@ def critical_cylinder_radius(k, xi=None, lambda0=0.0, mode="last_above",
     return find_root(g, a, b, tol=1e-13)
 
 
-def hyperplane_weighted_mc(weight, a, t, p=None, probe_samples=64, probe_scale=2.0):
+def hyperplane_weighted_mc(weight, a, t, p=None):
     """Weighted curvature -<grad h, a> of the hyperplane <p, a> = t.
 
     Returns (value at p, spread) where spread is max - min over sampled
@@ -444,10 +448,10 @@ def hyperplane_weighted_mc(weight, a, t, p=None, probe_samples=64, probe_scale=2
         p = np.asarray(p, dtype=float)
         if abs(float(p @ a) - t) > 1e-9:
             raise DomainError("point p does not lie on the hyperplane")
-    value = -float(weight.grad(p) @ a)
+    value = -float(weight.grad(p[None])[0] @ a)
 
     B = _complement_basis(a)
     rng = np.random.Generator(np.random.Philox(20240601))
-    coeffs = rng.standard_normal((probe_samples, m - 1)) * probe_scale
-    vals = -(weight.grad_batch(t * a + coeffs @ B) @ a)
+    coeffs = rng.standard_normal((_PROBE_SAMPLES, m - 1)) * _PROBE_SCALE
+    vals = -(weight.grad(t * a + coeffs @ B) @ a)
     return value, float(vals.max() - vals.min())

@@ -28,6 +28,8 @@ from .verdicts import FAILS, HOLDS, HypothesisCheck
 _EPS = np.finfo(float).eps
 _STEP_GRAD = _EPS ** (1.0 / 3.0)       # central first differences
 _STEP_HESS = _EPS ** 0.25              # central second differences
+_COND_LIMIT = 1e12                     # induced metrics beyond it are degenerate
+_MARGIN_TOL = 1e-8                     # a sampled hypothesis fails below -tol
 
 
 # ---------------------------------------------------------------------------
@@ -53,12 +55,6 @@ def _stack(components, N):
     return out
 
 
-def _rows(batch_fn, x):
-    """Apply a function of stacked points (N, m) to one point or a stack."""
-    x = np.asarray(x, dtype=float)
-    return batch_fn(x) if x.ndim == 2 else batch_fn(x[None])[0]
-
-
 def _norm(x):
     """Euclidean norm over the last axis, as a dot product like
     np.linalg.norm of a single vector, so one point and the same row of a
@@ -78,42 +74,32 @@ def _inner(G, a, b):
 class AmbientWeight:
     """Weight exp(h) on Euclidean coordinates: value, gradient, Hessian.
 
-    Subclasses evaluate stacks of points of shape (N, m); ``value``,
-    ``grad`` and ``hess`` take one point (m,) or a stack, a single point
-    being the one-row case.
+    Each method takes a stack of points of shape (N, m); a single point is
+    the one-row stack.
     """
 
     name = "weight"
 
-    def value_batch(self, pts):
+    def value(self, pts):
         raise NotImplementedError
 
-    def grad_batch(self, pts):
+    def grad(self, pts):
         raise NotImplementedError
 
-    def hess_batch(self, pts):
+    def hess(self, pts):
         raise NotImplementedError
-
-    def value(self, p):
-        return _rows(self.value_batch, p)
-
-    def grad(self, p):
-        return _rows(self.grad_batch, p)
-
-    def hess(self, p):
-        return _rows(self.hess_batch, p)
 
 
 class ZeroWeight(AmbientWeight):
     name = "zero"
 
-    def value_batch(self, pts):
+    def value(self, pts):
         return np.zeros(len(pts))
 
-    def grad_batch(self, pts):
+    def grad(self, pts):
         return np.zeros_like(pts)
 
-    def hess_batch(self, pts):
+    def hess(self, pts):
         N, m = pts.shape
         return np.zeros((N, m, m))
 
@@ -134,13 +120,13 @@ class RadialWeight(AmbientWeight):
         r = np.maximum(r, 1e-9)
         return np.where(pole, self.profile.second(r), self.profile.deriv(r) / r)
 
-    def value_batch(self, pts):
+    def value(self, pts):
         return self.profile.value(_norm(pts))
 
-    def grad_batch(self, pts):
+    def grad(self, pts):
         return self.slope_over_r(_norm(pts))[:, None] * pts
 
-    def hess_batch(self, pts):
+    def hess(self, pts):
         N, m = pts.shape
         r = _norm(pts)
         s = self.slope_over_r(r)
@@ -163,13 +149,13 @@ class HeightWeight(AmbientWeight):
         self.axis = np.asarray(axis, dtype=float)
         self.name = f"height({mu.name})"
 
-    def value_batch(self, pts):
+    def value(self, pts):
         return self.mu.value(pts @ self.axis)
 
-    def grad_batch(self, pts):
+    def grad(self, pts):
         return self.mu.deriv(pts @ self.axis)[:, None] * self.axis
 
-    def hess_batch(self, pts):
+    def hess(self, pts):
         return (self.mu.second(pts @ self.axis)[:, None, None]
                 * np.outer(self.axis, self.axis))
 
@@ -183,19 +169,19 @@ class SplitWeight(AmbientWeight):
         self.m = m
         self.name = f"split({eta.name}+{mu.name})"
 
-    def value_batch(self, pts):
-        return self.eta.value_batch(pts[:, :-1]) + self.mu.value(pts[:, -1])
+    def value(self, pts):
+        return self.eta.value(pts[:, :-1]) + self.mu.value(pts[:, -1])
 
-    def grad_batch(self, pts):
+    def grad(self, pts):
         out = np.empty_like(pts)
-        out[:, :-1] = self.eta.grad_batch(pts[:, :-1])
+        out[:, :-1] = self.eta.grad(pts[:, :-1])
         out[:, -1] = self.mu.deriv(pts[:, -1])
         return out
 
-    def hess_batch(self, pts):
+    def hess(self, pts):
         N, m = pts.shape
         out = np.zeros((N, m, m))
-        out[:, :-1, :-1] = self.eta.hess_batch(pts[:, :-1])
+        out[:, :-1, :-1] = self.eta.hess(pts[:, :-1])
         out[:, -1, -1] = self.mu.second(pts[:, -1])
         return out
 
@@ -222,17 +208,17 @@ class ExprWeight(AmbientWeight):
                for k, (name, c) in enumerate(zip(self.vars, _columns(pts)))}
         return self._ex.evaluate(self.ast, env)
 
-    def value_batch(self, pts):
+    def value(self, pts):
         return _stack([self._evaluate(pts)], len(pts))[:, 0]
 
-    def grad_batch(self, pts):
+    def grad(self, pts):
         def along(i):
             return dual_parts(self._evaluate(
                 pts, lambda k, c: Dual(c, float(k == i))))[1]
 
         return _stack([along(i) for i in range(self.m)], len(pts))
 
-    def hess_batch(self, pts):
+    def hess(self, pts):
         out = np.empty((len(pts), self.m, self.m))
         for i in range(self.m):
             for j in range(i + 1):
@@ -272,22 +258,14 @@ class EuclideanAmbient:
     def sphere_curvature(self, r):
         return 1.0 / r
 
-    def weight_value(self, x):
-        return self.weight.value(x)
-
-    def weight_grad(self, x):
-        return self.weight.grad(x)
-
-    def weight_hess(self, x):
-        return self.weight.hess(x)
-
 
 class ModelChartAmbient:
     """Polar chart (t, theta_1..theta_{m-1}) of a weighted model space.
 
     Metric dt^2 + w(t)^2 * (round-sphere chart metric); Christoffel symbols
     use the closed warped-product expressions rather than differentiating
-    the metric.
+    the metric.  The weight f(t) is a height weight along t: its gradient is
+    dh in the chart, its Hessian is not covariant (Hessian users refuse it).
     """
 
     flat = False
@@ -295,6 +273,7 @@ class ModelChartAmbient:
     def __init__(self, model: WeightedModel):
         self.model = model
         self.m = model.m
+        self.weight = HeightWeight(model.f, self.m, axis=np.eye(self.m)[0])
 
     def _sphere_factors(self, ang):
         # s[..., a] = prod_{j<a} sin^2(theta_j), for the a-th angular coordinate
@@ -340,17 +319,6 @@ class ModelChartAmbient:
 
     def sphere_curvature(self, r):
         return self.model.mean_curvature(r)
-
-    def weight_value(self, x):
-        return self.model.f.value(np.asarray(x, dtype=float)[..., 0])
-
-    def weight_grad(self, x):
-        g = np.zeros(np.shape(x))
-        g[..., 0] = self.model.f.deriv(np.asarray(x, dtype=float)[..., 0])
-        return g
-
-    def weight_hess(self, x):
-        raise DomainError("weight Hessian only available in Euclidean ambients")
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +401,8 @@ class ImmersedSubmanifold:
         return self.ambient.m
 
     def point(self, u):
-        return _rows(lambda V: chart_points(self, V), u)
+        u = np.asarray(u, dtype=float)
+        return chart_points(self, u) if u.ndim == 2 else chart_points(self, u[None])[0]
 
 
 @dataclass
@@ -532,7 +501,7 @@ def _raise_first(U, checks):
             raise error(i)
 
 
-def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
+def geometry_at_batch(P: ImmersedSubmanifold, U):
     """Metric, frames, curvature vectors and radial data at a stack U of
     parameter points (N, n), as a GeometrySample with stacked fields.
 
@@ -547,7 +516,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
     sv = np.linalg.svd(g, compute_uv=False)
     with np.errstate(divide="ignore", invalid="ignore"):
         cond = sv[:, 0] / sv[:, -1]
-    bad_cond = ~(cond < cond_limit)
+    bad_cond = ~(cond < _COND_LIMIT)
     g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
     second = _covariant_second(P, x, J, Hx)
 
@@ -580,7 +549,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
     def normal_part(v):
         return np.einsum("Na,Nak->Nk", _inner(G[:, None], v[:, None], normals), normals)
 
-    grad_h = P.ambient.weight_grad(x)
+    grad_h = P.ambient.weight.grad(x)
     mc = normal_part(trace)
     wmc = mc - normal_part(grad_h)
 
@@ -596,10 +565,9 @@ def geometry_at_batch(P: ImmersedSubmanifold, U, cond_limit=1e12):
         radial_tangent_norm=radial_norm)
 
 
-def geometry_at(P: ImmersedSubmanifold, u, cond_limit=1e12):
+def geometry_at(P: ImmersedSubmanifold, u):
     """Metric, frames, curvature vectors and radial data at a parameter point."""
-    U = np.asarray(u, dtype=float)[None]
-    return geometry_at_batch(P, U, cond_limit).row(0)
+    return geometry_at_batch(P, np.asarray(u, dtype=float)[None]).row(0)
 
 
 # ---------------------------------------------------------------------------
@@ -638,14 +606,14 @@ def _fd_hessian(f, U, rel=_STEP_HESS):
     return out
 
 
-def _intrinsic_terms(s):
-    """Intrinsic Christoffels Gamma^k_ij = g^{kl} <d_l X, D_i d_j X>_G and the
-    pulled-back weight gradient d_i (h o X) = <d_i X, dh> of a stacked
-    sample, both from its chart jet."""
-    Jt = np.swapaxes(s.jacobian, -1, -2)
-    gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", s.metric_inv, Jt @ s.ambient_metric,
-                      s.covariant_second)
-    return gamma, np.einsum("Nia,Na->Ni", Jt, s.grad_h)
+def _drift(s):
+    """Drift b (N, n) of the weighted Laplacian of a stacked sample:
+    b = g^{-1} J^T (dh - G tr) with tr = g^{ij} D_i d_j X, which is
+    g^{kl} d_l (h o X) - g^{ij} Gamma^k_ij for the intrinsic Christoffels
+    Gamma^k_ij = g^{kl} <d_l X, D_i d_j X>_G."""
+    trace = np.einsum("Nij,Nijk->Nk", s.metric_inv, s.covariant_second)
+    dh = s.grad_h - (s.ambient_metric @ trace[..., None])[..., 0]
+    return (s.metric_inv @ (np.swapaxes(s.jacobian, -1, -2) @ dh[..., None]))[..., 0]
 
 
 def _point_sample(P, u):
@@ -662,17 +630,15 @@ def intrinsic_drift(P, u, sample=None):
     has it.
     """
     s = sample if sample is not None else _point_sample(P, u)[0]
-    gamma, grad_h = _intrinsic_terms(s)
-    g_inv = s.metric_inv[0]
-    return (-np.einsum("ij,kij->k", g_inv, gamma[0]) + g_inv @ grad_h[0]), g_inv
+    return _drift(s)[0], s.metric_inv[0]
 
 
 def weighted_laplacian(P: ImmersedSubmanifold, u, fld, sample=None):
     """Drift Laplacian of a scalar field on the parameter domain, at one
     point u (n,) or at each point of a stack (N, n).
 
-    Coordinate formula g^{ij} (d2_ij f - Gamma^k_ij d_k f) plus the drift
-    g^{ij} d_i (h o X) d_j f; ``fld`` takes stacks (see ``field_values``).
+    Coordinate formula g^{ij} d2_ij f + b^k d_k f with the drift b of
+    ``intrinsic_drift``; ``fld`` takes stacks (see ``field_values``).
     ``sample`` is ``geometry_at_batch`` of the stack (of ``[u]`` for one
     point) when the caller already has it.
     """
@@ -680,13 +646,9 @@ def weighted_laplacian(P: ImmersedSubmanifold, u, fld, sample=None):
     if U.ndim == 1:
         return float(weighted_laplacian(P, U[None], fld, sample)[0])
     s = sample if sample is not None else geometry_at_batch(P, U)
-    gamma, grad_h = _intrinsic_terms(s)
-    g_inv = s.metric_inv
     grad_f = _fd_gradient(fld, U)
-    hess_f = _fd_hessian(fld, U)
-    lap = (np.einsum("Nij,Nij->N", g_inv, hess_f)
-           - np.einsum("Nij,Nkij,Nk->N", g_inv, gamma, grad_f))
-    return lap + _inner(g_inv, grad_h, grad_f)
+    return (np.einsum("Nij,Nij->N", s.metric_inv, _fd_hessian(fld, U))
+            + np.einsum("Nk,Nk->N", _drift(s), grad_f))
 
 
 # ---------------------------------------------------------------------------
@@ -733,7 +695,7 @@ def _grid_points(window, per_dim):
 
 
 def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
-                              max_points=4096, tol=1e-8, min_radius=None):
+                              max_points=4096, min_radius=None):
     """Sample <grad h, grad r> + <wmc, grad r> against alpha(r) on a window.
 
     ``upper``: the sampled quantity must stay <= alpha(r); ``lower``: >=.
@@ -760,7 +722,7 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
     margins = np.where(np.isnan(margins), math.inf, margins)
     worst = float(margins.min()) if used else math.inf
     witness = None
-    if worst < -tol:
+    if worst < -_MARGIN_TOL:
         k = int(np.argmin(margins))
         witness = {"u": [float(x) for x in pts[keep[k]]], "r": float(r[keep[k]]),
                    "lhs": float(lhs[k]), "bound": float(bound[k])}
@@ -769,7 +731,7 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
                                witness={"reason": "no sample radius above floor"},
                                window=tuple(tuple(w) for w in window),
                                note=f"sense={sense}; floor={floor}")
-    status = FAILS if worst < -tol else HOLDS
+    status = FAILS if worst < -_MARGIN_TOL else HOLDS
     return HypothesisCheck(name="radial_drift_bound", status=status,
                            margin=float(worst), witness=witness,
                            window=tuple(tuple(w) for w in window),
@@ -870,7 +832,7 @@ def angle_function_laplacian(P, u):
     theta = float(N[-1])
     n_h = N[:-1]
 
-    hess = P.ambient.weight_hess(s.point)
+    hess = weight.hess(batch.point)[0]
     hess_eta_nn = float(n_h @ hess[:-1, :-1] @ n_h)
     mu_second = float(hess[-1, -1])
 
@@ -940,11 +902,11 @@ def index_form(P, test, box=None, panels=8):
     grad_t = _fd_gradient(test, U)
     grad_sq = _inner(s.metric_inv, grad_t, grad_t)
     N = s.normals[:, 0]
-    ric_h = -_inner(P.ambient.weight_hess(s.point), N, N)
+    ric_h = -_inner(P.ambient.weight.hess(s.point), N, N)
     sigma = s.second_fundamental[:, 0]
     sigma_sq = np.einsum("Nik,Njl,Nij,Nkl->N", s.metric_inv, s.metric_inv,
                          sigma, sigma)
-    dens = np.exp(P.ambient.weight_value(s.point)) * np.sqrt(
+    dens = np.exp(P.ambient.weight.value(s.point)) * np.sqrt(
         np.maximum(np.linalg.det(s.metric), 0.0))
     values = (grad_sq - (ric_h + sigma_sq) * tv * tv) * dens
 
@@ -1122,12 +1084,12 @@ def graph_hypersurface(phi, m, weight=None, window=None, name="graph"):
     return ImmersedSubmanifold(amb, n, chart, window, normal=normal, name=name)
 
 
-def paraboloid_graph(m, weight=None, scale=0.25):
+def paraboloid_graph(m, weight=None):
     def phi(u):
         acc = 0.0
         for x in u:
             acc = acc + x * x
-        return scale * acc
+        return 0.25 * acc
 
     return graph_hypersurface(phi, m, weight,
                               window=tuple((0.3, 1.4) for _ in range(m - 1)),
@@ -1162,14 +1124,13 @@ def helicoid(pitch=1.0, weight=None):
                                normal=normal, name=f"helicoid(pitch={pitch})")
 
 
-def identity_chart(m, weight=None, span=8.0):
+def identity_chart(m, weight=None):
     """The ambient itself as a full-dimensional chart (radial scenarios)."""
     amb = EuclideanAmbient(m, weight)
 
     def chart(u):
         return list(u)
 
-    window = tuple((-span, span) for _ in range(m))
-    return ImmersedSubmanifold(amb, m, chart, window,
+    return ImmersedSubmanifold(amb, m, chart, ((-8.0, 8.0),) * m,
                                linear=(np.zeros(m), np.eye(m)),
                                name=f"radial_scenario(m={m})")

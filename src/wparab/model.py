@@ -20,6 +20,8 @@ from .radial import (RadialProfile, WarpingFunction, classify_improper,
                      expand_bracket, find_root, integrate)
 from .verdicts import Outcome, Verdict
 
+_GRID_NODES, _RESIDUAL_GRID = 512, 256   # capacity panels, ODE residual points
+_SCAN_SAMPLES, _ROOT_TOL = 64, 1e-13     # critical radii: tail scan, root tolerance
 
 def _exp(x):
     return np.exp(x) if isinstance(x, np.ndarray) else math.exp(x)
@@ -120,10 +122,10 @@ class WeightedModel:
 
     # -- capacities ----------------------------------------------------
 
-    def capacity_potential(self, rho, R, grid_nodes=512, residual_grid=256):
+    def capacity_potential(self, rho, R):
         if not self.f.t_min < rho < R < math.inf:
             raise DomainError(f"need t_min < rho < R < inf, got ({rho}, {R})")
-        nodes = np.linspace(rho, R, grid_nodes)
+        nodes = np.linspace(rho, R, _GRID_NODES)
         tols = {"abs_tol": 1e-14, "rel_tol": 1e-12}
         res = integrate(self.inv_sphere_area, nodes[:-1], nodes[1:], **tols)
         cumulative = np.concatenate(([0.0], np.cumsum(res.value)))
@@ -159,7 +161,7 @@ class WeightedModel:
         # phi' is the exact derivative of the cumulative integral, phi''
         # comes from the five-point stencil of phi' with step h
         h = 1e-5 * (R - rho)
-        grid = np.linspace(rho + 2 * h, R - 2 * h, residual_grid)
+        grid = np.linspace(rho + 2 * h, R - 2 * h, _RESIDUAL_GRID)
         stencil = grid[:, None] + h * np.arange(-2.0, 3.0)
         dphi = phi_prime(stencil)
         drift = self.weighted_mean_curvature(self.m - 1, grid)
@@ -198,8 +200,7 @@ class WeightedModel:
 
     # -- critical radii --------------------------------------------------
 
-    def critical_sphere_radius(self, n, lambda0, mode="first_below",
-                               scan_samples=64, tol=1e-13):
+    def critical_sphere_radius(self, n, lambda0, mode="first_below"):
         """Radius where n H(t) + f'(t) crosses the level set by ``mode``.
 
         ``first_below``: root of H_n(t) + lambda0 followed by a scan on
@@ -229,16 +230,16 @@ class WeightedModel:
         except Exception as err:
             raise NotAttainedError(
                 f"target {target} not attained by nH + f' up to t=1e6") from err
-        root = find_root(g, a, b, tol=tol)
+        root = find_root(g, a, b, tol=_ROOT_TOL)
 
         slack = 1e-9 * (1.0 + abs(target))
         if mode == "first_below":
-            scan = np.linspace(root, 32.0 * root, scan_samples)[1:]
+            scan = np.linspace(root, 32.0 * root, _SCAN_SAMPLES)[1:]
             bad = self.weighted_mean_curvature(n, scan) > target + slack
             breach = "exceeds {} at t={} beyond the root"
         else:
             inner = max(root / 32.0, self.f.t_min * 1.001 + 1e-12, 1e-6)
-            scan = np.linspace(inner, root, scan_samples)[:-1]
+            scan = np.linspace(inner, root, _SCAN_SAMPLES)[:-1]
             bad = self.weighted_mean_curvature(n, scan) < target - slack
             breach = "drops below {} at t={} before the root"
         if bad.any():

@@ -144,7 +144,7 @@ class DiffusionSpec:
         return X
 
     def _drift_at(self, X):
-        return self.pull @ self.P.ambient.weight.grad_batch(X.T).T
+        return self.pull @ self.P.ambient.weight.grad(X.T).T
 
     def drift(self, U):
         """Drifts at the parameter points U from the weight's gradient."""

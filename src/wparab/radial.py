@@ -360,6 +360,7 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
 
 # doubling segments swept ahead as the panels of one integrate call
 SEGMENTS_PER_CALL = 4
+TAIL_TOL, MAX_DOUBLINGS, RATIO_CAP = 1e-6, 40, 0.8
 
 
 @dataclass
@@ -403,14 +404,12 @@ class IntegralVerdict:
         }
 
 
-def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
-                      divergence_threshold=1e12, max_doublings=40,
-                      ratio_cap=0.8):
+def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
     """Classify the convergence of the integral of a positive ``f`` over [a, inf).
 
     Cutoffs double: T_j = a * 2^j.  Convergent when the tail increments
     decay geometrically and the extrapolated remainder drops below
-    ``tail_tol``; divergent when partial sums exceed the threshold, the
+    ``TAIL_TOL``; divergent when partial sums exceed the threshold, the
     increments stop decaying over six consecutive doublings, or the
     integrand blows up pointwise across the last cutoffs.  ``f`` takes a
     float at the cutoffs and the (segments, 15) array of GK15 nodes of the
@@ -426,7 +425,7 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
             raise IntegrandSignError(f"integrand negative at t={x}: {v}")
         return v
 
-    seg_tol, seg_rel = tail_tol * 1e-3, 1e-8
+    seg_tol, seg_rel = TAIL_TOL * 1e-3, 1e-8
 
     def sweep(edges):
         """GK15 (value, error) of each segment between consecutive edges."""
@@ -438,7 +437,7 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
     quad_err = 0.0
     used_hint = hint.tag
 
-    for j in range(1, max_doublings + 1):
+    for j in range(1, MAX_DOUBLINGS + 1):
         t_prev = a * 2.0 ** (j - 1)
         t_cur = a * 2.0 ** j
         v_cur = checked(t_cur)
@@ -454,7 +453,7 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
                 reason=f"integrand increases pointwise beyond threshold near t={t_cur}")
 
         if j > group_end:
-            group_end = min(j + SEGMENTS_PER_CALL - 1, max_doublings)
+            group_end = min(j + SEGMENTS_PER_CALL - 1, MAX_DOUBLINGS)
             try:
                 # only the GK15 sweep of the group: a segment that fails the
                 # tolerance is bisected once the loop reaches it, never
@@ -495,16 +494,16 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
             last = increments[-1]
             if last <= 0.0 or last <= 1e-300:
                 return IntegralVerdict(
-                    "convergent", value=partial, error_bound=max(quad_err, tail_tol),
+                    "convergent", value=partial, error_bound=max(quad_err, TAIL_TOL),
                     cutoffs=cutoffs, partials=partials, increments=increments,
                     used_hint=used_hint, reason="tail increment vanished")
             ratios = [increments[i] / increments[i - 1]
                       for i in range(len(increments) - 3, len(increments))
                       if increments[i - 1] > 0]
-            if len(ratios) == 3 and max(ratios) <= ratio_cap:
+            if len(ratios) == 3 and max(ratios) <= RATIO_CAP:
                 r = max(ratios)
                 tail = last * r / (1.0 - r)
-                if tail <= tail_tol:
+                if tail <= TAIL_TOL:
                     return IntegralVerdict(
                         "convergent", value=partial + tail,
                         error_bound=tail + quad_err,
@@ -515,7 +514,7 @@ def classify_improper(f, a, hint=None, *, tail_tol=1e-6,
     return IntegralVerdict(
         "inconclusive", cutoffs=cutoffs, partials=partials, increments=increments,
         used_hint=used_hint,
-        reason=f"no decision after {max_doublings} doublings")
+        reason=f"no decision after {MAX_DOUBLINGS} doublings")
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +580,8 @@ def find_root(f, lo, hi, tol=1e-12, max_iter=200):
     raise BracketError(f"root not found within {max_iter} steps on [{lo}, {hi}]")
 
 
-def expand_bracket(f, lo, hi, *, factor=2.0, cap=1e6):
-    """Grow ``hi`` geometrically until a sign change appears.
+def expand_bracket(f, lo, hi, *, cap=1e6):
+    """Double ``hi`` until a sign change appears.
 
     Returns the bracket (lo', hi'); raises :class:`BracketError` once the
     cap is reached without a sign change.  A NaN value is no sign change.
@@ -596,7 +595,7 @@ def expand_bracket(f, lo, hi, *, factor=2.0, cap=1e6):
         if b >= cap:
             raise BracketError(
                 f"no sign change found while expanding bracket up to {cap:g}")
-        a, b = b, min(b * factor, cap)
+        a, b = b, min(b * 2.0, cap)
         flo = fb
         fb = f(b)
     return a, b

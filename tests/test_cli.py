@@ -643,3 +643,41 @@ def test_criterion_numbers_are_checked(tmp_path):
     assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
     assert first["status"] == second["status"] == "ok"
     assert first["verdict"] == second["verdict"]
+
+
+def curves_scenario(**params):
+    return {"id": "cur", "task": "curves", "model": small_model("gaussian", 3),
+            "params": {"range": [0.5, 2.0], "samples": 5, **params}}
+
+
+def capacity_scenario(**params):
+    return {"id": "cap", "task": "capacity", "model": small_model("gaussian", 3),
+            "params": {"rho": 1.0, "R": 2.0, **params}}
+
+
+def test_curve_and_capacity_numbers_are_checked(tmp_path):
+    cases = [
+        (curves_scenario(n=2.7),
+         "DomainError: n must be a positive integer, got 2.7"),
+        (curves_scenario(n=True),
+         "DomainError: n must be a positive integer, got True"),
+        (curves_scenario(range=[True, "2"]),
+         "DomainError: range must be a finite number, got True"),
+        (curves_scenario(range=[0.5, "2"]),
+         "DomainError: range must be a finite number, got '2'"),
+        (capacity_scenario(eval_at=[True, "1.5"]),
+         "DomainError: eval_at must be a finite number, got True"),
+        (capacity_scenario(eval_at=[1.5, "1.5"]),
+         "DomainError: eval_at must be a finite number, got '1.5'"),
+    ]
+    scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
+    ok = [{**curves_scenario(n=n), "id": f"ok{i}"} for i, n in enumerate((2, 2.0))]
+    ok.append({**capacity_scenario(eval_at=[1.5, 2]), "id": "ok-cap"})
+    cli.run_config({"scenarios": scenarios + ok}, tmp_path)
+    *bad, first, second, cap = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert first["status"] == second["status"] == "ok"
+    assert "Hh_n" in first["columns"]
+    assert (tmp_path / "ok0.csv").read_bytes() == (tmp_path / "ok1.csv").read_bytes()
+    # the keys echo the entries as given
+    assert list(cap["capacity_report"]["potential_values"]) == ["1.5", "2"]

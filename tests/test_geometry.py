@@ -310,15 +310,18 @@ def test_grids_call_the_chart_once_per_derivative_pair():
     gaussian_split(3),
     ge.HeightWeight(rd.RadialProfile.from_expression("0.5*t^2 + sin(t)"), 3,
                     axis=[0.6, 0.0, 0.8]),
+    gaussian_weight(),
+    ge.ZeroWeight(),
+    ge.ModelChartAmbient(WeightedModel(3, rd.warping_hyperbolic(-1.0),
+                                       rd.weight_antigaussian())).weight,
 ], ids=lambda w: w.name)
 def test_weight_batches_match_single_points(weight):
+    # row i of a stack is the one-row stack [p_i], to the bit
     pts = np.random.default_rng(5).uniform(-2.0, 2.0, size=(5, 3))
-    for batch, single in ((weight.value_batch, weight.value),
-                          (weight.grad_batch, weight.grad),
-                          (weight.hess_batch, weight.hess)):
-        stacked = batch(pts)
+    for method in (weight.value, weight.grad, weight.hess):
+        stacked = method(pts)
         for i, p in enumerate(pts):
-            assert np.array_equal(stacked[i], single(p)), (weight.name, p)
+            assert np.array_equal(stacked[i], method(p[None])[0]), (weight.name, p)
 
 
 # --- weighted Laplacian -----------------------------------------------------
@@ -344,8 +347,9 @@ def test_laplacian_on_gaussian_plane_flat_chart_oracle():
 
 
 def _metric_difference_oracle(P, u):
-    """Christoffels and grad(h o X) by central differences of the induced
-    metric and of h o X, with steps eps^(1/3) (1 + |u_k|)."""
+    """The drift's two terms -g^{ij} Gamma^k_ij and g^{kl} d_l (h o X), from
+    central differences of the induced metric and of h o X with steps
+    eps^(1/3) (1 + |u_k|)."""
     n = len(u)
 
     def metric(v):
@@ -353,7 +357,7 @@ def _metric_difference_oracle(P, u):
         return J.T @ P.ambient.metric(x) @ J
 
     def h_pull(v):
-        return P.ambient.weight_value(P.point(v))
+        return P.ambient.weight.value(P.point(v)[None])[0]
 
     dg = np.empty((n, n, n))  # dg[k, i, j] = d_k g_ij
     grad_h = np.empty(n)
@@ -365,21 +369,9 @@ def _metric_difference_oracle(P, u):
         dg[k] = (metric(up) - metric(um)) / (2.0 * step)
         grad_h[k] = (h_pull(up) - h_pull(um)) / (2.0 * step)
     bracket = dg + dg.transpose(1, 2, 0) - dg.transpose(1, 0, 2)
-    gamma = 0.5 * np.einsum("kl,ilj->kij", np.linalg.inv(metric(u)), bracket)
-    return gamma, grad_h
-
-
-def _own_jet_reference(P, u):
-    """Christoffels and grad(h o X) from a chart jet of their own, as the
-    direct side computed them before it read the geometry sample."""
-    x, J, Hx = ge.chart_jet(P, u[None])
-    G = P.ambient.metric(x)
-    Jt = np.swapaxes(J, -1, -2)
-    g_inv = np.linalg.inv(Jt @ G @ J)
-    second = ge._covariant_second(P, x, J, Hx)
-    gamma = np.einsum("Nkl,Nlb,Nijb->Nkij", g_inv, Jt @ G, second)
-    grad_h = np.einsum("Nia,Na->Ni", Jt, P.ambient.weight_grad(x))
-    return gamma[0], grad_h[0]
+    g_inv = np.linalg.inv(metric(u))
+    gamma = 0.5 * np.einsum("kl,ilj->kij", g_inv, bracket)
+    return -np.einsum("ij,kij->k", g_inv, gamma), g_inv @ grad_h
 
 
 def test_intrinsic_data_matches_metric_differences():
@@ -398,16 +390,15 @@ def test_intrinsic_data_matches_metric_differences():
     for P in charts:
         for _ in range(4):
             u = np.array([rng.uniform(lo, hi) for lo, hi in P.window])
-            gamma, grad_h = (a[0] for a in ge._intrinsic_terms(
-                ge.geometry_at_batch(P, u[None])))
-            own_gamma, own_grad_h = _own_jet_reference(P, u)
-            assert np.array_equal(gamma, own_gamma), (P.name, u)
-            assert np.array_equal(grad_h, own_grad_h), (P.name, u)
-            fd_gamma, fd_grad_h = _metric_difference_oracle(P, u)
-            for jet, fd in ((gamma, fd_gamma), (grad_h, fd_grad_h)):
-                # relative to the data's scale, floored at 1 where it vanishes
-                scale = max(np.abs(fd).max(), 1.0)
-                assert np.abs(jet - fd).max() <= 1e-7 * scale, (P.name, u)
+            sample = ge.geometry_at_batch(P, u[None])
+            drift, g_inv = ge.intrinsic_drift(P, u, sample)
+            assert np.array_equal(drift, ge._drift(sample)[0]), (P.name, u)
+            assert np.array_equal(g_inv, sample.metric_inv[0]), (P.name, u)
+            fd_trace, fd_grad_h = _metric_difference_oracle(P, u)
+            # relative to the terms' scale, floored at 1 where they vanish
+            scale = max(np.abs(fd_trace).max(), np.abs(fd_grad_h).max(), 1.0)
+            assert np.abs(drift - (fd_trace + fd_grad_h)).max() <= 1e-7 * scale, (
+                P.name, u)
 
 
 def test_laplacian_reads_the_sample_and_refuses_a_degenerate_metric():
@@ -482,7 +473,7 @@ def stencil_charts():
 def _radius_and_weight_field(P):
     def fld(V):
         x = P.point(V)
-        return np.exp(-0.5 * P.ambient.r(x) ** 2) + P.ambient.weight_value(x)
+        return np.exp(-0.5 * P.ambient.r(x) ** 2) + P.ambient.weight.value(x)
 
     return fld
 
@@ -638,6 +629,21 @@ def test_cylinder_distance_requires_valid_splitting():
         ge.cylinder_distance_laplacian(P, [0.1, 0.2], k=7)
 
 
+@pytest.mark.parametrize("check", [
+    lambda P, u: ge.index_form(P, lambda V: 1.0),
+    ge.angle_function_laplacian,
+    lambda P, u: ge.height_laplacian(P, u, [1.0, 0.0, 0.0]),
+    lambda P, u: ge.cylinder_distance_laplacian(P, u, k=2),
+], ids=["index_form", "angle_function", "height", "cylinder_distance"])
+def test_hessian_and_height_checks_refuse_a_model_chart(check):
+    # a model chart's weight has no covariant Hessian, and its coordinates
+    # are no heights: each of these checks is for Euclidean ambients only
+    P = ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0),
+                                      rd.weight_gaussian()), 1.2, 0.2)
+    with pytest.raises(DomainError):
+        check(P, np.array([1.0, 2.0]))
+
+
 # --- angle function -----------------------------------------------------------
 
 
@@ -711,9 +717,9 @@ def test_index_form_matches_point_by_point_quadrature():
             s = ge.geometry_at(P, u)
             grad_t = ge._fd_gradient(test, u[None])[0]
             N, sigma, g_inv = s.normals[0], s.second_fundamental[0], s.metric_inv
-            ric_h = -N @ P.ambient.weight_hess(s.point) @ N
+            ric_h = -N @ P.ambient.weight.hess(s.point[None])[0] @ N
             sigma_sq = np.einsum("ik,jl,ij,kl->", g_inv, g_inv, sigma, sigma)
-            dens = math.exp(P.ambient.weight_value(s.point)) * math.sqrt(
+            dens = math.exp(P.ambient.weight.value(s.point[None])[0]) * math.sqrt(
                 np.linalg.det(s.metric))
             row += w2 * (grad_t @ g_inv @ grad_t
                          - (ric_h + sigma_sq) * test(u[None])[0] ** 2) * dens
