@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
-from .errors import ScenarioError
+from .errors import DomainError, ScenarioError
 from .radial import AsymptoticHint, NO_HINT
 
 REPORT_VERSION = "3"
@@ -49,6 +49,16 @@ def _n(params, prefix=""):
 
 def _t0(params, prefix=""):
     return mc.finite_number(prefix + "t0", params.get("t0", 1.0))
+
+
+def _number_list(name, value, length=None):
+    """The entries of ``value`` as floats; a DomainError naming ``name``
+    unless it is a list (of ``length`` entries if given) of finite numbers."""
+    if not isinstance(value, (list, tuple)) or (length is not None
+                                                 and len(value) != length):
+        shape = "a list of numbers" if length is None else f"a list of {length} numbers"
+        raise DomainError(f"{name} must be {shape}, got {value!r}")
+    return [mc.finite_number(name, x) for x in value]
 
 
 # ---------------------------------------------------------------------------
@@ -110,7 +120,7 @@ def _run_capacity(scenario, outdir):
     report = model.capacity_potential(rho, mc.finite_number("R", R))
     out = report.to_dict()
     if "eval_at" in params:
-        radii = [mc.finite_number("eval_at", s) for s in params["eval_at"]]
+        radii = _number_list("eval_at", params["eval_at"])
         values = report.potential(np.array(radii)).tolist()
         out["potential_values"] = dict(zip(map(str, params["eval_at"]), values))
     return {"capacity_report": out}
@@ -119,7 +129,7 @@ def _run_capacity(scenario, outdir):
 def _run_curves(scenario, outdir):
     params = scenario.get("params", {})
     model = catalogs.resolve_model(scenario["model"])
-    lo, hi = (mc.finite_number("range", x) for x in params["range"])
+    lo, hi = _number_list("range", params["range"], 2)
     if lo <= model.f.t_min:
         raise ScenarioError(
             f"curve range starts at {lo} but the weight is defined only for "

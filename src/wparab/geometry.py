@@ -63,7 +63,14 @@ def _norm(x):
 
 
 def _inner(G, a, b):
-    """<a, b>_G, row by row over any leading axes."""
+    """<a, b>_G row by row, for stacks a and b (N, ..., m) and G (N, m, m).
+
+    G None stands for the identity metric of a flat ambient: the row sums
+    of a * b, which for m <= 7 equal the contraction with an identity stack
+    to the bit."""
+    if G is None:
+        return (a * b).sum(axis=-1)
+    G = G[(slice(None),) + (None,) * (max(a.ndim, b.ndim) - 2)]
     return np.einsum("...i,...ij,...j->...", a, G, b)
 
 
@@ -242,7 +249,7 @@ class EuclideanAmbient:
         self.weight = weight or ZeroWeight()
         self._eye = np.eye(m)
 
-    flat = True       # no Christoffel symbols
+    flat = True       # identity metric, no Christoffel symbols
 
     def metric(self, x):
         return np.broadcast_to(self._eye, np.shape(x)[:-1] + self._eye.shape)
@@ -430,19 +437,20 @@ class GeometrySample:
     grad_h: np.ndarray
     grad_r: np.ndarray | None
     radial_tangent_norm: float | None   # |grad_P r|
+    flat: bool                          # ambient_metric is the identity
 
     def row(self, i):
         """The sample of the i-th point of a stacked sample."""
-        values = {name: getattr(self, name)[i] for name in _SAMPLE_FIELDS}
+        values = {name: getattr(self, name)[i] for name in _STACKED_FIELDS}
         values["cond"] = float(values["cond"])
         if np.isnan(values["grad_r"]).all():
             values["grad_r"] = values["radial_tangent_norm"] = None
         else:
             values["radial_tangent_norm"] = float(values["radial_tangent_norm"])
-        return GeometrySample(**values)
+        return GeometrySample(**values, flat=self.flat)
 
 
-_SAMPLE_FIELDS = [f.name for f in fields(GeometrySample)]
+_STACKED_FIELDS = [f.name for f in fields(GeometrySample) if f.name != "flat"]
 
 
 def _project_out(v, G, frame):
@@ -511,17 +519,25 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     U = np.asarray(U, dtype=float)
     N = len(U)
     x, J, Hx = chart_jet(P, U)
-    G = P.ambient.metric(x)
-    g = np.swapaxes(J, -1, -2) @ G @ J
-    sv = np.linalg.svd(g, compute_uv=False)
+    ambient_metric = P.ambient.metric(x)
+    flat = P.ambient.flat
+    G = None if flat else ambient_metric     # None: the identity, see _inner
+    Jt = np.swapaxes(J, -1, -2)
+    g = Jt @ J if flat else Jt @ G @ J
+    # cond(g) = max |eigenvalue| / min |eigenvalue| of the symmetric g; rows
+    # that are not finite are flagged before LAPACK sees them
+    finite = np.isfinite(g).all(axis=(1, 2))
+    eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(P.n))))
     with np.errstate(divide="ignore", invalid="ignore"):
-        cond = sv[:, 0] / sv[:, -1]
+        cond = np.where(finite, eig.max(axis=1) / eig.min(axis=1), np.nan)
     bad_cond = ~(cond < _COND_LIMIT)
     g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
     second = _covariant_second(P, x, J, Hx)
 
     tangent, bad_frame = _gram_schmidt(J, G)
     checks = [
+        (~finite, lambda i: DegenerateMetricError(
+            f"induced metric not finite at u={U[i]}")),
         (bad_cond, lambda i: DegenerateMetricError(
             f"induced metric degenerate at u={U[i]} (cond={cond[i]:.2e})")),
         (bad_frame, lambda i: DegenerateMetricError(
@@ -533,7 +549,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
         checks += [
             (np.abs(_inner(G, declared, declared) - 1.0) > 1e-10,
              lambda i: ValueError(f"declared normal is not unit length at u={U[i]}")),
-            ((np.abs(_inner(G[:, None], declared[:, None], tangent)) > 1e-10).any(axis=1),
+            ((np.abs(_inner(G, declared[:, None], tangent)) > 1e-10).any(axis=1),
              lambda i: ValueError("declared normal is not orthogonal to the "
                                   f"tangent space at u={U[i]}")),
         ]
@@ -544,25 +560,26 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     _raise_first(U, checks)
 
     trace = np.einsum("Nij,Nijk->Nk", g_inv, second)
-    sff = np.einsum("Nijk,Nkl,Nal->Naij", second, G, normals)
+    sff = (np.einsum("Nijk,Nak->Naij", second, normals) if flat else
+           np.einsum("Nijk,Nkl,Nal->Naij", second, G, normals))
 
     def normal_part(v):
-        return np.einsum("Na,Nak->Nk", _inner(G[:, None], v[:, None], normals), normals)
+        return np.einsum("Na,Nak->Nk", _inner(G, v[:, None], normals), normals)
 
     grad_h = P.ambient.weight.grad(x)
     mc = normal_part(trace)
     wmc = mc - normal_part(grad_h)
 
     grad_r = P.ambient.grad_r(x)
-    tangential = (_inner(G[:, None], grad_r[:, None], tangent) ** 2).sum(axis=1)
+    tangential = (_inner(G, grad_r[:, None], tangent) ** 2).sum(axis=1)
     radial_norm = np.sqrt(np.minimum(np.maximum(tangential, 0.0), 1.0 + 1e-12))
 
     return GeometrySample(
         u=U, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
-        ambient_metric=G, tangent_frame=tangent, normals=normals,
+        ambient_metric=ambient_metric, tangent_frame=tangent, normals=normals,
         second_fundamental=sff, covariant_second=second, mc_vec=mc,
         wmc_vec=wmc, grad_h=grad_h, grad_r=grad_r,
-        radial_tangent_norm=radial_norm)
+        radial_tangent_norm=radial_norm, flat=flat)
 
 
 def geometry_at(P: ImmersedSubmanifold, u):
@@ -612,7 +629,7 @@ def _drift(s):
     g^{kl} d_l (h o X) - g^{ij} Gamma^k_ij for the intrinsic Christoffels
     Gamma^k_ij = g^{kl} <d_l X, D_i d_j X>_G."""
     trace = np.einsum("Nij,Nijk->Nk", s.metric_inv, s.covariant_second)
-    dh = s.grad_h - (s.ambient_metric @ trace[..., None])[..., 0]
+    dh = s.grad_h - (trace if s.flat else (s.ambient_metric @ trace[..., None])[..., 0])
     return (s.metric_inv @ (np.swapaxes(s.jacobian, -1, -2) @ dh[..., None]))[..., 0]
 
 
@@ -675,7 +692,7 @@ def radial_identity_residual(P, u, psi: RadialProfile, sample=None):
     r = amb.r(s.point)
     H = amb.sphere_curvature(r)
     dpsi = psi.deriv(r)
-    G = s.ambient_metric
+    G = None if s.flat else s.ambient_metric
     rhs = ((psi.second(r) - H * dpsi) * s.radial_tangent_norm ** 2
            + (P.n * H + _inner(G, s.grad_h, s.grad_r)
               + _inner(G, s.wmc_vec, s.grad_r)) * dpsi)
@@ -714,7 +731,8 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
     # NaN-free grad_r rows with a radius above the floor, in grid order
     keep = np.flatnonzero(~(r < floor) & ~np.isnan(s.grad_r).all(axis=1))
     used = len(keep)
-    G, grad_r = s.ambient_metric[keep], s.grad_r[keep]
+    G = None if s.flat else s.ambient_metric[keep]
+    grad_r = s.grad_r[keep]
     lhs = _inner(G, s.grad_h[keep], grad_r) + _inner(G, s.wmc_vec[keep], grad_r)
     bound = alpha.value(r[keep])
     margins = (bound - lhs) if sense == "upper" else (lhs - bound)

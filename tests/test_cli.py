@@ -681,3 +681,44 @@ def test_curve_and_capacity_numbers_are_checked(tmp_path):
     assert (tmp_path / "ok0.csv").read_bytes() == (tmp_path / "ok1.csv").read_bytes()
     # the keys echo the entries as given
     assert list(cap["capacity_report"]["potential_values"]) == ["1.5", "2"]
+
+
+def test_range_and_eval_at_shapes_are_checked(tmp_path):
+    cases = [
+        (curves_scenario(range=[0.5, 1.0, 2.0]),
+         "DomainError: range must be a list of 2 numbers, got [0.5, 1.0, 2.0]"),
+        (curves_scenario(range=[0.5]),
+         "DomainError: range must be a list of 2 numbers, got [0.5]"),
+        (curves_scenario(range=0.5),
+         "DomainError: range must be a list of 2 numbers, got 0.5"),
+        (curves_scenario(range="0.5, 2"),
+         "DomainError: range must be a list of 2 numbers, got '0.5, 2'"),
+        (capacity_scenario(eval_at=1.5),
+         "DomainError: eval_at must be a list of numbers, got 1.5"),
+        (capacity_scenario(eval_at={"r": 1.5}),
+         "DomainError: eval_at must be a list of numbers, got {'r': 1.5}"),
+    ]
+    scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
+    ok = [{**capacity_scenario(eval_at=[]), "id": "ok-empty"}]
+    cli.run_config({"scenarios": scenarios + ok}, tmp_path)
+    *bad, empty = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert empty["status"] == "ok"
+    assert empty["capacity_report"]["potential_values"] == {}
+
+
+def test_an_overflowing_chart_names_its_first_point(tmp_path):
+    scenario = {"id": "overflow", "task": "check-identities",
+                "model": small_model("zero", 3),
+                "submanifold": {"name": "graph", "expr": "exp(800*x1)",
+                                "window": [[0.5, 1.5], [0.5, 1.5]]},
+                "params": {"psi": "t^2/2", "points": 6, "seed": 0}}
+    with np.errstate(over="ignore", invalid="ignore"):
+        entry = cli.run_scenario(scenario, tmp_path)
+    json.dumps(entry, allow_nan=False)
+    assert entry["status"] == "error"
+    prefix = "DegenerateMetricError: induced metric not finite at u=["
+    assert entry["error"].startswith(prefix), entry["error"]
+    # exp(800 x1) and its derivatives overflow from x1 = 709.8/800 on
+    x1 = float(entry["error"][len(prefix):].split()[0])
+    assert x1 > 709.78 / 800.0

@@ -8,6 +8,7 @@ from wparab import catalogs
 from wparab import geometry as ge
 from wparab import radial as rd
 from wparab.errors import DegenerateMetricError, DomainError, SupportError
+from wparab.expr import fexp
 from wparab.model import WeightedModel
 from wparab.verdicts import FAILS, HOLDS
 
@@ -201,8 +202,8 @@ def test_batched_rows_match_single_points(P):
         row, s = batch.row(i), ge.geometry_at(P, u)
         for field in dataclasses.fields(s):
             a, b = getattr(row, field.name), getattr(s, field.name)
-            if b is None:
-                assert a is None, (P.name, field.name, u)
+            if b is None or isinstance(b, bool):     # radial data at the pole; flat
+                assert a is b, (P.name, field.name, u)
                 continue
             scale = max(np.abs(b).max(initial=0.0), 1.0)
             assert np.abs(np.asarray(a) - b).max(initial=0.0) <= 1e-13 * scale, (
@@ -732,3 +733,172 @@ def test_index_form_gaussian_sphere_value():
     q = ge.index_form(P, lambda u: 1.0, box=((1e-4, math.pi - 1e-4),
                                              (0.0, 2 * math.pi)), panels=8)
     assert q == pytest.approx(-16 * math.pi / math.e, rel=1e-4)
+
+
+# --- contractions in a flat ambient --------------------------------------------
+
+
+def _ambient_weights(m):
+    return [ge.ZeroWeight(), gaussian_weight(), translator_weight(m), gaussian_split(m),
+            ge.ExprWeight(f"-0.5*x1^2 + 0.3*x1*x{m} + sin(x{m})", m)]
+
+
+def _flat_chart(kind, m, weight):
+    n = m - 1
+    if kind == "sphere":
+        return ge.euclidean_sphere(1.7, m, weight)
+    if kind == "cylinder":
+        return ge.cylinder_hypersurface(1.2, 2, m, weight)
+    if kind == "graph":
+        return catalogs.resolve_submanifold(
+            {"name": "graph", "expr": f"0.3*x1^2-0.2*x1*x{n}+sin(x{n})"}, m, weight)
+    if kind == "paraboloid_graph":
+        return ge.paraboloid_graph(m, weight)
+    if kind == "helicoid":
+        return ge.helicoid(0.8, weight)
+    if kind == "hyperplane":
+        return ge.hyperplane(m, np.linspace(0.3, -0.8, m), 0.4, weight)
+    return ge.coordinate_plane(m, tuple(range(0, m, 2)), weight)
+
+
+FLAT_CASES = [(kind, m) for m in (2, 3, 4, 5)
+              for kind in ("sphere", "cylinder", "graph", "paraboloid_graph",
+                           "helicoid", "hyperplane", "coordinate_plane")
+              if (kind != "cylinder" or m >= 3) and (kind != "helicoid" or m == 3)]
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _old_inner(G, a, b):
+    return np.einsum("...i,...ij,...j->...", a, G, b)
+
+
+def _three_operand_fields(s):
+    """The metric-dependent fields of a stacked sample from the three-operand
+    contractions with G = s.ambient_metric (the identity in a flat ambient)."""
+    G, J, normals = s.ambient_metric, s.jacobian, s.normals
+    Jt = np.swapaxes(J, -1, -2)
+    trace = np.einsum("Nij,Nijk->Nk", s.metric_inv, s.covariant_second)
+
+    def normal_part(v):
+        return np.einsum("Na,Nak->Nk", _old_inner(G[:, None], v[:, None], normals),
+                         normals)
+
+    mc = normal_part(trace)
+    tangential = (_old_inner(G[:, None], s.grad_r[:, None], s.tangent_frame) ** 2).sum(1)
+    dh = s.grad_h - (G @ trace[..., None])[..., 0]
+    return {
+        "metric": Jt @ G @ J,
+        "second_fundamental": np.einsum("Nijk,Nkl,Nal->Naij", s.covariant_second,
+                                        G, normals),
+        "mc_vec": mc,
+        "wmc_vec": mc - normal_part(s.grad_h),
+        "radial_tangent_norm": np.sqrt(np.minimum(np.maximum(tangential, 0.0),
+                                                  1.0 + 1e-12)),
+        "drift": (s.metric_inv @ (Jt @ dh[..., None]))[..., 0],
+    }
+
+
+def _assert_three_operand_bits(P, s):
+    sample = {**{name: getattr(s, name) for name in ge._STACKED_FIELDS},
+              "drift": ge._drift(s)}
+    for name, value in _three_operand_fields(s).items():
+        assert _same_bits(sample[name], value), (P.name, name)
+
+
+@pytest.mark.parametrize("kind,m", FLAT_CASES, ids=lambda v: str(v))
+def test_flat_contractions_equal_the_identity_metric_bitwise(kind, m):
+    for weight in _ambient_weights(m):
+        P = _flat_chart(kind, m, weight)
+        s = ge.geometry_at_batch(P, _window_points(P, 6, 7 + m))
+        assert s.flat
+        _assert_three_operand_bits(P, s)
+        G = s.ambient_metric
+        assert _same_bits(G, np.broadcast_to(np.eye(m), G.shape))
+        # the G-inner products of the frames, normal checks and radial data
+        frame, _ = ge._gram_schmidt(s.jacobian, G)
+        assert _same_bits(ge._gram_schmidt(s.jacobian, None)[0], frame), P.name
+        if P.normal is None:
+            assert _same_bits(ge._complete_normals(None, frame, m)[0],
+                              ge._complete_normals(G, frame, m)[0]), P.name
+        for a, b in ((s.grad_h, s.grad_r), (s.wmc_vec, s.grad_r),
+                     (s.normals, s.normals), (s.normals[:, :1], s.tangent_frame),
+                     (s.grad_r[:, None], s.tangent_frame)):
+            Gb = G[(slice(None),) + (None,) * (b.ndim - 2)]
+            assert _same_bits(ge._inner(None, a, b), _old_inner(Gb, a, b)), P.name
+
+
+@pytest.mark.parametrize("P", [
+    ge.model_sphere(WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian()),
+                    1.3),
+    ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian()),
+                    1.5, 0.3),
+    ge.radial_graph(WeightedModel(4, rd.warping_hyperbolic(-2.0),
+                                  rd.weight_antigaussian()), 1.2, 0.2),
+], ids=lambda P: P.name)
+def test_model_chart_contractions_are_unchanged(P):
+    s = ge.geometry_at_batch(P, _window_points(P, 6, 5))
+    assert not s.flat and not s.row(0).flat
+    _assert_three_operand_bits(P, s)
+    assert _same_bits(ge._gram_schmidt(s.jacobian, s.ambient_metric)[0],
+                      s.tangent_frame)
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 5, 6, 7])
+def test_row_sums_equal_the_identity_contraction_bitwise(m):
+    rng = np.random.default_rng(m)
+    a = rng.standard_normal((200, m)) * 10.0 ** rng.integers(-6, 6, (200, m))
+    b = rng.standard_normal((200, 3, m))
+    eye = np.broadcast_to(np.eye(m), (200, m, m))
+    assert _same_bits(ge._inner(None, a, b[:, 0]), _old_inner(eye, a, b[:, 0]))
+    stacked = _old_inner(eye[:, None], a[:, None], b)
+    assert _same_bits(ge._inner(None, a[:, None], b), stacked)
+    assert _same_bits(ge._inner(eye, a[:, None], b), stacked)
+
+
+@pytest.mark.parametrize("P", [
+    ge.euclidean_sphere(1.7, 4, gaussian_weight()),
+    ge.helicoid(0.8, expr_weight()),
+    ge.paraboloid_graph(3, gaussian_weight()),
+    ge.coordinate_plane(5, (0, 2, 4)),
+    ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian()),
+                    1.5, 0.3),
+], ids=lambda P: P.name)
+def test_condition_number_is_the_singular_value_ratio(P):
+    s = ge.geometry_at_batch(P, _window_points(P, 20, 3))
+    sv = np.linalg.svd(s.metric, compute_uv=False)
+    assert np.all(s.cond < 1e6)
+    np.testing.assert_allclose(s.cond, sv[:, 0] / sv[:, -1], rtol=1e-10, atol=0.0)
+
+
+def test_first_degenerate_or_non_finite_metric_raises():
+    # folds along u2 = 1 (rank one there) and overflows for u1 > 709/800
+    P = ge.ImmersedSubmanifold(
+        ge.EuclideanAmbient(3), 2,
+        lambda u: [u[0], (u[1] - 1.0) * (u[1] - 1.0), fexp(800.0 * u[0])],
+        window=((0.0, 1.0), (0.0, 2.0)))
+    fold, overflow = [0.1, 1.0], [1.0, 0.5]
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DegenerateMetricError, match=(
+                r"^induced metric degenerate at u=\[0\.1 1\. \] \(cond=inf\)$")):
+            ge.geometry_at_batch(P, [fold, overflow])
+        with pytest.raises(DegenerateMetricError,
+                           match=r"^induced metric not finite at u=\[1\.  0\.5\]$"):
+            ge.geometry_at_batch(P, [overflow, fold])
+        # rank one: the smaller eigenvalue of g rounds to -3.6e-15
+        a, c = (0.07, 2.7, -2.14), 1.79
+        line = ge.ImmersedSubmanifold(ge.EuclideanAmbient(3), 2,
+                                      lambda u: [ak * (u[0] + c * u[1]) for ak in a],
+                                      window=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(DegenerateMetricError, match=(
+                r"^induced metric degenerate at u=\[0\.5 0\.5\] \(cond=")):
+            ge.geometry_at_batch(line, [[0.5, 0.5]])
+        # a near-singular but finite metric is flagged by its condition number
+        thin = ge.ImmersedSubmanifold(ge.EuclideanAmbient(3), 2,
+                                      lambda u: [u[0], u[0] + 1e-7 * u[1], 0.0 * u[0]],
+                                      window=((0.0, 1.0), (0.0, 1.0)))
+        with pytest.raises(DegenerateMetricError, match=r"cond=[0-9.]+e\+1[2-9]\)$"):
+            ge.geometry_at_batch(thin, [[0.5, 0.5]])
