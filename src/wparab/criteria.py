@@ -414,14 +414,14 @@ def cylinder_weighted_mc(k, xi: RadialProfile | None, t):
     return base + (xi.deriv(t) if xi is not None else 0.0)
 
 
-def critical_cylinder_radius(k, xi=None, lambda0=0.0, mode="last_above",
-                             use_dimension=None):
-    """Radius where the cylinder curvature crosses the level set by ``mode``."""
+def critical_cylinder_radius(k, xi=None, lambda0=0.0, mode="last_above"):
+    """Radius where the cylinder curvature crosses the level set by ``mode``
+    (``first_below`` -lambda0 or ``last_above`` lambda0)."""
     if lambda0 < 0:
         raise DomainError("lambda0 must be >= 0")
+    if mode not in ("first_below", "last_above"):
+        raise DomainError(f"unknown mode {mode!r}")
     target = -lambda0 if mode == "first_below" else lambda0
-    if use_dimension is not None:
-        k = use_dimension + 1    # curvature term n/t with n the dimension
 
     def g(t):
         return cylinder_weighted_mc(k, xi, t) - target

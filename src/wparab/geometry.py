@@ -518,46 +518,55 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     """
     U = np.asarray(U, dtype=float)
     N = len(U)
-    x, J, Hx = chart_jet(P, U)
-    ambient_metric = P.ambient.metric(x)
-    flat = P.ambient.flat
-    G = None if flat else ambient_metric     # None: the identity, see _inner
-    Jt = np.swapaxes(J, -1, -2)
-    g = Jt @ J if flat else Jt @ G @ J
-    # cond(g) = max |eigenvalue| / min |eigenvalue| of the symmetric g; rows
-    # that are not finite are flagged before LAPACK sees them
-    finite = np.isfinite(g).all(axis=(1, 2))
-    eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(P.n))))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    # overflowing rows are flagged below and the first one raises; numpy's
+    # warnings would only be noise (errors under a caller's error filter)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        x, J, Hx = chart_jet(P, U)
+        ambient_metric = P.ambient.metric(x)
+        flat = P.ambient.flat
+        G = None if flat else ambient_metric     # None: the identity, see _inner
+        Jt = np.swapaxes(J, -1, -2)
+        g = Jt @ J if flat else Jt @ G @ J
+        # cond(g) = max |eigenvalue| / min |eigenvalue| of the symmetric g; rows
+        # that are not finite are flagged before LAPACK sees them, and so are
+        # rows of a cusp (finite g, non-finite point or second derivatives; a
+        # non-finite J makes g non-finite), by rows once the array test fails
+        finite, bad_jet = np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
+        if not (np.isfinite(g).all() and np.isfinite(x).all() and np.isfinite(Hx).all()):
+            finite = np.isfinite(g).all(axis=(1, 2))
+            bad_jet = ~(np.isfinite(x).all(axis=1) & np.isfinite(Hx).all(axis=(1, 2, 3)))
+        eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(P.n))))
         cond = np.where(finite, eig.max(axis=1) / eig.min(axis=1), np.nan)
-    bad_cond = ~(cond < _COND_LIMIT)
-    g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
-    second = _covariant_second(P, x, J, Hx)
+        bad_cond = ~(cond < _COND_LIMIT)
+        g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
+        second = _covariant_second(P, x, J, Hx)
 
-    tangent, bad_frame = _gram_schmidt(J, G)
-    checks = [
-        (~finite, lambda i: DegenerateMetricError(
-            f"induced metric not finite at u={U[i]}")),
-        (bad_cond, lambda i: DegenerateMetricError(
-            f"induced metric degenerate at u={U[i]} (cond={cond[i]:.2e})")),
-        (bad_frame, lambda i: DegenerateMetricError(
-            f"tangent frame numerically degenerate at u={U[i]}")),
-    ]
-    if P.normal is not None:
-        declared = _stack(P.normal(_columns(U)), N)
-        normals = declared[:, None, :]
-        checks += [
-            (np.abs(_inner(G, declared, declared) - 1.0) > 1e-10,
-             lambda i: ValueError(f"declared normal is not unit length at u={U[i]}")),
-            ((np.abs(_inner(G, declared[:, None], tangent)) > 1e-10).any(axis=1),
-             lambda i: ValueError("declared normal is not orthogonal to the "
-                                  f"tangent space at u={U[i]}")),
+        tangent, bad_frame = _gram_schmidt(J, G)
+        checks = [
+            (~finite, lambda i: DegenerateMetricError(
+                f"induced metric not finite at u={U[i]}")),
+            (bad_jet, lambda i: DegenerateMetricError(
+                f"chart jet not finite at u={U[i]}")),
+            (bad_cond, lambda i: DegenerateMetricError(
+                f"induced metric degenerate at u={U[i]} (cond={cond[i]:.2e})")),
+            (bad_frame, lambda i: DegenerateMetricError(
+                f"tangent frame numerically degenerate at u={U[i]}")),
         ]
-    else:
-        normals, incomplete = _complete_normals(G, tangent, P.m)
-        checks.append((incomplete, lambda i: DegenerateMetricError(
-            f"could not complete the normal frame at u={U[i]}")))
-    _raise_first(U, checks)
+        if P.normal is not None:
+            declared = _stack(P.normal(_columns(U)), N)
+            normals = declared[:, None, :]
+            checks += [
+                (np.abs(_inner(G, declared, declared) - 1.0) > 1e-10,
+                 lambda i: ValueError(f"declared normal is not unit length at u={U[i]}")),
+                ((np.abs(_inner(G, declared[:, None], tangent)) > 1e-10).any(axis=1),
+                 lambda i: ValueError("declared normal is not orthogonal to the "
+                                      f"tangent space at u={U[i]}")),
+            ]
+        else:
+            normals, incomplete = _complete_normals(G, tangent, P.m)
+            checks.append((incomplete, lambda i: DegenerateMetricError(
+                f"could not complete the normal frame at u={U[i]}")))
+        _raise_first(U, checks)
 
     trace = np.einsum("Nij,Nijk->Nk", g_inv, second)
     sff = (np.einsum("Nijk,Nak->Naij", second, normals) if flat else

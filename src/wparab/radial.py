@@ -7,7 +7,6 @@ bracketed root finder.
 
 from __future__ import annotations
 
-import heapq
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -274,45 +273,47 @@ def _gk15(f, a, b):
     return k, np.abs(k - g)
 
 
-def _misses_tolerance(value, error, abs_tol, rel_tol):
-    """Whether ``error`` misses the tolerance of :func:`integrate`,
-    max(abs_tol, rel_tol |value|); elementwise on arrays."""
-    if isinstance(value, np.ndarray):
-        return error > np.maximum(abs_tol, rel_tol * np.abs(value))
-    return error > max(abs_tol, rel_tol * abs(value))
+MAX_SUBDIVISIONS = 10_000
 
 
-def _bisect(f, a, b, val, err, abs_tol, rel_tol, max_subdivisions):
-    """Adaptive bisection of [a, b] from its GK15 (val, err), worst panel first."""
-    # heap of (-error, tiebreak, a, b, value, error)
-    counter = 0
-    heap = [(-err, counter, a, b, val, err)]
-    total_val, total_err = val, err
-    n_sub = 0
-    while (_misses_tolerance(total_val, total_err, abs_tol, rel_tol)
-           and n_sub < max_subdivisions):
-        neg_err, _, ia, ib, ival, ierr = heapq.heappop(heap)
-        im = 0.5 * (ia + ib)
-        if im == ia or im == ib:
-            # interval at machine resolution; keep as is
-            heapq.heappush(heap, (0.0, counter + 1, ia, ib, ival, ierr))
-            counter += 1
-            n_sub += 1
-            continue
-        (lv, rv), (le, re) = (v.tolist() for v in _gk15(
-            f, np.array([ia, im]), np.array([im, ib])))
-        total_val += lv + rv - ival
-        total_err += le + re - ierr
-        counter += 1
-        heapq.heappush(heap, (-le, counter, ia, im, lv, le))
-        counter += 1
-        heapq.heappush(heap, (-re, counter, im, ib, rv, re))
-        n_sub += 1
-    converged = not _misses_tolerance(total_val, total_err, abs_tol, rel_tol)
-    return QuadResult(total_val, total_err, converged, n_sub)
+def _refine(f, panels, abs_tol, rel_tol):
+    """Refine GK15 panels (a, b, value, error) level by level: a QuadResult each.
+
+    A panel is a list of pieces (a, b, value, error) in position order.  While
+    its summed error misses max(abs_tol, rel_tol |sum|), each level bisects
+    every piece over its width's share of that tolerance whose midpoint lies
+    strictly inside it, in one :func:`_gk15` call for all panels.  A panel
+    stops, unconverged, with no such piece or before passing MAX_SUBDIVISIONS.
+    """
+    pieces = [[panel] for panel in panels]
+    results, n_sub = [None] * len(pieces), [0] * len(pieces)
+    active = range(len(pieces))
+    while active:
+        splits = []
+        for i in active:
+            *_, value, error = map(sum, zip(*pieces[i]))
+            tol = max(abs_tol, rel_tol * abs(value))
+            share = tol / (pieces[i][-1][1] - pieces[i][0][0])
+            cut = [e > share * (b - a) and a < 0.5 * (a + b) < b for a, b, _, e in pieces[i]]
+            if error <= tol or not any(cut) or n_sub[i] + sum(cut) > MAX_SUBDIVISIONS:
+                results[i] = QuadResult(value, error, error <= tol, n_sub[i])
+            else:
+                splits.append((i, cut))
+        if not splits:
+            break
+        ends = np.array([(a, 0.5 * (a + b), b) for i, cut in splits
+                         for (a, b, _, _), c in zip(pieces[i], cut) if c])
+        lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
+        halves = iter(zip(lo.tolist(), hi.tolist(), *(v.tolist() for v in _gk15(f, lo, hi))))
+        for i, cut in splits:
+            pieces[i] = [q for p, c in zip(pieces[i], cut)
+                         for q in ((next(halves), next(halves)) if c else (p,))]
+            n_sub[i] += sum(cut)
+        active = [i for i, _ in splits]
+    return results
 
 
-def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
+def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8):
     """Adaptive nested quadrature of ``f`` over [a, b].
 
     Returns a :class:`QuadResult`; iterating it yields (value, error).
@@ -321,7 +322,7 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
 
     With arrays ``a`` and ``b``, each panel [a[i], b[i]] is integrated on
     its own: one GK15 sweep covers every panel, and only the panels whose
-    Kronrod--Gauss error fails the tolerance test are bisected further.
+    Kronrod--Gauss error fails the tolerance test are refined, together.
     ``value`` and ``error`` are then per-panel arrays, ``converged`` holds
     for all panels and ``subdivisions`` is their total.
 
@@ -336,10 +337,9 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8, max_subdivisions=10_000):
     if not np.all(lo < hi):
         raise DomainError(f"integrate needs a < b, got ({a}, {b})")
     vals, errs = _gk15(f, lo, hi)
-    failing = np.flatnonzero(_misses_tolerance(vals, errs, abs_tol, rel_tol))
-    results = [_bisect(f, float(lo[i]), float(hi[i]), float(vals[i]),
-                       float(errs[i]), abs_tol, rel_tol, max_subdivisions)
-               for i in failing]
+    failing = np.flatnonzero(errs > np.maximum(abs_tol, rel_tol * np.abs(vals)))
+    results = _refine(f, zip(*(v[failing].tolist() for v in (lo, hi, vals, errs))),
+                      abs_tol, rel_tol) if failing.size else []
     for i, res in zip(failing, results):
         vals[i], errs[i] = res.value, res.error
     unresolved = sum(not res.converged for res in results)
@@ -456,7 +456,7 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
             group_end = min(j + SEGMENTS_PER_CALL - 1, MAX_DOUBLINGS)
             try:
                 # only the GK15 sweep of the group: a segment that fails the
-                # tolerance is bisected once the loop reaches it, never
+                # tolerance is refined once the loop reaches it, never
                 # beyond the cutoff where the loop stops
                 ahead = sweep(a * 2.0 ** np.arange(j - 1, group_end + 1))
             except Exception:
@@ -467,9 +467,9 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
         # segment gets what a one-segment integrate call returns, to the bit;
         # its accuracy is folded into the verdict's own evidence
         seg_value, seg_error = ahead.pop(0) if ahead else sweep(np.array([t_prev, t_cur]))[0]
-        if _misses_tolerance(seg_value, seg_error, seg_tol, seg_rel):
-            seg_value, seg_error = _bisect(f, t_prev, t_cur, seg_value, seg_error,
-                                           seg_tol, seg_rel, 10_000)
+        if seg_error > max(seg_tol, seg_rel * abs(seg_value)):
+            seg_value, seg_error = _refine(
+                f, [(t_prev, t_cur, seg_value, seg_error)], seg_tol, seg_rel)[0]
         partial += seg_value
         quad_err += seg_error
         cutoffs.append(t_cur)

@@ -707,14 +707,18 @@ def test_range_and_eval_at_shapes_are_checked(tmp_path):
     assert empty["capacity_report"]["potential_values"] == {}
 
 
+OVERFLOWING_CHART = {
+    "id": "overflow", "task": "check-identities", "model": small_model("zero", 3),
+    "submanifold": {"name": "graph", "expr": "exp(800*x1)",
+                    "window": [[0.5, 1.5], [0.5, 1.5]]},
+    "params": {"psi": "t^2/2", "points": 6, "seed": 0}}
+
+
 def test_an_overflowing_chart_names_its_first_point(tmp_path):
-    scenario = {"id": "overflow", "task": "check-identities",
-                "model": small_model("zero", 3),
-                "submanifold": {"name": "graph", "expr": "exp(800*x1)",
-                                "window": [[0.5, 1.5], [0.5, 1.5]]},
-                "params": {"psi": "t^2/2", "points": 6, "seed": 0}}
-    with np.errstate(over="ignore", invalid="ignore"):
-        entry = cli.run_scenario(scenario, tmp_path)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry = cli.run_scenario(OVERFLOWING_CHART, tmp_path)
+    assert caught == []
     json.dumps(entry, allow_nan=False)
     assert entry["status"] == "error"
     prefix = "DegenerateMetricError: induced metric not finite at u=["
@@ -722,3 +726,15 @@ def test_an_overflowing_chart_names_its_first_point(tmp_path):
     # exp(800 x1) and its derivatives overflow from x1 = 709.8/800 on
     x1 = float(entry["error"][len(prefix):].split()[0])
     assert x1 > 709.78 / 800.0
+
+
+def test_an_overflowing_chart_fails_alike_under_an_error_filter(tmp_path):
+    # the overflow is flagged row by row, not by numpy's warnings, so a
+    # caller's error filter does not turn it into a RuntimeWarning
+    plain = cli.run_scenario(OVERFLOWING_CHART, tmp_path / "plain")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        strict = cli.run_scenario(OVERFLOWING_CHART, tmp_path / "strict")
+    assert strict == plain
+    assert strict["error"].startswith("DegenerateMetricError: induced metric not finite")
+    assert "nan" not in json.dumps(strict, allow_nan=False).lower()

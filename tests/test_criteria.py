@@ -231,12 +231,14 @@ def test_critical_cylinder_radius_modes():
     for k in (2, 3, 4):
         assert cr.critical_cylinder_radius(k) == pytest.approx(
             math.sqrt(k - 1), abs=1e-12)
-    # n-variant replaces k-1 by n
-    assert cr.critical_cylinder_radius(7, use_dimension=3) == pytest.approx(
-        math.sqrt(3.0), abs=1e-12)
     # level crossing with lambda0 = 1, k = 2: t^2 + t - 1 = 0 (last_above)
     assert cr.critical_cylinder_radius(2, lambda0=1.0) == pytest.approx(
         (-1 + math.sqrt(5)) / 2, abs=1e-12)
+    # first_below: 1/t - t = -1 at t^2 - t - 1 = 0
+    assert cr.critical_cylinder_radius(2, lambda0=1.0, mode="first_below") == (
+        pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12))
+    with pytest.raises(DomainError, match="unknown mode 'bogus'"):
+        cr.critical_cylinder_radius(2, mode="bogus")
 
 
 def test_hyperplane_weighted_curvature_probes():

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +9,7 @@ from wparab import catalogs
 from wparab import geometry as ge
 from wparab import radial as rd
 from wparab.errors import DegenerateMetricError, DomainError, SupportError
-from wparab.expr import fexp
+from wparab.expr import fexp, fpow
 from wparab.model import WeightedModel
 from wparab.verdicts import FAILS, HOLDS
 
@@ -902,3 +903,17 @@ def test_first_degenerate_or_non_finite_metric_raises():
                                       window=((0.0, 1.0), (0.0, 1.0)))
         with pytest.raises(DegenerateMetricError, match=r"cond=[0-9.]+e\+1[2-9]\)$"):
             ge.geometry_at_batch(thin, [[0.5, 0.5]])
+
+
+def test_a_cusp_of_the_chart_raises_without_numpy_warnings():
+    # u1^1.5 has a finite Jacobian at u1 = 0 but an infinite second
+    # derivative, so the metric is finite while the curvature would be NaN
+    P = ge.ImmersedSubmanifold(ge.EuclideanAmbient(3), 2,
+                               lambda u: [u[0], u[1], fpow(u[0], 1.5)],
+                               window=((0.0, 1.0), (0.0, 1.0)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.all(np.isfinite(ge.geometry_at_batch(P, [[0.5, 0.5]]).mc_vec))
+        with pytest.raises(DegenerateMetricError,
+                           match=r"^chart jet not finite at u=\[0\.  0\.5\]$"):
+            ge.geometry_at_batch(P, [[0.5, 0.5], [0.0, 0.5]])

@@ -59,18 +59,65 @@ def test_integrate_rejects_nonfinite_values_with_location():
         rd.integrate(lambda t: 1.0 / (t - 0.5), 0.4999999, 0.5000001)
 
 
-def test_integrate_warns_when_tolerance_unreachable():
+def test_integrate_warns_when_tolerance_unreachable(monkeypatch):
+    monkeypatch.setattr(rd, "MAX_SUBDIVISIONS", 8)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = rd.integrate(lambda t: np.abs(t - 0.3) ** -0.5, 0.0, 1.0,
-                           abs_tol=1e-14, rel_tol=1e-14, max_subdivisions=8)
+                           abs_tol=1e-14, rel_tol=1e-14)
     assert not res.converged
     assert any(issubclass(w.category, rd.AccuracyWarning) for w in caught)
     with pytest.warns(rd.AccuracyWarning, match="1 of 2 panels"):
         res = rd.integrate(lambda t: np.abs(t - 0.3) ** -0.5, np.array([0.0, 0.5]),
-                           np.array([0.5, 1.0]), abs_tol=1e-14, rel_tol=1e-14,
-                           max_subdivisions=8)
+                           np.array([0.5, 1.0]), abs_tol=1e-14, rel_tol=1e-14)
     assert not res.converged
+
+
+def _refinements(monkeypatch):
+    """The QuadResult of every panel that :func:`rd._refine` returns."""
+    refine, seen = rd._refine, []
+
+    def recording_refine(*args):
+        results = refine(*args)
+        seen.extend(results)
+        return results
+
+    monkeypatch.setattr(rd, "_refine", recording_refine)
+    return seen
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 5, 8, 13, 21])
+def test_no_panel_is_refined_past_the_cap(monkeypatch, cap):
+    # an oscillation that needs many pieces per level, on one panel and on
+    # three panels of one call
+    monkeypatch.setattr(rd, "MAX_SUBDIVISIONS", cap)
+    refined = _refinements(monkeypatch)
+    f = lambda t: np.sin(40.0 * t) * np.exp(-t)  # noqa: E731
+    with pytest.warns(rd.AccuracyWarning):
+        one = rd.integrate(f, 0.0, 6.0, abs_tol=1e-13, rel_tol=1e-13)
+    with pytest.warns(rd.AccuracyWarning, match="3 of 3 panels"):
+        rd.integrate(f, np.array([0.0, 2.0, 4.0]), np.array([2.0, 4.0, 6.0]),
+                     abs_tol=1e-13, rel_tol=1e-13)
+    assert 0 < one.subdivisions <= cap
+    assert len(refined) == 4
+    assert all(not res.converged and 0 < res.subdivisions <= cap for res in refined)
+
+
+def test_a_jump_at_a_non_dyadic_point_ends_unconverged(monkeypatch):
+    def step(t):
+        return np.where(t > 1.0 / 3.0, 1.0, 0.0)
+
+    res = rd.integrate(step, 0.0, 1.0)
+    assert res.converged and res.value == pytest.approx(2.0 / 3.0, abs=1e-8)
+    # a tolerance of 1e-15 is below the Kronrod--Gauss difference of the
+    # constant pieces (3.5e-15 of their width), so every piece is bisected
+    # at every level until the next level would pass the cap
+    refined = _refinements(monkeypatch)
+    with pytest.warns(rd.AccuracyWarning, match=r"\[0.0, 1.0\]"):
+        res = rd.integrate(step, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15)
+    assert not res.converged and refined == [res]
+    assert rd.MAX_SUBDIVISIONS / 2 < res.subdivisions <= rd.MAX_SUBDIVISIONS
+    assert abs(res.value - 2.0 / 3.0) <= res.error
 
 
 # --- improper integrals -------------------------------------------------
@@ -105,6 +152,14 @@ def test_classify_is_deterministic():
     a = rd.classify_improper(f, 1.0)
     b = rd.classify_improper(f, 1.0)
     assert a.status == b.status and a.value == b.value and a.cutoffs == b.cutoffs
+
+
+def test_an_oscillating_decay_keeps_its_verdict():
+    v = rd.classify_improper(lambda t: 1.0 / (t * t * (1 + np.sin(t) ** 2)), 1.0)
+    assert v.status == "convergent" and "geometric decay" in v.reason
+    # oracle: scipy's quad over the unit pieces of [1, 2^16] plus the tail
+    # 2^-16 / sqrt(2), the mean of 1/(1 + sin^2) being 1/sqrt(2)
+    assert abs(v.value - 0.6273879741) <= v.error_bound < 2e-6
 
 
 # --- doubling segments integrated ahead in groups -------------------------
@@ -255,41 +310,43 @@ def test_classify_leaves_the_warning_filters_alone(size, monkeypatch):
 def _kernel_calls(monkeypatch, f, size):
     """classify_improper(f, 1.6) with the given group size, and its kernel
     calls in order: ("gk15", panels) for each GK15 sweep of the loop itself
-    and ("bisect", a, b, subdivisions) for each bisection."""
+    and ("refine", a, b, subdivisions) for each refined panel."""
     calls, inside = [], []
-    gk15, bisect = rd._gk15, rd._bisect
+    gk15, refine = rd._gk15, rd._refine
 
     def recording_gk15(f, a, b):
         if not inside:
             calls.append(("gk15", len(a)))
         return gk15(f, a, b)
 
-    def recording_bisect(f, a, b, *args):
+    def recording_refine(f, panels, *args):
         inside.append(True)
-        res = bisect(f, a, b, *args)
+        panels = list(panels)
+        results = refine(f, panels, *args)
         inside.pop()
-        calls.append(("bisect", a, b, res.subdivisions))
-        return res
+        calls.extend(("refine", a, b, res.subdivisions)
+                     for (a, b, _, _), res in zip(panels, results))
+        return results
 
     monkeypatch.setattr(rd, "_gk15", recording_gk15)
-    monkeypatch.setattr(rd, "_bisect", recording_bisect)
+    monkeypatch.setattr(rd, "_refine", recording_refine)
     monkeypatch.setattr(rd, "SEGMENTS_PER_CALL", size)
     verdict = rd.classify_improper(f, 1.6)
     monkeypatch.setattr(rd, "_gk15", gk15)
-    monkeypatch.setattr(rd, "_bisect", bisect)
+    monkeypatch.setattr(rd, "_refine", refine)
     return verdict, calls
 
 
 def test_doubling_segments_share_one_sweep_per_group(monkeypatch):
     verdict, calls = _kernel_calls(monkeypatch, lambda t: 1.0 / (t * t), 4)
     doublings = len(verdict.cutoffs)
-    # every segment passes its sweep's tolerance, so nothing is bisected
+    # every segment passes its sweep's tolerance, so nothing is refined
     assert calls == [("gk15", 4)] * -(-doublings // 4)
 
 
 def test_no_segment_beyond_the_stop_is_bisected(monkeypatch):
     # the comparison integrand of the Gaussian plane: divergent at the third
-    # cutoff, and every segment from the second on needs bisection
+    # cutoff, and every segment from the second on needs refinement
     def f(t):
         return np.exp(0.5 * (t * t - 1.6 ** 2)) / (2 * np.pi * t)
 
@@ -297,10 +354,10 @@ def test_no_segment_beyond_the_stop_is_bisected(monkeypatch):
     grouped, calls = _kernel_calls(monkeypatch, f, 4)
     assert _verdict_fields(grouped) == _verdict_fields(seq)
     assert len(grouped.cutoffs) == 3
-    bisected = [("bisect", 3.2, 6.4, 2), ("bisect", 6.4, 12.8, 4)]
-    assert [c for c in seq_calls if c[0] == "bisect"] == bisected
+    refined = [("refine", 3.2, 6.4, 2), ("refine", 6.4, 12.8, 4)]
+    assert [c for c in seq_calls if c[0] == "refine"] == refined
     # one sweep of four segments, then only the two segments up to the stop
-    assert calls == [("gk15", 4)] + bisected
+    assert calls == [("gk15", 4)] + refined
 
 
 def test_classify_rejects_negative_integrands():
