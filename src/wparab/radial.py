@@ -274,41 +274,47 @@ def _gk15(f, a, b):
 
 
 MAX_SUBDIVISIONS = 10_000
+_NOISE = 50.0 * 2.0 ** -52
 
 
 def _refine(f, panels, abs_tol, rel_tol):
     """Refine GK15 panels (a, b, value, error) level by level: a QuadResult each.
 
     A panel is a list of pieces (a, b, value, error) in position order.  While
-    its summed error misses max(abs_tol, rel_tol |sum|), each level bisects
-    every piece over its width's share of that tolerance whose midpoint lies
-    strictly inside it, in one :func:`_gk15` call for all panels.  A panel
-    stops, unconverged, with no such piece or before passing MAX_SUBDIVISIONS.
+    its summed error misses max(abs_tol, rel_tol |sum|), each level bisects,
+    in one :func:`_gk15` call for all panels, every piece whose error exceeds
+    its width's share of that tolerance and _NOISE |value| (rounding: the
+    15-digit weights alone differ by 3.5e-15 on a constant) and whose midpoint
+    lies strictly inside it; at the level that reaches MAX_SUBDIVISIONS, only
+    as many as the cap leaves, the largest errors first.
     """
     pieces = [[panel] for panel in panels]
+    width = [b - a for [(a, b, _, _)] in pieces]
     results, n_sub = [None] * len(pieces), [0] * len(pieces)
     active = range(len(pieces))
     while active:
         splits = []
         for i in active:
-            *_, value, error = map(sum, zip(*pieces[i]))
+            value, error = sum(p[2] for p in pieces[i]), sum(p[3] for p in pieces[i])
             tol = max(abs_tol, rel_tol * abs(value))
-            share = tol / (pieces[i][-1][1] - pieces[i][0][0])
-            cut = [e > share * (b - a) and a < 0.5 * (a + b) < b for a, b, _, e in pieces[i]]
-            if error <= tol or not any(cut) or n_sub[i] + sum(cut) > MAX_SUBDIVISIONS:
+            share, left = tol / width[i], MAX_SUBDIVISIONS - n_sub[i]
+            cut = [k for k, (a, b, v, e) in enumerate(pieces[i])
+                   if e > max(share * (b - a), _NOISE * abs(v)) and a < 0.5 * (a + b) < b]
+            if error <= tol or not cut or not left:
                 results[i] = QuadResult(value, error, error <= tol, n_sub[i])
             else:
-                splits.append((i, cut))
+                splits.append((i, set(cut if len(cut) <= left else
+                                      sorted(cut, key=lambda k: -pieces[i][k][3])[:left])))
         if not splits:
             break
         ends = np.array([(a, 0.5 * (a + b), b) for i, cut in splits
-                         for (a, b, _, _), c in zip(pieces[i], cut) if c])
+                         for k, (a, b, _, _) in enumerate(pieces[i]) if k in cut])
         lo, hi = ends[:, :2].ravel(), ends[:, 1:].ravel()
         halves = iter(zip(lo.tolist(), hi.tolist(), *(v.tolist() for v in _gk15(f, lo, hi))))
         for i, cut in splits:
-            pieces[i] = [q for p, c in zip(pieces[i], cut)
-                         for q in ((next(halves), next(halves)) if c else (p,))]
-            n_sub[i] += sum(cut)
+            pieces[i] = [q for k, p in enumerate(pieces[i])
+                         for q in ((next(halves), next(halves)) if k in cut else (p,))]
+            n_sub[i] += len(cut)
         active = [i for i, _ in splits]
     return results
 
@@ -433,9 +439,11 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
 
     cutoffs, partials, increments, samples = [], [], [], [checked(a)]
     ahead, group_end = [], 0
-    partial = 0.0
-    quad_err = 0.0
-    used_hint = hint.tag
+    partial = quad_err = 0.0
+
+    def verdict(status, reason, **found):
+        return IntegralVerdict(status, reason=reason, cutoffs=cutoffs, partials=partials,
+                               increments=increments, used_hint=hint.tag, **found)
 
     for j in range(1, MAX_DOUBLINGS + 1):
         t_prev = a * 2.0 ** (j - 1)
@@ -447,10 +455,9 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
         # next increment alone would exceed the divergence threshold
         if (len(samples) >= 3 and samples[-1] > samples[-2] > samples[-3]
                 and min(samples[-3], samples[-2]) * (t_cur - t_prev) > divergence_threshold):
-            return IntegralVerdict(
-                "divergent", cutoffs=cutoffs + [t_cur], partials=list(partials),
-                increments=list(increments), used_hint=used_hint,
-                reason=f"integrand increases pointwise beyond threshold near t={t_cur}")
+            cutoffs.append(t_cur)
+            return verdict("divergent",
+                           f"integrand increases pointwise beyond threshold near t={t_cur}")
 
         if j > group_end:
             group_end = min(j + SEGMENTS_PER_CALL - 1, MAX_DOUBLINGS)
@@ -477,26 +484,18 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
         increments.append(seg_value)
 
         if partial > divergence_threshold:
-            return IntegralVerdict(
-                "divergent", cutoffs=cutoffs, partials=partials,
-                increments=increments, used_hint=used_hint,
-                reason=f"partial integral exceeded {divergence_threshold:g}")
+            return verdict("divergent", f"partial integral exceeded {divergence_threshold:g}")
 
         if len(increments) >= 6:
             recent = increments[-6:]
             if all(recent[i + 1] >= recent[i] * (1.0 - 1e-9) for i in range(5)):
-                return IntegralVerdict(
-                    "divergent", cutoffs=cutoffs, partials=partials,
-                    increments=increments, used_hint=used_hint,
-                    reason="increments non-decreasing over 6 doublings")
+                return verdict("divergent", "increments non-decreasing over 6 doublings")
 
         if len(increments) >= 4:
             last = increments[-1]
             if last <= 0.0 or last <= 1e-300:
-                return IntegralVerdict(
-                    "convergent", value=partial, error_bound=max(quad_err, TAIL_TOL),
-                    cutoffs=cutoffs, partials=partials, increments=increments,
-                    used_hint=used_hint, reason="tail increment vanished")
+                return verdict("convergent", "tail increment vanished", value=partial,
+                               error_bound=max(quad_err, TAIL_TOL))
             ratios = [increments[i] / increments[i - 1]
                       for i in range(len(increments) - 3, len(increments))
                       if increments[i - 1] > 0]
@@ -504,17 +503,11 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
                 r = max(ratios)
                 tail = last * r / (1.0 - r)
                 if tail <= TAIL_TOL:
-                    return IntegralVerdict(
-                        "convergent", value=partial + tail,
-                        error_bound=tail + quad_err,
-                        cutoffs=cutoffs, partials=partials, increments=increments,
-                        used_hint=used_hint,
-                        reason=f"geometric decay (ratio <= {r:.3f}), tail <= {tail:.2e}")
+                    return verdict(
+                        "convergent", f"geometric decay (ratio <= {r:.3f}), tail <= {tail:.2e}",
+                        value=partial + tail, error_bound=tail + quad_err)
 
-    return IntegralVerdict(
-        "inconclusive", cutoffs=cutoffs, partials=partials, increments=increments,
-        used_hint=used_hint,
-        reason=f"no decision after {MAX_DOUBLINGS} doublings")
+    return verdict("inconclusive", f"no decision after {MAX_DOUBLINGS} doublings")
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,34 @@ def test_no_panel_is_refined_past_the_cap(monkeypatch, cap):
     with pytest.warns(rd.AccuracyWarning, match="3 of 3 panels"):
         rd.integrate(f, np.array([0.0, 2.0, 4.0]), np.array([2.0, 4.0, 6.0]),
                      abs_tol=1e-13, rel_tol=1e-13)
-    assert 0 < one.subdivisions <= cap
+    # the level that reaches the cap spends what is left of it
+    assert one.subdivisions == cap
     assert len(refined) == 4
-    assert all(not res.converged and 0 < res.subdivisions <= cap for res in refined)
+    assert all(not res.converged and res.subdivisions == cap for res in refined)
+
+
+def test_the_last_level_bisects_the_largest_errors(monkeypatch):
+    # jumps of 1 at 1/3 and of 3 at 2/3 put mirror-image pieces, errors 1:3,
+    # at every level; the constant pieces sit at their noise floor
+    def steps(t):
+        return np.where(t > 1.0 / 3.0, 1.0, 0.0) + np.where(t > 2.0 / 3.0, 3.0, 0.0)
+
+    gk15, rows = rd._gk15, []
+
+    def recording_gk15(f, a, b):
+        rows.append((a, b))
+        return gk15(f, a, b)
+
+    monkeypatch.setattr(rd, "_gk15", recording_gk15)
+    # levels bisect 1, 2 and 2 pieces; the fourth can afford one of its two
+    monkeypatch.setattr(rd, "MAX_SUBDIVISIONS", 6)
+    with pytest.warns(rd.AccuracyWarning):
+        res = rd.integrate(steps, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15)
+    assert res.subdivisions == 6
+    assert [len(a) for a, _ in rows] == [1, 2, 4, 4, 2]
+    # the halves of the piece around 2/3, not of the one around 1/3
+    a, b = rows[-1]
+    assert (a.tolist(), b.tolist()) == ([0.625, 0.6875], [0.6875, 0.75])
 
 
 def test_a_jump_at_a_non_dyadic_point_ends_unconverged(monkeypatch):
@@ -110,13 +135,15 @@ def test_a_jump_at_a_non_dyadic_point_ends_unconverged(monkeypatch):
     res = rd.integrate(step, 0.0, 1.0)
     assert res.converged and res.value == pytest.approx(2.0 / 3.0, abs=1e-8)
     # a tolerance of 1e-15 is below the Kronrod--Gauss difference of the
-    # constant pieces (3.5e-15 of their width), so every piece is bisected
-    # at every level until the next level would pass the cap
+    # constant pieces (3.5e-15 of their width, their noise floor), so only
+    # the piece holding the jump is bisected, down to machine resolution;
+    # the error ends at the floor, 2.3e-15, as a global-adaptive heap's did
     refined = _refinements(monkeypatch)
     with pytest.warns(rd.AccuracyWarning, match=r"\[0.0, 1.0\]"):
         res = rd.integrate(step, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15)
     assert not res.converged and refined == [res]
-    assert rd.MAX_SUBDIVISIONS / 2 < res.subdivisions <= rd.MAX_SUBDIVISIONS
+    assert 50 < res.subdivisions < 60
+    assert res.error < 3e-15
     assert abs(res.value - 2.0 / 3.0) <= res.error
 
 
