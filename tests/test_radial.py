@@ -137,7 +137,7 @@ def test_a_jump_at_a_non_dyadic_point_ends_unconverged(monkeypatch):
     # a tolerance of 1e-15 is below the Kronrod--Gauss difference of the
     # constant pieces (3.5e-15 of their width, their noise floor), so only
     # the piece holding the jump is bisected, down to machine resolution;
-    # the error ends at the floor, 2.3e-15, as a global-adaptive heap's did
+    # the error ends at the floor, 2.3e-15
     refined = _refinements(monkeypatch)
     with pytest.warns(rd.AccuracyWarning, match=r"\[0.0, 1.0\]"):
         res = rd.integrate(step, 0.0, 1.0, abs_tol=1e-15, rel_tol=1e-15)
