@@ -13,7 +13,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as ge
 from . import radial as rd
-from .errors import CatalogError
+from .errors import CatalogError, finite_number, number_list, whole_number
 from .model import WeightedModel
 
 
@@ -25,12 +25,23 @@ def _param(spec, key, part):
         raise CatalogError(f"{part} is missing parameter {key!r}") from None
 
 
+def _number(spec, key, part, default=None, check=finite_number):
+    """spec[key], or ``default`` for an absent key when one is given, once
+    ``check`` passes it: a DomainError names the part and the field, e.g.
+    ``weight 'power' parameter 'a' must be a finite number, got True``.  The
+    value is returned unconverted, as profile names such as power(a=1, k=2)
+    echo it."""
+    value = spec.get(key, default) if default is not None else _param(spec, key, part)
+    check(f"{part} parameter {key!r}", value)
+    return value
+
+
 def resolve_warping(spec):
     name = spec.get("name", "euclidean")
     if name == "euclidean":
         return rd.warping_euclidean()
     if name == "hyperbolic":
-        return rd.warping_hyperbolic(spec.get("kappa", -1.0))
+        return rd.warping_hyperbolic(_number(spec, "kappa", "warping 'hyperbolic'", -1.0))
     if name == "paraboloid":
         return rd.warping_paraboloid()
     if name == "custom":
@@ -51,14 +62,14 @@ def resolve_weight_profile(spec, warping=None):
     if name == "antigaussian":
         return rd.weight_antigaussian()
     if name == "power":
-        return rd.weight_power(_param(spec, "a", part), _param(spec, "k", part))
+        return rd.weight_power(_number(spec, "a", part), _number(spec, "k", part))
     if name == "logpow":
         if warping is None:
             raise ValueError("logpow weight needs the warping function")
-        return rd.weight_logpow(_param(spec, "k", part), warping)
+        return rd.weight_logpow(_number(spec, "k", part), warping)
     if name == "custom":
         return rd.RadialProfile.from_expression(_param(spec, "expr", part),
-                                                t_min=spec.get("t_min", 0.0))
+                                                t_min=_number(spec, "t_min", part, 0.0))
     raise CatalogError(f"unknown weight {name!r}")
 
 
@@ -110,15 +121,17 @@ def resolve_submanifold(spec, m, weight):
     name = _param(spec, "name", "submanifold")
     part = f"submanifold {name!r}"
     if name == "sphere":
-        return ge.euclidean_sphere(float(_param(spec, "a", part)), m, weight)
+        return ge.euclidean_sphere(float(_number(spec, "a", part)), m, weight)
     if name == "plane":
         if "axes" in spec:
             return ge.coordinate_plane(m, tuple(spec["axes"]), weight)
-        return ge.hyperplane(m, np.asarray(_param(spec, "normal", part), dtype=float),
-                             float(spec.get("offset", 0.0)), weight)
+        normal = number_list(f"{part} parameter 'normal'", _param(spec, "normal", part), m)
+        return ge.hyperplane(m, np.asarray(normal), float(_number(spec, "offset", part, 0.0)),
+                             weight)
     if name == "cylinder":
-        return ge.cylinder_hypersurface(float(_param(spec, "a", part)),
-                                        int(_param(spec, "k", part)), m, weight)
+        return ge.cylinder_hypersurface(float(_number(spec, "a", part)),
+                                        int(_number(spec, "k", part, check=whole_number)),
+                                        m, weight)
     if name == "graph":
         source = _param(spec, "expr", part)
         ast = ex.parse(source, [f"x{i + 1}" for i in range(m - 1)])
@@ -132,7 +145,7 @@ def resolve_submanifold(spec, m, weight):
     if name == "paraboloid_graph":
         return ge.paraboloid_graph(m, weight)
     if name == "helicoid":
-        return ge.helicoid(float(spec.get("pitch", 1.0)), weight)
+        return ge.helicoid(float(_number(spec, "pitch", part, 1.0)), weight)
     if name == "grim_curve":
         return ge.grim_curve()
     if name == "radial_scenario":

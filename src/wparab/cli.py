@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
-from .errors import DomainError, ScenarioError
+from .errors import ScenarioError, finite_number, number_list, whole_number
 from .radial import AsymptoticHint, NO_HINT
 
 REPORT_VERSION = "3"
@@ -44,21 +44,11 @@ def _alpha_from(params):
 
 
 def _n(params, prefix=""):
-    return mc.whole_number(prefix + "n", params["n"])
+    return whole_number(prefix + "n", params["n"])
 
 
 def _t0(params, prefix=""):
-    return mc.finite_number(prefix + "t0", params.get("t0", 1.0))
-
-
-def _number_list(name, value, length=None):
-    """The entries of ``value`` as floats; a DomainError naming ``name``
-    unless it is a list (of ``length`` entries if given) of finite numbers."""
-    if not isinstance(value, (list, tuple)) or (length is not None
-                                                 and len(value) != length):
-        shape = "a list of numbers" if length is None else f"a list of {length} numbers"
-        raise DomainError(f"{name} must be {shape}, got {value!r}")
-    return [mc.finite_number(name, x) for x in value]
+    return finite_number(prefix + "t0", params.get("t0", 1.0))
 
 
 # ---------------------------------------------------------------------------
@@ -86,16 +76,16 @@ def _run_classify(scenario, outdir):
     elif criterion == "bounded_drift":
         beta = rd.RadialProfile.from_expression(params["beta"])
         verdict = criteria.classify_bounded_drift(
-            model.w, _n(params), beta, mc.finite_number("c", params.get("c", 0.0)),
+            model.w, _n(params), beta, finite_number("c", params.get("c", 0.0)),
             params.get("direction", "parabolic"), hint)
     elif criterion == "radial_weight":
         verdict = criteria.classify_radial_weight(
-            model.w, _n(params), model.f, mc.finite_number("c", params.get("c", 0.0)),
+            model.w, _n(params), model.f, finite_number("c", params.get("c", 0.0)),
             params.get("direction", "parabolic"), hint,
             use_exp_integral=bool(params.get("use_exp_integral", False)))
     elif criterion == "warping_power":
         verdict = criteria.classify_warping_power(
-            model.w, _n(params), mc.finite_number("k", params["k"]),
+            model.w, _n(params), finite_number("k", params["k"]),
             _t0(params), hint)
     elif criterion == "translator_halfspace":
         alpha = _alpha_from(params)
@@ -111,16 +101,16 @@ def _run_classify(scenario, outdir):
 def _run_capacity(scenario, outdir):
     params = scenario.get("params", {})
     model = catalogs.resolve_model(scenario["model"])
-    rho = mc.finite_number("rho", params["rho"])
+    rho = finite_number("rho", params["rho"])
     R = params.get("R", "inf")
     if R in ("inf", None):
         cap, evidence = model.capacity_to_infinity(rho, _hint_from(params))
         return {"capacity": cap, "rho": rho, "R": None,
                 "integral_evidence": evidence.to_dict()}
-    report = model.capacity_potential(rho, mc.finite_number("R", R))
+    report = model.capacity_potential(rho, finite_number("R", R))
     out = report.to_dict()
     if "eval_at" in params:
-        radii = _number_list("eval_at", params["eval_at"])
+        radii = number_list("eval_at", params["eval_at"])
         values = report.potential(np.array(radii)).tolist()
         out["potential_values"] = dict(zip(map(str, params["eval_at"]), values))
     return {"capacity_report": out}
@@ -129,12 +119,12 @@ def _run_capacity(scenario, outdir):
 def _run_curves(scenario, outdir):
     params = scenario.get("params", {})
     model = catalogs.resolve_model(scenario["model"])
-    lo, hi = _number_list("range", params["range"], 2)
+    lo, hi = number_list("range", params["range"], 2)
     if lo <= model.f.t_min:
         raise ScenarioError(
             f"curve range starts at {lo} but the weight is defined only for "
             f"t > {model.f.t_min}")
-    samples = mc.whole_number("samples", params.get("samples", 100))
+    samples = whole_number("samples", params.get("samples", 100))
     n = _n(params) if params.get("n") is not None else None
     rho, R = params.get("rho"), params.get("R")
     ts = np.linspace(lo, hi, samples)
@@ -142,7 +132,7 @@ def _run_curves(scenario, outdir):
     include_volume = model.f.t_min == 0.0
     phi = None
     if rho is not None and R is not None:
-        rho, R = mc.finite_number("rho", rho), mc.finite_number("R", R)
+        rho, R = finite_number("rho", rho), finite_number("R", R)
         phi = model.capacity_potential(rho, R).potential(np.clip(ts, rho, R))
 
     header = ["t", "area"]
@@ -192,9 +182,9 @@ def _run_mc_verify(scenario, outdir):
         raise ScenarioError("mc-verify needs an affine chart (plane or "
                             "radial_scenario)")
 
-    rho = mc.finite_number("rho", params["rho"])
-    R = mc.finite_number("R", params["R"])
-    N = mc.whole_number("paths", params.get("paths", 10_000))
+    rho = finite_number("rho", params["rho"])
+    R = finite_number("R", params["R"])
+    N = whole_number("paths", params.get("paths", 10_000))
     start = params["start"]
     spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)),
                             params.get("seed", 0),
@@ -202,7 +192,7 @@ def _run_mc_verify(scenario, outdir):
 
     if "R_schedule" in params:
         probe = mc.recurrence_probe(spec, start, rho,
-                                    [float(x) for x in params["R_schedule"]], N)
+                                    number_list("R_schedule", params["R_schedule"]), N)
         return {"recurrence_probe": probe.to_dict()}
     if "comparison" in params:
         comp = params["comparison"]
@@ -220,8 +210,8 @@ def _run_check_identities(scenario, outdir):
     params = scenario.get("params", {})
     _, P = catalogs.resolve_immersion(scenario)
     psi = rd.RadialProfile.from_expression(params.get("psi", "t^2/2"))
-    count = mc.whole_number("points", params.get("points", 5))
-    seed = mc.whole_number("seed", params.get("seed", 0), positive=False)
+    count = whole_number("points", params.get("points", 5))
+    seed = whole_number("seed", params.get("seed", 0), positive=False)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(seed, 0x1D))))
     U = np.array([[lo + (hi - lo) * rng.random() for lo, hi in P.window]

@@ -13,12 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, NotAttainedError
 from .geometry import (ImmersedSubmanifold, _complement_basis,
                        radial_hypothesis_profile)
-from .model import WeightedModel
+from .model import WeightedModel, critical_radius
 from .radial import (AsymptoticHint, NO_HINT, RadialProfile, WarpingFunction,
-                     classify_improper, expand_bracket, find_root, integrate,
+                     classify_improper, first_crossing, integrate,
                      warping_euclidean)
 from .verdicts import (FAILS, HOLDS, WINDOW_ONLY, HypothesisCheck, Outcome,
                        one_sided)
@@ -28,6 +28,7 @@ _LADDER_NODES = 512
 _CURVATURE_T, _CURVATURE_CAP = 64.0, 1e3     # sup |w'/w| < cap on [T, 2T]
 _SLOPE_SAMPLES = 20                          # f' at t_min 2^k, k < samples
 _PROBE_SAMPLES, _PROBE_SCALE = 64, 2.0       # hyperplane constancy probe
+_BALANCE_SAMPLES = 512                       # n H + alpha on [t0, 32 t0]
 
 
 class CumulativeProfile(RadialProfile):
@@ -115,9 +116,9 @@ class ComparisonSetup:
                 / self.comparison_area(rho))
 
 
-def _balance_check(setup: ComparisonSetup, sign, samples=512):
+def _balance_check(setup: ComparisonSetup, sign):
     """Sample n H(t) + alpha(t) (<= 0 for sign=-1, >= 0 for sign=+1)."""
-    t0 = setup.t0
+    t0, samples = setup.t0, _BALANCE_SAMPLES
     ts = np.linspace(t0, 32.0 * t0, samples)
     vals = setup.n * setup.model.mean_curvature(ts) + setup.alpha.value(ts)
     # sign=-1: need vals <= 0, margin = -vals; sign=+1: need vals >= 0
@@ -162,6 +163,22 @@ def _drift_check(setup, P, window, sense, assume_bound):
     return check
 
 
+def _comparison(outcome, setup, P, window, assume_drift_bound):
+    """The comparison verdict for ``outcome``: parabolic needs the upper
+    drift bound, n H + alpha <= 0 and a divergent comparison integral;
+    hyperbolic the lower bound, n H + alpha >= 0 and a convergent one."""
+    parabolic = outcome is Outcome.PARABOLIC
+    checks = [
+        _drift_check(setup, P, window, "upper" if parabolic else "lower",
+                     assume_drift_bound),
+        _balance_check(setup, sign=-1 if parabolic else +1),
+    ]
+    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
+    return one_sided(outcome, needs_divergent=parabolic, checks=checks,
+                     integral=integral, criterion=f"{outcome.value}_comparison",
+                     capacity_bound=setup.capacity_bound, notes=setup.name)
+
+
 def classify_parabolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = None,
                        window=None, assume_drift_bound=False):
     """Parabolicity via capacity comparison with the weighted model.
@@ -169,29 +186,13 @@ def classify_parabolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = N
     Fires only when the drift bound holds, the balance n H + alpha <= 0
     holds beyond t0, and the comparison area integral diverges.
     """
-    checks = [
-        _drift_check(setup, P, window, "upper", assume_drift_bound),
-        _balance_check(setup, sign=-1),
-    ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
-    return one_sided(Outcome.PARABOLIC, needs_divergent=True, checks=checks,
-                     integral=integral, criterion="parabolic_comparison",
-                     capacity_bound=setup.capacity_bound,
-                     notes=setup.name)
+    return _comparison(Outcome.PARABOLIC, setup, P, window, assume_drift_bound)
 
 
 def classify_hyperbolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = None,
                         window=None, assume_drift_bound=False):
     """Hyperbolicity via the reversed comparison; needs a convergent integral."""
-    checks = [
-        _drift_check(setup, P, window, "lower", assume_drift_bound),
-        _balance_check(setup, sign=+1),
-    ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
-    return one_sided(Outcome.HYPERBOLIC, needs_divergent=False, checks=checks,
-                     integral=integral, criterion="hyperbolic_comparison",
-                     capacity_bound=setup.capacity_bound,
-                     notes=setup.name)
+    return _comparison(Outcome.HYPERBOLIC, setup, P, window, assume_drift_bound)
 
 
 # ---------------------------------------------------------------------------
@@ -200,14 +201,10 @@ def classify_hyperbolic(setup: ComparisonSetup, P: ImmersedSubmanifold | None = 
 
 def warping_integrability_check(w: WarpingFunction, want_infinite):
     verdict = classify_improper(w.value, 1.0)
-    if want_infinite:
-        ok = verdict.is_divergent
-        name = "warping_not_integrable"
-    else:
-        ok = verdict.is_convergent
-        name = "warping_integrable"
-    return HypothesisCheck(name=name, status=HOLDS if ok else FAILS,
-                           margin=None, note=verdict.reason), verdict
+    ok = verdict.is_divergent if want_infinite else verdict.is_convergent
+    return HypothesisCheck(
+        name="warping_not_integrable" if want_infinite else "warping_integrable",
+        status=HOLDS if ok else FAILS, note=verdict.reason)
 
 
 def curvature_bounded_check(w: WarpingFunction):
@@ -248,18 +245,13 @@ def _outward_balance_radius(warping, n, alpha, t0=1.0):
     return t0
 
 
-def _first_balance_radius(warping, n, alpha, lo=1e-3, cap=1e6):
+def _first_balance_radius(warping, n, alpha):
     """Smallest radius beyond which n H(t) + alpha(t) stays nonpositive."""
-    g = _balance(warping, n, alpha)
-    t = lo
-    while g(t) <= 0.0 and t > 1e-12:
-        t /= 4.0
-    if g(t) <= 0.0:
+    try:
+        return first_crossing(_balance(warping, n, alpha), 1e-3, 0.0, 1e-12)
+    except NotAttainedError as err:
         # balance already holds at arbitrarily small radii
-        return t
-    a, b = expand_bracket(g, t, 2.0 * t, cap=cap)
-    root = find_root(g, a, b, tol=1e-12)
-    return root
+        return err.radius
 
 
 def _alpha_floor(t0, margin, note):
@@ -291,8 +283,7 @@ def _renamed(out, criterion, checks):
 
 
 def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
-                           direction="parabolic", hint=NO_HINT,
-                           P=None, window=None, assume_drift_bound=False):
+                           direction="parabolic", hint=NO_HINT):
     """Bounded weighted mean curvature plus a radial drift bound beta.
 
     Parabolic case: beta -> -inf, warping not integrable, sphere curvature
@@ -305,7 +296,7 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
     shift = c if parabolic else -c
     alpha = RadialProfile(lambda t: beta.value(t) + shift, beta.d1, beta.d2,
                           name=f"{beta.name}{'+' if parabolic else '-'}{c}")
-    side, _ = warping_integrability_check(warping, want_infinite=parabolic)
+    side = warping_integrability_check(warping, want_infinite=parabolic)
     curv = curvature_bounded_check(warping)
     if parabolic:
         t0 = _first_balance_radius(warping, n, alpha) * (1.0 + 1e-9)
@@ -313,13 +304,11 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
         t0 = _outward_balance_radius(warping, n, alpha)
     setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="bounded_drift")
     classify = classify_parabolic if parabolic else classify_hyperbolic
-    out = classify(setup, P, window, assume_drift_bound)
-    return _renamed(out, "bounded_drift", [side, curv])
+    return _renamed(classify(setup), "bounded_drift", [side, curv])
 
 
 def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
                            direction="parabolic", hint=NO_HINT,
-                           P=None, window=None, assume_drift_bound=False,
                            use_exp_integral=False):
     """Radial weight with bounded weighted mean curvature |wmc| <= c.
 
@@ -350,11 +339,10 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
                                      max(f.t_min * 1.001 + 1e-12, 1.0))
         setup = ComparisonSetup(warping, n, t0, alpha, hint=hint,
                                 name="radial_weight(exp_integral)")
-        out = classify_hyperbolic(setup, P, window, assume_drift_bound)
+        out = classify_hyperbolic(setup)
         extra = [exp_check, limit_check, curvature_bounded_check(warping)]
     else:   # classify_bounded_drift rejects an unknown direction
-        out = classify_bounded_drift(warping, n, fprime, c, direction, hint,
-                                     P, window, assume_drift_bound)
+        out = classify_bounded_drift(warping, n, fprime, c, direction, hint)
         extra = [slope_limit_check(f, -1 if direction == "parabolic" else +1)]
     return _renamed(out, "radial_weight", extra)
 
@@ -380,10 +368,7 @@ def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
                        - warping.deriv(t) ** 2) / warping.value(t) ** 2,
         name=f"{k}*H")
     setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="warping_power")
-    if k <= -n:
-        out = classify_parabolic(setup)
-    else:
-        out = classify_hyperbolic(setup)
+    out = (classify_parabolic if k <= -n else classify_hyperbolic)(setup)
     return _renamed(out, "warping_power", [floor])
 
 
@@ -404,11 +389,12 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
 
 
 def cylinder_weighted_mc(k, xi: RadialProfile | None, t):
-    """Weighted curvature (k-1)/t - t + xi'(t) of the cylinder of radius t.
+    """Weighted curvature (k-1)/t - t + xi'(t) of the cylinder of radius t,
+    elementwise on an array of radii.
 
     Weight is the Gaussian perturbed by xi(|x|) on the R^k factor.
     """
-    if t <= 0:
+    if np.min(t) <= 0:
         raise DomainError("cylinder radius must be positive")
     base = (k - 1) / t - t
     return base + (xi.deriv(t) if xi is not None else 0.0)
@@ -416,21 +402,10 @@ def cylinder_weighted_mc(k, xi: RadialProfile | None, t):
 
 def critical_cylinder_radius(k, xi=None, lambda0=0.0, mode="last_above"):
     """Radius where the cylinder curvature crosses the level set by ``mode``
-    (``first_below`` -lambda0 or ``last_above`` lambda0)."""
-    if lambda0 < 0:
-        raise DomainError("lambda0 must be >= 0")
-    if mode not in ("first_below", "last_above"):
-        raise DomainError(f"unknown mode {mode!r}")
-    target = -lambda0 if mode == "first_below" else lambda0
-
-    def g(t):
-        return cylinder_weighted_mc(k, xi, t) - target
-
-    lo = 1e-4
-    while g(lo) <= 0.0 and lo > 1e-12:
-        lo /= 4.0
-    a, b = expand_bracket(g, lo, 2.0 * lo, cap=1e6)
-    return find_root(g, a, b, tol=1e-13)
+    (``first_below`` -lambda0 or ``last_above`` lambda0), with the tail scan
+    of :func:`~wparab.model.critical_radius`."""
+    return critical_radius(lambda t: cylinder_weighted_mc(k, xi, t), lambda0,
+                           mode, 0.0, name=f"the cylinder curvature (k={k})")
 
 
 def hyperplane_weighted_mc(weight, a, t, p=None):

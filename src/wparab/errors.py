@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the number checks that
+raise them for input values."""
+
+import math
+
+import numpy as np
 
 
 class WparabError(Exception):
@@ -23,7 +28,12 @@ class BracketError(WparabError):
 
 
 class NotAttainedError(WparabError):
-    """The target value is never attained by the curvature function."""
+    """The target value is never attained by the curvature function;
+    ``radius`` is the last radius a search reached, when it gave up there."""
+
+    def __init__(self, message, radius=None):
+        super().__init__(message)
+        self.radius = radius
 
 
 class NonMonotoneTailError(WparabError):
@@ -56,3 +66,43 @@ class CatalogError(WparabError, KeyError):
 
 class ScenarioError(WparabError):
     """Scenario-level configuration problem."""
+
+
+# ---------------------------------------------------------------------------
+# Input numbers
+
+
+def is_number(x):
+    """A real number; bools, strings and containers are not."""
+    return (isinstance(x, (int, float, np.integer, np.floating))
+            and not isinstance(x, bool))
+
+
+def whole_number(name, value, positive=True):
+    """``value`` as an int; a DomainError naming ``name`` unless it is an
+    integer-valued real number, positive or else non-negative."""
+    if not (is_number(value) and float(value).is_integer()
+            and value >= (1 if positive else 0)):
+        kind = "positive" if positive else "non-negative"
+        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
+    return int(value)
+
+
+def finite_number(name, value, positive=False):
+    """``value`` as a float; a DomainError naming ``name`` unless it is a
+    finite real number, and positive if asked."""
+    if not (is_number(value) and math.isfinite(value)
+            and (value > 0 or not positive)):
+        kind = "positive finite" if positive else "finite"
+        raise DomainError(f"{name} must be a {kind} number, got {value!r}")
+    return float(value)
+
+
+def number_list(name, value, length=None):
+    """The entries of ``value`` as floats; a DomainError naming ``name``
+    unless it is a list (of ``length`` entries if given) of finite numbers."""
+    if not isinstance(value, (list, tuple)) or (length is not None
+                                                 and len(value) != length):
+        shape = "a list of numbers" if length is None else f"a list of {length} numbers"
+        raise DomainError(f"{name} must be {shape}, got {value!r}")
+    return [finite_number(name, x) for x in value]

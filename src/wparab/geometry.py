@@ -530,12 +530,9 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
         # cond(g) = max |eigenvalue| / min |eigenvalue| of the symmetric g; rows
         # that are not finite are flagged before LAPACK sees them, and so are
         # rows of a cusp (finite g, non-finite point or second derivatives; a
-        # non-finite J makes g non-finite).  The per-row reductions cost about
-        # 0.1 us a row, so they run only when a whole-array test fails
-        finite, bad_jet = np.ones(N, dtype=bool), np.zeros(N, dtype=bool)
-        if not (np.isfinite(g).all() and np.isfinite(x).all() and np.isfinite(Hx).all()):
-            finite = np.isfinite(g).all(axis=(1, 2))
-            bad_jet = ~(np.isfinite(x).all(axis=1) & np.isfinite(Hx).all(axis=(1, 2, 3)))
+        # non-finite J makes g non-finite)
+        finite = np.isfinite(g).all(axis=(1, 2))
+        bad_jet = ~(np.isfinite(x).all(axis=1) & np.isfinite(Hx).all(axis=(1, 2, 3)))
         eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(P.n))))
         cond = np.where(finite, eig.max(axis=1) / eig.min(axis=1), np.nan)
         bad_cond = ~(cond < _COND_LIMIT)

@@ -15,9 +15,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NonMonotoneTailError, NotAttainedError
+from .errors import BracketError, DomainError, NonMonotoneTailError, NotAttainedError
 from .radial import (RadialProfile, WarpingFunction, classify_improper,
-                     expand_bracket, find_root, integrate)
+                     first_crossing, integrate)
 from .verdicts import Outcome, Verdict
 
 _GRID_NODES, _RESIDUAL_GRID = 512, 256   # capacity panels, ODE residual points
@@ -201,52 +201,54 @@ class WeightedModel:
     # -- critical radii --------------------------------------------------
 
     def critical_sphere_radius(self, n, lambda0, mode="first_below"):
-        """Radius where n H(t) + f'(t) crosses the level set by ``mode``.
+        """Radius where n H(t) + f'(t) crosses the level set by ``mode``
+        (see :func:`critical_radius`)."""
+        return critical_radius(lambda t: self.weighted_mean_curvature(n, t),
+                               lambda0, mode, self.f.t_min, name=f"H_{n} + f'")
 
-        ``first_below``: root of H_n(t) + lambda0 followed by a scan on
-        [t*, 32 t*] confirming the curve stays at or below -lambda0.
-        ``last_above``: root of H_n(t) - lambda0 with the scan on the
-        inner window [t*/32, t*] confirming it stays at or above lambda0.
-        """
-        if lambda0 < 0:
-            raise DomainError("lambda0 must be >= 0")
-        if mode not in ("first_below", "last_above"):
-            raise DomainError(f"unknown mode {mode!r}")
-        target = -lambda0 if mode == "first_below" else lambda0
 
-        def g(t):
-            return self.weighted_mean_curvature(n, t) - target
+def critical_radius(curvature, lambda0, mode, t_min, name):
+    """Radius where ``curvature`` (elementwise on arrays of t > t_min,
+    called ``name`` in errors) first crosses the level set by ``mode``.
 
-        lo = max(1e-4, self.f.t_min * 1.001 + 1e-12)
-        if g(lo) <= 0.0:
-            # walk inward; the curvature blows up at the pole for regular w
-            while g(lo) <= 0.0 and lo > self.f.t_min + 1e-12:
-                lo = max(self.f.t_min + (lo - self.f.t_min) / 4.0, lo / 4.0)
-                if lo < 1e-12:
-                    raise NotAttainedError(
-                        f"no sign change: H_{n} + f' never exceeds {target}")
-        try:
-            a, b = expand_bracket(g, lo, 2.0 * lo, cap=1e6)
-        except Exception as err:
-            raise NotAttainedError(
-                f"target {target} not attained by nH + f' up to t=1e6") from err
-        root = find_root(g, a, b, tol=_ROOT_TOL)
+    ``first_below``: root of curvature + lambda0 followed by a scan on
+    [t*, 32 t*] confirming the curve stays at or below -lambda0.
+    ``last_above``: root of curvature - lambda0 with the scan on the inner
+    window [t*/32, t*] confirming it stays at or above lambda0.
+    """
+    if lambda0 < 0:
+        raise DomainError("lambda0 must be >= 0")
+    if mode not in ("first_below", "last_above"):
+        raise DomainError(f"unknown mode {mode!r}")
+    target = -lambda0 if mode == "first_below" else lambda0
 
-        slack = 1e-9 * (1.0 + abs(target))
-        if mode == "first_below":
-            scan = np.linspace(root, 32.0 * root, _SCAN_SAMPLES)[1:]
-            bad = self.weighted_mean_curvature(n, scan) > target + slack
-            breach = "exceeds {} at t={} beyond the root"
-        else:
-            inner = max(root / 32.0, self.f.t_min * 1.001 + 1e-12, 1e-6)
-            scan = np.linspace(inner, root, _SCAN_SAMPLES)[:-1]
-            bad = self.weighted_mean_curvature(n, scan) < target - slack
-            breach = "drops below {} at t={} before the root"
-        if bad.any():
-            t = scan[bad.argmax()]
-            raise NonMonotoneTailError("curvature " + breach.format(target, t),
-                                       witness=float(t))
-        return root
+    def g(t):
+        return curvature(t) - target
+
+    floor = t_min * 1.001 + 1e-12
+    try:
+        root = first_crossing(g, max(1e-4, floor), t_min, _ROOT_TOL)
+    except NotAttainedError:
+        raise NotAttainedError(
+            f"no sign change: {name} never exceeds {target}") from None
+    except BracketError as err:
+        raise NotAttainedError(
+            f"target {target} not attained by {name} up to t=1e6") from err
+
+    slack = 1e-9 * (1.0 + abs(target))
+    if mode == "first_below":
+        scan = np.linspace(root, 32.0 * root, _SCAN_SAMPLES)[1:]
+        bad = curvature(scan) > target + slack
+        breach = "exceeds {} at t={} beyond the root"
+    else:
+        scan = np.linspace(max(root / 32.0, floor, 1e-6), root, _SCAN_SAMPLES)[:-1]
+        bad = curvature(scan) < target - slack
+        breach = "drops below {} at t={} before the root"
+    if bad.any():
+        t = scan[bad.argmax()]
+        raise NonMonotoneTailError("curvature " + breach.format(target, t),
+                                   witness=float(t))
+    return root
 
 
 @dataclass

@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
-from .errors import ComparisonRefusal, DomainError
+from .errors import (ComparisonRefusal, DomainError, finite_number, is_number,
+                     whole_number)
 from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight,
                        field_values, geometry_at_batch, intrinsic_drift,
                        weighted_laplacian)
@@ -39,32 +40,6 @@ def wilson_interval(successes, trials):
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials
                                    + z * z / (4.0 * trials * trials))
     return center - half, center + half
-
-
-def _is_number(x):
-    """A real number; bools, strings and containers are not."""
-    return (isinstance(x, (int, float, np.integer, np.floating))
-            and not isinstance(x, bool))
-
-
-def whole_number(name, value, positive=True):
-    """``value`` as an int; a DomainError naming ``name`` unless it is an
-    integer-valued real number, positive or else non-negative."""
-    if not (_is_number(value) and float(value).is_integer()
-            and value >= (1 if positive else 0)):
-        kind = "positive" if positive else "non-negative"
-        raise DomainError(f"{name} must be a {kind} integer, got {value!r}")
-    return int(value)
-
-
-def finite_number(name, value, positive=False):
-    """``value`` as a float; a DomainError naming ``name`` unless it is a
-    finite real number, and positive if asked."""
-    if not (_is_number(value) and math.isfinite(value)
-            and (value > 0 or not positive)):
-        kind = "positive finite" if positive else "finite"
-        raise DomainError(f"{name} must be a {kind} number, got {value!r}")
-    return float(value)
 
 
 def _sym_sqrt(mat):
@@ -126,7 +101,7 @@ class DiffusionSpec:
     def parameter_point(self, start):
         """``start`` as a float vector, checked against the chart."""
         entries = list(start) if np.iterable(start) else [start]
-        if not all(_is_number(x) for x in entries):
+        if not all(is_number(x) for x in entries):
             raise DomainError(f"start must be a list of numbers, got {start!r}")
         start = np.array(entries, dtype=float)
         dim = self.basis.shape[1]

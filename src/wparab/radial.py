@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import expr as ex
-from .errors import BracketError, DomainError, IntegrandSignError, QuadratureError
+from .errors import (BracketError, DomainError, IntegrandSignError, NotAttainedError,
+                     QuadratureError)
 
 
 class AccuracyWarning(UserWarning):
@@ -87,7 +88,7 @@ class RadialProfile:
                 f"(domain is t > {self.t_min})")
 
     @classmethod
-    def from_expression(cls, source, *, t_min=0.0, name=""):
+    def from_expression(cls, source, *, t_min=0.0):
         ast = ex.parse(source, ["t"])
 
         def fn(t):
@@ -100,7 +101,7 @@ class RadialProfile:
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]
 
-        return cls(fn, d1, d2, t_min=t_min, name=name or source)
+        return cls(fn, d1, d2, t_min=t_min, name=source)
 
     @classmethod
     def constant(cls, c, name=""):
@@ -262,15 +263,16 @@ def _gk15(f, a, b):
         half = 0.5 * (b - a)
         x = (0.5 * (a + b))[:, None] + half[:, None] * _K15_NODES
         fx = np.asarray(f(x), dtype=float)
-    bad = ~np.isfinite(fx)
-    if bad.any():
-        raise QuadratureError(
-            f"non-finite integrand value at t={float(x[bad].min())}")
-    # row sums rather than a matrix product: BLAS may sum a row in an order
-    # that depends on the panel count, and a panel's value must not
-    k = half * (fx * _K15_WEIGHTS).sum(axis=1)
-    g = half * (fx[:, _G7_IDX] * _G7_WEIGHTS).sum(axis=1)
-    return k, np.abs(k - g)
+        bad = ~np.isfinite(fx)
+        if bad.any():
+            raise QuadratureError(
+                f"non-finite integrand value at t={float(x[bad].min())}")
+        # row sums rather than a matrix product: BLAS may sum a row in an
+        # order that depends on the panel count, and a panel's value must
+        # not; an overflowing sum gives a NaN error, failing every tolerance
+        k = half * (fx * _K15_WEIGHTS).sum(axis=1)
+        g = half * (fx[:, _G7_IDX] * _G7_WEIGHTS).sum(axis=1)
+        return k, np.abs(k - g)
 
 
 MAX_SUBDIVISIONS = 10_000
@@ -343,7 +345,7 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8):
     if not np.all(lo < hi):
         raise DomainError(f"integrate needs a < b, got ({a}, {b})")
     vals, errs = _gk15(f, lo, hi)
-    failing = np.flatnonzero(errs > np.maximum(abs_tol, rel_tol * np.abs(vals)))
+    failing = np.flatnonzero(~(errs <= np.maximum(abs_tol, rel_tol * np.abs(vals))))
     results = _refine(f, zip(*(v[failing].tolist() for v in (lo, hi, vals, errs))),
                       abs_tol, rel_tol) if failing.size else []
     for i, res in zip(failing, results):
@@ -474,7 +476,7 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
         # segment gets what a one-segment integrate call returns, to the bit;
         # its accuracy is folded into the verdict's own evidence
         seg_value, seg_error = ahead.pop(0) if ahead else sweep(np.array([t_prev, t_cur]))[0]
-        if seg_error > max(seg_tol, seg_rel * abs(seg_value)):
+        if not seg_error <= max(seg_tol, seg_rel * abs(seg_value)):
             seg_value, seg_error = _refine(
                 f, [(t_prev, t_cur, seg_value, seg_error)], seg_tol, seg_rel)[0]
         partial += seg_value
@@ -592,3 +594,17 @@ def expand_bracket(f, lo, hi, *, cap=1e6):
         flo = fb
         fb = f(b)
     return a, b
+
+
+def first_crossing(g, lo, t_min, tol):
+    """Root of ``g`` at its first sign change outward from near ``t_min``:
+    while g(lo) <= 0, lo walks toward t_min (a quarter of its distance to
+    t_min, at least lo/4), then :func:`expand_bracket` and :func:`find_root`
+    within ``tol``.  A walk that passes below 1e-12 raises
+    :class:`NotAttainedError` with the radius it reached."""
+    while g(lo) <= 0.0 and lo > t_min + 1e-12:
+        lo = max(t_min + (lo - t_min) / 4.0, lo / 4.0)
+        if lo < 1e-12:
+            raise NotAttainedError(f"g(t) <= 0 down to t={lo}", radius=lo)
+    a, b = expand_bracket(g, lo, 2.0 * lo)
+    return find_root(g, a, b, tol=tol)

@@ -608,6 +608,51 @@ def test_scenario_counts_and_radii_are_checked(tmp_path):
         assert entry["error"] == "DomainError: " + shown
 
 
+def _with_submanifold(**sub):
+    return {**identities_scenario(), "submanifold": sub}
+
+
+def _with_model(warping=None, **weight):
+    model = {"m": 3, "warping": warping or {"name": "euclidean"}, "weight": weight}
+    return {"id": "cls", "task": "classify", "model": model,
+            "params": {"criterion": "ahlfors_direct"}}
+
+
+@pytest.mark.parametrize("scenario, message", [
+    (_with_submanifold(name="sphere", a=True),
+     "submanifold 'sphere' parameter 'a' must be a finite number, got True"),
+    (_with_submanifold(name="sphere", a="1.3"),
+     "submanifold 'sphere' parameter 'a' must be a finite number, got '1.3'"),
+    (_with_submanifold(name="cylinder", a=1.2, k=2.9),
+     "submanifold 'cylinder' parameter 'k' must be a positive integer, got 2.9"),
+    (_with_submanifold(name="plane", normal=[0, 0, 1], offset="0.5"),
+     "submanifold 'plane' parameter 'offset' must be a finite number, got '0.5'"),
+    (_with_submanifold(name="plane", normal=[0, True, 0]),
+     "submanifold 'plane' parameter 'normal' must be a finite number, got True"),
+    (_with_submanifold(name="plane", normal=[0, 0, "1"]),
+     "submanifold 'plane' parameter 'normal' must be a finite number, got '1'"),
+    (_with_submanifold(name="plane", normal=[0, 1]),
+     "submanifold 'plane' parameter 'normal' must be a list of 3 numbers, got [0, 1]"),
+    (_with_submanifold(name="helicoid", pitch="0.8"),
+     "submanifold 'helicoid' parameter 'pitch' must be a finite number, got '0.8'"),
+    (gaussian_plane_scenario(R_schedule=[True, "4", 8]),
+     "R_schedule must be a finite number, got True"),
+    (_with_model({"name": "hyperbolic", "kappa": "-1"}, name="zero"),
+     "warping 'hyperbolic' parameter 'kappa' must be a finite number, got '-1'"),
+    (_with_model(name="power", a=True, k="2"),
+     "weight 'power' parameter 'a' must be a finite number, got True"),
+    (_with_model(name="power", a=-1, k="2"),
+     "weight 'power' parameter 'k' must be a finite number, got '2'"),
+    (_with_model(name="logpow", k=None),
+     "weight 'logpow' parameter 'k' must be a finite number, got None"),
+    (_with_model(name="custom", expr="-t^2/2", t_min="0.5"),
+     "weight 'custom' parameter 't_min' must be a finite number, got '0.5'"),
+])
+def test_catalog_numbers_are_checked_not_coerced(scenario, message, tmp_path):
+    entry = cli.run_scenario(scenario, tmp_path)
+    assert entry["error"] == "DomainError: " + message
+
+
 def classify_scenario(criterion="radial_weight", **params):
     return {"id": "cls", "task": "classify", "model": small_model("gaussian", 3),
             "params": {"criterion": criterion, "n": 2, **params}}

@@ -6,7 +6,8 @@ import pytest
 from wparab import criteria as cr
 from wparab import geometry as ge
 from wparab import radial as rd
-from wparab.errors import BracketError, DomainError
+from wparab.errors import (BracketError, DomainError, NonMonotoneTailError,
+                           NotAttainedError)
 from wparab.verdicts import HOLDS, Outcome, WINDOW_ONLY
 
 
@@ -239,6 +240,50 @@ def test_critical_cylinder_radius_modes():
         pytest.approx((1 + math.sqrt(5)) / 2, abs=1e-12))
     with pytest.raises(DomainError, match="unknown mode 'bogus'"):
         cr.critical_cylinder_radius(2, mode="bogus")
+
+
+def test_critical_cylinder_radii_are_pinned_to_the_bit():
+    assert [cr.critical_cylinder_radius(k) for k in (2, 3, 4)] == [
+        1.0000000000000009, 1.414213562373095, 1.7320508075688772]
+    assert cr.critical_cylinder_radius(2, lambda0=1.0, mode="first_below") == (
+        1.618033988749895)
+
+
+def test_critical_cylinder_radius_non_monotone_tail():
+    # 1/t - t + 12 sin t crosses 0 at 2.92 but is positive again near 7.24
+    xi = rd.RadialProfile(lambda t: -12.0 * np.cos(t), lambda t: 12.0 * np.sin(t),
+                          lambda t: 12.0 * np.cos(t), name="-12 cos t")
+    with pytest.raises(NonMonotoneTailError) as err:
+        cr.critical_cylinder_radius(2, xi, mode="first_below")
+    assert err.value.witness == pytest.approx(7.242, abs=1e-3)
+
+
+@pytest.mark.parametrize("slope, message", [
+    (1e7, "target 0.0 not attained by the cylinder curvature .k=2. up to t=1e6"),
+    (-1e13, "no sign change: the cylinder curvature .k=2. never exceeds 0.0"),
+])
+def test_critical_cylinder_radius_not_attained(slope, message):
+    xi = rd.RadialProfile(lambda t: slope * t, lambda t: slope + 0.0 * t,
+                          lambda t: 0.0 * t)
+    with pytest.raises(NotAttainedError, match=message):
+        cr.critical_cylinder_radius(2, xi)
+
+
+def test_cylinder_weighted_curvature_takes_an_array_of_radii():
+    xi = rd.RadialProfile(lambda t: t * t / 2, lambda t: t, lambda t: 1.0 + 0.0 * t)
+    ts = np.array([0.5, 1.0, 5.0])
+    assert cr.cylinder_weighted_mc(3, xi, ts).tolist() == [
+        cr.cylinder_weighted_mc(3, xi, float(t)) for t in ts]
+    with pytest.raises(DomainError, match="radius must be positive"):
+        cr.cylinder_weighted_mc(3, None, np.array([1.0, 0.0]))
+
+
+@pytest.mark.parametrize("classify", [cr.classify_bounded_drift,
+                                      cr.classify_radial_weight])
+def test_shortcut_criteria_take_no_immersion(classify):
+    plane = ge.coordinate_plane(3, (0, 1), ge.RadialWeight(rd.weight_gaussian()))
+    with pytest.raises(TypeError, match="'P'"):
+        classify(rd.warping_euclidean(), 2, NEG_T, P=plane)
 
 
 def test_hyperplane_weighted_curvature_probes():

@@ -197,6 +197,15 @@ def test_critical_radius_non_monotone_tail():
     assert err.value.witness > 0
 
 
+def test_critical_sphere_radii_are_pinned_to_the_bit():
+    roots = [euclid(m, rd.weight_gaussian()).critical_sphere_radius(m - 1, 0.0)
+             for m in (3, 4, 10)]
+    assert roots == [1.414213562373095, 1.7320508075688772, 3.0]
+    g2 = euclid(2, rd.weight_gaussian())
+    assert g2.critical_sphere_radius(1, 1.0, mode="last_above") == 0.6180339887499079
+    assert g2.critical_sphere_radius(1, 1.0, mode="first_below") == 1.618033988749895
+
+
 def test_model_rejects_nonzero_pole_slope():
     bad = rd.RadialProfile(lambda t: 0.5 * t, lambda t: 0.5 + 0 * t, name="tilt")
     with pytest.raises(ValueError, match="slope at the pole"):

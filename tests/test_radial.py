@@ -11,7 +11,7 @@ from wparab import criteria as cr
 from wparab import expr as ex
 from wparab import radial as rd
 from wparab.errors import (BracketError, DomainError, IntegrandSignError,
-                           QuadratureError, WparabError)
+                           NotAttainedError, QuadratureError, WparabError)
 
 
 # --- quadrature ---------------------------------------------------------
@@ -469,6 +469,21 @@ def test_expand_bracket_growth_and_cap():
         rd.expand_bracket(lambda t: t + 1.0, 1.0, 2.0, cap=1e4)
 
 
+def test_first_crossing_walks_inward_then_brackets_outward():
+    # 1/t - t - 1 is positive near 0: the walk starts at a negative value
+    root = rd.first_crossing(lambda t: 1.0 / t - t - 1.0, 4.0, 0.0, 1e-13)
+    assert root == rd.find_root(lambda t: 1.0 / t - t - 1.0, 0.5, 1.0, tol=1e-13)
+    # the walk quarters the distance to t_min = 1, so g is never sampled at
+    # or below it (8 -> 2.75 -> 1.4375, where 1/(t-1) - 1 > 0)
+    root = rd.first_crossing(lambda t: 1.0 / (t - 1.0) - 1.0, 8.0, 1.0, 1e-13)
+    assert root == pytest.approx(2.0, abs=1e-12)
+    with pytest.raises(NotAttainedError) as err:
+        rd.first_crossing(lambda t: -1.0, 1e-3, 0.0, 1e-12)
+    assert err.value.radius == 1e-3 / 4.0 ** 15
+    with pytest.raises(BracketError):
+        rd.first_crossing(lambda t: 1.0, 1e-3, 0.0, 1e-12)
+
+
 # --- profiles -------------------------------------------------------------
 
 
@@ -612,6 +627,16 @@ def test_vectorized_overflow_is_a_quadrature_error_without_warnings():
         warnings.simplefilter("error")
         with pytest.raises(QuadratureError, match="non-finite integrand value"):
             rd.integrate(lambda t: np.exp(t * t), 1.0, 45.0)
+
+
+def test_an_overflowing_panel_sum_ends_unconverged():
+    # every node is finite but the GK15 row sums overflow: an infinite value
+    # and a NaN error, which is no converged panel
+    with pytest.warns(rd.AccuracyWarning, match="estimated error nan") as caught:
+        res = rd.integrate(lambda t: 1e308 + 0 * t, 0, 10)
+    assert [w.category for w in caught] == [rd.AccuracyWarning]
+    assert not res.converged
+    assert math.isinf(res.value) and math.isnan(res.error)
 
 
 # --- the array contract of profiles ------------------------------------------
