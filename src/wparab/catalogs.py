@@ -13,7 +13,7 @@ import numpy as np
 from . import expr as ex
 from . import geometry as ge
 from . import radial as rd
-from .errors import CatalogError, finite_number, number_list, whole_number
+from .errors import CatalogError, DomainError, finite_number, number_list, whole_number
 from .model import WeightedModel
 
 
@@ -34,6 +34,25 @@ def _number(spec, key, part, default=None, check=finite_number):
     value = spec.get(key, default) if default is not None else _param(spec, key, part)
     check(f"{part} parameter {key!r}", value)
     return value
+
+
+def _window(spec, part, n):
+    """A graph's parameter box: n [lo, hi] pairs of finite numbers."""
+    name, window = f"{part} parameter 'window'", spec["window"]
+    if not isinstance(window, (list, tuple)) or len(window) != n:
+        raise DomainError(f"{name} must be a list of {n} [lo, hi] pairs, got {window!r}")
+    return tuple(tuple(number_list(name, w, 2)) for w in window)
+
+
+def _axes(spec, part, m):
+    """A plane's coordinate axes: distinct whole numbers in [0, m)."""
+    name, axes = f"{part} parameter 'axes'", spec["axes"]
+    if not isinstance(axes, (list, tuple)) or not axes:
+        raise DomainError(f"{name} must be a non-empty list of axes, got {axes!r}")
+    checked = [whole_number(name, a, positive=False) for a in axes]
+    if max(checked) >= m or len(set(checked)) < len(checked):
+        raise DomainError(f"{name} must be distinct axes in [0, {m}), got {axes!r}")
+    return tuple(checked)
 
 
 def resolve_warping(spec):
@@ -124,7 +143,7 @@ def resolve_submanifold(spec, m, weight):
         return ge.euclidean_sphere(float(_number(spec, "a", part)), m, weight)
     if name == "plane":
         if "axes" in spec:
-            return ge.coordinate_plane(m, tuple(spec["axes"]), weight)
+            return ge.coordinate_plane(m, _axes(spec, part, m), weight)
         normal = number_list(f"{part} parameter 'normal'", _param(spec, "normal", part), m)
         return ge.hyperplane(m, np.asarray(normal), float(_number(spec, "offset", part, 0.0)),
                              weight)
@@ -139,7 +158,7 @@ def resolve_submanifold(spec, m, weight):
         def phi(u):
             return ex.evaluate(ast, {f"x{i + 1}": u[i] for i in range(m - 1)})
 
-        window = tuple(tuple(w) for w in spec["window"]) if "window" in spec else None
+        window = _window(spec, part, m - 1) if "window" in spec else None
         return ge.graph_hypersurface(phi, m, weight, window=window,
                                      name=f"graph({source})")
     if name == "paraboloid_graph":

@@ -217,7 +217,7 @@ def _run_check_identities(scenario, outdir):
     U = np.array([[lo + (hi - lo) * rng.random() for lo, hi in P.window]
                   for _ in range(count)])
     s = ge.geometry_at_batch(P, U)
-    residuals = ge.radial_identity_residual(P, U, psi, sample=s)
+    residuals = ge.radial_identity_residual(P, s, psi)
     return {
         "radial_identity_max_residual": float(residuals.max()),
         "weighted_mc_norm_max": float(ge._norm(s.wmc_vec).max()),

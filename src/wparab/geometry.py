@@ -344,17 +344,12 @@ def field_values(fld, V):
 
 
 def chart_jet(P, U):
-    """Point, Jacobian (m, n) and second derivatives (m, n, n) of the chart.
-
-    A stack U of shape (N, n) gives the same arrays with a leading axis of
-    N points, all from one chart call per derivative pair.  The nested dual
-    seeded with e_j inside and e_i outside carries d_j X in its value part
-    and d_i d_j X in its mixed part, so the diagonal evaluations (i = j)
-    supply the Jacobian.
+    """Points (N, m), Jacobians (N, m, n) and second derivatives
+    (N, m, n, n) of the chart at a stack U (N, n), from one chart call per
+    derivative pair.  The nested dual seeded with e_j inside and e_i
+    outside carries d_j X in its value part and d_i d_j X in its mixed
+    part, so the diagonal evaluations (i = j) supply the Jacobian.
     """
-    U = np.asarray(U, dtype=float)
-    if U.ndim == 1:
-        return tuple(a[0] for a in chart_jet(P, U[None]))
     N, n = U.shape
     cols = _columns(U)
     x0 = _stack(P.chart(cols), N)
@@ -432,7 +427,8 @@ class GeometrySample:
     normals: np.ndarray             # (m-n, m) orthonormal rows
     second_fundamental: np.ndarray  # (m-n, n, n) scalar components
     covariant_second: np.ndarray    # (n, n, m) ambient-covariant D_i d_j X
-    mc_vec: np.ndarray              # n * Hbar_P (ambient coordinates)
+    trace: np.ndarray               # g^{ij} D_i d_j X (ambient coordinates)
+    mc_vec: np.ndarray              # n * Hbar_P, the normal part of trace
     wmc_vec: np.ndarray             # weighted mean curvature vector
     grad_h: np.ndarray
     grad_r: np.ndarray | None
@@ -498,7 +494,7 @@ def _complete_normals(G, tangent, m, skip_tol=1e-8):
     return normals, found < needed
 
 
-def _raise_first(U, checks):
+def _raise_first(checks):
     """Raise the error of the first flagged row, as a loop over the rows
     would: the earliest check that flags that row wins."""
     if not any(mask.any() for mask, _ in checks):
@@ -564,7 +560,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
             normals, incomplete = _complete_normals(G, tangent, P.m)
             checks.append((incomplete, lambda i: DegenerateMetricError(
                 f"could not complete the normal frame at u={U[i]}")))
-        _raise_first(U, checks)
+        _raise_first(checks)
 
     trace = np.einsum("Nij,Nijk->Nk", g_inv, second)
     sff = (np.einsum("Nijk,Nak->Naij", second, normals) if flat else
@@ -584,7 +580,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     return GeometrySample(
         u=U, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
         ambient_metric=ambient_metric, tangent_frame=tangent, normals=normals,
-        second_fundamental=sff, covariant_second=second, mc_vec=mc,
+        second_fundamental=sff, covariant_second=second, trace=trace, mc_vec=mc,
         wmc_vec=wmc, grad_h=grad_h, grad_r=grad_r,
         radial_tangent_norm=radial_norm, flat=flat)
 
@@ -632,69 +628,41 @@ def _fd_hessian(f, U, rel=_STEP_HESS):
 
 def _drift(s):
     """Drift b (N, n) of the weighted Laplacian of a stacked sample:
-    b = g^{-1} J^T (dh - G tr) with tr = g^{ij} D_i d_j X, which is
-    g^{kl} d_l (h o X) - g^{ij} Gamma^k_ij for the intrinsic Christoffels
+    b = g^{-1} J^T (dh - G tr) with the sample's tr = g^{ij} D_i d_j X, which
+    is g^{kl} d_l (h o X) - g^{ij} Gamma^k_ij for the intrinsic Christoffels
     Gamma^k_ij = g^{kl} <d_l X, D_i d_j X>_G."""
-    trace = np.einsum("Nij,Nijk->Nk", s.metric_inv, s.covariant_second)
-    dh = s.grad_h - (trace if s.flat else (s.ambient_metric @ trace[..., None])[..., 0])
+    dh = s.grad_h - (s.trace if s.flat else (s.ambient_metric @ s.trace[..., None])[..., 0])
     return (s.metric_inv @ (np.swapaxes(s.jacobian, -1, -2) @ dh[..., None]))[..., 0]
 
 
-def _point_sample(P, u):
-    """``geometry_at_batch`` of the one-row stack [u], and its row."""
-    batch = geometry_at_batch(P, np.asarray(u, dtype=float)[None])
-    return batch, batch.row(0)
-
-
-def intrinsic_drift(P, u, sample=None):
-    """Drift vector of the weighted Laplacian in chart coordinates at u,
-    b^k = -g^{ij} Gamma^k_ij + g^{kj} d_j (h o X), and g^{-1}.
-
-    ``sample`` is ``geometry_at_batch`` of ``[u]`` when the caller already
-    has it.
-    """
-    s = sample if sample is not None else _point_sample(P, u)[0]
-    return _drift(s)[0], s.metric_inv[0]
-
-
-def weighted_laplacian(P: ImmersedSubmanifold, u, fld, sample=None):
-    """Drift Laplacian of a scalar field on the parameter domain, at one
-    point u (n,) or at each point of a stack (N, n).
+def weighted_laplacian(s, fld):
+    """Drift Laplacian of a scalar field on the parameter domain at each
+    point of a stacked sample s = ``geometry_at_batch(P, U)``, shape (N,).
 
     Coordinate formula g^{ij} d2_ij f + b^k d_k f with the drift b of
-    ``intrinsic_drift``; ``fld`` takes stacks (see ``field_values``).
-    ``sample`` is ``geometry_at_batch`` of the stack (of ``[u]`` for one
-    point) when the caller already has it.
+    ``_drift``; ``fld`` takes stacks (see ``field_values``).
     """
-    U = np.asarray(u, dtype=float)
-    if U.ndim == 1:
-        return float(weighted_laplacian(P, U[None], fld, sample)[0])
-    s = sample if sample is not None else geometry_at_batch(P, U)
-    grad_f = _fd_gradient(fld, U)
-    return (np.einsum("Nij,Nij->N", s.metric_inv, _fd_hessian(fld, U))
+    grad_f = _fd_gradient(fld, s.u)
+    return (np.einsum("Nij,Nij->N", s.metric_inv, _fd_hessian(fld, s.u))
             + np.einsum("Nk,Nk->N", _drift(s), grad_f))
 
 
 # ---------------------------------------------------------------------------
 # Identity cross-checks
+#
+# Each check takes a stacked sample s = geometry_at_batch(P, U) and returns
+# one value per row.
 
 
-def radial_identity_residual(P, u, psi: RadialProfile, sample=None):
-    """|direct drift Laplacian of psi(r) minus its radial closed form|, at
-    one point u (n,) or at each point of a stack (N, n).
+def radial_identity_residual(P, s, psi: RadialProfile):
+    """|direct drift Laplacian of psi(r) minus its radial closed form|, (N,).
 
     The closed form is (psi'' - H psi') |grad_P r|^2
     + (n H + <grad h, grad r> + <wmc, grad r>) psi', the module's central
     self-consistency check for radial functions on submanifolds.
-    ``sample`` is ``geometry_at_batch`` of the stack (of ``[u]`` for one
-    point) when the caller already has it.
     """
-    U = np.asarray(u, dtype=float)
-    if U.ndim == 1:
-        return float(radial_identity_residual(P, U[None], psi, sample)[0])
-    s = sample if sample is not None else geometry_at_batch(P, U)
-    if np.isnan(s.grad_r).all(axis=1).any():
-        raise DomainError("ambient radial distance unavailable at this point")
+    _raise_first([(np.isnan(s.grad_r).all(axis=1), lambda i: DomainError(
+        f"ambient radial distance unavailable at u={s.u[i]}"))])
     amb = P.ambient
     r = amb.r(s.point)
     H = amb.sphere_curvature(r)
@@ -703,8 +671,7 @@ def radial_identity_residual(P, u, psi: RadialProfile, sample=None):
     rhs = ((psi.second(r) - H * dpsi) * s.radial_tangent_norm ** 2
            + (P.n * H + _inner(G, s.grad_h, s.grad_r)
               + _inner(G, s.wmc_vec, s.grad_r)) * dpsi)
-    lhs = weighted_laplacian(
-        P, U, lambda V: psi.value(amb.r(chart_points(P, V))), s)
+    lhs = weighted_laplacian(s, lambda V: psi.value(amb.r(chart_points(P, V))))
     return np.abs(lhs - rhs)
 
 
@@ -766,31 +733,29 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
 
 @dataclass
 class LaplacianComparison:
-    formula: float
-    direct: float
+    formula: np.ndarray
+    direct: np.ndarray
 
     @property
     def residual(self):
         return abs(self.formula - self.direct)
 
 
-def height_laplacian(P, u, a):
+def height_laplacian(P, s, a):
     """Drift Laplacian of the height <p, a>: <wmc, a> + <grad h, a>.
 
-    Returns the assembled value, the direct Laplacian of the pulled-back
-    height, and their residual.
+    Returns the assembled values, the direct Laplacians of the pulled-back
+    height, and their residuals.
     """
     if not P.ambient.flat:
         raise DomainError("height functions require a Euclidean ambient")
     a = np.asarray(a, dtype=float)
-    batch, s = _point_sample(P, u)
-    formula = float(s.wmc_vec @ a + s.grad_h @ a)
-
-    direct = weighted_laplacian(P, u, lambda V: chart_points(P, V) @ a, batch)
+    formula = s.wmc_vec @ a + s.grad_h @ a
+    direct = weighted_laplacian(s, lambda V: chart_points(P, V) @ a)
     return LaplacianComparison(formula, direct)
 
 
-def cylinder_distance_laplacian(P, u, k=None):
+def cylinder_distance_laplacian(P, s, k=None):
     """Drift Laplacian of |x|^2/2 under the splitting R^k x R^(m-k).
 
     The identity side is sum |e_i^horizontal|^2 + <grad h, X> + <wmc, X>
@@ -801,15 +766,11 @@ def cylinder_distance_laplacian(P, u, k=None):
     k = k if k is not None else P.splitting
     if not (k and 1 <= k <= P.m):
         raise DomainError(f"splitting k={k} out of range for m={P.m}")
-    batch, s = _point_sample(P, u)
-    Xv = np.zeros(P.m)
-    Xv[:k] = s.point[:k]
-    horiz = sum(float(np.dot(e[:k], e[:k])) for e in s.tangent_frame)
-    formula = horiz + float(s.grad_h @ Xv) + float(s.wmc_vec @ Xv)
-
+    x = s.point[:, :k]
+    horiz = (s.tangent_frame[:, :, :k] ** 2).sum(axis=(1, 2))
+    formula = horiz + (s.grad_h[:, :k] * x).sum(axis=1) + (s.wmc_vec[:, :k] * x).sum(axis=1)
     direct = weighted_laplacian(
-        P, u, lambda V: 0.5 * (chart_points(P, V)[:, :k] ** 2).sum(axis=1),
-        batch)
+        s, lambda V: 0.5 * (chart_points(P, V)[:, :k] ** 2).sum(axis=1))
     return LaplacianComparison(formula, direct)
 
 
@@ -823,12 +784,12 @@ class AngleLaplacian:
     mean curvature is not constant along the graph.
     """
 
-    formula_cmc: float
-    formula: float
-    direct: float
-    theta: float
-    sigma_sq: float
-    advection: float
+    formula_cmc: np.ndarray
+    formula: np.ndarray
+    direct: np.ndarray
+    theta: np.ndarray
+    sigma_sq: np.ndarray
+    advection: np.ndarray
 
     @property
     def residual(self):
@@ -839,7 +800,13 @@ class AngleLaplacian:
         return abs(self.formula_cmc - self.direct)
 
 
-def angle_function_laplacian(P, u):
+def _sigma_sq(s):
+    """|sigma|^2 = g^{ik} g^{jl} sigma_ij sigma_kl of a hypersurface, (N,)."""
+    sigma = s.second_fundamental[:, 0]
+    return np.einsum("Nik,Njl,Nij,Nkl->N", s.metric_inv, s.metric_inv, sigma, sigma)
+
+
+def angle_function_laplacian(P, s):
     """Weighted Laplacian of theta = <N, dt> on a graph t = phi(x).
 
     Requires a Euclidean ambient with a split weight h = eta(x) + mu(t)
@@ -852,30 +819,22 @@ def angle_function_laplacian(P, u):
         raise DomainError("angle formula needs a split weight eta(x) + mu(t)")
     if P.normal is None:
         raise DomainError("angle function requires a declared graph normal")
-    batch, s = _point_sample(P, u)
-    N = s.normals[0]
-    theta = float(N[-1])
-    n_h = N[:-1]
-
-    hess = weight.hess(batch.point)[0]
-    hess_eta_nn = float(n_h @ hess[:-1, :-1] @ n_h)
-    mu_second = float(hess[-1, -1])
-
-    sigma = s.second_fundamental[0]
-    sigma_sq = float(np.einsum("ik,jl,ij,kl->", s.metric_inv, s.metric_inv,
-                               sigma, sigma))
-    formula_cmc = (hess_eta_nn + mu_second * (theta ** 2 - 1.0) - sigma_sq) * theta
+    normal = s.normals[:, 0]
+    theta = normal[:, -1]
+    n_h = normal[:, :-1]
+    hess = weight.hess(s.point)
+    sigma_sq = _sigma_sq(s)
+    formula_cmc = (_inner(hess[:, :-1, :-1], n_h, n_h)
+                   + hess[:, -1, -1] * (theta ** 2 - 1.0) - sigma_sq) * theta
 
     def scalar_h_mc(V):
         sv = geometry_at_batch(P, V)
         return np.einsum("Nk,Nk->N", sv.wmc_vec, sv.normals[:, 0])
 
-    grad_H = _fd_gradient(scalar_h_mc, np.asarray(u, dtype=float)[None])[0]
     # <grad_P H, dt^T> = g^{ij} d_i H <d_j X, dt>
-    dt_components = s.jacobian[-1, :]
-    advection = float(grad_H @ s.metric_inv @ dt_components)
+    advection = _inner(s.metric_inv, _fd_gradient(scalar_h_mc, s.u), s.jacobian[:, -1])
     direct = weighted_laplacian(
-        P, u, lambda V: _stack(P.normal(_columns(V)), len(V))[:, -1], batch)
+        s, lambda V: _stack(P.normal(_columns(V)), len(V))[:, -1])
     return AngleLaplacian(formula_cmc=formula_cmc,
                           formula=formula_cmc - advection,
                           direct=direct, theta=theta, sigma_sq=sigma_sq,
@@ -928,9 +887,7 @@ def index_form(P, test, box=None, panels=8):
     grad_sq = _inner(s.metric_inv, grad_t, grad_t)
     N = s.normals[:, 0]
     ric_h = -_inner(P.ambient.weight.hess(s.point), N, N)
-    sigma = s.second_fundamental[:, 0]
-    sigma_sq = np.einsum("Nik,Njl,Nij,Nkl->N", s.metric_inv, s.metric_inv,
-                         sigma, sigma)
+    sigma_sq = _sigma_sq(s)
     dens = np.exp(P.ambient.weight.value(s.point)) * np.sqrt(
         np.maximum(np.linalg.det(s.metric), 0.0))
     values = (grad_sq - (ric_h + sigma_sq) * tv * tv) * dens

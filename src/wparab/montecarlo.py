@@ -21,9 +21,8 @@ import numpy as np
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
 from .errors import (ComparisonRefusal, DomainError, finite_number, is_number,
                      whole_number)
-from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight,
-                       field_values, geometry_at_batch, intrinsic_drift,
-                       weighted_laplacian)
+from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight, _drift,
+                       field_values, geometry_at_batch, weighted_laplacian)
 from .verdicts import Outcome
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -482,7 +481,7 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
     """
     u = np.asarray(u, dtype=float)
     sample = geometry_at_batch(P, u[None])
-    b, g_inv = intrinsic_drift(P, u, sample)
+    b, g_inv = _drift(sample)[0], sample.metric_inv[0]
     sigma = _sym_sqrt(2.0 * g_inv)
     rng = np.random.Generator(np.random.Philox(
         np.random.SeedSequence(entropy=(int(seed), 0xA5))))
@@ -494,5 +493,5 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
     vals = 0.5 * (f[1:n_samples + 1] + f[n_samples + 1:]) - f[0]
     est = float(np.mean(vals)) / dtau
     se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples) / dtau
-    exact = weighted_laplacian(P, u, fld, sample)
+    exact = float(weighted_laplacian(sample, fld)[0])
     return GeneratorCheck(est, exact, se, dtau)

@@ -140,14 +140,13 @@ def test_acceptance_05_radial_identity_suite():
     for P in _identity_catalog():
         is_sphere = "sphere" in P.name
         for psi in psis:
-            for _ in range(10):
-                u = np.array([lo + (hi - lo) * rng.random()
-                              for lo, hi in P.window])
-                r = ge.radial_identity_residual(P, u, psi)
-                combos += 1
-                worst = max(worst, r)
-                if is_sphere:
-                    worst_sphere = max(worst_sphere, r)
+            U = np.array([[lo + (hi - lo) * rng.random() for lo, hi in P.window]
+                          for _ in range(10)])
+            r = ge.radial_identity_residual(P, ge.geometry_at_batch(P, U), psi).max()
+            combos += len(U)
+            worst = max(worst, r)
+            if is_sphere:
+                worst_sphere = max(worst_sphere, r)
     ok = combos >= 600 and worst <= 1e-5 and worst_sphere <= 1e-7
     _report(5, ok, f"radial identity on {combos} combos: max residual "
                    f"{worst:.2e} (spheres {worst_sphere:.2e})")
@@ -276,19 +275,18 @@ def test_acceptance_12_angle_function_identity():
     split = ge.SplitWeight(gaussian_weight(), rd.weight_gaussian(), 3)
     P = ge.paraboloid_graph(3, split)
     rng = np.random.default_rng(314159)
-    worst = 0.0
-    for _ in range(20):
-        u = np.array([lo + (hi - lo) * rng.random() for lo, hi in P.window])
-        res = ge.angle_function_laplacian(P, u)
-        worst = max(worst, res.residual)
+    U = np.array([[lo + (hi - lo) * rng.random() for lo, hi in P.window]
+                  for _ in range(20)])
+    worst = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, U)).residual.max()
     # the constant-curvature closed form additionally pins the sign
     # conventions on genuinely constant-curvature graphs
     tilt = ge.graph_hypersurface(lambda u: 0.5 * u[0] + 0.2 + 0.0 * u[1], 3,
                                  ge.SplitWeight(gaussian_weight(),
                                                 rd.weight_gaussian(), 3))
-    worst_cmc = ge.angle_function_laplacian(tilt, [0.3, 0.7]).residual_cmc
-    worst_cmc = max(worst_cmc,
-                    ge.angle_function_laplacian(ge.grim_curve(), [0.4]).residual_cmc)
+    grim = ge.grim_curve()
+    worst_cmc = max(
+        ge.angle_function_laplacian(tilt, ge.geometry_at_batch(tilt, [[0.3, 0.7]])).residual_cmc,
+        ge.angle_function_laplacian(grim, ge.geometry_at_batch(grim, [[0.4]])).residual_cmc)[0]
     ok = worst <= 1e-4 and worst_cmc <= 1e-6
     _report(12, ok, f"angle identity: paraboloid residual {worst:.2e} over 20 "
                     f"points, constant-curvature entries {worst_cmc:.2e}")

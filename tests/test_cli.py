@@ -647,6 +647,14 @@ def _with_model(warping=None, **weight):
      "weight 'logpow' parameter 'k' must be a finite number, got None"),
     (_with_model(name="custom", expr="-t^2/2", t_min="0.5"),
      "weight 'custom' parameter 't_min' must be a finite number, got '0.5'"),
+    (_with_submanifold(name="graph", expr="x1*x2", window=[[0.3, True], [0.3, 1.5]]),
+     "submanifold 'graph' parameter 'window' must be a finite number, got True"),
+    (_with_submanifold(name="graph", expr="x1*x2", window=[[0.3, "1.5"], [0.3, 1.5]]),
+     "submanifold 'graph' parameter 'window' must be a finite number, got '1.5'"),
+    (_with_submanifold(name="plane", axes=[0, 5]),
+     "submanifold 'plane' parameter 'axes' must be distinct axes in [0, 3), got [0, 5]"),
+    (_with_submanifold(name="plane", axes=[0, 0.5]),
+     "submanifold 'plane' parameter 'axes' must be a non-negative integer, got 0.5"),
 ])
 def test_catalog_numbers_are_checked_not_coerced(scenario, message, tmp_path):
     entry = cli.run_scenario(scenario, tmp_path)

@@ -198,8 +198,8 @@ def test_batched_rows_match_single_points(P):
     x, J, H = ge.chart_jet(P, U)
     batch = ge.geometry_at_batch(P, U)
     for i, u in enumerate(U):
-        for stacked, single in zip((x, J, H), ge.chart_jet(P, u)):
-            assert np.array_equal(stacked[i], single), (P.name, u)
+        for stacked, single in zip((x, J, H), ge.chart_jet(P, u[None])):
+            assert np.array_equal(stacked[i], single[0]), (P.name, u)
         row, s = batch.row(i), ge.geometry_at(P, u)
         for field in dataclasses.fields(s):
             a, b = getattr(row, field.name), getattr(s, field.name)
@@ -331,13 +331,14 @@ def test_weight_batches_match_single_points(weight):
 
 def test_laplacian_of_constant_vanishes():
     P = ge.euclidean_sphere(2.0, 3, gaussian_weight())
-    assert abs(ge.weighted_laplacian(P, [0.9, 1.3], lambda v: 3.7)) <= 1e-10
+    s = ge.geometry_at_batch(P, [[0.9, 1.3]])
+    assert abs(ge.weighted_laplacian(s, lambda v: 3.7)[0]) <= 1e-10
 
 
 def test_laplacian_of_radial_function_on_sphere_vanishes():
     P = ge.euclidean_sphere(2.0, 3)
     fld = lambda V: PSI_SQ.value(np.linalg.norm(P.point(V), axis=1))
-    assert abs(ge.weighted_laplacian(P, [0.9, 1.3], fld)) <= 1e-8
+    assert abs(ge.weighted_laplacian(ge.geometry_at_batch(P, [[0.9, 1.3]]), fld)[0]) <= 1e-8
 
 
 def test_laplacian_on_gaussian_plane_flat_chart_oracle():
@@ -345,7 +346,8 @@ def test_laplacian_on_gaussian_plane_flat_chart_oracle():
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
     u = np.array([math.cos(0.4), math.sin(0.4)])  # |p| = 1
     fld = lambda V: 0.5 * (P.point(V) ** 2).sum(axis=1)
-    assert ge.weighted_laplacian(P, u, fld) == pytest.approx(1.0, abs=1e-8)
+    assert ge.weighted_laplacian(ge.geometry_at_batch(P, [u]), fld)[0] == pytest.approx(
+        1.0, abs=1e-8)
 
 
 def _metric_difference_oracle(P, u):
@@ -355,7 +357,7 @@ def _metric_difference_oracle(P, u):
     n = len(u)
 
     def metric(v):
-        x, J, _ = ge.chart_jet(P, v)
+        x, J, _ = (a[0] for a in ge.chart_jet(P, v[None]))
         return J.T @ P.ambient.metric(x) @ J
 
     def h_pull(v):
@@ -393,9 +395,11 @@ def test_intrinsic_data_matches_metric_differences():
         for _ in range(4):
             u = np.array([rng.uniform(lo, hi) for lo, hi in P.window])
             sample = ge.geometry_at_batch(P, u[None])
-            drift, g_inv = ge.intrinsic_drift(P, u, sample)
-            assert np.array_equal(drift, ge._drift(sample)[0]), (P.name, u)
-            assert np.array_equal(g_inv, sample.metric_inv[0]), (P.name, u)
+            drift, g_inv = ge._drift(sample)[0], sample.metric_inv[0]
+            # the drift reads the trace the mean curvature vector came from
+            assert np.array_equal(sample.trace, np.einsum(
+                "Nij,Nijk->Nk", g_inv[None], sample.covariant_second)), (P.name, u)
+            assert np.array_equal(g_inv, np.linalg.inv(sample.metric[0])), (P.name, u)
             fd_trace, fd_grad_h = _metric_difference_oracle(P, u)
             # relative to the terms' scale, floored at 1 where they vanish
             scale = max(np.abs(fd_trace).max(), np.abs(fd_grad_h).max(), 1.0)
@@ -408,15 +412,16 @@ def test_laplacian_reads_the_sample_and_refuses_a_degenerate_metric():
     U = _window_points(P, 4, 5)
     fld = lambda V: np.sin(V[:, 0]) * V[:, 1]  # noqa: E731
     sample = ge.geometry_at_batch(P, U)
-    assert np.array_equal(ge.weighted_laplacian(P, U, fld, sample),
-                          ge.weighted_laplacian(P, U, fld))
+    # each value belongs to the row of the sample it was read from
+    assert np.array_equal(ge.weighted_laplacian(sample, fld)[::-1],
+                          ge.weighted_laplacian(ge.geometry_at_batch(P, U[::-1]), fld))
     # the chart folds along u1 = 1, where the induced metric degenerates
     fold = ge.ImmersedSubmanifold(
         ge.EuclideanAmbient(3), 2,
         lambda u: [(u[0] - 1.0) * (u[0] - 1.0), u[1], 0.0 * u[0]],
         window=((0.0, 2.0), (0.0, 1.0)))
     with pytest.raises(DegenerateMetricError, match="induced metric degenerate"):
-        ge.weighted_laplacian(fold, [1.0, 0.5], fld)
+        ge.weighted_laplacian(ge.geometry_at_batch(fold, [[1.0, 0.5]]), fld)
 
 
 # --- stacked finite differences ---------------------------------------------
@@ -504,20 +509,52 @@ def test_stacked_differences_equal_the_point_loop_bitwise(P):
         assert np.array_equal(hess[k], _point_hessian(at_point, u)), (P.name, u)
 
 
+def _comparison_checks(P):
+    """The height, cylinder-distance and angle checks that apply to P."""
+    if not P.ambient.flat:
+        return []
+    checks = [lambda s: ge.height_laplacian(P, s, [0.3, -0.5, 0.8]),
+              lambda s: ge.cylinder_distance_laplacian(P, s, k=2)]
+    if P.normal is not None and isinstance(P.ambient.weight, ge.SplitWeight):
+        checks.append(lambda s: ge.angle_function_laplacian(P, s))
+    return checks
+
+
 @pytest.mark.parametrize("P", stencil_charts() + [
     ge.model_sphere(WeightedModel(3, rd.warping_hyperbolic(-1.0),
-                                  rd.weight_gaussian()), 1.5)],
+                                  rd.weight_gaussian()), 1.5),
+    dataclasses.replace(ge.paraboloid_graph(3, gaussian_split(3)),
+                        name="paraboloid_graph(m=3, split weight)")],
     ids=lambda P: P.name)
 def test_stacked_identity_residual_matches_the_point_loop(P):
     U = _window_points(P, 5, 43)
+    sample = ge.geometry_at_batch(P, U)
+    rows = [ge.geometry_at_batch(P, [u]) for u in U]
     for psi in (PSI_SQ, rd.RadialProfile.from_expression("exp(-t^2/2)")):
-        stacked = ge.radial_identity_residual(P, U, psi)
+        stacked = ge.radial_identity_residual(P, sample, psi)
         assert stacked.shape == (5,)
         for k, u in enumerate(U):
             lhs = ge.weighted_laplacian(
-                P, u, lambda V: psi.value(P.ambient.r(P.point(V))))
-            single = ge.radial_identity_residual(P, u, psi)
+                rows[k], lambda V: psi.value(P.ambient.r(P.point(V))))[0]
+            single = ge.radial_identity_residual(P, rows[k], psi)[0]
             assert abs(stacked[k] - single) <= 1e-13 * (1.0 + abs(lhs)), (P.name, u)
+    # N rows agree with N one-row samples: the direct side to the bit
+    for check in _comparison_checks(P):
+        stacked = check(sample)
+        assert stacked.direct.shape == stacked.formula.shape == (5,)
+        for k, u in enumerate(U):
+            single = check(rows[k])
+            assert stacked.direct[k] == single.direct[0], (P.name, u)
+            scale = max(abs(single.formula[0]), 1.0)
+            assert abs(stacked.formula[k] - single.formula[0]) <= 1e-15 * scale, (
+                P.name, u)
+
+
+def test_radial_identity_names_the_first_row_at_the_pole():
+    P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
+    s = ge.geometry_at_batch(P, [[0.5, 0.2], [0.0, 0.0], [0.3, -0.1]])
+    with pytest.raises(DomainError, match=r"unavailable at u=\[0\. 0\.\]"):
+        ge.radial_identity_residual(P, s, PSI_SQ)
 
 
 # --- radial identity ---------------------------------------------------------
@@ -525,20 +562,22 @@ def test_stacked_identity_residual_matches_the_point_loop(P):
 
 def test_radial_identity_sphere_cancellation():
     P = ge.euclidean_sphere(2.0, 3, gaussian_weight())
-    assert ge.radial_identity_residual(P, [0.9, 1.3], PSI_SQ) <= 1e-7
+    assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [[0.9, 1.3]]),
+                                       PSI_SQ)[0] <= 1e-7
 
 
 def test_radial_identity_gaussian_plane():
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
     u = np.array([math.cos(0.3), math.sin(0.3)])
-    assert ge.radial_identity_residual(P, u, PSI_SQ) <= 1e-6
+    assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [u]), PSI_SQ)[0] <= 1e-6
 
 
 def test_radial_identity_cylinder():
     P = ge.cylinder_hypersurface(1.0, 2, 3)
     psi = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
                            lambda t: 0.0 * t, name="t")
-    assert ge.radial_identity_residual(P, [0.8, 0.5], psi) <= 1e-5
+    assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [[0.8, 0.5]]),
+                                       psi)[0] <= 1e-5
 
 
 # --- hypothesis profiling -----------------------------------------------------
@@ -582,7 +621,8 @@ def test_hypothesis_profile_failure_carries_witness():
 def test_height_laplacian_gaussian_offset_hyperplane():
     t0 = 0.7
     P = ge.hyperplane(3, [0.0, 0.0, 1.0], t0, gaussian_weight())
-    res = ge.height_laplacian(P, [0.4, -0.9], np.array([0.0, 0.0, 1.0]))
+    res = ge.height_laplacian(P, ge.geometry_at_batch(P, [[0.4, -0.9]]),
+                              np.array([0.0, 0.0, 1.0]))
     # weighted curvature t0 cancels the weight slope -t0
     assert abs(res.formula) <= 1e-12
     assert res.residual <= 1e-8
@@ -590,20 +630,22 @@ def test_height_laplacian_gaussian_offset_hyperplane():
 
 def test_height_laplacian_vertical_plane_translator():
     P = ge.hyperplane(3, [1.0, 0.0, 0.0], 0.5, translator_weight(3))
-    res = ge.height_laplacian(P, [0.3, 1.2], np.array([0.0, 0.0, 1.0]))
+    res = ge.height_laplacian(P, ge.geometry_at_batch(P, [[0.3, 1.2]]),
+                              np.array([0.0, 0.0, 1.0]))
     assert res.formula == pytest.approx(1.0, abs=1e-12)
     assert res.residual <= 1e-8
 
 
 def test_height_laplacian_unweighted_plane():
     P = ge.hyperplane(3, [0.0, 0.0, 1.0], 0.0)
-    res = ge.height_laplacian(P, [1.0, 2.0], np.array([0.0, 1.0, 0.0]))
+    res = ge.height_laplacian(P, ge.geometry_at_batch(P, [[1.0, 2.0]]),
+                              np.array([0.0, 1.0, 0.0]))
     assert abs(res.formula) <= 1e-14 and res.residual <= 1e-9
 
 
 def test_cylinder_distance_laplacian_on_minimal_cylinder():
     P = ge.cylinder_hypersurface(math.sqrt(3.0), 4, 5, gaussian_weight())
-    res = ge.cylinder_distance_laplacian(P, [1.0, 0.9, 2.0, 0.7])
+    res = ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[1.0, 0.9, 2.0, 0.7]]))
     assert abs(res.formula) <= 1e-7
     assert abs(res.direct) <= 1e-7
 
@@ -615,27 +657,27 @@ def test_cylinder_distance_laplacian_vertical_plane():
         ge.EuclideanAmbient(4, amb_w), 2,
         lambda u: [1.0 + 0.0 * u[0], 0.5 + 0.0 * u[0], u[0], u[1]],
         window=((-2, 2), (-2, 2)))
-    res = ge.cylinder_distance_laplacian(P, [0.4, -1.1], k=2)
+    res = ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[0.4, -1.1]]), k=2)
     assert abs(res.formula) <= 1e-10 and abs(res.direct) <= 1e-10
 
 
 def test_cylinder_distance_laplacian_identity_on_unweighted_cylinder():
     P = ge.cylinder_hypersurface(1.0, 2, 3)
-    res = ge.cylinder_distance_laplacian(P, [0.8, 0.5])
+    res = ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[0.8, 0.5]]))
     assert res.residual <= 1e-5
 
 
 def test_cylinder_distance_requires_valid_splitting():
     P = ge.coordinate_plane(3, (0, 1))
     with pytest.raises(DomainError):
-        ge.cylinder_distance_laplacian(P, [0.1, 0.2], k=7)
+        ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[0.1, 0.2]]), k=7)
 
 
 @pytest.mark.parametrize("check", [
-    lambda P, u: ge.index_form(P, lambda V: 1.0),
+    lambda P, s: ge.index_form(P, lambda V: 1.0),
     ge.angle_function_laplacian,
-    lambda P, u: ge.height_laplacian(P, u, [1.0, 0.0, 0.0]),
-    lambda P, u: ge.cylinder_distance_laplacian(P, u, k=2),
+    lambda P, s: ge.height_laplacian(P, s, [1.0, 0.0, 0.0]),
+    lambda P, s: ge.cylinder_distance_laplacian(P, s, k=2),
 ], ids=["index_form", "angle_function", "height", "cylinder_distance"])
 def test_hessian_and_height_checks_refuse_a_model_chart(check):
     # a model chart's weight has no covariant Hessian, and its coordinates
@@ -643,7 +685,7 @@ def test_hessian_and_height_checks_refuse_a_model_chart(check):
     P = ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0),
                                       rd.weight_gaussian()), 1.2, 0.2)
     with pytest.raises(DomainError):
-        check(P, np.array([1.0, 2.0]))
+        check(P, ge.geometry_at_batch(P, [[1.0, 2.0]]))
 
 
 # --- angle function -----------------------------------------------------------
@@ -651,14 +693,14 @@ def test_hessian_and_height_checks_refuse_a_model_chart(check):
 
 def test_angle_laplacian_horizontal_graph_vanishes():
     P = ge.graph_hypersurface(lambda u: 0.3 + 0.0 * u[0], 3, gaussian_split(3))
-    res = ge.angle_function_laplacian(P, [0.2, -0.4])
+    res = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, [[0.2, -0.4]]))
     assert abs(res.formula) <= 1e-12 and abs(res.direct) <= 1e-9
 
 
 def test_angle_laplacian_tilted_hyperplane_gaussian():
     P = ge.graph_hypersurface(lambda u: 0.5 * u[0] + 0.2 + 0.0 * u[1], 3,
                               gaussian_split(3))
-    res = ge.angle_function_laplacian(P, [0.3, 0.7])
+    res = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, [[0.3, 0.7]]))
     # constant curvature: both forms agree, and sigma = 0 makes theta harmonic
     assert res.residual_cmc <= 1e-10
     assert abs(res.advection) <= 1e-10
@@ -666,7 +708,7 @@ def test_angle_laplacian_tilted_hyperplane_gaussian():
 
 def test_angle_laplacian_paraboloid_needs_advection_term():
     P = ge.paraboloid_graph(3, gaussian_split(3))
-    res = ge.angle_function_laplacian(P, [0.7, 0.9])
+    res = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, [[0.7, 0.9]]))
     assert res.residual <= 1e-6           # generalized identity
     assert res.residual_cmc > 1e-2        # constant-curvature form alone fails
     assert abs(res.advection - (res.formula_cmc - res.direct)) <= 1e-6
