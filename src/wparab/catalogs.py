@@ -13,7 +13,8 @@ import numpy as np
 from . import expr as ex
 from . import geometry as ge
 from . import radial as rd
-from .errors import CatalogError, DomainError, finite_number, number_list, whole_number
+from .errors import (CatalogError, DomainError, finite_number, json_object, number_list,
+                     whole_number)
 from .model import WeightedModel
 
 
@@ -56,7 +57,7 @@ def _axes(spec, part, m):
 
 
 def resolve_warping(spec):
-    name = spec.get("name", "euclidean")
+    name = json_object("warping", spec).get("name", "euclidean")
     if name == "euclidean":
         return rd.warping_euclidean()
     if name == "hyperbolic":
@@ -72,7 +73,7 @@ def resolve_warping(spec):
 
 
 def resolve_weight_profile(spec, warping=None):
-    name = spec.get("name", "zero")
+    name = json_object("weight", spec).get("name", "zero")
     part = f"weight {name!r}"
     if name == "zero":
         return rd.weight_zero()
@@ -92,16 +93,22 @@ def resolve_weight_profile(spec, warping=None):
     raise CatalogError(f"unknown weight {name!r}")
 
 
+def _dimension(model):
+    """The model dimension m of a model spec, checked like a catalog number."""
+    return int(_number(json_object("model", model), "m", "model", check=whole_number))
+
+
 def resolve_model(spec):
+    m = _dimension(spec)
     warping = resolve_warping(spec.get("warping", spec.get("w", {})))
     weight = resolve_weight_profile(spec.get("weight", spec.get("f", {})),
                                     warping=warping)
-    return WeightedModel(int(_param(spec, "m", "model")), warping, weight)
+    return WeightedModel(m, warping, weight)
 
 
 def resolve_ambient_weight(spec, m, warping=None):
     """Euclidean ambient weight: radial catalog entries, height, or custom."""
-    name = spec.get("name", "zero")
+    name = json_object("weight", spec).get("name", "zero")
     part = f"weight {name!r}"
     if name == "zero":
         return ge.ZeroWeight()
@@ -126,7 +133,7 @@ def resolve_immersion(scenario, default_submanifold=None):
     """Warping and immersion (model dimension, ambient weight and
     submanifold) of an ``mc-verify`` or ``check-identities`` scenario."""
     model = _param(scenario, "model", "scenario")
-    m = int(_param(model, "m", "model"))
+    m = _dimension(model)
     warping = resolve_warping(model.get("warping", {}))
     weight = resolve_ambient_weight(model.get("weight", {"name": "zero"}), m,
                                     warping)
@@ -137,7 +144,7 @@ def resolve_immersion(scenario, default_submanifold=None):
 
 
 def resolve_submanifold(spec, m, weight):
-    name = _param(spec, "name", "submanifold")
+    name = _param(json_object("submanifold", spec), "name", "submanifold")
     part = f"submanifold {name!r}"
     if name == "sphere":
         return ge.euclidean_sphere(float(_number(spec, "a", part)), m, weight)

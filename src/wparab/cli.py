@@ -21,8 +21,10 @@ from pathlib import Path
 import numpy as np
 
 from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
-from .errors import ScenarioError, finite_number, number_list, whole_number
-from .radial import AsymptoticHint, NO_HINT
+from .catalogs import _param
+from .errors import (DomainError, ScenarioError, finite_number, json_object, number_list,
+                     whole_number)
+from .radial import HINT_TAGS, NO_HINT, AsymptoticHint
 
 REPORT_VERSION = "3"
 
@@ -30,11 +32,19 @@ _TASKS = ("classify", "capacity", "curves", "mc-verify", "check-identities")
 _MODEL_TASKS = ("classify", "capacity", "curves")
 
 
+def _params(scenario):
+    return json_object("params", scenario.get("params", {}))
+
+
 def _hint_from(params):
     spec = params.get("hint")
-    if not spec:
+    if spec is None:
         return NO_HINT
-    return AsymptoticHint(spec["tag"], spec.get("param"))
+    tag = json_object("hint", spec).get("tag")
+    if tag not in HINT_TAGS:
+        raise DomainError(f"hint.tag must be one of {HINT_TAGS}, got {tag!r}")
+    param = spec.get("param")
+    return AsymptoticHint(tag, None if param is None else finite_number("hint.param", param))
 
 
 def _alpha_from(params):
@@ -43,8 +53,8 @@ def _alpha_from(params):
     return None
 
 
-def _n(params, prefix=""):
-    return whole_number(prefix + "n", params["n"])
+def _n(params, part, prefix=""):
+    return whole_number(prefix + "n", _param(params, "n", part))
 
 
 def _t0(params, prefix=""):
@@ -56,11 +66,11 @@ def _t0(params, prefix=""):
 
 
 def _run_classify(scenario, outdir):
-    params = scenario.get("params", {})
+    params = _params(scenario)
     criterion = params.get("criterion", "ahlfors_direct")
+    part = f"criterion {criterion!r}"
     hint = _hint_from(params)
-    model_spec = scenario["model"]
-    model = catalogs.resolve_model(model_spec)
+    model = catalogs.resolve_model(scenario.get("model"))
 
     if criterion == "ahlfors_direct":
         verdict = model.ahlfors_classify(_t0(params), hint)
@@ -68,40 +78,42 @@ def _run_classify(scenario, outdir):
         alpha = _alpha_from(params)
         if alpha is None:
             raise ScenarioError("comparison criteria need an 'alpha' expression")
-        setup = criteria.ComparisonSetup(model.w, _n(params), _t0(params),
+        setup = criteria.ComparisonSetup(model.w, _n(params, part), _t0(params),
                                          alpha, hint=hint)
         fn = (criteria.classify_parabolic if criterion == "parabolic_comparison"
               else criteria.classify_hyperbolic)
         verdict = fn(setup)
     elif criterion == "bounded_drift":
-        beta = rd.RadialProfile.from_expression(params["beta"])
+        beta = rd.RadialProfile.from_expression(_param(params, "beta", part))
         verdict = criteria.classify_bounded_drift(
-            model.w, _n(params), beta, finite_number("c", params.get("c", 0.0)),
+            model.w, _n(params, part), beta, finite_number("c", params.get("c", 0.0)),
             params.get("direction", "parabolic"), hint)
     elif criterion == "radial_weight":
+        use_exp = params.get("use_exp_integral", False)
+        if not isinstance(use_exp, bool):
+            raise DomainError(f"use_exp_integral must be true or false, got {use_exp!r}")
         verdict = criteria.classify_radial_weight(
-            model.w, _n(params), model.f, finite_number("c", params.get("c", 0.0)),
-            params.get("direction", "parabolic"), hint,
-            use_exp_integral=bool(params.get("use_exp_integral", False)))
+            model.w, _n(params, part), model.f, finite_number("c", params.get("c", 0.0)),
+            params.get("direction", "parabolic"), hint, use_exp_integral=use_exp)
     elif criterion == "warping_power":
         verdict = criteria.classify_warping_power(
-            model.w, _n(params), finite_number("k", params["k"]),
+            model.w, _n(params, part), finite_number("k", _param(params, "k", part)),
             _t0(params), hint)
     elif criterion == "translator_halfspace":
         alpha = _alpha_from(params)
         if alpha is None:
             raise ScenarioError("translator criterion needs an 'alpha' expression")
         verdict = criteria.classify_translator_halfspace(
-            _n(params), alpha, _t0(params), hint)
+            _n(params, part), alpha, _t0(params), hint)
     else:
         raise ScenarioError(f"unknown criterion {criterion!r}")
     return {"verdict": verdict.to_dict()}
 
 
 def _run_capacity(scenario, outdir):
-    params = scenario.get("params", {})
-    model = catalogs.resolve_model(scenario["model"])
-    rho = finite_number("rho", params["rho"])
+    params = _params(scenario)
+    model = catalogs.resolve_model(scenario.get("model"))
+    rho = finite_number("rho", _param(params, "rho", "task 'capacity'"))
     R = params.get("R", "inf")
     if R in ("inf", None):
         cap, evidence = model.capacity_to_infinity(rho, _hint_from(params))
@@ -117,22 +129,23 @@ def _run_capacity(scenario, outdir):
 
 
 def _run_curves(scenario, outdir):
-    params = scenario.get("params", {})
-    model = catalogs.resolve_model(scenario["model"])
-    lo, hi = number_list("range", params["range"], 2)
+    params, part = _params(scenario), "task 'curves'"
+    model = catalogs.resolve_model(scenario.get("model"))
+    lo, hi = number_list("range", _param(params, "range", part), 2)
     if lo <= model.f.t_min:
         raise ScenarioError(
             f"curve range starts at {lo} but the weight is defined only for "
             f"t > {model.f.t_min}")
     samples = whole_number("samples", params.get("samples", 100))
-    n = _n(params) if params.get("n") is not None else None
-    rho, R = params.get("rho"), params.get("R")
+    n = _n(params, part) if params.get("n") is not None else None
     ts = np.linspace(lo, hi, samples)
 
     include_volume = model.f.t_min == 0.0
     phi = None
-    if rho is not None and R is not None:
-        rho, R = finite_number("rho", rho), finite_number("R", R)
+    if params.get("rho") is not None or params.get("R") is not None:
+        # the phi column needs both radii
+        rho = finite_number("rho", _param(params, "rho", part))
+        R = finite_number("R", _param(params, "R", part))
         phi = model.capacity_potential(rho, R).potential(np.clip(ts, rho, R))
 
     header = ["t", "area"]
@@ -175,17 +188,17 @@ def _run_curves(scenario, outdir):
 
 
 def _run_mc_verify(scenario, outdir):
-    params = scenario.get("params", {})
+    params, part = _params(scenario), "task 'mc-verify'"
     warping, P = catalogs.resolve_immersion(scenario,
                                             {"name": "radial_scenario"})
     if P.linear is None:
         raise ScenarioError("mc-verify needs an affine chart (plane or "
                             "radial_scenario)")
 
-    rho = finite_number("rho", params["rho"])
-    R = finite_number("R", params["R"])
+    rho = finite_number("rho", _param(params, "rho", part))
+    R = finite_number("R", _param(params, "R", part))
     N = whole_number("paths", params.get("paths", 10_000))
-    start = params["start"]
+    start = _param(params, "start", part)
     spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)),
                             params.get("seed", 0),
                             batch_size=params.get("batch_size", 20_000))
@@ -195,9 +208,9 @@ def _run_mc_verify(scenario, outdir):
                                     number_list("R_schedule", params["R_schedule"]), N)
         return {"recurrence_probe": probe.to_dict()}
     if "comparison" in params:
-        comp = params["comparison"]
-        alpha = rd.RadialProfile.from_expression(comp["alpha"])
-        setup = criteria.ComparisonSetup(warping, _n(comp, "comparison."),
+        comp = json_object("comparison", params["comparison"])
+        alpha = rd.RadialProfile.from_expression(_param(comp, "alpha", "comparison"))
+        setup = criteria.ComparisonSetup(warping, _n(comp, "comparison", "comparison."),
                                          _t0(comp, "comparison."), alpha)
         rep = mc.comparison_check(spec, setup, start, rho, R, N,
                                   direction=comp.get("direction", "parabolic"))
@@ -207,7 +220,7 @@ def _run_mc_verify(scenario, outdir):
 
 
 def _run_check_identities(scenario, outdir):
-    params = scenario.get("params", {})
+    params = _params(scenario)
     _, P = catalogs.resolve_immersion(scenario)
     psi = rd.RadialProfile.from_expression(params.get("psi", "t^2/2"))
     count = whole_number("points", params.get("points", 5))

@@ -106,3 +106,10 @@ def number_list(name, value, length=None):
         shape = "a list of numbers" if length is None else f"a list of {length} numbers"
         raise DomainError(f"{name} must be {shape}, got {value!r}")
     return [finite_number(name, x) for x in value]
+
+
+def json_object(name, value):
+    """``value``; a DomainError naming ``name`` unless it is a JSON object."""
+    if not isinstance(value, dict):
+        raise DomainError(f"{name} must be an object, got {value!r}")
+    return value

@@ -360,7 +360,9 @@ class _Parser:
 
 def parse(source, variables):
     """Parse ``source`` into an AST; every variable must be declared."""
-    if not source or not source.strip():
+    if not isinstance(source, str):
+        raise ExprSyntaxError(f"expression must be a string, got {source!r}", 0)
+    if not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     return _Parser(source, variables).parse()
 

@@ -11,14 +11,14 @@ same integrand.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import BracketError, DomainError, NonMonotoneTailError, NotAttainedError
 from .radial import (RadialProfile, WarpingFunction, classify_improper,
                      first_crossing, integrate)
-from .verdicts import Outcome, Verdict
+from .verdicts import INTERNAL, Outcome, Record, Verdict
 
 _GRID_NODES, _RESIDUAL_GRID = 512, 256   # capacity panels, ODE residual points
 _SCAN_SAMPLES, _ROOT_TOL = 64, 1e-13     # critical radii: tail scan, root tolerance
@@ -252,22 +252,13 @@ def critical_radius(curvature, lambda0, mode, t_min, name):
 
 
 @dataclass
-class CapacityReport:
+class CapacityReport(Record):
     """Capacity of a concentric capacitor plus its verified potential."""
 
     rho: float
     R: float
     capacity: float
-    potential: object           # callable s -> phi(s)
+    potential: object = field(metadata=INTERNAL)  # callable s -> phi(s)
     ode_residual: float
     quadrature_error: float
-    phi_prime: object = None    # callable s -> phi'(s)
-
-    def to_dict(self):
-        return {
-            "rho": self.rho,
-            "R": self.R,
-            "capacity": self.capacity,
-            "ode_residual": self.ode_residual,
-            "quadrature_error": self.quadrature_error,
-        }
+    phi_prime: object = field(default=None, metadata=INTERNAL)  # s -> phi'(s)

@@ -23,7 +23,7 @@ from .errors import (ComparisonRefusal, DomainError, finite_number, is_number,
                      whole_number)
 from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight, _drift,
                        field_values, geometry_at_batch, weighted_laplacian)
-from .verdicts import Outcome
+from .verdicts import INTERNAL, Outcome, Record
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
 
@@ -156,7 +156,7 @@ KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
 
 
 @dataclass
-class HitEstimate:
+class HitEstimate(Record):
     """Estimated probability of reaching the inner boundary first.
 
     ``shell`` is the stopping distance of paths; ``path_steps`` counts
@@ -188,20 +188,6 @@ class HitEstimate:
         if resolved == 0:
             return float("inf")
         return math.sqrt(max(self.p_hat * (1.0 - self.p_hat), 1e-300) / resolved)
-
-    def to_dict(self):
-        return {
-            "p_hat": self.p_hat, "n_paths": self.n_paths,
-            "n_inner": self.n_inner, "n_outer": self.n_outer,
-            "n_unresolved": self.n_unresolved,
-            "ci_low": self.ci_low, "ci_high": self.ci_high,
-            "mean_exit_time": self.mean_exit_time,
-            "coarse_step_fraction": self.coarse_step_fraction,
-            "rho": self.rho, "R": self.R, "dtau": self.dtau, "seed": self.seed,
-            "estimator": self.estimator, "shell": self.shell,
-            "path_steps": self.path_steps,
-            "warnings": list(self.warnings),
-        }
 
 
 def default_step(rho, R):
@@ -361,23 +347,15 @@ def _heun_step(spec: DiffusionSpec):
 
 
 @dataclass
-class ComparisonReport:
+class ComparisonReport(Record):
     direction: str
     p_hat: float
     phi: float
     standard_error: float
     margin: float
     passed: bool
-    estimate: HitEstimate
     start_radius: float
-
-    def to_dict(self):
-        return {
-            "direction": self.direction, "p_hat": self.p_hat, "phi": self.phi,
-            "standard_error": self.standard_error, "margin": self.margin,
-            "passed": self.passed, "start_radius": self.start_radius,
-            "estimate": self.estimate.to_dict(),
-        }
+    estimate: HitEstimate
 
 
 def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
@@ -421,20 +399,13 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
 
 
 @dataclass
-class RecurrenceProbe:
+class RecurrenceProbe(Record):
     radii: list
-    estimates: list
+    p_hats: list
+    ci: list                    # [ci_low, ci_high] of each estimate
     monotone_increasing: bool
     limit_estimate: float
-
-    def to_dict(self):
-        return {
-            "radii": list(self.radii),
-            "p_hats": [e.p_hat for e in self.estimates],
-            "ci": [[e.ci_low, e.ci_high] for e in self.estimates],
-            "monotone_increasing": self.monotone_increasing,
-            "limit_estimate": self.limit_estimate,
-        }
+    estimates: list = field(default_factory=list, metadata=INTERNAL)
 
 
 def recurrence_probe(spec: DiffusionSpec, start, rho, R_schedule, N):
@@ -459,8 +430,8 @@ def recurrence_probe(spec: DiffusionSpec, start, rho, R_schedule, N):
         limit = p[-1] + (p[-1] - p[-2]) * ratio / (1.0 - ratio)
     else:
         limit = p[-1]
-    return RecurrenceProbe(list(R_schedule), estimates, monotone,
-                           min(limit, 1.0))
+    return RecurrenceProbe(list(R_schedule), p, [[e.ci_low, e.ci_high] for e in estimates],
+                           monotone, min(limit, 1.0), estimates)
 
 
 @dataclass

@@ -16,6 +16,7 @@ import numpy as np
 from . import expr as ex
 from .errors import (BracketError, DomainError, IntegrandSignError, NotAttainedError,
                      QuadratureError)
+from .verdicts import INTERNAL, Record
 
 
 class AccuracyWarning(UserWarning):
@@ -29,19 +30,18 @@ class AccuracyWarning(UserWarning):
 class AsymptoticHint:
     """Advisory tail information for improper-integral classification.
 
-    tag is one of ``eventually_monotone_integrand``, ``exponential_order``,
-    ``power_order`` or ``none``; ``param`` carries the rate when applicable.
+    tag is one of ``HINT_TAGS``; ``param`` carries the rate when applicable.
     """
 
     tag: str = "none"
     param: float | None = None
 
     def __post_init__(self):
-        allowed = {"eventually_monotone_integrand", "exponential_order",
-                   "power_order", "none"}
-        if self.tag not in allowed:
+        if self.tag not in HINT_TAGS:
             raise ValueError(f"unknown hint tag {self.tag!r}")
 
+
+HINT_TAGS = ("eventually_monotone_integrand", "exponential_order", "power_order", "none")
 
 NO_HINT = AsymptoticHint("none")
 
@@ -372,7 +372,7 @@ TAIL_TOL, MAX_DOUBLINGS, RATIO_CAP = 1e-6, 40, 0.8
 
 
 @dataclass
-class IntegralVerdict:
+class IntegralVerdict(Record):
     """Outcome of the doubling-cutoff convergence test, with evidence.
 
     ``status`` is ``convergent``, ``divergent`` or ``inconclusive``;
@@ -384,7 +384,7 @@ class IntegralVerdict:
     error_bound: float | None = None
     cutoffs: list = field(default_factory=list)
     partials: list = field(default_factory=list)
-    increments: list = field(default_factory=list)
+    increments: list = field(default_factory=list, metadata=INTERNAL)
     used_hint: str = "none"
     reason: str = ""
 
@@ -399,17 +399,6 @@ class IntegralVerdict:
     @property
     def is_decisive(self):
         return self.status != "inconclusive"
-
-    def to_dict(self):
-        return {
-            "status": self.status,
-            "value": self.value,
-            "error_bound": self.error_bound,
-            "cutoffs": list(self.cutoffs),
-            "partials": list(self.partials),
-            "used_hint": self.used_hint,
-            "reason": self.reason,
-        }
 
 
 def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):

@@ -1,9 +1,43 @@
-"""Classification outcomes with structured evidence."""
+"""Classification outcomes with structured evidence, and the one rule that
+turns every result record into its report entry."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import cache
+
+# field metadata of a record field that stays out of its report entry
+INTERNAL = {"internal": True}
+_PLAIN = frozenset((float, int, str, bool, type(None)))
+
+
+@cache
+def _reported(cls):
+    return tuple(f.name for f in fields(cls) if not f.metadata.get("internal"))
+
+
+def report_entry(value):
+    """The report form of ``value``: a record becomes the dict of its
+    fields in declaration order, less the internal ones; lists and tuples
+    become lists; an Enum becomes its value.  Anything else is kept."""
+    kind = type(value)
+    if kind in _PLAIN:
+        return value
+    if isinstance(value, Record):
+        return {name: report_entry(getattr(value, name)) for name in _reported(kind)}
+    if isinstance(value, (list, tuple)):
+        return [v if type(v) in _PLAIN else report_entry(v) for v in value]
+    if isinstance(value, Enum):
+        return value.value
+    return value
+
+
+class Record:
+    """Base of the result dataclasses that reach a report."""
+
+    def to_dict(self):
+        return report_entry(self)
 
 
 class Outcome(str, Enum):
@@ -18,7 +52,7 @@ WINDOW_ONLY = "window_only"
 
 
 @dataclass
-class HypothesisCheck:
+class HypothesisCheck(Record):
     """Result of sampling one hypothesis of a criterion.
 
     ``fails`` always carries a concrete witness; ``window_only`` means the
@@ -37,20 +71,9 @@ class HypothesisCheck:
     def holds(self):
         return self.status == HOLDS
 
-    def to_dict(self):
-        return {
-            "name": self.name,
-            "status": self.status,
-            "margin": self.margin,
-            "witness": self.witness,
-            "window": list(self.window) if self.window else None,
-            "samples": self.samples,
-            "note": self.note,
-        }
-
 
 @dataclass
-class Verdict:
+class Verdict(Record):
     """Parabolic / hyperbolic / inconclusive, plus the evidence trail.
 
     A decisive outcome requires every check to hold and the integral
@@ -61,7 +84,7 @@ class Verdict:
     criterion: str
     checks: list = field(default_factory=list)
     integral_evidence: object = None
-    capacity_bound: object = None   # optional callable rho -> bound
+    capacity_bound: object = field(default=None, metadata=INTERNAL)  # rho -> bound
     notes: str = ""
 
     def assert_sound(self):
@@ -71,16 +94,6 @@ class Verdict:
             if self.integral_evidence is not None:
                 assert self.integral_evidence.is_decisive
         return True
-
-    def to_dict(self):
-        return {
-            "outcome": self.outcome.value,
-            "criterion": self.criterion,
-            "checks": [c.to_dict() for c in self.checks],
-            "integral_evidence": (self.integral_evidence.to_dict()
-                                  if self.integral_evidence is not None else None),
-            "notes": self.notes,
-        }
 
 
 def one_sided(target, needs_divergent, checks, integral, criterion,

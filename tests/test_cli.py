@@ -227,13 +227,31 @@ def _strict_report(outdir):
 
 
 def test_non_object_params_become_a_scenario_error(tmp_path):
-    config = {"scenarios": [
-        {"id": "bad", "task": "capacity", "model": small_model(), "params": []},
+    model = {"m": 3, "warping": {"name": "euclidean"}, "weight": {"name": "zero"}}
+    ids = {"id": "ids", "task": "check-identities", "model": model,
+           "submanifold": {"name": "sphere", "a": 1.5}}
+    mc = {"id": "mc", "task": "mc-verify", "model": model,
+          "submanifold": {"name": "plane", "axes": [0, 1]},
+          "params": {"rho": 1.0, "R": 4.0, "start": [2.0, 0.0], "paths": 10}}
+    cases = [
+        ({"id": "bad", "task": "capacity", "model": small_model(), "params": []},
+         "params must be an object, got []"),
+        ({**ids, "submanifold": "sphere"},
+         "submanifold must be an object, got 'sphere'"),
+        ({**ids, "model": {**model, "weight": 3}}, "weight must be an object, got 3"),
+        ({**ids, "model": [3]}, "model must be an object, got [3]"),
+        ({"id": "cls", "task": "classify", "model": {**model, "warping": "euclidean"}},
+         "warping must be an object, got 'euclidean'"),
+        ({**mc, "params": {**mc["params"], "comparison": "parabolic"}},
+         "comparison must be an object, got 'parabolic'"),
+    ]
+    config = {"scenarios": [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)] + [
         {"id": "good", "task": "capacity", "model": small_model(),
          "params": {"rho": 1.0, "R": 2.0}}]}
     cli.run_config(config, tmp_path)
-    bad, good = _strict_report(tmp_path)["scenarios"]
-    assert bad["status"] == "error" and good["status"] == "ok"
+    *bad, good = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == ["DomainError: " + msg for _, msg in cases]
+    assert good["status"] == "ok"
 
 
 def test_area_overflow_becomes_a_scenario_error(tmp_path):
@@ -442,13 +460,45 @@ def test_missing_catalog_parameter_names_the_field(tmp_path):
          "submanifold": {"name": "sphere", "a": 1.0}},
         {"id": "cylinder", "task": "check-identities", "model": small_model(m=3),
          "submanifold": {"name": "cylinder", "a": 1.0}}]}
+    mc = {"task": "mc-verify", "model": small_model(),
+          "params": {"rho": 1.0, "R": 4.0, "start": [2.0, 0.0], "paths": 10}}
+    classify = {"task": "classify", "model": small_model("gaussian", 3)}
+    gauss = small_model("gaussian", 3)
+    missing = [
+        ({"task": "capacity", "model": gauss, "params": {"R": 2.0}},
+         "task 'capacity' is missing parameter 'rho'"),
+        ({"task": "curves", "model": gauss, "params": {"samples": 5}},
+         "task 'curves' is missing parameter 'range'"),
+        ({"task": "curves", "model": gauss,
+          "params": {"range": [0.5, 2.0], "samples": 5, "rho": 1.0}},
+         "task 'curves' is missing parameter 'R'"),
+        ({"task": "curves", "model": gauss,
+          "params": {"range": [0.5, 2.0], "samples": 5, "R": 1.5}},
+         "task 'curves' is missing parameter 'rho'"),
+        ({**mc, "params": {"rho": 1.0, "R": 4.0}},
+         "task 'mc-verify' is missing parameter 'start'"),
+        ({**classify, "params": {"criterion": "warping_power", "n": 2}},
+         "criterion 'warping_power' is missing parameter 'k'"),
+        ({**classify, "params": {"criterion": "bounded_drift", "n": 2}},
+         "criterion 'bounded_drift' is missing parameter 'beta'"),
+        ({**classify, "params": {"criterion": "radial_weight"}},
+         "criterion 'radial_weight' is missing parameter 'n'"),
+        ({**mc, "params": {**mc["params"], "comparison": {"alpha": "-t", "t0": 1.5}}},
+         "comparison is missing parameter 'n'"),
+        ({**mc, "params": {**mc["params"], "comparison": {"n": 2}}},
+         "comparison is missing parameter 'alpha'"),
+    ]
+    config["scenarios"] += [{**sc, "id": f"missing{i}"} for i, (sc, _) in enumerate(missing)]
     cli.run_config(config, tmp_path)
     errors = [sc["error"] for sc in _strict_report(tmp_path)["scenarios"]]
     assert errors == [
         "CatalogError: weight 'power' is missing parameter 'a'",
         "CatalogError: weight 'split' is missing parameter 'mu'",
         "CatalogError: submanifold 'cylinder' is missing parameter 'k'",
-    ]
+    ] + ["CatalogError: " + msg for _, msg in missing]
+    # both radii given: the curves table has its phi column
+    both = cli.run_scenario(curves_scenario(rho=1.0, R=1.5), tmp_path)
+    assert both["columns"][-1] == "phi"
 
 
 def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
@@ -655,6 +705,10 @@ def _with_model(warping=None, **weight):
      "submanifold 'plane' parameter 'axes' must be distinct axes in [0, 3), got [0, 5]"),
     (_with_submanifold(name="plane", axes=[0, 0.5]),
      "submanifold 'plane' parameter 'axes' must be a non-negative integer, got 0.5"),
+    ({**_with_model(name="gaussian"), "model": {"m": 3.7, "weight": {"name": "gaussian"}}},
+     "model parameter 'm' must be a positive integer, got 3.7"),
+    ({**identities_scenario(), "model": {"m": True, "weight": {"name": "zero"}}},
+     "model parameter 'm' must be a positive integer, got True"),
 ])
 def test_catalog_numbers_are_checked_not_coerced(scenario, message, tmp_path):
     entry = cli.run_scenario(scenario, tmp_path)
@@ -687,6 +741,17 @@ def test_criterion_numbers_are_checked(tmp_path):
          "DomainError: comparison.n must be a positive integer, got 2.5"),
         (gaussian_plane_scenario(comparison={**comparison, "t0": True}),
          "DomainError: comparison.t0 must be a finite number, got True"),
+        (classify_scenario(use_exp_integral="false", direction="hyperbolic"),
+         "DomainError: use_exp_integral must be true or false, got 'false'"),
+        (classify_scenario(use_exp_integral=1),
+         "DomainError: use_exp_integral must be true or false, got 1"),
+        (classify_scenario(hint={"param": 1}),
+         "DomainError: hint.tag must be one of ('eventually_monotone_integrand', "
+         "'exponential_order', 'power_order', 'none'), got None"),
+        (classify_scenario(hint="none"),
+         "DomainError: hint must be an object, got 'none'"),
+        (classify_scenario(hint={"tag": "power_order", "param": "x"}),
+         "DomainError: hint.param must be a finite number, got 'x'"),
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**classify_scenario(n=n, c=c), "id": f"ok{i}"}
@@ -696,6 +761,22 @@ def test_criterion_numbers_are_checked(tmp_path):
     assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
     assert first["status"] == second["status"] == "ok"
     assert first["verdict"] == second["verdict"]
+
+
+def test_expression_sources_must_be_strings(tmp_path):
+    custom_warping = {"m": 3, "warping": {"name": "custom", "expr": 0}}
+    cases = [
+        (classify_scenario("parabolic_comparison", alpha=5), 5),
+        (classify_scenario("bounded_drift", beta=0.5), 0.5),
+        (identities_scenario(psi=3), 3),
+        (_with_submanifold(name="graph", expr=2), 2),
+        ({**_with_model(), "model": custom_warping}, 0),
+        (gaussian_plane_scenario(comparison={"alpha": ["-t"], "n": 2}), ["-t"]),
+    ]
+    for scenario, value in cases:
+        entry = cli.run_scenario(scenario, tmp_path)
+        assert entry["error"] == (f"ExprSyntaxError: expression must be a string, "
+                                  f"got {value!r} (at position 0)")
 
 
 def curves_scenario(**params):

@@ -62,6 +62,12 @@ def test_syntax_errors(source, message):
         ex.parse(source, ["t", "x"][:1 if "s" in source else 2] or ["t"])
 
 
+@pytest.mark.parametrize("source", [5, 0, None, ["t"], b"t"])
+def test_a_source_that_is_not_a_string_is_a_syntax_error(source):
+    with pytest.raises(ex.ExprSyntaxError, match=re.escape(f"must be a string, got {source!r}")):
+        ex.parse(source, ["t"])
+
+
 def test_eval_dual_polynomial():
     d = ex.eval_dual(ex.parse("t^2", ["t"]), {"t": 3.0}, {"t": 1.0})
     assert (d.value, d.deriv) == (9.0, 6.0)
