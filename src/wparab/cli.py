@@ -70,12 +70,12 @@ def _run_classify(scenario, outdir):
     criterion = params.get("criterion", "ahlfors_direct")
     part = f"criterion {criterion!r}"
     hint = _hint_from(params)
+    alpha = _alpha_from(params)
     model = catalogs.resolve_model(scenario.get("model"))
 
     if criterion == "ahlfors_direct":
         verdict = model.ahlfors_classify(_t0(params), hint)
     elif criterion in ("parabolic_comparison", "hyperbolic_comparison"):
-        alpha = _alpha_from(params)
         if alpha is None:
             raise ScenarioError("comparison criteria need an 'alpha' expression")
         setup = criteria.ComparisonSetup(model.w, _n(params, part), _t0(params),
@@ -100,7 +100,6 @@ def _run_classify(scenario, outdir):
             model.w, _n(params, part), finite_number("k", _param(params, "k", part)),
             _t0(params), hint)
     elif criterion == "translator_halfspace":
-        alpha = _alpha_from(params)
         if alpha is None:
             raise ScenarioError("translator criterion needs an 'alpha' expression")
         verdict = criteria.classify_translator_halfspace(
@@ -114,9 +113,10 @@ def _run_capacity(scenario, outdir):
     params = _params(scenario)
     model = catalogs.resolve_model(scenario.get("model"))
     rho = finite_number("rho", _param(params, "rho", "task 'capacity'"))
+    hint = _hint_from(params)
     R = params.get("R", "inf")
     if R in ("inf", None):
-        cap, evidence = model.capacity_to_infinity(rho, _hint_from(params))
+        cap, evidence = model.capacity_to_infinity(rho, hint)
         return {"capacity": cap, "rho": rho, "R": None,
                 "integral_evidence": evidence.to_dict()}
     report = model.capacity_potential(rho, finite_number("R", R))

@@ -1,8 +1,9 @@
 """Numerical differential geometry of parametric immersions.
 
-Charts are written against dual-number-friendly arithmetic, so first and
-second derivatives of immersions come from forward-mode differentiation to
-machine precision.  Ambients are either flat Euclidean space with an
+Charts, declared normals and scalar fields are written against
+dual-number-friendly arithmetic, so their first and second derivatives come
+from one forward-mode routine (``jet``) to machine precision; there are no
+finite differences.  Ambients are either flat Euclidean space with an
 arbitrary weight or the polar chart of a rotationally symmetric model with
 a radial weight (closed-form warped-product Christoffel symbols).
 
@@ -20,14 +21,11 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .errors import DegenerateMetricError, DomainError, SupportError
-from .expr import Dual, dual_parts, fcos, flog, fsin, fsqrt, jet_parts
+from .expr import Dual, dual_parts, evaluate, fcos, flog, fsin, fsqrt, jet_parts, parse
 from .model import WeightedModel
 from .radial import RadialProfile, _K15_NODES, _K15_WEIGHTS
 from .verdicts import FAILS, HOLDS, HypothesisCheck
 
-_EPS = np.finfo(float).eps
-_STEP_GRAD = _EPS ** (1.0 / 3.0)       # central first differences
-_STEP_HESS = _EPS ** 0.25              # central second differences
 _COND_LIMIT = 1e12                     # induced metrics beyond it are degenerate
 _MARGIN_TOL = 1e-8                     # a sampled hypothesis fails below -tol
 
@@ -197,42 +195,34 @@ class ExprWeight(AmbientWeight):
     """Weight given by an expression in the coordinates x1..xm.
 
     Derivatives come from dual numbers seeded with whole coordinate
-    columns, so a stack of points costs one expression evaluation per
-    derivative direction.
+    columns: a stack of points costs one expression evaluation per
+    direction for the gradient and per pair (``jet``) for the Hessian.
     """
 
     def __init__(self, source, m):
-        from . import expr as ex
         self.m = m
         self.vars = [f"x{i + 1}" for i in range(m)]
-        self.ast = ex.parse(source, self.vars)
-        self._ex = ex
+        self.ast = parse(source, self.vars)
         self.name = f"expr({source})"
 
-    def _evaluate(self, pts, seed=lambda k, c: c):
-        """The expression with coordinate k set to seed(k, column k)."""
-        env = {name: seed(k, c)
-               for k, (name, c) in enumerate(zip(self.vars, _columns(pts)))}
-        return self._ex.evaluate(self.ast, env)
+    def _at(self, cols):
+        """The expression at coordinate columns (floats, arrays or duals)."""
+        return evaluate(self.ast, dict(zip(self.vars, cols)))
 
     def value(self, pts):
-        return _stack([self._evaluate(pts)], len(pts))[:, 0]
+        return _stack([self._at(_columns(pts))], len(pts))[:, 0]
 
     def grad(self, pts):
+        cols = _columns(pts)
+
         def along(i):
-            return dual_parts(self._evaluate(
-                pts, lambda k, c: Dual(c, float(k == i))))[1]
+            return dual_parts(self._at(
+                [Dual(c, float(k == i)) for k, c in enumerate(cols)]))[1]
 
         return _stack([along(i) for i in range(self.m)], len(pts))
 
     def hess(self, pts):
-        out = np.empty((len(pts), self.m, self.m))
-        for i in range(self.m):
-            for j in range(i + 1):
-                res = self._evaluate(pts, lambda k, c: Dual(
-                    Dual(c, float(k == j)), Dual(float(k == i), 0.0)))
-                out[:, i, j] = out[:, j, i] = jet_parts(res)[2]
-        return out
+        return jet(lambda cols: [self._at(cols)], pts)[2][:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -332,27 +322,27 @@ class ModelChartAmbient:
 # Charts and jets
 
 
-def chart_points(P, V):
-    """Ambient points (K, m) of a stack V of parameter points (K, n)."""
-    return _stack(P.chart(_columns(V)), len(V))
-
-
 def field_values(fld, V):
-    """K values of a scalar field at a stack V (K, n) of parameter points;
-    a scalar return value stands for a constant field."""
-    return np.broadcast_to(np.asarray(fld(V), dtype=float), (len(V),))
+    """K values of a scalar field at a stack V (K, n) of parameter points.
+
+    A field follows the chart contract: it takes a list of n columns and
+    uses elementwise, dual-friendly arithmetic only, so ``jet`` can
+    differentiate it; a scalar return value stands for a constant field."""
+    return np.broadcast_to(np.asarray(fld(_columns(V)), dtype=float), (len(V),))
 
 
-def chart_jet(P, U):
-    """Points (N, m), Jacobians (N, m, n) and second derivatives
-    (N, m, n, n) of the chart at a stack U (N, n), from one chart call per
-    derivative pair.  The nested dual seeded with e_j inside and e_i
-    outside carries d_j X in its value part and d_i d_j X in its mixed
-    part, so the diagonal evaluations (i = j) supply the Jacobian.
+def jet(fn, U):
+    """Values (N, m), Jacobians (N, m, n) and second derivatives
+    (N, m, n, n) at a stack U (N, n) of a column callable returning m
+    components: a chart, a declared normal, or ``lambda u: [fld(u)]`` for a
+    scalar field.  One call per derivative pair: the nested dual seeded
+    with e_j inside and e_i outside carries d_j in its value part and
+    d_i d_j in its mixed part, so the diagonal calls (i = j) supply the
+    Jacobian.
     """
     N, n = U.shape
     cols = _columns(U)
-    x0 = _stack(P.chart(cols), N)
+    x0 = _stack(fn(cols), N)
     m = x0.shape[1]
     J = np.empty((N, m, n))
     H = np.empty((N, m, n, n))
@@ -363,19 +353,11 @@ def chart_jet(P, U):
                 dj = 1.0 if k == j else 0.0
                 di = 1.0 if k == i else 0.0
                 args.append(Dual(Dual(cols[k], dj), Dual(di, 0.0)))
-            _, first, mixed = zip(*(jet_parts(v) for v in P.chart(args)))
+            _, first, mixed = zip(*(jet_parts(v) for v in fn(args)))
             H[:, :, i, j] = H[:, :, j, i] = _stack(mixed, N)
             if i == j:
                 J[:, :, j] = _stack(first, N)
     return x0, J, H
-
-
-def _covariant_second(P, x, J, Hx):
-    """Ambient-covariant second derivatives D_i d_j X, shape (N, n, n, m)."""
-    second = np.transpose(Hx, (0, 2, 3, 1))
-    if P.ambient.flat:      # no Christoffel term
-        return second
-    return second + np.einsum("Nkab,Nai,Nbj->Nijk", P.ambient.christoffels(x), J, J)
 
 
 @dataclass
@@ -403,8 +385,10 @@ class ImmersedSubmanifold:
         return self.ambient.m
 
     def point(self, u):
-        u = np.asarray(u, dtype=float)
-        return chart_points(self, u) if u.ndim == 2 else chart_points(self, u[None])[0]
+        """Ambient points (K, m) of a stack u (K, n), or the point of one u."""
+        U = np.atleast_2d(np.asarray(u, dtype=float))
+        x = _stack(self.chart(_columns(U)), len(U))
+        return x if np.ndim(u) == 2 else x[0]
 
 
 @dataclass
@@ -426,6 +410,7 @@ class GeometrySample:
     tangent_frame: np.ndarray       # (n, m) orthonormal rows
     normals: np.ndarray             # (m-n, m) orthonormal rows
     second_fundamental: np.ndarray  # (m-n, n, n) scalar components
+    chart_second: np.ndarray        # (m, n, n) coordinate d_i d_j X
     covariant_second: np.ndarray    # (n, n, m) ambient-covariant D_i d_j X
     trace: np.ndarray               # g^{ij} D_i d_j X (ambient coordinates)
     mc_vec: np.ndarray              # n * Hbar_P, the normal part of trace
@@ -517,7 +502,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     # overflowing rows are flagged below and the first one raises; numpy's
     # warnings would only be noise (errors under a caller's error filter)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        x, J, Hx = chart_jet(P, U)
+        x, J, Hx = jet(P.chart, U)
         ambient_metric = P.ambient.metric(x)
         flat = P.ambient.flat
         G = None if flat else ambient_metric     # None: the identity, see _inner
@@ -533,7 +518,11 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
         cond = np.where(finite, eig.max(axis=1) / eig.min(axis=1), np.nan)
         bad_cond = ~(cond < _COND_LIMIT)
         g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
-        second = _covariant_second(P, x, J, Hx)
+        # ambient-covariant D_i d_j X, (N, n, n, m): no Christoffel term if flat
+        second = np.transpose(Hx, (0, 2, 3, 1))
+        if not flat:
+            second = second + np.einsum("Nkab,Nai,Nbj->Nijk",
+                                        P.ambient.christoffels(x), J, J)
 
         tangent, bad_frame = _gram_schmidt(J, G)
         checks = [
@@ -580,8 +569,8 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     return GeometrySample(
         u=U, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
         ambient_metric=ambient_metric, tangent_frame=tangent, normals=normals,
-        second_fundamental=sff, covariant_second=second, trace=trace, mc_vec=mc,
-        wmc_vec=wmc, grad_h=grad_h, grad_r=grad_r,
+        second_fundamental=sff, chart_second=Hx, covariant_second=second,
+        trace=trace, mc_vec=mc, wmc_vec=wmc, grad_h=grad_h, grad_r=grad_r,
         radial_tangent_norm=radial_norm, flat=flat)
 
 
@@ -594,38 +583,6 @@ def geometry_at(P: ImmersedSubmanifold, u):
 # Intrinsic weighted Laplacian
 
 
-def _stencil_values(f, U, rel, offsets):
-    """Values (S, N) of f, from one call, at u + sum_i s_i h_i e_i for each
-    point u of U (N, n) and offset s of ``offsets`` (S, n), entries -1, 0
-    and 1; also the steps h_i = rel (1 + |u_i|), (N, n)."""
-    h = rel * (1.0 + np.abs(U))
-    rows = (U[None] + offsets[:, None, :] * h[None]).reshape(-1, U.shape[1])
-    return field_values(f, rows).reshape(len(offsets), len(U)), h
-
-
-def _fd_gradient(f, U, rel=_STEP_GRAD):
-    """Central first differences (N, n) of f at a stack U (N, n)."""
-    n = U.shape[1]
-    vals, h = _stencil_values(f, U, rel, np.concatenate([np.eye(n), -np.eye(n)]))
-    return (vals[:n] - vals[n:]).T / (2.0 * h)
-
-
-def _fd_hessian(f, U, rel=_STEP_HESS):
-    """Central second differences (N, n, n) of f at a stack U (N, n)."""
-    N, n = U.shape
-    eye = np.eye(n)
-    pairs = [(i, j) for i in range(n) for j in range(i)]
-    corners = [si * eye[i] + sj * eye[j] for i, j in pairs
-               for si, sj in ((1, 1), (1, -1), (-1, 1), (-1, -1))]
-    vals, h = _stencil_values(f, U, rel, np.array([np.zeros(n), *eye, *-eye, *corners]))
-    out = np.empty((N, n, n))
-    for i in range(n):
-        out[:, i, i] = (vals[1 + i] - 2.0 * vals[0] + vals[1 + n + i]) / h[:, i] ** 2
-    for (i, j), (pp, pm, mp, mm) in zip(pairs, vals[1 + 2 * n:].reshape(-1, 4, N)):
-        out[:, i, j] = out[:, j, i] = (pp - pm - mp + mm) / (4.0 * h[:, i] * h[:, j])
-    return out
-
-
 def _drift(s):
     """Drift b (N, n) of the weighted Laplacian of a stacked sample:
     b = g^{-1} J^T (dh - G tr) with the sample's tr = g^{ij} D_i d_j X, which
@@ -635,16 +592,35 @@ def _drift(s):
     return (s.metric_inv @ (np.swapaxes(s.jacobian, -1, -2) @ dh[..., None]))[..., 0]
 
 
+def _laplacian(s, df, d2f):
+    """g^{ij} d_i d_j f + b^k d_k f at each row of a stacked sample, from
+    the parameter gradients df (N, n) and Hessians d2f (N, n, n) of f, with
+    the drift b of ``_drift``."""
+    return (np.einsum("Nij,Nij->N", s.metric_inv, d2f)
+            + np.einsum("Nk,Nk->N", _drift(s), df))
+
+
+def _pullback(s, grad, hess=None):
+    """Parameter gradients (N, n) and Hessians (N, n, n) of F o X by the
+    chain rule through the sample's chart jet, from the coordinate gradient
+    grad (N, m) and Hessian hess ((N, m, m) or (m, m); None for an affine F)
+    of F at the sample's points."""
+    J = s.jacobian
+    d2 = np.einsum("Nc,Ncij->Nij", grad, s.chart_second)
+    if hess is not None:
+        d2 = d2 + np.swapaxes(J, -1, -2) @ hess @ J
+    return (grad[:, None, :] @ J)[:, 0], d2
+
+
 def weighted_laplacian(s, fld):
     """Drift Laplacian of a scalar field on the parameter domain at each
     point of a stacked sample s = ``geometry_at_batch(P, U)``, shape (N,).
 
-    Coordinate formula g^{ij} d2_ij f + b^k d_k f with the drift b of
-    ``_drift``; ``fld`` takes stacks (see ``field_values``).
+    ``fld`` is a dual-friendly column callable (see ``field_values``); its
+    derivatives come from ``jet``.
     """
-    grad_f = _fd_gradient(fld, s.u)
-    return (np.einsum("Nij,Nij->N", s.metric_inv, _fd_hessian(fld, s.u))
-            + np.einsum("Nk,Nk->N", _drift(s), grad_f))
+    _, df, d2f = jet(lambda u: [fld(u)], s.u)
+    return _laplacian(s, df[:, 0], d2f[:, 0])
 
 
 # ---------------------------------------------------------------------------
@@ -666,12 +642,19 @@ def radial_identity_residual(P, s, psi: RadialProfile):
     amb = P.ambient
     r = amb.r(s.point)
     H = amb.sphere_curvature(r)
-    dpsi = psi.deriv(r)
+    dpsi, d2psi = psi.deriv(r), psi.second(r)
     G = None if s.flat else s.ambient_metric
-    rhs = ((psi.second(r) - H * dpsi) * s.radial_tangent_norm ** 2
+    rhs = ((d2psi - H * dpsi) * s.radial_tangent_norm ** 2
            + (P.n * H + _inner(G, s.grad_h, s.grad_r)
               + _inner(G, s.wmc_vec, s.grad_r)) * dpsi)
-    lhs = weighted_laplacian(s, lambda V: psi.value(amb.r(chart_points(P, V))))
+    # direct side psi'' dr dr^T + psi' d2r with r o X pulled back: r = |x| has
+    # the Hessian (I - e e^T) / r, e = grad_r; a model chart's r = t has none
+    e = s.grad_r
+    hess_r = (np.eye(P.m) - e[:, :, None] * e[:, None, :]) / r[:, None, None] if s.flat else None
+    dr, d2r = _pullback(s, e, hess_r)
+    lhs = _laplacian(s, dpsi[:, None] * dr,
+                     d2psi[:, None, None] * dr[:, :, None] * dr[:, None, :]
+                     + dpsi[:, None, None] * d2r)
     return np.abs(lhs - rhs)
 
 
@@ -751,7 +734,7 @@ def height_laplacian(P, s, a):
         raise DomainError("height functions require a Euclidean ambient")
     a = np.asarray(a, dtype=float)
     formula = s.wmc_vec @ a + s.grad_h @ a
-    direct = weighted_laplacian(s, lambda V: chart_points(P, V) @ a)
+    direct = _laplacian(s, *_pullback(s, np.broadcast_to(a, s.point.shape)))
     return LaplacianComparison(formula, direct)
 
 
@@ -769,8 +752,10 @@ def cylinder_distance_laplacian(P, s, k=None):
     x = s.point[:, :k]
     horiz = (s.tangent_frame[:, :, :k] ** 2).sum(axis=(1, 2))
     formula = horiz + (s.grad_h[:, :k] * x).sum(axis=1) + (s.wmc_vec[:, :k] * x).sum(axis=1)
-    direct = weighted_laplacian(
-        s, lambda V: 0.5 * (chart_points(P, V)[:, :k] ** 2).sum(axis=1))
+    grad = np.zeros_like(s.point)
+    grad[:, :k] = x
+    hess = np.diag((np.arange(P.m) < k).astype(float))
+    direct = _laplacian(s, *_pullback(s, grad, hess))
     return LaplacianComparison(formula, direct)
 
 
@@ -806,6 +791,21 @@ def _sigma_sq(s):
     return np.einsum("Nik,Njl,Nij,Nkl->N", s.metric_inv, s.metric_inv, sigma, sigma)
 
 
+def _scalar_wmc_gradient(s, hess_h, N, dN, d2N):
+    """Parameter gradients (rows, n) of H = <wmc, N> = -g^{ij} A_ij - <grad h, N>,
+    A_ij = <d_j X, d_i N>, on a hypersurface of a flat ambient with a declared
+    normal N.  The jet of N (dN, d2N), the chart's second derivatives and the
+    weight's Hessian suffice: d_k g^{ij} = -g^{ia} d_k g_ab g^{bj} and
+    d_k g_ab = <d_k d_a X, d_b X> + <d_a X, d_k d_b X>."""
+    J, Hx, g_inv = s.jacobian, s.chart_second, s.metric_inv
+    M = g_inv @ np.einsum("Ncj,Nci->Nij", J, dN) @ g_inv
+    return (np.einsum("Ncka,Ncb,Nab->Nk", Hx, J, M + np.swapaxes(M, -1, -2))
+            - np.einsum("Nij,Nckj,Nci->Nk", g_inv, Hx, dN)
+            - np.einsum("Nij,Ncj,Ncik->Nk", g_inv, J, d2N)
+            - np.einsum("Nck,Ncd,Nd->Nk", J, hess_h, N)
+            - np.einsum("Nc,Nck->Nk", s.grad_h, dN))
+
+
 def angle_function_laplacian(P, s):
     """Weighted Laplacian of theta = <N, dt> on a graph t = phi(x).
 
@@ -827,14 +827,11 @@ def angle_function_laplacian(P, s):
     formula_cmc = (_inner(hess[:, :-1, :-1], n_h, n_h)
                    + hess[:, -1, -1] * (theta ** 2 - 1.0) - sigma_sq) * theta
 
-    def scalar_h_mc(V):
-        sv = geometry_at_batch(P, V)
-        return np.einsum("Nk,Nk->N", sv.wmc_vec, sv.normals[:, 0])
-
+    _, dN, d2N = jet(P.normal, s.u)
     # <grad_P H, dt^T> = g^{ij} d_i H <d_j X, dt>
-    advection = _inner(s.metric_inv, _fd_gradient(scalar_h_mc, s.u), s.jacobian[:, -1])
-    direct = weighted_laplacian(
-        s, lambda V: _stack(P.normal(_columns(V)), len(V))[:, -1])
+    advection = _inner(s.metric_inv, _scalar_wmc_gradient(s, hess, normal, dN, d2N),
+                       s.jacobian[:, -1])
+    direct = _laplacian(s, dN[:, -1], d2N[:, -1])
     return AngleLaplacian(formula_cmc=formula_cmc,
                           formula=formula_cmc - advection,
                           direct=direct, theta=theta, sigma_sq=sigma_sq,
@@ -857,9 +854,9 @@ def index_form(P, test, box=None, panels=8):
 
     Integrates |grad_P u|^2 - (Ric_h(N,N) + |sigma|^2) u^2 against the
     weighted area element over the parameter box, with
-    Ric_h(N,N) = -Hess h(N,N).  ``test`` takes a stack of parameter
-    points (see ``field_values``); for non-closed charts it must vanish on
-    the box boundary.
+    Ric_h(N,N) = -Hess h(N,N).  ``test`` is a field (see ``field_values``)
+    whose gradient comes from ``jet``; for non-closed charts it must vanish
+    on the box boundary.
     """
     if not P.ambient.flat:
         raise DomainError("index form implemented for Euclidean ambients only")
@@ -882,8 +879,8 @@ def index_form(P, test, box=None, panels=8):
     axes = [_panel_nodes(lo, hi, panels) for lo, hi in box]
     U = _grid(*(xs for xs, _ in axes))
     s = geometry_at_batch(P, U)
-    tv = field_values(test, U)
-    grad_t = _fd_gradient(test, U)
+    tv, dt, _ = jet(lambda u: [test(u)], U)
+    tv, grad_t = tv[:, 0], dt[:, 0]
     grad_sq = _inner(s.metric_inv, grad_t, grad_t)
     N = s.normals[:, 0]
     ric_h = -_inner(P.ambient.weight.hess(s.point), N, N)

@@ -447,7 +447,7 @@ def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
 
     Antithetic increments cancel the first-order martingale term, so the
     statistical error scales with the second-order fluctuation.  The bias
-    is O(dtau).  ``fld`` takes a stack of parameter points (see
+    is O(dtau).  ``fld`` is a dual-friendly field of parameter columns (see
     ``geometry.field_values``).
     """
     u = np.asarray(u, dtype=float)

@@ -147,7 +147,7 @@ def test_acceptance_05_radial_identity_suite():
             worst = max(worst, r)
             if is_sphere:
                 worst_sphere = max(worst_sphere, r)
-    ok = combos >= 600 and worst <= 1e-5 and worst_sphere <= 1e-7
+    ok = combos >= 600 and worst <= 1e-12 and worst_sphere <= 1e-12
     _report(5, ok, f"radial identity on {combos} combos: max residual "
                    f"{worst:.2e} (spheres {worst_sphere:.2e})")
 
@@ -287,7 +287,7 @@ def test_acceptance_12_angle_function_identity():
     worst_cmc = max(
         ge.angle_function_laplacian(tilt, ge.geometry_at_batch(tilt, [[0.3, 0.7]])).residual_cmc,
         ge.angle_function_laplacian(grim, ge.geometry_at_batch(grim, [[0.4]])).residual_cmc)[0]
-    ok = worst <= 1e-4 and worst_cmc <= 1e-6
+    ok = worst <= 1e-12 and worst_cmc <= 1e-12
     _report(12, ok, f"angle identity: paraboloid residual {worst:.2e} over 20 "
                     f"points, constant-curvature entries {worst_cmc:.2e}")
 

@@ -587,8 +587,8 @@ def identities_scenario(**params):
 
 def test_identity_check_makes_a_fixed_number_of_chart_calls(tmp_path,
                                                             monkeypatch):
-    # one jet for the geometry, whose sample the direct side reads too, and
-    # one field call each for the gradient and Hessian stencils of every point
+    # one chart jet for the geometry, n(n+1)/2 nested-dual calls and one
+    # plain call; the direct side is chain-ruled from its sample
     calls = []
     resolve = catalogs.resolve_immersion
 
@@ -606,8 +606,8 @@ def test_identity_check_makes_a_fixed_number_of_chart_calls(tmp_path,
         calls.clear()
         entry = cli.run_scenario(identities_scenario(points=points), tmp_path)
         assert entry["status"] == "ok" and entry["points"] == points
-        assert entry["radial_identity_max_residual"] <= 1e-6
-        assert len(calls) <= 6, (points, len(calls))
+        assert entry["radial_identity_max_residual"] <= 1e-12
+        assert len(calls) == 4, (points, len(calls))
 
 
 def test_scenario_counts_and_radii_are_checked(tmp_path):
@@ -815,6 +815,32 @@ def test_curve_and_capacity_numbers_are_checked(tmp_path):
     assert (tmp_path / "ok0.csv").read_bytes() == (tmp_path / "ok1.csv").read_bytes()
     # the keys echo the entries as given
     assert list(cap["capacity_report"]["potential_values"]) == ["1.5", "2"]
+
+
+def test_hint_and_alpha_are_checked_where_no_branch_reads_them(tmp_path):
+    # a finite R reads no hint and ahlfors_direct reads no alpha: both are
+    # validated all the same, and valid values change nothing
+    cases = [
+        (capacity_scenario(hint="bogus"),
+         "DomainError: hint must be an object, got 'bogus'"),
+        (capacity_scenario(hint={"tag": "power_order", "param": "x"}),
+         "DomainError: hint.param must be a finite number, got 'x'"),
+        (classify_scenario("ahlfors_direct", alpha=5),
+         "ExprSyntaxError: expression must be a string, got 5 (at position 0)"),
+        (classify_scenario("radial_weight", alpha="-t +"),
+         "ExprSyntaxError: unexpected token None (at position 4)"),
+    ]
+    scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
+    ok = [{**capacity_scenario(), "id": "cap"},
+          {**capacity_scenario(hint={"tag": "power_order", "param": 2.0}), "id": "cap-hint"},
+          {**classify_scenario("ahlfors_direct"), "id": "cls"},
+          {**classify_scenario("ahlfors_direct", alpha="-t"), "id": "cls-alpha"}]
+    cli.run_config({"scenarios": scenarios + ok}, tmp_path)
+    *bad, cap, cap_hint, cls, cls_alpha = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert cap["status"] == cls["status"] == "ok"
+    assert cap_hint["capacity_report"] == cap["capacity_report"]
+    assert cls_alpha["verdict"] == cls["verdict"]
 
 
 def test_range_and_eval_at_shapes_are_checked(tmp_path):

@@ -9,7 +9,7 @@ from wparab import catalogs
 from wparab import geometry as ge
 from wparab import radial as rd
 from wparab.errors import DegenerateMetricError, DomainError, SupportError
-from wparab.expr import fexp, fpow
+from wparab.expr import fcos, fexp, fpow, fsin
 from wparab.model import WeightedModel
 from wparab.verdicts import FAILS, HOLDS
 
@@ -195,10 +195,10 @@ def catalog_charts():
 @pytest.mark.parametrize("P", catalog_charts(), ids=lambda P: P.name)
 def test_batched_rows_match_single_points(P):
     U = ge._grid_points(P.window, 5)
-    x, J, H = ge.chart_jet(P, U)
+    x, J, H = ge.jet(P.chart, U)
     batch = ge.geometry_at_batch(P, U)
     for i, u in enumerate(U):
-        for stacked, single in zip((x, J, H), ge.chart_jet(P, u[None])):
+        for stacked, single in zip((x, J, H), ge.jet(P.chart, u[None])):
             assert np.array_equal(stacked[i], single[0]), (P.name, u)
         row, s = batch.row(i), ge.geometry_at(P, u)
         for field in dataclasses.fields(s):
@@ -329,25 +329,29 @@ def test_weight_batches_match_single_points(weight):
 # --- weighted Laplacian -----------------------------------------------------
 
 
+def _half_square_norm(P):
+    """|X|^2/2 as a dual-friendly field on the parameter domain of P."""
+    return lambda u: 0.5 * sum(c * c for c in P.chart(u))
+
+
 def test_laplacian_of_constant_vanishes():
     P = ge.euclidean_sphere(2.0, 3, gaussian_weight())
     s = ge.geometry_at_batch(P, [[0.9, 1.3]])
-    assert abs(ge.weighted_laplacian(s, lambda v: 3.7)[0]) <= 1e-10
+    assert ge.weighted_laplacian(s, lambda u: 3.7)[0] == 0.0
 
 
 def test_laplacian_of_radial_function_on_sphere_vanishes():
     P = ge.euclidean_sphere(2.0, 3)
-    fld = lambda V: PSI_SQ.value(np.linalg.norm(P.point(V), axis=1))
-    assert abs(ge.weighted_laplacian(ge.geometry_at_batch(P, [[0.9, 1.3]]), fld)[0]) <= 1e-8
+    s = ge.geometry_at_batch(P, [[0.9, 1.3]])
+    assert abs(ge.weighted_laplacian(s, _half_square_norm(P))[0]) <= 1e-14
 
 
 def test_laplacian_on_gaussian_plane_flat_chart_oracle():
     # oracle: direct flat computation Delta v + <grad h, grad v> = 2 - r^2
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
     u = np.array([math.cos(0.4), math.sin(0.4)])  # |p| = 1
-    fld = lambda V: 0.5 * (P.point(V) ** 2).sum(axis=1)
-    assert ge.weighted_laplacian(ge.geometry_at_batch(P, [u]), fld)[0] == pytest.approx(
-        1.0, abs=1e-8)
+    value = ge.weighted_laplacian(ge.geometry_at_batch(P, [u]), _half_square_norm(P))[0]
+    assert value == pytest.approx(1.0, abs=1e-14)
 
 
 def _metric_difference_oracle(P, u):
@@ -357,7 +361,7 @@ def _metric_difference_oracle(P, u):
     n = len(u)
 
     def metric(v):
-        x, J, _ = (a[0] for a in ge.chart_jet(P, v[None]))
+        x, J, _ = (a[0] for a in ge.jet(P.chart, v[None]))
         return J.T @ P.ambient.metric(x) @ J
 
     def h_pull(v):
@@ -410,7 +414,7 @@ def test_intrinsic_data_matches_metric_differences():
 def test_laplacian_reads_the_sample_and_refuses_a_degenerate_metric():
     P = ge.helicoid(0.7, gaussian_weight())
     U = _window_points(P, 4, 5)
-    fld = lambda V: np.sin(V[:, 0]) * V[:, 1]  # noqa: E731
+    fld = lambda u: fsin(u[0]) * u[1]  # noqa: E731
     sample = ge.geometry_at_batch(P, U)
     # each value belongs to the row of the sample it was read from
     assert np.array_equal(ge.weighted_laplacian(sample, fld)[::-1],
@@ -424,42 +428,7 @@ def test_laplacian_reads_the_sample_and_refuses_a_degenerate_metric():
         ge.weighted_laplacian(ge.geometry_at_batch(fold, [[1.0, 0.5]]), fld)
 
 
-# --- stacked finite differences ---------------------------------------------
-
-
-def _point_gradient(f, u, rel=ge._STEP_GRAD):
-    # the per-point central differences the stacked helpers replace
-    out = np.empty(len(u))
-    for i in range(len(u)):
-        h = rel * (1.0 + abs(u[i]))
-        up, um = u.copy(), u.copy()
-        up[i] += h
-        um[i] -= h
-        out[i] = (f(up) - f(um)) / (2.0 * h)
-    return out
-
-
-def _point_hessian(f, u, rel=ge._STEP_HESS):
-    n = len(u)
-    out = np.empty((n, n))
-    f0 = f(u)
-    for i in range(n):
-        hi = rel * (1.0 + abs(u[i]))
-        up, um = u.copy(), u.copy()
-        up[i] += hi
-        um[i] -= hi
-        out[i, i] = (f(up) - 2.0 * f0 + f(um)) / hi ** 2
-        for j in range(i):
-            hj = rel * (1.0 + abs(u[j]))
-            upp, upm, ump, umm = u.copy(), u.copy(), u.copy(), u.copy()
-            upp[[i, j]] += [hi, hj]
-            upm[i] += hi
-            upm[j] -= hj
-            ump[i] -= hi
-            ump[j] += hj
-            umm[[i, j]] -= [hi, hj]
-            out[i, j] = out[j, i] = (f(upp) - f(upm) - f(ump) + f(umm)) / (4.0 * hi * hj)
-    return out
+# --- jets of fields -----------------------------------------------------------
 
 
 def stencil_charts():
@@ -477,36 +446,40 @@ def stencil_charts():
     ]
 
 
-def _radius_and_weight_field(P):
-    def fld(V):
-        x = P.point(V)
-        return np.exp(-0.5 * P.ambient.r(x) ** 2) + P.ambient.weight.value(x)
-
-    return fld
-
-
 def _window_points(P, count, seed):
     rng = np.random.default_rng(seed)
     return np.array([[rng.uniform(lo, hi) for lo, hi in P.window]
                      for _ in range(count)])
 
 
+def _quartic(u):
+    x, y = u
+    return 0.7 * x * x * x - 1.3 * x * x * y + 0.4 * y * y * y * y + 2.0 * x * y - 0.5
+
+
+def _quartic_derivatives(u):
+    x, y = u
+    grad = [2.1 * x * x - 2.6 * x * y + 2.0 * y, -1.3 * x * x + 1.6 * y ** 3 + 2.0 * x]
+    cross = -2.6 * x + 2.0
+    return np.array(grad), np.array([[4.2 * x - 2.6 * y, cross], [cross, 4.8 * y * y]])
+
+
 @pytest.mark.parametrize("P", stencil_charts(), ids=lambda P: P.name)
-def test_stacked_differences_equal_the_point_loop_bitwise(P):
-    fld = _radius_and_weight_field(P)
-    calls = []
-
-    def counted(V):
-        calls.append(len(V))
-        return fld(V)
-
+def test_jet_of_a_polynomial_field_matches_its_analytic_derivatives(P):
     U = _window_points(P, 6, 41)
-    grad, hess = ge._fd_gradient(counted, U), ge._fd_hessian(counted, U)
-    assert calls == [6 * 2 * P.n, 6 * (1 + 2 * P.n + 2 * P.n * (P.n - 1))]
-    at_point = lambda v: fld(v[None])[0]
+    value, grad, hess = ge.jet(lambda u: [_quartic(u)], U)
+    assert value.shape == (6, 1) and grad.shape == (6, 1, 2) and hess.shape == (6, 1, 2, 2)
+    s = ge.geometry_at_batch(P, U)
+    laplacian, drift = ge.weighted_laplacian(s, _quartic), ge._drift(s)
     for k, u in enumerate(U):
-        assert np.array_equal(grad[k], _point_gradient(at_point, u)), (P.name, u)
-        assert np.array_equal(hess[k], _point_hessian(at_point, u)), (P.name, u)
+        want_grad, want_hess = _quartic_derivatives(u)
+        scale = max(1.0, np.abs(want_grad).max(), np.abs(want_hess).max())
+        assert value[k, 0] == _quartic(u), (P.name, u)
+        assert np.abs(grad[k, 0] - want_grad).max() <= 1e-14 * scale, (P.name, u)
+        assert np.abs(hess[k, 0] - want_hess).max() <= 1e-14 * scale, (P.name, u)
+        # the drift Laplacian is g^{ij} d_i d_j f + b^k d_k f of those derivatives
+        want = (s.metric_inv[k] * want_hess).sum() + drift[k] @ want_grad
+        assert abs(laplacian[k] - want) <= 1e-14 * max(1.0, abs(want)), (P.name, u)
 
 
 def _comparison_checks(P):
@@ -534,10 +507,8 @@ def test_stacked_identity_residual_matches_the_point_loop(P):
         stacked = ge.radial_identity_residual(P, sample, psi)
         assert stacked.shape == (5,)
         for k, u in enumerate(U):
-            lhs = ge.weighted_laplacian(
-                rows[k], lambda V: psi.value(P.ambient.r(P.point(V))))[0]
             single = ge.radial_identity_residual(P, rows[k], psi)[0]
-            assert abs(stacked[k] - single) <= 1e-13 * (1.0 + abs(lhs)), (P.name, u)
+            assert abs(stacked[k] - single) <= 1e-13, (P.name, u)
     # N rows agree with N one-row samples: the direct side to the bit
     for check in _comparison_checks(P):
         stacked = check(sample)
@@ -560,16 +531,43 @@ def test_radial_identity_names_the_first_row_at_the_pole():
 # --- radial identity ---------------------------------------------------------
 
 
+@pytest.mark.parametrize("P", [
+    ge.model_sphere(WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian()),
+                    1.3),
+    ge.radial_graph(WeightedModel(3, rd.warping_hyperbolic(-1.0), rd.weight_gaussian()),
+                    1.5, 0.3),
+    ge.radial_graph(WeightedModel(4, rd.warping_hyperbolic(-2.0),
+                                  rd.weight_antigaussian()), 1.2, 0.2),
+], ids=lambda P: P.name)
+def test_radial_direct_side_in_a_model_chart_matches_the_closed_form(P):
+    # in a model chart r = t is the first chart component, so psi(t(u)) is a
+    # dual-friendly field whose jet gives a second, independent direct side
+    s = ge.geometry_at_batch(P, _window_points(P, 6, 11))
+    r = s.point[:, 0]
+    for psi, of_t in ((PSI_SQ, lambda t: 0.5 * t * t),
+                      (rd.RadialProfile.from_expression("exp(-t^2/2)"),
+                       lambda t: fexp(-0.5 * t * t))):
+        H, dpsi = P.ambient.sphere_curvature(r), psi.deriv(r)
+        G = s.ambient_metric
+        drift_r = np.einsum("Ni,Nij,Nj->N", s.grad_h + s.wmc_vec, G, s.grad_r)
+        closed = ((psi.second(r) - H * dpsi) * s.radial_tangent_norm ** 2
+                  + (P.n * H + drift_r) * dpsi)
+        direct = ge.weighted_laplacian(s, lambda u: of_t(P.chart(u)[0]))
+        scale = np.maximum(1.0, np.abs(closed))
+        assert np.all(np.abs(direct - closed) <= 1e-12 * scale), P.name
+        assert np.all(ge.radial_identity_residual(P, s, psi) <= 1e-12 * scale), P.name
+
+
 def test_radial_identity_sphere_cancellation():
     P = ge.euclidean_sphere(2.0, 3, gaussian_weight())
     assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [[0.9, 1.3]]),
-                                       PSI_SQ)[0] <= 1e-7
+                                       PSI_SQ)[0] <= 1e-12
 
 
 def test_radial_identity_gaussian_plane():
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
     u = np.array([math.cos(0.3), math.sin(0.3)])
-    assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [u]), PSI_SQ)[0] <= 1e-6
+    assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [u]), PSI_SQ)[0] <= 1e-12
 
 
 def test_radial_identity_cylinder():
@@ -577,7 +575,7 @@ def test_radial_identity_cylinder():
     psi = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
                            lambda t: 0.0 * t, name="t")
     assert ge.radial_identity_residual(P, ge.geometry_at_batch(P, [[0.8, 0.5]]),
-                                       psi)[0] <= 1e-5
+                                       psi)[0] <= 1e-12
 
 
 # --- hypothesis profiling -----------------------------------------------------
@@ -625,7 +623,7 @@ def test_height_laplacian_gaussian_offset_hyperplane():
                               np.array([0.0, 0.0, 1.0]))
     # weighted curvature t0 cancels the weight slope -t0
     assert abs(res.formula) <= 1e-12
-    assert res.residual <= 1e-8
+    assert res.residual <= 1e-12
 
 
 def test_height_laplacian_vertical_plane_translator():
@@ -633,21 +631,21 @@ def test_height_laplacian_vertical_plane_translator():
     res = ge.height_laplacian(P, ge.geometry_at_batch(P, [[0.3, 1.2]]),
                               np.array([0.0, 0.0, 1.0]))
     assert res.formula == pytest.approx(1.0, abs=1e-12)
-    assert res.residual <= 1e-8
+    assert res.residual <= 1e-12
 
 
 def test_height_laplacian_unweighted_plane():
     P = ge.hyperplane(3, [0.0, 0.0, 1.0], 0.0)
     res = ge.height_laplacian(P, ge.geometry_at_batch(P, [[1.0, 2.0]]),
                               np.array([0.0, 1.0, 0.0]))
-    assert abs(res.formula) <= 1e-14 and res.residual <= 1e-9
+    assert abs(res.formula) <= 1e-14 and res.residual <= 1e-12
 
 
 def test_cylinder_distance_laplacian_on_minimal_cylinder():
     P = ge.cylinder_hypersurface(math.sqrt(3.0), 4, 5, gaussian_weight())
     res = ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[1.0, 0.9, 2.0, 0.7]]))
-    assert abs(res.formula) <= 1e-7
-    assert abs(res.direct) <= 1e-7
+    assert abs(res.formula) <= 1e-12
+    assert abs(res.direct) <= 1e-12
 
 
 def test_cylinder_distance_laplacian_vertical_plane():
@@ -658,13 +656,13 @@ def test_cylinder_distance_laplacian_vertical_plane():
         lambda u: [1.0 + 0.0 * u[0], 0.5 + 0.0 * u[0], u[0], u[1]],
         window=((-2, 2), (-2, 2)))
     res = ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[0.4, -1.1]]), k=2)
-    assert abs(res.formula) <= 1e-10 and abs(res.direct) <= 1e-10
+    assert abs(res.formula) <= 1e-12 and abs(res.direct) <= 1e-12
 
 
 def test_cylinder_distance_laplacian_identity_on_unweighted_cylinder():
     P = ge.cylinder_hypersurface(1.0, 2, 3)
     res = ge.cylinder_distance_laplacian(P, ge.geometry_at_batch(P, [[0.8, 0.5]]))
-    assert res.residual <= 1e-5
+    assert res.residual <= 1e-12
 
 
 def test_cylinder_distance_requires_valid_splitting():
@@ -691,10 +689,44 @@ def test_hessian_and_height_checks_refuse_a_model_chart(check):
 # --- angle function -----------------------------------------------------------
 
 
+def _scalar_wmc_difference_oracle(P, u):
+    """Central differences of <wmc, N> at u, steps eps^(1/3) (1 + |u_k|)."""
+    grad = np.empty(len(u))
+    for k in range(len(u)):
+        step = np.finfo(float).eps ** (1.0 / 3.0) * (1.0 + abs(u[k]))
+        up, um = u.copy(), u.copy()
+        up[k] += step
+        um[k] -= step
+        s = ge.geometry_at_batch(P, [up, um])
+        H = (s.wmc_vec * s.normals[:, 0]).sum(axis=1)
+        grad[k] = (H[0] - H[1]) / (2.0 * step)
+    return grad
+
+
+@pytest.mark.parametrize("P", [
+    ge.paraboloid_graph(3, gaussian_split(3)),
+    ge.grim_curve(),
+    # a weight Hessian that is no multiple of the identity
+    catalogs.resolve_submanifold(
+        {"name": "graph", "expr": "0.3*x1^2-0.2*x1*x2+sin(x2)"}, 3,
+        ge.SplitWeight(ge.RadialWeight(rd.weight_power(-0.3, 3.0)),
+                       rd.RadialProfile.from_expression("0.5*t^2 + sin(t)"), 3)),
+], ids=lambda P: P.name)
+def test_advection_matches_differences_of_the_weighted_mean_curvature(P):
+    U = _window_points(P, 5, 29)
+    s = ge.geometry_at_batch(P, U)
+    res = ge.angle_function_laplacian(P, s)
+    for k, u in enumerate(U):
+        # <grad_P H, dt^T> = g^{ij} d_i H <d_j X, dt>
+        oracle = _scalar_wmc_difference_oracle(P, u) @ s.metric_inv[k] @ s.jacobian[k, -1]
+        assert abs(res.advection[k] - oracle) <= 1e-9 * max(1.0, abs(oracle)), (P.name, u)
+        assert res.residual[k] <= 1e-12 * max(1.0, abs(res.formula[k])), (P.name, u)
+
+
 def test_angle_laplacian_horizontal_graph_vanishes():
     P = ge.graph_hypersurface(lambda u: 0.3 + 0.0 * u[0], 3, gaussian_split(3))
     res = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, [[0.2, -0.4]]))
-    assert abs(res.formula) <= 1e-12 and abs(res.direct) <= 1e-9
+    assert abs(res.formula) <= 1e-12 and abs(res.direct) <= 1e-12
 
 
 def test_angle_laplacian_tilted_hyperplane_gaussian():
@@ -702,16 +734,16 @@ def test_angle_laplacian_tilted_hyperplane_gaussian():
                               gaussian_split(3))
     res = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, [[0.3, 0.7]]))
     # constant curvature: both forms agree, and sigma = 0 makes theta harmonic
-    assert res.residual_cmc <= 1e-10
-    assert abs(res.advection) <= 1e-10
+    assert res.residual_cmc <= 1e-12
+    assert abs(res.advection) <= 1e-12
 
 
 def test_angle_laplacian_paraboloid_needs_advection_term():
     P = ge.paraboloid_graph(3, gaussian_split(3))
     res = ge.angle_function_laplacian(P, ge.geometry_at_batch(P, [[0.7, 0.9]]))
-    assert res.residual <= 1e-6           # generalized identity
+    assert res.residual <= 1e-12          # generalized identity
     assert res.residual_cmc > 1e-2        # constant-curvature form alone fails
-    assert abs(res.advection - (res.formula_cmc - res.direct)) <= 1e-6
+    assert abs(res.advection - (res.formula_cmc - res.direct)) <= 1e-12
 
 
 # --- index form ----------------------------------------------------------------
@@ -732,11 +764,9 @@ def test_index_form_plane_bump_sign():
     # oracle: denser quadrature of the same integrand
     P = ge.coordinate_plane(3, (0, 1), gaussian_weight())
 
-    def bump(V):
-        inside = (np.abs(V) < 1.0).all(axis=1)
-        x, y = np.where(inside[:, None], V, 0.0).T
-        return np.where(inside, np.exp(-1.0 / (1 - x * x) - 1.0 / (1 - y * y)),
-                        0.0)
+    def bump(u):
+        a, b = (1.0 - x * x for x in u)
+        return a * a * b * b
 
     box = ((-1.0, 1.0), (-1.0, 1.0))
     coarse = ge.index_form(P, bump, box=box, panels=6)
@@ -748,9 +778,10 @@ def test_index_form_matches_point_by_point_quadrature():
     # the node-by-node loop the batched index form replaces, same sum order
     P = ge.paraboloid_graph(3, gaussian_weight())
 
-    def test(V):
-        return np.sin(math.pi * (V[:, 0] - 0.3) / 1.1) * np.sin(
-            math.pi * (V[:, 1] - 0.3) / 1.1)
+    c = math.pi / 1.1
+
+    def test(u):
+        return fsin(c * (u[0] - 0.3)) * fsin(c * (u[1] - 0.3))
 
     (xs1, ws1), (xs2, ws2) = (ge._panel_nodes(lo, hi, 1) for lo, hi in P.window)
     total = 0.0
@@ -759,14 +790,16 @@ def test_index_form_matches_point_by_point_quadrature():
         for x2, w2 in zip(xs2, ws2):
             u = np.array([x1, x2])
             s = ge.geometry_at(P, u)
-            grad_t = ge._fd_gradient(test, u[None])[0]
+            sx, sy = np.sin(c * (u - 0.3))
+            cx, cy = np.cos(c * (u - 0.3))
+            grad_t = np.array([c * cx * sy, c * sx * cy])
             N, sigma, g_inv = s.normals[0], s.second_fundamental[0], s.metric_inv
             ric_h = -N @ P.ambient.weight.hess(s.point[None])[0] @ N
             sigma_sq = np.einsum("ik,jl,ij,kl->", g_inv, g_inv, sigma, sigma)
             dens = math.exp(P.ambient.weight.value(s.point[None])[0]) * math.sqrt(
                 np.linalg.det(s.metric))
             row += w2 * (grad_t @ g_inv @ grad_t
-                         - (ric_h + sigma_sq) * test(u[None])[0] ** 2) * dens
+                         - (ric_h + sigma_sq) * test(u) ** 2) * dens
         total += w1 * row
     assert ge.index_form(P, test, panels=1) == pytest.approx(total, rel=1e-12)
 

@@ -10,6 +10,7 @@ from wparab import model as md
 from wparab import montecarlo as mc
 from wparab import radial as rd
 from wparab.errors import ComparisonRefusal, DomainError
+from wparab.expr import fcos, fsin
 
 
 def radial_plane(m=2):
@@ -548,8 +549,7 @@ def test_generator_consistency(chart, point):
         "sphere": ge.euclidean_sphere(2.0, 3, gauss),
         "helicoid": ge.helicoid(0.7, gauss),
     }[chart]
-    fld = lambda V: (np.sin(V[:, 0]) * np.cos(0.7 * V[:, 1])
-                     + 0.1 * V[:, 0] * V[:, 1])
+    fld = lambda u: fsin(u[0]) * fcos(0.7 * u[1]) + 0.1 * u[0] * u[1]
     check = mc.generator_consistency(P, point, fld, n_samples=40000,
                                      dtau=4e-4, seed=5)
     tol = 3.0 * check.standard_error + 0.02 * (1.0 + abs(check.exact))
