@@ -113,16 +113,14 @@ def resolve_ambient_weight(spec, m, warping=None):
     if name == "zero":
         return ge.ZeroWeight()
     if name == "height":
-        mu = resolve_weight_profile(spec.get("mu", {"name": "custom",
-                                                    "expr": "t"}))
+        mu = resolve_weight_profile(spec.get("mu", {"name": "custom", "expr": "t"}),
+                                    warping=warping)
         return ge.HeightWeight(mu, m)
     if name == "translator":
-        mu = rd.RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                              lambda t: 0.0 * t, name="height")
-        return ge.HeightWeight(mu, m)
+        return ge.HeightWeight(rd.weight_height(), m)
     if name == "split":
         eta = resolve_ambient_weight(_param(spec, "eta", part), m - 1, warping)
-        mu = resolve_weight_profile(_param(spec, "mu", part))
+        mu = resolve_weight_profile(_param(spec, "mu", part), warping=warping)
         return ge.SplitWeight(eta, mu, m)
     if name == "custom_coords":
         return ge.ExprWeight(_param(spec, "expr", part), m)

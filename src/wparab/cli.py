@@ -140,31 +140,23 @@ def _run_curves(scenario, outdir):
     n = _n(params, part) if params.get("n") is not None else None
     ts = np.linspace(lo, hi, samples)
 
-    include_volume = model.f.t_min == 0.0
-    phi = None
+    # (name, column on an array of radii), in header order
+    table = [("t", lambda t: t), ("area", model.sphere_area)]
+    if model.f.t_min == 0.0:
+        table.append(("volume", model.ball_volume))
+    table.append(("H", model.mean_curvature))
+    if n is not None:
+        table.append(("Hh_n", lambda t: model.weighted_mean_curvature(n, t)))
     if params.get("rho") is not None or params.get("R") is not None:
         # the phi column needs both radii
         rho = finite_number("rho", _param(params, "rho", part))
         R = finite_number("R", _param(params, "R", part))
-        phi = model.capacity_potential(rho, R).potential(np.clip(ts, rho, R))
-
-    header = ["t", "area"]
-    if include_volume:
-        header.append("volume")
-    header.append("H")
-    if n is not None:
-        header.append("Hh_n")
-    if phi is not None:
-        header.append("phi")
+        potential = model.capacity_potential(rho, R).potential
+        table.append(("phi", lambda t: potential(np.clip(t, rho, R))))
+    header = [name for name, _ in table]
 
     def columns(t):
-        cols = [t, model.sphere_area(t)]
-        if include_volume:
-            cols.append(model.ball_volume(t))
-        cols.append(model.mean_curvature(t))
-        if n is not None:
-            cols.append(model.weighted_mean_curvature(n, t))
-        return cols
+        return [column(t) for _, column in table]
 
     try:
         cols = columns(ts)
@@ -174,8 +166,6 @@ def _run_curves(scenario, outdir):
         for i in range(len(ts)):
             columns(ts[i:i + 1])
         raise
-    if phi is not None:
-        cols.append(phi)
     rows = [[repr(x) for x in row]
             for row in zip(*(np.broadcast_to(c, ts.shape).tolist() for c in cols))]
 

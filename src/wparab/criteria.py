@@ -17,7 +17,7 @@ from .errors import DomainError, NotAttainedError
 from .geometry import (ImmersedSubmanifold, _complement_basis,
                        radial_hypothesis_profile)
 from .model import WeightedModel, critical_radius
-from .radial import (AsymptoticHint, NO_HINT, RadialProfile, WarpingFunction,
+from .radial import (AsymptoticHint, NO_HINT, Primitive, RadialProfile, WarpingFunction,
                      classify_improper, first_crossing, integrate,
                      warping_euclidean)
 from .verdicts import (FAILS, HOLDS, WINDOW_ONLY, HypothesisCheck, Outcome,
@@ -29,57 +29,6 @@ _CURVATURE_T, _CURVATURE_CAP = 64.0, 1e3     # sup |w'/w| < cap on [T, 2T]
 _SLOPE_SAMPLES = 20                          # f' at t_min 2^k, k < samples
 _PROBE_SAMPLES, _PROBE_SCALE = 64, 2.0       # hyperplane constancy probe
 _BALANCE_SAMPLES = 512                       # n H + alpha on [t0, 32 t0]
-
-
-class CumulativeProfile(RadialProfile):
-    """f(t) = integral of alpha from t0 to t, cached on a geometric ladder.
-
-    Rung positions are fixed up front (t0 * 2^(j * 40/511)), so values are
-    independent of the query order and runs are reproducible.  An array of
-    radii costs one batch of panels.
-    """
-
-    def __init__(self, alpha: RadialProfile, t0: float):
-        step = _LADDER_SPAN / (_LADDER_NODES - 1)
-        object.__setattr__(self, "alpha", alpha)
-        object.__setattr__(self, "t0", float(t0))
-        object.__setattr__(self, "_step", step)
-        object.__setattr__(self, "_rungs",
-                           float(t0) * 2.0 ** (np.arange(_LADDER_NODES) * step))
-        object.__setattr__(self, "_rung_values", [0.0])
-        # anchored away from the pole: comparison weights need no pole
-        # regularity, and the primitive extends naturally below t0
-        super().__init__(fn=self._value, d1=alpha.value, d2=alpha.deriv,
-                         t_min=max(alpha.t_min, 1e-12),
-                         name=f"cumulative({alpha.name})")
-
-    def _integral(self, a, b):
-        return integrate(self.alpha.value, a, b, abs_tol=1e-12, rel_tol=1e-10).value
-
-    def _ladder(self, j):
-        """Values at rungs 0..j (at least), extending the ladder in one batch."""
-        known = self._rung_values
-        if j >= len(known):
-            ts = self._rungs[len(known) - 1:j + 1]
-            # one panel per rung, summed in ladder order
-            acc = np.cumsum([known[-1], *self._integral(ts[:-1], ts[1:])])
-            known.extend(acc[1:].tolist())
-        return np.asarray(known)
-
-    def _value(self, t):
-        flat = np.atleast_1d(np.asarray(t, dtype=float)).ravel()
-        above = flat > self.t0
-        j = np.zeros(flat.shape, dtype=int)
-        j[above] = np.minimum(np.log2(flat[above] / self.t0) / self._step,
-                              _LADDER_NODES - 1)
-        base_t = np.where(above, self._rungs[j], self.t0)
-        out = self._ladder(j.max())[j]
-        lo, hi = np.minimum(base_t, flat), np.maximum(base_t, flat)
-        tail = lo < hi
-        if tail.any():
-            part = self._integral(lo[tail], hi[tail])
-            out[tail] += np.where(flat[tail] > base_t[tail], part, -part)
-        return out.reshape(t.shape) if isinstance(t, np.ndarray) else float(out[0])
 
 
 @dataclass
@@ -98,7 +47,15 @@ class ComparisonSetup:
             raise DomainError("comparison models need submanifold dimension n >= 2")
         if self.t0 <= 0:
             raise DomainError("anchor radius t0 must be positive")
-        self.f = CumulativeProfile(self.alpha, self.t0)
+        # f(t) = int_t0^t alpha on 512 geometric rungs t0 2^(j 40/511),
+        # anchored away from the pole: comparison weights need no pole
+        # regularity, and the primitive extends naturally below t0
+        rungs = float(self.t0) * 2.0 ** (np.arange(_LADDER_NODES)
+                                         * (_LADDER_SPAN / (_LADDER_NODES - 1)))
+        F = Primitive(self.alpha.value, rungs, abs_tol=1e-12, rel_tol=1e-10)
+        self.f = RadialProfile(F, self.alpha.value, self.alpha.deriv,
+                               t_min=max(self.alpha.t_min, 1e-12),
+                               name=f"cumulative({self.alpha.name})")
         self.model = WeightedModel(self.n, self.warping, self.f)
 
     def comparison_area(self, t):

@@ -23,7 +23,7 @@ import numpy as np
 from .errors import DegenerateMetricError, DomainError, SupportError
 from .expr import Dual, dual_parts, evaluate, fcos, flog, fsin, fsqrt, jet_parts, parse
 from .model import WeightedModel
-from .radial import RadialProfile, _K15_NODES, _K15_WEIGHTS
+from .radial import RadialProfile, _K15_NODES, _K15_WEIGHTS, weight_height
 from .verdicts import FAILS, HOLDS, HypothesisCheck
 
 _COND_LIMIT = 1e12                     # induced metrics beyond it are degenerate
@@ -1077,9 +1077,7 @@ def paraboloid_graph(m, weight=None):
 
 def grim_curve():
     """Translator curve t = -log cos x in the plane with weight e^t."""
-    mu = RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                       lambda t: 0.0 * t, name="height")
-    weight = HeightWeight(mu, m=2)
+    weight = HeightWeight(weight_height(), m=2)
 
     def phi(u):
         return -flog(fcos(u[0]))

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import BracketError, DomainError, NonMonotoneTailError, NotAttainedError
-from .radial import (RadialProfile, WarpingFunction, classify_improper,
+from .radial import (Primitive, RadialProfile, WarpingFunction, classify_improper,
                      first_crossing, integrate)
 from .verdicts import INTERNAL, Outcome, Record, Verdict
 
@@ -125,32 +125,19 @@ class WeightedModel:
     def capacity_potential(self, rho, R):
         if not self.f.t_min < rho < R < math.inf:
             raise DomainError(f"need t_min < rho < R < inf, got ({rho}, {R})")
-        nodes = np.linspace(rho, R, _GRID_NODES)
-        tols = {"abs_tol": 1e-14, "rel_tol": 1e-12}
-        res = integrate(self.inv_sphere_area, nodes[:-1], nodes[1:], **tols)
-        cumulative = np.concatenate(([0.0], np.cumsum(res.value)))
-        quad_err = float(res.error.sum())
-        total = cumulative[-1]
+        F = Primitive(self.inv_sphere_area, np.linspace(rho, R, _GRID_NODES),
+                      abs_tol=1e-14, rel_tol=1e-12)
+        total = F(R)
 
         def potential(s):
-            """phi(s) = 1 - int_rho^s 1/A / int_rho^R 1/A: the cumulative
-            integral to the node t_k at or below s plus the panel [t_k, s].
-            A float gives a float; an array is one integrate call."""
+            """phi(s) = 1 - int_rho^s 1/A / int_rho^R 1/A; a float gives a
+            float, an array is one integrate call."""
             s_arr = np.asarray(s, dtype=float)
             outside = ~((rho - 1e-12 <= s_arr) & (s_arr <= R + 1e-12))
             if outside.any():
                 raise DomainError(f"potential evaluated outside [{rho}, {R}]: "
                                   f"{s_arr[outside].flat[0]}")
-            s_arr = np.clip(s_arr, rho, R)
-            k = np.searchsorted(nodes, s_arr, side="right") - 1
-            partial = np.zeros_like(s_arr)
-            inside = s_arr > nodes[k]
-            if inside.any():
-                partial[inside] = integrate(self.inv_sphere_area,
-                                            nodes[k[inside]], s_arr[inside],
-                                            **tols).value
-            phi = 1.0 - (cumulative[k] + partial) / total
-            return float(phi) if phi.ndim == 0 else phi
+            return 1.0 - F(np.clip(s_arr, rho, R)) / total
 
         capacity = 1.0 / total
 
@@ -170,7 +157,7 @@ class WeightedModel:
         residual = float(np.max(np.abs(second + drift * dphi[:, 2])))
         return CapacityReport(rho=rho, R=R, capacity=capacity,
                               potential=potential, ode_residual=residual,
-                              quadrature_error=quad_err / total * capacity,
+                              quadrature_error=F.error / total * capacity,
                               phi_prime=phi_prime)
 
     def capacity_to_infinity(self, rho, hint=None):

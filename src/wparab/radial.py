@@ -1,8 +1,8 @@
 """One-dimensional numerical engine.
 
-Radial profiles with derivatives, adaptive Gauss--Kronrod quadrature,
-improper-integral convergence classification with evidence, and Brent's
-bracketed root finder.
+Radial profiles with derivatives, adaptive Gauss--Kronrod quadrature and
+cumulative primitives on a fixed grid, improper-integral convergence
+classification with evidence, and Brent's bracketed root finder.
 """
 
 from __future__ import annotations
@@ -200,6 +200,12 @@ def weight_antigaussian():
                          lambda t: 1.0 + 0.0 * t, name="antigaussian")
 
 
+def weight_height():
+    """mu(t) = t: the height weight e^t of translators."""
+    return RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
+                         lambda t: 0.0 * t, name="height")
+
+
 def weight_power(a, k):
     return RadialProfile(
         lambda t: a * np.power(t, k),
@@ -361,6 +367,47 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8):
     if not panels:
         return QuadResult(float(vals[0]), float(errs[0]), converged, n_sub)
     return QuadResult(vals, errs, converged, n_sub)
+
+
+class Primitive:
+    """F(t) = integral of ``f`` from nodes[0] to t.
+
+    The panels between consecutive nodes are integrated in one
+    :func:`integrate` call per extension, only as far as a query reaches,
+    and summed in node order, so a value does not depend on the order of
+    the queries.  F(t) adds to the sum at the last node at or below t
+    (nodes[0] below the grid, the last node beyond it) the panel from that
+    node to t, one integrate call per query.  A float gives a float and an
+    array an array of its shape.  ``error`` is the summed panel error.
+    """
+
+    def __init__(self, f, nodes, abs_tol, rel_tol):
+        self.f, self.nodes = f, np.asarray(nodes, dtype=float)
+        self.tols = {"abs_tol": abs_tol, "rel_tol": rel_tol}
+        self.sums, self.errors = np.zeros(1), np.zeros(0)
+
+    @property
+    def error(self):
+        return float(self.errors.sum())
+
+    def __call__(self, t):
+        flat = np.asarray(t, dtype=float).ravel()
+        # the last node at or below t, clamped to the grid
+        k = np.searchsorted(self.nodes[1:], flat, side="right")
+        known = len(self.sums)
+        if flat.size and k.max() >= known:
+            ends = self.nodes[known - 1:k.max() + 1]
+            res = integrate(self.f, ends[:-1], ends[1:], **self.tols)
+            self.sums = np.concatenate(
+                (self.sums, np.cumsum(np.concatenate((self.sums[-1:], res.value)))[1:]))
+            self.errors = np.concatenate((self.errors, res.error))
+        base, out = self.nodes[k], self.sums[k]
+        lo, hi = np.minimum(base, flat), np.maximum(base, flat)
+        tail = lo < hi
+        if tail.any():
+            part = integrate(self.f, lo[tail], hi[tail], **self.tols).value
+            out[tail] += np.where(flat[tail] > base[tail], part, -part)
+        return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
 
 # ---------------------------------------------------------------------------

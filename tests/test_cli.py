@@ -499,6 +499,17 @@ def test_missing_catalog_parameter_names_the_field(tmp_path):
     # both radii given: the curves table has its phi column
     both = cli.run_scenario(curves_scenario(rho=1.0, R=1.5), tmp_path)
     assert both["columns"][-1] == "phi"
+    # a logpow mu takes the model's warping
+    logpow = {"name": "logpow", "k": 1}
+    for weight in ({"name": "height", "mu": logpow},
+                   {"name": "split", "eta": {"name": "gaussian"}, "mu": logpow}):
+        entry = cli.run_scenario(
+            {"id": weight["name"], "task": "check-identities",
+             "model": {"m": 3, "warping": {"name": "euclidean"}, "weight": weight},
+             "submanifold": {"name": "sphere", "a": 1.3}, "params": {"points": 6}},
+            tmp_path)
+        assert entry["status"] == "ok", entry.get("error")
+        assert entry["radial_identity_max_residual"] <= 1e-12
 
 
 def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):

@@ -25,8 +25,11 @@ NEG_T = rd.RadialProfile(lambda t: -t, lambda t: -1.0 + 0 * t,
 def test_cumulative_weight_anchors_at_t0():
     setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.5, NEG_T)
     assert setup.f.value(1.5) == 0.0
-    # f(t) = (t0^2 - t^2)/2 for alpha = -t
-    for t in (0.8, 1.5, 2.0, 7.0, 40.0):
+    # f(t) = (t0^2 - t^2)/2 for alpha = -t: below the first rung, at rungs,
+    # between them and beyond the last rung t0 2^40
+    rungs = setup.f.fn.nodes
+    assert rungs[0] == 1.5 and rungs[-1] == 1.5 * 2.0 ** 40
+    for t in (0.8, 1.5, 2.0, 7.0, 40.0, rungs[100], rungs[-1], 1.5 * 2.0 ** 41):
         assert setup.f.value(t) == pytest.approx((1.5 ** 2 - t * t) / 2, rel=1e-9)
         assert setup.f.deriv(t) == pytest.approx(-t, rel=1e-12)
 
@@ -42,10 +45,15 @@ def test_cumulative_weight_is_query_order_independent():
 
 def test_cumulative_weight_evaluates_arrays_like_scalars():
     setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.5, alpha_expr("-t+1/(1+t^2)"))
-    ts = np.array([[0.8, 1.5, 2.0], [7.0, 40.0, 1.5 * 2.0 ** 39]])
+    ts = np.array([[0.8, 1.5, 2.0, setup.f.fn.nodes[7]],
+                   [7.0, 40.0, 1.5 * 2.0 ** 39, 1.5 * 2.0 ** 41]])
     batch = setup.f.value(ts)
     assert batch.shape == ts.shape
-    assert batch.ravel().tolist() == [setup.f.value(float(t)) for t in ts.ravel()]
+    scalars = [setup.f.value(float(t)) for t in ts.ravel()]
+    assert all(type(v) is float for v in scalars)
+    assert batch.ravel().tolist() == scalars
+    for empty in (np.array([]), np.empty((0, 3))):
+        assert setup.f.value(empty).shape == empty.shape
     # f(t) = (t0^2 - t^2)/2 + atan(t) - atan(t0)
     exact = (1.5 ** 2 - ts[0] ** 2) / 2 + np.arctan(ts[0]) - math.atan(1.5)
     assert np.allclose(batch[0], exact, rtol=1e-9, atol=1e-12)

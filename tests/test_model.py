@@ -93,8 +93,16 @@ def test_capacity_plane_annulus_closed_form():
 def test_capacity_space_annulus_closed_form():
     rep = euclid(3).capacity_potential(1.0, 2.0)
     assert rep.capacity == pytest.approx(8 * math.pi, abs=1e-8)
-    # oracle: phi(s) = (1/s - 1/2) / (1 - 1/2)
-    assert rep.potential(1.5) == pytest.approx((1 / 1.5 - 0.5) / 0.5, abs=1e-9)
+    # oracle: phi(s) = (1/s - 1/2) / (1 - 1/2), between and at the 512 grid
+    # nodes, and within the 1e-12 slack below rho and beyond R
+    nodes = np.linspace(1.0, 2.0, 512)
+    s = np.array([1.0 - 5e-13, 1.0, nodes[1], 1.5, nodes[300], 2.0, 2.0 + 5e-13])
+    phi = rep.potential(s)
+    assert np.allclose(phi, (1 / np.clip(s, 1.0, 2.0) - 0.5) / 0.5, rtol=0, atol=1e-9)
+    scalars = [rep.potential(float(x)) for x in s]
+    assert all(type(v) is float for v in scalars) and phi.tolist() == scalars
+    assert phi[0] == 1.0 and phi[-1] == 0.0
+    assert rep.potential(np.array([])).shape == (0,)
 
 
 def _closed_form_potential(m, rho, R, s):
