@@ -1,19 +1,18 @@
 """Tiny arithmetic expression language with forward-mode differentiation.
 
-Grammar (left-associative binary operators)::
+Grammar (Python's arithmetic, with ``^`` for ``**``)::
 
-    expr    := unary (("+" | "-") unary)*
-    unary   := "-" unary | product
-    product := factor (("*" | "/") factor)*
+    expr    := term (("+" | "-") term)*
+    term    := factor (("*" | "/") factor)*
     factor  := "-" factor | power
-    power   := atom ("^" exponent)*        # exponent subtree must be constant
-    exponent:= ["-"] atom
+    power   := atom ["^" factor]     # constant, no unparenthesised "^" in it
     atom    := NUMBER | NAME | NAME "(" expr ")" | "(" expr ")"
 
-A leading minus negates the whole product, so ``-t^2/2`` parses as
-``Neg(Div(Pow(t, 2), 2))``.  Exponents are restricted to constant subtrees,
-which keeps differentiation closed-form.  ``log`` is the natural logarithm
-and trigonometric functions work in radians.  There is no implicit
+Unary minus binds looser than ``^`` and tighter than ``*`` and ``/``, so
+``-t^2/2`` parses as ``Div(Neg(Pow(t, 2)), 2)``.  Exponents are constant
+subtrees, which keeps differentiation closed-form, and ``t^2^3`` is refused
+rather than read from the right.  ``log`` is the natural logarithm and
+trigonometric functions work in radians.  There is no implicit
 multiplication.
 
 Evaluation accepts plain floats, numpy arrays, or :class:`Dual` numbers.
@@ -25,6 +24,7 @@ to all three kinds of argument by :func:`apply`.
 
 from __future__ import annotations
 
+import ast
 import re
 from dataclasses import dataclass
 from functools import partial
@@ -78,18 +78,6 @@ class BinOp:
 class Call:
     fn: str
     arg: object
-
-
-def variables_of(node):
-    if isinstance(node, Var):
-        return {node.name}
-    if isinstance(node, Neg):
-        return variables_of(node.arg)
-    if isinstance(node, BinOp):
-        return variables_of(node.lhs) | variables_of(node.rhs)
-    if isinstance(node, Call):
-        return variables_of(node.arg)
-    return set()
 
 
 # ---------------------------------------------------------------------------
@@ -217,145 +205,16 @@ fsin, fcos, fsinh, fcosh, ftanh, fexp, flog, fsqrt, fabs_ = (
 
 
 # ---------------------------------------------------------------------------
-# Parser
+# Parser: Python's own on ``^`` spelled ``**``, walked into the nodes above
 
 _NUMBER_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
-
-
-def _tokenize(source):
-    tokens = []
-    pos = 0
-    n = len(source)
-    while pos < n:
-        if source[pos].isspace():
-            pos += 1
-            continue
-        m = _NUMBER_RE.match(source, pos)
-        if m:
-            tokens.append(("num", float(m.group(0)), pos))
-            pos = m.end()
-            continue
-        m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", source[pos:])
-        if m:
-            tokens.append(("name", m.group(0), pos))
-            pos += m.end()
-            continue
-        ch = source[pos]
-        if ch in "+-*/^()":
-            tokens.append(("op", ch, pos))
-            pos += 1
-            continue
-        raise ExprSyntaxError(f"unknown token {ch!r}", pos)
-    tokens.append(("end", None, n))
-    return tokens
-
-
-class _Parser:
-    def __init__(self, source, variables):
-        self.source = source
-        self.vars = tuple(variables)
-        self.tokens = _tokenize(source)
-        self.i = 0
-
-    def peek(self):
-        return self.tokens[self.i]
-
-    def take(self):
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op, opening_pos=None):
-        kind, val, pos = self.peek()
-        if kind == "op" and val == op:
-            self.take()
-            return
-        extra = f" to close '(' at position {opening_pos}" if opening_pos is not None else ""
-        raise ExprSyntaxError(f"expected {op!r}{extra}", pos)
-
-    def parse(self):
-        node = self.expr()
-        kind, val, pos = self.peek()
-        if kind != "end":
-            raise ExprSyntaxError(f"unexpected trailing input {val!r}", pos)
-        return node
-
-    def expr(self):
-        node = self.unary()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "+-":
-                self.take()
-                node = BinOp(val, node, self.unary())
-            else:
-                return node
-
-    def unary(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return Neg(self.unary())
-        return self.product()
-
-    def product(self):
-        node = self.factor()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val in "*/":
-                self.take()
-                node = BinOp(val, node, self.factor())
-            else:
-                return node
-
-    def factor(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return Neg(self.factor())
-        return self.power()
-
-    def power(self):
-        node = self.atom()
-        while True:
-            kind, val, _ = self.peek()
-            if kind == "op" and val == "^":
-                self.take()
-                _, _, epos = self.peek()
-                exponent = self.exponent()
-                if variables_of(exponent):
-                    raise ExprSyntaxError("non-constant exponent", epos)
-                node = BinOp("^", node, exponent)
-            else:
-                return node
-
-    def exponent(self):
-        kind, val, _ = self.peek()
-        if kind == "op" and val == "-":
-            self.take()
-            return Neg(self.atom())
-        return self.atom()
-
-    def atom(self):
-        kind, val, pos = self.take()
-        if kind == "num":
-            return Const(val)
-        if kind == "name":
-            nk, nv, npos = self.peek()
-            if nk == "op" and nv == "(":
-                if val not in FUNCTIONS:
-                    raise ExprSyntaxError(f"unknown function {val!r}", pos)
-                self.take()
-                arg = self.expr()
-                self.expect_op(")", opening_pos=npos)
-                return Call(val, arg)
-            if val not in self.vars:
-                raise ExprSyntaxError(f"undeclared variable {val!r}", pos)
-            return Var(val)
-        if kind == "op" and val == "(":
-            node = self.expr()
-            self.expect_op(")", opening_pos=pos)
-            return node
-        raise ExprSyntaxError(f"unexpected token {val!r}", pos)
+# a number with what is glued to it: "0x10", "1_0", "1j", "2t", "1if"
+_NUMBER_RUN_RE = re.compile(r"(?<![\w.])\.?\d[\w.]*(?:(?<=[eE])[+-][\w.]*)?")
+# a character outside the language, or a literal ``**``
+_FOREIGN_RE = re.compile(r"[^\w\s.+\-*/^()]|\*\*", re.ASCII)
+_OPS = {ast.Add: "+", ast.Sub: "-", ast.Mult: "*", ast.Div: "/", ast.Pow: "^"}
+# deepest accepted tree; evaluate and to_source recurse once per level
+MAX_DEPTH = 100
 
 
 def parse(source, variables):
@@ -364,7 +223,74 @@ def parse(source, variables):
         raise ExprSyntaxError(f"expression must be a string, got {source!r}", 0)
     if not source.strip():
         raise ExprSyntaxError("empty expression", 0)
-    return _Parser(source, variables).parse()
+    foreign = _FOREIGN_RE.search(source)
+    if foreign:
+        raise ExprSyntaxError(f"unknown token {foreign.group()!r}", foreign.start())
+    for run in _NUMBER_RUN_RE.finditer(source):
+        if not _NUMBER_RE.fullmatch(run.group()):
+            raise ExprSyntaxError(f"malformed number {run.group()!r}", run.start())
+    lead = len(source) - len(source.lstrip())
+    text = re.sub(r"\s", " ", source[lead:]).replace("^", "**")
+
+    def at(col):
+        """The position in ``source`` of column ``col`` of ``text``."""
+        where = [lead + i for i, ch in enumerate(source[lead:]) for _ in range(1 + (ch == "^"))]
+        return where[col] if 0 <= col < len(where) else len(source)
+
+    too_deep = f"expression nests deeper than {MAX_DEPTH} levels"
+    try:
+        tree = ast.parse(text, mode="eval").body
+    except SyntaxError as err:
+        col = (err.offset or 0) - 1
+        if err.msg == "'(' was never closed":
+            raise ExprSyntaxError(f"expected ')' to close '(' at position {at(col)}",
+                                  len(source)) from None
+        raise ExprSyntaxError(err.msg, at(col)) from None
+    except (RecursionError, MemoryError):  # CPython's parser stack overflowed
+        raise ExprSyntaxError(too_deep, 0) from None
+
+    def walk(node, depth, exponent_at=None):
+        if depth > MAX_DEPTH:
+            raise ExprSyntaxError(too_deep, at(node.col_offset))
+        if isinstance(node, ast.BinOp) and type(node.op) in _OPS:
+            op = _OPS[type(node.op)]
+            lhs = walk(node.left, depth + 1, exponent_at)
+            if op == "^":
+                # Python groups ** from the right: refuse a bare power in an exponent
+                e = node.right
+                while not text[:e.col_offset].rstrip().endswith("("):
+                    if isinstance(e, ast.BinOp) and isinstance(e.op, ast.Pow):
+                        raise ExprSyntaxError("chained powers need parentheses",
+                                              at(text.index("**", e.left.end_col_offset)))
+                    if not isinstance(e, ast.UnaryOp):
+                        break
+                    e = e.operand
+                exponent_at = node.right.col_offset
+            return BinOp(op, lhs, walk(node.right, depth + 1, exponent_at))
+        if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+            literal = text[node.col_offset:node.end_col_offset]
+            if not np.isfinite(float(literal)):
+                raise ExprSyntaxError(f"number {literal!r} is not finite", at(node.col_offset))
+            return Const(float(literal))
+        if isinstance(node, ast.Name):
+            if node.id not in variables:
+                raise ExprSyntaxError(f"undeclared variable {node.id!r}", at(node.col_offset))
+            if exponent_at is not None:
+                raise ExprSyntaxError("non-constant exponent", at(exponent_at))
+            return Var(node.id)
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+            return Neg(walk(node.operand, depth + 1, exponent_at))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+            if node.func.id not in FUNCTIONS:
+                raise ExprSyntaxError(f"unknown function {node.func.id!r}", at(node.col_offset))
+            if len(node.args) != 1:
+                raise ExprSyntaxError(f"{node.func.id} takes one argument", at(node.col_offset))
+            return Call(node.func.id, walk(node.args[0], depth + 1, exponent_at))
+        pos = at(node.col_offset)
+        raise ExprSyntaxError(
+            f"unsupported syntax {source[pos:at(node.end_col_offset)]!r}", pos)
+
+    return walk(tree, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +378,8 @@ def derivatives_1d(node, var, t):
 # ---------------------------------------------------------------------------
 # Pretty-printing
 
-_LEVEL_ADD, _LEVEL_UNARY, _LEVEL_MUL, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
+# Python's precedence: unary minus binds between ``*`` and ``^``
+_LEVEL_ADD, _LEVEL_MUL, _LEVEL_UNARY, _LEVEL_POW, _LEVEL_ATOM = 1, 2, 3, 4, 5
 
 
 def _level(node):
@@ -482,26 +409,15 @@ def _p(node, ctx):
     if isinstance(node, Call):
         return f"{node.fn}({_p(node.arg, _LEVEL_ADD)})"
     if isinstance(node, Neg):
-        body = "-" + _p(node.arg, _LEVEL_UNARY)
+        body = "-" + _p(node.arg, _LEVEL_POW)
     elif node.op in "+-":
-        body = _p(node.lhs, _LEVEL_ADD) + node.op + _p(node.rhs, _LEVEL_UNARY)
+        body = _p(node.lhs, _LEVEL_ADD) + node.op + _p(node.rhs, _LEVEL_MUL)
     elif node.op in "*/":
-        rhs = node.rhs
-        if isinstance(rhs, Neg):
-            rhs_str = "-" + _p(rhs.arg, _LEVEL_POW)
-        else:
-            rhs_str = _p(rhs, _LEVEL_POW)
-        body = _p(node.lhs, _LEVEL_MUL) + node.op + rhs_str
+        body = _p(node.lhs, _LEVEL_MUL) + node.op + _p(node.rhs, _LEVEL_UNARY)
     else:  # power
-        exp = node.rhs
-        if isinstance(exp, Neg):
-            exp_str = "-" + _p(exp.arg, _LEVEL_ATOM)
-        else:
-            exp_str = _p(exp, _LEVEL_ATOM)
-        body = _p(node.lhs, _LEVEL_POW) + "^" + exp_str
-    if _level(node) < ctx:
-        return f"({body})"
-    return body
+        sign, exp = ("-", node.rhs.arg) if isinstance(node.rhs, Neg) else ("", node.rhs)
+        body = _p(node.lhs, _LEVEL_ATOM) + "^" + sign + _p(exp, _LEVEL_ATOM)
+    return f"({body})" if _level(node) < ctx else body
 
 
 def to_source(node):

@@ -82,7 +82,7 @@ class RadialProfile:
 
     def check_domain(self, t):
         lowest = t.min() if isinstance(t, np.ndarray) else t
-        if lowest <= self.t_min:
+        if not lowest > self.t_min:  # NaN included
             raise DomainError(
                 f"profile {self.name or '<anonymous>'} undefined at t={lowest} "
                 f"(domain is t > {self.t_min})")
@@ -392,6 +392,8 @@ class Primitive:
 
     def __call__(self, t):
         flat = np.asarray(t, dtype=float).ravel()
+        if np.isnan(flat).any():
+            raise DomainError("primitive queried at t=nan")
         # the last node at or below t, clamped to the grid
         k = np.searchsorted(self.nodes[1:], flat, side="right")
         known = len(self.sums)

@@ -839,7 +839,7 @@ def test_hint_and_alpha_are_checked_where_no_branch_reads_them(tmp_path):
         (classify_scenario("ahlfors_direct", alpha=5),
          "ExprSyntaxError: expression must be a string, got 5 (at position 0)"),
         (classify_scenario("radial_weight", alpha="-t +"),
-         "ExprSyntaxError: unexpected token None (at position 4)"),
+         "ExprSyntaxError: invalid syntax (at position 4)"),
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**capacity_scenario(), "id": "cap"},

@@ -34,6 +34,15 @@ def test_cumulative_weight_anchors_at_t0():
         assert setup.f.deriv(t) == pytest.approx(-t, rel=1e-12)
 
 
+def test_cumulative_weight_refuses_a_nan_radius():
+    # NaN passes no domain check by comparison; the primitive refuses it
+    # instead of answering with F at the last rung
+    setup = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.5, alpha_expr("-t"))
+    for t in (math.nan, np.array([2.0, math.nan])):
+        with pytest.raises(DomainError, match="t=nan"):
+            setup.f.value(t)
+
+
 def test_cumulative_weight_is_query_order_independent():
     a = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.0, NEG_T)
     b = cr.ComparisonSetup(rd.warping_euclidean(), 2, 1.0, NEG_T)

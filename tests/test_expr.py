@@ -12,11 +12,20 @@ from wparab import expr as ex
 
 
 def test_parse_negated_power_quotient():
+    # unary minus binds tighter than "/", as in Python; negation is exact, so
+    # the value matches the old tree -(t^2/2) bit for bit
     ast = ex.parse("-t^2/2", ["t"])
-    expected = ex.Neg(ex.BinOp("/", ex.BinOp("^", ex.Var("t"), ex.Const(2.0)),
-                               ex.Const(2.0)))
-    assert ast == expected
+    square = ex.BinOp("^", ex.Var("t"), ex.Const(2.0))
+    assert ast == ex.BinOp("/", ex.Neg(square), ex.Const(2.0))
     assert ex.evaluate(ast, {"t": 2.0}) == -2.0
+    negated_quotient = ex.Neg(ex.BinOp("/", square, ex.Const(2.0)))
+    t = np.array([-3.5, -0.0, 0.0, 1e-170, 0.7, 2.0, 1e150])
+    for x in [*t.tolist(), t]:
+        new = ex.jet_parts(ex.evaluate(ast, {"t": ex.Dual(ex.Dual(x, 1.0), ex.Dual(1.0, 0.0))}))
+        old = ex.jet_parts(ex.evaluate(negated_quotient,
+                                       {"t": ex.Dual(ex.Dual(x, 1.0), ex.Dual(1.0, 0.0))}))
+        assert [_bits(v) for v in new] == [_bits(v) for v in old]
+        assert _bits(ex.evaluate(ast, {"t": x})) == _bits(ex.evaluate(negated_quotient, {"t": x}))
 
 
 def test_parse_hyperbolic_warping_expression():
@@ -40,7 +49,8 @@ def test_unbalanced_parenthesis_reports_position():
     ("1-2-3", 0.0, -4.0),          # left associative
     ("8/4/2", 0.0, 1.0),
     ("2--3", 0.0, 5.0),
-    ("t^2^3", 2.0, 64.0),          # left associative power chain
+    ("(t^2)^3", 2.0, 64.0),        # a power chain is written with parentheses
+    ("t^(2^3)", 2.0, 256.0),
     ("2*-3", 0.0, -6.0),
     ("t^-2", 2.0, 0.25),
 ])
@@ -49,17 +59,114 @@ def test_precedence_and_associativity(source, t, expected):
 
 
 @pytest.mark.parametrize("source,message", [
-    ("2t", "trailing"),
+    ("2t", "malformed number"),
     ("t^x", "non-constant exponent"),
     ("foo(t)", "unknown function"),
     ("t + s", "undeclared variable"),
     ("", "empty"),
-    ("1 +", "unexpected token"),
+    ("1 +", "invalid syntax"),
     ("(1", "to close"),
 ])
 def test_syntax_errors(source, message):
     with pytest.raises(ex.ExprSyntaxError, match=message):
         ex.parse(source, ["t", "x"][:1 if "s" in source else 2] or ["t"])
+
+
+@pytest.mark.parametrize("source,message,position", [
+    ("t^2^3", "chained powers need parentheses", 3),   # Python would read t^(2^3)
+    ("t ^ -2 ^ 3", "chained powers need parentheses", 7),
+    ("t^(2)^3", "chained powers need parentheses", 5),
+    ("t^exp(1)^2", "chained powers need parentheses", 8),
+    ("t**2", "unknown token '**'", 1),
+    ("+t", "unsupported syntax '+t'", 0),
+    ("t%2", "unknown token '%'", 1),
+    ("1 + t//2", "unsupported syntax 't//2'", 4),
+    ("t<2", "unknown token '<'", 1),
+    ("t is t", "unsupported syntax 't is t'", 0),
+    ("t.real", "unsupported syntax 't.real'", 0),
+    ("t if t else 1", "unsupported syntax", 0),
+    ("exp(t, t)", "unknown token ','", 5),
+    ("exp()", "exp takes one argument", 0),
+    ("sin(^t)", "sin takes one argument", 0),
+    ("exp(t)(2)", "unsupported syntax 'exp(t)(2)'", 0),
+    ("True", "unsupported syntax 'True'", 0),
+    ("...", "unsupported syntax '...'", 0),
+    ("1j", "malformed number '1j'", 0),
+    ("t*0x10", "malformed number '0x10'", 2),
+    ("1_000*t", "malformed number '1_000'", 0),
+    ("\uff54", "unknown token '\uff54'", 0),       # NFKC would fold it into t
+    ("t+\u00b2", "unknown token '\u00b2'", 2),
+    ("t\x00", "unknown token '\\x00'", 1),
+    ("1e999*t", "number '1e999' is not finite", 0),
+    ("t - 2e400", "number '2e400' is not finite", 4),
+    ("t^2 + s", "undeclared variable 's'", 6),
+    ("  exp(t", "expected ')' to close '(' at position 5", 7),
+    ("t)", "unmatched ')'", 1),
+    ("t^2 +", "invalid syntax", 5),
+    ("1if t else 2", "malformed number '1if'", 0),   # Python only warns
+])
+def test_python_syntax_outside_the_language_is_refused(source, message, position):
+    with pytest.raises(ex.ExprSyntaxError, match=re.escape(message)) as err:
+        ex.parse(source, ["t"])
+    assert err.value.position == position
+
+
+@pytest.mark.parametrize("source,tree", [
+    ("(t^2)^3", ex.BinOp("^", ex.BinOp("^", ex.Var("t"), ex.Const(2.0)), ex.Const(3.0))),
+    ("t^(2^3)", ex.BinOp("^", ex.Var("t"), ex.BinOp("^", ex.Const(2.0), ex.Const(3.0)))),
+    ("t^-(2^3)", ex.BinOp("^", ex.Var("t"),
+                          ex.Neg(ex.BinOp("^", ex.Const(2.0), ex.Const(3.0))))),
+    ("t^(-2^3)", ex.BinOp("^", ex.Var("t"),
+                          ex.Neg(ex.BinOp("^", ex.Const(2.0), ex.Const(3.0))))),
+    ("-t*2", ex.BinOp("*", ex.Neg(ex.Var("t")), ex.Const(2.0))),
+    ("-(t*2)", ex.Neg(ex.BinOp("*", ex.Var("t"), ex.Const(2.0)))),
+    ("\tt\n+ 1", ex.BinOp("+", ex.Var("t"), ex.Const(1.0))),
+])
+def test_parenthesised_powers_and_negations_parse_as_written(source, tree):
+    assert ex.parse(source, ["t"]) == tree
+    assert ex.parse(ex.to_source(tree), ["t"]) == tree
+
+
+def test_nesting_beyond_the_depth_limit_is_a_syntax_error():
+    # accepted trees evaluate far below the recursion limit; deeper ones,
+    # even those CPython's own parser cannot build, are syntax errors
+    ast = ex.parse("+".join(["t"] * ex.MAX_DEPTH), ["t"])
+    assert ex.evaluate(ast, {"t": 1.0}) == ex.MAX_DEPTH
+    for source in ("+".join(["t"] * (ex.MAX_DEPTH + 1)), "+".join(["t"] * 3000),
+                   "-" * 3000 + "t", "-" * 100000 + "t", "exp(" * 150 + "t" + ")" * 150,
+                   "(" * 300 + "t" + ")" * 300):
+        with pytest.raises(ex.ExprSyntaxError, match="nest"):
+            ex.parse(source, ["t"])
+
+
+# text from the grammar's characters, its function names and a few foreign
+# ones, joined by operators and calls so that about a quarter of it parses
+_PIECES = st.sampled_from([*"0123456789.eE+-*/^() t", "x", "1e5", *ex.FUNCTIONS,
+                           "**", "%", "\uff54", "\x00", "_", "\n", ","])
+_SOURCES = st.recursive(
+    _PIECES,
+    lambda inner: (st.builds("{}{}{}".format, inner, st.sampled_from([*"+-*/^", "^-"]), inner)
+                   | st.builds("{}({})".format, st.sampled_from(["", "-", *ex.FUNCTIONS]), inner)),
+    max_leaves=10)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(_SOURCES)
+def test_parse_returns_a_tree_or_a_syntax_error(source):
+    try:
+        ast = ex.parse(source, ["t"])
+    except ex.ExprSyntaxError as err:
+        assert 0 <= err.position <= len(source)
+        return
+    again = ex.parse(ex.to_source(ast), ["t"])
+    assert again == ast
+    for t in (0.7, np.array([-1.5, 0.0, 2.0])):
+        with np.errstate(all="ignore"):
+            try:
+                value = ex.evaluate(ast, {"t": t})
+            except ex.ExprDomainError:
+                continue
+            assert _bits(ex.evaluate(again, {"t": t})) == _bits(value)
 
 
 @pytest.mark.parametrize("source", [5, 0, None, ["t"], b"t"])

@@ -25,6 +25,12 @@ def test_sphere_area_constant_values():
     assert sphere_area_constant(4) == pytest.approx(2 * math.pi ** 2, rel=1e-15)
 
 
+def test_a_nan_radius_is_outside_every_domain():
+    for t in (math.nan, np.array([2.0, math.nan])):
+        with pytest.raises(DomainError, match="undefined at t=nan"):
+            euclid(3).sphere_area(t)
+
+
 def test_sphere_area_examples():
     assert euclid(3).sphere_area(2.0) == pytest.approx(16 * math.pi, rel=1e-14)
     g2 = euclid(2, rd.weight_gaussian())
