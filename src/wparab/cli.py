@@ -26,7 +26,7 @@ from .errors import (DomainError, ScenarioError, finite_number, json_object, num
                      whole_number)
 from .radial import HINT_TAGS, NO_HINT, AsymptoticHint
 
-REPORT_VERSION = "3"
+REPORT_VERSION = "4"
 
 _TASKS = ("classify", "capacity", "curves", "mc-verify", "check-identities")
 _MODEL_TASKS = ("classify", "capacity", "curves")

@@ -1,9 +1,10 @@
 """Monte Carlo verification via the drift diffusion of the weighted Laplacian.
 
 Paths on the parameter domain of an affine immersion: walk-on-spheres when
-the ambient weight is zero, Heun steps that shrink near the boundary
-otherwise, with counter-based per-batch random streams (Philox) so that
-serial and parallel executions agree bit-for-bit.  Hitting probabilities of
+the ambient weight is zero, otherwise Heun steps in the bulk and
+drift-corrected exit jumps from small spheres near the boundary, with
+counter-based per-batch random streams (Philox) so that serial and
+parallel executions agree bit-for-bit.  Hitting probabilities of
 extrinsic annulus boundaries estimate the capacity potential; they are
 compared against the transplanted radial potential of the comparison model.
 
@@ -66,8 +67,8 @@ class DiffusionSpec:
     g^{-1} basis^T grad h, diffusion factor the symmetric square root of
     2 g^{-1}, with the constant metric g = basis^T basis.  ``driftless``
     holds when the ambient weight is ``ZeroWeight``.  ``dtau`` caps the
-    time step of drifted paths (see ``default_step``); walk-on-spheres does
-    not use it.  Parameter points U are stacks of shape (n, N), one column
+    time step of drifted paths and bounds the layer where they jump (see
+    ``default_step``); walk-on-spheres does not use it.  Parameter points U are stacks of shape (n, N), one column
     per path, and so are their ambient points (m, N) and drifts (n, N)."""
 
     P: ImmersedSubmanifold
@@ -150,9 +151,10 @@ class DiffusionSpec:
 
 
 WALK_ON_SPHERES = "walk-on-spheres"
-SHRINKING_HEUN = "shrinking-heun"
+HEUN_EXIT_JUMPS = "heun-exit-jumps"
 
 KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
+EXIT_JUMP_EPS = 0.25  # a drifted path jumps where d |beta| / 2 <= this
 
 
 @dataclass
@@ -160,9 +162,9 @@ class HitEstimate(Record):
     """Estimated probability of reaching the inner boundary first.
 
     ``shell`` is the stopping distance of paths; ``path_steps`` counts
-    jumps or time steps over all paths.  ``coarse_step_fraction`` is 0 for
-    both estimators, which adapt their moves to the distance to the
-    boundary (report schema v3 keeps the field)."""
+    jumps and time steps over all paths, and ``exit_jumps`` those of them
+    that were jumps: all for walk-on-spheres, the boundary-layer moves for
+    ``heun-exit-jumps``."""
 
     p_hat: float
     n_paths: int
@@ -172,7 +174,6 @@ class HitEstimate(Record):
     ci_low: float
     ci_high: float
     mean_exit_time: float
-    coarse_step_fraction: float
     rho: float
     R: float
     dtau: float
@@ -180,6 +181,7 @@ class HitEstimate(Record):
     estimator: str
     shell: float
     path_steps: int
+    exit_jumps: int
     warnings: list = field(default_factory=list)
 
     @property
@@ -200,7 +202,7 @@ def _shell(rho, R):
 
 
 def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
-              estimator, shell):
+              exit_jumps, estimator, shell):
     unit = "jumps" if estimator == WALK_ON_SPHERES else "steps"
     resolved = n_inner + n_outer
     if not resolved:
@@ -213,8 +215,8 @@ def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
         warns.append(f"{n_unresolved} paths did not exit within "
                      f"{spec.max_steps} {unit} (excluded from the estimate)")
     return HitEstimate(n_inner / resolved, N, n_inner, n_outer, n_unresolved,
-                       lo, hi, exit_time_sum / resolved, 0.0, rho, R,
-                       spec.dtau, spec.seed, estimator, shell, path_steps,
+                       lo, hi, exit_time_sum / resolved, rho, R, spec.dtau,
+                       spec.seed, estimator, shell, path_steps, exit_jumps,
                        warns)
 
 
@@ -222,7 +224,8 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     """Fraction of paths reaching {r <= rho} before {r >= R}.
 
     Driftless specs walk on spheres (``_sphere_jump``); drifted ones take
-    shrinking Heun steps (``_heun_step``).  Deterministic for a
+    Heun steps in the bulk and exit jumps near the boundary
+    (``_heun_exit_jump``).  Deterministic for a
     given (spec, seed): path batches draw from independent counter-based
     streams keyed by (seed, batch index).
     """
@@ -232,29 +235,30 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start[:, None])[0])
-    name = WALK_ON_SPHERES if spec.driftless else SHRINKING_HEUN
+    name = WALK_ON_SPHERES if spec.driftless else HEUN_EXIT_JUMPS
     if rho < r0 < R:
-        move = _sphere_jump(spec) if spec.driftless else _heun_step(spec)
+        move = _sphere_jump(spec) if spec.driftless else _heun_exit_jump(spec)
         return _shell_walk(spec, start, rho, R, N, name, move)
     inside = N if r0 <= rho else 0
     p = inside / N
-    return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, 0.0, rho, R,
-                       spec.dtau, spec.seed, name, _shell(rho, R), 0)
+    return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, rho, R,
+                       spec.dtau, spec.seed, name, _shell(rho, R), 0, 0)
 
 
 def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
-    """The path loop of walk-on-spheres and of the shrinking Heun stepper.
+    """The path loop of walk-on-spheres and of the drifted estimator.
 
     With d = min(r - rho, R - r), a path stops once d < 1e-4 (R - rho), the
     shell, and counts for the nearer boundary; a path that moved beyond a
     boundary has d < 0 and counts for the boundary it crossed.  Every other
     path moves by ``move(rng, U, b, d)``, which takes the live paths'
     points U (n, N), drifts b (n, N) or None and distances d (N,), and
-    returns the new points with their radii, drifts and the time each path
-    spent.  ``max_steps`` caps the moves of a path.
+    returns the new points with their radii, drifts, the time each path
+    spent and the number of paths that jumped.  ``max_steps`` caps the
+    moves of a path.
     """
     shell = _shell(rho, R)
-    n_inner = n_outer = path_steps = 0
+    n_inner = n_outer = path_steps = exit_jumps = 0
     exit_time_sums = []
     for nb, rng in spec.batches(N):
         U = np.repeat(start[:, None], nb, axis=1)
@@ -277,12 +281,14 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
                 b = None if b is None else b.take(live, 1)
             if len(d) == 0 or step == spec.max_steps:
                 break
-            U, r, b, dt = move(rng, U, b, d)
+            U, r, b, dt, jumps = move(rng, U, b, d)
             T += dt
             path_steps += len(d)
+            exit_jumps += jumps
         exit_time_sums.append(exits)
     return _estimate(spec, rho, R, N, n_inner, n_outer,
-                     math.fsum(exit_time_sums), path_steps, estimator, shell)
+                     math.fsum(exit_time_sums), path_steps, exit_jumps,
+                     estimator, shell)
 
 
 def _sphere_jump(spec: DiffusionSpec):
@@ -298,21 +304,29 @@ def _sphere_jump(spec: DiffusionSpec):
     jump = spec.sigma / math.sqrt(2.0)
 
     def move(rng, U, b, d):
-        theta = _normals(rng, U)
-        theta *= d / np.sqrt((theta * theta).sum(axis=0))
-        U += jump @ theta
-        return U, spec.radius(U), None, d * d / (2.0 * dim)
+        U += _sphere_steps(jump, _normals(rng, U), d)
+        return U, spec.radius(U), None, d * d / (2.0 * dim), len(d)
 
     return move
 
 
-def _heun_step(spec: DiffusionSpec):
-    """The move of the drift diffusion by Heun predictor--corrector steps
-    that shrink near the boundary (Milstein & Tretyakov, Stochastic
-    Numerics for Mathematical Physics, 2004).
+def _sphere_steps(jump, xi, d):
+    """Steps d theta g^{-1/2} to uniform points of the g-spheres of radii d,
+    theta = xi / |xi| from the normals xi (n, N), which are overwritten;
+    ``jump`` is g^{-1/2}."""
+    xi *= d / np.sqrt((xi * xi).sum(axis=0))
+    return jump @ xi
 
-    A step takes dt = min(KAPPA d^2, dtau, d / (2 |b|_g)) and one Gaussian
-    draw xi, U* = U + b(U) dt + sqrt(2 dt) xi g^{-1/2}, then
+
+def _heun(spec: DiffusionSpec, U, b, d, speed, xi):
+    """One Heun predictor--corrector step of the drift diffusion that
+    shrinks near the boundary (Milstein & Tretyakov, Stochastic Numerics
+    for Mathematical Physics, 2004): the new points and the time steps,
+    from the points U, drifts b, their lengths speed = |b|_g, distances d
+    and standard normals xi of the paths.
+
+    A step takes dt = min(KAPPA d^2, dtau, d / (2 |b|_g)),
+    U* = U + b(U) dt + sqrt(2 dt) xi g^{-1/2}, then
     U' = U + (b(U) + b(U*)) dt / 2 + the same noise.  The corrector removes
     the O(dt) inflation of the bulk variance that a plain Euler drift
     brings in; b(U') is the next step's b(U), so a step costs two drift
@@ -320,28 +334,82 @@ def _heun_step(spec: DiffusionSpec):
     distance to the boundary, which keeps a stiff drift (h = -200 r^2, say)
     from throwing paths across the annulus.
     """
+    dt = np.minimum(np.minimum(KAPPA * d * d, spec.dtau),
+                    0.5 * d / np.maximum(speed, 1e-300))
+    # U* = U + b dt + noise and U' = U + (b + b(U*)) dt / 2 + noise, built
+    # in place: from 1e4 paths on, a fresh (n, N) array costs about as much
+    # as the arithmetic that fills it
+    noise = spec.sigma @ xi
+    noise *= np.sqrt(dt)
+    predictor = b * dt
+    predictor += U
+    predictor += noise
+    _, step = spec.radius_and_drift(predictor)
+    step += b
+    step *= 0.5 * dt
+    step += U
+    step += noise
+    return step, dt
+
+
+def _heun_step(spec: DiffusionSpec):
+    """The Heun move on its own: every path takes one step of ``_heun``."""
     metric = spec.basis.T @ spec.basis
-    dtau = spec.dtau
 
     def move(rng, U, b, d):
         speed = np.sqrt(((metric @ b) * b).sum(axis=0))
-        dt = np.minimum(np.minimum(KAPPA * d * d, dtau),
-                        0.5 * d / np.maximum(speed, 1e-300))
-        # U* = U + b dt + noise and U' = U + (b + b(U*)) dt / 2 + noise,
-        # built in place with the same roundings: from 1e4 paths on, a fresh
-        # (n, N) array costs about as much as the arithmetic that fills it
-        noise = spec.sigma @ _normals(rng, U)
-        noise *= np.sqrt(dt)
-        predictor = b * dt
-        predictor += U
-        predictor += noise
-        _, step = spec.radius_and_drift(predictor)
-        step += b
-        step *= 0.5 * dt
-        step += U
-        step += noise
-        r, b = spec.radius_and_drift(step)
-        return step, r, b, dt
+        U, dt = _heun(spec, U, b, d, speed, _normals(rng, U))
+        r, b = spec.radius_and_drift(U)
+        return U, r, b, dt
+
+    return move
+
+
+def _heun_exit_jump(spec: DiffusionSpec):
+    """The move of ``heun-exit-jumps``: Heun steps in the bulk, exit jumps
+    from small spheres in the boundary layer.
+
+    A path jumps where a Heun step would shrink below dtau (KAPPA d^2 <
+    dtau) and the drift is weak across the ball of radius d:
+    d |beta| / 2 <= EXIT_JUMP_EPS, with beta = g^{1/2} b the drift in
+    orthonormal coordinates.  The jump goes to U + d g^{-1/2} theta, theta
+    drawn from the first-order exit law of the ball under a constant drift,
+    with density proportional to 1 + (d/2) <beta, theta> on the unit sphere
+    (the random walk over small spheres of Milstein & Tretyakov, Stochastic
+    Numerics for Mathematical Physics, 2004; Muller's walk-on-spheres when
+    b = 0).  theta = xi / |xi| comes from the step's own normals and is
+    kept with probability (1 + (d/2) <beta, theta>) / 2, otherwise
+    replaced by -theta: one uniform a jump, no rejection.  It lands at
+    g-distance d, inside the annulus, and takes the time d^2 / (2n).  Every
+    other path takes a Heun step (``_heun``).  The step is computed for all
+    paths and then replaced by the jumps: splitting the batch into the two
+    kinds of path would save the jumping paths' predictor drift, but the
+    copies cost more than that drift.
+    """
+    dim = spec.basis.shape[1]
+    metric = spec.basis.T @ spec.basis
+    jump = spec.sigma / math.sqrt(2.0)
+
+    def move(rng, U, b, d):
+        gb = metric @ b
+        speed = np.sqrt((gb * b).sum(axis=0))
+        xi = _normals(rng, U)
+        jumping = (KAPPA * d * d < spec.dtau) & (0.5 * d * speed
+                                                  <= EXIT_JUMP_EPS)
+        jumps = np.flatnonzero(jumping)
+        moved, dt = _heun(spec, U, b, d, speed, xi)
+        if len(jumps):
+            d = d.take(jumps)
+            shift = _sphere_steps(jump, xi.take(jumps, 1), d)
+            # d <beta, theta> = b^T g shift
+            keep = rng.random(len(jumps)) < 0.5 + 0.25 * (
+                gb.take(jumps, 1) * shift).sum(axis=0)
+            shift *= np.where(keep, 1.0, -1.0)
+            shift += U.take(jumps, 1)
+            moved[:, jumps] = shift
+            dt[jumps] = d * d / (2.0 * dim)
+        r, b = spec.radius_and_drift(moved)
+        return moved, r, b, dt, len(jumps)
 
     return move
 

@@ -570,7 +570,7 @@ def test_mc_verify_checks_dtau_paths_and_seed(tmp_path):
     estimate = entry["hit_estimate"]
     assert (estimate["n_paths"], estimate["seed"]) == (12, 3)
     assert estimate["dtau"] == pytest.approx(9e-3, rel=1e-15)
-    assert estimate["estimator"] == "shrinking-heun"
+    assert estimate["estimator"] == "heun-exit-jumps"
 
 
 def test_estimate_without_an_exited_path_is_a_scenario_error(tmp_path,

@@ -22,6 +22,22 @@ def weighted_plane(profile=rd.weight_gaussian):
     return ge.coordinate_plane(3, (0, 1), ge.RadialWeight(profile()))
 
 
+def skewed_hyperplane(weight):
+    """The hyperplane <p, (1, 2, -1, 1)> = 0.3 of R^4 in skewed affine
+    coordinates X(u) = base + basis M u: its metric M^T M is not the
+    identity (``ge.hyperplane`` takes an orthonormal basis)."""
+    base, basis = ge.hyperplane(4, [1.0, 2.0, -1.0, 1.0], offset=0.3).linear
+    basis = basis @ np.array([[1.0, 0.6, 0.0], [0.0, 1.3, -0.4],
+                              [0.2, 0.0, 0.8]])
+
+    def chart(u):
+        return [base[k] + sum(u[i] * basis[k, i] for i in range(3))
+                for k in range(4)]
+
+    return ge.ImmersedSubmanifold(ge.EuclideanAmbient(4, weight), 3, chart,
+                                  ((-4.0, 4.0),) * 3, linear=(base, basis))
+
+
 def model_potential(profile, rho, R, s):
     """Exact hitting probability on a plane through the origin: the
     potential of the 2-dimensional model with the same radial weight."""
@@ -33,8 +49,9 @@ def euler_maruyama(spec, start, rho, R, N):
     """Fixed-step Euler--Maruyama paths of the drift diffusion, a reference
     for the library's estimators: boundary crossings are located by linear
     interpolation of the radius between consecutive steps, and a step whose
-    radial increment exceeds (R - rho)/10 counts as coarse.  ``start`` must
-    lie strictly inside the annulus."""
+    radial increment exceeds (R - rho)/10 counts as coarse.  Returns the
+    estimate and the fraction of coarse steps.  ``start`` must lie strictly
+    inside the annulus."""
     start = np.asarray(start, dtype=float)
     r0 = float(spec.radius(start[:, None])[0])
     dtau = spec.dtau
@@ -96,10 +113,9 @@ def euler_maruyama(spec, start, rho, R, N):
             f"step size too coarse: radial increment exceeded (R-rho)/10 on "
             f"{100 * coarse_frac:.2f}% of steps")
     est = mc._estimate(spec, rho, R, N, n_inner, n_outer,
-                       math.fsum(exit_time_sums), n_steps_total,
+                       math.fsum(exit_time_sums), n_steps_total, 0,
                        "euler-maruyama", None)
-    return dataclasses.replace(est, coarse_step_fraction=coarse_frac,
-                               warnings=warns + est.warnings)
+    return dataclasses.replace(est, warnings=warns + est.warnings), coarse_frac
 
 
 def test_boundary_starts_are_immediate():
@@ -120,11 +136,13 @@ def test_seed_determinism_is_bitwise():
 
 def test_euler_maruyama_seed_determinism_is_bitwise():
     args = (np.array([1.6, 0.4]), 1.0, math.e, 3000)
-    a = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
-    b = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3), *args)
-    assert a.to_dict() == b.to_dict()
+    a, a_coarse = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3),
+                                 *args)
+    b, b_coarse = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=3),
+                                 *args)
+    assert a.to_dict() == b.to_dict() and a_coarse == b_coarse
     assert a.estimator == "euler-maruyama" and a.shell is None
-    c = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=4), *args)
+    c, _ = euler_maruyama(mc.DiffusionSpec(radial_plane(), 5e-4, seed=4), *args)
     assert c.p_hat != a.p_hat
 
 
@@ -178,8 +196,8 @@ def test_walk_on_spheres_agrees_with_euler_maruyama():
     start = np.array([math.sqrt(math.e), 0.0])
     wos = mc.hit_probability(mc.DiffusionSpec(radial_plane(), dtau, seed=41),
                              start, rho, R, 20_000)
-    em = euler_maruyama(mc.DiffusionSpec(radial_plane(), dtau, seed=42),
-                            start, rho, R, 4000)
+    em, _ = euler_maruyama(mc.DiffusionSpec(radial_plane(), dtau, seed=42),
+                           start, rho, R, 4000)
     shift = 0.5826 * math.sqrt(2.0 * dtau)
     s0 = math.sqrt(math.e)
     bias = abs(_annulus_potential(2, s0, rho - shift, R + shift)
@@ -207,8 +225,7 @@ def test_walk_on_spheres_needs_few_jumps():
                              20_000)
     assert est.estimator == "walk-on-spheres"
     assert est.shell == pytest.approx(1e-4 * (math.e - 1.0), rel=1e-15)
-    assert est.coarse_step_fraction == 0.0
-    assert 0 < est.path_steps < 100 * est.n_paths
+    assert 0 < est.path_steps == est.exit_jumps < 100 * est.n_paths
 
 
 def test_max_steps_caps_jumps():
@@ -216,7 +233,7 @@ def test_max_steps_caps_jumps():
     est = mc.hit_probability(spec, [1.6, 0.0], 1.0, math.e, 500)
     assert est.n_unresolved > 0
     assert est.n_inner + est.n_outer + est.n_unresolved == 500
-    assert est.path_steps <= 3 * 500
+    assert est.path_steps == est.exit_jumps <= 3 * 500
     assert any("within 3 jumps" in w for w in est.warnings)
 
 
@@ -227,7 +244,7 @@ def test_shrinking_heun_determinism_is_bitwise():
                                 seed=seed, batch_size=700)
         return mc.hit_probability(spec, [1.4, 0.9], 1.0, 4.0, 2000)
     a, b = run(3), run(3)
-    assert a.estimator == "shrinking-heun"
+    assert a.estimator == "heun-exit-jumps"
     assert a.to_dict() == b.to_dict()
     c = run(4)
     assert (c.p_hat, c.mean_exit_time) != (a.p_hat, a.mean_exit_time)
@@ -252,9 +269,28 @@ def test_shrinking_heun_on_the_gaussian_plane():
     est = mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, N)
     exact = model_potential(rd.weight_gaussian, 1.0, 4.0, 2.0)
     assert est.shell == pytest.approx(3e-4, rel=1e-12)
-    assert est.coarse_step_fraction == 0.0 and est.n_unresolved == 0
+    assert est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 3.0 * est.standard_error
-    assert est.path_steps < 250 * N
+    assert 0 < est.exit_jumps < est.path_steps < 100 * N
+
+
+@pytest.mark.parametrize("profile,R,s", [
+    (rd.weight_gaussian, 4.0, 1.3),
+    (rd.weight_gaussian, 4.0, 3.0),
+    (rd.weight_antigaussian, 3.0, 1.2),
+    (rd.weight_antigaussian, 3.0, 2.5),
+])
+def test_drifted_estimates_match_the_model_potentials(profile, R, s):
+    # with the Gaussian start 2.0, the antigaussian start 1.5 and the offset
+    # Gaussian plane above: starts near either boundary and in the middle,
+    # under a confining and a repelling drift
+    spec = mc.DiffusionSpec(weighted_plane(profile), mc.default_step(1.0, R),
+                            seed=83)
+    est = mc.hit_probability(spec, [s, 0.0], 1.0, R, 20_000)
+    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
+    assert 0 < est.exit_jumps < est.path_steps
+    assert abs(est.p_hat - model_potential(profile, 1.0, R, s)) \
+        <= 4.0 * est.standard_error
 
 
 def test_heun_step_is_the_predictor_corrector():
@@ -277,11 +313,86 @@ def test_heun_step_is_the_predictor_corrector():
     np.testing.assert_allclose(r1, np.hypot(U1[0], U1[1]), rtol=1e-15)
 
 
+@pytest.mark.parametrize("plane,u,d", [
+    (ge.identity_chart(2, ge.HeightWeight(rd.weight_height(), 2,
+                                          axis=[1.5, -1.0])), [0.4, 1.1], 0.1),
+    # the metric g = basis^T basis is not the identity, so beta = g^{1/2} b
+    # differs from b
+    (skewed_hyperplane(ge.HeightWeight(rd.weight_height(), 4,
+                                       axis=[0.5, -1.0, 0.3, 0.8])),
+     [1.1, -0.7, 0.9], 0.15),
+])
+def test_exit_jumps_follow_the_first_order_exit_law(plane, u, d):
+    # the height weight has a constant gradient; under the constant drift
+    # beta = g^{1/2} b the exit point of the ball of radius d has
+    # E[theta] = (d / 2n) beta to first order, where a walk-on-spheres jump
+    # would give E[theta] = 0, over 20 SE away
+    N, n = 200_000, len(u)
+    spec = mc.DiffusionSpec(plane, 1.0, seed=0)
+    U = np.repeat(np.asarray(u, dtype=float)[:, None], N, axis=1)
+    _, b = spec.radius_and_drift(U)
+    U1, r1, b1, dt, jumps = mc._heun_exit_jump(spec)(
+        np.random.default_rng(3), U.copy(), b, np.full(N, d))
+    root = mc._sym_sqrt(spec.basis.T @ spec.basis)
+    theta, beta = root @ (U1 - U) / d, root @ b[:, 0]
+    assert jumps == N and 0.5 * d * np.linalg.norm(beta) <= mc.EXIT_JUMP_EPS
+    np.testing.assert_allclose(np.sqrt((theta * theta).sum(axis=0)), 1.0,
+                               rtol=0, atol=1e-14)
+    se = theta.std(axis=1, ddof=1) / math.sqrt(N)
+    assert np.all(np.abs(theta.mean(axis=1) - d * beta / (2 * n)) <= 4.0 * se)
+    assert np.linalg.norm(d * beta / (2 * n)) > 20.0 * se.max()
+    np.testing.assert_array_equal(dt, d * d / (2 * n))
+    np.testing.assert_allclose(r1, np.linalg.norm(plane.point(U1.T), axis=1),
+                               rtol=1e-15)
+    np.testing.assert_array_equal(b1, np.repeat(b1[:, :1], N, axis=1))
+
+
+def test_exit_jumps_land_at_g_distance_d():
+    # the move takes each path's own d; a jump lands on the g-sphere of
+    # radius d around its start, to rounding
+    plane = skewed_hyperplane(ge.RadialWeight(rd.weight_gaussian()))
+    spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 4.0), seed=0)
+    rng = np.random.default_rng(5)
+    U = rng.uniform(-1.5, 1.5, (3, 5000))
+    _, b = spec.radius_and_drift(U)
+    d = rng.uniform(1e-4, 0.03, 5000)
+    U1, _, _, dt, jumps = mc._heun_exit_jump(spec)(rng, U.copy(), b, d)
+    step = U1 - U
+    dist = np.sqrt(((spec.basis.T @ spec.basis @ step) * step).sum(axis=0))
+    assert jumps == 5000
+    np.testing.assert_allclose(dist, d, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(dt, d * d / 6.0)
+
+
+def test_bulk_paths_take_the_heun_step():
+    # where KAPPA d^2 >= dtau or the drift is strong across the ball, the
+    # move is the Heun step, draw for draw; the other paths jump
+    spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
+    U = np.array([[2.0, 0.0], [0.3, 0.2], [3.0, 0.5], [0.1, 0.2]]).T
+    d = np.array([1.0, 0.3, 0.3, 0.3])
+    _, b = spec.radius_and_drift(U)
+    bulk = mc._heun_exit_jump(spec)(np.random.default_rng(7), U[:, :1].copy(),
+                                    b[:, :1], d[:1])
+    heun = mc._heun_step(spec)(np.random.default_rng(7), U[:, :1], b[:, :1],
+                               d[:1])
+    for got, want in zip(bulk, heun):
+        np.testing.assert_array_equal(got, want)
+    assert bulk[4] == 0
+    # |b| d / 2 is 0.05 at U = (0.3, 0.2), 0.46 at (3, 0.5) and 0.03 at
+    # (0.1, 0.2): the second and fourth paths jump
+    U1, _, _, dt, jumps = mc._heun_exit_jump(spec)(np.random.default_rng(7),
+                                                   U.copy(), b, d)
+    assert jumps == 2
+    jump_dt = 0.3 * 0.3 / 4.0
+    np.testing.assert_array_equal(dt, [1e-2, jump_dt, 0.05 * 0.3 * 0.3, jump_dt])
+    np.testing.assert_allclose(np.hypot(*(U1 - U)[:, 1::2]), 0.3, rtol=1e-15)
+
+
 def test_overshooting_paths_count_for_the_boundary_they_crossed():
     # a move that lands alternate paths inside rho and beyond R
     def move(rng, U, b, d):
         U = U * np.where(np.arange(U.shape[1]) % 2, 3.0, 0.25)
-        return U, np.linalg.norm(U, axis=0), None, np.ones(U.shape[1])
+        return U, np.linalg.norm(U, axis=0), None, np.ones(U.shape[1]), 0
     spec = mc.DiffusionSpec(radial_plane(), 1e-3, seed=1, max_steps=3)
     est = mc._shell_walk(spec, np.array([2.0, 0.0]), 1.0, 4.0, 300, "test",
                          move)
@@ -321,24 +432,26 @@ def test_shrinking_heun_on_an_offset_gaussian_plane():
     exact = model_potential(rd.weight_gaussian, math.sqrt(rho * rho - c * c),
                             math.sqrt(R * R - c * c), s)
     assert 0.3 < exact < 0.7
-    assert est.estimator == "shrinking-heun" and est.n_unresolved == 0
+    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
-# Counts and values recorded with the path loop as first written (boolean-mask
-# compaction, np.linalg.norm radii, products with strided transposes); the
-# loop must reproduce them: counts exactly, values to rounding.
+# Counts (n_inner, n_outer, n_unresolved, path_steps, exit_jumps) and values
+# (p_hat, mean_exit_time) of five recorded runs; the loop must reproduce
+# them: counts exactly, values to rounding.  The walk-on-spheres cases were
+# recorded with the path loop as first written (boolean-mask compaction,
+# np.linalg.norm radii, products with strided transposes), the heun cases
+# with the heun-exit-jumps move.
 RECORDED_ESTIMATES = {
-    "walk-on-spheres R^3": (1086, 914, 0, 56335, 0.543, 0.9089333189161196),
-    "capped heun, Gaussian plane": (481, 337, 182, 195312, 0.5880195599022005,
-                                    0.08929829010961911),
-    "heun, offset Gaussian plane": (1860, 140, 0, 508423, 0.93,
-                                    0.3965507879678696),
-    # recorded with the row-major (N, n) path loop, before the switch to
-    # coordinate-major (n, N) batches
-    "heun, antigaussian plane": (538, 1462, 0, 360489, 0.269,
-                                 0.3594091192467817),
-    "walk-on-spheres, 3-plane in R^4": (986, 1014, 0, 57102, 0.493,
+    "walk-on-spheres R^3": (1086, 914, 0, 56335, 56335, 0.543,
+                            0.9089333189161196),
+    "capped heun, Gaussian plane": (554, 375, 71, 123111, 11332,
+                                    0.596340150699677, 0.10884094594792419),
+    "heun, offset Gaussian plane": (1862, 138, 0, 231101, 57106, 0.931,
+                                    0.4113611264281529),
+    "heun, antigaussian plane": (549, 1451, 0, 185660, 21592, 0.2745,
+                                 0.3497767382147251),
+    "walk-on-spheres, 3-plane in R^4": (986, 1014, 0, 57102, 57102, 0.493,
                                         0.9648288456173865),
 }
 
@@ -374,8 +487,8 @@ def _recorded_run(case):
 def test_path_loop_reproduces_recorded_estimates(case):
     est = _recorded_run(case)
     *counts, p_hat, exit_time = RECORDED_ESTIMATES[case]
-    assert [est.n_inner, est.n_outer, est.n_unresolved,
-            est.path_steps] == counts
+    assert [est.n_inner, est.n_outer, est.n_unresolved, est.path_steps,
+            est.exit_jumps] == counts
     assert est.p_hat == pytest.approx(p_hat, rel=1e-12)
     assert est.mean_exit_time == pytest.approx(exit_time, rel=1e-12)
 
@@ -512,8 +625,8 @@ def test_wilson_interval_near_endpoints():
 
 def test_step_size_warning_on_coarse_steps():
     spec = mc.DiffusionSpec(radial_plane(), dtau=0.05, seed=1)
-    est = euler_maruyama(spec, np.array([1.6, 0.0]), 1.0, math.e, 500)
-    assert est.coarse_step_fraction > 0.01
+    est, coarse = euler_maruyama(spec, np.array([1.6, 0.0]), 1.0, math.e, 500)
+    assert coarse > 0.01
     assert any("coarse" in w for w in est.warnings)
 
 
@@ -566,7 +679,7 @@ def test_comparison_check_gaussian_plane_small():
                               direction="parabolic")
     assert rep.direction == "parabolic"
     assert rep.passed
-    assert rep.estimate.estimator == "shrinking-heun"
+    assert rep.estimate.estimator == "heun-exit-jumps"
 
 
 def test_comparison_check_refuses_unpredicted_inequality():
