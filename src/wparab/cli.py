@@ -21,136 +21,65 @@ from pathlib import Path
 import numpy as np
 
 from . import catalogs, criteria, geometry as ge, montecarlo as mc, radial as rd
-from .catalogs import _param
-from .errors import (DomainError, ScenarioError, finite_number, json_object, number_list,
-                     whole_number)
-from .radial import HINT_TAGS, NO_HINT, AsymptoticHint
+from .errors import ScenarioError
+from .fields import (BOOL, COUNT, EXPRESSION, FINITE, INF_OR_FINITE, NUMBERS, OPTIONAL, PAIR,
+                     POSITIVE, REQUIRED, SEED, TEXT, Catalog, Entry, Field, Spec, is_number,
+                     one_of)
+from .radial import HINT_TAGS, AsymptoticHint
 
 REPORT_VERSION = "4"
 
-_TASKS = ("classify", "capacity", "curves", "mc-verify", "check-identities")
-_MODEL_TASKS = ("classify", "capacity", "curves")
 
-
-def _params(scenario):
-    return json_object("params", scenario.get("params", {}))
-
-
-def _hint_from(params):
-    spec = params.get("hint")
-    if spec is None:
-        return NO_HINT
-    tag = json_object("hint", spec).get("tag")
-    if tag not in HINT_TAGS:
-        raise DomainError(f"hint.tag must be one of {HINT_TAGS}, got {tag!r}")
-    param = spec.get("param")
-    return AsymptoticHint(tag, None if param is None else finite_number("hint.param", param))
-
-
-def _alpha_from(params):
-    if "alpha" in params:
-        return rd.RadialProfile.from_expression(params["alpha"])
-    return None
-
-
-def _n(params, part, prefix=""):
-    return whole_number(prefix + "n", _param(params, "n", part))
-
-
-def _t0(params, prefix=""):
-    return finite_number(prefix + "t0", params.get("t0", 1.0))
+def _profile(source):
+    return rd.RadialProfile.from_expression(source)
 
 
 # ---------------------------------------------------------------------------
-# Task runners
+# Task runners: each reads a scenario checked against its table (SCENARIO)
 
 
 def _run_classify(scenario, outdir):
-    params = _params(scenario)
-    criterion = params.get("criterion", "ahlfors_direct")
-    part = f"criterion {criterion!r}"
-    hint = _hint_from(params)
-    alpha = _alpha_from(params)
-    model = catalogs.resolve_model(scenario.get("model"))
-
-    if criterion == "ahlfors_direct":
-        verdict = model.ahlfors_classify(_t0(params), hint)
-    elif criterion in ("parabolic_comparison", "hyperbolic_comparison"):
-        if alpha is None:
-            raise ScenarioError("comparison criteria need an 'alpha' expression")
-        setup = criteria.ComparisonSetup(model.w, _n(params, part), _t0(params),
-                                         alpha, hint=hint)
-        fn = (criteria.classify_parabolic if criterion == "parabolic_comparison"
-              else criteria.classify_hyperbolic)
-        verdict = fn(setup)
-    elif criterion == "bounded_drift":
-        beta = rd.RadialProfile.from_expression(_param(params, "beta", part))
-        verdict = criteria.classify_bounded_drift(
-            model.w, _n(params, part), beta, finite_number("c", params.get("c", 0.0)),
-            params.get("direction", "parabolic"), hint)
-    elif criterion == "radial_weight":
-        use_exp = params.get("use_exp_integral", False)
-        if not isinstance(use_exp, bool):
-            raise DomainError(f"use_exp_integral must be true or false, got {use_exp!r}")
-        verdict = criteria.classify_radial_weight(
-            model.w, _n(params, part), model.f, finite_number("c", params.get("c", 0.0)),
-            params.get("direction", "parabolic"), hint, use_exp_integral=use_exp)
-    elif criterion == "warping_power":
-        verdict = criteria.classify_warping_power(
-            model.w, _n(params, part), finite_number("k", _param(params, "k", part)),
-            _t0(params), hint)
-    elif criterion == "translator_halfspace":
-        if alpha is None:
-            raise ScenarioError("translator criterion needs an 'alpha' expression")
-        verdict = criteria.classify_translator_halfspace(
-            _n(params, part), alpha, _t0(params), hint)
-    else:
-        raise ScenarioError(f"unknown criterion {criterion!r}")
-    return {"verdict": verdict.to_dict()}
+    params = scenario["params"]
+    model = catalogs.resolve_model(scenario["model"])
+    return {"verdict": CRITERIA.build(params, model, AsymptoticHint(**params["hint"])).to_dict()}
 
 
 def _run_capacity(scenario, outdir):
-    params = _params(scenario)
-    model = catalogs.resolve_model(scenario.get("model"))
-    rho = finite_number("rho", _param(params, "rho", "task 'capacity'"))
-    hint = _hint_from(params)
-    R = params.get("R", "inf")
-    if R in ("inf", None):
-        cap, evidence = model.capacity_to_infinity(rho, hint)
+    params = scenario["params"]
+    model = catalogs.resolve_model(scenario["model"])
+    rho, R = params["rho"], params["R"]
+    if R == "inf":
+        cap, evidence = model.capacity_to_infinity(rho, AsymptoticHint(**params["hint"]))
         return {"capacity": cap, "rho": rho, "R": None,
                 "integral_evidence": evidence.to_dict()}
-    report = model.capacity_potential(rho, finite_number("R", R))
+    report = model.capacity_potential(rho, R)
     out = report.to_dict()
     if "eval_at" in params:
-        radii = number_list("eval_at", params["eval_at"])
-        values = report.potential(np.array(radii)).tolist()
+        values = report.potential(np.array(params["eval_at"], dtype=float)).tolist()
         out["potential_values"] = dict(zip(map(str, params["eval_at"]), values))
     return {"capacity_report": out}
 
 
 def _run_curves(scenario, outdir):
-    params, part = _params(scenario), "task 'curves'"
-    model = catalogs.resolve_model(scenario.get("model"))
-    lo, hi = number_list("range", _param(params, "range", part), 2)
+    params = scenario["params"]
+    model = catalogs.resolve_model(scenario["model"])
+    lo, hi = params["range"]
     if lo <= model.f.t_min:
         raise ScenarioError(
             f"curve range starts at {lo} but the weight is defined only for "
             f"t > {model.f.t_min}")
-    samples = whole_number("samples", params.get("samples", 100))
-    n = _n(params, part) if params.get("n") is not None else None
-    ts = np.linspace(lo, hi, samples)
+    ts = np.linspace(lo, hi, params["samples"])
 
     # (name, column on an array of radii), in header order
     table = [("t", lambda t: t), ("area", model.sphere_area)]
     if model.f.t_min == 0.0:
         table.append(("volume", model.ball_volume))
     table.append(("H", model.mean_curvature))
-    if n is not None:
-        table.append(("Hh_n", lambda t: model.weighted_mean_curvature(n, t)))
-    if params.get("rho") is not None or params.get("R") is not None:
-        # the phi column needs both radii
-        rho = finite_number("rho", _param(params, "rho", part))
-        R = finite_number("R", _param(params, "R", part))
+    if "n" in params:
+        table.append(("Hh_n", lambda t: model.weighted_mean_curvature(params["n"], t)))
+    if "rho" in params:
+        # the phi column, read with both radii
+        rho, R = params["rho"], params["R"]
         potential = model.capacity_potential(rho, R).potential
         table.append(("phi", lambda t: potential(np.clip(t, rho, R))))
     header = [name for name, _ in table]
@@ -178,64 +107,122 @@ def _run_curves(scenario, outdir):
 
 
 def _run_mc_verify(scenario, outdir):
-    params, part = _params(scenario), "task 'mc-verify'"
-    warping, P = catalogs.resolve_immersion(scenario,
-                                            {"name": "radial_scenario"})
-    if P.linear is None:
-        raise ScenarioError("mc-verify needs an affine chart (plane or "
-                            "radial_scenario)")
-
-    rho = finite_number("rho", _param(params, "rho", part))
-    R = finite_number("R", _param(params, "R", part))
-    N = whole_number("paths", params.get("paths", 10_000))
-    start = _param(params, "start", part)
-    spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)),
-                            params.get("seed", 0),
-                            batch_size=params.get("batch_size", 20_000))
-
+    params = scenario["params"]
+    warping, P = catalogs.resolve_immersion(scenario)
+    rho, R, start, N = params["rho"], params["R"], params["start"], params["paths"]
+    spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)), params["seed"],
+                            batch_size=params["batch_size"])
     if "R_schedule" in params:
-        probe = mc.recurrence_probe(spec, start, rho,
-                                    number_list("R_schedule", params["R_schedule"]), N)
+        probe = mc.recurrence_probe(spec, start, rho, params["R_schedule"], N)
         return {"recurrence_probe": probe.to_dict()}
     if "comparison" in params:
-        comp = json_object("comparison", params["comparison"])
-        alpha = rd.RadialProfile.from_expression(_param(comp, "alpha", "comparison"))
-        setup = criteria.ComparisonSetup(warping, _n(comp, "comparison", "comparison."),
-                                         _t0(comp, "comparison."), alpha)
+        comp = params["comparison"]
+        setup = criteria.ComparisonSetup(warping, comp["n"], comp["t0"],
+                                         _profile(comp["alpha"]))
         rep = mc.comparison_check(spec, setup, start, rho, R, N,
-                                  direction=comp.get("direction", "parabolic"))
+                                  direction=comp["direction"])
         return {"comparison": rep.to_dict()}
     est = mc.hit_probability(spec, start, rho, R, N)
     return {"hit_estimate": est.to_dict()}
 
 
 def _run_check_identities(scenario, outdir):
-    params = _params(scenario)
+    params = scenario["params"]
     _, P = catalogs.resolve_immersion(scenario)
-    psi = rd.RadialProfile.from_expression(params.get("psi", "t^2/2"))
-    count = whole_number("points", params.get("points", 5))
-    seed = whole_number("seed", params.get("seed", 0), positive=False)
+    psi = _profile(params["psi"])
     rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=(seed, 0x1D))))
+        np.random.SeedSequence(entropy=(params["seed"], 0x1D))))
     U = np.array([[lo + (hi - lo) * rng.random() for lo, hi in P.window]
-                  for _ in range(count)])
+                  for _ in range(params["points"])])
     s = ge.geometry_at_batch(P, U)
     residuals = ge.radial_identity_residual(P, s, psi)
     return {
         "radial_identity_max_residual": float(residuals.max()),
         "weighted_mc_norm_max": float(ge._norm(s.wmc_vec).max()),
-        "points": count,
-        "psi": params.get("psi", "t^2/2"),
+        "points": params["points"],
+        "psi": params["psi"],
     }
 
 
-_RUNNERS = {
-    "classify": _run_classify,
-    "capacity": _run_capacity,
-    "curves": _run_curves,
-    "mc-verify": _run_mc_verify,
-    "check-identities": _run_check_identities,
-}
+# ---------------------------------------------------------------------------
+# The declared fields of each task and criterion (docs/scenario-format.md)
+
+N = Field(COUNT)
+T0 = Field(FINITE, 1.0)
+C = Field(FINITE, 0.0)
+ALPHA = Field(EXPRESSION)
+DIRECTION = Field(one_of("parabolic", "hyperbolic"), "parabolic")
+HINT = Field(Spec("hint", {"tag": Field(one_of(*HINT_TAGS)),
+                           "param": Field(FINITE, OPTIONAL)}), {"tag": "none"})
+SETUP = {"n": N, "t0": T0, "alpha": ALPHA}
+
+
+def _comparison(classify):
+    return lambda p, model, hint: classify(criteria.ComparisonSetup(
+        model.w, p["n"], p["t0"], _profile(p["alpha"]), hint=hint))
+
+
+# builders take the checked params, the model and the hint
+CRITERIA = Catalog("criterion", "ahlfors_direct", {
+    "ahlfors_direct": Entry(
+        {"t0": T0}, lambda p, model, hint: model.ahlfors_classify(p["t0"], hint)),
+    "parabolic_comparison": Entry(SETUP, _comparison(criteria.classify_parabolic)),
+    "hyperbolic_comparison": Entry(SETUP, _comparison(criteria.classify_hyperbolic)),
+    "bounded_drift": Entry(
+        {"n": N, "beta": Field(EXPRESSION), "c": C, "direction": DIRECTION},
+        lambda p, model, hint: criteria.classify_bounded_drift(
+            model.w, p["n"], _profile(p["beta"]), p["c"], p["direction"], hint)),
+    "radial_weight": Entry(
+        {"n": N, "c": C, "direction": DIRECTION, "use_exp_integral": Field(BOOL, False)},
+        lambda p, model, hint: criteria.classify_radial_weight(
+            model.w, p["n"], model.f, p["c"], p["direction"], hint,
+            use_exp_integral=p["use_exp_integral"])),
+    "warping_power": Entry(
+        {"n": N, "k": Field(FINITE), "t0": T0},
+        lambda p, model, hint: criteria.classify_warping_power(
+            model.w, p["n"], p["k"], p["t0"], hint)),
+    "translator_halfspace": Entry(
+        SETUP, lambda p, model, hint: criteria.classify_translator_halfspace(
+            p["n"], _profile(p["alpha"]), p["t0"], hint)),
+}, key="criterion", common={"hint": HINT})
+
+# the keys of potential_values echo the radii as written
+EVAL_AT = Field(NUMBERS._replace(convert=None), OPTIONAL,
+                only=("with a finite R", lambda p: is_number(p.get("R"))))
+CAPACITY = Spec("capacity params", {
+    "rho": Field(FINITE), "R": Field(INF_OR_FINITE, "inf"), "eval_at": EVAL_AT,
+    "hint": HINT._replace(only=('with R "inf"', lambda p: not is_number(p.get("R"))))})
+CURVES = Spec("curves params", {
+    "range": Field(PAIR), "samples": Field(COUNT, 100), "n": Field(COUNT, OPTIONAL),
+    "rho": Field(FINITE, OPTIONAL, only=("with R", lambda p: "R" in p)),
+    "R": Field(FINITE, OPTIONAL, only=("with rho", lambda p: "rho" in p))})
+COMPARISON = Spec("comparison", {"alpha": ALPHA, "n": N, "t0": T0, "direction": DIRECTION})
+MC_VERIFY = Spec("mc-verify params", {
+    "start": Field(NUMBERS), "rho": Field(FINITE), "R": Field(FINITE),
+    "paths": Field(COUNT, 10_000), "seed": Field(SEED, 0),
+    "dtau": Field(POSITIVE, OPTIONAL), "batch_size": Field(COUNT, 20_000),
+    "R_schedule": Field(NUMBERS, OPTIONAL),
+    "comparison": Field(COMPARISON, OPTIONAL,
+                        only=("without R_schedule", lambda p: "R_schedule" not in p))})
+CHECK_IDENTITIES = Spec("check-identities params", {
+    "psi": Field(EXPRESSION, "t^2/2"), "points": Field(COUNT, 5), "seed": Field(SEED, 0)})
+
+MODEL = Field(catalogs.MODEL)
+IMMERSION = Field(catalogs.IMMERSION_MODEL)
+
+# builders take the checked scenario and the output directory
+SCENARIO = Catalog("task", REQUIRED, {
+    "classify": Entry({"model": MODEL, "params": Field(CRITERIA, {})}, _run_classify),
+    "capacity": Entry({"model": MODEL, "params": Field(CAPACITY, {})}, _run_capacity),
+    "curves": Entry({"model": MODEL, "params": Field(CURVES, {})}, _run_curves),
+    "mc-verify": Entry(
+        {"model": IMMERSION,
+         "submanifold": Field(catalogs.SUBMANIFOLDS, {"name": "radial_scenario"}),
+         "params": Field(MC_VERIFY, {})}, _run_mc_verify),
+    "check-identities": Entry(
+        {"model": IMMERSION, "submanifold": Field(catalogs.SUBMANIFOLDS),
+         "params": Field(CHECK_IDENTITIES, {})}, _run_check_identities),
+}, key="task", common={"id": Field(TEXT)})
 
 
 # ---------------------------------------------------------------------------
@@ -254,42 +241,22 @@ def load_config(path):
         raise ScenarioError(
             f"config parse error at line {err.lineno}, column {err.colno}: "
             f"{err.msg}") from err
-    if not isinstance(config, dict) or "scenarios" not in config:
-        raise ScenarioError("config must be an object with a 'scenarios' array")
-    scenarios = config["scenarios"]
-    if not isinstance(scenarios, list):
-        raise ScenarioError("'scenarios' must be an array")
+    if not (isinstance(config, dict) and list(config) == ["scenarios"]
+            and isinstance(config["scenarios"], list)):
+        raise ScenarioError("config must be an object whose one field is a "
+                            "'scenarios' array")
     seen = set()
-    for i, sc in enumerate(scenarios):
-        if not isinstance(sc, dict):
-            raise ScenarioError(f"scenario #{i} is not an object")
-        if "id" not in sc:
-            raise ScenarioError(f"scenario #{i} is missing 'id'")
+    for i, sc in enumerate(config["scenarios"]):
+        sc = SCENARIO.check(sc, f"scenarios[{i}]")
         if sc["id"] in seen:
-            raise ScenarioError(f"duplicate scenario id {sc['id']!r}")
+            raise ScenarioError(f"scenarios[{i}].id duplicates {sc['id']!r}")
         seen.add(sc["id"])
-        model = sc.get("model")
-        m = model.get("m") if isinstance(model, dict) else None
-        if m is not None and not (
-                (isinstance(m, int) and not isinstance(m, bool))
-                or (isinstance(m, float) and m.is_integer())):
-            raise ScenarioError(
-                f"scenarios[{i}].model.m must be an integer, got {m!r}")
-        if sc.get("task") not in _TASKS:
-            raise ScenarioError(
-                f"scenario {sc['id']!r}: unknown task {sc.get('task')!r} "
-                f"(expected one of {_TASKS})")
-    for i, sc in enumerate(scenarios):
-        if sc["task"] in _MODEL_TASKS and not isinstance(sc.get("model"), dict):
-            raise ScenarioError(
-                f"scenarios[{i}].model is missing or not an object "
-                f"(task {sc['task']!r} needs a model)")
     return config
 
 
 def run_scenario(scenario, outdir):
     try:
-        result = _RUNNERS[scenario["task"]](scenario, outdir)
+        result = SCENARIO.build(SCENARIO.check(scenario, ""), outdir)
         return {"id": scenario["id"], "task": scenario["task"],
                 "status": "ok", "inputs": scenario, **result}
     except Exception as err:  # any failure stays inside its own report entry
@@ -342,7 +309,7 @@ def main(argv=None):
         p.add_argument("--out", default="wparab-out", help="output directory")
         p.add_argument("--workers", type=int, default=1)
         p.add_argument("--seed", type=int, default=None,
-                       help="override the seed of every scenario")
+                       help="override the seed of every scenario that takes one")
         p.set_defaults(tasks=tasks)
 
     args = parser.parse_args(argv)
@@ -352,8 +319,9 @@ def main(argv=None):
         print(f"config error: {err}", file=sys.stderr)
         return 2
     if args.seed is not None:
-        for sc in config["scenarios"]:
-            sc.setdefault("params", {})["seed"] = args.seed
+        for sc in config["scenarios"]:     # the tasks that declare a seed
+            if "seed" in SCENARIO.check(sc, "")["params"]:
+                sc.setdefault("params", {})["seed"] = args.seed
     report = run_config(config, args.out, workers=args.workers,
                         task_filter=args.tasks)
     for sc in report["scenarios"]:

@@ -20,8 +20,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
-from .errors import (ComparisonRefusal, DomainError, finite_number, is_number,
-                     whole_number)
+from .errors import ComparisonRefusal, DomainError
+from .fields import COUNT, POSITIVE, SEED, is_number
 from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight, _drift,
                        field_values, geometry_at_batch, weighted_laplacian)
 from .verdicts import INTERNAL, Outcome, Record
@@ -78,10 +78,10 @@ class DiffusionSpec:
     max_steps: int = 400_000
 
     def __post_init__(self):
-        self.batch_size = whole_number("batch_size", self.batch_size)
-        self.max_steps = whole_number("max_steps", self.max_steps)
-        self.seed = whole_number("seed", self.seed, positive=False)
-        self.dtau = finite_number("dtau", self.dtau, positive=True)
+        self.batch_size = COUNT.check(self.batch_size, "batch_size", {})
+        self.max_steps = COUNT.check(self.max_steps, "max_steps", {})
+        self.seed = SEED.check(self.seed, "seed", {})
+        self.dtau = POSITIVE.check(self.dtau, "dtau", {})
         if self.P.linear is None:
             raise DomainError(
                 "path simulation requires an affine chart (use the generic "

@@ -164,11 +164,14 @@ def test_malformed_json_exit_code(tmp_path):
 @pytest.mark.parametrize("payload,message", [
     ({"scenarios": [{"task": "classify"}]}, "missing 'id'"),
     ({"scenarios": [{"id": "x", "task": "dance"}]}, "unknown task"),
-    ({"scenarios": [{"id": "x", "task": "classify"},
-                    {"id": "x", "task": "classify"}]}, "duplicate"),
+    ({"scenarios": [{"id": "x", "task": "classify", "model": {"m": 2}},
+                    {"id": "x", "task": "classify", "model": {"m": 2}}]}, "duplicate"),
     ({"other": []}, "scenarios"),
     ({"scenarios": [{"id": "x", "task": "curves", "model": {"m": 2.5}}]},
-     r"scenarios\[0\]\.model\.m must be an integer, got 2\.5"),
+     r"scenarios\[0\]\.model\.m must be a positive integer, got 2\.5"),
+    ({"scenarios": [{"id": "x", "task": "classify",
+                     "model": {"m": 2, "w": {"name": "euclidean"}}}]},
+     r"scenarios\[0\]\.model\.w is not a field of model"),
 ])
 def test_config_validation(tmp_path, payload, message):
     path = write_config(tmp_path, payload)
@@ -218,6 +221,13 @@ def test_seed_override_flag(tmp_path):
     assert rc == 0
     report = json.loads((tmp_path / "o1" / "report.json").read_text())
     assert report["scenarios"][0]["hit_estimate"]["seed"] == 99
+    # only the tasks that declare a seed take one
+    rc = cli.main(["run", str(CONFIG_DIR / "demo.json"), "--out", str(tmp_path / "o2"),
+                   "--seed", "5"])
+    assert rc == 0
+    entries = json.loads((tmp_path / "o2" / "report.json").read_text())["scenarios"]
+    seeded = {entry["task"] for entry in entries if "seed" in entry["inputs"]["params"]}
+    assert seeded == {"mc-verify", "check-identities"}
 
 
 def _strict_report(outdir):
@@ -238,19 +248,19 @@ def test_non_object_params_become_a_scenario_error(tmp_path):
          "params must be an object, got []"),
         ({**ids, "submanifold": "sphere"},
          "submanifold must be an object, got 'sphere'"),
-        ({**ids, "model": {**model, "weight": 3}}, "weight must be an object, got 3"),
+        ({**ids, "model": {**model, "weight": 3}}, "model.weight must be an object, got 3"),
         ({**ids, "model": [3]}, "model must be an object, got [3]"),
         ({"id": "cls", "task": "classify", "model": {**model, "warping": "euclidean"}},
-         "warping must be an object, got 'euclidean'"),
+         "model.warping must be an object, got 'euclidean'"),
         ({**mc, "params": {**mc["params"], "comparison": "parabolic"}},
-         "comparison must be an object, got 'parabolic'"),
+         "params.comparison must be an object, got 'parabolic'"),
     ]
     config = {"scenarios": [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)] + [
         {"id": "good", "task": "capacity", "model": small_model(),
          "params": {"rho": 1.0, "R": 2.0}}]}
     cli.run_config(config, tmp_path)
     *bad, good = _strict_report(tmp_path)["scenarios"]
-    assert [entry.get("error") for entry in bad] == ["DomainError: " + msg for _, msg in cases]
+    assert [entry.get("error") for entry in bad] == ["ScenarioError: " + msg for _, msg in cases]
     assert good["status"] == "ok"
 
 
@@ -370,7 +380,7 @@ def test_zero_paths_become_a_scenario_error(tmp_path):
          "params": {"rho": 0.5, "R": 2.0, "start": [1.0, 0.0], "paths": 0}}]}
     cli.run_config(config, tmp_path)
     (mc,) = _strict_report(tmp_path)["scenarios"]
-    assert mc["status"] == "error" and "DomainError" in mc["error"]
+    assert mc["error"] == "ScenarioError: params.paths must be a positive integer, got 0"
 
 
 def test_start_of_the_wrong_length_becomes_a_scenario_error(tmp_path):
@@ -401,7 +411,7 @@ def test_missing_model_exits_2(tmp_path, capsys, task):
          "params": {"rho": 1.0, "R": 2.0}},
         {"id": "bad", "task": task, "params": {}}]})
     assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
-    assert "scenarios[1].model is missing" in capsys.readouterr().err
+    assert "scenarios[1] is missing 'model'" in capsys.readouterr().err
     assert not (tmp_path / "out" / "report.json").exists()
 
 
@@ -466,36 +476,36 @@ def test_missing_catalog_parameter_names_the_field(tmp_path):
     gauss = small_model("gaussian", 3)
     missing = [
         ({"task": "capacity", "model": gauss, "params": {"R": 2.0}},
-         "task 'capacity' is missing parameter 'rho'"),
+         "params is missing 'rho'"),
         ({"task": "curves", "model": gauss, "params": {"samples": 5}},
-         "task 'curves' is missing parameter 'range'"),
+         "params is missing 'range'"),
         ({"task": "curves", "model": gauss,
           "params": {"range": [0.5, 2.0], "samples": 5, "rho": 1.0}},
-         "task 'curves' is missing parameter 'R'"),
+         "params.rho is read only with R"),
         ({"task": "curves", "model": gauss,
           "params": {"range": [0.5, 2.0], "samples": 5, "R": 1.5}},
-         "task 'curves' is missing parameter 'rho'"),
+         "params.R is read only with rho"),
         ({**mc, "params": {"rho": 1.0, "R": 4.0}},
-         "task 'mc-verify' is missing parameter 'start'"),
+         "params is missing 'start'"),
         ({**classify, "params": {"criterion": "warping_power", "n": 2}},
-         "criterion 'warping_power' is missing parameter 'k'"),
+         "params is missing 'k'"),
         ({**classify, "params": {"criterion": "bounded_drift", "n": 2}},
-         "criterion 'bounded_drift' is missing parameter 'beta'"),
+         "params is missing 'beta'"),
         ({**classify, "params": {"criterion": "radial_weight"}},
-         "criterion 'radial_weight' is missing parameter 'n'"),
+         "params is missing 'n'"),
         ({**mc, "params": {**mc["params"], "comparison": {"alpha": "-t", "t0": 1.5}}},
-         "comparison is missing parameter 'n'"),
+         "params.comparison is missing 'n'"),
         ({**mc, "params": {**mc["params"], "comparison": {"n": 2}}},
-         "comparison is missing parameter 'alpha'"),
+         "params.comparison is missing 'alpha'"),
     ]
     config["scenarios"] += [{**sc, "id": f"missing{i}"} for i, (sc, _) in enumerate(missing)]
     cli.run_config(config, tmp_path)
     errors = [sc["error"] for sc in _strict_report(tmp_path)["scenarios"]]
     assert errors == [
-        "CatalogError: weight 'power' is missing parameter 'a'",
-        "CatalogError: weight 'split' is missing parameter 'mu'",
-        "CatalogError: submanifold 'cylinder' is missing parameter 'k'",
-    ] + ["CatalogError: " + msg for _, msg in missing]
+        "ScenarioError: model.weight is missing 'a'",
+        "ScenarioError: model.weight is missing 'mu'",
+        "ScenarioError: submanifold is missing 'k'",
+    ] + ["ScenarioError: " + msg for _, msg in missing]
     # both radii given: the curves table has its phi column
     both = cli.run_scenario(curves_scenario(rho=1.0, R=1.5), tmp_path)
     assert both["columns"][-1] == "phi"
@@ -515,19 +525,15 @@ def test_missing_catalog_parameter_names_the_field(tmp_path):
 def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
     cases = [
         ({"start": [True, 0.5]},
-         "DomainError: start must be a list of numbers, got [True, 0.5]"),
+         "start must be a list of finite numbers, got [True, 0.5]"),
         ({"start": ["2", 0.5]},
-         "DomainError: start must be a list of numbers, got ['2', 0.5]"),
+         "start must be a list of finite numbers, got ['2', 0.5]"),
         ({"start": [[1.0], [2.0, 3.0]]},
-         "DomainError: start must be a list of numbers, got [[1.0], [2.0, 3.0]]"),
-        ({"batch_size": 0},
-         "DomainError: batch_size must be a positive integer, got 0"),
-        ({"batch_size": -5},
-         "DomainError: batch_size must be a positive integer, got -5"),
-        ({"batch_size": 2.5},
-         "DomainError: batch_size must be a positive integer, got 2.5"),
-        ({"batch_size": True},
-         "DomainError: batch_size must be a positive integer, got True"),
+         "start must be a list of finite numbers, got [[1.0], [2.0, 3.0]]"),
+        ({"batch_size": 0}, "batch_size must be a positive integer, got 0"),
+        ({"batch_size": -5}, "batch_size must be a positive integer, got -5"),
+        ({"batch_size": 2.5}, "batch_size must be a positive integer, got 2.5"),
+        ({"batch_size": True}, "batch_size must be a positive integer, got True"),
     ]
     base = {"rho": 0.5, "R": 2.0, "start": [1.0, 0.0], "paths": 10}
     config = {"scenarios": [
@@ -537,7 +543,8 @@ def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
             "params": {**base, "batch_size": 4.0}}]}
     cli.run_config(config, tmp_path)
     *bad, ok = _strict_report(tmp_path)["scenarios"]
-    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert [entry.get("error") for entry in bad] == [
+        "ScenarioError: params." + msg for _, msg in cases]
     assert ok["status"] == "ok" and ok["hit_estimate"]["n_paths"] == 10
 
 
@@ -564,7 +571,7 @@ def test_mc_verify_checks_dtau_paths_and_seed(tmp_path):
     for patch, message in cases:
         entry = cli.run_scenario(gaussian_plane_scenario(**patch), tmp_path)
         assert (entry["status"], entry["error"]) == ("error",
-                                                     "DomainError: " + message)
+                                                     "ScenarioError: params." + message)
     entry = cli.run_scenario(gaussian_plane_scenario(paths=12.0, seed=3.0),
                              tmp_path)
     estimate = entry["hit_estimate"]
@@ -603,8 +610,8 @@ def test_identity_check_makes_a_fixed_number_of_chart_calls(tmp_path,
     calls = []
     resolve = catalogs.resolve_immersion
 
-    def counting(scenario, default=None):
-        warping, P = resolve(scenario, default)
+    def counting(scenario):
+        warping, P = resolve(scenario)
 
         def chart(u):
             calls.append(1)
@@ -626,36 +633,36 @@ def test_scenario_counts_and_radii_are_checked(tmp_path):
     del no_submanifold["submanifold"]
     cases = [
         (identities_scenario(points=0),
-         "DomainError: points must be a positive integer, got 0"),
+         "ScenarioError: params.points must be a positive integer, got 0"),
         (identities_scenario(points=2.7),
-         "DomainError: points must be a positive integer, got 2.7"),
+         "ScenarioError: params.points must be a positive integer, got 2.7"),
         (identities_scenario(points="many"),
-         "DomainError: points must be a positive integer, got 'many'"),
+         "ScenarioError: params.points must be a positive integer, got 'many'"),
         (identities_scenario(seed=True),
-         "DomainError: seed must be a non-negative integer, got True"),
+         "ScenarioError: params.seed must be a non-negative integer, got True"),
         (identities_scenario(seed=-3),
-         "DomainError: seed must be a non-negative integer, got -3"),
+         "ScenarioError: params.seed must be a non-negative integer, got -3"),
         (no_submanifold,
-         "CatalogError: scenario is missing parameter 'submanifold'"),
+         "ScenarioError: task 'check-identities' is missing 'submanifold'"),
         (gaussian_plane_scenario(rho=True),
-         "DomainError: rho must be a finite number, got True"),
+         "ScenarioError: params.rho must be a finite number, got True"),
         (gaussian_plane_scenario(R="4"),
-         "DomainError: R must be a finite number, got '4'"),
+         "ScenarioError: params.R must be a finite number, got '4'"),
         ({"id": "cap", "task": "capacity", "model": small_model(),
           "params": {"rho": "1", "R": 2.0}},
-         "DomainError: rho must be a finite number, got '1'"),
+         "ScenarioError: params.rho must be a finite number, got '1'"),
         ({"id": "cap", "task": "capacity", "model": small_model(),
           "params": {"rho": 1.0, "R": True}},
-         "DomainError: R must be a finite number, got True"),
+         'ScenarioError: params.R must be "inf" or a finite number, got True'),
         ({"id": "curves", "task": "curves", "model": small_model("gaussian", 3),
           "params": {"range": [0.5, 2.0], "samples": 3, "rho": True, "R": 4.0}},
-         "DomainError: rho must be a finite number, got True"),
+         "ScenarioError: params.rho must be a finite number, got True"),
     ]
     for samples in (0, "many", 2.5):
         cases.append((
             {"id": "curves", "task": "curves", "model": small_model("gaussian", 3),
              "params": {"range": [0.5, 2.0], "samples": samples}},
-            f"DomainError: samples must be a positive integer, got {samples!r}"))
+            f"ScenarioError: params.samples must be a positive integer, got {samples!r}"))
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**identities_scenario(points=4.0, seed=0), "id": "ok"}]
     cli.run_config({"scenarios": scenarios + ok}, tmp_path)
@@ -666,7 +673,7 @@ def test_scenario_counts_and_radii_are_checked(tmp_path):
     for patch, shown in (({"R": math.inf}, "R must be a finite number, got inf"),
                          ({"rho": math.nan}, "rho must be a finite number, got nan")):
         entry = cli.run_scenario(gaussian_plane_scenario(**patch), tmp_path)
-        assert entry["error"] == "DomainError: " + shown
+        assert entry["error"] == "ScenarioError: params." + shown
 
 
 def _with_submanifold(**sub):
@@ -679,51 +686,75 @@ def _with_model(warping=None, **weight):
             "params": {"criterion": "ahlfors_direct"}}
 
 
-@pytest.mark.parametrize("scenario, message", [
+@pytest.mark.parametrize("scenario, refusal, error", [
     (_with_submanifold(name="sphere", a=True),
-     "submanifold 'sphere' parameter 'a' must be a finite number, got True"),
+     "submanifold 'sphere' parameter 'a' must be a finite number, got True",
+     "submanifold.a must be a finite number, got True"),
     (_with_submanifold(name="sphere", a="1.3"),
-     "submanifold 'sphere' parameter 'a' must be a finite number, got '1.3'"),
+     "submanifold 'sphere' parameter 'a' must be a finite number, got '1.3'",
+     "submanifold.a must be a finite number, got '1.3'"),
     (_with_submanifold(name="cylinder", a=1.2, k=2.9),
-     "submanifold 'cylinder' parameter 'k' must be a positive integer, got 2.9"),
+     "submanifold 'cylinder' parameter 'k' must be a positive integer, got 2.9",
+     "submanifold.k must be a positive integer, got 2.9"),
     (_with_submanifold(name="plane", normal=[0, 0, 1], offset="0.5"),
-     "submanifold 'plane' parameter 'offset' must be a finite number, got '0.5'"),
+     "submanifold 'plane' parameter 'offset' must be a finite number, got '0.5'",
+     "submanifold.offset must be a finite number, got '0.5'"),
     (_with_submanifold(name="plane", normal=[0, True, 0]),
-     "submanifold 'plane' parameter 'normal' must be a finite number, got True"),
+     "submanifold 'plane' parameter 'normal' must be a finite number, got True",
+     "submanifold.normal must be a list of m finite numbers, got [0, True, 0]"),
     (_with_submanifold(name="plane", normal=[0, 0, "1"]),
-     "submanifold 'plane' parameter 'normal' must be a finite number, got '1'"),
+     "submanifold 'plane' parameter 'normal' must be a finite number, got '1'",
+     "submanifold.normal must be a list of m finite numbers, got [0, 0, '1']"),
     (_with_submanifold(name="plane", normal=[0, 1]),
-     "submanifold 'plane' parameter 'normal' must be a list of 3 numbers, got [0, 1]"),
+     "submanifold 'plane' parameter 'normal' must be a list of 3 numbers, got [0, 1]",
+     "submanifold.normal must be a list of m finite numbers, got [0, 1]"),
     (_with_submanifold(name="helicoid", pitch="0.8"),
-     "submanifold 'helicoid' parameter 'pitch' must be a finite number, got '0.8'"),
+     "submanifold 'helicoid' parameter 'pitch' must be a finite number, got '0.8'",
+     "submanifold.pitch must be a finite number, got '0.8'"),
     (gaussian_plane_scenario(R_schedule=[True, "4", 8]),
-     "R_schedule must be a finite number, got True"),
+     "R_schedule must be a finite number, got True",
+     "params.R_schedule must be a list of finite numbers, got [True, '4', 8]"),
     (_with_model({"name": "hyperbolic", "kappa": "-1"}, name="zero"),
-     "warping 'hyperbolic' parameter 'kappa' must be a finite number, got '-1'"),
+     "warping 'hyperbolic' parameter 'kappa' must be a finite number, got '-1'",
+     "model.warping.kappa must be a finite number, got '-1'"),
     (_with_model(name="power", a=True, k="2"),
-     "weight 'power' parameter 'a' must be a finite number, got True"),
+     "weight 'power' parameter 'a' must be a finite number, got True",
+     "model.weight.a must be a finite number, got True"),
     (_with_model(name="power", a=-1, k="2"),
-     "weight 'power' parameter 'k' must be a finite number, got '2'"),
+     "weight 'power' parameter 'k' must be a finite number, got '2'",
+     "model.weight.k must be a finite number, got '2'"),
     (_with_model(name="logpow", k=None),
-     "weight 'logpow' parameter 'k' must be a finite number, got None"),
+     "weight 'logpow' parameter 'k' must be a finite number, got None",
+     "model.weight.k must be a finite number, got None"),
     (_with_model(name="custom", expr="-t^2/2", t_min="0.5"),
-     "weight 'custom' parameter 't_min' must be a finite number, got '0.5'"),
+     "weight 'custom' parameter 't_min' must be a finite number, got '0.5'",
+     "model.weight.t_min must be a finite number, got '0.5'"),
     (_with_submanifold(name="graph", expr="x1*x2", window=[[0.3, True], [0.3, 1.5]]),
-     "submanifold 'graph' parameter 'window' must be a finite number, got True"),
+     "submanifold 'graph' parameter 'window' must be a finite number, got True",
+     "submanifold.window must be a list of m-1 [lo, hi] pairs of finite numbers, "
+     "got [[0.3, True], [0.3, 1.5]]"),
     (_with_submanifold(name="graph", expr="x1*x2", window=[[0.3, "1.5"], [0.3, 1.5]]),
-     "submanifold 'graph' parameter 'window' must be a finite number, got '1.5'"),
+     "submanifold 'graph' parameter 'window' must be a finite number, got '1.5'",
+     "submanifold.window must be a list of m-1 [lo, hi] pairs of finite numbers, "
+     "got [[0.3, '1.5'], [0.3, 1.5]]"),
     (_with_submanifold(name="plane", axes=[0, 5]),
-     "submanifold 'plane' parameter 'axes' must be distinct axes in [0, 3), got [0, 5]"),
+     "submanifold 'plane' parameter 'axes' must be distinct axes in [0, 3), got [0, 5]",
+     "submanifold.axes must be a non-empty list of distinct integers in [0, m), got [0, 5]"),
     (_with_submanifold(name="plane", axes=[0, 0.5]),
-     "submanifold 'plane' parameter 'axes' must be a non-negative integer, got 0.5"),
+     "submanifold 'plane' parameter 'axes' must be a non-negative integer, got 0.5",
+     "submanifold.axes must be a non-empty list of distinct integers in [0, m), got [0, 0.5]"),
     ({**_with_model(name="gaussian"), "model": {"m": 3.7, "weight": {"name": "gaussian"}}},
-     "model parameter 'm' must be a positive integer, got 3.7"),
+     "model parameter 'm' must be a positive integer, got 3.7",
+     "model.m must be a positive integer, got 3.7"),
     ({**identities_scenario(), "model": {"m": True, "weight": {"name": "zero"}}},
-     "model parameter 'm' must be a positive integer, got True"),
+     "model parameter 'm' must be a positive integer, got True",
+     "model.m must be a positive integer, got True"),
 ])
-def test_catalog_numbers_are_checked_not_coerced(scenario, message, tmp_path):
+def test_catalog_numbers_are_checked_not_coerced(scenario, refusal, error, tmp_path):
+    # ``refusal`` names the case in words; ``error`` is the entry's message,
+    # which names the field by its path
     entry = cli.run_scenario(scenario, tmp_path)
-    assert entry["error"] == "DomainError: " + message
+    assert entry["error"] == "ScenarioError: " + error
 
 
 def classify_scenario(criterion="radial_weight", **params):
@@ -734,42 +765,41 @@ def classify_scenario(criterion="radial_weight", **params):
 def test_criterion_numbers_are_checked(tmp_path):
     comparison = {"alpha": "-t", "n": 2, "t0": 1.5}
     cases = [
-        (classify_scenario(n=2.7),
-         "DomainError: n must be a positive integer, got 2.7"),
+        (classify_scenario(n=2.7), "n must be a positive integer, got 2.7"),
         (classify_scenario("parabolic_comparison", n=0, alpha="-t"),
-         "DomainError: n must be a positive integer, got 0"),
-        (classify_scenario(c=True),
-         "DomainError: c must be a finite number, got True"),
+         "n must be a positive integer, got 0"),
+        (classify_scenario(c=True), "c must be a finite number, got True"),
         (classify_scenario("bounded_drift", beta="0*t", c="0"),
-         "DomainError: c must be a finite number, got '0'"),
-        (classify_scenario("ahlfors_direct", t0="2"),
-         "DomainError: t0 must be a finite number, got '2'"),
+         "c must be a finite number, got '0'"),
+        (classify_scenario("ahlfors_direct", t0="2"), "t0 must be a finite number, got '2'"),
         (classify_scenario("translator_halfspace", alpha="-t", t0=[1.0]),
-         "DomainError: t0 must be a finite number, got [1.0]"),
-        (classify_scenario("warping_power", k=False),
-         "DomainError: k must be a finite number, got False"),
+         "t0 must be a finite number, got [1.0]"),
+        (classify_scenario("warping_power", k=False), "k must be a finite number, got False"),
         (gaussian_plane_scenario(comparison={**comparison, "n": 2.5}),
-         "DomainError: comparison.n must be a positive integer, got 2.5"),
+         "comparison.n must be a positive integer, got 2.5"),
         (gaussian_plane_scenario(comparison={**comparison, "t0": True}),
-         "DomainError: comparison.t0 must be a finite number, got True"),
+         "comparison.t0 must be a finite number, got True"),
         (classify_scenario(use_exp_integral="false", direction="hyperbolic"),
-         "DomainError: use_exp_integral must be true or false, got 'false'"),
+         "use_exp_integral must be true or false, got 'false'"),
         (classify_scenario(use_exp_integral=1),
-         "DomainError: use_exp_integral must be true or false, got 1"),
-        (classify_scenario(hint={"param": 1}),
-         "DomainError: hint.tag must be one of ('eventually_monotone_integrand', "
-         "'exponential_order', 'power_order', 'none'), got None"),
-        (classify_scenario(hint="none"),
-         "DomainError: hint must be an object, got 'none'"),
+         "use_exp_integral must be true or false, got 1"),
+        (classify_scenario(hint={"param": 1}), "hint is missing 'tag'"),
+        (classify_scenario(hint={"tag": "rate", "param": 1}),
+         "hint.tag must be one of eventually_monotone_integrand, exponential_order, "
+         "power_order, none, got 'rate'"),
+        (classify_scenario(hint="none"), "hint must be an object, got 'none'"),
         (classify_scenario(hint={"tag": "power_order", "param": "x"}),
-         "DomainError: hint.param must be a finite number, got 'x'"),
+         "hint.param must be a finite number, got 'x'"),
+        (classify_scenario(direction="up"),
+         "direction must be one of parabolic, hyperbolic, got 'up'"),
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**classify_scenario(n=n, c=c), "id": f"ok{i}"}
           for i, (n, c) in enumerate(((2, 0.0), (2.0, 0)))]
     cli.run_config({"scenarios": scenarios + ok}, tmp_path)
     *bad, first, second = _strict_report(tmp_path)["scenarios"]
-    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert [entry.get("error") for entry in bad] == [
+        "ScenarioError: params." + msg for _, msg in cases]
     assert first["status"] == second["status"] == "ok"
     assert first["verdict"] == second["verdict"]
 
@@ -777,17 +807,18 @@ def test_criterion_numbers_are_checked(tmp_path):
 def test_expression_sources_must_be_strings(tmp_path):
     custom_warping = {"m": 3, "warping": {"name": "custom", "expr": 0}}
     cases = [
-        (classify_scenario("parabolic_comparison", alpha=5), 5),
-        (classify_scenario("bounded_drift", beta=0.5), 0.5),
-        (identities_scenario(psi=3), 3),
-        (_with_submanifold(name="graph", expr=2), 2),
-        ({**_with_model(), "model": custom_warping}, 0),
-        (gaussian_plane_scenario(comparison={"alpha": ["-t"], "n": 2}), ["-t"]),
+        (classify_scenario("parabolic_comparison", alpha=5), "params.alpha", 5),
+        (classify_scenario("bounded_drift", beta=0.5), "params.beta", 0.5),
+        (identities_scenario(psi=3), "params.psi", 3),
+        (_with_submanifold(name="graph", expr=2), "submanifold.expr", 2),
+        ({**_with_model(), "model": custom_warping}, "model.warping.expr", 0),
+        (gaussian_plane_scenario(comparison={"alpha": ["-t"], "n": 2}),
+         "params.comparison.alpha", ["-t"]),
     ]
-    for scenario, value in cases:
+    for scenario, path, value in cases:
         entry = cli.run_scenario(scenario, tmp_path)
-        assert entry["error"] == (f"ExprSyntaxError: expression must be a string, "
-                                  f"got {value!r} (at position 0)")
+        assert entry["error"] == (f"ScenarioError: {path} must be an expression string, "
+                                  f"got {value!r}")
 
 
 def curves_scenario(**params):
@@ -802,25 +833,24 @@ def capacity_scenario(**params):
 
 def test_curve_and_capacity_numbers_are_checked(tmp_path):
     cases = [
-        (curves_scenario(n=2.7),
-         "DomainError: n must be a positive integer, got 2.7"),
-        (curves_scenario(n=True),
-         "DomainError: n must be a positive integer, got True"),
+        (curves_scenario(n=2.7), "n must be a positive integer, got 2.7"),
+        (curves_scenario(n=True), "n must be a positive integer, got True"),
         (curves_scenario(range=[True, "2"]),
-         "DomainError: range must be a finite number, got True"),
+         "range must be a list of 2 finite numbers, got [True, '2']"),
         (curves_scenario(range=[0.5, "2"]),
-         "DomainError: range must be a finite number, got '2'"),
+         "range must be a list of 2 finite numbers, got [0.5, '2']"),
         (capacity_scenario(eval_at=[True, "1.5"]),
-         "DomainError: eval_at must be a finite number, got True"),
+         "eval_at must be a list of finite numbers, got [True, '1.5']"),
         (capacity_scenario(eval_at=[1.5, "1.5"]),
-         "DomainError: eval_at must be a finite number, got '1.5'"),
+         "eval_at must be a list of finite numbers, got [1.5, '1.5']"),
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**curves_scenario(n=n), "id": f"ok{i}"} for i, n in enumerate((2, 2.0))]
     ok.append({**capacity_scenario(eval_at=[1.5, 2]), "id": "ok-cap"})
     cli.run_config({"scenarios": scenarios + ok}, tmp_path)
     *bad, first, second, cap = _strict_report(tmp_path)["scenarios"]
-    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert [entry.get("error") for entry in bad] == [
+        "ScenarioError: params." + msg for _, msg in cases]
     assert first["status"] == second["status"] == "ok"
     assert "Hh_n" in first["columns"]
     assert (tmp_path / "ok0.csv").read_bytes() == (tmp_path / "ok1.csv").read_bytes()
@@ -829,51 +859,59 @@ def test_curve_and_capacity_numbers_are_checked(tmp_path):
 
 
 def test_hint_and_alpha_are_checked_where_no_branch_reads_them(tmp_path):
-    # a finite R reads no hint and ahlfors_direct reads no alpha: both are
-    # validated all the same, and valid values change nothing
+    # a finite R reads no hint and ahlfors_direct reads no alpha: a field
+    # that no branch reads is refused, valid or not
+    ahlfors = {**classify_scenario("ahlfors_direct"), "params": {"criterion": "ahlfors_direct"}}
     cases = [
-        (capacity_scenario(hint="bogus"),
-         "DomainError: hint must be an object, got 'bogus'"),
-        (capacity_scenario(hint={"tag": "power_order", "param": "x"}),
-         "DomainError: hint.param must be a finite number, got 'x'"),
-        (classify_scenario("ahlfors_direct", alpha=5),
-         "ExprSyntaxError: expression must be a string, got 5 (at position 0)"),
+        (capacity_scenario(hint="bogus"), 'params.hint is read only with R "inf"'),
+        (capacity_scenario(hint={"tag": "power_order", "param": 2.0}),
+         'params.hint is read only with R "inf"'),
+        (capacity_scenario(R="inf", eval_at=[1.5]), "params.eval_at is read only with a finite R"),
+        ({**ahlfors, "params": {"criterion": "ahlfors_direct", "alpha": 5}},
+         "params.alpha is not a field of criterion 'ahlfors_direct'"),
+        ({**ahlfors, "params": {"criterion": "ahlfors_direct", "alpha": "-t"}},
+         "params.alpha is not a field of criterion 'ahlfors_direct'"),
+        (classify_scenario("ahlfors_direct"),
+         "params.n is not a field of criterion 'ahlfors_direct'"),
         (classify_scenario("radial_weight", alpha="-t +"),
-         "ExprSyntaxError: invalid syntax (at position 4)"),
+         "params.alpha is not a field of criterion 'radial_weight'"),
+        (gaussian_plane_scenario(R_schedule=[4.0, 8.0], comparison={"alpha": "-t", "n": 2}),
+         "params.comparison is read only without R_schedule"),
+        (_with_submanifold(name="plane", axes=[0, 1], normal=[0, 0, 1]),
+         "submanifold.normal is read only without axes"),
+        ({**curves_scenario(), "submanifold": {"name": "sphere", "a": 1.0}},
+         "submanifold is not a field of task 'curves'"),
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**capacity_scenario(), "id": "cap"},
-          {**capacity_scenario(hint={"tag": "power_order", "param": 2.0}), "id": "cap-hint"},
-          {**classify_scenario("ahlfors_direct"), "id": "cls"},
-          {**classify_scenario("ahlfors_direct", alpha="-t"), "id": "cls-alpha"}]
+          {**capacity_scenario(R="inf", hint={"tag": "power_order", "param": 2.0}),
+           "id": "cap-hint"},
+          {**ahlfors, "id": "cls"}]
     cli.run_config({"scenarios": scenarios + ok}, tmp_path)
-    *bad, cap, cap_hint, cls, cls_alpha = _strict_report(tmp_path)["scenarios"]
-    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
-    assert cap["status"] == cls["status"] == "ok"
-    assert cap_hint["capacity_report"] == cap["capacity_report"]
-    assert cls_alpha["verdict"] == cls["verdict"]
+    *bad, cap, cap_hint, cls = _strict_report(tmp_path)["scenarios"]
+    assert [entry.get("error") for entry in bad] == [
+        "ScenarioError: " + msg for _, msg in cases]
+    assert cap["status"] == cap_hint["status"] == cls["status"] == "ok"
 
 
 def test_range_and_eval_at_shapes_are_checked(tmp_path):
     cases = [
         (curves_scenario(range=[0.5, 1.0, 2.0]),
-         "DomainError: range must be a list of 2 numbers, got [0.5, 1.0, 2.0]"),
-        (curves_scenario(range=[0.5]),
-         "DomainError: range must be a list of 2 numbers, got [0.5]"),
-        (curves_scenario(range=0.5),
-         "DomainError: range must be a list of 2 numbers, got 0.5"),
+         "range must be a list of 2 finite numbers, got [0.5, 1.0, 2.0]"),
+        (curves_scenario(range=[0.5]), "range must be a list of 2 finite numbers, got [0.5]"),
+        (curves_scenario(range=0.5), "range must be a list of 2 finite numbers, got 0.5"),
         (curves_scenario(range="0.5, 2"),
-         "DomainError: range must be a list of 2 numbers, got '0.5, 2'"),
-        (capacity_scenario(eval_at=1.5),
-         "DomainError: eval_at must be a list of numbers, got 1.5"),
+         "range must be a list of 2 finite numbers, got '0.5, 2'"),
+        (capacity_scenario(eval_at=1.5), "eval_at must be a list of finite numbers, got 1.5"),
         (capacity_scenario(eval_at={"r": 1.5}),
-         "DomainError: eval_at must be a list of numbers, got {'r': 1.5}"),
+         "eval_at must be a list of finite numbers, got {'r': 1.5}"),
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**capacity_scenario(eval_at=[]), "id": "ok-empty"}]
     cli.run_config({"scenarios": scenarios + ok}, tmp_path)
     *bad, empty = _strict_report(tmp_path)["scenarios"]
-    assert [entry.get("error") for entry in bad] == [msg for _, msg in cases]
+    assert [entry.get("error") for entry in bad] == [
+        "ScenarioError: params." + msg for _, msg in cases]
     assert empty["status"] == "ok"
     assert empty["capacity_report"]["potential_values"] == {}
 
