@@ -255,13 +255,15 @@ def load_config(path):
 
 
 def run_scenario(scenario, outdir):
+    """The report entry of one scenario; it names the ``id`` and ``task``
+    that the scenario has, so a scenario without them still gets one."""
+    names = scenario if isinstance(scenario, dict) else {}
+    entry = {key: names[key] for key in ("id", "task") if key in names}
     try:
         result = SCENARIO.build(SCENARIO.check(scenario, ""), outdir)
-        return {"id": scenario["id"], "task": scenario["task"],
-                "status": "ok", "inputs": scenario, **result}
+        return {**entry, "status": "ok", "inputs": scenario, **result}
     except Exception as err:  # any failure stays inside its own report entry
-        return {"id": scenario["id"], "task": scenario["task"],
-                "status": "error", "inputs": scenario,
+        return {**entry, "status": "error", "inputs": scenario,
                 "error": f"{type(err).__name__}: {err}"}
 
 

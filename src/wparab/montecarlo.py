@@ -1,15 +1,19 @@
 """Monte Carlo verification via the drift diffusion of the weighted Laplacian.
 
-Paths on the parameter domain of an affine immersion: walk-on-spheres when
-the ambient weight is zero, otherwise Heun steps in the bulk and
-drift-corrected exit jumps from small spheres near the boundary, with
-counter-based per-batch random streams (Philox) so that serial and
-parallel executions agree bit-for-bit.  Hitting probabilities of
-extrinsic annulus boundaries estimate the capacity potential; they are
-compared against the transplanted radial potential of the comparison model.
+Paths on an affine immersion: walk-on-spheres when the ambient weight is
+zero, otherwise Heun steps in the bulk and drift-corrected exit jumps from
+small spheres near the boundary, with counter-based per-batch random
+streams (Philox) so that serial and parallel executions agree bit-for-bit.
+Hitting probabilities of extrinsic annulus boundaries estimate the capacity
+potential; they are compared against the transplanted radial potential of
+the comparison model.
 
-A batch of N paths on an n-dimensional chart is stored coordinate-major,
-shape (n, N), so that every operation runs along the long path axis.
+Paths move in orthonormal coordinates V of the plane (``DiffusionSpec``),
+where the generator is Delta + <b, grad>: a step's noise is sqrt(2 dt) xi
+and the sphere of radius d around V holds the points V + d xi / |xi|, so
+no move takes a matrix product.  A batch of N paths in an n-plane is stored
+coordinate-major, shape (n, N), so that every operation runs along the long
+path axis.
 """
 
 from __future__ import annotations
@@ -27,6 +31,7 @@ from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight, _drift,
 from .verdicts import INTERNAL, Outcome, Record
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
+_SQRT2 = math.sqrt(2.0)
 
 
 def wilson_interval(successes, trials):
@@ -48,10 +53,13 @@ def _sym_sqrt(mat):
     return (vecs * np.sqrt(vals)) @ vecs.T
 
 
-def _radii(X):
-    """Column norms of X (m, N): np.linalg.norm(X, axis=0) to the bit,
-    as numpy adds the rows of a C-contiguous array in order."""
-    return np.sqrt((X * X).sum(axis=0))
+def _radii(X, offset_sq=0.0):
+    """sqrt(|x|^2 + offset_sq) for the columns x of X (n, N); with no offset
+    np.linalg.norm(X, axis=0) to the bit, as numpy adds the rows of a
+    C-contiguous array in order."""
+    r = (X * X).sum(axis=0)
+    r += offset_sq
+    return np.sqrt(r, out=r)
 
 
 def _normals(rng, U):
@@ -63,13 +71,21 @@ def _normals(rng, U):
 @dataclass
 class DiffusionSpec:
     """Immutable description of the diffusion generated by the weighted
-    Laplacian on an affine chart X(u) = base + basis u: drift
-    g^{-1} basis^T grad h, diffusion factor the symmetric square root of
-    2 g^{-1}, with the constant metric g = basis^T basis.  ``driftless``
-    holds when the ambient weight is ``ZeroWeight``.  ``dtau`` caps the
-    time step of drifted paths and bounds the layer where they jump (see
-    ``default_step``); walk-on-spheres does not use it.  Parameter points U are stacks of shape (n, N), one column
-    per path, and so are their ambient points (m, N) and drifts (n, N)."""
+    Laplacian on an affine chart X(u) = base + basis u, with the constant
+    metric g = basis^T basis.
+
+    Paths move in the orthonormal coordinates V = g^{1/2} u + E^T base of
+    the plane (``lift``), where the ``frame`` E = basis g^{-1/2} has
+    orthonormal columns.  Then X = c + E V, with the ``foot``
+    c = base - E E^T base the point of the plane nearest the origin, so
+    r = sqrt(|V|^2 + delta^2) with delta^2 = |c|^2 (``offset_sq``).  The
+    generator is Delta + <b, grad> with the drift b = E^T grad h(c + E V),
+    which is (f'(r)/r) V for a radial weight e^f.  ``driftless`` holds when
+    the ambient weight is ``ZeroWeight``.  ``dtau`` caps the time step of
+    drifted paths and bounds the layer where they jump (see
+    ``default_step``); walk-on-spheres does not use it.  Points V are
+    stacks of shape (n, N), one column per path, and so are their drifts
+    (n, N) and ambient points (m, N)."""
 
     P: ImmersedSubmanifold
     dtau: float
@@ -86,15 +102,19 @@ class DiffusionSpec:
             raise DomainError(
                 "path simulation requires an affine chart (use the generic "
                 "generator check for curved charts)")
-        base, basis = self.P.linear
-        self.base = np.asarray(base, dtype=float)
-        self.basis = np.asarray(basis, dtype=float)
-        metric_inv = np.linalg.inv(self.basis.T @ self.basis)
-        self.sigma = _sym_sqrt(2.0 * metric_inv)
-        self.pull = (self.basis @ metric_inv).T
+        self.base, self.basis = (np.asarray(a, dtype=float)
+                                 for a in self.P.linear)
+        self.dim = self.basis.shape[1]
+        # E = W Z^T is the polar factor of basis = W S Z^T; one Newton-Schulz
+        # step brings E^T E to I within an ulp or two
+        W, _, Zt = np.linalg.svd(self.basis, full_matrices=False)
+        E = W @ Zt
+        self.frame = E @ (1.5 * np.eye(self.dim) - 0.5 * (E.T @ E))
+        self.foot = self.base - self.frame @ (self.frame.T @ self.base)
+        self.offset_sq = float(self.foot @ self.foot)
         weight = self.P.ambient.weight
         self.driftless = isinstance(weight, ZeroWeight)
-        # a radial gradient is f'(r)/r X: the loop hands in the radii it has
+        # a radial drift is f'(r)/r V: the loop hands in the radii it has
         self._slope_over_r = (weight.slope_over_r
                               if isinstance(weight, RadialWeight) else None)
 
@@ -104,41 +124,39 @@ class DiffusionSpec:
         if not all(is_number(x) for x in entries):
             raise DomainError(f"start must be a list of numbers, got {start!r}")
         start = np.array(entries, dtype=float)
-        dim = self.basis.shape[1]
-        if start.shape != (dim,):
+        if start.shape != (self.dim,):
             raise DomainError(
                 f"start has {start.size} coordinates but the chart has "
-                f"dimension {dim}")
+                f"dimension {self.dim}")
         if not np.all(np.isfinite(start)):
             raise DomainError(f"start must be finite, got {start.tolist()}")
         return start
 
-    def _points(self, U):
+    def lift(self, U):
+        """Frame points V = E^T X(U) (n, N) of the parameter points U (n, N):
+        g^{1/2} U + E^T base, with |X|^2 = |V|^2 + delta^2 to an ulp or two."""
         X = self.basis @ U
-        X += self.base[:, None]  # in place: see _heun_step
-        return X
+        X += self.base[:, None]
+        return self.frame.T @ X
 
-    def _drift_at(self, X):
-        return self.pull @ self.P.ambient.weight.grad(X.T).T
+    def drift(self, V):
+        """Drifts at the frame points V from the weight's gradient."""
+        X = self.frame @ V
+        X += self.foot[:, None]
+        return self.frame.T @ self.P.ambient.weight.grad(X.T).T
 
-    def drift(self, U):
-        """Drifts at the parameter points U from the weight's gradient."""
-        return self._drift_at(self._points(U))
+    def radius(self, V):
+        return _radii(V, self.offset_sq)
 
-    def radius(self, U):
-        return _radii(self._points(U))
-
-    def radius_and_drift(self, U):
-        """Ambient radii and drifts (None when driftless) at the parameter
-        points U; a radial weight's gradient reads the same radii, so each
-        point set's |X| is computed once."""
-        X = self._points(U)
-        r = _radii(X)
+    def radius_and_drift(self, V):
+        """Ambient radii and drifts (None when driftless) at the frame
+        points V; a radial weight's drift reads the same radii."""
+        r = self.radius(V)
         if self.driftless:
             return r, None
         if self._slope_over_r is None:
-            return r, self._drift_at(X)
-        return r, self.pull @ (self._slope_over_r(r) * X)
+            return r, self.drift(V)
+        return r, self._slope_over_r(r) * V
 
     def batches(self, N):
         """Sizes and random streams of the path batches; each stream is
@@ -154,7 +172,7 @@ WALK_ON_SPHERES = "walk-on-spheres"
 HEUN_EXIT_JUMPS = "heun-exit-jumps"
 
 KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
-EXIT_JUMP_EPS = 0.25  # a drifted path jumps where d |beta| / 2 <= this
+EXIT_JUMP_EPS = 0.25  # a drifted path jumps where d |b| / 2 <= this
 
 
 @dataclass
@@ -229,16 +247,16 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     given (spec, seed): path batches draw from independent counter-based
     streams keyed by (seed, batch index).
     """
-    start = spec.parameter_point(start)
+    start = spec.lift(spec.parameter_point(start)[:, None])
     if not rho < R:
         raise DomainError("need rho < R")
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
-    r0 = float(spec.radius(start[:, None])[0])
+    r0 = float(spec.radius(start)[0])
     name = WALK_ON_SPHERES if spec.driftless else HEUN_EXIT_JUMPS
     if rho < r0 < R:
         move = _sphere_jump(spec) if spec.driftless else _heun_exit_jump(spec)
-        return _shell_walk(spec, start, rho, R, N, name, move)
+        return _shell_walk(spec, start[:, 0], rho, R, N, name, move)
     inside = N if r0 <= rho else 0
     p = inside / N
     return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, rho, R,
@@ -248,40 +266,42 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
 def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
     """The path loop of walk-on-spheres and of the drifted estimator.
 
-    With d = min(r - rho, R - r), a path stops once d < 1e-4 (R - rho), the
-    shell, and counts for the nearer boundary; a path that moved beyond a
-    boundary has d < 0 and counts for the boundary it crossed.  Every other
-    path moves by ``move(rng, U, b, d)``, which takes the live paths'
-    points U (n, N), drifts b (n, N) or None and distances d (N,), and
-    returns the new points with their radii, drifts, the time each path
-    spent and the number of paths that jumped.  ``max_steps`` caps the
-    moves of a path.
+    A path stops once r - rho or R - r falls below 1e-4 (R - rho), the
+    shell, and counts for that boundary; a path that moved beyond a
+    boundary counts for the boundary it crossed.  Every other path moves by
+    ``move(rng, V, b, d)``, which takes the live paths' frame points V
+    (n, N), drifts b (n, N) or None and distances d = min(r - rho, R - r)
+    (N,), and returns the new points with their radii, drifts, the time
+    each path spent and the number of paths that jumped.  ``max_steps``
+    caps the moves of a path.
     """
     shell = _shell(rho, R)
     n_inner = n_outer = path_steps = exit_jumps = 0
     exit_time_sums = []
     for nb, rng in spec.batches(N):
-        U = np.repeat(start[:, None], nb, axis=1)
-        r, b = spec.radius_and_drift(U)
+        V = np.repeat(start[:, None], nb, axis=1)
+        r, b = spec.radius_and_drift(V)
         T = np.zeros(nb)
         exits = 0.0
         for step in range(spec.max_steps + 1):
             to_inner = r - rho
             to_outer = R - r
+            inner = to_inner < shell
+            outer = to_outer < shell
+            n_in = int(np.count_nonzero(inner))
+            n_out = int(np.count_nonzero(outer))
             d = np.minimum(to_inner, to_outer)
-            done = d < shell
-            n_done = int(np.count_nonzero(done))
-            if n_done:
-                n_in = int(np.count_nonzero(done & (to_inner <= to_outer)))
+            if n_in or n_out:
                 n_inner += n_in
-                n_outer += n_done - n_in
+                n_outer += n_out
+                done = inner | outer
                 exits += float(np.sum(T[done]))
                 live = np.flatnonzero(~done)
-                U, T, d = U.take(live, 1), T.take(live), d.take(live)
+                V, T, d = V.take(live, 1), T.take(live), d.take(live)
                 b = None if b is None else b.take(live, 1)
             if len(d) == 0 or step == spec.max_steps:
                 break
-            U, r, b, dt, jumps = move(rng, U, b, d)
+            V, r, b, dt, jumps = move(rng, V, b, d)
             T += dt
             path_steps += len(d)
             exit_jumps += jumps
@@ -296,73 +316,57 @@ def _sphere_jump(spec: DiffusionSpec):
 
     Each jump goes to a uniform point of the largest in-plane sphere that
     d = min(r - rho, R - r) guarantees inside the annulus (exact for planes
-    through the origin, conservative for offset planes); in parameter
-    coordinates the step is d theta g^{-1/2}.  Its time is d^2 / (2n), the
-    mean exit time of the ball for the generator Delta_g.
+    through the origin, conservative for offset planes).  Its time is
+    d^2 / (2n), the mean exit time of the ball for the generator Delta.
     """
-    dim = spec.basis.shape[1]
-    jump = spec.sigma / math.sqrt(2.0)
+    dim = spec.dim
 
-    def move(rng, U, b, d):
-        U += _sphere_steps(jump, _normals(rng, U), d)
-        return U, spec.radius(U), None, d * d / (2.0 * dim), len(d)
+    def move(rng, V, b, d):
+        V += _sphere_steps(_normals(rng, V), d)
+        return V, spec.radius(V), None, d * d / (2.0 * dim), len(d)
 
     return move
 
 
-def _sphere_steps(jump, xi, d):
-    """Steps d theta g^{-1/2} to uniform points of the g-spheres of radii d,
-    theta = xi / |xi| from the normals xi (n, N), which are overwritten;
-    ``jump`` is g^{-1/2}."""
+def _sphere_steps(xi, d):
+    """Steps d xi / |xi| to uniform points of the spheres of radii d, from
+    the normals xi (n, N), which are overwritten and returned."""
     xi *= d / np.sqrt((xi * xi).sum(axis=0))
-    return jump @ xi
+    return xi
 
 
-def _heun(spec: DiffusionSpec, U, b, d, speed, xi):
+def _heun(spec: DiffusionSpec, V, b, d, kd2, speed, xi):
     """One Heun predictor--corrector step of the drift diffusion that
     shrinks near the boundary (Milstein & Tretyakov, Stochastic Numerics
     for Mathematical Physics, 2004): the new points and the time steps,
-    from the points U, drifts b, their lengths speed = |b|_g, distances d
-    and standard normals xi of the paths.
+    from the frame points V, drifts b, their lengths speed = |b|,
+    distances d, kd2 = KAPPA d^2 and standard normals xi of the paths.
 
-    A step takes dt = min(KAPPA d^2, dtau, d / (2 |b|_g)),
-    U* = U + b(U) dt + sqrt(2 dt) xi g^{-1/2}, then
-    U' = U + (b(U) + b(U*)) dt / 2 + the same noise.  The corrector removes
+    A step takes dt = min(KAPPA d^2, dtau, d / (2 |b|)),
+    V* = V + b(V) dt + sqrt(2) xi sqrt(dt), then
+    V' = V + (b(V) + b(V*)) dt / 2 + the same noise.  The corrector removes
     the O(dt) inflation of the bulk variance that a plain Euler drift
-    brings in; b(U') is the next step's b(U), so a step costs two drift
+    brings in; b(V') is the next step's b(V), so a step costs two drift
     evaluations.  The last cap lets the drift carry a path at most half its
     distance to the boundary, which keeps a stiff drift (h = -200 r^2, say)
     from throwing paths across the annulus.
     """
-    dt = np.minimum(np.minimum(KAPPA * d * d, spec.dtau),
+    dt = np.minimum(np.minimum(kd2, spec.dtau),
                     0.5 * d / np.maximum(speed, 1e-300))
-    # U* = U + b dt + noise and U' = U + (b + b(U*)) dt / 2 + noise, built
+    # V* = V + b dt + noise and V' = V + (b + b(V*)) dt / 2 + noise, built
     # in place: from 1e4 paths on, a fresh (n, N) array costs about as much
     # as the arithmetic that fills it
-    noise = spec.sigma @ xi
+    noise = _SQRT2 * xi
     noise *= np.sqrt(dt)
     predictor = b * dt
-    predictor += U
+    predictor += V
     predictor += noise
     _, step = spec.radius_and_drift(predictor)
     step += b
     step *= 0.5 * dt
-    step += U
+    step += V
     step += noise
     return step, dt
-
-
-def _heun_step(spec: DiffusionSpec):
-    """The Heun move on its own: every path takes one step of ``_heun``."""
-    metric = spec.basis.T @ spec.basis
-
-    def move(rng, U, b, d):
-        speed = np.sqrt(((metric @ b) * b).sum(axis=0))
-        U, dt = _heun(spec, U, b, d, speed, _normals(rng, U))
-        r, b = spec.radius_and_drift(U)
-        return U, r, b, dt
-
-    return move
 
 
 def _heun_exit_jump(spec: DiffusionSpec):
@@ -371,41 +375,37 @@ def _heun_exit_jump(spec: DiffusionSpec):
 
     A path jumps where a Heun step would shrink below dtau (KAPPA d^2 <
     dtau) and the drift is weak across the ball of radius d:
-    d |beta| / 2 <= EXIT_JUMP_EPS, with beta = g^{1/2} b the drift in
-    orthonormal coordinates.  The jump goes to U + d g^{-1/2} theta, theta
-    drawn from the first-order exit law of the ball under a constant drift,
-    with density proportional to 1 + (d/2) <beta, theta> on the unit sphere
-    (the random walk over small spheres of Milstein & Tretyakov, Stochastic
+    d |b| / 2 <= EXIT_JUMP_EPS.  The jump goes to V + d theta, theta drawn
+    from the first-order exit law of the ball under a constant drift, with
+    density proportional to 1 + (d/2) <b, theta> on the unit sphere (the
+    random walk over small spheres of Milstein & Tretyakov, Stochastic
     Numerics for Mathematical Physics, 2004; Muller's walk-on-spheres when
     b = 0).  theta = xi / |xi| comes from the step's own normals and is
-    kept with probability (1 + (d/2) <beta, theta>) / 2, otherwise
-    replaced by -theta: one uniform a jump, no rejection.  It lands at
-    g-distance d, inside the annulus, and takes the time d^2 / (2n).  Every
-    other path takes a Heun step (``_heun``).  The step is computed for all
-    paths and then replaced by the jumps: splitting the batch into the two
-    kinds of path would save the jumping paths' predictor drift, but the
-    copies cost more than that drift.
+    kept with probability (1 + (d/2) <b, theta>) / 2, otherwise replaced
+    by -theta: one uniform a jump, no rejection.  It lands at distance d,
+    inside the annulus, and takes the time d^2 / (2n).  Every other path
+    takes a Heun step (``_heun``).  The step is computed for all paths and
+    then replaced by the jumps: splitting the batch into the two kinds of
+    path would save the jumping paths' predictor drift, but the copies cost
+    more than that drift.
     """
-    dim = spec.basis.shape[1]
-    metric = spec.basis.T @ spec.basis
-    jump = spec.sigma / math.sqrt(2.0)
+    dim = spec.dim
 
-    def move(rng, U, b, d):
-        gb = metric @ b
-        speed = np.sqrt((gb * b).sum(axis=0))
-        xi = _normals(rng, U)
-        jumping = (KAPPA * d * d < spec.dtau) & (0.5 * d * speed
-                                                  <= EXIT_JUMP_EPS)
+    def move(rng, V, b, d):
+        speed = np.sqrt((b * b).sum(axis=0))
+        kd2 = KAPPA * d * d
+        xi = _normals(rng, V)
+        jumping = (kd2 < spec.dtau) & (0.5 * d * speed <= EXIT_JUMP_EPS)
         jumps = np.flatnonzero(jumping)
-        moved, dt = _heun(spec, U, b, d, speed, xi)
+        moved, dt = _heun(spec, V, b, d, kd2, speed, xi)
         if len(jumps):
             d = d.take(jumps)
-            shift = _sphere_steps(jump, xi.take(jumps, 1), d)
-            # d <beta, theta> = b^T g shift
+            shift = _sphere_steps(xi.take(jumps, 1), d)
+            # d <b, theta> = <b, shift>
             keep = rng.random(len(jumps)) < 0.5 + 0.25 * (
-                gb.take(jumps, 1) * shift).sum(axis=0)
+                b.take(jumps, 1) * shift).sum(axis=0)
             shift *= np.where(keep, 1.0, -1.0)
-            shift += U.take(jumps, 1)
+            shift += V.take(jumps, 1)
             moved[:, jumps] = shift
             dt[jumps] = d * d / (2.0 * dim)
         r, b = spec.radius_and_drift(moved)
@@ -452,7 +452,7 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
             f"{verdict.outcome.value} (failing checks: {failing}; "
             f"integral: {verdict.integral_evidence.status})")
 
-    r_start = float(spec.radius(start[:, None])[0])
+    r_start = float(spec.radius(spec.lift(start[:, None]))[0])
     phi = setup.model.capacity_potential(rho, R).potential(r_start)
     est = hit_probability(spec, start, rho, R, N)
     se = est.standard_error

@@ -393,6 +393,22 @@ def test_start_of_the_wrong_length_becomes_a_scenario_error(tmp_path):
                               "chart has dimension 2")
 
 
+@pytest.mark.parametrize("scenario,missing", [
+    ({"id": "x"}, "task"),
+    ({"task": "curves"}, "id"),
+    ({}, "task"),
+])
+def test_a_scenario_without_id_or_task_gets_an_error_entry(scenario, missing,
+                                                           tmp_path):
+    # a library caller's scenario need not have passed load_config; its
+    # entry names the id and task it has
+    entry = cli.run_scenario(scenario, tmp_path)
+    error = entry.pop("error")
+    assert entry == {**scenario, "status": "error", "inputs": scenario}
+    assert error.startswith("ScenarioError: ")
+    assert error.endswith(f"is missing {missing!r}")
+
+
 def test_non_integer_dimension_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, {"scenarios": [
         {"id": "ok", "task": "curves", "model": small_model(m=3),

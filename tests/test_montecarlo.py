@@ -51,12 +51,11 @@ def euler_maruyama(spec, start, rho, R, N):
     interpolation of the radius between consecutive steps, and a step whose
     radial increment exceeds (R - rho)/10 counts as coarse.  Returns the
     estimate and the fraction of coarse steps.  ``start`` must lie strictly
-    inside the annulus."""
-    start = np.asarray(start, dtype=float)
-    r0 = float(spec.radius(start[:, None])[0])
+    inside the annulus.  Paths move in the spec's frame coordinates."""
+    start = spec.lift(np.asarray(start, dtype=float)[:, None])
+    r0 = float(spec.radius(start)[0])
     dtau = spec.dtau
     sqrt2dt = math.sqrt(2.0 * dtau)
-    jump = spec.sigma / math.sqrt(2.0)
     coarse_limit = (R - rho) / 10.0
 
     n_inner = n_outer = 0
@@ -65,7 +64,7 @@ def euler_maruyama(spec, start, rho, R, N):
     n_coarse = 0
 
     for nb, rng in spec.batches(N):
-        U = np.repeat(start[:, None], nb, axis=1)
+        U = np.repeat(start, nb, axis=1)
         r_old = np.full(nb, r0)
         alive = np.ones(nb, dtype=bool)
         n_alive = nb
@@ -74,8 +73,7 @@ def euler_maruyama(spec, start, rho, R, N):
             if n_alive == 0:
                 break
             cur = len(r_old)
-            noise = jump @ mc._normals(rng, U)
-            U += spec.drift(U) * dtau + sqrt2dt * noise
+            U += spec.drift(U) * dtau + sqrt2dt * mc._normals(rng, U)
             r_new = spec.radius(U)
             n_steps_total += n_alive
             n_coarse += int(np.count_nonzero(
@@ -237,7 +235,7 @@ def test_max_steps_caps_jumps():
     assert any("within 3 jumps" in w for w in est.warnings)
 
 
-def test_shrinking_heun_determinism_is_bitwise():
+def test_heun_exit_jumps_determinism_is_bitwise():
     # several batches, each drawing from its own (seed, batch) stream
     def run(seed):
         spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
@@ -250,7 +248,7 @@ def test_shrinking_heun_determinism_is_bitwise():
     assert (c.p_hat, c.mean_exit_time) != (a.p_hat, a.mean_exit_time)
 
 
-def test_shrinking_heun_matches_the_antigaussian_model():
+def test_heun_exit_jumps_match_the_antigaussian_model():
     rho, R, s = 1.0, 3.0, 1.5
     spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian),
                             mc.default_step(rho, R), seed=61)
@@ -260,7 +258,7 @@ def test_shrinking_heun_matches_the_antigaussian_model():
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
-def test_shrinking_heun_on_the_gaussian_plane():
+def test_heun_exit_jumps_on_the_gaussian_plane():
     # the setup of acceptance 10; fixed-step Euler-Maruyama at dtau = 1e-4
     # takes ~6,900 steps a path there
     N = 100_000
@@ -293,48 +291,52 @@ def test_drifted_estimates_match_the_model_potentials(profile, R, s):
         <= 4.0 * est.standard_error
 
 
+def _speed(b):
+    return np.sqrt((b * b).sum(axis=0))
+
+
 def test_heun_step_is_the_predictor_corrector():
-    # on the Gaussian plane b(U) = -U, so one step with noise n is
-    # U (1 - dt + dt^2 / 2) + n (1 - dt / 2); a plain Euler drift would
-    # give U (1 - dt) + n
+    # on the Gaussian plane b(V) = -V, so one step with noise n is
+    # V (1 - dt + dt^2 / 2) + n (1 - dt / 2); a plain Euler drift would
+    # give V (1 - dt) + n
     spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
-    U = np.array([[2.0, 0.0], [0.3, -1.5]]).T
+    V = np.array([[2.0, 0.0], [0.3, -1.5]]).T
     d = np.array([1.0, 0.3])
-    _, b = spec.radius_and_drift(U)
-    U1, r1, b1, dt = mc._heun_step(spec)(np.random.default_rng(7), U, b, d)
+    _, b = spec.radius_and_drift(V)
+    xi = np.random.default_rng(7).standard_normal(V.shape)
+    V1, dt = mc._heun(spec, V, b, d, mc.KAPPA * d * d, _speed(b), xi.copy())
     want_dt = np.array([1e-2, 0.05 * 0.3 ** 2])
-    noise = np.random.default_rng(7).standard_normal(U.shape[::-1]).T \
-        * np.sqrt(2.0 * want_dt)
+    noise = xi * np.sqrt(2.0 * want_dt)
     h = want_dt
     np.testing.assert_allclose(dt, want_dt, rtol=1e-15)
-    np.testing.assert_allclose(U1, U * (1 - h + h * h / 2) + noise * (1 - h / 2),
+    np.testing.assert_allclose(V1, V * (1 - h + h * h / 2) + noise * (1 - h / 2),
                                rtol=0, atol=1e-14)
-    np.testing.assert_allclose(b1, -U1, rtol=0, atol=1e-14)
-    np.testing.assert_allclose(r1, np.hypot(U1[0], U1[1]), rtol=1e-15)
+    r1, b1 = spec.radius_and_drift(V1)
+    np.testing.assert_allclose(b1, -V1, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(r1, np.hypot(V1[0], V1[1]), rtol=1e-15)
 
 
 @pytest.mark.parametrize("plane,u,d", [
     (ge.identity_chart(2, ge.HeightWeight(rd.weight_height(), 2,
                                           axis=[1.5, -1.0])), [0.4, 1.1], 0.1),
-    # the metric g = basis^T basis is not the identity, so beta = g^{1/2} b
-    # differs from b
+    # the metric g = basis^T basis is not the identity, so the frame
+    # coordinates differ from the chart's
     (skewed_hyperplane(ge.HeightWeight(rd.weight_height(), 4,
                                        axis=[0.5, -1.0, 0.3, 0.8])),
      [1.1, -0.7, 0.9], 0.15),
 ])
 def test_exit_jumps_follow_the_first_order_exit_law(plane, u, d):
     # the height weight has a constant gradient; under the constant drift
-    # beta = g^{1/2} b the exit point of the ball of radius d has
-    # E[theta] = (d / 2n) beta to first order, where a walk-on-spheres jump
-    # would give E[theta] = 0, over 20 SE away
+    # b the exit point of the ball of radius d has E[theta] = (d / 2n) b to
+    # first order, where a walk-on-spheres jump would give E[theta] = 0,
+    # over 20 SE away
     N, n = 200_000, len(u)
     spec = mc.DiffusionSpec(plane, 1.0, seed=0)
-    U = np.repeat(np.asarray(u, dtype=float)[:, None], N, axis=1)
-    _, b = spec.radius_and_drift(U)
-    U1, r1, b1, dt, jumps = mc._heun_exit_jump(spec)(
-        np.random.default_rng(3), U.copy(), b, np.full(N, d))
-    root = mc._sym_sqrt(spec.basis.T @ spec.basis)
-    theta, beta = root @ (U1 - U) / d, root @ b[:, 0]
+    V = np.repeat(spec.lift(np.asarray(u, dtype=float)[:, None]), N, axis=1)
+    _, b = spec.radius_and_drift(V)
+    V1, r1, b1, dt, jumps = mc._heun_exit_jump(spec)(
+        np.random.default_rng(3), V.copy(), b, np.full(N, d))
+    theta, beta = (V1 - V) / d, b[:, 0]
     assert jumps == N and 0.5 * d * np.linalg.norm(beta) <= mc.EXIT_JUMP_EPS
     np.testing.assert_allclose(np.sqrt((theta * theta).sum(axis=0)), 1.0,
                                rtol=0, atol=1e-14)
@@ -342,25 +344,25 @@ def test_exit_jumps_follow_the_first_order_exit_law(plane, u, d):
     assert np.all(np.abs(theta.mean(axis=1) - d * beta / (2 * n)) <= 4.0 * se)
     assert np.linalg.norm(d * beta / (2 * n)) > 20.0 * se.max()
     np.testing.assert_array_equal(dt, d * d / (2 * n))
-    np.testing.assert_allclose(r1, np.linalg.norm(plane.point(U1.T), axis=1),
-                               rtol=1e-15)
+    X1 = spec.frame @ V1 + spec.foot[:, None]
+    np.testing.assert_allclose(r1, np.linalg.norm(X1, axis=0), rtol=1e-15)
     np.testing.assert_array_equal(b1, np.repeat(b1[:, :1], N, axis=1))
 
 
 def test_exit_jumps_land_at_g_distance_d():
-    # the move takes each path's own d; a jump lands on the g-sphere of
-    # radius d around its start, to rounding
+    # the move takes each path's own d; a jump lands on the sphere of
+    # radius d around its start in frame coordinates, the g-sphere of the
+    # chart, to rounding
     plane = skewed_hyperplane(ge.RadialWeight(rd.weight_gaussian()))
     spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 4.0), seed=0)
     rng = np.random.default_rng(5)
-    U = rng.uniform(-1.5, 1.5, (3, 5000))
-    _, b = spec.radius_and_drift(U)
+    V = spec.lift(rng.uniform(-1.5, 1.5, (3, 5000)))
+    _, b = spec.radius_and_drift(V)
     d = rng.uniform(1e-4, 0.03, 5000)
-    U1, _, _, dt, jumps = mc._heun_exit_jump(spec)(rng, U.copy(), b, d)
-    step = U1 - U
-    dist = np.sqrt(((spec.basis.T @ spec.basis @ step) * step).sum(axis=0))
+    V1, _, _, dt, jumps = mc._heun_exit_jump(spec)(rng, V.copy(), b, d)
     assert jumps == 5000
-    np.testing.assert_allclose(dist, d, rtol=0, atol=1e-14)
+    np.testing.assert_allclose(np.linalg.norm(V1 - V, axis=0), d, rtol=0,
+                               atol=1e-14)
     np.testing.assert_array_equal(dt, d * d / 6.0)
 
 
@@ -368,24 +370,27 @@ def test_bulk_paths_take_the_heun_step():
     # where KAPPA d^2 >= dtau or the drift is strong across the ball, the
     # move is the Heun step, draw for draw; the other paths jump
     spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
-    U = np.array([[2.0, 0.0], [0.3, 0.2], [3.0, 0.5], [0.1, 0.2]]).T
+    V = np.array([[2.0, 0.0], [0.3, 0.2], [3.0, 0.5], [0.1, 0.2]]).T
     d = np.array([1.0, 0.3, 0.3, 0.3])
-    _, b = spec.radius_and_drift(U)
-    bulk = mc._heun_exit_jump(spec)(np.random.default_rng(7), U[:, :1].copy(),
-                                    b[:, :1], d[:1])
-    heun = mc._heun_step(spec)(np.random.default_rng(7), U[:, :1], b[:, :1],
-                               d[:1])
-    for got, want in zip(bulk, heun):
-        np.testing.assert_array_equal(got, want)
-    assert bulk[4] == 0
-    # |b| d / 2 is 0.05 at U = (0.3, 0.2), 0.46 at (3, 0.5) and 0.03 at
+    _, b = spec.radius_and_drift(V)
+    V1, r1, b1, dt1, jumps = mc._heun_exit_jump(spec)(
+        np.random.default_rng(7), V[:, :1].copy(), b[:, :1], d[:1])
+    xi = mc._normals(np.random.default_rng(7), V[:, :1])
+    want, want_dt = mc._heun(spec, V[:, :1], b[:, :1], d[:1],
+                             mc.KAPPA * d[:1] ** 2, _speed(b[:, :1]), xi)
+    np.testing.assert_array_equal(V1, want)
+    np.testing.assert_array_equal(dt1, want_dt)
+    for got, exact in zip((r1, b1), spec.radius_and_drift(want)):
+        np.testing.assert_array_equal(got, exact)
+    assert jumps == 0
+    # |b| d / 2 is 0.05 at V = (0.3, 0.2), 0.46 at (3, 0.5) and 0.03 at
     # (0.1, 0.2): the second and fourth paths jump
-    U1, _, _, dt, jumps = mc._heun_exit_jump(spec)(np.random.default_rng(7),
-                                                   U.copy(), b, d)
+    V1, _, _, dt, jumps = mc._heun_exit_jump(spec)(np.random.default_rng(7),
+                                                   V.copy(), b, d)
     assert jumps == 2
     jump_dt = 0.3 * 0.3 / 4.0
     np.testing.assert_array_equal(dt, [1e-2, jump_dt, 0.05 * 0.3 * 0.3, jump_dt])
-    np.testing.assert_allclose(np.hypot(*(U1 - U)[:, 1::2]), 0.3, rtol=1e-15)
+    np.testing.assert_allclose(np.hypot(*(V1 - V)[:, 1::2]), 0.3, rtol=1e-15)
 
 
 def test_overshooting_paths_count_for_the_boundary_they_crossed():
@@ -419,7 +424,7 @@ def test_max_steps_caps_heun_steps():
     assert any("did not exit within 5 steps" in w for w in est.warnings)
 
 
-def test_shrinking_heun_on_an_offset_gaussian_plane():
+def test_heun_exit_jumps_on_an_offset_gaussian_plane():
     # the plane x3 = c meets the annulus rho < r < R in the planar annulus
     # sqrt(rho^2 - c^2) < s < sqrt(R^2 - c^2), and the Gaussian weight is
     # -(s^2 + c^2)/2 there: the drift is that of the Gaussian 2-plane, so the
@@ -441,7 +446,8 @@ def test_shrinking_heun_on_an_offset_gaussian_plane():
 # them: counts exactly, values to rounding.  The walk-on-spheres cases were
 # recorded with the path loop as first written (boolean-mask compaction,
 # np.linalg.norm radii, products with strided transposes), the heun cases
-# with the heun-exit-jumps move.
+# with the heun-exit-jumps move, the skewed one while it still moved in
+# chart coordinates.
 RECORDED_ESTIMATES = {
     "walk-on-spheres R^3": (1086, 914, 0, 56335, 56335, 0.543,
                             0.9089333189161196),
@@ -453,6 +459,8 @@ RECORDED_ESTIMATES = {
                                  0.3497767382147251),
     "walk-on-spheres, 3-plane in R^4": (986, 1014, 0, 57102, 57102, 0.493,
                                         0.9648288456173865),
+    "heun, skewed Gaussian hyperplane": (1613, 387, 0, 318703, 55451, 0.8065,
+                                         0.5678298553761447),
 }
 
 
@@ -472,6 +480,11 @@ def _recorded_run(case):
                                 mc.default_step(1.0, 3.0), seed=11,
                                 batch_size=700)
         return mc.hit_probability(spec, [1.5, 0.4], 1.0, 3.0, 2000)
+    if case == "heun, skewed Gaussian hyperplane":
+        spec = mc.DiffusionSpec(skewed_hyperplane(gauss),
+                                mc.default_step(1.0, 3.0), seed=17,
+                                batch_size=700)
+        return mc.hit_probability(spec, [1.1, -0.7, 0.9], 1.0, 3.0, 2000)
     if case == "walk-on-spheres, 3-plane in R^4":
         # a tilted plane: the jump and its |theta| have three columns
         spec = mc.DiffusionSpec(ge.hyperplane(4, [1.0, 2.0, -1.0, 1.0]), 1e-3,
@@ -531,15 +544,61 @@ def test_drift_from_handed_in_radii_matches_the_weights_gradient(m):
         spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
         U = (rng.uniform(0.5, 2.0, (m - 1, 500))
              * rng.choice([-1.0, 1.0], (m - 1, 500)))
-        r, b = spec.radius_and_drift(U)
-        np.testing.assert_allclose(b, spec.drift(U), rtol=1e-15, atol=0)
+        r, b = spec.radius_and_drift(spec.lift(U))
+        np.testing.assert_allclose(b, spec.drift(spec.lift(U)), rtol=1e-15,
+                                   atol=0)
         np.testing.assert_allclose(
             r, np.linalg.norm(plane.point(U.T), axis=1), rtol=1e-15)
     # a weight that is not radial is the weight's gradient itself
     plane = ge.hyperplane(m, normal, offset=0.4,
                           weight=ge.HeightWeight(rd.weight_gaussian(), m))
     spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
-    assert np.array_equal(spec.radius_and_drift(U)[1], spec.drift(U))
+    V = spec.lift(U)
+    assert np.array_equal(spec.radius_and_drift(V)[1], spec.drift(V))
+
+
+def frame_plane(name, weight=lambda m: None):
+    """A plane whose frame is not its chart basis: ``skewed_hyperplane``
+    in R^4, or an offset hyperplane of R^3; ``weight(m)`` is its weight."""
+    if name == "skewed":
+        return skewed_hyperplane(weight(4))
+    return ge.hyperplane(3, [0.3, -1.0, 2.0], offset=0.7, weight=weight(3))
+
+
+@pytest.mark.parametrize("plane", ["skewed", "offset"])
+def test_the_frame_is_orthonormal_and_keeps_the_radii(plane):
+    P = frame_plane(plane)
+    spec = mc.DiffusionSpec(P, 1e-3, seed=0)
+    E, c = spec.frame, spec.foot
+    n = spec.dim
+    np.testing.assert_allclose(E.T @ E, np.eye(n), rtol=0, atol=1e-15)
+    np.testing.assert_allclose(E.T @ c, 0.0, rtol=0, atol=1e-15)
+    assert spec.offset_sq == pytest.approx(c @ c, rel=1e-15)
+    U = np.random.default_rng(4).uniform(-2.0, 2.0, (n, 400))
+    np.testing.assert_allclose(spec.radius(spec.lift(U)),
+                               np.linalg.norm(P.point(U.T), axis=1), rtol=1e-15)
+
+
+@pytest.mark.parametrize("plane", ["skewed", "offset"])
+@pytest.mark.parametrize("weight", [
+    lambda m: ge.RadialWeight(rd.weight_gaussian()),
+    lambda m: ge.RadialWeight(rd.weight_power(-0.3, 3.0)),
+    lambda m: ge.HeightWeight(rd.weight_gaussian(), m),
+])
+def test_the_frame_drift_is_the_chart_drift_in_frame_coordinates(plane,
+                                                                  weight):
+    # the chart drift g^{-1} basis^T grad h(X(u)) of the generator
+    # Delta_g + <b_u, grad_u>, carried to V = g^{1/2} u + E^T base
+    P = frame_plane(plane, weight)
+    spec = mc.DiffusionSpec(P, 1e-3, seed=0)
+    base, basis = P.linear
+    metric = basis.T @ basis
+    U = np.random.default_rng(6).uniform(-2.0, 2.0, (spec.dim, 400))
+    grad = P.ambient.weight.grad(P.point(U.T)).T
+    chart_drift = np.linalg.solve(metric, basis.T @ grad)
+    _, b = spec.radius_and_drift(spec.lift(U))
+    np.testing.assert_allclose(b, mc._sym_sqrt(metric) @ chart_drift,
+                               rtol=1e-13, atol=1e-14)
 
 
 @pytest.mark.parametrize("weight", [None, "gaussian"])
