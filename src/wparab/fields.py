@@ -104,6 +104,11 @@ class Field(NamedTuple):
     only: tuple | None = None
 
 
+# the object at the empty path, a scenario checked alone, whose fields are
+# named from it: params.rho
+TOP = "scenario"
+
+
 def _at(path, key):
     return f"{path}.{key}" if path else key
 
@@ -120,7 +125,7 @@ class Spec:
 
     def check(self, spec, path, ctx=None):
         if not isinstance(spec, dict):
-            raise ScenarioError(f"{path} must be an object, got {spec!r}")
+            raise ScenarioError(f"{path or TOP} must be an object, got {spec!r}")
         fields, owner = self.table(spec, path)
         ctx = {} if ctx is None else ctx
         out = {}
@@ -130,7 +135,7 @@ class Spec:
                     raise ScenarioError(f"{_at(path, key)} is read only {field.only[0]}")
             elif key in spec or field.default is not OPTIONAL:
                 if key not in spec and field.default is REQUIRED:
-                    raise ScenarioError(f"{path or owner} is missing {key!r}")
+                    raise ScenarioError(f"{path or TOP} is missing {key!r}")
                 out[key] = field.kind.check(spec.get(key, field.default), _at(path, key), ctx)
                 if field.kind is DIMENSION:
                     ctx["m"] = out[key]

@@ -494,6 +494,14 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     """Metric, frames, curvature vectors and radial data at a stack U of
     parameter points (N, n), as a GeometrySample with stacked fields.
 
+    In a flat ambient whose chart Jacobian rows are bit-equal (coordinate
+    planes, hyperplanes, the graph of a linear expression), the induced
+    metric, its condition number and inverse, the tangent frame and the
+    completed normals are computed on the first row and repeated: a LAPACK
+    gufunc and the row-wise frame steps give one matrix the bits it gets in
+    a stack, so every row holds what the row-by-row computation gives.  A
+    declared normal and everything that depends on the point stay per row.
+
     The first row that is degenerate (or whose declared normal is invalid)
     raises, naming its parameter point.
     """
@@ -506,25 +514,34 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
         ambient_metric = P.ambient.metric(x)
         flat = P.ambient.flat
         G = None if flat else ambient_metric     # None: the identity, see _inner
-        Jt = np.swapaxes(J, -1, -2)
-        g = Jt @ J if flat else Jt @ G @ J
+        bits = J.reshape(N, -1).view(np.uint64)
+        one_row = flat and N > 1 and (bits == bits[0]).all()
+        Jr = J[:1] if one_row else J             # the rows the frames come from
+        Jt = np.swapaxes(Jr, -1, -2)
+        g = Jt @ Jr if flat else Jt @ G @ Jr
         # cond(g) = max |eigenvalue| / min |eigenvalue| of the symmetric g; rows
         # that are not finite are flagged before LAPACK sees them, and so are
         # rows of a cusp (finite g, non-finite point or second derivatives; a
         # non-finite J makes g non-finite)
         finite = np.isfinite(g).all(axis=(1, 2))
-        bad_jet = ~(np.isfinite(x).all(axis=1) & np.isfinite(Hx).all(axis=(1, 2, 3)))
         eig = np.abs(np.linalg.eigvalsh(np.where(finite[:, None, None], g, np.eye(P.n))))
         cond = np.where(finite, eig.max(axis=1) / eig.min(axis=1), np.nan)
+        g_inv = np.linalg.inv(np.where(~(cond < _COND_LIMIT)[:, None, None], np.eye(P.n), g))
+        tangent, bad_frame = _gram_schmidt(Jr, G)
+        intrinsic = [g, finite, cond, g_inv, tangent, bad_frame]
+        if P.normal is None:
+            intrinsic += _complete_normals(G, tangent, P.m)
+        if one_row:
+            intrinsic = [np.repeat(v, N, axis=0) for v in intrinsic]
+        g, finite, cond, g_inv, tangent, bad_frame, *completed = intrinsic
+        bad_jet = ~(np.isfinite(x).all(axis=1) & np.isfinite(Hx).all(axis=(1, 2, 3)))
         bad_cond = ~(cond < _COND_LIMIT)
-        g_inv = np.linalg.inv(np.where(bad_cond[:, None, None], np.eye(P.n), g))
         # ambient-covariant D_i d_j X, (N, n, n, m): no Christoffel term if flat
         second = np.transpose(Hx, (0, 2, 3, 1))
         if not flat:
             second = second + np.einsum("Nkab,Nai,Nbj->Nijk",
                                         P.ambient.christoffels(x), J, J)
 
-        tangent, bad_frame = _gram_schmidt(J, G)
         checks = [
             (~finite, lambda i: DegenerateMetricError(
                 f"induced metric not finite at u={U[i]}")),
@@ -546,7 +563,7 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
                                       f"tangent space at u={U[i]}")),
             ]
         else:
-            normals, incomplete = _complete_normals(G, tangent, P.m)
+            normals, incomplete = completed
             checks.append((incomplete, lambda i: DegenerateMetricError(
                 f"could not complete the normal frame at u={U[i]}")))
         _raise_first(checks)

@@ -372,13 +372,16 @@ def integrate(f, a, b, abs_tol=1e-10, rel_tol=1e-8):
 class Primitive:
     """F(t) = integral of ``f`` from nodes[0] to t.
 
-    The panels between consecutive nodes are integrated in one
-    :func:`integrate` call per extension, only as far as a query reaches,
-    and summed in node order, so a value does not depend on the order of
-    the queries.  F(t) adds to the sum at the last node at or below t
-    (nodes[0] below the grid, the last node beyond it) the panel from that
-    node to t, one integrate call per query.  A float gives a float and an
-    array an array of its shape.  ``error`` is the summed panel error.
+    The panels between consecutive nodes are integrated only as far as a
+    query reaches and summed in node order, so a value does not depend on
+    the order of the queries.  F(t) adds to the sum at the last node at or
+    below t (nodes[0] below the grid, the last node beyond it) the panel
+    from that node to t.  A query makes one :func:`integrate` call for the
+    ladder panels it adds and the panels to its points together; a panel's
+    value does not depend on the other panels of the call, and the ladder
+    sums are a sequential cumulative sum, so a batch of queries gives the
+    bits of the same queries one at a time.  A float gives a float and an
+    array an array of its shape.  ``error`` is the summed ladder panel error.
     """
 
     def __init__(self, f, nodes, abs_tol, rel_tol):
@@ -397,17 +400,20 @@ class Primitive:
         # the last node at or below t, clamped to the grid
         k = np.searchsorted(self.nodes[1:], flat, side="right")
         known = len(self.sums)
-        if flat.size and k.max() >= known:
-            ends = self.nodes[known - 1:k.max() + 1]
-            res = integrate(self.f, ends[:-1], ends[1:], **self.tols)
-            self.sums = np.concatenate(
-                (self.sums, np.cumsum(np.concatenate((self.sums[-1:], res.value)))[1:]))
-            self.errors = np.concatenate((self.errors, res.error))
-        base, out = self.nodes[k], self.sums[k]
+        ends = self.nodes[known - 1:k.max() + 1] if flat.size else self.nodes[:0]
+        added = max(len(ends) - 1, 0)
+        base = self.nodes[k]
         lo, hi = np.minimum(base, flat), np.maximum(base, flat)
         tail = lo < hi
+        if added or tail.any():
+            res = integrate(self.f, np.concatenate((ends[:-1], lo[tail])),
+                            np.concatenate((ends[1:], hi[tail])), **self.tols)
+            self.sums = np.concatenate(
+                (self.sums, np.cumsum(np.concatenate((self.sums[-1:], res.value[:added])))[1:]))
+            self.errors = np.concatenate((self.errors, res.error[:added]))
+        out = self.sums[k]
         if tail.any():
-            part = integrate(self.f, lo[tail], hi[tail], **self.tols).value
+            part = res.value[added:]
             out[tail] += np.where(flat[tail] > base[tail], part, -part)
         return float(out[0]) if np.ndim(t) == 0 else out.reshape(np.shape(t))
 
@@ -457,27 +463,46 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
     decay geometrically and the extrapolated remainder drops below
     ``TAIL_TOL``; divergent when partial sums exceed the threshold, the
     increments stop decaying over six consecutive doublings, or the
-    integrand blows up pointwise across the last cutoffs.  ``f`` takes a
-    float at the cutoffs and the (segments, 15) array of GK15 nodes of the
-    segments it integrates.
+    integrand blows up pointwise across the last cutoffs.
+
+    ``f`` takes a float at a and an array otherwise.  The segments of
+    ``SEGMENTS_PER_CALL`` doublings are swept ahead in one call of ``f``,
+    of shape (segments, 16): each row holds a segment's 15 GK15 nodes and
+    its right cutoff, whose value is the cutoff sample.  A segment that
+    fails its tolerance is refined, one call per bisection level, when the
+    loop reaches it.  If the call raises, the group falls back to one
+    cutoff and one segment at a time, so that an error of ``f`` surfaces
+    at the cutoff the sequential loop would reach.
     """
     if a <= 0:
         raise DomainError("classify_improper needs a > 0")
     hint = hint or NO_HINT
 
-    def checked(x):
-        v = f(x)
+    def checked(t, v):
         if v < -1e-13 * (1.0 + abs(v)):
-            raise IntegrandSignError(f"integrand negative at t={x}: {v}")
+            raise IntegrandSignError(f"integrand negative at t={t}: {v}")
         return v
 
     seg_tol, seg_rel = TAIL_TOL * 1e-3, 1e-8
 
-    def sweep(edges):
+    def sweep(edges, fn=f):
         """GK15 (value, error) of each segment between consecutive edges."""
-        return list(zip(*(v.tolist() for v in _gk15(f, edges[:-1], edges[1:]))))
+        return list(zip(*(v.tolist() for v in _gk15(fn, edges[:-1], edges[1:]))))
 
-    cutoffs, partials, increments, samples = [], [], [], [checked(a)]
+    def sampled_sweep(edges):
+        """(f at the right edge, (value, error)) of each segment, from one
+        call of f on the GK15 nodes with the right edges as a last column."""
+        right = []
+
+        def nodes_and_edges(x):
+            fx = np.asarray(f(np.concatenate((x, edges[1:, None]), axis=1)), dtype=float)
+            right.extend(fx[:, -1].tolist())
+            return fx[:, :-1]
+
+        segments = sweep(edges, nodes_and_edges)
+        return list(zip(right, segments))
+
+    cutoffs, partials, increments, samples = [], [], [], [checked(a, f(a))]
     ahead, group_end = [], 0
     partial = quad_err = 0.0
 
@@ -488,8 +513,19 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
     for j in range(1, MAX_DOUBLINGS + 1):
         t_prev = a * 2.0 ** (j - 1)
         t_cur = a * 2.0 ** j
-        v_cur = checked(t_cur)
-        samples.append(v_cur)
+        if j > group_end:
+            group_end = min(j + SEGMENTS_PER_CALL - 1, MAX_DOUBLINGS)
+            try:
+                # only the GK15 sweep of the group: a segment that fails the
+                # tolerance is refined once the loop reaches it, never
+                # beyond the cutoff where the loop stops
+                ahead = sampled_sweep(a * 2.0 ** np.arange(j - 1, group_end + 1))
+            except Exception:
+                # one cutoff and one segment at a time, so that an error of
+                # f surfaces where the sequential loop would reach it
+                ahead = []
+        v_cur, segment = ahead.pop(0) if ahead else (f(t_cur), None)
+        samples.append(checked(t_cur, v_cur))
 
         # pointwise blow-up short-circuit: strictly increasing samples whose
         # next increment alone would exceed the divergence threshold
@@ -499,21 +535,10 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
             return verdict("divergent",
                            f"integrand increases pointwise beyond threshold near t={t_cur}")
 
-        if j > group_end:
-            group_end = min(j + SEGMENTS_PER_CALL - 1, MAX_DOUBLINGS)
-            try:
-                # only the GK15 sweep of the group: a segment that fails the
-                # tolerance is refined once the loop reaches it, never
-                # beyond the cutoff where the loop stops
-                ahead = sweep(a * 2.0 ** np.arange(j - 1, group_end + 1))
-            except Exception:
-                # one segment at a time, so that an error of f surfaces at
-                # the segment the sequential loop would reach
-                ahead = []
         # a panel's GK15 row sums do not depend on the panel count, so each
         # segment gets what a one-segment integrate call returns, to the bit;
         # its accuracy is folded into the verdict's own evidence
-        seg_value, seg_error = ahead.pop(0) if ahead else sweep(np.array([t_prev, t_cur]))[0]
+        seg_value, seg_error = segment or sweep(np.array([t_prev, t_cur]))[0]
         if not seg_error <= max(seg_tol, seg_rel * abs(seg_value)):
             seg_value, seg_error = _refine(
                 f, [(t_prev, t_cur, seg_value, seg_error)], seg_tol, seg_rel)[0]

@@ -405,8 +405,13 @@ def test_a_scenario_without_id_or_task_gets_an_error_entry(scenario, missing,
     entry = cli.run_scenario(scenario, tmp_path)
     error = entry.pop("error")
     assert entry == {**scenario, "status": "error", "inputs": scenario}
-    assert error.startswith("ScenarioError: ")
-    assert error.endswith(f"is missing {missing!r}")
+    assert error == f"ScenarioError: scenario is missing {missing!r}"
+
+
+def test_a_non_object_scenario_gets_an_error_entry(tmp_path):
+    entry = cli.run_scenario(["x"], tmp_path)
+    assert entry == {"status": "error", "inputs": ["x"],
+                     "error": "ScenarioError: scenario must be an object, got ['x']"}
 
 
 def test_non_integer_dimension_exits_2(tmp_path, capsys):
@@ -659,7 +664,7 @@ def test_scenario_counts_and_radii_are_checked(tmp_path):
         (identities_scenario(seed=-3),
          "ScenarioError: params.seed must be a non-negative integer, got -3"),
         (no_submanifold,
-         "ScenarioError: task 'check-identities' is missing 'submanifold'"),
+         "ScenarioError: scenario is missing 'submanifold'"),
         (gaussian_plane_scenario(rho=True),
          "ScenarioError: params.rho must be a finite number, got True"),
         (gaussian_plane_scenario(R="4"),

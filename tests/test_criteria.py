@@ -3,11 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from wparab import catalogs
 from wparab import criteria as cr
 from wparab import geometry as ge
 from wparab import radial as rd
 from wparab.errors import (BracketError, DomainError, NonMonotoneTailError,
                            NotAttainedError)
+from wparab.model import WeightedModel
 from wparab.verdicts import HOLDS, Outcome, WINDOW_ONLY
 
 
@@ -66,6 +68,89 @@ def test_cumulative_weight_evaluates_arrays_like_scalars():
     # f(t) = (t0^2 - t^2)/2 + atan(t) - atan(t0)
     exact = (1.5 ** 2 - ts[0] ** 2) / 2 + np.arctan(ts[0]) - math.atan(1.5)
     assert np.allclose(batch[0], exact, rtol=1e-9, atol=1e-12)
+
+
+# --- catalog sweep ------------------------------------------------------------
+#
+# (status, doublings, value) of the area integral of every catalog warping
+# and weight (m = 3, t0 = 1), and of the comparison integral of every
+# warping with four drift bounds (n = 2, t0 = 1.5), with the parabolic and
+# hyperbolic verdicts; recorded when each cutoff sample still came from its
+# own integrand call and primitive query
+
+SWEEP_WARPINGS = {"euclidean": {"name": "euclidean"},
+                  "hyperbolic": {"name": "hyperbolic", "kappa": -1.0},
+                  "paraboloid": {"name": "paraboloid"},
+                  "custom": {"name": "custom", "expr": "t+0.1*t^3"}}
+SWEEP_WEIGHTS = {"zero": {"name": "zero"}, "gaussian": {"name": "gaussian"},
+                 "antigaussian": {"name": "antigaussian"},
+                 "power": {"name": "power", "a": -0.5, "k": 1.5},
+                 "logpow": {"name": "logpow", "k": -2.0},
+                 "custom": {"name": "custom", "expr": "0.3*t^2-0.5*log(1+t^2)"}}
+SWEEP_AHLFORS = {
+    ('euclidean', 'zero'): ('convergent', 17, 0.07957747154594744),
+    ('euclidean', 'gaussian'): ('divergent', 4, None),
+    ('euclidean', 'antigaussian'): ('convergent', 4, 0.016619031914484984),
+    ('euclidean', 'power'): ('divergent', 5, None),
+    ('euclidean', 'logpow'): ('divergent', 6, None),
+    ('euclidean', 'custom'): ('convergent', 4, 0.04424611775274448),
+    ('hyperbolic', 'zero'): ('convergent', 4, 0.02491055926986331),
+    ('hyperbolic', 'gaussian'): ('divergent', 4, None),
+    ('hyperbolic', 'antigaussian'): ('convergent', 4, 0.009556225452531302),
+    ('hyperbolic', 'power'): ('divergent', 6, None),
+    ('hyperbolic', 'logpow'): ('divergent', 6, None),
+    ('hyperbolic', 'custom'): ('convergent', 4, 0.02244682177862754),
+    ('paraboloid', 'zero'): ('divergent', 38, None),
+    ('paraboloid', 'gaussian'): ('divergent', 4, None),
+    ('paraboloid', 'antigaussian'): ('convergent', 4, 0.023370293186730052),
+    ('paraboloid', 'power'): ('divergent', 5, None),
+    ('paraboloid', 'logpow'): ('divergent', 6, None),
+    ('paraboloid', 'custom'): ('convergent', 4, 0.06613906466413354),
+    ('custom', 'zero'): ('convergent', 5, 0.03546306902298504),
+    ('custom', 'gaussian'): ('divergent', 4, None),
+    ('custom', 'antigaussian'): ('convergent', 4, 0.011957782523031044),
+    ('custom', 'power'): ('divergent', 5, None),
+    ('custom', 'logpow'): ('divergent', 6, None),
+    ('custom', 'custom'): ('convergent', 4, 0.02939682042166576),
+}
+SWEEP_COMPARISON = {
+    ('euclidean', '-t'): ('divergent', 3, None, 'parabolic', 'inconclusive'),
+    ('euclidean', '0*t'): ('divergent', 6, None, 'inconclusive', 'inconclusive'),
+    ('euclidean', '-3/t'): ('divergent', 6, None, 'parabolic', 'inconclusive'),
+    ('euclidean', '1/t+0.5'): ('convergent', 5, 0.07315141166471538, 'inconclusive', 'hyperbolic'),
+    ('hyperbolic', '-t'): ('divergent', 3, None, 'inconclusive', 'inconclusive'),
+    ('hyperbolic', '0*t'): ('convergent', 4, 0.07224046376476657, 'inconclusive', 'hyperbolic'),
+    ('hyperbolic', '-3/t'): ('convergent', 5, 0.5311848913497674, 'inconclusive', 'hyperbolic'),
+    ('hyperbolic', '1/t+0.5'): ('convergent', 4, 0.03603359880572667, 'inconclusive', 'hyperbolic'),
+    ('paraboloid', '-t'): ('divergent', 3, None, 'parabolic', 'inconclusive'),
+    ('paraboloid', '0*t'): ('divergent', 6, None, 'inconclusive', 'inconclusive'),
+    ('paraboloid', '-3/t'): ('divergent', 6, None, 'parabolic', 'inconclusive'),
+    ('paraboloid', '1/t+0.5'): ('convergent', 5, 0.0999023159465278, 'inconclusive', 'hyperbolic'),
+    ('custom', '-t'): ('divergent', 3, None, 'inconclusive', 'inconclusive'),
+    ('custom', '0*t'): ('convergent', 10, 0.1348516429776664, 'inconclusive', 'hyperbolic'),
+    ('custom', '-3/t'): ('divergent', 6, None, 'inconclusive', 'inconclusive'),
+    ('custom', '1/t+0.5'): ('convergent', 4, 0.04846117003953885, 'inconclusive', 'hyperbolic'),
+}
+
+
+def _integral(v):
+    return v.status, len(v.cutoffs), v.value
+
+
+def test_catalog_sweep_verdicts_are_the_recorded_ones():
+    for (w, f), recorded in SWEEP_AHLFORS.items():
+        warping = catalogs.resolve_warping(SWEEP_WARPINGS[w])
+        model = WeightedModel(3, warping,
+                              catalogs.resolve_weight_profile(SWEEP_WEIGHTS[f], warping))
+        found = _integral(model.ahlfors_classify(1.0).integral_evidence)
+        assert found == pytest.approx(recorded, rel=1e-12), (w, f)
+    for (w, alpha), recorded in SWEEP_COMPARISON.items():
+        setup = cr.ComparisonSetup(catalogs.resolve_warping(SWEEP_WARPINGS[w]), 2, 1.5,
+                                   alpha_expr(alpha))
+        parabolic, hyperbolic = cr.classify_parabolic(setup), cr.classify_hyperbolic(setup)
+        found = (*_integral(parabolic.integral_evidence), parabolic.outcome.value,
+                 hyperbolic.outcome.value)
+        assert found == pytest.approx(recorded, rel=1e-12), (w, alpha)
 
 
 def test_setup_rejects_small_dimension():

@@ -211,6 +211,74 @@ def test_batched_rows_match_single_points(P):
                 P.name, field.name, u)
 
 
+def affine_charts():
+    return [
+        ge.coordinate_plane(3, (0, 2), gaussian_weight()),
+        ge.coordinate_plane(4, (0, 1), translator_weight(4)),
+        ge.hyperplane(3, [0.3, -0.5, 0.8], 0.4, gaussian_weight()),
+        catalogs.resolve_submanifold({"name": "graph", "expr": "0.4*x1-0.3*x2+0.2"}, 3,
+                                     expr_weight()),
+    ]
+
+
+def _rows_computed(monkeypatch):
+    """The row counts the tangent frames are computed on, call by call."""
+    rows, gram_schmidt = [], ge._gram_schmidt
+
+    def recording(J, G):
+        rows.append(len(J))
+        return gram_schmidt(J, G)
+
+    monkeypatch.setattr(ge, "_gram_schmidt", recording)
+    return rows
+
+
+@pytest.mark.parametrize("P", affine_charts(), ids=lambda P: P.name)
+def test_affine_charts_compute_the_metric_and_frames_on_one_row(P, monkeypatch):
+    U = ge._grid_points(P.window, 32)
+    rows = _rows_computed(monkeypatch)
+    batch = ge.geometry_at_batch(P, U)
+    assert rows == [1]
+    for i, u in enumerate(U):
+        single = ge.geometry_at(P, u)
+        for name in ge._STACKED_FIELDS:
+            assert np.array_equal(getattr(batch, name)[i], getattr(single, name)), (
+                P.name, name, u)
+    assert rows == [1] + [1] * len(U)
+
+
+def test_a_constant_dependent_basis_raises_for_the_first_point(monkeypatch):
+    P = ge.ImmersedSubmanifold(
+        ge.EuclideanAmbient(3),
+        2, lambda u: [u[0] + 2.0 * u[1], 2.0 * u[0] + 4.0 * u[1], 1.0 + 0.0 * u[0]],
+        window=((0.0, 1.0), (0.0, 1.0)))
+    U = ge._grid_points(P.window, 32)
+    rows = _rows_computed(monkeypatch)
+    with pytest.raises(DegenerateMetricError) as batch:
+        ge.geometry_at_batch(P, U)
+    with pytest.raises(DegenerateMetricError) as single:
+        ge.geometry_at(P, U[0])
+    assert rows == [1, 1]
+    assert str(batch.value) == str(single.value)
+    assert str(batch.value).startswith(f"induced metric degenerate at u={U[0]} (cond=")
+
+
+def test_a_sphere_computes_every_row(monkeypatch):
+    P = ge.euclidean_sphere(1.7, 3, gaussian_weight())
+    U = ge._grid_points(P.window, 32)
+    rows = _rows_computed(monkeypatch)
+    s = ge.geometry_at_batch(P, U)
+    assert rows == [len(U)]
+    # the stacked computation, row by row in one stack
+    J = s.jacobian
+    g = np.swapaxes(J, -1, -2) @ J
+    eig = np.abs(np.linalg.eigvalsh(g))
+    assert np.array_equal(s.metric, g)
+    assert np.array_equal(s.cond, eig.max(axis=1) / eig.min(axis=1))
+    assert np.array_equal(s.metric_inv, np.linalg.inv(g))
+    assert np.array_equal(s.tangent_frame, ge._gram_schmidt(J, None)[0])
+
+
 def _reference_profile(P, window, alpha, sense, min_radius, per_dim=32, tol=1e-8):
     # the point-by-point loop the batched profile replaces
     floor = min_radius if min_radius is not None else 1e-9

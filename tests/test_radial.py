@@ -387,6 +387,79 @@ def test_no_segment_beyond_the_stop_is_bisected(monkeypatch):
     assert calls == [("gk15", 4)] + refined
 
 
+def _counting(f):
+    """f that records the shape of each argument, () for a float."""
+    shapes = []
+
+    def g(t):
+        shapes.append(np.shape(t))
+        return f(t)
+
+    return g, shapes
+
+
+@pytest.mark.parametrize("f,refined", [
+    (lambda t: 1.0 / (t * t), False),
+    (lambda t: np.exp(0.5 * (t * t - 1.6 ** 2)) / (2 * np.pi * t), True),
+], ids=["unrefined", "refined"])
+def test_classify_calls_the_integrand_once_per_group_and_level(f, refined, monkeypatch):
+    levels, gk15, refine = [], rd._gk15, rd._refine
+
+    def recording_refine(f, *args):
+        def level(g, a, b):
+            levels.append(len(a))
+            return gk15(g, a, b)
+        monkeypatch.setattr(rd, "_gk15", level)
+        try:
+            return refine(f, *args)
+        finally:
+            monkeypatch.setattr(rd, "_gk15", gk15)
+
+    monkeypatch.setattr(rd, "_refine", recording_refine)
+    counted, shapes = _counting(f)
+    verdict = rd.classify_improper(counted, 1.6)
+    groups = -(-len(verdict.cutoffs) // rd.SEGMENTS_PER_CALL)
+    assert bool(levels) == refined
+    # the start sample, one call per group with the cutoffs as a last
+    # column, and one call per refinement level (here after the one group)
+    assert shapes == ([()] + [(rd.SEGMENTS_PER_CALL, 16)] * groups
+                      + [(n, 15) for n in levels])
+    assert _verdict_fields(verdict) == _verdict_fields(rd.classify_improper(f, 1.6))
+
+
+def _primitive_and_calls(monkeypatch, f=lambda t: np.exp(-t) * (1.0 + np.sin(3.0 * t))):
+    calls, integrate = [], rd.integrate
+
+    def recording(*args, **kwargs):
+        calls.append(len(args[1]))
+        return integrate(*args, **kwargs)
+
+    monkeypatch.setattr(rd, "integrate", recording)
+    return rd.Primitive(f, np.linspace(1.0, 9.0, 33), 1e-13, 1e-11), calls
+
+
+def test_a_primitive_query_makes_one_integrate_call(monkeypatch):
+    F, calls = _primitive_and_calls(monkeypatch)
+    F(3.1)                      # extends the ladder to 3.0 and adds the tail to 3.1
+    assert calls == [9]
+    F(np.array([2.2, 0.5, 2.9]))        # inside the ladder: tails only
+    assert calls == [9, 3]
+    F(np.array([8.7, 12.0]))            # extends the ladder to the last node
+    assert calls == [9, 3, 24 + 2]
+    F(5.0)                              # a node of a known ladder: nothing to integrate
+    assert calls == [9, 3, 26]
+
+
+def test_primitive_batches_equal_single_queries_in_reverse_order(monkeypatch):
+    ts = np.array([0.3, 1.0, 1.7, 3.25, 6.6, 9.0, 9.5, 14.0, 4.0])
+    F, _ = _primitive_and_calls(monkeypatch)
+    G, _ = _primitive_and_calls(monkeypatch)
+    batch = F(ts)
+    singles = [G(float(t)) for t in ts[::-1]][::-1]
+    assert np.array_equal(batch, singles)
+    assert F.error == G.error
+
+
 def test_classify_rejects_negative_integrands():
     with pytest.raises(IntegrandSignError):
         rd.classify_improper(lambda t: np.cos(10.0 * t) / t ** 2, 1.0)
