@@ -7,15 +7,14 @@ from .errors import (BracketError, ComparisonRefusal, DegenerateMetricError,
                      SupportError, WparabError)
 from .expr import Dual, ExprDomainError, ExprSyntaxError, eval_dual, evaluate, parse, to_source
 from .model import CapacityReport, WeightedModel, sphere_area_constant
-from .radial import (AsymptoticHint, IntegralVerdict, RadialProfile,
-                     WarpingFunction, classify_improper, expand_bracket,
-                     find_root, integrate)
+from .radial import (IntegralVerdict, RadialProfile, WarpingFunction,
+                     classify_improper, expand_bracket, find_root, integrate)
 from .verdicts import HypothesisCheck, Outcome, Verdict
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AsymptoticHint", "BracketError", "CapacityReport", "ComparisonRefusal",
+    "BracketError", "CapacityReport", "ComparisonRefusal",
     "DegenerateMetricError", "DomainError", "Dual", "ExprDomainError",
     "ExprSyntaxError", "HypothesisCheck", "IntegralVerdict",
     "IntegrandSignError", "NonMonotoneTailError", "NotAttainedError",

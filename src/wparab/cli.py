@@ -25,9 +25,8 @@ from .errors import ScenarioError
 from .fields import (BOOL, COUNT, EXPRESSION, FINITE, INF_OR_FINITE, NUMBERS, OPTIONAL, PAIR,
                      POSITIVE, REQUIRED, SEED, TEXT, Catalog, Entry, Field, Spec, is_number,
                      one_of)
-from .radial import HINT_TAGS, AsymptoticHint
 
-REPORT_VERSION = "4"
+REPORT_VERSION = "5"
 
 
 def _profile(source):
@@ -41,7 +40,7 @@ def _profile(source):
 def _run_classify(scenario, outdir):
     params = scenario["params"]
     model = catalogs.resolve_model(scenario["model"])
-    return {"verdict": CRITERIA.build(params, model, AsymptoticHint(**params["hint"])).to_dict()}
+    return {"verdict": CRITERIA.build(params, model).to_dict()}
 
 
 def _run_capacity(scenario, outdir):
@@ -49,7 +48,7 @@ def _run_capacity(scenario, outdir):
     model = catalogs.resolve_model(scenario["model"])
     rho, R = params["rho"], params["R"]
     if R == "inf":
-        cap, evidence = model.capacity_to_infinity(rho, AsymptoticHint(**params["hint"]))
+        cap, evidence = model.capacity_to_infinity(rho)
         return {"capacity": cap, "rho": rho, "R": None,
                 "integral_evidence": evidence.to_dict()}
     report = model.capacity_potential(rho, R)
@@ -152,46 +151,43 @@ T0 = Field(FINITE, 1.0)
 C = Field(FINITE, 0.0)
 ALPHA = Field(EXPRESSION)
 DIRECTION = Field(one_of("parabolic", "hyperbolic"), "parabolic")
-HINT = Field(Spec("hint", {"tag": Field(one_of(*HINT_TAGS)),
-                           "param": Field(FINITE, OPTIONAL)}), {"tag": "none"})
 SETUP = {"n": N, "t0": T0, "alpha": ALPHA}
 
 
 def _comparison(classify):
-    return lambda p, model, hint: classify(criteria.ComparisonSetup(
-        model.w, p["n"], p["t0"], _profile(p["alpha"]), hint=hint))
+    return lambda p, model: classify(criteria.ComparisonSetup(
+        model.w, p["n"], p["t0"], _profile(p["alpha"])))
 
 
-# builders take the checked params, the model and the hint
+# builders take the checked params and the model
 CRITERIA = Catalog("criterion", "ahlfors_direct", {
     "ahlfors_direct": Entry(
-        {"t0": T0}, lambda p, model, hint: model.ahlfors_classify(p["t0"], hint)),
+        {"t0": T0}, lambda p, model: model.ahlfors_classify(p["t0"])),
     "parabolic_comparison": Entry(SETUP, _comparison(criteria.classify_parabolic)),
     "hyperbolic_comparison": Entry(SETUP, _comparison(criteria.classify_hyperbolic)),
     "bounded_drift": Entry(
         {"n": N, "beta": Field(EXPRESSION), "c": C, "direction": DIRECTION},
-        lambda p, model, hint: criteria.classify_bounded_drift(
-            model.w, p["n"], _profile(p["beta"]), p["c"], p["direction"], hint)),
+        lambda p, model: criteria.classify_bounded_drift(
+            model.w, p["n"], _profile(p["beta"]), p["c"], p["direction"])),
     "radial_weight": Entry(
         {"n": N, "c": C, "direction": DIRECTION, "use_exp_integral": Field(BOOL, False)},
-        lambda p, model, hint: criteria.classify_radial_weight(
-            model.w, p["n"], model.f, p["c"], p["direction"], hint,
+        lambda p, model: criteria.classify_radial_weight(
+            model.w, p["n"], model.f, p["c"], p["direction"],
             use_exp_integral=p["use_exp_integral"])),
     "warping_power": Entry(
         {"n": N, "k": Field(FINITE), "t0": T0},
-        lambda p, model, hint: criteria.classify_warping_power(
-            model.w, p["n"], p["k"], p["t0"], hint)),
+        lambda p, model: criteria.classify_warping_power(
+            model.w, p["n"], p["k"], p["t0"])),
     "translator_halfspace": Entry(
-        SETUP, lambda p, model, hint: criteria.classify_translator_halfspace(
-            p["n"], _profile(p["alpha"]), p["t0"], hint)),
-}, key="criterion", common={"hint": HINT})
+        SETUP, lambda p, model: criteria.classify_translator_halfspace(
+            p["n"], _profile(p["alpha"]), p["t0"])),
+}, key="criterion")
 
 # the keys of potential_values echo the radii as written
 EVAL_AT = Field(NUMBERS._replace(convert=None), OPTIONAL,
                 only=("with a finite R", lambda p: is_number(p.get("R"))))
 CAPACITY = Spec("capacity params", {
-    "rho": Field(FINITE), "R": Field(INF_OR_FINITE, "inf"), "eval_at": EVAL_AT,
-    "hint": HINT._replace(only=('with R "inf"', lambda p: not is_number(p.get("R"))))})
+    "rho": Field(FINITE), "R": Field(INF_OR_FINITE, "inf"), "eval_at": EVAL_AT})
 CURVES = Spec("curves params", {
     "range": Field(PAIR), "samples": Field(COUNT, 100), "n": Field(COUNT, OPTIONAL),
     "rho": Field(FINITE, OPTIONAL, only=("with R", lambda p: "R" in p)),

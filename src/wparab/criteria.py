@@ -17,9 +17,8 @@ from .errors import DomainError, NotAttainedError
 from .geometry import (ImmersedSubmanifold, _complement_basis,
                        radial_hypothesis_profile)
 from .model import WeightedModel, critical_radius
-from .radial import (AsymptoticHint, NO_HINT, Primitive, RadialProfile, WarpingFunction,
-                     classify_improper, first_crossing, integrate,
-                     warping_euclidean)
+from .radial import (Primitive, RadialProfile, WarpingFunction, classify_improper,
+                     first_crossing, integrate, warping_euclidean)
 from .verdicts import (FAILS, HOLDS, WINDOW_ONLY, HypothesisCheck, Outcome,
                        one_sided)
 
@@ -39,7 +38,6 @@ class ComparisonSetup:
     n: int
     t0: float
     alpha: RadialProfile
-    hint: AsymptoticHint = NO_HINT
     name: str = ""
 
     def __post_init__(self):
@@ -53,8 +51,7 @@ class ComparisonSetup:
         rungs = float(self.t0) * 2.0 ** (np.arange(_LADDER_NODES)
                                          * (_LADDER_SPAN / (_LADDER_NODES - 1)))
         F = Primitive(self.alpha.value, rungs, abs_tol=1e-12, rel_tol=1e-10)
-        self.f = RadialProfile(F, self.alpha.value, self.alpha.deriv,
-                               t_min=max(self.alpha.t_min, 1e-12),
+        self.f = RadialProfile(F, self.alpha.value, t_min=max(self.alpha.t_min, 1e-12),
                                name=f"cumulative({self.alpha.name})")
         self.model = WeightedModel(self.n, self.warping, self.f)
 
@@ -65,7 +62,7 @@ class ComparisonSetup:
     def capacity_bound(self, rho, R=None):
         """Model-side capacity ratio Cap(B_rho)/A(S_rho) of the comparison."""
         if R is None:
-            cap, verdict = self.model.capacity_to_infinity(rho, self.hint)
+            cap, verdict = self.model.capacity_to_infinity(rho)
             if cap is None:
                 return None
             return cap / self.comparison_area(rho)
@@ -98,8 +95,6 @@ def _balance_check(setup: ComparisonSetup, sign):
         status, note = HOLDS, "tail margin non-decreasing on sampled window"
     elif convex_decay:
         status, note = HOLDS, "tail margin positive with convex decay on sampled window"
-    elif setup.hint.tag != "none":
-        status, note = HOLDS, f"tail asserted via hint {setup.hint.tag}"
     else:
         status = WINDOW_ONLY
         note = "holds on window; tail behaviour undetermined"
@@ -130,7 +125,7 @@ def _comparison(outcome, setup, P, window, assume_drift_bound):
                      assume_drift_bound),
         _balance_check(setup, sign=-1 if parabolic else +1),
     ]
-    integral = classify_improper(setup.model.inv_sphere_area, setup.t0, setup.hint)
+    integral = classify_improper(setup.model.inv_sphere_area, setup.t0)
     return one_sided(outcome, needs_divergent=parabolic, checks=checks,
                      integral=integral, criterion=f"{outcome.value}_comparison",
                      capacity_bound=setup.capacity_bound, notes=setup.name)
@@ -240,7 +235,7 @@ def _renamed(out, criterion, checks):
 
 
 def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
-                           direction="parabolic", hint=NO_HINT):
+                           direction="parabolic"):
     """Bounded weighted mean curvature plus a radial drift bound beta.
 
     Parabolic case: beta -> -inf, warping not integrable, sphere curvature
@@ -251,7 +246,7 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
     if not parabolic and direction != "hyperbolic":
         raise DomainError(f"unknown direction {direction!r}")
     shift = c if parabolic else -c
-    alpha = RadialProfile(lambda t: beta.value(t) + shift, beta.d1, beta.d2,
+    alpha = RadialProfile(lambda t: beta.value(t) + shift,
                           name=f"{beta.name}{'+' if parabolic else '-'}{c}")
     side = warping_integrability_check(warping, want_infinite=parabolic)
     curv = curvature_bounded_check(warping)
@@ -259,14 +254,13 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
         t0 = _first_balance_radius(warping, n, alpha) * (1.0 + 1e-9)
     else:
         t0 = _outward_balance_radius(warping, n, alpha)
-    setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="bounded_drift")
+    setup = ComparisonSetup(warping, n, t0, alpha, name="bounded_drift")
     classify = classify_parabolic if parabolic else classify_hyperbolic
     return _renamed(classify(setup), "bounded_drift", [side, curv])
 
 
 def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
-                           direction="parabolic", hint=NO_HINT,
-                           use_exp_integral=False):
+                           direction="parabolic", use_exp_integral=False):
     """Radial weight with bounded weighted mean curvature |wmc| <= c.
 
     Parabolic: f' -> -inf with non-integrable warping.  Hyperbolic: either
@@ -275,15 +269,14 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
     """
     fprime = f_as_beta(f)
     if direction == "hyperbolic" and use_exp_integral:
-        alpha = RadialProfile(lambda t: f.deriv(t) - c, f.second,
-                              name=f"{f.name}'-{c}")
+        alpha = RadialProfile(lambda t: f.deriv(t) - c, name=f"{f.name}'-{c}")
 
         def expint(t):
             return np.exp(c * t - f.value(t))
 
         head_lo = f.t_min * 1.001 + 1e-12 if f.t_min > 0 else 1e-12
         head = integrate(expint, head_lo, 1.0).value
-        tail = classify_improper(expint, 1.0, hint)
+        tail = classify_improper(expint, 1.0)
         exp_check = HypothesisCheck(
             name="exp_integral", status=HOLDS if tail.is_convergent else FAILS,
             margin=(head + tail.value) if tail.is_convergent else None,
@@ -294,23 +287,21 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
             note=f"w(64) = {wlim:.3g} (positive limit expected)")
         t0 = _outward_balance_radius(warping, n, alpha,
                                      max(f.t_min * 1.001 + 1e-12, 1.0))
-        setup = ComparisonSetup(warping, n, t0, alpha, hint=hint,
-                                name="radial_weight(exp_integral)")
+        setup = ComparisonSetup(warping, n, t0, alpha, name="radial_weight(exp_integral)")
         out = classify_hyperbolic(setup)
         extra = [exp_check, limit_check, curvature_bounded_check(warping)]
     else:   # classify_bounded_drift rejects an unknown direction
-        out = classify_bounded_drift(warping, n, fprime, c, direction, hint)
+        out = classify_bounded_drift(warping, n, fprime, c, direction)
         extra = [slope_limit_check(f, -1 if direction == "parabolic" else +1)]
     return _renamed(out, "radial_weight", extra)
 
 
 def f_as_beta(f: RadialProfile):
     """The radial drift bound of a radial weight is its slope f'."""
-    return RadialProfile(f.d1, f.second, None, t_min=f.t_min,
-                         name=f"{f.name}'")
+    return RadialProfile(f.d1, t_min=f.t_min, name=f"{f.name}'")
 
 
-def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
+def classify_warping_power(warping, n, k, t0=1.0):
     """Weight w(r)^k acting on a weighted-minimal submanifold.
 
     The drift bound is exactly k H(r); spheres must be convex beyond t0.
@@ -319,17 +310,13 @@ def classify_warping_power(warping, n, k, t0=1.0, hint=NO_HINT):
     """
     floor = _alpha_floor(t0, lambda t: warping.deriv(t) / warping.value(t),
                          "sphere curvature H(t) >= 0 (convexity at infinity)")
-    alpha = RadialProfile(
-        lambda t: k * warping.deriv(t) / warping.value(t),
-        lambda t: k * (warping.second(t) * warping.value(t)
-                       - warping.deriv(t) ** 2) / warping.value(t) ** 2,
-        name=f"{k}*H")
-    setup = ComparisonSetup(warping, n, t0, alpha, hint=hint, name="warping_power")
+    alpha = RadialProfile(lambda t: k * warping.deriv(t) / warping.value(t), name=f"{k}*H")
+    setup = ComparisonSetup(warping, n, t0, alpha, name="warping_power")
     out = (classify_parabolic if k <= -n else classify_hyperbolic)(setup)
     return _renamed(out, "warping_power", [floor])
 
 
-def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
+def classify_translator_halfspace(n, alpha: RadialProfile, t0):
     """Translator weight e^t with the immersion above t = r * alpha(r).
 
     Conditions: alpha(t) >= -n/t beyond t0 and a convergent comparison
@@ -337,7 +324,7 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0, hint=NO_HINT):
     """
     floor = _alpha_floor(t0, lambda t: alpha.value(t) + n / t, "alpha(t) >= -n/t")
     setup = ComparisonSetup(warping=warping_euclidean(), n=n, t0=t0,
-                            alpha=alpha, hint=hint, name="translator_halfspace")
+                            alpha=alpha, name="translator_halfspace")
     return _renamed(classify_hyperbolic(setup), "translator_halfspace", [floor])
 
 

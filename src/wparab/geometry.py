@@ -142,6 +142,15 @@ class RadialWeight(AmbientWeight):
                 + s[:, None, None] * np.eye(m))
 
 
+def _heights(mu: RadialProfile, t):
+    """The heights t at which ``mu`` is read.  A mu without values at t <=
+    t_min > 0 (logpow, a power below 1) refuses them; one with t_min 0
+    reads every height, as translators below the origin need."""
+    if mu.t_min > 0:
+        mu.check_domain(t)
+    return t
+
+
 class HeightWeight(AmbientWeight):
     """h(p) = mu(<p, axis>) for a unit vector axis (default: last coordinate)."""
 
@@ -155,13 +164,13 @@ class HeightWeight(AmbientWeight):
         self.name = f"height({mu.name})"
 
     def value(self, pts):
-        return self.mu.value(pts @ self.axis)
+        return self.mu.value(_heights(self.mu, pts @ self.axis))
 
     def grad(self, pts):
-        return self.mu.deriv(pts @ self.axis)[:, None] * self.axis
+        return self.mu.deriv(_heights(self.mu, pts @ self.axis))[:, None] * self.axis
 
     def hess(self, pts):
-        return (self.mu.second(pts @ self.axis)[:, None, None]
+        return (self.mu.second(_heights(self.mu, pts @ self.axis))[:, None, None]
                 * np.outer(self.axis, self.axis))
 
 
@@ -175,19 +184,19 @@ class SplitWeight(AmbientWeight):
         self.name = f"split({eta.name}+{mu.name})"
 
     def value(self, pts):
-        return self.eta.value(pts[:, :-1]) + self.mu.value(pts[:, -1])
+        return self.eta.value(pts[:, :-1]) + self.mu.value(_heights(self.mu, pts[:, -1]))
 
     def grad(self, pts):
         out = np.empty_like(pts)
         out[:, :-1] = self.eta.grad(pts[:, :-1])
-        out[:, -1] = self.mu.deriv(pts[:, -1])
+        out[:, -1] = self.mu.deriv(_heights(self.mu, pts[:, -1]))
         return out
 
     def hess(self, pts):
         N, m = pts.shape
         out = np.zeros((N, m, m))
         out[:, :-1, :-1] = self.eta.hess(pts[:, :-1])
-        out[:, -1, -1] = self.mu.second(pts[:, -1])
+        out[:, -1, -1] = self.mu.second(_heights(self.mu, pts[:, -1]))
         return out
 
 

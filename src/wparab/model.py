@@ -160,22 +160,22 @@ class WeightedModel:
                               quadrature_error=F.error / total * capacity,
                               phi_prime=phi_prime)
 
-    def capacity_to_infinity(self, rho, hint=None):
+    def capacity_to_infinity(self, rho):
         """(capacity, evidence): zero when the area integral diverges."""
         if rho <= self.f.t_min:
             raise DomainError(f"need rho > t_min = {self.f.t_min}")
-        verdict = classify_improper(self.inv_sphere_area, rho, hint)
+        verdict = classify_improper(self.inv_sphere_area, rho)
         if verdict.is_divergent:
             return 0.0, verdict
         if verdict.is_convergent:
             return 1.0 / verdict.value, verdict
         return None, verdict
 
-    def ahlfors_classify(self, t0=1.0, hint=None):
+    def ahlfors_classify(self, t0=1.0):
         """Recurrence/transience of the weighted model from the area integral."""
         if t0 <= self.f.t_min:
             raise DomainError(f"need t0 > t_min = {self.f.t_min}")
-        evidence = classify_improper(self.inv_sphere_area, t0, hint)
+        evidence = classify_improper(self.inv_sphere_area, t0)
         if evidence.is_divergent:
             outcome = Outcome.PARABOLIC
         elif evidence.is_convergent:

@@ -27,39 +27,18 @@ class AccuracyWarning(UserWarning):
 # Profiles
 
 @dataclass(frozen=True)
-class AsymptoticHint:
-    """Advisory tail information for improper-integral classification.
-
-    tag is one of ``HINT_TAGS``; ``param`` carries the rate when applicable.
-    """
-
-    tag: str = "none"
-    param: float | None = None
-
-    def __post_init__(self):
-        if self.tag not in HINT_TAGS:
-            raise ValueError(f"unknown hint tag {self.tag!r}")
-
-
-HINT_TAGS = ("eventually_monotone_integrand", "exponential_order", "power_order", "none")
-
-NO_HINT = AsymptoticHint("none")
-
-
-@dataclass(frozen=True)
 class RadialProfile:
-    """Scalar function of t > t_min with its first and, when ``d2`` is given,
-    second derivative.
+    """Scalar function of t > t_min with, when ``d1`` and ``d2`` are given,
+    its first and second derivatives.
 
     ``fn``, ``d1`` and ``d2`` work element by element on a float and on an
     ndarray of radii of any shape, and return the argument's shape.
     """
 
     fn: object
-    d1: object
+    d1: object = None
     d2: object = None
     t_min: float = 0.0
-    hint: AsymptoticHint = NO_HINT
     name: str = ""
 
     def __post_init__(self):
@@ -71,14 +50,18 @@ class RadialProfile:
         return self.fn(t)
 
     def deriv(self, t):
+        if self.d1 is None:
+            raise self._missing("first", "d1")
         return self.d1(t)
 
     def second(self, t):
         if self.d2 is None:
-            raise DomainError(
-                f"profile {self.name or '<anonymous>'} has no second "
-                f"derivative (built without d2)")
+            raise self._missing("second", "d2")
         return self.d2(t)
+
+    def _missing(self, order, field):
+        return DomainError(f"profile {self.name or '<anonymous>'} has no {order} "
+                           f"derivative (built without {field})")
 
     def check_domain(self, t):
         lowest = t.min() if isinstance(t, np.ndarray) else t
@@ -440,7 +423,6 @@ class IntegralVerdict(Record):
     cutoffs: list = field(default_factory=list)
     partials: list = field(default_factory=list)
     increments: list = field(default_factory=list, metadata=INTERNAL)
-    used_hint: str = "none"
     reason: str = ""
 
     @property
@@ -456,7 +438,7 @@ class IntegralVerdict(Record):
         return self.status != "inconclusive"
 
 
-def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
+def classify_improper(f, a, *, divergence_threshold=1e12):
     """Classify the convergence of the integral of a positive ``f`` over [a, inf).
 
     Cutoffs double: T_j = a * 2^j.  Convergent when the tail increments
@@ -476,7 +458,6 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
     """
     if a <= 0:
         raise DomainError("classify_improper needs a > 0")
-    hint = hint or NO_HINT
 
     def checked(t, v):
         if v < -1e-13 * (1.0 + abs(v)):
@@ -508,7 +489,7 @@ def classify_improper(f, a, hint=None, *, divergence_threshold=1e12):
 
     def verdict(status, reason, **found):
         return IntegralVerdict(status, reason=reason, cutoffs=cutoffs, partials=partials,
-                               increments=increments, used_hint=hint.tag, **found)
+                               increments=increments, **found)
 
     for j in range(1, MAX_DOUBLINGS + 1):
         t_prev = a * 2.0 ** (j - 1)

@@ -530,17 +530,41 @@ def test_missing_catalog_parameter_names_the_field(tmp_path):
     # both radii given: the curves table has its phi column
     both = cli.run_scenario(curves_scenario(rho=1.0, R=1.5), tmp_path)
     assert both["columns"][-1] == "phi"
-    # a logpow mu takes the model's warping
+    # a logpow mu takes the model's warping; the graph's heights stay above
+    # 0.9, where log is defined
     logpow = {"name": "logpow", "k": 1}
+    graph = {"name": "graph", "expr": "1+0.3*x1^2-0.2*x1*x2", "window": [[0.3, 1.5], [0.3, 1.5]]}
     for weight in ({"name": "height", "mu": logpow},
                    {"name": "split", "eta": {"name": "gaussian"}, "mu": logpow}):
         entry = cli.run_scenario(
             {"id": weight["name"], "task": "check-identities",
              "model": {"m": 3, "warping": {"name": "euclidean"}, "weight": weight},
-             "submanifold": {"name": "sphere", "a": 1.3}, "params": {"points": 6}},
+             "submanifold": graph, "params": {"points": 6}},
             tmp_path)
         assert entry["status"] == "ok", entry.get("error")
         assert entry["radial_identity_max_residual"] <= 1e-12
+
+
+def test_a_height_weight_checks_the_domain_of_its_mu(tmp_path):
+    # log x3 and x3^0.5 have no value on the plane x3 = -0.5; a mu defined
+    # for every height (t_min 0) reads it, as translators do
+    plane = {"name": "plane", "normal": [0, 0, 1], "offset": -0.5}
+    logpow, root = {"name": "logpow", "k": 1}, {"name": "power", "a": 1.0, "k": 0.5}
+    weights = [{"name": "height", "mu": logpow},
+               {"name": "split", "eta": {"name": "gaussian"}, "mu": logpow},
+               {"name": "height", "mu": root},
+               {"name": "translator"},
+               {"name": "split", "eta": {"name": "gaussian"}, "mu": {"name": "gaussian"}}]
+    entries = [cli.run_scenario(
+        {"id": f"w{i}", "task": "check-identities",
+         "model": {"m": 3, "warping": {"name": "euclidean"}, "weight": weight},
+         "submanifold": plane, "params": {"points": 3}}, tmp_path)
+        for i, weight in enumerate(weights)]
+    assert [entry.get("error") for entry in entries[:3]] == [
+        "DomainError: profile logpow(k=1, w=euclidean) undefined at t=-0.5 "
+        "(domain is t > 1e-08)"] * 2 + [
+        "DomainError: profile power(a=1.0, k=0.5) undefined at t=-0.5 (domain is t > 1e-08)"]
+    assert [entry["status"] for entry in entries[3:]] == ["ok", "ok"]
 
 
 def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
@@ -804,13 +828,11 @@ def test_criterion_numbers_are_checked(tmp_path):
          "use_exp_integral must be true or false, got 'false'"),
         (classify_scenario(use_exp_integral=1),
          "use_exp_integral must be true or false, got 1"),
-        (classify_scenario(hint={"param": 1}), "hint is missing 'tag'"),
-        (classify_scenario(hint={"tag": "rate", "param": 1}),
-         "hint.tag must be one of eventually_monotone_integrand, exponential_order, "
-         "power_order, none, got 'rate'"),
-        (classify_scenario(hint="none"), "hint must be an object, got 'none'"),
-        (classify_scenario(hint={"tag": "power_order", "param": "x"}),
-         "hint.param must be a finite number, got 'x'"),
+        (classify_scenario(hint={"tag": "power_order", "param": 2.0}),
+         "hint is not a field of criterion 'radial_weight'"),
+        (classify_scenario("parabolic_comparison", alpha="-t", hint={"tag": "none"}),
+         "hint is not a field of criterion 'parabolic_comparison'"),
+        (classify_scenario(hint="none"), "hint is not a field of criterion 'radial_weight'"),
         (classify_scenario(direction="up"),
          "direction must be one of parabolic, hyperbolic, got 'up'"),
     ]
@@ -879,14 +901,11 @@ def test_curve_and_capacity_numbers_are_checked(tmp_path):
     assert list(cap["capacity_report"]["potential_values"]) == ["1.5", "2"]
 
 
-def test_hint_and_alpha_are_checked_where_no_branch_reads_them(tmp_path):
-    # a finite R reads no hint and ahlfors_direct reads no alpha: a field
+def test_fields_no_branch_reads_are_refused(tmp_path):
+    # ahlfors_direct reads no alpha and an infinite R no eval_at: a field
     # that no branch reads is refused, valid or not
     ahlfors = {**classify_scenario("ahlfors_direct"), "params": {"criterion": "ahlfors_direct"}}
     cases = [
-        (capacity_scenario(hint="bogus"), 'params.hint is read only with R "inf"'),
-        (capacity_scenario(hint={"tag": "power_order", "param": 2.0}),
-         'params.hint is read only with R "inf"'),
         (capacity_scenario(R="inf", eval_at=[1.5]), "params.eval_at is read only with a finite R"),
         ({**ahlfors, "params": {"criterion": "ahlfors_direct", "alpha": 5}},
          "params.alpha is not a field of criterion 'ahlfors_direct'"),
@@ -905,14 +924,45 @@ def test_hint_and_alpha_are_checked_where_no_branch_reads_them(tmp_path):
     ]
     scenarios = [{**sc, "id": f"case{i}"} for i, (sc, _) in enumerate(cases)]
     ok = [{**capacity_scenario(), "id": "cap"},
-          {**capacity_scenario(R="inf", hint={"tag": "power_order", "param": 2.0}),
-           "id": "cap-hint"},
+          {**capacity_scenario(R="inf"), "id": "cap-inf"},
           {**ahlfors, "id": "cls"}]
     cli.run_config({"scenarios": scenarios + ok}, tmp_path)
-    *bad, cap, cap_hint, cls = _strict_report(tmp_path)["scenarios"]
+    *bad, cap, cap_inf, cls = _strict_report(tmp_path)["scenarios"]
     assert [entry.get("error") for entry in bad] == [
         "ScenarioError: " + msg for _, msg in cases]
-    assert cap["status"] == cap_hint["status"] == cls["status"] == "ok"
+    assert cap["status"] == cap_inf["status"] == cls["status"] == "ok"
+
+
+def test_a_hint_is_not_a_field(tmp_path, capsys):
+    # no integral test reads a tail hint, so none may turn a balance that
+    # holds only on its sampled window into holds
+    comparison = {"id": "cmp", "task": "classify", "model": {"m": 3},
+                  "params": {"criterion": "parabolic_comparison", "n": 2, "t0": 5,
+                             "alpha": "-t-3*sin(t)"}}
+    hint = {"tag": "power_order", "param": 2.0}
+    hinted = [
+        ({**comparison, "params": {**comparison["params"], "hint": hint}},
+         "criterion 'parabolic_comparison'"),
+        (capacity_scenario(R="inf", hint=hint), "capacity params"),
+        (capacity_scenario(hint=hint), "capacity params"),
+    ]
+    for i, (scenario, owner) in enumerate(hinted):
+        config = tmp_path / f"hinted{i}.json"
+        config.write_text(json.dumps({"scenarios": [comparison, scenario]}))
+        out = tmp_path / f"hinted{i}-out"
+        assert cli.main(["run", str(config), "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: scenarios[1].params.hint is not a field of {owner}\n")
+        assert not (out / "report.json").exists()
+    # the unhinted comparison stays inconclusive: its balance holds on the
+    # sampled window only
+    config = tmp_path / "unhinted.json"
+    config.write_text(json.dumps({"scenarios": [comparison]}))
+    assert cli.main(["run", str(config), "--out", str(tmp_path / "unhinted-out")]) == 0
+    verdict = _strict_report(tmp_path / "unhinted-out")["scenarios"][0]["verdict"]
+    assert verdict["outcome"] == "inconclusive"
+    assert {ch["name"]: ch["status"] for ch in verdict["checks"]}["sphere_balance"] == "window_only"
+    assert "used_hint" not in verdict["integral_evidence"]
 
 
 def test_range_and_eval_at_shapes_are_checked(tmp_path):

@@ -465,14 +465,6 @@ def test_classify_rejects_negative_integrands():
         rd.classify_improper(lambda t: np.cos(10.0 * t) / t ** 2, 1.0)
 
 
-def test_hint_tags_validated():
-    with pytest.raises(ValueError):
-        rd.AsymptoticHint("bogus")
-    v = rd.classify_improper(lambda t: 1.0 / t ** 2, 1.0,
-                             rd.AsymptoticHint("power_order", -2.0))
-    assert v.used_hint == "power_order"
-
-
 # --- root finding --------------------------------------------------------
 
 
@@ -602,9 +594,15 @@ def test_profile_without_d2_has_no_second_derivative():
     p = rd.RadialProfile(lambda t: t ** 3, lambda t: 3 * t ** 2, name="cube")
     with pytest.raises(DomainError, match="profile cube has no second derivative"):
         p.second(1.0)
-    # the drift bound of a radial weight differentiates the weight's d2
+    # a profile of values only, such as the drift bound of a radial weight,
+    # has neither derivative
+    bare = rd.RadialProfile(lambda t: t ** 3, name="cube")
+    with pytest.raises(DomainError, match="profile cube has no first derivative"):
+        bare.deriv(1.0)
     slope = cr.f_as_beta(rd.RadialProfile.from_expression("-t^2/2"))
-    assert slope.deriv(2.0) == -1.0
+    assert slope.value(2.0) == -2.0
+    with pytest.raises(DomainError, match="has no first derivative"):
+        slope.deriv(2.0)
     with pytest.raises(DomainError, match="has no second derivative"):
         slope.second(2.0)
 
