@@ -11,9 +11,10 @@ the comparison model.
 Paths move in orthonormal coordinates V of the plane (``DiffusionSpec``),
 where the generator is Delta + <b, grad>: a step's noise is sqrt(2 dt) xi
 and the sphere of radius d around V holds the points V + d xi / |xi|, so
-no move takes a matrix product.  A batch of N paths in an n-plane is stored
-coordinate-major, shape (n, N), so that every operation runs along the long
-path axis.
+no move takes a matrix product.  A batch of N drifted paths in an n-plane
+is stored coordinate-major, shape (n, N), so that every operation runs
+along the long path axis.  A driftless path keeps only its in-plane radius
+q = |V|, shape (1, N): walk-on-spheres moves it by the law of |V + d theta|.
 """
 
 from __future__ import annotations
@@ -85,7 +86,9 @@ class DiffusionSpec:
     drifted paths and bounds the layer where they jump (see
     ``default_step``); walk-on-spheres does not use it.  Points V are
     stacks of shape (n, N), one column per path, and so are their drifts
-    (n, N) and ambient points (m, N)."""
+    (n, N) and ambient points (m, N).  A driftless path's state is its
+    in-plane radius q = |V|, a "frame point" of shape (1, N): its radius
+    sqrt(q^2 + delta^2) is ``radius`` of that stack."""
 
     P: ImmersedSubmanifold
     dtau: float
@@ -232,6 +235,10 @@ def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
     if n_unresolved:
         warns.append(f"{n_unresolved} paths did not exit within "
                      f"{spec.max_steps} {unit} (excluded from the estimate)")
+    if estimator == HEUN_EXIT_JUMPS and spec.dtau > default_step(rho, R):
+        warns.append(f"dtau = {spec.dtau:.6g} exceeds the default step "
+                     f"1e-3 (R - rho)^2 = {default_step(rho, R):.6g}; "
+                     f"heun-exit-jumps estimates read low at larger steps")
     return HitEstimate(n_inner / resolved, N, n_inner, n_outer, n_unresolved,
                        lo, hi, exit_time_sum / resolved, rho, R, spec.dtau,
                        spec.seed, estimator, shell, path_steps, exit_jumps,
@@ -241,9 +248,9 @@ def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
 def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     """Fraction of paths reaching {r <= rho} before {r >= R}.
 
-    Driftless specs walk on spheres (``_sphere_jump``); drifted ones take
-    Heun steps in the bulk and exit jumps near the boundary
-    (``_heun_exit_jump``).  Deterministic for a
+    Driftless specs walk on spheres in the in-plane radius |V|
+    (``_radial_jump``); drifted ones take Heun steps in the bulk and exit
+    jumps near the boundary (``_heun_exit_jump``).  Deterministic for a
     given (spec, seed): path batches draw from independent counter-based
     streams keyed by (seed, batch index).
     """
@@ -255,8 +262,11 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     r0 = float(spec.radius(start)[0])
     name = WALK_ON_SPHERES if spec.driftless else HEUN_EXIT_JUMPS
     if rho < r0 < R:
-        move = _sphere_jump(spec) if spec.driftless else _heun_exit_jump(spec)
-        return _shell_walk(spec, start[:, 0], rho, R, N, name, move)
+        if spec.driftless:
+            return _shell_walk(spec, _radii(start), rho, R, N, name,
+                               _radial_jump(spec))
+        return _shell_walk(spec, start[:, 0], rho, R, N, name,
+                           _heun_exit_jump(spec))
     inside = N if r0 <= rho else 0
     p = inside / N
     return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, rho, R,
@@ -270,10 +280,10 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
     shell, and counts for that boundary; a path that moved beyond a
     boundary counts for the boundary it crossed.  Every other path moves by
     ``move(rng, V, b, d)``, which takes the live paths' frame points V
-    (n, N), drifts b (n, N) or None and distances d = min(r - rho, R - r)
-    (N,), and returns the new points with their radii, drifts, the time
-    each path spent and the number of paths that jumped.  ``max_steps``
-    caps the moves of a path.
+    (n, N) or in-plane radii (1, N), drifts b (n, N) or None and distances
+    d = min(r - rho, R - r) (N,), and returns the new points with their
+    radii, drifts, the time each path spent and the number of paths that
+    jumped.  ``max_steps`` caps the moves of a path.
     """
     shell = _shell(rho, R)
     n_inner = n_outer = path_steps = exit_jumps = 0
@@ -311,21 +321,50 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
                      estimator, shell)
 
 
-def _sphere_jump(spec: DiffusionSpec):
+def _radial_jump(spec: DiffusionSpec):
     """The move of walk-on-spheres (Muller 1956) on a driftless affine chart.
 
-    Each jump goes to a uniform point of the largest in-plane sphere that
-    d = min(r - rho, R - r) guarantees inside the annulus (exact for planes
-    through the origin, conservative for offset planes).  Its time is
-    d^2 / (2n), the mean exit time of the ball for the generator Delta.
+    Each jump goes to a uniform point V + d theta of the largest in-plane
+    sphere that d = min(r - rho, R - r) guarantees inside the annulus
+    (exact for planes through the origin, conservative for offset planes).
+    Its time is d^2 / (2n), the mean exit time of the ball for the generator
+    Delta.  Only the in-plane radius q = |V| decides where a path stops, and
+    q'^2 = q^2 + d^2 + 2 q d c with c = <V / |V|, theta>, which has the same
+    law for every V (``_sphere_cosines``): the move takes and returns q,
+    shape (1, N), one cosine a path.
     """
-    dim = spec.dim
+    dim, offset_sq = spec.dim, spec.offset_sq
 
-    def move(rng, V, b, d):
-        V += _sphere_steps(_normals(rng, V), d)
-        return V, spec.radius(V), None, d * d / (2.0 * dim), len(d)
+    def move(rng, q, b, d):
+        q = q[0]
+        q2 = 2.0 * q * _sphere_cosines(rng, dim, len(d))
+        q2 += d
+        q2 *= d
+        q2 += q * q
+        np.maximum(q2, 0.0, out=q2)
+        r = np.sqrt(q2 + offset_sq)
+        return np.sqrt(q2, out=q2)[None], r, None, d * d / (2.0 * dim), len(d)
 
     return move
+
+
+def _sphere_cosines(rng, n, N):
+    """N draws of c = <e, theta> for theta uniform on the unit sphere of
+    R^n and a fixed unit vector e: density proportional to
+    (1 - c^2)^((n - 3) / 2) on [-1, 1], drawn exactly.  Uniforms serve the
+    planes: cos(pi U) for n = 2, Archimedes' 2U - 1 for n = 3, and for
+    n = 4 the first coordinate sqrt(U1) cos(2 pi U2) of a uniform point of
+    the disk, onto which the uniform measure of S^3 projects; otherwise
+    xi_1 / |xi| from n normals (+-1 for n = 1)."""
+    if n == 2:
+        return np.cos(np.pi * rng.random(N))
+    if n == 3:
+        return 2.0 * rng.random(N) - 1.0
+    if n == 4:
+        u = rng.random((2, N))
+        return np.sqrt(u[0]) * np.cos(2.0 * np.pi * u[1])
+    xi = rng.standard_normal((n, N))
+    return xi[0] / np.sqrt((xi * xi).sum(axis=0))
 
 
 def _sphere_steps(xi, d):

@@ -187,6 +187,45 @@ def test_walk_on_spheres_on_offset_hyperplane():
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+def test_sphere_cosines_follow_the_law_of_a_uniform_direction(n):
+    # c = <e, theta> for theta uniform on S^{n-1}: E[c] = 0, E[c^2] = 1/n
+    # and E[c^4] = 3/(n(n+2)), each within 5 SE at 2e5 draws (exactly for
+    # the signs of a line)
+    N = 200_000
+    c = mc._sphere_cosines(np.random.default_rng(n), n, N)
+    assert c.shape == (N,) and np.all(np.abs(c) <= 1.0)
+    for k, exact in ((1, 0.0), (2, 1.0 / n), (4, 3.0 / (n * (n + 2)))):
+        moment = c ** k
+        se = moment.std(ddof=1) / math.sqrt(N)
+        assert abs(moment.mean() - exact) <= 5.0 * se, (k, moment.mean())
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_radial_jump_lands_at_the_radius_of_a_cartesian_jump(n, offset):
+    # one jump of the radial move against |V + d xi/|xi|| from the same
+    # start, on an n-plane through the origin of R^n and on the offset
+    # hyperplane x_{n+1} = 0.6 of R^{n+1}: two-sample KS at 2e4 draws each
+    from scipy import stats
+    P = (ge.identity_chart(n, None) if offset == 0.0 else
+         ge.hyperplane(n + 1, [0.0] * n + [1.0], offset=offset))
+    spec = mc.DiffusionSpec(P, 1e-3, seed=0)
+    N, d = 20_000, 0.7
+    V = np.repeat(spec.lift(np.linspace(0.3, 0.9, n)[:, None]), N, axis=1)
+    q = mc._radii(V)[None]
+    q1, r1, b1, dt, jumps = mc._radial_jump(spec)(
+        np.random.default_rng(n), q, None, np.full(N, d))
+    assert q1.shape == (1, N) and b1 is None and jumps == N
+    np.testing.assert_array_equal(dt, d * d / (2 * n))
+    np.testing.assert_allclose(r1, np.sqrt(q1[0] ** 2 + offset ** 2),
+                               rtol=1e-15)
+    cartesian = V + mc._sphere_steps(
+        mc._normals(np.random.default_rng(100 + n), V), np.full(N, d))
+    assert stats.ks_2samp(q1[0], mc._radii(cartesian)).pvalue > 1e-3
+    assert stats.ks_2samp(r1, spec.radius(cartesian)).pvalue > 1e-3
+
+
 def test_walk_on_spheres_agrees_with_euler_maruyama():
     # EM overshoots the boundaries by about 0.5826 sqrt(2 dtau) per exit
     # (Broadie-Glasserman-Kou); walk-on-spheres carries no such bias
@@ -393,6 +432,30 @@ def test_bulk_paths_take_the_heun_step():
     np.testing.assert_allclose(np.hypot(*(V1 - V)[:, 1::2]), 0.3, rtol=1e-15)
 
 
+def test_a_dtau_above_the_default_step_is_warned():
+    # heun-exit-jumps reads low at 4x the default step on this plane (by
+    # 1.2e-3 from s = 1.2, z = -5.1 over 4e6 paths): a dtau above the
+    # default is named in the estimate's warnings
+    rho, R = 1.0, 3.0
+    default = mc.default_step(rho, R)
+    for dtau, warned in ((4.0 * default, True), (default, False),
+                         (0.25 * default, False)):
+        spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian), dtau,
+                                seed=5)
+        est = mc.hit_probability(spec, [1.2, 0.0], rho, R, 200)
+        assert est.estimator == "heun-exit-jumps"
+        if warned:
+            assert est.warnings == [
+                "dtau = 0.016 exceeds the default step 1e-3 (R - rho)^2 = "
+                "0.004; heun-exit-jumps estimates read low at larger steps"]
+        else:
+            assert est.warnings == []
+    # walk-on-spheres does not use dtau
+    spec = mc.DiffusionSpec(radial_plane(), 1.0, seed=5)
+    est = mc.hit_probability(spec, [2.0, 0.0], rho, R, 200)
+    assert est.estimator == "walk-on-spheres" and est.warnings == []
+
+
 def test_overshooting_paths_count_for_the_boundary_they_crossed():
     # a move that lands alternate paths inside rho and beyond R
     def move(rng, U, b, d):
@@ -444,21 +507,21 @@ def test_heun_exit_jumps_on_an_offset_gaussian_plane():
 # Counts (n_inner, n_outer, n_unresolved, path_steps, exit_jumps) and values
 # (p_hat, mean_exit_time) of five recorded runs; the loop must reproduce
 # them: counts exactly, values to rounding.  The walk-on-spheres cases were
-# recorded with the path loop as first written (boolean-mask compaction,
-# np.linalg.norm radii, products with strided transposes), the heun cases
-# with the heun-exit-jumps move, the skewed one while it still moved in
-# chart coordinates.
+# recorded with the move in the in-plane radius, one cosine a jump (they
+# pin how each batch's stream is used), the heun cases with the
+# heun-exit-jumps move, the skewed one while it still moved in chart
+# coordinates.
 RECORDED_ESTIMATES = {
-    "walk-on-spheres R^3": (1086, 914, 0, 56335, 56335, 0.543,
-                            0.9089333189161196),
+    "walk-on-spheres R^3": (1066, 934, 0, 57268, 57268, 0.533,
+                            0.9161462427441242),
     "capped heun, Gaussian plane": (554, 375, 71, 123111, 11332,
                                     0.596340150699677, 0.10884094594792419),
     "heun, offset Gaussian plane": (1862, 138, 0, 231101, 57106, 0.931,
                                     0.4113611264281529),
     "heun, antigaussian plane": (549, 1451, 0, 185660, 21592, 0.2745,
                                  0.3497767382147251),
-    "walk-on-spheres, 3-plane in R^4": (986, 1014, 0, 57102, 57102, 0.493,
-                                        0.9648288456173865),
+    "walk-on-spheres, 3-plane in R^4": (1002, 998, 0, 58221, 58221, 0.501,
+                                        0.9536662616430579),
     "heun, skewed Gaussian hyperplane": (1613, 387, 0, 318703, 55451, 0.8065,
                                          0.5678298553761447),
 }
@@ -486,7 +549,8 @@ def _recorded_run(case):
                                 batch_size=700)
         return mc.hit_probability(spec, [1.1, -0.7, 0.9], 1.0, 3.0, 2000)
     if case == "walk-on-spheres, 3-plane in R^4":
-        # a tilted plane: the jump and its |theta| have three columns
+        # a tilted plane: the start is lifted through the frame, and a
+        # jump's cosine is uniform in a 3-plane
         spec = mc.DiffusionSpec(ge.hyperplane(4, [1.0, 2.0, -1.0, 1.0]), 1e-3,
                                 seed=13, batch_size=700)
         return mc.hit_probability(spec, [1.1, -0.7, 0.9], 1.0, 4.0, 2000)
