@@ -109,7 +109,7 @@ def _run_mc_verify(scenario, outdir):
     params = scenario["params"]
     warping, P = catalogs.resolve_immersion(scenario)
     rho, R, start, N = params["rho"], params["R"], params["start"], params["paths"]
-    spec = mc.DiffusionSpec(P, params.get("dtau", mc.default_step(rho, R)), params["seed"],
+    spec = mc.DiffusionSpec(P, params.get("dtau"), params["seed"],
                             batch_size=params["batch_size"])
     if "R_schedule" in params:
         probe = mc.recurrence_probe(spec, start, rho, params["R_schedule"], N)

@@ -55,19 +55,16 @@ class ComparisonSetup:
                                name=f"cumulative({self.alpha.name})")
         self.model = WeightedModel(self.n, self.warping, self.f)
 
-    def comparison_area(self, t):
-        """Weighted area of the (n-1)-sphere in the comparison model."""
-        return self.model.sphere_area(t)
-
     def capacity_bound(self, rho, R=None):
-        """Model-side capacity ratio Cap(B_rho)/A(S_rho) of the comparison."""
+        """Model-side capacity ratio Cap(B_rho)/A(S_rho) of the comparison,
+        A the weighted area of the (n-1)-sphere of the model."""
         if R is None:
             cap, verdict = self.model.capacity_to_infinity(rho)
             if cap is None:
                 return None
-            return cap / self.comparison_area(rho)
+            return cap / self.model.sphere_area(rho)
         return (self.model.capacity_potential(rho, R).capacity
-                / self.comparison_area(rho))
+                / self.model.sphere_area(rho))
 
 
 def _balance_check(setup: ComparisonSetup, sign):

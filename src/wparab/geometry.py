@@ -3,9 +3,12 @@
 Charts, declared normals and scalar fields are written against
 dual-number-friendly arithmetic, so their first and second derivatives come
 from one forward-mode routine (``jet``) to machine precision; there are no
-finite differences.  Ambients are either flat Euclidean space with an
-arbitrary weight or the polar chart of a rotationally symmetric model with
-a radial weight (closed-form warped-product Christoffel symbols).
+finite differences.  They receive the columns of a stack of N parameter
+points (N = 1 included) as arrays, or duals of them, never Python floats.
+Ambients are either flat Euclidean space with an arbitrary weight, which
+carries no metric (``G = None`` stands for the identity), or the polar
+chart of a rotationally symmetric model with a radial weight (closed-form
+warped-product Christoffel symbols).
 
 Sign conventions: the scalar mean curvature of a two-sided hypersurface is
 ``(m-1) H_P = -div_P N``; metric spheres with inward normal ``N = -grad r``
@@ -16,7 +19,7 @@ of the second fundamental form and does not depend on the normal frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,18 +38,13 @@ _MARGIN_TOL = 1e-8                     # a sampled hypothesis fails below -tol
 
 
 def _columns(U):
-    """Per-coordinate arguments for a stack of points U of shape (N, k):
-    Python floats for a single point, whose scalar arithmetic is cheapest,
-    and array columns otherwise, so that one call evaluates every point."""
-    if len(U) == 1:
-        return [float(v) for v in U[0]]
+    """The k array columns of a stack of points U of shape (N, k), so that
+    one call evaluates every point."""
     return [U[:, k] for k in range(U.shape[1])]
 
 
 def _stack(components, N):
     """(N, m) array from m components, each a scalar or an (N,) array."""
-    if N == 1:
-        return np.array([components], dtype=float)
     out = np.empty((N, len(components)))
     for k, c in enumerate(components):
         out[:, k] = c
@@ -54,9 +52,9 @@ def _stack(components, N):
 
 
 def _norm(x):
-    """Euclidean norm over the last axis, as a dot product like
-    np.linalg.norm of a single vector, so one point and the same row of a
-    stack agree to the last bit."""
+    """Euclidean norm over the last axis, as a row-by-row dot product: the
+    rounding the reports were recorded with, which a sum of squares need
+    not reproduce."""
     return np.sqrt((x[..., None, :] @ x[..., :, None])[..., 0, 0])
 
 
@@ -79,20 +77,12 @@ def _inner(G, a, b):
 class AmbientWeight:
     """Weight exp(h) on Euclidean coordinates: value, gradient, Hessian.
 
-    Each method takes a stack of points of shape (N, m); a single point is
-    the one-row stack.
+    Each weight defines ``value`` (N,), ``grad`` (N, m) and ``hess``
+    (N, m, m) of a stack of points of shape (N, m); a single point is the
+    one-row stack.
     """
 
     name = "weight"
-
-    def value(self, pts):
-        raise NotImplementedError
-
-    def grad(self, pts):
-        raise NotImplementedError
-
-    def hess(self, pts):
-        raise NotImplementedError
 
 
 class ZeroWeight(AmbientWeight):
@@ -215,7 +205,7 @@ class ExprWeight(AmbientWeight):
         self.name = f"expr({source})"
 
     def _at(self, cols):
-        """The expression at coordinate columns (floats, arrays or duals)."""
+        """The expression at coordinate columns (arrays or duals of them)."""
         return evaluate(self.ast, dict(zip(self.vars, cols)))
 
     def value(self, pts):
@@ -246,12 +236,8 @@ class EuclideanAmbient:
     def __init__(self, m, weight: AmbientWeight | None = None):
         self.m = m
         self.weight = weight or ZeroWeight()
-        self._eye = np.eye(m)
 
     flat = True       # identity metric, no Christoffel symbols
-
-    def metric(self, x):
-        return np.broadcast_to(self._eye, np.shape(x)[:-1] + self._eye.shape)
 
     def r(self, x):
         return _norm(np.asarray(x, dtype=float))
@@ -374,9 +360,9 @@ class ImmersedSubmanifold:
     """Parametric immersion of an n-manifold into a weighted ambient.
 
     ``chart`` and the optional ``normal`` take a list of n parameter
-    values and return m components using elementwise arithmetic only, so
-    the same call evaluates a float point, dual numbers or whole columns
-    of parameter points.
+    columns and return m components using elementwise arithmetic only, so
+    the same call evaluates whole columns of parameter points or dual
+    numbers of them.
     """
 
     ambient: object
@@ -393,20 +379,18 @@ class ImmersedSubmanifold:
     def m(self):
         return self.ambient.m
 
-    def point(self, u):
-        """Ambient points (K, m) of a stack u (K, n), or the point of one u."""
-        U = np.atleast_2d(np.asarray(u, dtype=float))
-        x = _stack(self.chart(_columns(U)), len(U))
-        return x if np.ndim(u) == 2 else x[0]
+    def point(self, U):
+        """Ambient points (K, m) of a stack U (K, n) of parameter points."""
+        U = np.asarray(U, dtype=float)
+        return _stack(self.chart(_columns(U)), len(U))
 
 
 @dataclass
 class GeometrySample:
-    """All first- and second-order geometric data at one parameter point.
-
-    ``geometry_at_batch`` returns the same fields stacked along a leading
-    axis of points, with NaN radial data where ``grad_r`` is undefined;
-    ``row`` extracts one point.
+    """All first- and second-order geometric data at a stack of N parameter
+    points: each field has a leading axis of points, the shapes below
+    follow it.  ``ambient_metric`` is None in a flat ambient, and the
+    radial data are NaN where ``grad_r`` is undefined.
     """
 
     u: np.ndarray
@@ -414,8 +398,8 @@ class GeometrySample:
     jacobian: np.ndarray            # (m, n) columns d_i X
     metric: np.ndarray              # induced g_ij
     metric_inv: np.ndarray
-    cond: float
-    ambient_metric: np.ndarray
+    cond: np.ndarray                # condition number of g
+    ambient_metric: np.ndarray | None   # (m, m) G; None: the identity
     tangent_frame: np.ndarray       # (n, m) orthonormal rows
     normals: np.ndarray             # (m-n, m) orthonormal rows
     second_fundamental: np.ndarray  # (m-n, n, n) scalar components
@@ -425,22 +409,8 @@ class GeometrySample:
     mc_vec: np.ndarray              # n * Hbar_P, the normal part of trace
     wmc_vec: np.ndarray             # weighted mean curvature vector
     grad_h: np.ndarray
-    grad_r: np.ndarray | None
-    radial_tangent_norm: float | None   # |grad_P r|
-    flat: bool                          # ambient_metric is the identity
-
-    def row(self, i):
-        """The sample of the i-th point of a stacked sample."""
-        values = {name: getattr(self, name)[i] for name in _STACKED_FIELDS}
-        values["cond"] = float(values["cond"])
-        if np.isnan(values["grad_r"]).all():
-            values["grad_r"] = values["radial_tangent_norm"] = None
-        else:
-            values["radial_tangent_norm"] = float(values["radial_tangent_norm"])
-        return GeometrySample(**values, flat=self.flat)
-
-
-_STACKED_FIELDS = [f.name for f in fields(GeometrySample) if f.name != "flat"]
+    grad_r: np.ndarray
+    radial_tangent_norm: np.ndarray     # |grad_P r|
 
 
 def _project_out(v, G, frame):
@@ -520,9 +490,8 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
     # warnings would only be noise (errors under a caller's error filter)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         x, J, Hx = jet(P.chart, U)
-        ambient_metric = P.ambient.metric(x)
         flat = P.ambient.flat
-        G = None if flat else ambient_metric     # None: the identity, see _inner
+        G = None if flat else P.ambient.metric(x)   # None: the identity, see _inner
         bits = J.reshape(N, -1).view(np.uint64)
         one_row = flat and N > 1 and (bits == bits[0]).all()
         Jr = J[:1] if one_row else J             # the rows the frames come from
@@ -594,15 +563,15 @@ def geometry_at_batch(P: ImmersedSubmanifold, U):
 
     return GeometrySample(
         u=U, point=x, jacobian=J, metric=g, metric_inv=g_inv, cond=cond,
-        ambient_metric=ambient_metric, tangent_frame=tangent, normals=normals,
+        ambient_metric=G, tangent_frame=tangent, normals=normals,
         second_fundamental=sff, chart_second=Hx, covariant_second=second,
         trace=trace, mc_vec=mc, wmc_vec=wmc, grad_h=grad_h, grad_r=grad_r,
-        radial_tangent_norm=radial_norm, flat=flat)
+        radial_tangent_norm=radial_norm)
 
 
 def geometry_at(P: ImmersedSubmanifold, u):
-    """Metric, frames, curvature vectors and radial data at a parameter point."""
-    return geometry_at_batch(P, np.asarray(u, dtype=float)[None]).row(0)
+    """The sample of one parameter point u (n,): the one-row stack."""
+    return geometry_at_batch(P, np.asarray(u, dtype=float)[None])
 
 
 # ---------------------------------------------------------------------------
@@ -614,7 +583,8 @@ def _drift(s):
     b = g^{-1} J^T (dh - G tr) with the sample's tr = g^{ij} D_i d_j X, which
     is g^{kl} d_l (h o X) - g^{ij} Gamma^k_ij for the intrinsic Christoffels
     Gamma^k_ij = g^{kl} <d_l X, D_i d_j X>_G."""
-    dh = s.grad_h - (s.trace if s.flat else (s.ambient_metric @ s.trace[..., None])[..., 0])
+    G = s.ambient_metric
+    dh = s.grad_h - (s.trace if G is None else (G @ s.trace[..., None])[..., 0])
     return (s.metric_inv @ (np.swapaxes(s.jacobian, -1, -2) @ dh[..., None]))[..., 0]
 
 
@@ -669,14 +639,15 @@ def radial_identity_residual(P, s, psi: RadialProfile):
     r = amb.r(s.point)
     H = amb.sphere_curvature(r)
     dpsi, d2psi = psi.deriv(r), psi.second(r)
-    G = None if s.flat else s.ambient_metric
+    G = s.ambient_metric
     rhs = ((d2psi - H * dpsi) * s.radial_tangent_norm ** 2
            + (P.n * H + _inner(G, s.grad_h, s.grad_r)
               + _inner(G, s.wmc_vec, s.grad_r)) * dpsi)
     # direct side psi'' dr dr^T + psi' d2r with r o X pulled back: r = |x| has
     # the Hessian (I - e e^T) / r, e = grad_r; a model chart's r = t has none
     e = s.grad_r
-    hess_r = (np.eye(P.m) - e[:, :, None] * e[:, None, :]) / r[:, None, None] if s.flat else None
+    hess_r = ((np.eye(P.m) - e[:, :, None] * e[:, None, :]) / r[:, None, None]
+              if G is None else None)
     dr, d2r = _pullback(s, e, hess_r)
     lhs = _laplacian(s, dpsi[:, None] * dr,
                      d2psi[:, None, None] * dr[:, :, None] * dr[:, None, :]
@@ -714,9 +685,8 @@ def radial_hypothesis_profile(P, window, alpha: RadialProfile, sense="upper",
     # NaN-free grad_r rows with a radius above the floor, in grid order
     keep = np.flatnonzero(~(r < floor) & ~np.isnan(s.grad_r).all(axis=1))
     used = len(keep)
-    G = None if s.flat else s.ambient_metric[keep]
-    grad_r = s.grad_r[keep]
-    lhs = _inner(G, s.grad_h[keep], grad_r) + _inner(G, s.wmc_vec[keep], grad_r)
+    G = s.ambient_metric
+    lhs = (_inner(G, s.grad_h, s.grad_r) + _inner(G, s.wmc_vec, s.grad_r))[keep]
     bound = alpha.value(r[keep])
     margins = (bound - lhs) if sense == "upper" else (lhs - bound)
     # NaN margins never become the minimum; the first minimum is the witness

@@ -20,7 +20,7 @@ q = |V|, shape (1, N): walk-on-spheres moves it by the law of |V + d theta|.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -83,15 +83,15 @@ class DiffusionSpec:
     generator is Delta + <b, grad> with the drift b = E^T grad h(c + E V),
     which is (f'(r)/r) V for a radial weight e^f.  ``driftless`` holds when
     the ambient weight is ``ZeroWeight``.  ``dtau`` caps the time step of
-    drifted paths and bounds the layer where they jump (see
-    ``default_step``); walk-on-spheres does not use it.  Points V are
-    stacks of shape (n, N), one column per path, and so are their drifts
-    (n, N) and ambient points (m, N).  A driftless path's state is its
+    drifted paths and bounds the layer where they jump; None stands for
+    ``default_step`` of each estimate's annulus.  Walk-on-spheres does not
+    use it.  Points V are stacks of shape (n, N), one column per path, and
+    so are their drifts (n, N) and ambient points (m, N).  A driftless path's state is its
     in-plane radius q = |V|, a "frame point" of shape (1, N): its radius
     sqrt(q^2 + delta^2) is ``radius`` of that stack."""
 
     P: ImmersedSubmanifold
-    dtau: float
+    dtau: float | None
     seed: int
     batch_size: int = 20_000
     max_steps: int = 400_000
@@ -100,7 +100,8 @@ class DiffusionSpec:
         self.batch_size = COUNT.check(self.batch_size, "batch_size", {})
         self.max_steps = COUNT.check(self.max_steps, "max_steps", {})
         self.seed = SEED.check(self.seed, "seed", {})
-        self.dtau = POSITIVE.check(self.dtau, "dtau", {})
+        if self.dtau is not None:
+            self.dtau = POSITIVE.check(self.dtau, "dtau", {})
         if self.P.linear is None:
             raise DomainError(
                 "path simulation requires an affine chart (use the generic "
@@ -252,11 +253,14 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     (``_radial_jump``); drifted ones take Heun steps in the bulk and exit
     jumps near the boundary (``_heun_exit_jump``).  Deterministic for a
     given (spec, seed): path batches draw from independent counter-based
-    streams keyed by (seed, batch index).
+    streams keyed by (seed, batch index).  The estimate records the step
+    it used, ``default_step(rho, R)`` for a spec without ``dtau``.
     """
     start = spec.lift(spec.parameter_point(start)[:, None])
     if not rho < R:
         raise DomainError("need rho < R")
+    if spec.dtau is None:
+        spec = replace(spec, dtau=default_step(rho, R))
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start)[0])
@@ -466,21 +470,21 @@ class ComparisonReport(Record):
 
 
 def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
-                     rho, R, N, direction="parabolic",
-                     assume_drift_bound=True, window=None):
+                     rho, R, N, direction="parabolic"):
     """Check the hitting estimate against the transplanted radial potential.
 
     Under the parabolic comparison the prediction is
     p_hat <= phi(r(start)) + 3 SE; under the hyperbolic one
     p_hat >= phi - 3 SE.  If the corresponding classification does not fire
     for this setup, the check refuses: the inequality is not predicted.
+    The drift bound is sampled on the chart's window and assumed beyond it.
     """
     start = spec.parameter_point(start)
     if direction == "parabolic":
-        verdict = classify_parabolic(setup, spec.P, window, assume_drift_bound)
+        verdict = classify_parabolic(setup, spec.P, assume_drift_bound=True)
         wanted = Outcome.PARABOLIC
     elif direction == "hyperbolic":
-        verdict = classify_hyperbolic(setup, spec.P, window, assume_drift_bound)
+        verdict = classify_hyperbolic(setup, spec.P, assume_drift_bound=True)
         wanted = Outcome.HYPERBOLIC
     else:
         raise DomainError(f"unknown direction {direction!r}")
@@ -520,7 +524,8 @@ def recurrence_probe(spec: DiffusionSpec, start, rho, R_schedule, N):
 
     A parabolic scenario drives the estimates toward 1; a hyperbolic one
     leaves them capped below 1.  Each radius uses an independent stream
-    derived from the master seed.
+    derived from the master seed, and a spec without ``dtau`` the default
+    step of its own annulus.
     """
     estimates = []
     for i, R in enumerate(R_schedule):

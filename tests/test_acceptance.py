@@ -242,16 +242,14 @@ def test_acceptance_10_comparison_inequalities():
     spec = mc.DiffusionSpec(plane, dtau=mc.default_step(1.0, 4.0), seed=8,
                             batch_size=100_000)
     rep_a = mc.comparison_check(spec, setup, [2.0, 0.0], 1.0, 4.0, 100_000,
-                                direction="parabolic", assume_drift_bound=True,
-                                window=((0.5, 4.0), (0.5, 4.0)))
+                                direction="parabolic")
     # hyperbolic side: unweighted 3-plane in R^4
     plane3 = ge.coordinate_plane(4, (0, 1, 2), None)
     setup3 = cr.ComparisonSetup(rd.warping_euclidean(), 3, 1.0,
                                 rd.RadialProfile.constant(0.0))
     spec3 = mc.DiffusionSpec(plane3, dtau=1e-4, seed=9, batch_size=100_000)
     rep_b = mc.comparison_check(spec3, setup3, [2.0, 0.0, 0.0], 1.0, 4.0,
-                                100_000, direction="hyperbolic",
-                                assume_drift_bound=True)
+                                100_000, direction="hyperbolic")
     ok = drift.holds and rep_a.passed and rep_b.passed
     _report(10, ok,
             f"comparisons: parabolic p={rep_a.p_hat:.5f} <= phi+3SE="

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from wparab import catalogs, cli
+from wparab import montecarlo as mc
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -623,6 +624,19 @@ def test_mc_verify_checks_dtau_paths_and_seed(tmp_path):
     assert (estimate["n_paths"], estimate["seed"]) == (12, 3)
     assert estimate["dtau"] == pytest.approx(9e-3, rel=1e-15)
     assert estimate["estimator"] == "heun-exit-jumps"
+
+
+def test_a_probe_without_dtau_leaves_the_step_to_each_estimate(tmp_path):
+    # the scenario's R is 16, but the probe's R = 2 estimate steps at 1e-3
+    scenario = gaussian_plane_scenario(R=16.0, start=[1.5, 0.0], paths=200,
+                                       R_schedule=[2.0, 4.0, 16.0])
+    entry = cli.run_scenario(scenario, tmp_path)
+    _, P = catalogs.resolve_immersion(cli.SCENARIO.check(scenario, ""))
+    probe = mc.recurrence_probe(mc.DiffusionSpec(P, None, seed=0), [1.5, 0.0], 1.0,
+                                [2.0, 4.0, 16.0], 200)
+    assert [e.dtau for e in probe.estimates] == [mc.default_step(1.0, R)
+                                                 for R in (2.0, 4.0, 16.0)]
+    assert entry["recurrence_probe"] == probe.to_dict()
 
 
 def test_estimate_without_an_exited_path_is_a_scenario_error(tmp_path,

@@ -9,7 +9,7 @@ from wparab import catalogs
 from wparab import geometry as ge
 from wparab import radial as rd
 from wparab.errors import DegenerateMetricError, DomainError, SupportError
-from wparab.expr import fcos, fexp, fpow, fsin
+from wparab.expr import Dual, fcos, fexp, fpow, fsin
 from wparab.model import WeightedModel
 from wparab.verdicts import FAILS, HOLDS
 
@@ -76,24 +76,26 @@ def test_sphere_mean_curvature_vector_against_divergence_oracle():
     P = ge.euclidean_sphere(a, m)
     u = np.array([0.9, 1.3])
     s = ge.geometry_at(P, u)
+    assert s.u.shape == (1, P.n)
+    J, frame, mc_vec, point = s.jacobian[0], s.tangent_frame[0], s.mc_vec[0], s.point[0]
 
-    def normal_field(point):
-        return -point / np.linalg.norm(point)
+    def normal_field(points):
+        return -points[0] / np.linalg.norm(points[0])
 
     eps = 1e-6
     div = 0.0
     for i in range(P.n):
         # move along the chart in the parameter direction aligned with e_i
-        coeffs = np.linalg.lstsq(s.jacobian, s.tangent_frame[i], rcond=None)[0]
+        coeffs = np.linalg.lstsq(J, frame[i], rcond=None)[0]
         up = u + eps * coeffs
         um = u - eps * coeffs
-        dN = (normal_field(P.point(up)) - normal_field(P.point(um))) / (2 * eps)
-        div += float(dN @ s.tangent_frame[i])
-    oracle = -div * s.normals[0]
-    assert np.abs(s.mc_vec - oracle).max() <= 1e-6
-    assert np.linalg.norm(s.mc_vec) == pytest.approx(2.0 / a, rel=1e-10)
-    grad_r = s.point / np.linalg.norm(s.point)
-    assert np.abs(s.mc_vec + grad_r).max() <= 1e-10
+        dN = (normal_field(P.point([up])) - normal_field(P.point([um]))) / (2 * eps)
+        div += float(dN @ frame[i])
+    oracle = -div * s.normals[0, 0]
+    assert np.abs(mc_vec - oracle).max() <= 1e-6
+    assert np.linalg.norm(mc_vec) == pytest.approx(2.0 / a, rel=1e-10)
+    grad_r = point / np.linalg.norm(point)
+    assert np.abs(mc_vec + grad_r).max() <= 1e-10
 
 
 def test_gaussian_minimal_sphere_has_zero_weighted_curvature():
@@ -122,15 +124,16 @@ def test_frame_invariants_across_catalog():
         for _ in range(4):
             u = np.array([lo + (hi - lo) * rng.random() for lo, hi in P.window])
             s = ge.geometry_at(P, u)
-            G = s.ambient_metric
-            for i, Ni in enumerate(s.normals):
-                for j, Nj in enumerate(s.normals):
-                    assert abs(float(Ni @ G @ Nj) - (1.0 if i == j else 0.0)) <= 1e-10
+            assert s.ambient_metric is None        # flat: the identity metric
+            normals, J, grad_r = s.normals[0], s.jacobian[0], s.grad_r[0]
+            for i, Ni in enumerate(normals):
+                for j, Nj in enumerate(normals):
+                    assert abs(float(Ni @ Nj) - (1.0 if i == j else 0.0)) <= 1e-10
                 for k in range(P.n):
-                    assert abs(float(Ni @ G @ s.jacobian[:, k])) <= 1e-8
+                    assert abs(float(Ni @ J[:, k])) <= 1e-8
             # radial Pythagoras
-            total = s.radial_tangent_norm ** 2 + sum(
-                float(s.grad_r @ G @ Ni) ** 2 for Ni in s.normals)
+            total = s.radial_tangent_norm[0] ** 2 + sum(
+                float(grad_r @ Ni) ** 2 for Ni in normals)
             assert abs(total - 1.0) <= 1e-8
 
 
@@ -192,23 +195,62 @@ def catalog_charts():
     ]
 
 
+def _assert_same_row(batch, i, single, label):
+    """Row i of a stacked sample equals the one-row sample to the bit, NaN
+    radial data at the pole included; a flat ambient has no metric in either."""
+    assert single.u.shape == (1, batch.u.shape[1]), label
+    for field in dataclasses.fields(single):
+        a, b = getattr(batch, field.name), getattr(single, field.name)
+        if a is None or b is None:
+            assert a is None and b is None, (label, field.name)
+            continue
+        assert b.shape == (1,) + a.shape[1:], (label, field.name)
+        assert np.array_equal(a[i], b[0], equal_nan=True), (label, field.name)
+
+
 @pytest.mark.parametrize("P", catalog_charts(), ids=lambda P: P.name)
 def test_batched_rows_match_single_points(P):
     U = ge._grid_points(P.window, 5)
     x, J, H = ge.jet(P.chart, U)
     batch = ge.geometry_at_batch(P, U)
+    assert (batch.ambient_metric is None) == P.ambient.flat
     for i, u in enumerate(U):
         for stacked, single in zip((x, J, H), ge.jet(P.chart, u[None])):
             assert np.array_equal(stacked[i], single[0]), (P.name, u)
-        row, s = batch.row(i), ge.geometry_at(P, u)
-        for field in dataclasses.fields(s):
-            a, b = getattr(row, field.name), getattr(s, field.name)
-            if b is None or isinstance(b, bool):     # radial data at the pole; flat
-                assert a is b, (P.name, field.name, u)
-                continue
-            scale = max(np.abs(b).max(initial=0.0), 1.0)
-            assert np.abs(np.asarray(a) - b).max(initial=0.0) <= 1e-13 * scale, (
-                P.name, field.name, u)
+        _assert_same_row(batch, i, ge.geometry_at(P, u), (P.name, u))
+
+
+def _array_columns(u):
+    """The columns u, refused unless each is an array or a dual of one."""
+    for c in u:
+        while isinstance(c, Dual):
+            c = c.value
+        if not isinstance(c, np.ndarray):
+            raise TypeError(f"a chart column must be an array, got {type(c).__name__}")
+    return u
+
+
+def test_a_chart_that_refuses_floats_serves_one_point_and_a_stack():
+    # the chart contract: geometry passes array columns and duals of them
+    def chart(u):
+        x, y = _array_columns(u)
+        return [x, y, 0.3 * x * y + fsin(y)]
+
+    def fld(u):
+        x, y = _array_columns(u)
+        return fcos(x) * y
+
+    P = ge.ImmersedSubmanifold(ge.EuclideanAmbient(3, expr_weight()), 2, chart,
+                               window=((0.2, 1.2), (-0.5, 0.5)))
+    U = _window_points(P, 4, 3)
+    batch = ge.geometry_at_batch(P, U)
+    laplacian = ge.weighted_laplacian(batch, fld)
+    for i, u in enumerate(U):
+        single = ge.geometry_at(P, u)
+        _assert_same_row(batch, i, single, u)
+        assert ge.weighted_laplacian(single, fld)[0] == laplacian[i]
+        assert np.array_equal(P.point(U[i:i + 1])[0], batch.point[i])
+        assert ge.field_values(fld, U[i:i + 1])[0] == ge.field_values(fld, U)[i]
 
 
 def affine_charts():
@@ -240,10 +282,7 @@ def test_affine_charts_compute_the_metric_and_frames_on_one_row(P, monkeypatch):
     batch = ge.geometry_at_batch(P, U)
     assert rows == [1]
     for i, u in enumerate(U):
-        single = ge.geometry_at(P, u)
-        for name in ge._STACKED_FIELDS:
-            assert np.array_equal(getattr(batch, name)[i], getattr(single, name)), (
-                P.name, name, u)
+        _assert_same_row(batch, i, ge.geometry_at(P, u), (P.name, u))
     assert rows == [1] + [1] * len(U)
 
 
@@ -285,12 +324,13 @@ def _reference_profile(P, window, alpha, sense, min_radius, per_dim=32, tol=1e-8
     worst, witness, used = math.inf, None, 0
     for u in ge._grid_points(window, per_dim):
         s = ge.geometry_at(P, u)
-        r = P.ambient.r(s.point)
-        if r < floor or s.grad_r is None:
+        r = float(P.ambient.r(s.point)[0])
+        grad_r = s.grad_r[0]
+        if r < floor or np.isnan(grad_r).all():
             continue
         used += 1
-        G = s.ambient_metric
-        lhs = float(s.grad_h @ G @ s.grad_r) + float(s.wmc_vec @ G @ s.grad_r)
+        G = np.eye(P.m) if s.ambient_metric is None else s.ambient_metric[0]
+        lhs = float(s.grad_h[0] @ G @ grad_r) + float(s.wmc_vec[0] @ G @ grad_r)
         bound = alpha.value(r)
         margin = (bound - lhs) if sense == "upper" else (lhs - bound)
         if margin < worst:
@@ -430,10 +470,10 @@ def _metric_difference_oracle(P, u):
 
     def metric(v):
         x, J, _ = (a[0] for a in ge.jet(P.chart, v[None]))
-        return J.T @ P.ambient.metric(x) @ J
+        return J.T @ J if P.ambient.flat else J.T @ P.ambient.metric(x) @ J
 
     def h_pull(v):
-        return P.ambient.weight.value(P.point(v)[None])[0]
+        return P.ambient.weight.value(P.point(v[None]))[0]
 
     dg = np.empty((n, n, n))  # dg[k, i, j] = d_k g_ij
     grad_h = np.empty(n)
@@ -861,11 +901,11 @@ def test_index_form_matches_point_by_point_quadrature():
             sx, sy = np.sin(c * (u - 0.3))
             cx, cy = np.cos(c * (u - 0.3))
             grad_t = np.array([c * cx * sy, c * sx * cy])
-            N, sigma, g_inv = s.normals[0], s.second_fundamental[0], s.metric_inv
-            ric_h = -N @ P.ambient.weight.hess(s.point[None])[0] @ N
+            N, sigma, g_inv = s.normals[0, 0], s.second_fundamental[0, 0], s.metric_inv[0]
+            ric_h = -N @ P.ambient.weight.hess(s.point)[0] @ N
             sigma_sq = np.einsum("ik,jl,ij,kl->", g_inv, g_inv, sigma, sigma)
-            dens = math.exp(P.ambient.weight.value(s.point[None])[0]) * math.sqrt(
-                np.linalg.det(s.metric))
+            dens = math.exp(P.ambient.weight.value(s.point)[0]) * math.sqrt(
+                np.linalg.det(s.metric[0]))
             row += w2 * (grad_t @ g_inv @ grad_t
                          - (ric_h + sigma_sq) * test(u) ** 2) * dens
         total += w1 * row
@@ -920,10 +960,10 @@ def _old_inner(G, a, b):
     return np.einsum("...i,...ij,...j->...", a, G, b)
 
 
-def _three_operand_fields(s):
+def _three_operand_fields(s, G):
     """The metric-dependent fields of a stacked sample from the three-operand
-    contractions with G = s.ambient_metric (the identity in a flat ambient)."""
-    G, J, normals = s.ambient_metric, s.jacobian, s.normals
+    contractions with the ambient metric stack G."""
+    J, normals = s.jacobian, s.normals
     Jt = np.swapaxes(J, -1, -2)
     trace = np.einsum("Nij,Nijk->Nk", s.metric_inv, s.covariant_second)
 
@@ -946,10 +986,10 @@ def _three_operand_fields(s):
     }
 
 
-def _assert_three_operand_bits(P, s):
-    sample = {**{name: getattr(s, name) for name in ge._STACKED_FIELDS},
+def _assert_three_operand_bits(P, s, G):
+    sample = {**{f.name: getattr(s, f.name) for f in dataclasses.fields(s)},
               "drift": ge._drift(s)}
-    for name, value in _three_operand_fields(s).items():
+    for name, value in _three_operand_fields(s, G).items():
         assert _same_bits(sample[name], value), (P.name, name)
 
 
@@ -958,10 +998,9 @@ def test_flat_contractions_equal_the_identity_metric_bitwise(kind, m):
     for weight in _ambient_weights(m):
         P = _flat_chart(kind, m, weight)
         s = ge.geometry_at_batch(P, _window_points(P, 6, 7 + m))
-        assert s.flat
-        _assert_three_operand_bits(P, s)
-        G = s.ambient_metric
-        assert _same_bits(G, np.broadcast_to(np.eye(m), G.shape))
+        assert s.ambient_metric is None
+        G = np.broadcast_to(np.eye(m), (6, m, m))     # the identity it stands for
+        _assert_three_operand_bits(P, s, G)
         # the G-inner products of the frames, normal checks and radial data
         frame, _ = ge._gram_schmidt(s.jacobian, G)
         assert _same_bits(ge._gram_schmidt(s.jacobian, None)[0], frame), P.name
@@ -985,8 +1024,9 @@ def test_flat_contractions_equal_the_identity_metric_bitwise(kind, m):
 ], ids=lambda P: P.name)
 def test_model_chart_contractions_are_unchanged(P):
     s = ge.geometry_at_batch(P, _window_points(P, 6, 5))
-    assert not s.flat and not s.row(0).flat
-    _assert_three_operand_bits(P, s)
+    assert _same_bits(s.ambient_metric, P.ambient.metric(s.point))
+    assert _same_bits(ge.geometry_at(P, s.u[0]).ambient_metric, s.ambient_metric[:1])
+    _assert_three_operand_bits(P, s, s.ambient_metric)
     assert _same_bits(ge._gram_schmidt(s.jacobian, s.ambient_metric)[0],
                       s.tangent_frame)
 

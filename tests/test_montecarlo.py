@@ -717,9 +717,10 @@ def test_spec_fields_must_be_positive_integers():
 
 def test_spec_dtau_and_seed_are_checked():
     P = radial_plane()
-    for bad in (0, 0.0, -1e-3, math.inf, math.nan, True, "0.01", None):
+    for bad in (0, 0.0, -1e-3, math.inf, math.nan, True, "0.01"):
         with pytest.raises(DomainError, match="dtau must be a positive finite number"):
             mc.DiffusionSpec(P, bad, seed=0)
+    assert mc.DiffusionSpec(P, None, seed=0).dtau is None    # the default step
     for bad in (-1, 2.5, True, "3", math.inf):
         with pytest.raises(DomainError, match="seed must be a non-negative integer"):
             mc.DiffusionSpec(P, 1e-3, seed=bad)
@@ -826,6 +827,30 @@ def test_recurrence_probe_parabolic_trend():
         exact = 1.0 - 0.5 / math.log(R)
         assert abs(est.p_hat - exact) <= 4.0 * est.standard_error + 0.03
     assert probe.limit_estimate > p[-1]
+
+
+def test_a_drifted_probe_without_dtau_steps_each_radius_at_its_default():
+    spec = mc.DiffusionSpec(weighted_plane(), None, seed=3)
+    probe = mc.recurrence_probe(spec, [1.5, 0.0], 1.0, [2.0, 4.0, 16.0], 200)
+    assert [e.estimator for e in probe.estimates] == ["heun-exit-jumps"] * 3
+    assert [e.dtau for e in probe.estimates] == [mc.default_step(1.0, R)
+                                                 for R in (2.0, 4.0, 16.0)]
+    assert probe.estimates[0].dtau == 1e-3
+    assert all(e.warnings == [] for e in probe.estimates)
+    # one estimate at R = 2 is the probe's first, to the bit
+    first = mc.hit_probability(mc.DiffusionSpec(spec.P, 1e-3, seed=3 + 7919),
+                               [1.5, 0.0], 1.0, 2.0, 200)
+    assert first.to_dict() == probe.estimates[0].to_dict()
+
+
+def test_a_probe_with_dtau_uses_it_at_every_radius_and_warns_above_the_default():
+    spec = mc.DiffusionSpec(weighted_plane(), 0.01, seed=3)
+    probe = mc.recurrence_probe(spec, [1.5, 0.0], 1.0, [2.0, 4.0, 16.0], 200)
+    assert [e.dtau for e in probe.estimates] == [0.01] * 3
+    # the defaults are 1e-3, 9e-3 and 0.225
+    assert [len(e.warnings) for e in probe.estimates] == [1, 1, 0]
+    assert probe.estimates[0].warnings[0].startswith(
+        "dtau = 0.01 exceeds the default step 1e-3 (R - rho)^2 = 0.001;")
 
 
 def test_recurrence_probe_hyperbolic_plateau():
