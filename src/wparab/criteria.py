@@ -112,19 +112,31 @@ def _drift_check(setup, P, window, sense, assume_bound):
     return check
 
 
-def _comparison(outcome, setup, P, window, assume_drift_bound):
+def comparison_outcome(direction):
+    """The outcome a comparison toward "parabolic" or "hyperbolic" can reach."""
+    if direction not in ("parabolic", "hyperbolic"):
+        raise DomainError(f"unknown direction {direction!r}")
+    return Outcome(direction)
+
+
+def _comparison(outcome, setup, P=None, window=None, assume_drift_bound=False, *,
+                criterion=None, side_checks=()):
     """The comparison verdict for ``outcome``: parabolic needs the upper
     drift bound, n H + alpha <= 0 and a divergent comparison integral;
-    hyperbolic the lower bound, n H + alpha >= 0 and a convergent one."""
+    hyperbolic the lower bound, n H + alpha >= 0 and a convergent one.  A
+    shortcut criterion reports it under its own ``criterion`` name, with
+    its ``side_checks`` after those two."""
     parabolic = outcome is Outcome.PARABOLIC
     checks = [
         _drift_check(setup, P, window, "upper" if parabolic else "lower",
                      assume_drift_bound),
         _balance_check(setup, sign=-1 if parabolic else +1),
+        *side_checks,
     ]
     integral = classify_improper(setup.model.inv_sphere_area, setup.t0)
     return one_sided(outcome, needs_divergent=parabolic, checks=checks,
-                     integral=integral, criterion=f"{outcome.value}_comparison",
+                     integral=integral,
+                     criterion=criterion or f"{outcome.value}_comparison",
                      capacity_bound=setup.capacity_bound, notes=setup.name)
 
 
@@ -221,16 +233,6 @@ def _alpha_floor(t0, margin, note):
 # Shortcut criteria
 
 
-def _renamed(out, criterion, checks):
-    """A comparison verdict reported under a shortcut criterion: its side
-    checks appended, inconclusive unless every check holds."""
-    out.checks.extend(checks)
-    out.criterion = criterion
-    if not all(ch.holds for ch in out.checks):
-        out.outcome = Outcome.INCONCLUSIVE
-    return out
-
-
 def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
                            direction="parabolic"):
     """Bounded weighted mean curvature plus a radial drift bound beta.
@@ -239,9 +241,14 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
     bounded at infinity; hyperbolic case mirrored with beta -> +inf and an
     integrable warping.
     """
-    parabolic = direction == "parabolic"
-    if not parabolic and direction != "hyperbolic":
-        raise DomainError(f"unknown direction {direction!r}")
+    return _bounded_drift(warping, n, beta, c, comparison_outcome(direction),
+                          "bounded_drift", [])
+
+
+def _bounded_drift(warping, n, beta, c, outcome, criterion, extra_checks):
+    """The bounded-drift comparison toward ``outcome``, reported under
+    ``criterion`` with ``extra_checks`` after its own side checks."""
+    parabolic = outcome is Outcome.PARABOLIC
     shift = c if parabolic else -c
     alpha = RadialProfile(lambda t: beta.value(t) + shift,
                           name=f"{beta.name}{'+' if parabolic else '-'}{c}")
@@ -252,8 +259,8 @@ def classify_bounded_drift(warping, n, beta: RadialProfile, c=0.0,
     else:
         t0 = _outward_balance_radius(warping, n, alpha)
     setup = ComparisonSetup(warping, n, t0, alpha, name="bounded_drift")
-    classify = classify_parabolic if parabolic else classify_hyperbolic
-    return _renamed(classify(setup), "bounded_drift", [side, curv])
+    return _comparison(outcome, setup, criterion=criterion,
+                       side_checks=[side, curv, *extra_checks])
 
 
 def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
@@ -264,33 +271,33 @@ def classify_radial_weight(warping, n, f: RadialProfile, c=0.0,
     f' -> +inf with integrable warping, or (``use_exp_integral``) a warping
     with a positive limit plus a convergent integral of e^(c t - f(t)).
     """
-    fprime = f_as_beta(f)
-    if direction == "hyperbolic" and use_exp_integral:
-        alpha = RadialProfile(lambda t: f.deriv(t) - c, name=f"{f.name}'-{c}")
+    outcome = comparison_outcome(direction)
+    parabolic = outcome is Outcome.PARABOLIC
+    if parabolic or not use_exp_integral:
+        return _bounded_drift(warping, n, f_as_beta(f), c, outcome, "radial_weight",
+                              [slope_limit_check(f, -1 if parabolic else +1)])
+    alpha = RadialProfile(lambda t: f.deriv(t) - c, name=f"{f.name}'-{c}")
 
-        def expint(t):
-            return np.exp(c * t - f.value(t))
+    def expint(t):
+        return np.exp(c * t - f.value(t))
 
-        head_lo = f.t_min * 1.001 + 1e-12 if f.t_min > 0 else 1e-12
-        head = integrate(expint, head_lo, 1.0).value
-        tail = classify_improper(expint, 1.0)
-        exp_check = HypothesisCheck(
-            name="exp_integral", status=HOLDS if tail.is_convergent else FAILS,
-            margin=(head + tail.value) if tail.is_convergent else None,
-            note=tail.reason)
-        wlim = warping.value(64.0)
-        limit_check = HypothesisCheck(
-            name="warping_not_integrable", status=HOLDS if wlim > 1e-6 else FAILS,
-            note=f"w(64) = {wlim:.3g} (positive limit expected)")
-        t0 = _outward_balance_radius(warping, n, alpha,
-                                     max(f.t_min * 1.001 + 1e-12, 1.0))
-        setup = ComparisonSetup(warping, n, t0, alpha, name="radial_weight(exp_integral)")
-        out = classify_hyperbolic(setup)
-        extra = [exp_check, limit_check, curvature_bounded_check(warping)]
-    else:   # classify_bounded_drift rejects an unknown direction
-        out = classify_bounded_drift(warping, n, fprime, c, direction)
-        extra = [slope_limit_check(f, -1 if direction == "parabolic" else +1)]
-    return _renamed(out, "radial_weight", extra)
+    head_lo = f.t_min * 1.001 + 1e-12 if f.t_min > 0 else 1e-12
+    head = integrate(expint, head_lo, 1.0).value
+    tail = classify_improper(expint, 1.0)
+    exp_check = HypothesisCheck(
+        name="exp_integral", status=HOLDS if tail.is_convergent else FAILS,
+        margin=(head + tail.value) if tail.is_convergent else None,
+        note=tail.reason)
+    wlim = warping.value(64.0)
+    limit_check = HypothesisCheck(
+        name="warping_not_integrable", status=HOLDS if wlim > 1e-6 else FAILS,
+        note=f"w(64) = {wlim:.3g} (positive limit expected)")
+    t0 = _outward_balance_radius(warping, n, alpha,
+                                 max(f.t_min * 1.001 + 1e-12, 1.0))
+    setup = ComparisonSetup(warping, n, t0, alpha, name="radial_weight(exp_integral)")
+    return _comparison(outcome, setup, criterion="radial_weight",
+                       side_checks=[exp_check, limit_check,
+                                    curvature_bounded_check(warping)])
 
 
 def f_as_beta(f: RadialProfile):
@@ -305,12 +312,12 @@ def classify_warping_power(warping, n, k, t0=1.0):
     k <= -n gives parabolicity, k > -n with an integrable comparison area
     gives hyperbolicity.
     """
-    floor = _alpha_floor(t0, lambda t: warping.deriv(t) / warping.value(t),
-                         "sphere curvature H(t) >= 0 (convexity at infinity)")
     alpha = RadialProfile(lambda t: k * warping.deriv(t) / warping.value(t), name=f"{k}*H")
     setup = ComparisonSetup(warping, n, t0, alpha, name="warping_power")
-    out = (classify_parabolic if k <= -n else classify_hyperbolic)(setup)
-    return _renamed(out, "warping_power", [floor])
+    floor = _alpha_floor(t0, lambda t: warping.deriv(t) / warping.value(t),
+                         "sphere curvature H(t) >= 0 (convexity at infinity)")
+    outcome = Outcome.PARABOLIC if k <= -n else Outcome.HYPERBOLIC
+    return _comparison(outcome, setup, criterion="warping_power", side_checks=[floor])
 
 
 def classify_translator_halfspace(n, alpha: RadialProfile, t0):
@@ -319,10 +326,11 @@ def classify_translator_halfspace(n, alpha: RadialProfile, t0):
     Conditions: alpha(t) >= -n/t beyond t0 and a convergent comparison
     integral of t^(1-n) e^(-int alpha).
     """
-    floor = _alpha_floor(t0, lambda t: alpha.value(t) + n / t, "alpha(t) >= -n/t")
     setup = ComparisonSetup(warping=warping_euclidean(), n=n, t0=t0,
                             alpha=alpha, name="translator_halfspace")
-    return _renamed(classify_hyperbolic(setup), "translator_halfspace", [floor])
+    floor = _alpha_floor(t0, lambda t: alpha.value(t) + n / t, "alpha(t) >= -n/t")
+    return _comparison(Outcome.HYPERBOLIC, setup, criterion="translator_halfspace",
+                       side_checks=[floor])
 
 
 # ---------------------------------------------------------------------------

@@ -980,6 +980,9 @@ def _complement_basis(a):
 def hyperplane(m, a, offset=0.0, weight=None):
     """Affine hyperplane <p, a> = offset with declared unit normal a."""
     a = np.asarray(a, dtype=float)
+    if not 1e-150 < np.abs(a).max(initial=0.0) < 1e150:    # |a|^2 stays normal
+        raise DomainError(f"hyperplane normal must be finite and nonzero, its largest "
+                          f"entry between 1e-150 and 1e150 in size, got {a.tolist()}")
     a = a / np.linalg.norm(a)
     base = offset * a
     B = _complement_basis(a)     # (m-1, m) rows

@@ -24,11 +24,11 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .criteria import ComparisonSetup, classify_hyperbolic, classify_parabolic
+from .criteria import (ComparisonSetup, classify_hyperbolic, classify_parabolic,
+                       comparison_outcome)
 from .errors import ComparisonRefusal, DomainError
 from .fields import COUNT, POSITIVE, SEED, is_number
-from .geometry import (ImmersedSubmanifold, RadialWeight, ZeroWeight, _drift,
-                       field_values, geometry_at_batch, weighted_laplacian)
+from .geometry import ImmersedSubmanifold, RadialWeight, ZeroWeight
 from .verdicts import INTERNAL, Outcome, Record
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -46,12 +46,6 @@ def wilson_interval(successes, trials):
     half = (z / denom) * math.sqrt(p * (1.0 - p) / trials
                                    + z * z / (4.0 * trials * trials))
     return center - half, center + half
-
-
-def _sym_sqrt(mat):
-    vals, vecs = np.linalg.eigh(mat)
-    vals = np.clip(vals, 0.0, None)
-    return (vecs * np.sqrt(vals)) @ vecs.T
 
 
 def _radii(X, offset_sq=0.0):
@@ -103,9 +97,7 @@ class DiffusionSpec:
         if self.dtau is not None:
             self.dtau = POSITIVE.check(self.dtau, "dtau", {})
         if self.P.linear is None:
-            raise DomainError(
-                "path simulation requires an affine chart (use the generic "
-                "generator check for curved charts)")
+            raise DomainError("path simulation requires an affine chart")
         self.base, self.basis = (np.asarray(a, dtype=float)
                                  for a in self.P.linear)
         self.dim = self.basis.shape[1]
@@ -480,14 +472,10 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
     The drift bound is sampled on the chart's window and assumed beyond it.
     """
     start = spec.parameter_point(start)
-    if direction == "parabolic":
-        verdict = classify_parabolic(setup, spec.P, assume_drift_bound=True)
-        wanted = Outcome.PARABOLIC
-    elif direction == "hyperbolic":
-        verdict = classify_hyperbolic(setup, spec.P, assume_drift_bound=True)
-        wanted = Outcome.HYPERBOLIC
-    else:
-        raise DomainError(f"unknown direction {direction!r}")
+    wanted = comparison_outcome(direction)
+    parabolic = wanted is Outcome.PARABOLIC
+    classify = classify_parabolic if parabolic else classify_hyperbolic
+    verdict = classify(setup, spec.P, assume_drift_bound=True)
     if verdict.outcome is not wanted:
         failing = [c.to_dict() for c in verdict.checks if not c.holds]
         raise ComparisonRefusal(
@@ -499,10 +487,7 @@ def comparison_check(spec: DiffusionSpec, setup: ComparisonSetup, start,
     phi = setup.model.capacity_potential(rho, R).potential(r_start)
     est = hit_probability(spec, start, rho, R, N)
     se = est.standard_error
-    if direction == "parabolic":
-        margin = phi + 3.0 * se - est.p_hat
-    else:
-        margin = est.p_hat - (phi - 3.0 * se)
+    margin = phi + 3.0 * se - est.p_hat if parabolic else est.p_hat - (phi - 3.0 * se)
     return ComparisonReport(direction=direction, p_hat=est.p_hat, phi=phi,
                             standard_error=se, margin=margin,
                             passed=margin >= 0.0, estimate=est,
@@ -527,11 +512,12 @@ def recurrence_probe(spec: DiffusionSpec, start, rho, R_schedule, N):
     derived from the master seed, and a spec without ``dtau`` the default
     step of its own annulus.
     """
-    estimates = []
-    for i, R in enumerate(R_schedule):
-        sub = DiffusionSpec(spec.P, spec.dtau, spec.seed + 7919 * (i + 1),
-                            spec.batch_size, spec.max_steps)
-        estimates.append(hit_probability(sub, start, rho, R, N))
+    if len(R_schedule) == 0:
+        raise DomainError("R_schedule is empty: a recurrence probe needs at "
+                          "least one outer radius")
+    estimates = [hit_probability(replace(spec, seed=spec.seed + 7919 * (i + 1)),
+                                 start, rho, R, N)
+                 for i, R in enumerate(R_schedule)]
     p = [e.p_hat for e in estimates]
     monotone = all(p[i + 1] >= p[i] - 2.0 * estimates[i].standard_error
                    for i in range(len(p) - 1))
@@ -544,37 +530,3 @@ def recurrence_probe(spec: DiffusionSpec, start, rho, R_schedule, N):
         limit = p[-1]
     return RecurrenceProbe(list(R_schedule), p, [[e.ci_low, e.ci_high] for e in estimates],
                            monotone, min(limit, 1.0), estimates)
-
-
-@dataclass
-class GeneratorCheck:
-    estimate: float
-    exact: float
-    standard_error: float
-    dtau: float
-
-
-def generator_consistency(P, u, fld, n_samples=200_000, dtau=1e-3, seed=0):
-    """One-step empirical generator vs the weighted Laplacian at a point.
-
-    Antithetic increments cancel the first-order martingale term, so the
-    statistical error scales with the second-order fluctuation.  The bias
-    is O(dtau).  ``fld`` is a dual-friendly field of parameter columns (see
-    ``geometry.field_values``).
-    """
-    u = np.asarray(u, dtype=float)
-    sample = geometry_at_batch(P, u[None])
-    b, g_inv = _drift(sample)[0], sample.metric_inv[0]
-    sigma = _sym_sqrt(2.0 * g_inv)
-    rng = np.random.Generator(np.random.Philox(
-        np.random.SeedSequence(entropy=(int(seed), 0xA5))))
-    W = rng.standard_normal((n_samples, len(u)))
-    shift = u + b * dtau
-    plus = shift[None, :] + math.sqrt(dtau) * (W @ sigma.T)
-    minus = shift[None, :] - math.sqrt(dtau) * (W @ sigma.T)
-    f = field_values(fld, np.concatenate([u[None], plus, minus]))
-    vals = 0.5 * (f[1:n_samples + 1] + f[n_samples + 1:]) - f[0]
-    est = float(np.mean(vals)) / dtau
-    se = float(np.std(vals, ddof=1)) / math.sqrt(n_samples) / dtau
-    exact = float(weighted_laplacian(sample, fld)[0])
-    return GeneratorCheck(est, exact, se, dtau)

@@ -13,7 +13,9 @@ import numpy as np
 import pytest
 
 from wparab import catalogs, cli
+from wparab import criteria as cr
 from wparab import montecarlo as mc
+from wparab import radial as rd
 
 CONFIG_DIR = Path(__file__).resolve().parent.parent / "configs"
 
@@ -639,6 +641,28 @@ def test_a_probe_without_dtau_leaves_the_step_to_each_estimate(tmp_path):
     assert entry["recurrence_probe"] == probe.to_dict()
 
 
+def test_an_empty_schedule_is_refused_before_any_estimate(tmp_path, monkeypatch):
+    monkeypatch.setattr(mc, "hit_probability",
+                        lambda *args: pytest.fail("an estimate ran"))
+    entry = cli.run_scenario(gaussian_plane_scenario(R_schedule=[]), tmp_path)
+    assert (entry["status"], entry["error"]) == (
+        "error", "DomainError: R_schedule is empty: a recurrence probe needs "
+                 "at least one outer radius")
+
+
+def test_a_zero_plane_normal_is_named_without_a_warning(tmp_path):
+    scenario = {**gaussian_plane_scenario(),
+                "submanifold": {"name": "plane", "normal": [0, 0, 0]}}
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        entry = cli.run_scenario(scenario, tmp_path)
+    assert caught == []
+    assert entry["status"] == "error"
+    assert entry["error"].startswith(
+        "DomainError: hyperplane normal must be finite and nonzero")
+    assert entry["error"].endswith("got [0.0, 0.0, 0.0]")
+
+
 def test_estimate_without_an_exited_path_is_a_scenario_error(tmp_path,
                                                              monkeypatch):
     # two steps cannot carry a path from r = 2 to either boundary; the
@@ -819,6 +843,35 @@ def test_catalog_numbers_are_checked_not_coerced(scenario, refusal, error, tmp_p
 def classify_scenario(criterion="radial_weight", **params):
     return {"id": "cls", "task": "classify", "model": small_model("gaussian", 3),
             "params": {"criterion": criterion, "n": 2, **params}}
+
+
+@pytest.mark.parametrize("criterion, params, outcome, classify", [
+    ("bounded_drift", {"beta": "-t", "c": 0.5}, "parabolic",
+     lambda w: cr.classify_bounded_drift(w, 2, rd.RadialProfile.from_expression("-t"), 0.5)),
+    ("warping_power", {"k": -3, "t0": 1.5}, "parabolic",
+     lambda w: cr.classify_warping_power(w, 2, -3, 1.5)),
+    ("translator_halfspace", {"alpha": "t", "t0": 2.0}, "hyperbolic",
+     lambda w: cr.classify_translator_halfspace(2, rd.RadialProfile.from_expression("t"),
+                                                2.0)),
+])
+def test_shortcut_criterion_scenarios_report_the_library_verdict(
+        criterion, params, outcome, classify, tmp_path):
+    scenario = classify_scenario(criterion, **params)
+    entry = cli.run_scenario(scenario, tmp_path)
+    verdict = entry["verdict"]
+    assert (verdict["criterion"], verdict["outcome"]) == (criterion, outcome)
+    assert verdict == classify(catalogs.resolve_model(scenario["model"]).w).to_dict()
+
+
+@pytest.mark.parametrize("criterion, params", [("warping_power", {"k": -3}),
+                                               ("translator_halfspace", {"alpha": "t"})])
+def test_an_anchor_at_zero_is_refused_before_any_sample(criterion, params, tmp_path):
+    # the alpha_floor samples divide by w(t) or t
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        entry = cli.run_scenario(classify_scenario(criterion, t0=0, **params), tmp_path)
+    assert (entry["status"], entry["error"]) == (
+        "error", "DomainError: anchor radius t0 must be positive")
 
 
 def test_criterion_numbers_are_checked(tmp_path):

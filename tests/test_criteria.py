@@ -279,6 +279,32 @@ def test_bounded_drift_parabolic():
     assert "sphere_curvature_bounded" in names
 
 
+def test_warping_power_is_inconclusive_where_spheres_are_not_convex():
+    # H = w'/w = (1 - t^2) / (t (1 + t^2)) < 0 beyond t = 1: the comparison
+    # with alpha = k H fires, the convexity floor does not
+    w = catalogs.resolve_warping({"name": "custom", "expr": "t/(1+t^2)"})
+    v = cr.classify_warping_power(w, 2, -2, t0=2.0)
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert [(c.name, c.status) for c in v.checks] == [
+        ("radial_drift_bound", HOLDS), ("sphere_balance", HOLDS), ("alpha_floor", "fails")]
+    assert v.checks[-1].witness == {"t": 2.0}
+    alpha = rd.RadialProfile(lambda t: -2.0 * w.deriv(t) / w.value(t), name="-2*H")
+    setup = cr.ComparisonSetup(w, 2, 2.0, alpha)
+    assert cr.classify_parabolic(setup).outcome is Outcome.PARABOLIC
+
+
+def test_hyperbolic_bounded_drift_walks_its_anchor_outward():
+    # 2 coth(t) + t - 5.5 is negative at t = 1 and 2, positive at t = 4
+    v = cr.classify_bounded_drift(rd.warping_hyperbolic(-1.0), 2, alpha_expr("t-5"),
+                                  c=0.5, direction="hyperbolic")
+    balance = next(c for c in v.checks if c.name == "sphere_balance")
+    assert balance.window == (4.0, 128.0)
+    assert balance.status == HOLDS
+    # sinh is not integrable, so the hyperbolic shortcut stays silent
+    assert v.outcome is Outcome.INCONCLUSIVE
+    assert v.checks[2].name == "warping_integrable" and v.checks[2].status == "fails"
+
+
 @pytest.mark.parametrize("beta", ["t", "2*t-1", "t^2/3"])
 @pytest.mark.parametrize("n", [2, 3])
 def test_nan_balance_ends_in_a_bracket_error(beta, n):
@@ -291,9 +317,9 @@ def test_nan_balance_ends_in_a_bracket_error(beta, n):
 
 
 def test_unknown_direction_rejected():
-    with pytest.raises(DomainError):
-        cr.classify_bounded_drift(rd.warping_euclidean(), 2, NEG_T,
-                                  direction="sideways")
+    for classify in (cr.classify_bounded_drift, cr.classify_radial_weight):
+        with pytest.raises(DomainError, match="unknown direction 'sideways'"):
+            classify(rd.warping_euclidean(), 2, NEG_T, direction="sideways")
 
 
 # --- consistency with the direct area-integral test --------------------------

@@ -111,6 +111,17 @@ def test_linear_hyperplanes_are_weighted_minimal_for_radial_weights():
         assert np.linalg.norm(s.wmc_vec) <= 1e-10
 
 
+@pytest.mark.parametrize("normal", [[0.0, 0.0, 0.0], [math.inf, 0.0, 1.0],
+                                    [math.nan, 1.0, 0.0], [1e-200, 0.0, 0.0],
+                                    [1e200, 1e200, 0.0]])
+def test_a_degenerate_hyperplane_normal_is_refused_before_it_divides(normal):
+    # |a|^2 of the last two underflows to 0 and overflows to inf
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="hyperplane normal must be finite and nonzero"):
+            ge.hyperplane(3, normal)
+
+
 def test_frame_invariants_across_catalog():
     charts = [
         ge.euclidean_sphere(2.0, 4, gaussian_weight()),

@@ -10,7 +10,6 @@ from wparab import model as md
 from wparab import montecarlo as mc
 from wparab import radial as rd
 from wparab.errors import ComparisonRefusal, DomainError
-from wparab.expr import fcos, fsin
 
 
 def radial_plane(m=2):
@@ -661,7 +660,9 @@ def test_the_frame_drift_is_the_chart_drift_in_frame_coordinates(plane,
     grad = P.ambient.weight.grad(P.point(U.T)).T
     chart_drift = np.linalg.solve(metric, basis.T @ grad)
     _, b = spec.radius_and_drift(spec.lift(U))
-    np.testing.assert_allclose(b, mc._sym_sqrt(metric) @ chart_drift,
+    # g^{1/2}, the symmetric square root of the metric
+    vals, vecs = np.linalg.eigh(metric)
+    np.testing.assert_allclose(b, (vecs * np.sqrt(vals)) @ vecs.T @ chart_drift,
                                rtol=1e-13, atol=1e-14)
 
 
@@ -772,25 +773,6 @@ def test_ci_calibration_over_seeds():
         if est.ci_low <= 0.5 <= est.ci_high:
             inside += 1
     assert inside >= 45, f"coverage {inside}/50"
-
-
-@pytest.mark.parametrize("chart,point", [
-    ("plane", [0.8, -0.6]),
-    ("sphere", [0.9, 1.3]),
-    ("helicoid", [1.1, 1.4]),
-])
-def test_generator_consistency(chart, point):
-    gauss = ge.RadialWeight(rd.weight_gaussian())
-    P = {
-        "plane": ge.coordinate_plane(3, (0, 1), gauss),
-        "sphere": ge.euclidean_sphere(2.0, 3, gauss),
-        "helicoid": ge.helicoid(0.7, gauss),
-    }[chart]
-    fld = lambda u: fsin(u[0]) * fcos(0.7 * u[1]) + 0.1 * u[0] * u[1]
-    check = mc.generator_consistency(P, point, fld, n_samples=40000,
-                                     dtau=4e-4, seed=5)
-    tol = 3.0 * check.standard_error + 0.02 * (1.0 + abs(check.exact))
-    assert abs(check.estimate - check.exact) <= tol
 
 
 def test_comparison_check_gaussian_plane_small():
