@@ -79,14 +79,32 @@ class AmbientWeight:
 
     Each weight defines ``value`` (N,), ``grad`` (N, m) and ``hess``
     (N, m, m) of a stack of points of shape (N, m); a single point is the
-    one-row stack.
+    one-row stack.  ``plane_drift`` declares the class of its drift on an
+    affine plane.
     """
 
     name = "weight"
 
+    def plane_drift(self, frame, foot):
+        """The drift b = E^T grad h(c + E V) of the weight on the plane
+        {c + E V} with orthonormal frame E (m, n) and foot c (E^T c = 0),
+        in the frame coordinates V: the pair (lam, beta) when the drift is
+        linear, b = lam V + beta, which is driftless when both vanish;
+        otherwise a function b(V, r) of the frame points V (n, N) at
+        ambient radii r (N,), here the projected gradient."""
+        def drift(V, r):
+            X = frame @ V
+            X += foot[:, None]
+            return frame.T @ self.grad(X.T).T
+
+        return drift
+
 
 class ZeroWeight(AmbientWeight):
     name = "zero"
+
+    def plane_drift(self, frame, foot):
+        return 0.0, np.zeros(frame.shape[1])
 
     def value(self, pts):
         return np.zeros(len(pts))
@@ -120,6 +138,14 @@ class RadialWeight(AmbientWeight):
 
     def grad(self, pts):
         return self.slope_over_r(_norm(pts))[:, None] * pts
+
+    def plane_drift(self, frame, foot):
+        # the gradient is (f'(r)/r) p, and E^T (c + E V) = V: a declared
+        # f'(t) = lam t makes the drift lam V
+        linear = self.profile.linear
+        if linear is not None and linear[0] == 0.0:
+            return linear[1], np.zeros(frame.shape[1])
+        return lambda V, r: self.slope_over_r(r) * V
 
     def hess(self, pts):
         N, m = pts.shape
@@ -158,6 +184,14 @@ class HeightWeight(AmbientWeight):
 
     def grad(self, pts):
         return self.mu.deriv(_heights(self.mu, pts @ self.axis))[:, None] * self.axis
+
+    def plane_drift(self, frame, foot):
+        # a declared constant mu' = a (the catalog height profile) makes
+        # the gradient a * axis everywhere
+        linear = self.mu.linear
+        if linear is not None and linear[1] == 0.0:
+            return 0.0, linear[0] * (frame.T @ self.axis)
+        return super().plane_drift(frame, foot)
 
     def hess(self, pts):
         return (self.mu.second(_heights(self.mu, pts @ self.axis))[:, None, None]

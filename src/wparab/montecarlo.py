@@ -1,8 +1,9 @@
 """Monte Carlo verification via the drift diffusion of the weighted Laplacian.
 
-Paths on an affine immersion: walk-on-spheres when the ambient weight is
-zero, otherwise Heun steps in the bulk and drift-corrected exit jumps from
-small spheres near the boundary, with counter-based per-batch random
+Paths on an affine immersion: walk-on-spheres when the drift vanishes,
+exact Ornstein--Uhlenbeck steps with a Brownian-bridge exit test when it is
+linear, otherwise Heun steps in the bulk and drift-corrected exit jumps
+from small spheres near the boundary, with counter-based per-batch random
 streams (Philox) so that serial and parallel executions agree bit-for-bit.
 Hitting probabilities of extrinsic annulus boundaries estimate the capacity
 potential; they are compared against the transplanted radial potential of
@@ -13,8 +14,9 @@ where the generator is Delta + <b, grad>: a step's noise is sqrt(2 dt) xi
 and the sphere of radius d around V holds the points V + d xi / |xi|, so
 no move takes a matrix product.  A batch of N drifted paths in an n-plane
 is stored coordinate-major, shape (n, N), so that every operation runs
-along the long path axis.  A driftless path keeps only its in-plane radius
-q = |V|, shape (1, N): walk-on-spheres moves it by the law of |V + d theta|.
+along the long path axis.  A path with a radial law keeps only its in-plane
+radius q = |V|, shape (1, N): walk-on-spheres moves it by the law of
+|V + d theta|, an exact step by the law of |e^{lam dt} V + s xi|.
 """
 
 from __future__ import annotations
@@ -28,7 +30,7 @@ from .criteria import (ComparisonSetup, classify_hyperbolic, classify_parabolic,
                        comparison_outcome)
 from .errors import ComparisonRefusal, DomainError
 from .fields import COUNT, POSITIVE, SEED, is_number
-from .geometry import ImmersedSubmanifold, RadialWeight, ZeroWeight
+from .geometry import ImmersedSubmanifold
 from .verdicts import INTERNAL, Outcome, Record
 
 _WILSON_Z = 1.959963984540054  # 95% two-sided normal quantile
@@ -75,14 +77,17 @@ class DiffusionSpec:
     c = base - E E^T base the point of the plane nearest the origin, so
     r = sqrt(|V|^2 + delta^2) with delta^2 = |c|^2 (``offset_sq``).  The
     generator is Delta + <b, grad> with the drift b = E^T grad h(c + E V),
-    which is (f'(r)/r) V for a radial weight e^f.  ``driftless`` holds when
-    the ambient weight is ``ZeroWeight``.  ``dtau`` caps the time step of
-    drifted paths and bounds the layer where they jump; None stands for
-    ``default_step`` of each estimate's annulus.  Walk-on-spheres does not
-    use it.  Points V are stacks of shape (n, N), one column per path, and
-    so are their drifts (n, N) and ambient points (m, N).  A driftless path's state is its
-    in-plane radius q = |V|, a "frame point" of shape (1, N): its radius
-    sqrt(q^2 + delta^2) is ``radius`` of that stack."""
+    whose class the weight declares (``AmbientWeight.plane_drift``):
+    ``linear`` is the pair (lam, beta) of a linear drift lam V + beta and
+    None for a general one; ``radial`` holds when beta vanishes, and
+    ``driftless`` when lam does too.  ``dtau`` is the time step of drifted paths (for
+    ``heun-exit-jumps`` a cap, which also bounds the layer where they
+    jump); None stands for ``default_step`` of each estimate's annulus.
+    Walk-on-spheres does not use it.  Points V are stacks of shape (n, N),
+    one column per path, and so are their drifts (n, N) and ambient points
+    (m, N).  A path whose law is radial (driftless, or lam V) keeps only
+    its in-plane radius q = |V|, a "frame point" of shape (1, N): its
+    radius sqrt(q^2 + delta^2) is ``radius`` of that stack."""
 
     P: ImmersedSubmanifold
     dtau: float | None
@@ -108,11 +113,13 @@ class DiffusionSpec:
         self.frame = E @ (1.5 * np.eye(self.dim) - 0.5 * (E.T @ E))
         self.foot = self.base - self.frame @ (self.frame.T @ self.base)
         self.offset_sq = float(self.foot @ self.foot)
-        weight = self.P.ambient.weight
-        self.driftless = isinstance(weight, ZeroWeight)
-        # a radial drift is f'(r)/r V: the loop hands in the radii it has
-        self._slope_over_r = (weight.slope_over_r
-                              if isinstance(weight, RadialWeight) else None)
+        drift = self.P.ambient.weight.plane_drift(self.frame, self.foot)
+        # a general drift is a function of the points and of the radii
+        # the loop has
+        self._drift = drift if callable(drift) else None
+        self.linear = None if callable(drift) else drift
+        self.radial = self.linear is not None and not self.linear[1].any()
+        self.driftless = self.radial and self.linear[0] == 0.0
 
     def parameter_point(self, start):
         """``start`` as a float vector, checked against the chart."""
@@ -135,24 +142,14 @@ class DiffusionSpec:
         X += self.base[:, None]
         return self.frame.T @ X
 
-    def drift(self, V):
-        """Drifts at the frame points V from the weight's gradient."""
-        X = self.frame @ V
-        X += self.foot[:, None]
-        return self.frame.T @ self.P.ambient.weight.grad(X.T).T
-
     def radius(self, V):
         return _radii(V, self.offset_sq)
 
     def radius_and_drift(self, V):
-        """Ambient radii and drifts (None when driftless) at the frame
-        points V; a radial weight's drift reads the same radii."""
+        """Ambient radii and general drifts (None for a linear one) at the
+        frame points V; a radial weight's drift reads the same radii."""
         r = self.radius(V)
-        if self.driftless:
-            return r, None
-        if self._slope_over_r is None:
-            return r, self.drift(V)
-        return r, self._slope_over_r(r) * V
+        return r, None if self._drift is None else self._drift(V, r)
 
     def batches(self, N):
         """Sizes and random streams of the path batches; each stream is
@@ -166,6 +163,7 @@ class DiffusionSpec:
 
 WALK_ON_SPHERES = "walk-on-spheres"
 HEUN_EXIT_JUMPS = "heun-exit-jumps"
+OU_BRIDGE = "ou-bridge"
 
 KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
 EXIT_JUMP_EPS = 0.25  # a drifted path jumps where d |b| / 2 <= this
@@ -178,7 +176,7 @@ class HitEstimate(Record):
     ``shell`` is the stopping distance of paths; ``path_steps`` counts
     jumps and time steps over all paths, and ``exit_jumps`` those of them
     that were jumps: all for walk-on-spheres, the boundary-layer moves for
-    ``heun-exit-jumps``."""
+    ``heun-exit-jumps``, none for ``ou-bridge``."""
 
     p_hat: float
     n_paths: int
@@ -207,7 +205,8 @@ class HitEstimate(Record):
 
 
 def default_step(rho, R):
-    """Default ``dtau``: the bulk step cap of drifted paths."""
+    """Default ``dtau``: the step of drifted paths (a bulk cap for
+    ``heun-exit-jumps``)."""
     return 1e-3 * (R - rho) ** 2
 
 
@@ -242,11 +241,13 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     """Fraction of paths reaching {r <= rho} before {r >= R}.
 
     Driftless specs walk on spheres in the in-plane radius |V|
-    (``_radial_jump``); drifted ones take Heun steps in the bulk and exit
-    jumps near the boundary (``_heun_exit_jump``).  Deterministic for a
-    given (spec, seed): path batches draw from independent counter-based
-    streams keyed by (seed, batch index).  The estimate records the step
-    it used, ``default_step(rho, R)`` for a spec without ``dtau``.
+    (``_radial_jump``); linear drifts take exact steps with a bridge exit
+    test (``_ou_bridge``), in |V| too when the drift is lam V; general
+    drifts take Heun steps in the bulk and exit jumps near the boundary
+    (``_heun_exit_jump``).  Deterministic for a given (spec, seed): path
+    batches draw from independent counter-based streams keyed by (seed,
+    batch index).  The estimate records the step it used,
+    ``default_step(rho, R)`` for a spec without ``dtau``.
     """
     start = spec.lift(spec.parameter_point(start)[:, None])
     if not rho < R:
@@ -256,13 +257,18 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     if N < 1:
         raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start)[0])
-    name = WALK_ON_SPHERES if spec.driftless else HEUN_EXIT_JUMPS
+    name = (WALK_ON_SPHERES if spec.driftless
+            else HEUN_EXIT_JUMPS if spec.linear is None else OU_BRIDGE)
     if rho < r0 < R:
+        # a start inside the annulus: both boundary spheres meet the plane
         if spec.driftless:
-            return _shell_walk(spec, _radii(start), rho, R, N, name,
-                               _radial_jump(spec))
-        return _shell_walk(spec, start[:, 0], rho, R, N, name,
-                           _heun_exit_jump(spec))
+            move = _radial_jump(spec)
+        elif spec.linear is None:
+            move = _heun_exit_jump(spec)
+        else:
+            move = _ou_bridge(spec, rho, R, spec.radial)
+        return _shell_walk(spec, _radii(start) if spec.radial else start[:, 0],
+                           rho, R, N, name, move)
     inside = N if r0 <= rho else 0
     p = inside / N
     return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, rho, R,
@@ -270,11 +276,12 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
 
 
 def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
-    """The path loop of walk-on-spheres and of the drifted estimator.
+    """The path loop of every estimator.
 
     A path stops once r - rho or R - r falls below 1e-4 (R - rho), the
     shell, and counts for that boundary; a path that moved beyond a
-    boundary counts for the boundary it crossed.  Every other path moves by
+    boundary, or that the move absorbed on one by returning its radius,
+    counts for the boundary it crossed.  Every other path moves by
     ``move(rng, V, b, d)``, which takes the live paths' frame points V
     (n, N) or in-plane radii (1, N), drifts b (n, N) or None and distances
     d = min(r - rho, R - r) (N,), and returns the new points with their
@@ -361,6 +368,64 @@ def _sphere_cosines(rng, n, N):
         return np.sqrt(u[0]) * np.cos(2.0 * np.pi * u[1])
     xi = rng.standard_normal((n, N))
     return xi[0] / np.sqrt((xi * xi).sum(axis=0))
+
+
+def _ou_bridge(spec: DiffusionSpec, rho, R, radial):
+    """The move of ``ou-bridge`` for a linear drift b = lam V + beta: exact
+    steps of the diffusion and a Brownian-bridge exit test between them.
+
+    A step of dt = dtau is the Ornstein--Uhlenbeck transition
+    V' = e^{lam dt} V + beta (e^{lam dt} - 1)/lam + s xi with n normals xi
+    and s^2 = (e^{2 lam dt} - 1)/lam (beta dt and 2 dt at lam = 0).  When
+    ``radial`` (beta = 0) the law of q' = |V'| depends on q = |V| alone,
+    q'^2 = (e^{lam dt} q + s xi_1)^2 + s^2 (xi_2^2 + ... + xi_n^2), and the
+    move takes and returns q, shape (1, N).  The step is exact, so the only
+    error left is the exit test, which misses O(dt) of the crossings
+    between steps: the bias grows with dtau.  A step whose e^{2 lam dt}
+    overflows is a DomainError.
+
+    A boundary sphere meets the plane in a circle of in-plane radius
+    sqrt(rho^2 - delta^2) or sqrt(R^2 - delta^2).  With in-plane distances
+    a and b to it at the two ends of a step, a Brownian bridge crosses it
+    with probability exp(-a b / dt), the half-plane law (Baldi 1995;
+    Gobet, Stoch. Proc. Appl. 87, 2000).  The test reads the circle with
+    the smaller product a b and absorbs a path when a b < dt E for an
+    exponential draw E, which takes every path that ended beyond it
+    (b < 0).  An absorbed path returns that boundary's radius, so the
+    loop counts it there, and the midpoint of its last step, dt / 2.
+    """
+    lam, beta = spec.linear
+    dt, offset_sq = spec.dtau, spec.offset_sq
+    try:
+        grow = math.exp(lam * dt)
+        s = math.sqrt(math.expm1(2.0 * lam * dt) / lam if lam else 2.0 * dt)
+    except OverflowError:
+        raise DomainError(f"dtau = {dt:.6g} is too large for an exact step: "
+                          f"e^(2 lam dtau) overflows at lam = {lam:g}") from None
+    shift = (beta * (math.expm1(lam * dt) / lam if lam else dt))[:, None]
+    # an inner sphere that misses the plane is never reached
+    a_in = math.sqrt(rho * rho - offset_sq) if rho * rho > offset_sq else -math.inf
+    a_out = math.sqrt(R * R - offset_sq)
+
+    def move(rng, V, b, d):
+        moved = rng.standard_normal((spec.dim, V.shape[1]))
+        moved *= s
+        moved[:len(V)] += grow * V
+        if radial:
+            q = V[0]
+        else:
+            moved += shift
+            q = _radii(V)
+        q1 = _radii(moved)
+        inner = (q - a_in) * (q1 - a_in)
+        outer = (a_out - q) * (a_out - q1)
+        hit = np.minimum(inner, outer) < rng.exponential(dt, len(q1))
+        r = np.sqrt(q1 * q1 + offset_sq)
+        r[hit] = np.where(inner[hit] <= outer[hit], rho, R)
+        times = np.where(hit, 0.5 * dt, dt)
+        return (q1[None] if radial else moved), r, None, times, 0
+
+    return move
 
 
 def _sphere_steps(xi, d):

@@ -33,6 +33,8 @@ class RadialProfile:
 
     ``fn``, ``d1`` and ``d2`` work element by element on a float and on an
     ndarray of radii of any shape, and return the argument's shape.
+    ``linear`` is the pair (a, b) of a profile whose derivative is affine,
+    f'(t) = a + b t, as the built-in catalog declares it; None otherwise.
     """
 
     fn: object
@@ -40,6 +42,7 @@ class RadialProfile:
     d2: object = None
     t_min: float = 0.0
     name: str = ""
+    linear: tuple | None = None
 
     def __post_init__(self):
         # hook so that subclasses (pole-validated warpings) get called by
@@ -175,18 +178,20 @@ def weight_zero():
 
 def weight_gaussian():
     return RadialProfile(lambda t: -0.5 * t * t, lambda t: -t,
-                         lambda t: -1.0 + 0.0 * t, name="gaussian")
+                         lambda t: -1.0 + 0.0 * t, name="gaussian",
+                         linear=(0.0, -1.0))
 
 
 def weight_antigaussian():
     return RadialProfile(lambda t: 0.5 * t * t, lambda t: t + 0.0 * t,
-                         lambda t: 1.0 + 0.0 * t, name="antigaussian")
+                         lambda t: 1.0 + 0.0 * t, name="antigaussian",
+                         linear=(0.0, 1.0))
 
 
 def weight_height():
     """mu(t) = t: the height weight e^t of translators."""
     return RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                         lambda t: 0.0 * t, name="height")
+                         lambda t: 0.0 * t, name="height", linear=(1.0, 0.0))
 
 
 def weight_power(a, k):

@@ -625,7 +625,7 @@ def test_mc_verify_checks_dtau_paths_and_seed(tmp_path):
     estimate = entry["hit_estimate"]
     assert (estimate["n_paths"], estimate["seed"]) == (12, 3)
     assert estimate["dtau"] == pytest.approx(9e-3, rel=1e-15)
-    assert estimate["estimator"] == "heun-exit-jumps"
+    assert estimate["estimator"] == "ou-bridge"
 
 
 def test_a_probe_without_dtau_leaves_the_step_to_each_estimate(tmp_path):

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from wparab import catalogs
 from wparab import criteria as cr
 from wparab import geometry as ge
 from wparab import model as md
@@ -19,6 +20,23 @@ def radial_plane(m=2):
 def weighted_plane(profile=rd.weight_gaussian):
     """The (x1, x2)-plane of R^3 with the radial ambient weight ``profile``."""
     return ge.coordinate_plane(3, (0, 1), ge.RadialWeight(profile()))
+
+
+def power_gaussian():
+    """The Gaussian weight -t^2/2 as the power profile a t^k: the same drift
+    to the bit, but no declared linear class, so heun-exit-jumps runs it."""
+    return rd.weight_power(-0.5, 2.0)
+
+
+def power_antigaussian():
+    return rd.weight_power(0.5, 2.0)
+
+
+def gradient_drift(spec, V):
+    """The drift E^T grad h(c + E V) at frame points V, from the weight's own
+    gradient."""
+    X = spec.frame @ V + spec.foot[:, None]
+    return spec.frame.T @ spec.P.ambient.weight.grad(X.T).T
 
 
 def skewed_hyperplane(weight):
@@ -72,7 +90,7 @@ def euler_maruyama(spec, start, rho, R, N):
             if n_alive == 0:
                 break
             cur = len(r_old)
-            U += spec.drift(U) * dtau + sqrt2dt * mc._normals(rng, U)
+            U += gradient_drift(spec, U) * dtau + sqrt2dt * mc._normals(rng, U)
             r_new = spec.radius(U)
             n_steps_total += n_alive
             n_coarse += int(np.count_nonzero(
@@ -276,8 +294,9 @@ def test_max_steps_caps_jumps():
 def test_heun_exit_jumps_determinism_is_bitwise():
     # several batches, each drawing from its own (seed, batch) stream
     def run(seed):
-        spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
-                                seed=seed, batch_size=700)
+        spec = mc.DiffusionSpec(weighted_plane(power_gaussian),
+                                mc.default_step(1.0, 4.0), seed=seed,
+                                batch_size=700)
         return mc.hit_probability(spec, [1.4, 0.9], 1.0, 4.0, 2000)
     a, b = run(3), run(3)
     assert a.estimator == "heun-exit-jumps"
@@ -288,11 +307,11 @@ def test_heun_exit_jumps_determinism_is_bitwise():
 
 def test_heun_exit_jumps_match_the_antigaussian_model():
     rho, R, s = 1.0, 3.0, 1.5
-    spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian),
+    spec = mc.DiffusionSpec(weighted_plane(power_antigaussian),
                             mc.default_step(rho, R), seed=61)
     est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
     exact = model_potential(rd.weight_antigaussian, rho, R, s)
-    assert est.n_unresolved == 0
+    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
@@ -300,12 +319,12 @@ def test_heun_exit_jumps_on_the_gaussian_plane():
     # the setup of acceptance 10; fixed-step Euler-Maruyama at dtau = 1e-4
     # takes ~6,900 steps a path there
     N = 100_000
-    spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
-                            seed=12, batch_size=N)
+    spec = mc.DiffusionSpec(weighted_plane(power_gaussian),
+                            mc.default_step(1.0, 4.0), seed=12, batch_size=N)
     est = mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, N)
     exact = model_potential(rd.weight_gaussian, 1.0, 4.0, 2.0)
     assert est.shell == pytest.approx(3e-4, rel=1e-12)
-    assert est.n_unresolved == 0
+    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 3.0 * est.standard_error
     assert 0 < est.exit_jumps < est.path_steps < 100 * N
 
@@ -317,14 +336,14 @@ def test_heun_exit_jumps_on_the_gaussian_plane():
     (rd.weight_antigaussian, 3.0, 2.5),
 ])
 def test_drifted_estimates_match_the_model_potentials(profile, R, s):
-    # with the Gaussian start 2.0, the antigaussian start 1.5 and the offset
-    # Gaussian plane above: starts near either boundary and in the middle,
-    # under a confining and a repelling drift
+    # with the offset Gaussian plane below: starts near either boundary and
+    # in the middle, under a confining and a repelling drift; the catalog
+    # declares both drifts linear, lam V with lam = -1 and +1
     spec = mc.DiffusionSpec(weighted_plane(profile), mc.default_step(1.0, R),
                             seed=83)
     est = mc.hit_probability(spec, [s, 0.0], 1.0, R, 20_000)
-    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
-    assert 0 < est.exit_jumps < est.path_steps
+    assert est.estimator == "ou-bridge" and est.n_unresolved == 0
+    assert est.exit_jumps == 0 < est.path_steps
     assert abs(est.p_hat - model_potential(profile, 1.0, R, s)) \
         <= 4.0 * est.standard_error
 
@@ -337,7 +356,7 @@ def test_heun_step_is_the_predictor_corrector():
     # on the Gaussian plane b(V) = -V, so one step with noise n is
     # V (1 - dt + dt^2 / 2) + n (1 - dt / 2); a plain Euler drift would
     # give V (1 - dt) + n
-    spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
+    spec = mc.DiffusionSpec(weighted_plane(power_gaussian), 1e-2, seed=0)
     V = np.array([[2.0, 0.0], [0.3, -1.5]]).T
     d = np.array([1.0, 0.3])
     _, b = spec.radius_and_drift(V)
@@ -355,16 +374,17 @@ def test_heun_step_is_the_predictor_corrector():
 
 
 @pytest.mark.parametrize("plane,u,d", [
-    (ge.identity_chart(2, ge.HeightWeight(rd.weight_height(), 2,
+    (ge.identity_chart(2, ge.HeightWeight(rd.weight_power(1.0, 1.0), 2,
                                           axis=[1.5, -1.0])), [0.4, 1.1], 0.1),
     # the metric g = basis^T basis is not the identity, so the frame
     # coordinates differ from the chart's
-    (skewed_hyperplane(ge.HeightWeight(rd.weight_height(), 4,
+    (skewed_hyperplane(ge.HeightWeight(rd.weight_power(1.0, 1.0), 4,
                                        axis=[0.5, -1.0, 0.3, 0.8])),
      [1.1, -0.7, 0.9], 0.15),
 ])
 def test_exit_jumps_follow_the_first_order_exit_law(plane, u, d):
-    # the height weight has a constant gradient; under the constant drift
+    # the height weight mu(t) = t, as a power profile that declares no
+    # linear class, has a constant gradient; under the constant drift
     # b the exit point of the ball of radius d has E[theta] = (d / 2n) b to
     # first order, where a walk-on-spheres jump would give E[theta] = 0,
     # over 20 SE away
@@ -391,7 +411,7 @@ def test_exit_jumps_land_at_g_distance_d():
     # the move takes each path's own d; a jump lands on the sphere of
     # radius d around its start in frame coordinates, the g-sphere of the
     # chart, to rounding
-    plane = skewed_hyperplane(ge.RadialWeight(rd.weight_gaussian()))
+    plane = skewed_hyperplane(ge.RadialWeight(power_gaussian()))
     spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 4.0), seed=0)
     rng = np.random.default_rng(5)
     V = spec.lift(rng.uniform(-1.5, 1.5, (3, 5000)))
@@ -407,7 +427,7 @@ def test_exit_jumps_land_at_g_distance_d():
 def test_bulk_paths_take_the_heun_step():
     # where KAPPA d^2 >= dtau or the drift is strong across the ball, the
     # move is the Heun step, draw for draw; the other paths jump
-    spec = mc.DiffusionSpec(weighted_plane(), 1e-2, seed=0)
+    spec = mc.DiffusionSpec(weighted_plane(power_gaussian), 1e-2, seed=0)
     V = np.array([[2.0, 0.0], [0.3, 0.2], [3.0, 0.5], [0.1, 0.2]]).T
     d = np.array([1.0, 0.3, 0.3, 0.3])
     _, b = spec.radius_and_drift(V)
@@ -439,7 +459,7 @@ def test_a_dtau_above_the_default_step_is_warned():
     default = mc.default_step(rho, R)
     for dtau, warned in ((4.0 * default, True), (default, False),
                          (0.25 * default, False)):
-        spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian), dtau,
+        spec = mc.DiffusionSpec(weighted_plane(power_antigaussian), dtau,
                                 seed=5)
         est = mc.hit_probability(spec, [1.2, 0.0], rho, R, 200)
         assert est.estimator == "heun-exit-jumps"
@@ -449,10 +469,15 @@ def test_a_dtau_above_the_default_step_is_warned():
                 "0.004; heun-exit-jumps estimates read low at larger steps"]
         else:
             assert est.warnings == []
-    # walk-on-spheres does not use dtau
+    # walk-on-spheres does not use dtau; ou-bridge takes exact steps, and
+    # its bridge test's O(dtau) bias is documented, not warned
     spec = mc.DiffusionSpec(radial_plane(), 1.0, seed=5)
     est = mc.hit_probability(spec, [2.0, 0.0], rho, R, 200)
     assert est.estimator == "walk-on-spheres" and est.warnings == []
+    spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian),
+                            4.0 * default, seed=5)
+    est = mc.hit_probability(spec, [1.2, 0.0], rho, R, 200)
+    assert est.estimator == "ou-bridge" and est.warnings == []
 
 
 def test_overshooting_paths_count_for_the_boundary_they_crossed():
@@ -477,8 +502,8 @@ def test_stiff_drift_does_not_throw_paths_across_the_annulus():
 
 
 def test_max_steps_caps_heun_steps():
-    spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
-                            seed=2, max_steps=5)
+    spec = mc.DiffusionSpec(weighted_plane(power_gaussian),
+                            mc.default_step(1.0, 4.0), seed=2, max_steps=5)
     est = mc.hit_probability(spec, [1.002, 0.0], 1.0, 4.0, 500)
     assert 0 < est.n_unresolved < 500
     assert est.n_inner + est.n_outer + est.n_unresolved == 500
@@ -493,7 +518,7 @@ def test_heun_exit_jumps_on_an_offset_gaussian_plane():
     # exact hitting probability is its model potential at in-plane radii
     c, rho, R, s = 0.6, 1.0, 3.0, 2.5
     plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=c,
-                          weight=ge.RadialWeight(rd.weight_gaussian()))
+                          weight=ge.RadialWeight(power_gaussian()))
     spec = mc.DiffusionSpec(plane, mc.default_step(rho, R), seed=71)
     est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
     exact = model_potential(rd.weight_gaussian, math.sqrt(rho * rho - c * c),
@@ -503,13 +528,158 @@ def test_heun_exit_jumps_on_an_offset_gaussian_plane():
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
+def test_heun_exit_jumps_match_a_power_model():
+    # a cubic weight 0.15 r^3: a drift (0.45 r) V that is not linear, which
+    # heun-exit-jumps serves (z -1.2 over 4e5 paths at seed 2024)
+    def cubic():
+        return rd.weight_power(0.15, 3.0)
+
+    rho, R, s = 1.0, 3.0, 1.5
+    spec = mc.DiffusionSpec(weighted_plane(cubic), mc.default_step(rho, R),
+                            seed=61)
+    est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
+    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
+    assert abs(est.p_hat - model_potential(cubic, rho, R, s)) \
+        <= 4.0 * est.standard_error
+
+
+def test_ou_bridge_on_an_offset_gaussian_plane():
+    # the offset plane of test_heun_exit_jumps_on_an_offset_gaussian_plane:
+    # the drift is -V there, a radial law about the foot of the plane
+    c, rho, R, s = 0.6, 1.0, 3.0, 2.5
+    plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=c,
+                          weight=ge.RadialWeight(rd.weight_gaussian()))
+    spec = mc.DiffusionSpec(plane, mc.default_step(rho, R), seed=71)
+    est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
+    exact = model_potential(rd.weight_gaussian, math.sqrt(rho * rho - c * c),
+                            math.sqrt(R * R - c * c), s)
+    assert est.estimator == "ou-bridge" and est.n_unresolved == 0
+    assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
+
+
+@pytest.mark.parametrize("weight", [
+    ge.RadialWeight(rd.weight_gaussian()), ge.RadialWeight(rd.weight_antigaussian()),
+    ge.HeightWeight(rd.weight_height(), 3), ge.RadialWeight(power_gaussian())])
+def test_an_annulus_that_misses_an_offset_plane_has_the_trivial_estimate(weight):
+    # the plane at distance 5 from the origin lies outside the sphere r = 3:
+    # every start has r >= 5 > R, so p_hat is 0 and no path moves
+    plane = ge.hyperplane(3, [0.3, -1.0, 2.0], offset=5.0, weight=weight)
+    spec = mc.DiffusionSpec(plane, None, seed=1)
+    est = mc.hit_probability(spec, [0.5, 0.0], 1.0, 3.0, 100)
+    assert (est.p_hat, est.n_outer, est.path_steps) == (0.0, 100, 0)
+    # and so does every radius of a probe's R_schedule below 5
+    probe = mc.recurrence_probe(spec, [0.5, 0.0], 1.0, [2.0, 3.0, 4.5], 100)
+    assert probe.p_hats == [0.0, 0.0, 0.0]
+    assert [e.path_steps for e in probe.estimates] == [0, 0, 0]
+
+
+def test_an_exact_step_that_overflows_is_a_domain_error():
+    # e^(2 lam dt) overflows beyond dt of about 355 under lam = +1
+    spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian), 400.0,
+                            seed=1)
+    with pytest.raises(DomainError, match="dtau = 400 is too large"):
+        mc.hit_probability(spec, [1.5, 0.0], 1.0, 3.0, 10)
+
+
+class AffineGradientWeight(ge.AmbientWeight):
+    """h(p) = lam |p|^2 / 2 + <g, p>: the drift on a plane is lam V + E^T g."""
+
+    def __init__(self, lam, g):
+        self.lam, self.g = lam, np.asarray(g, dtype=float)
+
+    def grad(self, pts):
+        return self.lam * pts + self.g
+
+    def plane_drift(self, frame, foot):
+        return self.lam, frame.T @ self.g
+
+
+@pytest.mark.parametrize("lam", [-1.0, 0.0, 1.0])
+def test_an_exact_step_has_the_ornstein_uhlenbeck_mean_and_covariance(lam):
+    # one step of dt = 0.3 from V: mean e^{lam dt} V + beta (e^{lam dt} -
+    # 1)/lam and covariance (e^{2 lam dt} - 1)/lam I, or V + beta dt and
+    # 2 dt I at lam = 0; an Euler step would miss the mean by over 25 SE at
+    # lam = -1 and the variance by a third
+    dt, N = 0.3, 200_000
+    plane = ge.hyperplane(3, [0.3, -1.0, 2.0], offset=0.7,
+                          weight=AffineGradientWeight(lam, [0.5, 1.0, -0.4]))
+    spec = mc.DiffusionSpec(plane, dt, seed=0)
+    beta = spec.linear[1]
+    assert spec.linear[0] == lam and np.all(np.abs(beta) > 0.1)
+    V = np.repeat(spec.lift(np.array([[1.2], [-0.5]])), N, axis=1)
+    moved, _, b, times, jumps = mc._ou_bridge(spec, 0.1, 50.0, False)(
+        np.random.default_rng(4), V, None, None)
+    assert b is None and jumps == 0 and np.all(times == dt)
+    grow = math.exp(lam * dt)
+    mean = grow * V[:, 0] + beta * ((grow - 1.0) / lam if lam else dt)
+    var = (grow * grow - 1.0) / lam if lam else 2.0 * dt
+    assert np.all(np.abs(moved.mean(axis=1) - mean) <= 4.0 * math.sqrt(var / N))
+    # a sample variance has the standard deviation var sqrt(2 / N), a
+    # sample covariance var sqrt(1 / N)
+    np.testing.assert_array_less(np.abs(np.cov(moved) - var * np.eye(2)),
+                                 4.0 * var * math.sqrt(2.0 / N))
+
+
+@pytest.mark.parametrize("offset", [0.0, 0.6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_a_radial_exact_step_lands_at_the_radius_of_a_cartesian_step(n, offset):
+    # one step of the radial move against |V'| of the step in V, under the
+    # drift +V, on an n-plane through the origin of R^n and on the offset
+    # hyperplane x_{n+1} = 0.6 of R^{n+1}: two-sample KS at 2e4 draws each;
+    # the annulus 0.05 < r < 50 absorbs no path
+    from scipy import stats
+    weight = ge.RadialWeight(rd.weight_antigaussian())
+    P = (ge.identity_chart(n, weight) if offset == 0.0 else
+         ge.hyperplane(n + 1, [0.0] * n + [1.0], offset=offset, weight=weight))
+    spec = mc.DiffusionSpec(P, 0.02, seed=0)
+    N = 20_000
+    V = np.repeat(spec.lift(np.linspace(0.3, 0.9, n)[:, None]), N, axis=1)
+    q1, r1, b1, dt, jumps = mc._ou_bridge(spec, 0.05, 50.0, True)(
+        np.random.default_rng(n), mc._radii(V)[None], None, None)
+    assert q1.shape == (1, N) and b1 is None and jumps == 0
+    np.testing.assert_array_equal(dt, 0.02)
+    np.testing.assert_allclose(r1, np.sqrt(q1[0] ** 2 + offset ** 2),
+                               rtol=1e-15)
+    cartesian, r2, *_ = mc._ou_bridge(spec, 0.05, 50.0, False)(
+        np.random.default_rng(100 + n), V, None, None)
+    assert stats.ks_2samp(q1[0], mc._radii(cartesian)).pvalue > 1e-3
+    assert stats.ks_2samp(r1, r2).pvalue > 1e-3
+
+
+def test_the_bridge_absorbs_with_the_crossing_probability_of_a_brownian_bridge():
+    # the offset plane x3 = 0.6 meets the sphere r = 1 in the circle of
+    # in-plane radius a = 0.8.  A step q = 0.9 -> q1 > a is absorbed with
+    # probability exp(-(q - a)(q1 - a)/dt), one that ends inside always; an
+    # absorbed path returns r = rho and half its step
+    dt, N, a = 0.01, 200_000, 0.8
+    plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6,
+                          weight=ge.RadialWeight(rd.weight_gaussian()))
+    spec = mc.DiffusionSpec(plane, dt, seed=0)
+    q1, r, _, times, _ = mc._ou_bridge(spec, 1.0, 3.0, True)(
+        np.random.default_rng(9), np.full((1, N), 0.9), None, None)
+    q1 = q1[0]
+    absorbed = times == 0.5 * dt
+    assert np.all(absorbed | (times == dt))
+    assert np.array_equal(absorbed, r == 1.0)
+    crossed = q1 < a
+    assert absorbed[crossed].all() and 0 < crossed.sum() < N // 2
+    p = np.exp(-(0.9 - a) * (q1[~crossed] - a) / dt)
+    assert abs(absorbed[~crossed].sum() - p.sum()) \
+        <= 4.0 * math.sqrt((p * (1.0 - p)).sum())
+    np.testing.assert_array_equal(r[~absorbed],
+                                  np.sqrt(q1[~absorbed] ** 2 + 0.36))
+
+
 # Counts (n_inner, n_outer, n_unresolved, path_steps, exit_jumps) and values
-# (p_hat, mean_exit_time) of five recorded runs; the loop must reproduce
+# (p_hat, mean_exit_time) of ten recorded runs; the loop must reproduce
 # them: counts exactly, values to rounding.  The walk-on-spheres cases were
 # recorded with the move in the in-plane radius, one cosine a jump (they
 # pin how each batch's stream is used), the heun cases with the
 # heun-exit-jumps move, the skewed one while it still moved in chart
-# coordinates.
+# coordinates, and with the Gaussian and antigaussian weights, which now
+# run them as the power profiles -+t^2/2 (``power_gaussian``), to the bit.
+# The ou-bridge cases pin its radial move (n = 2 and n = 3, through the
+# origin and offset) and its move in V (a translator).
 RECORDED_ESTIMATES = {
     "walk-on-spheres R^3": (1066, 934, 0, 57268, 57268, 0.533,
                             0.9161462427441242),
@@ -523,11 +693,21 @@ RECORDED_ESTIMATES = {
                                         0.9536662616430579),
     "heun, skewed Gaussian hyperplane": (1613, 387, 0, 318703, 55451, 0.8065,
                                          0.5678298553761447),
+    "ou-bridge, Gaussian plane": (1852, 148, 0, 184254, 0, 0.926,
+                                  0.3665080000000004),
+    "ou-bridge, offset antigaussian plane": (662, 1338, 0, 195971, 0, 0.331,
+                                             0.38994200000000023),
+    "ou-bridge, Gaussian 3-plane in R^4": (1730, 270, 0, 228994, 0, 0.865,
+                                           0.4559880000000002),
+    "ou-bridge, tilted translator plane": (1242, 758, 0, 275451, 0, 0.621,
+                                           0.5489020000000003),
 }
 
 
 def _recorded_run(case):
-    gauss = ge.RadialWeight(rd.weight_gaussian())
+    gauss = ge.RadialWeight(power_gaussian())
+    if case.startswith("ou-bridge"):
+        return _recorded_ou_bridge_run(case)
     if case == "walk-on-spheres R^3":
         spec = mc.DiffusionSpec(radial_plane(3), 1e-3, seed=3, batch_size=700)
         return mc.hit_probability(spec, [1.2, 0.9, -0.3], 1.0, 4.0, 2000)
@@ -537,7 +717,7 @@ def _recorded_run(case):
                                 max_steps=300)
         return mc.hit_probability(spec, [1.5, 0.0], 1.0, 2.0, 1000)
     if case == "heun, antigaussian plane":
-        anti = ge.RadialWeight(rd.weight_antigaussian())
+        anti = ge.RadialWeight(power_antigaussian())
         spec = mc.DiffusionSpec(ge.coordinate_plane(3, (0, 1), anti),
                                 mc.default_step(1.0, 3.0), seed=11,
                                 batch_size=700)
@@ -557,6 +737,28 @@ def _recorded_run(case):
     spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 3.0), seed=7,
                             batch_size=800)
     return mc.hit_probability(spec, [1.3, 0.2], 1.0, 3.0, 2000)
+
+
+def _recorded_ou_bridge_run(case):
+    if case == "ou-bridge, Gaussian plane":
+        P = weighted_plane()
+        seed, start = 5, [1.5, 0.4]
+    elif case == "ou-bridge, offset antigaussian plane":
+        P = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6,
+                          weight=ge.RadialWeight(rd.weight_antigaussian()))
+        seed, start = 7, [1.3, 0.2]
+    elif case == "ou-bridge, Gaussian 3-plane in R^4":
+        P = ge.hyperplane(4, [1.0, 2.0, -1.0, 1.0],
+                          weight=ge.RadialWeight(rd.weight_gaussian()))
+        seed, start = 13, [1.1, -0.7, 0.9]
+    else:
+        # beta = E^T e_3 is not 0: the paths move in all coordinates of V
+        P = ge.hyperplane(3, [0.3, -1.0, 2.0], offset=0.7,
+                          weight=ge.HeightWeight(rd.weight_height(), 3))
+        seed, start = 19, [1.2, -0.5]
+    spec = mc.DiffusionSpec(P, mc.default_step(1.0, 3.0), seed=seed,
+                            batch_size=700)
+    return mc.hit_probability(spec, start, 1.0, 3.0, 2000)
 
 
 @pytest.mark.parametrize("case", sorted(RECORDED_ESTIMATES))
@@ -608,8 +810,8 @@ def test_drift_from_handed_in_radii_matches_the_weights_gradient(m):
         U = (rng.uniform(0.5, 2.0, (m - 1, 500))
              * rng.choice([-1.0, 1.0], (m - 1, 500)))
         r, b = spec.radius_and_drift(spec.lift(U))
-        np.testing.assert_allclose(b, spec.drift(spec.lift(U)), rtol=1e-15,
-                                   atol=0)
+        np.testing.assert_allclose(b, gradient_drift(spec, spec.lift(U)),
+                                   rtol=1e-15, atol=0)
         np.testing.assert_allclose(
             r, np.linalg.norm(plane.point(U.T), axis=1), rtol=1e-15)
     # a weight that is not radial is the weight's gradient itself
@@ -617,7 +819,7 @@ def test_drift_from_handed_in_radii_matches_the_weights_gradient(m):
                           weight=ge.HeightWeight(rd.weight_gaussian(), m))
     spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
     V = spec.lift(U)
-    assert np.array_equal(spec.radius_and_drift(V)[1], spec.drift(V))
+    assert np.array_equal(spec.radius_and_drift(V)[1], gradient_drift(spec, V))
 
 
 def frame_plane(name, weight=lambda m: None):
@@ -644,7 +846,7 @@ def test_the_frame_is_orthonormal_and_keeps_the_radii(plane):
 
 @pytest.mark.parametrize("plane", ["skewed", "offset"])
 @pytest.mark.parametrize("weight", [
-    lambda m: ge.RadialWeight(rd.weight_gaussian()),
+    lambda m: ge.RadialWeight(power_gaussian()),
     lambda m: ge.RadialWeight(rd.weight_power(-0.3, 3.0)),
     lambda m: ge.HeightWeight(rd.weight_gaussian(), m),
 ])
@@ -664,6 +866,43 @@ def test_the_frame_drift_is_the_chart_drift_in_frame_coordinates(plane,
     vals, vecs = np.linalg.eigh(metric)
     np.testing.assert_allclose(b, (vecs * np.sqrt(vals)) @ vecs.T @ chart_drift,
                                rtol=1e-13, atol=1e-14)
+
+
+@pytest.mark.parametrize("plane", ["skewed", "offset"])
+@pytest.mark.parametrize("weight,lam", [
+    ({"name": "gaussian"}, -1.0), ({"name": "antigaussian"}, 1.0),
+    ({"name": "translator"}, 0.0), ({"name": "zero"}, 0.0),
+    ({"name": "power", "a": -0.3, "k": 3.0}, None), ({"name": "height"}, None),
+])
+def test_the_catalog_declares_the_linear_drifts(plane, weight, lam):
+    # gaussian and antigaussian drift by lam V, translators by a constant
+    # beta = E^T e_m; the height weight's default mu is the expression t,
+    # which stays general, as does a power
+    P = frame_plane(plane, lambda m: catalogs.resolve_ambient_weight(weight, m))
+    spec = mc.DiffusionSpec(P, 1e-3, seed=0)
+    V = spec.lift(np.random.default_rng(2).uniform(-2.0, 2.0, (spec.dim, 300)))
+    if lam is None:
+        assert spec.linear is None and not spec.driftless
+        return
+    got_lam, beta = spec.linear
+    assert got_lam == lam and beta.shape == (spec.dim,)
+    assert spec.driftless == (weight["name"] == "zero")
+    assert spec.radius_and_drift(V)[1] is None
+    np.testing.assert_allclose(lam * V + beta[:, None], gradient_drift(spec, V),
+                               rtol=1e-13, atol=1e-14)
+
+
+def test_a_translator_on_a_plane_normal_to_its_axis_walks_on_spheres():
+    # beta = E^T e_3 vanishes on the plane x3 = 0.6: no drift there, so the
+    # estimate is the driftless one of the same plane, to the bit
+    def estimate(weight):
+        plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6, weight=weight)
+        spec = mc.DiffusionSpec(plane, None, seed=4)
+        return mc.hit_probability(spec, [1.3, 0.2], 1.0, 3.0, 500)
+
+    translator = estimate(ge.HeightWeight(rd.weight_height(), 3))
+    assert translator.estimator == "walk-on-spheres"
+    assert translator.to_dict() == estimate(None).to_dict()
 
 
 @pytest.mark.parametrize("weight", [None, "gaussian"])
@@ -785,7 +1024,7 @@ def test_comparison_check_gaussian_plane_small():
                               direction="parabolic")
     assert rep.direction == "parabolic"
     assert rep.passed
-    assert rep.estimate.estimator == "heun-exit-jumps"
+    assert rep.estimate.estimator == "ou-bridge"
 
 
 def test_comparison_check_refuses_unpredicted_inequality():
@@ -814,7 +1053,7 @@ def test_recurrence_probe_parabolic_trend():
 def test_a_drifted_probe_without_dtau_steps_each_radius_at_its_default():
     spec = mc.DiffusionSpec(weighted_plane(), None, seed=3)
     probe = mc.recurrence_probe(spec, [1.5, 0.0], 1.0, [2.0, 4.0, 16.0], 200)
-    assert [e.estimator for e in probe.estimates] == ["heun-exit-jumps"] * 3
+    assert [e.estimator for e in probe.estimates] == ["ou-bridge"] * 3
     assert [e.dtau for e in probe.estimates] == [mc.default_step(1.0, R)
                                                  for R in (2.0, 4.0, 16.0)]
     assert probe.estimates[0].dtau == 1e-3
@@ -826,7 +1065,7 @@ def test_a_drifted_probe_without_dtau_steps_each_radius_at_its_default():
 
 
 def test_a_probe_with_dtau_uses_it_at_every_radius_and_warns_above_the_default():
-    spec = mc.DiffusionSpec(weighted_plane(), 0.01, seed=3)
+    spec = mc.DiffusionSpec(weighted_plane(power_gaussian), 0.01, seed=3)
     probe = mc.recurrence_probe(spec, [1.5, 0.0], 1.0, [2.0, 4.0, 16.0], 200)
     assert [e.dtau for e in probe.estimates] == [0.01] * 3
     # the defaults are 1e-3, 9e-3 and 0.225
