@@ -26,7 +26,7 @@ from .fields import (BOOL, COUNT, EXPRESSION, FINITE, INF_OR_FINITE, NUMBERS, OP
                      POSITIVE, REQUIRED, SEED, TEXT, Catalog, Entry, Field, Spec, is_number,
                      one_of)
 
-REPORT_VERSION = "6"
+REPORT_VERSION = "7"
 
 
 def _profile(source):

@@ -375,6 +375,35 @@ def derivatives_1d(node, var, t):
     return tuple(float(x) for x in parts)
 
 
+def affine_form(node, var):
+    """(c, a) with node = c + a var, read from the tree: numbers and ``var``
+    under +, -, negation, products with a factor free of ``var`` and
+    quotients by a nonzero divisor free of it.  None for any other tree (a
+    function call, a power, another variable), affine in value or not."""
+    if isinstance(node, Const):
+        return node.value, 0.0
+    if isinstance(node, Var):
+        return (0.0, 1.0) if node.name == var else None
+    if isinstance(node, Neg):
+        form = affine_form(node.arg, var)
+        return None if form is None else (-form[0], -form[1])
+    if isinstance(node, Call) or node.op == "^":
+        return None
+    lhs, rhs = affine_form(node.lhs, var), affine_form(node.rhs, var)
+    if lhs is None or rhs is None:
+        return None
+    (c1, a1), (c2, a2) = lhs, rhs
+    if node.op == "+":
+        return c1 + c2, a1 + a2
+    if node.op == "-":
+        return c1 - c2, a1 - a2
+    if node.op == "*" and (a1 == 0.0 or a2 == 0.0):
+        return c1 * c2, c1 * a2 + a1 * c2
+    if node.op == "/" and a2 == 0.0 and c2 != 0.0:
+        return c1 / c2, a1 / c2
+    return None
+
+
 # ---------------------------------------------------------------------------
 # Pretty-printing
 

@@ -186,10 +186,12 @@ class HeightWeight(AmbientWeight):
         return self.mu.deriv(_heights(self.mu, pts @ self.axis))[:, None] * self.axis
 
     def plane_drift(self, frame, foot):
-        # a declared constant mu' = a (the catalog height profile) makes
-        # the gradient a * axis everywhere
+        # a declared constant mu' = a (the catalog height profile, an
+        # expression c + a t, a constant) makes the gradient a * axis
+        # wherever mu is defined; a mu not defined at every height keeps
+        # the general drift, which checks the heights it reads
         linear = self.mu.linear
-        if linear is not None and linear[1] == 0.0:
+        if linear is not None and linear[1] == 0.0 and self.mu.t_min <= 0.0:
             return 0.0, linear[0] * (frame.T @ self.axis)
         return super().plane_drift(frame, foot)
 

@@ -80,9 +80,10 @@ class DiffusionSpec:
     whose class the weight declares (``AmbientWeight.plane_drift``):
     ``linear`` is the pair (lam, beta) of a linear drift lam V + beta and
     None for a general one; ``radial`` holds when beta vanishes, and
-    ``driftless`` when lam does too.  ``dtau`` is the time step of drifted paths (for
-    ``heun-exit-jumps`` a cap, which also bounds the layer where they
-    jump); None stands for ``default_step`` of each estimate's annulus.
+    ``driftless`` when lam does too.  ``dtau`` is the time step of drifted
+    paths in the boundary layer: for ``heun-exit-jumps`` a cap, which also
+    bounds the layer where they jump, for ``ou-bridge`` the least step;
+    None stands for ``default_step`` of each estimate's annulus.
     Walk-on-spheres does not use it.  Points V are stacks of shape (n, N),
     one column per path, and so are their drifts (n, N) and ambient points
     (m, N).  A path whose law is radial (driftless, or lam V) keeps only
@@ -205,8 +206,8 @@ class HitEstimate(Record):
 
 
 def default_step(rho, R):
-    """Default ``dtau``: the step of drifted paths (a bulk cap for
-    ``heun-exit-jumps``)."""
+    """Default ``dtau``: the boundary-layer step of drifted paths (a bulk
+    cap for ``heun-exit-jumps``, the least step of ``ou-bridge``)."""
     return 1e-3 * (R - rho) ** 2
 
 
@@ -227,10 +228,10 @@ def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
     if n_unresolved:
         warns.append(f"{n_unresolved} paths did not exit within "
                      f"{spec.max_steps} {unit} (excluded from the estimate)")
-    if estimator == HEUN_EXIT_JUMPS and spec.dtau > default_step(rho, R):
+    if estimator in (HEUN_EXIT_JUMPS, OU_BRIDGE) and spec.dtau > default_step(rho, R):
         warns.append(f"dtau = {spec.dtau:.6g} exceeds the default step "
                      f"1e-3 (R - rho)^2 = {default_step(rho, R):.6g}; "
-                     f"heun-exit-jumps estimates read low at larger steps")
+                     f"{estimator} estimates read low at larger steps")
     return HitEstimate(n_inner / resolved, N, n_inner, n_outer, n_unresolved,
                        lo, hi, exit_time_sum / resolved, rho, R, spec.dtau,
                        spec.seed, estimator, shell, path_steps, exit_jumps,
@@ -374,15 +375,20 @@ def _ou_bridge(spec: DiffusionSpec, rho, R, radial):
     """The move of ``ou-bridge`` for a linear drift b = lam V + beta: exact
     steps of the diffusion and a Brownian-bridge exit test between them.
 
-    A step of dt = dtau is the Ornstein--Uhlenbeck transition
+    A step of dt is the Ornstein--Uhlenbeck transition
     V' = e^{lam dt} V + beta (e^{lam dt} - 1)/lam + s xi with n normals xi
     and s^2 = (e^{2 lam dt} - 1)/lam (beta dt and 2 dt at lam = 0).  When
     ``radial`` (beta = 0) the law of q' = |V'| depends on q = |V| alone,
     q'^2 = (e^{lam dt} q + s xi_1)^2 + s^2 (xi_2^2 + ... + xi_n^2), and the
-    move takes and returns q, shape (1, N).  The step is exact, so the only
-    error left is the exit test, which misses O(dt) of the crossings
-    between steps: the bias grows with dtau.  A step whose e^{2 lam dt}
-    overflows is a DomainError.
+    move takes and returns q, shape (1, N).  The step is exact at any dt,
+    so the only error left is the exit test, which misses O(dt) of the
+    crossings between steps of paths near a boundary.  Each path therefore
+    takes its own step, dtau in the boundary layer and larger in the bulk:
+    dt = max(dtau, min(KAPPA d^2, d / (2 bbar))), with d = min(r - rho,
+    R - r) and bbar = |lam| (q + d) + |beta| the largest drift on the ball
+    of radius d around the path, so that the drift carries a bulk step at
+    most d / 2 and |lam| dt <= max(|lam| dtau, 1/2).  A dtau whose e^{2 lam dtau}
+    overflows is a DomainError; no larger step overflows.
 
     A boundary sphere meets the plane in a circle of in-plane radius
     sqrt(rho^2 - delta^2) or sqrt(R^2 - delta^2).  With in-plane distances
@@ -395,35 +401,36 @@ def _ou_bridge(spec: DiffusionSpec, rho, R, radial):
     loop counts it there, and the midpoint of its last step, dt / 2.
     """
     lam, beta = spec.linear
-    dt, offset_sq = spec.dtau, spec.offset_sq
+    dtau, offset_sq = spec.dtau, spec.offset_sq
     try:
-        grow = math.exp(lam * dt)
-        s = math.sqrt(math.expm1(2.0 * lam * dt) / lam if lam else 2.0 * dt)
+        math.expm1(2.0 * lam * dtau)
     except OverflowError:
-        raise DomainError(f"dtau = {dt:.6g} is too large for an exact step: "
+        raise DomainError(f"dtau = {dtau:.6g} is too large for an exact step: "
                           f"e^(2 lam dtau) overflows at lam = {lam:g}") from None
-    shift = (beta * (math.expm1(lam * dt) / lam if lam else dt))[:, None]
+    speed, beta_norm = abs(lam), math.hypot(*beta)
     # an inner sphere that misses the plane is never reached
     a_in = math.sqrt(rho * rho - offset_sq) if rho * rho > offset_sq else -math.inf
     a_out = math.sqrt(R * R - offset_sq)
 
     def move(rng, V, b, d):
-        moved = rng.standard_normal((spec.dim, V.shape[1]))
+        q = V[0] if radial else _radii(V)
+        dt = np.minimum(KAPPA * d * d, 0.5 * d / (speed * (q + d) + beta_norm))
+        np.maximum(dt, dtau, out=dt)
+        grow = np.exp(lam * dt)
+        s = np.sqrt(np.expm1(2.0 * lam * dt) / lam if lam else 2.0 * dt)
+        moved = rng.standard_normal((spec.dim, len(d)))
         moved *= s
         moved[:len(V)] += grow * V
-        if radial:
-            q = V[0]
-        else:
-            moved += shift
-            q = _radii(V)
+        if not radial:
+            moved += beta[:, None] * (np.expm1(lam * dt) / lam if lam else dt)
         q1 = _radii(moved)
         inner = (q - a_in) * (q1 - a_in)
         outer = (a_out - q) * (a_out - q1)
-        hit = np.minimum(inner, outer) < rng.exponential(dt, len(q1))
+        hit = np.minimum(inner, outer) < rng.exponential(dt)
         r = np.sqrt(q1 * q1 + offset_sq)
         r[hit] = np.where(inner[hit] <= outer[hit], rho, R)
-        times = np.where(hit, 0.5 * dt, dt)
-        return (q1[None] if radial else moved), r, None, times, 0
+        dt[hit] *= 0.5
+        return (q1[None] if radial else moved), r, None, dt, 0
 
     return move
 

@@ -87,12 +87,15 @@ class RadialProfile:
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]
 
-        return cls(fn, d1, d2, t_min=t_min, name=source)
+        # an expression c + a t declares its constant derivative a
+        form = ex.affine_form(ast, "t")
+        return cls(fn, d1, d2, t_min=t_min, name=source,
+                   linear=None if form is None else (form[1], 0.0))
 
     @classmethod
     def constant(cls, c, name=""):
         return cls(lambda t: c + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t,
-                   name=name or f"const({c})")
+                   name=name or f"const({c})", linear=(0.0, 0.0))
 
 
 class WarpingFunction(RadialProfile):

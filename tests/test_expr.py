@@ -399,3 +399,18 @@ def test_evaluation_is_pure():
     da = ex.eval_dual(ast, point, {"t": 1.0})
     db = ex.eval_dual(ast, point, {"t": 1.0})
     assert (da.value, da.deriv) == (db.value, db.deriv)
+
+
+@pytest.mark.parametrize("source,form", [
+    ("t", (0.0, 1.0)), ("3", (3.0, 0.0)), ("2*t+1", (1.0, 2.0)),
+    ("-t/4-0.5", (-0.5, -0.25)), ("(t+1)*(2-0.5)", (1.5, 1.5)), ("t-t", (0.0, 0.0)),
+    ("t*t", None), ("t^1", None), ("sin(t)", None), ("t/(1-1)", None),
+    ("1/t", None), ("t+x1", None),
+])
+def test_affine_form_reads_c_plus_a_t_from_the_tree(source, form):
+    ast = ex.parse(source, ["t", "x1"])
+    assert ex.affine_form(ast, "t") == form
+    if form is not None:
+        t = np.array([-2.0, 0.3, 5.0])
+        np.testing.assert_allclose(ex.evaluate(ast, {"t": t}) + 0.0 * t,
+                                   form[0] + form[1] * t, rtol=1e-15)

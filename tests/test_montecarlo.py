@@ -469,15 +469,21 @@ def test_a_dtau_above_the_default_step_is_warned():
                 "0.004; heun-exit-jumps estimates read low at larger steps"]
         else:
             assert est.warnings == []
-    # walk-on-spheres does not use dtau; ou-bridge takes exact steps, and
-    # its bridge test's O(dtau) bias is documented, not warned
+    # walk-on-spheres does not use dtau; ou-bridge takes dtau in the
+    # boundary layer, where its exit test misses O(dtau) of the crossings
+    # (-1.0e-3 at 16x the default from s = 1.2, z -3.0 over 2e6 paths)
     spec = mc.DiffusionSpec(radial_plane(), 1.0, seed=5)
     est = mc.hit_probability(spec, [2.0, 0.0], rho, R, 200)
     assert est.estimator == "walk-on-spheres" and est.warnings == []
-    spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian),
-                            4.0 * default, seed=5)
-    est = mc.hit_probability(spec, [1.2, 0.0], rho, R, 200)
-    assert est.estimator == "ou-bridge" and est.warnings == []
+    for dtau, warned in ((4.0 * default, True), (default, False)):
+        spec = mc.DiffusionSpec(weighted_plane(rd.weight_antigaussian), dtau,
+                                seed=5)
+        est = mc.hit_probability(spec, [1.2, 0.0], rho, R, 200)
+        assert est.estimator == "ou-bridge"
+        assert est.warnings == ([
+            "dtau = 0.016 exceeds the default step 1e-3 (R - rho)^2 = "
+            "0.004; ou-bridge estimates read low at larger steps"]
+            if warned else [])
 
 
 def test_overshooting_paths_count_for_the_boundary_they_crossed():
@@ -607,8 +613,10 @@ def test_an_exact_step_has_the_ornstein_uhlenbeck_mean_and_covariance(lam):
     beta = spec.linear[1]
     assert spec.linear[0] == lam and np.all(np.abs(beta) > 0.1)
     V = np.repeat(spec.lift(np.array([[1.2], [-0.5]])), N, axis=1)
+    # KAPPA d^2 < dt at the distance d from r = 1.5 to rho = 0.1: a step of dtau
+    d = spec.radius(V) - 0.1
     moved, _, b, times, jumps = mc._ou_bridge(spec, 0.1, 50.0, False)(
-        np.random.default_rng(4), V, None, None)
+        np.random.default_rng(4), V, None, d)
     assert b is None and jumps == 0 and np.all(times == dt)
     grow = math.exp(lam * dt)
     mean = grow * V[:, 0] + beta * ((grow - 1.0) / lam if lam else dt)
@@ -620,13 +628,71 @@ def test_an_exact_step_has_the_ornstein_uhlenbeck_mean_and_covariance(lam):
                                  4.0 * var * math.sqrt(2.0 / N))
 
 
+def test_a_bulk_step_has_the_ornstein_uhlenbeck_law_at_its_own_dt():
+    # paths from two starts far from both spheres take two different bulk
+    # steps, 0.1 and 0.24 under lam = -1; standardized by the mean and
+    # variance of each path's own dt they are standard normals
+    N = 200_000
+    plane = ge.hyperplane(3, [0.3, -1.0, 2.0], offset=0.7,
+                          weight=AffineGradientWeight(-1.0, [0.5, 1.0, -0.4]))
+    spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
+    beta = spec.linear[1]
+    V = np.repeat(spec.lift(np.array([[1.2, 6.0], [-0.5, 3.0]])), N // 2, axis=1)
+    moved, r, _, times, _ = mc._ou_bridge(spec, 0.1, 50.0, False)(
+        np.random.default_rng(5), V, None, spec.radius(V) - 0.1)
+    assert np.all((r > 0.1) & (r < 50.0))
+    assert len(np.unique(times)) == 2 and np.all(times > 0.09)
+    grow = np.exp(-times)
+    Z = moved - grow * V - beta[:, None] * (1.0 - grow)
+    Z /= np.sqrt(1.0 - grow * grow)
+    assert np.all(np.abs(Z.mean(axis=1)) <= 4.0 / math.sqrt(N))
+    np.testing.assert_array_less(np.abs(np.cov(Z) - np.eye(2)),
+                                 4.0 * math.sqrt(2.0 / N))
+
+
+@pytest.mark.parametrize("case", ["gaussian", "offset antigaussian", "translator"])
+def test_an_exact_step_is_dtau_at_the_boundary_and_grows_in_the_bulk(case):
+    # dt = max(dtau, min(KAPPA d^2, d / (2 b))) with b = |lam| (q + d) +
+    # |beta|, the largest drift on the ball of radius d; the antigaussian
+    # plane x3 = 1.5 misses the inner sphere r = 1 and holds a path at q = 0
+    rho, R, dtau = 1.0, 9.0, 1e-3
+    if case == "gaussian":
+        P = weighted_plane()
+    elif case == "offset antigaussian":
+        P = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=1.5,
+                          weight=ge.RadialWeight(rd.weight_antigaussian()))
+    else:
+        P = ge.hyperplane(3, [0.3, -1.0, 2.0], offset=0.7,
+                          weight=ge.HeightWeight(rd.weight_height(), 3))
+    spec = mc.DiffusionSpec(P, dtau, seed=0)
+    lam, beta = spec.linear
+    radial = spec.radial
+    q = np.array([0.0, 1.12, 1.3, 2.0, 3.5, 5.0, 7.0, 8.8, 8.9])
+    V = np.zeros((spec.dim, len(q)))
+    V[0] = q
+    r = spec.radius(V)
+    inside = (r > rho + 1e-3) & (r < R - 1e-3)
+    assert inside[0] == (case == "offset antigaussian")
+    q, V, r = q[inside], V[:, inside], r[inside]
+    d = np.minimum(r - rho, R - r)
+    moved, r1, _, times, _ = mc._ou_bridge(spec, rho, R, radial)(
+        np.random.default_rng(3), q[None] if radial else V, None, d)
+    bulk = np.minimum(mc.KAPPA * d * d,
+                      d / (2.0 * (abs(lam) * (q + d) + np.linalg.norm(beta))))
+    want = np.maximum(dtau, bulk)
+    absorbed = (r1 == rho) | (r1 == R)
+    np.testing.assert_array_equal(times, np.where(absorbed, 0.5, 1.0) * want)
+    assert np.any(want == dtau) and np.any(want > 10.0 * dtau)
+    assert np.all(abs(lam) * want <= max(abs(lam) * dtau, 0.5))
+
+
 @pytest.mark.parametrize("offset", [0.0, 0.6])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_a_radial_exact_step_lands_at_the_radius_of_a_cartesian_step(n, offset):
     # one step of the radial move against |V'| of the step in V, under the
     # drift +V, on an n-plane through the origin of R^n and on the offset
     # hyperplane x_{n+1} = 0.6 of R^{n+1}: two-sample KS at 2e4 draws each;
-    # the annulus 0.05 < r < 50 absorbs no path
+    # the annulus 0 < r < 50 absorbs no path
     from scipy import stats
     weight = ge.RadialWeight(rd.weight_antigaussian())
     P = (ge.identity_chart(n, weight) if offset == 0.0 else
@@ -634,14 +700,17 @@ def test_a_radial_exact_step_lands_at_the_radius_of_a_cartesian_step(n, offset):
     spec = mc.DiffusionSpec(P, 0.02, seed=0)
     N = 20_000
     V = np.repeat(spec.lift(np.linspace(0.3, 0.9, n)[:, None]), N, axis=1)
-    q1, r1, b1, dt, jumps = mc._ou_bridge(spec, 0.05, 50.0, True)(
-        np.random.default_rng(n), mc._radii(V)[None], None, None)
+    d = spec.radius(V)
+    q1, r1, b1, dt, jumps = mc._ou_bridge(spec, 0.0, 50.0, True)(
+        np.random.default_rng(n), mc._radii(V)[None], None, d)
     assert q1.shape == (1, N) and b1 is None and jumps == 0
-    np.testing.assert_array_equal(dt, 0.02)
     np.testing.assert_allclose(r1, np.sqrt(q1[0] ** 2 + offset ** 2),
                                rtol=1e-15)
-    cartesian, r2, *_ = mc._ou_bridge(spec, 0.05, 50.0, False)(
-        np.random.default_rng(100 + n), V, None, None)
+    cartesian, r2, _, dt2, _ = mc._ou_bridge(spec, 0.0, 50.0, False)(
+        np.random.default_rng(100 + n), V, None, d)
+    # both take the same bulk step, larger than dtau
+    assert np.all(dt > 0.02)
+    np.testing.assert_array_equal(dt, dt2)
     assert stats.ks_2samp(q1[0], mc._radii(cartesian)).pvalue > 1e-3
     assert stats.ks_2samp(r1, r2).pvalue > 1e-3
 
@@ -655,8 +724,10 @@ def test_the_bridge_absorbs_with_the_crossing_probability_of_a_brownian_bridge()
     plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6,
                           weight=ge.RadialWeight(rd.weight_gaussian()))
     spec = mc.DiffusionSpec(plane, dt, seed=0)
+    # r - rho = 0.08 puts the paths in the boundary layer: steps of dtau
+    d = np.full(N, math.sqrt(0.81 + 0.36) - 1.0)
     q1, r, _, times, _ = mc._ou_bridge(spec, 1.0, 3.0, True)(
-        np.random.default_rng(9), np.full((1, N), 0.9), None, None)
+        np.random.default_rng(9), np.full((1, N), 0.9), None, d)
     q1 = q1[0]
     absorbed = times == 0.5 * dt
     assert np.all(absorbed | (times == dt))
@@ -679,7 +750,8 @@ def test_the_bridge_absorbs_with_the_crossing_probability_of_a_brownian_bridge()
 # coordinates, and with the Gaussian and antigaussian weights, which now
 # run them as the power profiles -+t^2/2 (``power_gaussian``), to the bit.
 # The ou-bridge cases pin its radial move (n = 2 and n = 3, through the
-# origin and offset) and its move in V (a translator).
+# origin and offset) and its move in V (a translator), with steps that
+# grow in the bulk.
 RECORDED_ESTIMATES = {
     "walk-on-spheres R^3": (1066, 934, 0, 57268, 57268, 0.533,
                             0.9161462427441242),
@@ -693,14 +765,14 @@ RECORDED_ESTIMATES = {
                                         0.9536662616430579),
     "heun, skewed Gaussian hyperplane": (1613, 387, 0, 318703, 55451, 0.8065,
                                          0.5678298553761447),
-    "ou-bridge, Gaussian plane": (1852, 148, 0, 184254, 0, 0.926,
-                                  0.3665080000000004),
-    "ou-bridge, offset antigaussian plane": (662, 1338, 0, 195971, 0, 0.331,
-                                             0.38994200000000023),
-    "ou-bridge, Gaussian 3-plane in R^4": (1730, 270, 0, 228994, 0, 0.865,
-                                           0.4559880000000002),
-    "ou-bridge, tilted translator plane": (1242, 758, 0, 275451, 0, 0.621,
-                                           0.5489020000000003),
+    "ou-bridge, Gaussian plane": (1860, 140, 0, 56109, 0, 0.93,
+                                  0.35973179165145036),
+    "ou-bridge, offset antigaussian plane": (641, 1359, 0, 61844, 0, 0.3205,
+                                             0.38415937667618255),
+    "ou-bridge, Gaussian 3-plane in R^4": (1710, 290, 0, 68760, 0, 0.855,
+                                           0.47830184738997666),
+    "ou-bridge, tilted translator plane": (1230, 770, 0, 83855, 0, 0.615,
+                                           0.5213332868699605),
 }
 
 
@@ -868,16 +940,25 @@ def test_the_frame_drift_is_the_chart_drift_in_frame_coordinates(plane,
                                rtol=1e-13, atol=1e-14)
 
 
+HEIGHT_ZERO = {"name": "height", "mu": {"name": "zero"}}
+
+
 @pytest.mark.parametrize("plane", ["skewed", "offset"])
 @pytest.mark.parametrize("weight,lam", [
     ({"name": "gaussian"}, -1.0), ({"name": "antigaussian"}, 1.0),
     ({"name": "translator"}, 0.0), ({"name": "zero"}, 0.0),
-    ({"name": "power", "a": -0.3, "k": 3.0}, None), ({"name": "height"}, None),
+    ({"name": "height"}, 0.0), (HEIGHT_ZERO, 0.0),
+    ({"name": "height", "mu": {"name": "custom", "expr": "-2*t/4+3"}}, 0.0),
+    ({"name": "power", "a": -0.3, "k": 3.0}, None),
+    ({"name": "height", "mu": {"name": "power", "a": 1.0, "k": 1.0}}, None),
+    ({"name": "height", "mu": {"name": "custom", "expr": "t", "t_min": 0.5}}, None),
 ])
 def test_the_catalog_declares_the_linear_drifts(plane, weight, lam):
     # gaussian and antigaussian drift by lam V, translators by a constant
-    # beta = E^T e_m; the height weight's default mu is the expression t,
-    # which stays general, as does a power
+    # beta = E^T e_m, and so does a height weight whose mu is an expression
+    # c + a t, such as its default t (a beta of a E^T e_m); under mu zero
+    # it has no drift.  A power stays general, even one of degree 1, and
+    # so does a mu that is not defined at every height
     P = frame_plane(plane, lambda m: catalogs.resolve_ambient_weight(weight, m))
     spec = mc.DiffusionSpec(P, 1e-3, seed=0)
     V = spec.lift(np.random.default_rng(2).uniform(-2.0, 2.0, (spec.dim, 300)))
@@ -886,7 +967,7 @@ def test_the_catalog_declares_the_linear_drifts(plane, weight, lam):
         return
     got_lam, beta = spec.linear
     assert got_lam == lam and beta.shape == (spec.dim,)
-    assert spec.driftless == (weight["name"] == "zero")
+    assert spec.driftless == (weight in ({"name": "zero"}, HEIGHT_ZERO))
     assert spec.radius_and_drift(V)[1] is None
     np.testing.assert_allclose(lam * V + beta[:, None], gradient_drift(spec, V),
                                rtol=1e-13, atol=1e-14)
@@ -903,6 +984,26 @@ def test_a_translator_on_a_plane_normal_to_its_axis_walks_on_spheres():
     translator = estimate(ge.HeightWeight(rd.weight_height(), 3))
     assert translator.estimator == "walk-on-spheres"
     assert translator.to_dict() == estimate(None).to_dict()
+
+
+def test_a_height_weight_runs_the_estimator_of_its_drift():
+    # the default mu t has the translator's drift and mu zero none: their
+    # estimates are those of the translator and of the unweighted plane,
+    # to the bit; a quadratic mu keeps heun-exit-jumps
+    def estimate(weight):
+        weight = weight and catalogs.resolve_ambient_weight(weight, 3)
+        plane = ge.hyperplane(3, [0.0, 0.6, 0.8], offset=0.3, weight=weight)
+        spec = mc.DiffusionSpec(plane, None, seed=4)
+        return mc.hit_probability(spec, [1.3, 0.2], 1.0, 3.0, 300).to_dict()
+
+    height = estimate({"name": "height"})
+    assert height["estimator"] == "ou-bridge"
+    assert height == estimate({"name": "translator"})
+    flat = estimate({"name": "height", "mu": {"name": "zero"}})
+    assert flat["estimator"] == "walk-on-spheres" and flat == estimate(None)
+    quadratic = {"name": "power", "a": 0.5, "k": 2.0}
+    assert estimate({"name": "height", "mu": quadratic})["estimator"] \
+        == "heun-exit-jumps"
 
 
 @pytest.mark.parametrize("weight", [None, "gaussian"])
@@ -924,10 +1025,12 @@ def test_one_path_batches_are_bitwise_deterministic(weight):
 
 
 def test_no_resolved_path_is_an_error_naming_max_steps():
+    # from r = 20 two steps of at most 0.25 move a path about 8 toward
+    # rho = 1 and never as far as R = 40
     spec = mc.DiffusionSpec(weighted_plane(), mc.default_step(1.0, 4.0),
                             seed=2, max_steps=2)
     with pytest.raises(DomainError, match="max_steps = 2 steps"):
-        mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, 50)
+        mc.hit_probability(spec, [20.0, 0.0], 1.0, 40.0, 50)
 
 
 def test_start_of_the_wrong_length_is_a_domain_error():
