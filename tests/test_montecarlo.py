@@ -947,11 +947,11 @@ HEIGHT_ZERO = {"name": "height", "mu": {"name": "zero"}}
 @pytest.mark.parametrize("weight,lam", [
     ({"name": "gaussian"}, -1.0), ({"name": "antigaussian"}, 1.0),
     ({"name": "translator"}, 0.0), ({"name": "zero"}, 0.0),
-    ({"name": "height"}, 0.0), (HEIGHT_ZERO, 0.0),
-    ({"name": "height", "mu": {"name": "custom", "expr": "-2*t/4+3"}}, 0.0),
     ({"name": "power", "a": -0.3, "k": 3.0}, None),
     ({"name": "height", "mu": {"name": "power", "a": 1.0, "k": 1.0}}, None),
     ({"name": "height", "mu": {"name": "custom", "expr": "t", "t_min": 0.5}}, None),
+    ({"name": "height"}, 0.0), (HEIGHT_ZERO, 0.0),
+    ({"name": "height", "mu": {"name": "custom", "expr": "-2*t/4+3"}}, 0.0),
 ])
 def test_the_catalog_declares_the_linear_drifts(plane, weight, lam):
     # gaussian and antigaussian drift by lam V, translators by a constant
