@@ -26,7 +26,7 @@ from .fields import (BOOL, COUNT, EXPRESSION, FINITE, INF_OR_FINITE, NUMBERS, OP
                      POSITIVE, REQUIRED, SEED, TEXT, Catalog, Entry, Field, Spec, is_number,
                      one_of)
 
-REPORT_VERSION = "7"
+REPORT_VERSION = "8"
 
 
 def _profile(source):
@@ -109,8 +109,7 @@ def _run_mc_verify(scenario, outdir):
     params = scenario["params"]
     warping, P = catalogs.resolve_immersion(scenario)
     rho, R, start, N = params["rho"], params["R"], params["start"], params["paths"]
-    spec = mc.DiffusionSpec(P, params.get("dtau"), params["seed"],
-                            batch_size=params["batch_size"])
+    spec = mc.DiffusionSpec(P, params.get("dtau"), params["seed"])
     if "R_schedule" in params:
         probe = mc.recurrence_probe(spec, start, rho, params["R_schedule"], N)
         return {"recurrence_probe": probe.to_dict()}
@@ -196,7 +195,7 @@ COMPARISON = Spec("comparison", {"alpha": ALPHA, "n": N, "t0": T0, "direction": 
 MC_VERIFY = Spec("mc-verify params", {
     "start": Field(NUMBERS), "rho": Field(FINITE), "R": Field(FINITE),
     "paths": Field(COUNT, 10_000), "seed": Field(SEED, 0),
-    "dtau": Field(POSITIVE, OPTIONAL), "batch_size": Field(COUNT, 20_000),
+    "dtau": Field(POSITIVE, OPTIONAL),
     "R_schedule": Field(NUMBERS, OPTIONAL),
     "comparison": Field(COMPARISON, OPTIONAL,
                         only=("without R_schedule", lambda p: "R_schedule" not in p))})

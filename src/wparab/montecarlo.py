@@ -1,10 +1,12 @@
 """Monte Carlo verification via the drift diffusion of the weighted Laplacian.
 
 Paths on an affine immersion: walk-on-spheres when the drift vanishes,
-exact Ornstein--Uhlenbeck steps with a Brownian-bridge exit test when it is
-linear, otherwise Heun steps in the bulk and drift-corrected exit jumps
-from small spheres near the boundary, with counter-based per-batch random
-streams (Philox) so that serial and parallel executions agree bit-for-bit.
+otherwise steps with a Brownian-bridge exit test, exact Ornstein--Uhlenbeck
+steps when the drift is linear and Heun steps when it is not.  ``dtau`` is
+the least step of every drifted path; a step goes below it only where the
+stiff-drift cap of a Heun step requires.  Random streams are counter-based
+and per batch (Philox), so that serial and parallel executions agree
+bit-for-bit.
 Hitting probabilities of extrinsic annulus boundaries estimate the capacity
 potential; they are compared against the transplanted radial potential of
 the comparison model.
@@ -80,10 +82,10 @@ class DiffusionSpec:
     whose class the weight declares (``AmbientWeight.plane_drift``):
     ``linear`` is the pair (lam, beta) of a linear drift lam V + beta and
     None for a general one; ``radial`` holds when beta vanishes, and
-    ``driftless`` when lam does too.  ``dtau`` is the time step of drifted
-    paths in the boundary layer: for ``heun-exit-jumps`` a cap, which also
-    bounds the layer where they jump, for ``ou-bridge`` the least step;
-    None stands for ``default_step`` of each estimate's annulus.
+    ``driftless`` when lam does too.  ``dtau`` is the least time step of
+    every drifted path, the step of the boundary layer; a ``heun-bridge``
+    step goes below it only where its stiff-drift cap requires.  None
+    stands for ``default_step`` of each estimate's annulus.
     Walk-on-spheres does not use it.  Points V are stacks of shape (n, N),
     one column per path, and so are their drifts (n, N) and ambient points
     (m, N).  A path whose law is radial (driftless, or lam V) keeps only
@@ -163,11 +165,10 @@ class DiffusionSpec:
 
 
 WALK_ON_SPHERES = "walk-on-spheres"
-HEUN_EXIT_JUMPS = "heun-exit-jumps"
+HEUN_BRIDGE = "heun-bridge"
 OU_BRIDGE = "ou-bridge"
 
-KAPPA = 0.05  # a shrinking Heun step takes dt <= KAPPA d^2
-EXIT_JUMP_EPS = 0.25  # a drifted path jumps where d |b| / 2 <= this
+KAPPA = 0.05  # a drifted step above dtau takes dt <= KAPPA d^2
 
 
 @dataclass
@@ -175,9 +176,8 @@ class HitEstimate(Record):
     """Estimated probability of reaching the inner boundary first.
 
     ``shell`` is the stopping distance of paths; ``path_steps`` counts
-    jumps and time steps over all paths, and ``exit_jumps`` those of them
-    that were jumps: all for walk-on-spheres, the boundary-layer moves for
-    ``heun-exit-jumps``, none for ``ou-bridge``."""
+    the moves of all paths: jumps for walk-on-spheres, time steps for the
+    drifted estimators."""
 
     p_hat: float
     n_paths: int
@@ -194,7 +194,6 @@ class HitEstimate(Record):
     estimator: str
     shell: float
     path_steps: int
-    exit_jumps: int
     warnings: list = field(default_factory=list)
 
     @property
@@ -206,8 +205,8 @@ class HitEstimate(Record):
 
 
 def default_step(rho, R):
-    """Default ``dtau``: the boundary-layer step of drifted paths (a bulk
-    cap for ``heun-exit-jumps``, the least step of ``ou-bridge``)."""
+    """Default ``dtau``: the least step of drifted paths, which they take
+    in the boundary layer."""
     return 1e-3 * (R - rho) ** 2
 
 
@@ -216,7 +215,7 @@ def _shell(rho, R):
 
 
 def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
-              exit_jumps, estimator, shell):
+              estimator, shell):
     unit = "jumps" if estimator == WALK_ON_SPHERES else "steps"
     resolved = n_inner + n_outer
     if not resolved:
@@ -228,27 +227,26 @@ def _estimate(spec, rho, R, N, n_inner, n_outer, exit_time_sum, path_steps,
     if n_unresolved:
         warns.append(f"{n_unresolved} paths did not exit within "
                      f"{spec.max_steps} {unit} (excluded from the estimate)")
-    if estimator in (HEUN_EXIT_JUMPS, OU_BRIDGE) and spec.dtau > default_step(rho, R):
+    if estimator in (HEUN_BRIDGE, OU_BRIDGE) and spec.dtau > default_step(rho, R):
         warns.append(f"dtau = {spec.dtau:.6g} exceeds the default step "
                      f"1e-3 (R - rho)^2 = {default_step(rho, R):.6g}; "
                      f"{estimator} estimates read low at larger steps")
     return HitEstimate(n_inner / resolved, N, n_inner, n_outer, n_unresolved,
                        lo, hi, exit_time_sum / resolved, rho, R, spec.dtau,
-                       spec.seed, estimator, shell, path_steps, exit_jumps,
-                       warns)
+                       spec.seed, estimator, shell, path_steps, warns)
 
 
 def hit_probability(spec: DiffusionSpec, start, rho, R, N):
     """Fraction of paths reaching {r <= rho} before {r >= R}.
 
     Driftless specs walk on spheres in the in-plane radius |V|
-    (``_radial_jump``); linear drifts take exact steps with a bridge exit
-    test (``_ou_bridge``), in |V| too when the drift is lam V; general
-    drifts take Heun steps in the bulk and exit jumps near the boundary
-    (``_heun_exit_jump``).  Deterministic for a given (spec, seed): path
-    batches draw from independent counter-based streams keyed by (seed,
-    batch index).  The estimate records the step it used,
-    ``default_step(rho, R)`` for a spec without ``dtau``.
+    (``_radial_jump``); drifted ones take steps with a bridge exit test
+    (``_bridge``): exact steps for a linear drift (``_ou_step``), in |V|
+    too when the drift is lam V, and Heun steps for any other (``_heun``).
+    Deterministic for a given (spec, seed): path batches draw from
+    independent counter-based streams keyed by (seed, batch index).  The
+    estimate records the step it used, ``default_step(rho, R)`` for a spec
+    without ``dtau``.
     """
     start = spec.lift(spec.parameter_point(start)[:, None])
     if not rho < R:
@@ -259,21 +257,20 @@ def hit_probability(spec: DiffusionSpec, start, rho, R, N):
         raise DomainError(f"need at least one path, got N={N}")
     r0 = float(spec.radius(start)[0])
     name = (WALK_ON_SPHERES if spec.driftless
-            else HEUN_EXIT_JUMPS if spec.linear is None else OU_BRIDGE)
+            else HEUN_BRIDGE if spec.linear is None else OU_BRIDGE)
     if rho < r0 < R:
         # a start inside the annulus: both boundary spheres meet the plane
         if spec.driftless:
             move = _radial_jump(spec)
-        elif spec.linear is None:
-            move = _heun_exit_jump(spec)
         else:
-            move = _ou_bridge(spec, rho, R, spec.radial)
+            step = _heun(spec) if spec.linear is None else _ou_step(spec)
+            move = _bridge(spec, rho, R, spec.radial, step)
         return _shell_walk(spec, _radii(start) if spec.radial else start[:, 0],
                            rho, R, N, name, move)
     inside = N if r0 <= rho else 0
     p = inside / N
     return HitEstimate(p, N, inside, N - inside, 0, p, p, 0.0, rho, R,
-                       spec.dtau, spec.seed, name, _shell(rho, R), 0, 0)
+                       spec.dtau, spec.seed, name, _shell(rho, R), 0)
 
 
 def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
@@ -283,14 +280,14 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
     shell, and counts for that boundary; a path that moved beyond a
     boundary, or that the move absorbed on one by returning its radius,
     counts for the boundary it crossed.  Every other path moves by
-    ``move(rng, V, b, d)``, which takes the live paths' frame points V
-    (n, N) or in-plane radii (1, N), drifts b (n, N) or None and distances
-    d = min(r - rho, R - r) (N,), and returns the new points with their
-    radii, drifts, the time each path spent and the number of paths that
-    jumped.  ``max_steps`` caps the moves of a path.
+    ``move(rng, V, b, d)`` (``_radial_jump`` or ``_bridge``), which takes
+    the live paths' frame points V (n, N) or in-plane radii (1, N), drifts
+    b (n, N) or None and distances d = min(r - rho, R - r) (N,), and
+    returns the new points with their radii, drifts and the time each path
+    spent.  ``max_steps`` caps the moves of a path.
     """
     shell = _shell(rho, R)
-    n_inner = n_outer = path_steps = exit_jumps = 0
+    n_inner = n_outer = path_steps = 0
     exit_time_sums = []
     for nb, rng in spec.batches(N):
         V = np.repeat(start[:, None], nb, axis=1)
@@ -315,14 +312,12 @@ def _shell_walk(spec: DiffusionSpec, start, rho, R, N, estimator, move):
                 b = None if b is None else b.take(live, 1)
             if len(d) == 0 or step == spec.max_steps:
                 break
-            V, r, b, dt, jumps = move(rng, V, b, d)
+            V, r, b, dt = move(rng, V, b, d)
             T += dt
             path_steps += len(d)
-            exit_jumps += jumps
         exit_time_sums.append(exits)
     return _estimate(spec, rho, R, N, n_inner, n_outer,
-                     math.fsum(exit_time_sums), path_steps, exit_jumps,
-                     estimator, shell)
+                     math.fsum(exit_time_sums), path_steps, estimator, shell)
 
 
 def _radial_jump(spec: DiffusionSpec):
@@ -347,7 +342,7 @@ def _radial_jump(spec: DiffusionSpec):
         q2 += q * q
         np.maximum(q2, 0.0, out=q2)
         r = np.sqrt(q2 + offset_sq)
-        return np.sqrt(q2, out=q2)[None], r, None, d * d / (2.0 * dim), len(d)
+        return np.sqrt(q2, out=q2)[None], r, None, d * d / (2.0 * dim)
 
     return move
 
@@ -371,26 +366,16 @@ def _sphere_cosines(rng, n, N):
     return xi[0] / np.sqrt((xi * xi).sum(axis=0))
 
 
-def _ou_bridge(spec: DiffusionSpec, rho, R, radial):
-    """The move of ``ou-bridge`` for a linear drift b = lam V + beta: exact
-    steps of the diffusion and a Brownian-bridge exit test between them.
+def _bridge(spec: DiffusionSpec, rho, R, radial, step):
+    """The move of a drifted path: one ``step`` of the diffusion and a
+    Brownian-bridge exit test after it.
 
-    A step of dt is the Ornstein--Uhlenbeck transition
-    V' = e^{lam dt} V + beta (e^{lam dt} - 1)/lam + s xi with n normals xi
-    and s^2 = (e^{2 lam dt} - 1)/lam (beta dt and 2 dt at lam = 0).  When
-    ``radial`` (beta = 0) the law of q' = |V'| depends on q = |V| alone,
-    q'^2 = (e^{lam dt} q + s xi_1)^2 + s^2 (xi_2^2 + ... + xi_n^2), and the
-    move takes and returns q, shape (1, N).  The step is exact at any dt,
-    so the only error left is the exit test, which misses O(dt) of the
-    crossings between steps of paths near a boundary.  Each path therefore
-    takes its own step, dtau in the boundary layer and larger in the bulk:
-    dt = max(dtau, min(KAPPA d^2, d / (2 bbar))), with d = min(r - rho,
-    R - r) and bbar = |lam| (q + d) + |beta| the largest drift on the ball
-    of radius d around the path, so that the drift carries a bulk step at
-    most d / 2 and |lam| dt <= max(|lam| dtau, 1/2).  A dtau whose e^{2 lam dtau}
-    overflows is a DomainError; no larger step overflows.
-
-    A boundary sphere meets the plane in a circle of in-plane radius
+    ``step(rng, V, q, b, d)`` takes the live paths' frame points V (n, N),
+    or in-plane radii (1, N) when ``radial``, their in-plane radii q = |V|
+    (N,), drifts b (n, N) or None and distances d = min(r - rho, R - r)
+    (N,), and returns the new points in V (n, N) and the steps dt (N,):
+    ``_ou_step`` for a linear drift, ``_heun`` for any other.  A boundary
+    sphere meets the plane in a circle of in-plane radius
     sqrt(rho^2 - delta^2) or sqrt(R^2 - delta^2).  With in-plane distances
     a and b to it at the two ends of a step, a Brownian bridge crosses it
     with probability exp(-a b / dt), the half-plane law (Baldi 1995;
@@ -398,22 +383,59 @@ def _ou_bridge(spec: DiffusionSpec, rho, R, radial):
     the smaller product a b and absorbs a path when a b < dt E for an
     exponential draw E, which takes every path that ended beyond it
     (b < 0).  An absorbed path returns that boundary's radius, so the
-    loop counts it there, and the midpoint of its last step, dt / 2.
+    loop counts it there, and the midpoint of its last step, dt / 2.  A
+    radial move returns the new in-plane radii, shape (1, N).
     """
-    lam, beta = spec.linear
-    dtau, offset_sq = spec.dtau, spec.offset_sq
-    try:
-        math.expm1(2.0 * lam * dtau)
-    except OverflowError:
-        raise DomainError(f"dtau = {dtau:.6g} is too large for an exact step: "
-                          f"e^(2 lam dtau) overflows at lam = {lam:g}") from None
-    speed, beta_norm = abs(lam), math.hypot(*beta)
+    offset_sq, drift = spec.offset_sq, spec._drift
     # an inner sphere that misses the plane is never reached
     a_in = math.sqrt(rho * rho - offset_sq) if rho * rho > offset_sq else -math.inf
     a_out = math.sqrt(R * R - offset_sq)
 
     def move(rng, V, b, d):
         q = V[0] if radial else _radii(V)
+        moved, dt = step(rng, V, q, b, d)
+        q1 = _radii(moved)
+        inner = (q - a_in) * (q1 - a_in)
+        outer = (a_out - q) * (a_out - q1)
+        hit = np.minimum(inner, outer) < rng.exponential(dt)
+        r = np.sqrt(q1 * q1 + offset_sq)
+        b = None if drift is None else drift(moved, r)
+        r[hit] = np.where(inner[hit] <= outer[hit], rho, R)
+        dt[hit] *= 0.5
+        return (q1[None] if radial else moved), r, b, dt
+
+    return move
+
+
+def _ou_step(spec: DiffusionSpec):
+    """The step of ``ou-bridge`` for a linear drift b = lam V + beta: the
+    exact transition of the diffusion.
+
+    A step of dt is the Ornstein--Uhlenbeck transition
+    V' = e^{lam dt} V + beta (e^{lam dt} - 1)/lam + s xi with n normals xi
+    and s^2 = (e^{2 lam dt} - 1)/lam (beta dt and 2 dt at lam = 0).  When
+    the spec is radial (beta = 0) the law of q' = |V'| depends on q = |V|
+    alone, q'^2 = (e^{lam dt} q + s xi_1)^2 + s^2 (xi_2^2 + ... + xi_n^2),
+    and the step may take q, shape (1, N), for V.  The step is exact at
+    any dt, so the only error left is the bridge test's, which misses O(dt)
+    of the crossings between steps of paths near a boundary.  Each path
+    therefore takes its own step, dtau in the boundary layer and larger in
+    the bulk: dt = max(dtau, min(KAPPA d^2, d / (2 bbar))), with
+    bbar = |lam| (q + d) + |beta| the largest drift on the ball of radius d
+    around the path, so that the drift carries a bulk step at most d / 2
+    and |lam| dt <= max(|lam| dtau, 1/2).  A dtau whose e^{2 lam dtau}
+    overflows is a DomainError; no larger step overflows.
+    """
+    lam, beta = spec.linear
+    dtau, shift = spec.dtau, not spec.radial
+    try:
+        math.expm1(2.0 * lam * dtau)
+    except OverflowError:
+        raise DomainError(f"dtau = {dtau:.6g} is too large for an exact step: "
+                          f"e^(2 lam dtau) overflows at lam = {lam:g}") from None
+    speed, beta_norm = abs(lam), math.hypot(*beta)
+
+    def step(rng, V, q, b, d):
         dt = np.minimum(KAPPA * d * d, 0.5 * d / (speed * (q + d) + beta_norm))
         np.maximum(dt, dtau, out=dt)
         grow = np.exp(lam * dt)
@@ -421,104 +443,51 @@ def _ou_bridge(spec: DiffusionSpec, rho, R, radial):
         moved = rng.standard_normal((spec.dim, len(d)))
         moved *= s
         moved[:len(V)] += grow * V
-        if not radial:
+        if shift:
             moved += beta[:, None] * (np.expm1(lam * dt) / lam if lam else dt)
-        q1 = _radii(moved)
-        inner = (q - a_in) * (q1 - a_in)
-        outer = (a_out - q) * (a_out - q1)
-        hit = np.minimum(inner, outer) < rng.exponential(dt)
-        r = np.sqrt(q1 * q1 + offset_sq)
-        r[hit] = np.where(inner[hit] <= outer[hit], rho, R)
-        dt[hit] *= 0.5
-        return (q1[None] if radial else moved), r, None, dt, 0
+        return moved, dt
 
-    return move
+    return step
 
 
-def _sphere_steps(xi, d):
-    """Steps d xi / |xi| to uniform points of the spheres of radii d, from
-    the normals xi (n, N), which are overwritten and returned."""
-    xi *= d / np.sqrt((xi * xi).sum(axis=0))
-    return xi
+def _heun(spec: DiffusionSpec):
+    """The step of ``heun-bridge`` for a general drift: a Heun
+    predictor--corrector step (Milstein & Tretyakov, Stochastic Numerics
+    for Mathematical Physics, 2004).
 
-
-def _heun(spec: DiffusionSpec, V, b, d, kd2, speed, xi):
-    """One Heun predictor--corrector step of the drift diffusion that
-    shrinks near the boundary (Milstein & Tretyakov, Stochastic Numerics
-    for Mathematical Physics, 2004): the new points and the time steps,
-    from the frame points V, drifts b, their lengths speed = |b|,
-    distances d, kd2 = KAPPA d^2 and standard normals xi of the paths.
-
-    A step takes dt = min(KAPPA d^2, dtau, d / (2 |b|)),
-    V* = V + b(V) dt + sqrt(2) xi sqrt(dt), then
+    A path takes dt = min(max(dtau, KAPPA d^2), d / (2 |b|)): dtau in the
+    boundary layer and larger in the bulk, as ``_ou_step`` does, and never
+    so large that the drift carries it more than half its distance to the
+    boundary, which keeps a stiff drift (h = -200 r^2, say) from throwing
+    paths across the annulus; only that cap takes a step below dtau.  With
+    standard normals xi, V* = V + b(V) dt + sqrt(2) xi sqrt(dt), then
     V' = V + (b(V) + b(V*)) dt / 2 + the same noise.  The corrector removes
     the O(dt) inflation of the bulk variance that a plain Euler drift
     brings in; b(V') is the next step's b(V), so a step costs two drift
-    evaluations.  The last cap lets the drift carry a path at most half its
-    distance to the boundary, which keeps a stiff drift (h = -200 r^2, say)
-    from throwing paths across the annulus.
+    evaluations.
     """
-    dt = np.minimum(np.minimum(kd2, spec.dtau),
-                    0.5 * d / np.maximum(speed, 1e-300))
-    # V* = V + b dt + noise and V' = V + (b + b(V*)) dt / 2 + noise, built
-    # in place: from 1e4 paths on, a fresh (n, N) array costs about as much
-    # as the arithmetic that fills it
-    noise = _SQRT2 * xi
-    noise *= np.sqrt(dt)
-    predictor = b * dt
-    predictor += V
-    predictor += noise
-    _, step = spec.radius_and_drift(predictor)
-    step += b
-    step *= 0.5 * dt
-    step += V
-    step += noise
-    return step, dt
+    dtau = spec.dtau
 
+    def step(rng, V, q, b, d):
+        dt = np.maximum(KAPPA * d * d, dtau)
+        np.minimum(dt, 0.5 * d / np.maximum(_radii(b), 1e-300), out=dt)
+        # V* = V + b dt + noise and V' = V + (b + b(V*)) dt / 2 + noise,
+        # built in place: from 1e4 paths on, a fresh (n, N) array costs
+        # about as much as the arithmetic that fills it
+        noise = _normals(rng, V)
+        noise *= _SQRT2
+        noise *= np.sqrt(dt)
+        predictor = b * dt
+        predictor += V
+        predictor += noise
+        _, moved = spec.radius_and_drift(predictor)
+        moved += b
+        moved *= 0.5 * dt
+        moved += V
+        moved += noise
+        return moved, dt
 
-def _heun_exit_jump(spec: DiffusionSpec):
-    """The move of ``heun-exit-jumps``: Heun steps in the bulk, exit jumps
-    from small spheres in the boundary layer.
-
-    A path jumps where a Heun step would shrink below dtau (KAPPA d^2 <
-    dtau) and the drift is weak across the ball of radius d:
-    d |b| / 2 <= EXIT_JUMP_EPS.  The jump goes to V + d theta, theta drawn
-    from the first-order exit law of the ball under a constant drift, with
-    density proportional to 1 + (d/2) <b, theta> on the unit sphere (the
-    random walk over small spheres of Milstein & Tretyakov, Stochastic
-    Numerics for Mathematical Physics, 2004; Muller's walk-on-spheres when
-    b = 0).  theta = xi / |xi| comes from the step's own normals and is
-    kept with probability (1 + (d/2) <b, theta>) / 2, otherwise replaced
-    by -theta: one uniform a jump, no rejection.  It lands at distance d,
-    inside the annulus, and takes the time d^2 / (2n).  Every other path
-    takes a Heun step (``_heun``).  The step is computed for all paths and
-    then replaced by the jumps: splitting the batch into the two kinds of
-    path would save the jumping paths' predictor drift, but the copies cost
-    more than that drift.
-    """
-    dim = spec.dim
-
-    def move(rng, V, b, d):
-        speed = np.sqrt((b * b).sum(axis=0))
-        kd2 = KAPPA * d * d
-        xi = _normals(rng, V)
-        jumping = (kd2 < spec.dtau) & (0.5 * d * speed <= EXIT_JUMP_EPS)
-        jumps = np.flatnonzero(jumping)
-        moved, dt = _heun(spec, V, b, d, kd2, speed, xi)
-        if len(jumps):
-            d = d.take(jumps)
-            shift = _sphere_steps(xi.take(jumps, 1), d)
-            # d <b, theta> = <b, shift>
-            keep = rng.random(len(jumps)) < 0.5 + 0.25 * (
-                b.take(jumps, 1) * shift).sum(axis=0)
-            shift *= np.where(keep, 1.0, -1.0)
-            shift += V.take(jumps, 1)
-            moved[:, jumps] = shift
-            dt[jumps] = d * d / (2.0 * dim)
-        r, b = spec.radius_and_drift(moved)
-        return moved, r, b, dt, len(jumps)
-
-    return move
+    return step
 
 
 @dataclass

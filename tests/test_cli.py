@@ -578,17 +578,16 @@ def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
          "start must be a list of finite numbers, got ['2', 0.5]"),
         ({"start": [[1.0], [2.0, 3.0]]},
          "start must be a list of finite numbers, got [[1.0], [2.0, 3.0]]"),
-        ({"batch_size": 0}, "batch_size must be a positive integer, got 0"),
-        ({"batch_size": -5}, "batch_size must be a positive integer, got -5"),
-        ({"batch_size": 2.5}, "batch_size must be a positive integer, got 2.5"),
-        ({"batch_size": True}, "batch_size must be a positive integer, got True"),
+        # the batch size only splits the paths: no scenario sets it
+        ({"batch_size": 20_000},
+         "batch_size is not a field of mc-verify params"),
     ]
     base = {"rho": 0.5, "R": 2.0, "start": [1.0, 0.0], "paths": 10}
     config = {"scenarios": [
         {"id": f"mc{i}", "task": "mc-verify", "model": small_model(),
          "params": {**base, **patch}} for i, (patch, _) in enumerate(cases)]
         + [{"id": "ok", "task": "mc-verify", "model": small_model(),
-            "params": {**base, "batch_size": 4.0}}]}
+            "params": base}]}
     cli.run_config(config, tmp_path)
     *bad, ok = _strict_report(tmp_path)["scenarios"]
     assert [entry.get("error") for entry in bad] == [

@@ -24,12 +24,17 @@ def weighted_plane(profile=rd.weight_gaussian):
 
 def power_gaussian():
     """The Gaussian weight -t^2/2 as the power profile a t^k: the same drift
-    to the bit, but no declared linear class, so heun-exit-jumps runs it."""
+    to the bit, but no declared linear class, so heun-bridge runs it."""
     return rd.weight_power(-0.5, 2.0)
 
 
 def power_antigaussian():
     return rd.weight_power(0.5, 2.0)
+
+
+def ou_bridge(spec, rho, R, radial):
+    """The move of ``ou-bridge``: exact steps and the bridge exit test."""
+    return mc._bridge(spec, rho, R, radial, mc._ou_step(spec))
 
 
 def gradient_drift(spec, V):
@@ -128,7 +133,7 @@ def euler_maruyama(spec, start, rho, R, N):
             f"step size too coarse: radial increment exceeded (R-rho)/10 on "
             f"{100 * coarse_frac:.2f}% of steps")
     est = mc._estimate(spec, rho, R, N, n_inner, n_outer,
-                       math.fsum(exit_time_sums), n_steps_total, 0,
+                       math.fsum(exit_time_sums), n_steps_total,
                        "euler-maruyama", None)
     return dataclasses.replace(est, warnings=warns + est.warnings), coarse_frac
 
@@ -231,14 +236,14 @@ def test_a_radial_jump_lands_at_the_radius_of_a_cartesian_jump(n, offset):
     N, d = 20_000, 0.7
     V = np.repeat(spec.lift(np.linspace(0.3, 0.9, n)[:, None]), N, axis=1)
     q = mc._radii(V)[None]
-    q1, r1, b1, dt, jumps = mc._radial_jump(spec)(
+    q1, r1, b1, dt = mc._radial_jump(spec)(
         np.random.default_rng(n), q, None, np.full(N, d))
-    assert q1.shape == (1, N) and b1 is None and jumps == N
+    assert q1.shape == (1, N) and b1 is None
     np.testing.assert_array_equal(dt, d * d / (2 * n))
     np.testing.assert_allclose(r1, np.sqrt(q1[0] ** 2 + offset ** 2),
                                rtol=1e-15)
-    cartesian = V + mc._sphere_steps(
-        mc._normals(np.random.default_rng(100 + n), V), np.full(N, d))
+    xi = mc._normals(np.random.default_rng(100 + n), V)
+    cartesian = V + d * xi / mc._radii(xi)
     assert stats.ks_2samp(q1[0], mc._radii(cartesian)).pvalue > 1e-3
     assert stats.ks_2samp(r1, spec.radius(cartesian)).pvalue > 1e-3
 
@@ -279,7 +284,7 @@ def test_walk_on_spheres_needs_few_jumps():
                              20_000)
     assert est.estimator == "walk-on-spheres"
     assert est.shell == pytest.approx(1e-4 * (math.e - 1.0), rel=1e-15)
-    assert 0 < est.path_steps == est.exit_jumps < 100 * est.n_paths
+    assert 0 < est.path_steps < 100 * est.n_paths
 
 
 def test_max_steps_caps_jumps():
@@ -287,7 +292,7 @@ def test_max_steps_caps_jumps():
     est = mc.hit_probability(spec, [1.6, 0.0], 1.0, math.e, 500)
     assert est.n_unresolved > 0
     assert est.n_inner + est.n_outer + est.n_unresolved == 500
-    assert est.path_steps == est.exit_jumps <= 3 * 500
+    assert est.path_steps <= 3 * 500
     assert any("within 3 jumps" in w for w in est.warnings)
 
 
@@ -299,7 +304,7 @@ def test_heun_exit_jumps_determinism_is_bitwise():
                                 batch_size=700)
         return mc.hit_probability(spec, [1.4, 0.9], 1.0, 4.0, 2000)
     a, b = run(3), run(3)
-    assert a.estimator == "heun-exit-jumps"
+    assert a.estimator == "heun-bridge"
     assert a.to_dict() == b.to_dict()
     c = run(4)
     assert (c.p_hat, c.mean_exit_time) != (a.p_hat, a.mean_exit_time)
@@ -311,7 +316,7 @@ def test_heun_exit_jumps_match_the_antigaussian_model():
                             mc.default_step(rho, R), seed=61)
     est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
     exact = model_potential(rd.weight_antigaussian, rho, R, s)
-    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
+    assert est.estimator == "heun-bridge" and est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
@@ -324,9 +329,9 @@ def test_heun_exit_jumps_on_the_gaussian_plane():
     est = mc.hit_probability(spec, [2.0, 0.0], 1.0, 4.0, N)
     exact = model_potential(rd.weight_gaussian, 1.0, 4.0, 2.0)
     assert est.shell == pytest.approx(3e-4, rel=1e-12)
-    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
+    assert est.estimator == "heun-bridge" and est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 3.0 * est.standard_error
-    assert 0 < est.exit_jumps < est.path_steps < 100 * N
+    assert 0 < est.path_steps < 100 * N
 
 
 @pytest.mark.parametrize("profile,R,s", [
@@ -342,14 +347,9 @@ def test_drifted_estimates_match_the_model_potentials(profile, R, s):
     spec = mc.DiffusionSpec(weighted_plane(profile), mc.default_step(1.0, R),
                             seed=83)
     est = mc.hit_probability(spec, [s, 0.0], 1.0, R, 20_000)
-    assert est.estimator == "ou-bridge" and est.n_unresolved == 0
-    assert est.exit_jumps == 0 < est.path_steps
+    assert est.estimator == "ou-bridge" and est.n_unresolved == 0 < est.path_steps
     assert abs(est.p_hat - model_potential(profile, 1.0, R, s)) \
         <= 4.0 * est.standard_error
-
-
-def _speed(b):
-    return np.sqrt((b * b).sum(axis=0))
 
 
 def test_heun_step_is_the_predictor_corrector():
@@ -360,9 +360,10 @@ def test_heun_step_is_the_predictor_corrector():
     V = np.array([[2.0, 0.0], [0.3, -1.5]]).T
     d = np.array([1.0, 0.3])
     _, b = spec.radius_and_drift(V)
-    xi = np.random.default_rng(7).standard_normal(V.shape)
-    V1, dt = mc._heun(spec, V, b, d, mc.KAPPA * d * d, _speed(b), xi.copy())
-    want_dt = np.array([1e-2, 0.05 * 0.3 ** 2])
+    V1, dt = mc._heun(spec)(np.random.default_rng(7), V, mc._radii(V), b, d)
+    xi = mc._normals(np.random.default_rng(7), V)
+    # KAPPA d^2 above dtau in the bulk, dtau near the boundary
+    want_dt = np.array([0.05 * 1.0 ** 2, 1e-2])
     noise = xi * np.sqrt(2.0 * want_dt)
     h = want_dt
     np.testing.assert_allclose(dt, want_dt, rtol=1e-15)
@@ -373,88 +374,42 @@ def test_heun_step_is_the_predictor_corrector():
     np.testing.assert_allclose(r1, np.hypot(V1[0], V1[1]), rtol=1e-15)
 
 
-@pytest.mark.parametrize("plane,u,d", [
-    (ge.identity_chart(2, ge.HeightWeight(rd.weight_power(1.0, 1.0), 2,
-                                          axis=[1.5, -1.0])), [0.4, 1.1], 0.1),
-    # the metric g = basis^T basis is not the identity, so the frame
-    # coordinates differ from the chart's
-    (skewed_hyperplane(ge.HeightWeight(rd.weight_power(1.0, 1.0), 4,
-                                       axis=[0.5, -1.0, 0.3, 0.8])),
-     [1.1, -0.7, 0.9], 0.15),
-])
-def test_exit_jumps_follow_the_first_order_exit_law(plane, u, d):
-    # the height weight mu(t) = t, as a power profile that declares no
-    # linear class, has a constant gradient; under the constant drift
-    # b the exit point of the ball of radius d has E[theta] = (d / 2n) b to
-    # first order, where a walk-on-spheres jump would give E[theta] = 0,
-    # over 20 SE away
-    N, n = 200_000, len(u)
-    spec = mc.DiffusionSpec(plane, 1.0, seed=0)
-    V = np.repeat(spec.lift(np.asarray(u, dtype=float)[:, None]), N, axis=1)
-    _, b = spec.radius_and_drift(V)
-    V1, r1, b1, dt, jumps = mc._heun_exit_jump(spec)(
-        np.random.default_rng(3), V.copy(), b, np.full(N, d))
-    theta, beta = (V1 - V) / d, b[:, 0]
-    assert jumps == N and 0.5 * d * np.linalg.norm(beta) <= mc.EXIT_JUMP_EPS
-    np.testing.assert_allclose(np.sqrt((theta * theta).sum(axis=0)), 1.0,
-                               rtol=0, atol=1e-14)
-    se = theta.std(axis=1, ddof=1) / math.sqrt(N)
-    assert np.all(np.abs(theta.mean(axis=1) - d * beta / (2 * n)) <= 4.0 * se)
-    assert np.linalg.norm(d * beta / (2 * n)) > 20.0 * se.max()
-    np.testing.assert_array_equal(dt, d * d / (2 * n))
-    X1 = spec.frame @ V1 + spec.foot[:, None]
-    np.testing.assert_allclose(r1, np.linalg.norm(X1, axis=0), rtol=1e-15)
-    np.testing.assert_array_equal(b1, np.repeat(b1[:, :1], N, axis=1))
-
-
-def test_exit_jumps_land_at_g_distance_d():
-    # the move takes each path's own d; a jump lands on the sphere of
-    # radius d around its start in frame coordinates, the g-sphere of the
-    # chart, to rounding
-    plane = skewed_hyperplane(ge.RadialWeight(power_gaussian()))
-    spec = mc.DiffusionSpec(plane, mc.default_step(1.0, 4.0), seed=0)
-    rng = np.random.default_rng(5)
-    V = spec.lift(rng.uniform(-1.5, 1.5, (3, 5000)))
-    _, b = spec.radius_and_drift(V)
-    d = rng.uniform(1e-4, 0.03, 5000)
-    V1, _, _, dt, jumps = mc._heun_exit_jump(spec)(rng, V.copy(), b, d)
-    assert jumps == 5000
-    np.testing.assert_allclose(np.linalg.norm(V1 - V, axis=0), d, rtol=0,
-                               atol=1e-14)
-    np.testing.assert_array_equal(dt, d * d / 6.0)
-
-
-def test_bulk_paths_take_the_heun_step():
-    # where KAPPA d^2 >= dtau or the drift is strong across the ball, the
-    # move is the Heun step, draw for draw; the other paths jump
-    spec = mc.DiffusionSpec(weighted_plane(power_gaussian), 1e-2, seed=0)
-    V = np.array([[2.0, 0.0], [0.3, 0.2], [3.0, 0.5], [0.1, 0.2]]).T
-    d = np.array([1.0, 0.3, 0.3, 0.3])
-    _, b = spec.radius_and_drift(V)
-    V1, r1, b1, dt1, jumps = mc._heun_exit_jump(spec)(
-        np.random.default_rng(7), V[:, :1].copy(), b[:, :1], d[:1])
-    xi = mc._normals(np.random.default_rng(7), V[:, :1])
-    want, want_dt = mc._heun(spec, V[:, :1], b[:, :1], d[:1],
-                             mc.KAPPA * d[:1] ** 2, _speed(b[:, :1]), xi)
-    np.testing.assert_array_equal(V1, want)
-    np.testing.assert_array_equal(dt1, want_dt)
-    for got, exact in zip((r1, b1), spec.radius_and_drift(want)):
-        np.testing.assert_array_equal(got, exact)
-    assert jumps == 0
-    # |b| d / 2 is 0.05 at V = (0.3, 0.2), 0.46 at (3, 0.5) and 0.03 at
-    # (0.1, 0.2): the second and fourth paths jump
-    V1, _, _, dt, jumps = mc._heun_exit_jump(spec)(np.random.default_rng(7),
-                                                   V.copy(), b, d)
-    assert jumps == 2
-    jump_dt = 0.3 * 0.3 / 4.0
-    np.testing.assert_array_equal(dt, [1e-2, jump_dt, 0.05 * 0.3 * 0.3, jump_dt])
-    np.testing.assert_allclose(np.hypot(*(V1 - V)[:, 1::2]), 0.3, rtol=1e-15)
+@pytest.mark.parametrize("a", [0.15, -200.0])
+def test_a_heun_step_is_dtau_at_the_boundary_and_grows_in_the_bulk(a):
+    # dt = min(max(dtau, KAPPA d^2), d / (2 |b|)): under the cubic weight
+    # 0.15 r^3 dtau near the boundary, larger in the bulk and below dtau
+    # only within 2 |b| dtau of a boundary; under the stiff h = -200 r^2
+    # the cap d / (2 |b|) takes every step below dtau
+    rho, R, dtau = 1.0, 4.0, 1e-3
+    spec = mc.DiffusionSpec(
+        weighted_plane(lambda: rd.weight_power(a, 3.0 if a > 0 else 2.0)),
+        dtau, seed=0)
+    q = np.array([1.002, 1.12, 1.3, 2.0, 2.5, 3.0, 3.5, 3.9, 3.998])
+    V = np.stack([q, np.zeros_like(q)])
+    r, b = spec.radius_and_drift(V)
+    d = np.minimum(r - rho, R - r)
+    moved, dt = mc._heun(spec)(np.random.default_rng(3), V, q, b, d)
+    cap = 0.5 * d / np.linalg.norm(b, axis=0)
+    np.testing.assert_array_equal(
+        dt, np.minimum(np.maximum(dtau, mc.KAPPA * d * d), cap))
+    if a > 0:
+        assert dt[0] == dt[-2] == dtau and np.any(dt > 10.0 * dtau)
+        assert dt[-1] == cap[-1] < dtau
+    else:
+        np.testing.assert_array_equal(dt, cap)
+        assert np.all(dt < dtau)
+    # the move takes the step's dt, or half of it for an absorbed path
+    V1, r1, b1, times = mc._bridge(spec, rho, R, False, mc._heun(spec))(
+        np.random.default_rng(3), V, b, d)
+    np.testing.assert_array_equal(V1, moved)
+    absorbed = (r1 == rho) | (r1 == R)
+    np.testing.assert_array_equal(times, np.where(absorbed, 0.5, 1.0) * dt)
+    np.testing.assert_array_equal(b1, spec.radius_and_drift(V1)[1])
 
 
 def test_a_dtau_above_the_default_step_is_warned():
-    # heun-exit-jumps reads low at 4x the default step on this plane (by
-    # 1.2e-3 from s = 1.2, z = -5.1 over 4e6 paths): a dtau above the
-    # default is named in the estimate's warnings
+    # a dtau above the default is named in the estimate's warnings: the
+    # bridge test misses O(dtau) of the crossings near a boundary
     rho, R = 1.0, 3.0
     default = mc.default_step(rho, R)
     for dtau, warned in ((4.0 * default, True), (default, False),
@@ -462,11 +417,11 @@ def test_a_dtau_above_the_default_step_is_warned():
         spec = mc.DiffusionSpec(weighted_plane(power_antigaussian), dtau,
                                 seed=5)
         est = mc.hit_probability(spec, [1.2, 0.0], rho, R, 200)
-        assert est.estimator == "heun-exit-jumps"
+        assert est.estimator == "heun-bridge"
         if warned:
             assert est.warnings == [
                 "dtau = 0.016 exceeds the default step 1e-3 (R - rho)^2 = "
-                "0.004; heun-exit-jumps estimates read low at larger steps"]
+                "0.004; heun-bridge estimates read low at larger steps"]
         else:
             assert est.warnings == []
     # walk-on-spheres does not use dtau; ou-bridge takes dtau in the
@@ -490,7 +445,7 @@ def test_overshooting_paths_count_for_the_boundary_they_crossed():
     # a move that lands alternate paths inside rho and beyond R
     def move(rng, U, b, d):
         U = U * np.where(np.arange(U.shape[1]) % 2, 3.0, 0.25)
-        return U, np.linalg.norm(U, axis=0), None, np.ones(U.shape[1]), 0
+        return U, np.linalg.norm(U, axis=0), None, np.ones(U.shape[1])
     spec = mc.DiffusionSpec(radial_plane(), 1e-3, seed=1, max_steps=3)
     est = mc._shell_walk(spec, np.array([2.0, 0.0]), 1.0, 4.0, 300, "test",
                          move)
@@ -530,13 +485,13 @@ def test_heun_exit_jumps_on_an_offset_gaussian_plane():
     exact = model_potential(rd.weight_gaussian, math.sqrt(rho * rho - c * c),
                             math.sqrt(R * R - c * c), s)
     assert 0.3 < exact < 0.7
-    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
+    assert est.estimator == "heun-bridge" and est.n_unresolved == 0
     assert abs(est.p_hat - exact) <= 4.0 * est.standard_error
 
 
 def test_heun_exit_jumps_match_a_power_model():
     # a cubic weight 0.15 r^3: a drift (0.45 r) V that is not linear, which
-    # heun-exit-jumps serves (z -1.2 over 4e5 paths at seed 2024)
+    # heun-bridge serves
     def cubic():
         return rd.weight_power(0.15, 3.0)
 
@@ -544,7 +499,7 @@ def test_heun_exit_jumps_match_a_power_model():
     spec = mc.DiffusionSpec(weighted_plane(cubic), mc.default_step(rho, R),
                             seed=61)
     est = mc.hit_probability(spec, [s, 0.0], rho, R, 20_000)
-    assert est.estimator == "heun-exit-jumps" and est.n_unresolved == 0
+    assert est.estimator == "heun-bridge" and est.n_unresolved == 0
     assert abs(est.p_hat - model_potential(cubic, rho, R, s)) \
         <= 4.0 * est.standard_error
 
@@ -615,9 +570,9 @@ def test_an_exact_step_has_the_ornstein_uhlenbeck_mean_and_covariance(lam):
     V = np.repeat(spec.lift(np.array([[1.2], [-0.5]])), N, axis=1)
     # KAPPA d^2 < dt at the distance d from r = 1.5 to rho = 0.1: a step of dtau
     d = spec.radius(V) - 0.1
-    moved, _, b, times, jumps = mc._ou_bridge(spec, 0.1, 50.0, False)(
+    moved, _, b, times = ou_bridge(spec, 0.1, 50.0, False)(
         np.random.default_rng(4), V, None, d)
-    assert b is None and jumps == 0 and np.all(times == dt)
+    assert b is None and np.all(times == dt)
     grow = math.exp(lam * dt)
     mean = grow * V[:, 0] + beta * ((grow - 1.0) / lam if lam else dt)
     var = (grow * grow - 1.0) / lam if lam else 2.0 * dt
@@ -638,7 +593,7 @@ def test_a_bulk_step_has_the_ornstein_uhlenbeck_law_at_its_own_dt():
     spec = mc.DiffusionSpec(plane, 1e-3, seed=0)
     beta = spec.linear[1]
     V = np.repeat(spec.lift(np.array([[1.2, 6.0], [-0.5, 3.0]])), N // 2, axis=1)
-    moved, r, _, times, _ = mc._ou_bridge(spec, 0.1, 50.0, False)(
+    moved, r, _, times = ou_bridge(spec, 0.1, 50.0, False)(
         np.random.default_rng(5), V, None, spec.radius(V) - 0.1)
     assert np.all((r > 0.1) & (r < 50.0))
     assert len(np.unique(times)) == 2 and np.all(times > 0.09)
@@ -675,7 +630,7 @@ def test_an_exact_step_is_dtau_at_the_boundary_and_grows_in_the_bulk(case):
     assert inside[0] == (case == "offset antigaussian")
     q, V, r = q[inside], V[:, inside], r[inside]
     d = np.minimum(r - rho, R - r)
-    moved, r1, _, times, _ = mc._ou_bridge(spec, rho, R, radial)(
+    moved, r1, _, times = ou_bridge(spec, rho, R, radial)(
         np.random.default_rng(3), q[None] if radial else V, None, d)
     bulk = np.minimum(mc.KAPPA * d * d,
                       d / (2.0 * (abs(lam) * (q + d) + np.linalg.norm(beta))))
@@ -701,12 +656,12 @@ def test_a_radial_exact_step_lands_at_the_radius_of_a_cartesian_step(n, offset):
     N = 20_000
     V = np.repeat(spec.lift(np.linspace(0.3, 0.9, n)[:, None]), N, axis=1)
     d = spec.radius(V)
-    q1, r1, b1, dt, jumps = mc._ou_bridge(spec, 0.0, 50.0, True)(
+    q1, r1, b1, dt = ou_bridge(spec, 0.0, 50.0, True)(
         np.random.default_rng(n), mc._radii(V)[None], None, d)
-    assert q1.shape == (1, N) and b1 is None and jumps == 0
+    assert q1.shape == (1, N) and b1 is None
     np.testing.assert_allclose(r1, np.sqrt(q1[0] ** 2 + offset ** 2),
                                rtol=1e-15)
-    cartesian, r2, _, dt2, _ = mc._ou_bridge(spec, 0.0, 50.0, False)(
+    cartesian, r2, _, dt2 = ou_bridge(spec, 0.0, 50.0, False)(
         np.random.default_rng(100 + n), V, None, d)
     # both take the same bulk step, larger than dtau
     assert np.all(dt > 0.02)
@@ -715,20 +670,23 @@ def test_a_radial_exact_step_lands_at_the_radius_of_a_cartesian_step(n, offset):
     assert stats.ks_2samp(r1, r2).pvalue > 1e-3
 
 
-def test_the_bridge_absorbs_with_the_crossing_probability_of_a_brownian_bridge():
+def _check_bridge_absorption(profile, step, radial):
     # the offset plane x3 = 0.6 meets the sphere r = 1 in the circle of
     # in-plane radius a = 0.8.  A step q = 0.9 -> q1 > a is absorbed with
     # probability exp(-(q - a)(q1 - a)/dt), one that ends inside always; an
     # absorbed path returns r = rho and half its step
     dt, N, a = 0.01, 200_000, 0.8
     plane = ge.hyperplane(3, [0.0, 0.0, 1.0], offset=0.6,
-                          weight=ge.RadialWeight(rd.weight_gaussian()))
+                          weight=ge.RadialWeight(profile()))
     spec = mc.DiffusionSpec(plane, dt, seed=0)
     # r - rho = 0.08 puts the paths in the boundary layer: steps of dtau
     d = np.full(N, math.sqrt(0.81 + 0.36) - 1.0)
-    q1, r, _, times, _ = mc._ou_bridge(spec, 1.0, 3.0, True)(
-        np.random.default_rng(9), np.full((1, N), 0.9), None, d)
-    q1 = q1[0]
+    V = np.zeros((1 if radial else 2, N))
+    V[0] = 0.9
+    b = spec.radius_and_drift(V)[1] if spec.linear is None else None
+    moved, r, _, times = mc._bridge(spec, 1.0, 3.0, radial, step(spec))(
+        np.random.default_rng(9), V, b, d)
+    q1 = mc._radii(moved)
     absorbed = times == 0.5 * dt
     assert np.all(absorbed | (times == dt))
     assert np.array_equal(absorbed, r == 1.0)
@@ -741,37 +699,46 @@ def test_the_bridge_absorbs_with_the_crossing_probability_of_a_brownian_bridge()
                                   np.sqrt(q1[~absorbed] ** 2 + 0.36))
 
 
-# Counts (n_inner, n_outer, n_unresolved, path_steps, exit_jumps) and values
+def test_the_bridge_absorbs_with_the_crossing_probability_of_a_brownian_bridge():
+    _check_bridge_absorption(rd.weight_gaussian, mc._ou_step, True)
+
+
+def test_the_bridge_absorbs_heun_steps_with_the_crossing_probability():
+    # the same test after a Heun step under the Gaussian drift written as
+    # a power profile, which declares no linear class
+    _check_bridge_absorption(power_gaussian, mc._heun, False)
+
+
+# Counts (n_inner, n_outer, n_unresolved, path_steps) and values
 # (p_hat, mean_exit_time) of ten recorded runs; the loop must reproduce
 # them: counts exactly, values to rounding.  The walk-on-spheres cases were
 # recorded with the move in the in-plane radius, one cosine a jump (they
-# pin how each batch's stream is used), the heun cases with the
-# heun-exit-jumps move, the skewed one while it still moved in chart
-# coordinates, and with the Gaussian and antigaussian weights, which now
-# run them as the power profiles -+t^2/2 (``power_gaussian``), to the bit.
-# The ou-bridge cases pin its radial move (n = 2 and n = 3, through the
-# origin and offset) and its move in V (a translator), with steps that
-# grow in the bulk.
+# pin how each batch's stream is used).  The heun cases pin the
+# heun-bridge move under the Gaussian and antigaussian drifts written as
+# the power profiles -+t^2/2 (``power_gaussian``), which declare no linear
+# class; the capped one leaves 7.6 % of its paths unresolved.  The
+# ou-bridge cases pin its radial move (n = 2 and n = 3, through the
+# origin and offset) and its move in V (a translator).  Every drifted
+# case takes steps that grow in the bulk.
 RECORDED_ESTIMATES = {
-    "walk-on-spheres R^3": (1066, 934, 0, 57268, 57268, 0.533,
-                            0.9161462427441242),
-    "capped heun, Gaussian plane": (554, 375, 71, 123111, 11332,
-                                    0.596340150699677, 0.10884094594792419),
-    "heun, offset Gaussian plane": (1862, 138, 0, 231101, 57106, 0.931,
-                                    0.4113611264281529),
-    "heun, antigaussian plane": (549, 1451, 0, 185660, 21592, 0.2745,
-                                 0.3497767382147251),
-    "walk-on-spheres, 3-plane in R^4": (1002, 998, 0, 58221, 58221, 0.501,
+    "walk-on-spheres R^3": (1066, 934, 0, 57268, 0.533, 0.9161462427441242),
+    "capped heun, Gaussian plane": (558, 366, 76, 31978, 0.6038961038961039,
+                                    0.11142149371228141),
+    "heun, offset Gaussian plane": (1854, 146, 0, 71456, 0.927,
+                                    0.39609628346355613),
+    "heun, antigaussian plane": (530, 1470, 0, 52574, 0.265,
+                                 0.35607696985205656),
+    "walk-on-spheres, 3-plane in R^4": (1002, 998, 0, 58221, 0.501,
                                         0.9536662616430579),
-    "heun, skewed Gaussian hyperplane": (1613, 387, 0, 318703, 55451, 0.8065,
-                                         0.5678298553761447),
-    "ou-bridge, Gaussian plane": (1860, 140, 0, 56109, 0, 0.93,
+    "heun, skewed Gaussian hyperplane": (1610, 390, 0, 79284, 0.805,
+                                         0.5922343709523893),
+    "ou-bridge, Gaussian plane": (1860, 140, 0, 56109, 0.93,
                                   0.35973179165145036),
-    "ou-bridge, offset antigaussian plane": (641, 1359, 0, 61844, 0, 0.3205,
+    "ou-bridge, offset antigaussian plane": (641, 1359, 0, 61844, 0.3205,
                                              0.38415937667618255),
-    "ou-bridge, Gaussian 3-plane in R^4": (1710, 290, 0, 68760, 0, 0.855,
+    "ou-bridge, Gaussian 3-plane in R^4": (1710, 290, 0, 68760, 0.855,
                                            0.47830184738997666),
-    "ou-bridge, tilted translator plane": (1230, 770, 0, 83855, 0, 0.615,
+    "ou-bridge, tilted translator plane": (1230, 770, 0, 83855, 0.615,
                                            0.5213332868699605),
 }
 
@@ -786,7 +753,7 @@ def _recorded_run(case):
     if case == "capped heun, Gaussian plane":
         spec = mc.DiffusionSpec(ge.coordinate_plane(3, (0, 1), gauss),
                                 mc.default_step(1.0, 2.0), seed=5,
-                                max_steps=300)
+                                max_steps=80)
         return mc.hit_probability(spec, [1.5, 0.0], 1.0, 2.0, 1000)
     if case == "heun, antigaussian plane":
         anti = ge.RadialWeight(power_antigaussian())
@@ -837,8 +804,8 @@ def _recorded_ou_bridge_run(case):
 def test_path_loop_reproduces_recorded_estimates(case):
     est = _recorded_run(case)
     *counts, p_hat, exit_time = RECORDED_ESTIMATES[case]
-    assert [est.n_inner, est.n_outer, est.n_unresolved, est.path_steps,
-            est.exit_jumps] == counts
+    assert [est.n_inner, est.n_outer, est.n_unresolved,
+            est.path_steps] == counts
     assert est.p_hat == pytest.approx(p_hat, rel=1e-12)
     assert est.mean_exit_time == pytest.approx(exit_time, rel=1e-12)
 
@@ -989,7 +956,7 @@ def test_a_translator_on_a_plane_normal_to_its_axis_walks_on_spheres():
 def test_a_height_weight_runs_the_estimator_of_its_drift():
     # the default mu t has the translator's drift and mu zero none: their
     # estimates are those of the translator and of the unweighted plane,
-    # to the bit; a quadratic mu keeps heun-exit-jumps
+    # to the bit; a quadratic mu keeps heun-bridge
     def estimate(weight):
         weight = weight and catalogs.resolve_ambient_weight(weight, 3)
         plane = ge.hyperplane(3, [0.0, 0.6, 0.8], offset=0.3, weight=weight)
@@ -1003,7 +970,7 @@ def test_a_height_weight_runs_the_estimator_of_its_drift():
     assert flat["estimator"] == "walk-on-spheres" and flat == estimate(None)
     quadratic = {"name": "power", "a": 0.5, "k": 2.0}
     assert estimate({"name": "height", "mu": quadratic})["estimator"] \
-        == "heun-exit-jumps"
+        == "heun-bridge"
 
 
 @pytest.mark.parametrize("weight", [None, "gaussian"])
