@@ -22,17 +22,13 @@ from .fields import (AS_WRITTEN, AXES, COUNT, DIMENSION, EXPRESSION, FINITE, OPT
 from .model import WeightedModel
 
 
-def _custom_warping(spec):
-    profile = rd.RadialProfile.from_expression(spec["expr"])
-    return rd.WarpingFunction(profile.fn, profile.d1, profile.d2, name=spec["expr"])
-
-
 WARPINGS = Catalog("warping", "euclidean", {
     "euclidean": Entry({}, lambda s: rd.warping_euclidean()),
     "hyperbolic": Entry({"kappa": Field(AS_WRITTEN, -1.0)},
                         lambda s: rd.warping_hyperbolic(s["kappa"])),
     "paraboloid": Entry({}, lambda s: rd.warping_paraboloid()),
-    "custom": Entry({"expr": Field(EXPRESSION)}, _custom_warping),
+    "custom": Entry({"expr": Field(EXPRESSION)},
+                    lambda s: rd.WarpingFunction.from_expression(s["expr"], linear=None)),
 })
 
 

@@ -27,7 +27,7 @@ from __future__ import annotations
 import ast
 import re
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -145,15 +145,13 @@ class Dual:
     def __neg__(self):
         return Dual(-self.value, -self.deriv)
 
-    def pow_const(self, c):
-        v = fpow(self.value, c - 1.0)
-        return Dual(fpow(self.value, c), c * v * self.deriv)
 
-
-def fpow(x, c):
+def fpow(x, c, a=1.0):
+    """a x^c of a float, an array or a (nested) dual.  The derivative folds
+    the numbers first, (a c) x^(c-1) dx, as a closed form writes it."""
     if isinstance(x, Dual):
-        return x.pow_const(c)
-    return np.power(x, c)
+        return Dual(fpow(x.value, c, a), fpow(x.value, c - 1.0, a * c) * x.deriv)
+    return np.power(x, c) if a == 1.0 else a * np.power(x, c)
 
 
 # ---------------------------------------------------------------------------
@@ -218,9 +216,15 @@ MAX_DEPTH = 100
 
 
 def parse(source, variables):
-    """Parse ``source`` into an AST; every variable must be declared."""
+    """Parse ``source`` into an AST; every variable must be declared.  Trees
+    are immutable: each (source, variables) is parsed once, and shared."""
     if not isinstance(source, str):
         raise ExprSyntaxError(f"expression must be a string, got {source!r}", 0)
+    return _parse(source, tuple(variables))
+
+
+@lru_cache(maxsize=1024)
+def _parse(source, variables):
     if not source.strip():
         raise ExprSyntaxError("empty expression", 0)
     foreign = _FOREIGN_RE.search(source)
@@ -318,14 +322,21 @@ def evaluate(node, env):
         if entry.outside is not None and _is_bad(arg, entry.outside):
             raise ExprDomainError(entry.message, node)
         return apply(node.fn, arg)
+    a = 1.0
+    if node.op == "*" and isinstance(node.rhs, BinOp) and node.rhs.op == "^":
+        # a tree of numbers (affine in no variable) times a power: fpow
+        # folds the number into the power's derivative
+        form = affine_form(node.lhs, None)
+        if form is not None:
+            a, node = form[0], node.rhs
     lhs = evaluate(node.lhs, env)
     if node.op == "^":
         c = evaluate(node.rhs, {})
-        if _is_bad(lhs, lambda v: (v < 0)) and c != round(c):
+        if c != round(c) and _is_bad(lhs, lambda v: v < 0):
             raise ExprDomainError("negative base with non-integer exponent", node)
         if c < 0 and _is_bad(lhs, lambda v: v == 0):
             raise ExprDomainError("zero base with negative exponent", node)
-        return fpow(lhs, c)
+        return fpow(lhs, c, a)
     rhs = evaluate(node.rhs, env)
     if node.op == "+":
         return lhs + rhs

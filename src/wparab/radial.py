@@ -44,11 +44,6 @@ class RadialProfile:
     name: str = ""
     linear: tuple | None = None
 
-    def __post_init__(self):
-        # hook so that subclasses (pole-validated warpings) get called by
-        # the generated __init__
-        pass
-
     def value(self, t):
         return self.fn(t)
 
@@ -74,7 +69,10 @@ class RadialProfile:
                 f"(domain is t > {self.t_min})")
 
     @classmethod
-    def from_expression(cls, source, *, t_min=0.0):
+    def from_expression(cls, source, *, t_min=0.0, name=None, linear="affine"):
+        """An expression in t, named by its source by default; d1 and d2 come
+        from dual numbers.  ``linear`` declares the pair, or None; by default
+        an expression c + a t declares its constant derivative a."""
         ast = ex.parse(source, ["t"])
 
         def fn(t):
@@ -87,17 +85,17 @@ class RadialProfile:
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]
 
-        # an expression c + a t declares its constant derivative a
-        form = ex.affine_form(ast, "t")
-        return cls(fn, d1, d2, t_min=t_min, name=source,
-                   linear=None if form is None else (form[1], 0.0))
+        if linear == "affine":
+            form = ex.affine_form(ast, "t")
+            linear = None if form is None else (form[1], 0.0)
+        return cls(fn, d1, d2, t_min=t_min, name=name or source, linear=linear)
 
     @classmethod
     def constant(cls, c, name=""):
-        return cls(lambda t: c + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t,
-                   name=name or f"const({c})", linear=(0.0, 0.0))
+        return cls.from_expression(repr(float(c)), name=name or f"const({c})")
 
 
+@dataclass(frozen=True)
 class WarpingFunction(RadialProfile):
     """Radial profile with pole conditions w(0)=0, w'(0)=1.
 
@@ -118,20 +116,19 @@ class WarpingFunction(RadialProfile):
 
 # Built-in catalog -----------------------------------------------------------
 
+# Expression trees, but for the paraboloid's warping (a Newton inverse) and
+# logpow (a chain rule through any warping, the paraboloid's included).
+
 def warping_euclidean():
-    return WarpingFunction(lambda t: t, lambda t: 1.0 + 0.0 * t,
-                           lambda t: 0.0 * t, name="euclidean")
+    return WarpingFunction.from_expression("t", name="euclidean", linear=None)
 
 
 def warping_hyperbolic(kappa=-1.0):
     if kappa >= 0:
         raise ValueError("hyperbolic warping needs kappa < 0")
     s = math.sqrt(-kappa)
-    return WarpingFunction(
-        lambda t: np.sinh(s * t) / s,
-        lambda t: np.cosh(s * t),
-        lambda t: s * np.sinh(s * t),
-        name=f"hyperbolic(kappa={kappa})")
+    return WarpingFunction.from_expression(f"sinh({s!r}*t)/{s!r}",
+                                           name=f"hyperbolic(kappa={kappa})")
 
 
 def _paraboloid_arc(rho, sqrt=np.sqrt, asinh=np.arcsinh):
@@ -180,29 +177,23 @@ def weight_zero():
 
 
 def weight_gaussian():
-    return RadialProfile(lambda t: -0.5 * t * t, lambda t: -t,
-                         lambda t: -1.0 + 0.0 * t, name="gaussian",
-                         linear=(0.0, -1.0))
+    return RadialProfile.from_expression("-0.5*t*t", name="gaussian", linear=(0.0, -1.0))
 
 
 def weight_antigaussian():
-    return RadialProfile(lambda t: 0.5 * t * t, lambda t: t + 0.0 * t,
-                         lambda t: 1.0 + 0.0 * t, name="antigaussian",
-                         linear=(0.0, 1.0))
+    return RadialProfile.from_expression("0.5*t*t", name="antigaussian", linear=(0.0, 1.0))
 
 
 def weight_height():
     """mu(t) = t: the height weight e^t of translators."""
-    return RadialProfile(lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
-                         lambda t: 0.0 * t, name="height", linear=(1.0, 0.0))
+    return RadialProfile.from_expression("t", name="height")
 
 
 def weight_power(a, k):
-    return RadialProfile(
-        lambda t: a * np.power(t, k),
-        lambda t: a * k * np.power(t, k - 1),
-        lambda t: a * k * (k - 1) * np.power(t, k - 2),
-        name=f"power(a={a}, k={k})", t_min=0.0 if k >= 1 else 1e-8)
+    # float() keeps a numpy scalar's repr, np.float64(0.5), out of the source
+    return RadialProfile.from_expression(
+        f"{float(a)!r}*t^{float(k)!r}", name=f"power(a={a}, k={k})",
+        t_min=0.0 if k >= 1 else 1e-8)
 
 
 def weight_logpow(k, w: WarpingFunction):

@@ -570,6 +570,32 @@ def test_a_height_weight_checks_the_domain_of_its_mu(tmp_path):
     assert [entry["status"] for entry in entries[3:]] == ["ok", "ok"]
 
 
+def test_a_power_mu_of_fractional_degree_refuses_negative_heights(tmp_path):
+    # mu = 0.5 t^1.5 has t_min 0 but no real value below the origin; the
+    # sphere of radius 1.3 and the paths on the plane read negative heights,
+    # which once gave NaN residuals and drifts under status ok
+    root = {"name": "power", "a": 0.5, "k": 1.5}
+    euclidean = {"m": 3, "warping": {"name": "euclidean"}}
+    sphere = {"name": "sphere", "a": 1.3}
+    plane = {"name": "plane", "normal": [0.0, 0.6, 0.8], "offset": 0.3}
+    config = {"scenarios": [
+        {"id": "height", "task": "check-identities",
+         "model": {**euclidean, "weight": {"name": "height", "mu": root}},
+         "submanifold": sphere, "params": {"psi": "t^2/2", "points": 6, "seed": 2}},
+        {"id": "split", "task": "check-identities",
+         "model": {**euclidean, "weight": {"name": "split", "eta": {"name": "gaussian"},
+                                           "mu": root}},
+         "submanifold": sphere, "params": {"psi": "t^2/2", "points": 6, "seed": 2}},
+        {"id": "mc", "task": "mc-verify",
+         "model": {**euclidean, "weight": {"name": "height", "mu": root}},
+         "submanifold": plane,
+         "params": {"rho": 1.0, "R": 4.0, "start": [2.0, 0.0], "paths": 200, "seed": 5}}]}
+    cli.run_config(config, tmp_path)
+    entries = _strict_report(tmp_path)["scenarios"]
+    assert [(entry["status"], entry.get("error")) for entry in entries] == [
+        ("error", "ExprDomainError: negative base with non-integer exponent in `t^1.5`")] * 3
+
+
 def test_mc_verify_rejects_inputs_it_would_convert(tmp_path):
     cases = [
         ({"start": [True, 0.5]},

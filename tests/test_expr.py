@@ -169,10 +169,45 @@ def test_parse_returns_a_tree_or_a_syntax_error(source):
             assert _bits(ex.evaluate(again, {"t": t})) == _bits(value)
 
 
-@pytest.mark.parametrize("source", [5, 0, None, ["t"], b"t"])
+# the unhashable ones reach the string check before the parse memo
+# hashes its key, which would raise TypeError
+@pytest.mark.parametrize("source", [5, 0, None, ["t"], b"t", {"t": 1}, bytearray(b"t"), {"t"}])
 def test_a_source_that_is_not_a_string_is_a_syntax_error(source):
     with pytest.raises(ex.ExprSyntaxError, match=re.escape(f"must be a string, got {source!r}")):
         ex.parse(source, ["t"])
+
+
+def test_a_source_is_parsed_once_per_variables():
+    tree = ex.parse("0.5*t^2 + sin(t)", ["t"])
+    assert ex.parse("0.5*t^2 + sin(t)", ("t",)) is tree
+    assert ex.parse("x1*x2", ["x1", "x2"]) is ex.parse("x1*x2", ("x1", "x2"))
+    # the variables are part of the key: t is declared only in the first
+    assert ex.parse("t", ["t"]) == ex.Var("t")
+    with pytest.raises(ex.ExprSyntaxError, match="undeclared variable 't'"):
+        ex.parse("t", ["x1"])
+
+
+@pytest.mark.parametrize("source", ["t^", "2t", "", "foo(t)"])
+def test_a_bad_source_raises_on_every_call(source):
+    for _ in range(3):
+        with pytest.raises(ex.ExprSyntaxError):
+            ex.parse(source, ["t"])
+
+
+@pytest.mark.parametrize("source,a,c", [
+    ("-0.3*t^3", -0.3, 3.0), ("0.15*t^3.0", 0.15, 3.0), ("-(0.8)*t^2.5", -0.8, 2.5),
+    ("2/3*t^-1.5", 2.0 / 3.0, -1.5), ("0.7*t^0.5", 0.7, 0.5),
+])
+def test_a_number_times_a_power_differentiates_as_its_closed_form(source, a, c):
+    # the number folds into the derivative first, (a c) t^(c-1) and
+    # (a c (c-1)) t^(c-2), as a hand-written derivative writes it
+    ast = ex.parse(source, ["t"])
+    t = np.geomspace(1e-3, 30.0, 301)
+    for x in (t, *t[::50].tolist()):
+        value, first, second = ex.derivatives_1d(ast, "t", x)
+        assert _bits(value) == _bits(a * np.power(x, c))
+        assert _bits(first) == _bits(a * c * np.power(x, c - 1))
+        assert _bits(second) == _bits(a * c * (c - 1) * np.power(x, c - 2))
 
 
 def test_eval_dual_polynomial():

@@ -919,13 +919,15 @@ HEIGHT_ZERO = {"name": "height", "mu": {"name": "zero"}}
     ({"name": "height", "mu": {"name": "custom", "expr": "t", "t_min": 0.5}}, None),
     ({"name": "height"}, 0.0), (HEIGHT_ZERO, 0.0),
     ({"name": "height", "mu": {"name": "custom", "expr": "-2*t/4+3"}}, 0.0),
+    ({"name": "power", "a": 0.5, "k": 2}, None),
 ])
 def test_the_catalog_declares_the_linear_drifts(plane, weight, lam):
     # gaussian and antigaussian drift by lam V, translators by a constant
     # beta = E^T e_m, and so does a height weight whose mu is an expression
     # c + a t, such as its default t (a beta of a E^T e_m); under mu zero
-    # it has no drift.  A power stays general, even one of degree 1, and
-    # so does a mu that is not defined at every height
+    # it has no drift.  A power stays general, even one of degree 1 or the
+    # antigaussian's 0.5 r^2, and so does a mu that is not defined at
+    # every height
     P = frame_plane(plane, lambda m: catalogs.resolve_ambient_weight(weight, m))
     spec = mc.DiffusionSpec(P, 1e-3, seed=0)
     V = spec.lift(np.random.default_rng(2).uniform(-2.0, 2.0, (spec.dim, 300)))

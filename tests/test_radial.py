@@ -577,6 +577,73 @@ def test_catalog_derivatives_match_finite_differences(profile):
         assert abs(d - fd) <= 1e-6 * max(1.0, abs(d)), (profile.name, t)
 
 
+def _closed_forms():
+    """The catalog profiles and the hand-written (fn, d1, d2) they replaced,
+    with the name, t_min and linear those declared, and radii to read them
+    at: every profile is read at t > 0, the weights defined below the origin
+    at negative t too."""
+    t = np.geomspace(1e-6, 40.0, 2001)
+    both = np.concatenate((-t[::-1], t))
+    cases = [(rd.warping_euclidean(), lambda t: t, lambda t: 1.0 + 0.0 * t,
+              lambda t: 0.0 * t, "euclidean", 0.0, None, t)]
+    for kappa in (-1.0, -2.0, -0.3, -5):
+        s = math.sqrt(-kappa)
+        cases.append((rd.warping_hyperbolic(kappa), lambda t, s=s: np.sinh(s * t) / s,
+                      lambda t, s=s: np.cosh(s * t), lambda t, s=s: s * np.sinh(s * t),
+                      f"hyperbolic(kappa={kappa})", 0.0, None, t[t < 100.0 / s]))
+    cases += [
+        (rd.weight_zero(), lambda t: 0.0 + 0.0 * t, lambda t: 0.0 * t, lambda t: 0.0 * t,
+         "zero", 0.0, (0.0, 0.0), both),
+        (rd.RadialProfile.constant(-2.5), lambda t: -2.5 + 0.0 * t, lambda t: 0.0 * t,
+         lambda t: 0.0 * t, "const(-2.5)", 0.0, (0.0, 0.0), both),
+        (rd.weight_gaussian(), lambda t: -0.5 * t * t, lambda t: -t,
+         lambda t: -1.0 + 0.0 * t, "gaussian", 0.0, (0.0, -1.0), both),
+        (rd.weight_antigaussian(), lambda t: 0.5 * t * t, lambda t: t + 0.0 * t,
+         lambda t: 1.0 + 0.0 * t, "antigaussian", 0.0, (0.0, 1.0), both),
+        (rd.weight_height(), lambda t: t + 0.0 * t, lambda t: 1.0 + 0.0 * t,
+         lambda t: 0.0 * t, "height", 0.0, (1.0, 0.0), both)]
+    for a, k in ((-0.3, 3.0), (0.5, 2), (0.15, 3.0), (-0.8, 2.5), (0.7, 0.5), (2.0, -1.0)):
+        cases.append((rd.weight_power(a, k), lambda t, a=a, k=k: a * np.power(t, k),
+                      lambda t, a=a, k=k: a * k * np.power(t, k - 1),
+                      lambda t, a=a, k=k: a * k * (k - 1) * np.power(t, k - 2),
+                      f"power(a={a}, k={k})", 0.0 if k >= 1 else 1e-8, None,
+                      both if k == round(k) and k > 0 else t))
+    return cases
+
+
+def _ulps(x, y):
+    """Largest distance of x from y in units of the last place."""
+    x, y = np.atleast_1d(x), np.atleast_1d(y)
+    gap = np.abs(x - y) / np.spacing(np.maximum(np.abs(x), np.abs(y)))
+    return float(np.max(np.where(x == y, 0.0, gap)))
+
+
+@pytest.mark.parametrize("case", _closed_forms(), ids=lambda case: case[4])
+def test_catalog_trees_keep_the_closed_forms(case):
+    # the values to the bit, on floats and arrays; derivatives within one
+    # ulp: the measured maximum, reached by sinh(s t)/s for s != 1, whose
+    # dual derivative is (cosh(s t) s)/s.  A number times a power folds
+    # into its derivative as (a k) t^(k-1), so power's derivatives keep
+    # their bits
+    profile, fn, d1, d2, name, t_min, linear, t = case
+    assert (profile.name, profile.t_min, profile.linear) == (name, t_min, linear)
+    assert np.array_equal(profile.value(t), fn(t))
+    assert all(profile.value(x) == fn(x) for x in t[::97].tolist())
+    assert _ulps(profile.deriv(t), d1(t)) <= (1.0 if name.startswith("hyperbolic") else 0.0)
+    assert _ulps(profile.second(t), d2(t)) <= (1.0 if name.startswith("hyperbolic") else 0.0)
+    for x in t[::97].tolist():
+        assert _ulps(profile.deriv(x), d1(x)) <= 1.0 and _ulps(profile.second(x), d2(x)) <= 1.0
+
+
+def test_catalog_sources_parse_from_numpy_parameters():
+    # numpy 2 writes repr(np.float64(0.5)) as "np.float64(0.5)", which is
+    # no expression; the catalog writes its numbers as Python floats
+    power = rd.weight_power(np.float64(0.5), np.float64(2.0))
+    assert power.name == "power(a=0.5, k=2.0)" and power.value(3.0) == 4.5
+    assert rd.warping_hyperbolic(np.float64(-4.0)).value(1.0) == np.sinh(2.0) / 2.0
+    assert rd.RadialProfile.constant(np.float64(1.5)).value(7.0) == 1.5
+
+
 def test_warping_pole_conditions_are_enforced():
     with pytest.raises(ValueError, match="pole conditions"):
         rd.WarpingFunction(lambda t: t * t, lambda t: 2 * t, name="t^2")
