@@ -28,7 +28,7 @@ WARPINGS = Catalog("warping", "euclidean", {
                         lambda s: rd.warping_hyperbolic(s["kappa"])),
     "paraboloid": Entry({}, lambda s: rd.warping_paraboloid()),
     "custom": Entry({"expr": Field(EXPRESSION)},
-                    lambda s: rd.WarpingFunction.from_expression(s["expr"], linear=None)),
+                    lambda s: rd.WarpingFunction.from_expression(s["expr"])),
 })
 
 

@@ -69,10 +69,10 @@ class RadialProfile:
                 f"(domain is t > {self.t_min})")
 
     @classmethod
-    def from_expression(cls, source, *, t_min=0.0, name=None, linear="affine"):
+    def from_expression(cls, source, *, t_min=0.0, name=None, linear=None):
         """An expression in t, named by its source by default; d1 and d2 come
-        from dual numbers.  ``linear`` declares the pair, or None; by default
-        an expression c + a t declares its constant derivative a."""
+        from dual numbers.  An expression c + a t declares its constant
+        derivative a; a given ``linear`` pair declares another."""
         ast = ex.parse(source, ["t"])
 
         def fn(t):
@@ -85,7 +85,7 @@ class RadialProfile:
         def d2(t):
             return ex.derivatives_1d(ast, "t", t)[2]
 
-        if linear == "affine":
+        if linear is None:
             form = ex.affine_form(ast, "t")
             linear = None if form is None else (form[1], 0.0)
         return cls(fn, d1, d2, t_min=t_min, name=name or source, linear=linear)
@@ -120,7 +120,7 @@ class WarpingFunction(RadialProfile):
 # logpow (a chain rule through any warping, the paraboloid's included).
 
 def warping_euclidean():
-    return WarpingFunction.from_expression("t", name="euclidean", linear=None)
+    return WarpingFunction.from_expression("t", name="euclidean")
 
 
 def warping_hyperbolic(kappa=-1.0):

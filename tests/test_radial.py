@@ -579,13 +579,14 @@ def test_catalog_derivatives_match_finite_differences(profile):
 
 def _closed_forms():
     """The catalog profiles and the hand-written (fn, d1, d2) they replaced,
-    with the name, t_min and linear those declared, and radii to read them
-    at: every profile is read at t > 0, the weights defined below the origin
-    at negative t too."""
+    with the name, t_min and linear those declared (but the euclidean
+    warping: its source t declares the derivative 1, where the triple
+    declared none), and radii to read them at: every profile is read at
+    t > 0, the weights defined below the origin at negative t too."""
     t = np.geomspace(1e-6, 40.0, 2001)
     both = np.concatenate((-t[::-1], t))
     cases = [(rd.warping_euclidean(), lambda t: t, lambda t: 1.0 + 0.0 * t,
-              lambda t: 0.0 * t, "euclidean", 0.0, None, t)]
+              lambda t: 0.0 * t, "euclidean", 0.0, (1.0, 0.0), t)]
     for kappa in (-1.0, -2.0, -0.3, -5):
         s = math.sqrt(-kappa)
         cases.append((rd.warping_hyperbolic(kappa), lambda t, s=s: np.sinh(s * t) / s,
